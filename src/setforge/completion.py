@@ -65,14 +65,11 @@ class LeveledUniverse:
     """A graph together with the cumulative node set of every level.
 
     ``levels[n]`` is the node set after ``n`` completion steps;
-    ``levels[0]`` is the seed.  ``seed_level_count`` records how many
-    leading levels were present before any completion step ran (always 1
-    for universes produced by :func:`complete`).
+    ``levels[0]`` is the seed.
     """
 
     graph: ExtensionalDigraph
     levels: tuple[frozenset[NodeId], ...]
-    seed_level_count: int = 1
 
     def __post_init__(self) -> None:
         if not self.levels:
@@ -181,11 +178,7 @@ def complete_step(u: LeveledUniverse, budget: Budget = DEFAULT_BUDGET) -> Levele
         extensions=extensions,
         provenance=provenance,
     )
-    return LeveledUniverse(
-        graph=new_graph,
-        levels=u.levels + (new_graph.nodes,),
-        seed_level_count=u.seed_level_count,
-    )
+    return LeveledUniverse(graph=new_graph, levels=u.levels + (new_graph.nodes,))
 
 
 def complete(

@@ -22,11 +22,10 @@ Foundation axiom's witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .completion import Budget, DEFAULT_BUDGET, LeveledUniverse, deficiency
-from .errors import BudgetExceededError, DredConditionError, SetforgeError
-from .graph import Deficiency, ExtensionalDigraph, NodeId, extensionality_violation, subset_node_id
+from .completion import Budget, DEFAULT_BUDGET, LeveledUniverse, complete_step
+from .errors import DredConditionError
+from .graph import ExtensionalDigraph, NodeId, extensionality_violation
 
 
 @dataclass(frozen=True)
@@ -191,30 +190,6 @@ def require_dred(h: Dred) -> None:
         )
 
 
-def bounded_deficiency(
-    h: Dred,
-    budget: Budget = DEFAULT_BUDGET,
-    image: Callable[[NodeId], int] | None = None,
-) -> list[tuple[NodeId, ...]]:
-    """Deficiency restricted to subsets whose image is a finite set.
-
-    ``image`` defaults to the depth map.  Materialising the image of a
-    subset of a finite graph always yields a finite set, so on this
-    carrier nothing is pruned and the result agrees with plain
-    :func:`~setforge.completion.deficiency`; the enumeration still
-    matters because it demands the image function be total on every
-    candidate member.  An infinite carrier is where the restriction
-    would start discarding subsets.
-    """
-    fn = image if image is not None else lambda x: h.depth[x]
-    out = []
-    for members in deficiency(h.graph, budget):
-        for z in members:
-            fn(z)
-        out.append(members)
-    return out
-
-
 @dataclass(frozen=True)
 class DredLeveledUniverse:
     """A leveled universe whose graph carries depth/rank annotations."""
@@ -252,56 +227,35 @@ def dred_complete(
     n: int,
     budget: Budget = DEFAULT_BUDGET,
 ) -> DredLeveledUniverse:
-    """Iterate bounded-deficiency completion, propagating depth and rank.
+    """Run ``n`` steps of :func:`~setforge.completion.complete_step`,
+    annotating each step's new nodes with depth and rank.
 
     A node added for subset ``X`` gets depth ``max`` of its members'
     depths (0 for the empty set) and, for every carried index ``i``
     above that depth, rank ``max(r_i(member) + 1)`` (0 for the empty
-    set).  The DRED conditions are re-verified after every step and a
-    violation is surfaced as DredConditionError rather than assumed
-    away; with these recipes no violation is expected, and the
-    verification is the evidence.
+    set).  The DRED conditions are verified before the first step and
+    after every step, and a violation is surfaced as DredConditionError
+    rather than assumed away; with these recipes no violation is
+    expected, and the verification is the evidence.
     """
     if n < 0:
         raise ValueError("level count must be non-negative")
     require_dred(h)
-    graph = h.graph
     depth = dict(h.depth)
     ranks = {i: dict(r) for i, r in h.ranks.items()}
-    levels = (graph.nodes,)
-    current = Dred(graph, depth, ranks)
+    u = LeveledUniverse(graph=h.graph, levels=(h.graph.nodes,))
     for _ in range(n):
-        level = len(levels)
-        additions = bounded_deficiency(current, budget)
-        projected = len(current.graph.nodes) + len(additions)
-        if projected > budget.max_nodes:
-            raise BudgetExceededError(
-                f"completion step would grow the graph to {projected} nodes, "
-                f"over the budget of {budget.max_nodes}"
-            )
-        extensions = dict(current.graph.extensions)
-        provenance = dict(current.graph.provenance)
-        for members in additions:
-            node = subset_node_id(members)
-            if node in extensions:
-                raise SetforgeError(
-                    f"generated id {node!r} collides with an existing node of different extension"
-                )
-            extensions[node] = frozenset(members)
-            provenance[node] = Deficiency(level=level, members=members)
-            depth[node] = max((depth[m] for m in members), default=0)
+        u = complete_step(u, budget)
+        extensions = u.graph.extensions
+        for node in u.levels[-1] - u.levels[-2]:
+            members = extensions[node]
+            d = max((depth[m] for m in members), default=0)
+            depth[node] = d
             for i, r in ranks.items():
-                if depth[node] < i:
+                if d < i:
                     r[node] = max((r[m] + 1 for m in members), default=0)
-        graph = ExtensionalDigraph(frozenset(extensions), extensions, provenance)
-        levels = levels + (graph.nodes,)
-        current = Dred(graph, depth, ranks)
-        require_dred(current)
-    return DredLeveledUniverse(
-        universe=LeveledUniverse(graph=graph, levels=levels),
-        depth=depth,
-        ranks=ranks,
-    )
+        require_dred(Dred(u.graph, depth, ranks))
+    return DredLeveledUniverse(universe=u, depth=depth, ranks=ranks)
 
 
 def foundation_witness(h: Dred, x: NodeId, *, skip_verify: bool = False) -> NodeId:
@@ -330,6 +284,34 @@ def foundation_witness(h: Dred, x: NodeId, *, skip_verify: bool = False) -> Node
     return min(members, key=lambda m: (r[m], m))
 
 
+def membership_ranks(g: ExtensionalDigraph) -> dict[NodeId, int]:
+    """The von Neumann rank of every node: 0 for an empty extension,
+    otherwise one above the highest rank among the members.
+
+    Nodes are ranked bottom-up, each as soon as all its members are, so
+    the work is linear in nodes plus edges and no recursion is needed.
+    Fails with DredConditionError naming the least node that lies on a
+    membership cycle or above one, since no rank function exists then.
+    """
+    containers = g.containers()
+    waiting = {x: len(ext) for x, ext in g.extensions.items()}
+    ready = [x for x, count in waiting.items() if count == 0]
+    rank: dict[NodeId, int] = {}
+    while ready:
+        x = ready.pop()
+        rank[x] = max((rank[m] + 1 for m in g.extensions[x]), default=0)
+        for c in containers[x]:
+            waiting[c] -= 1
+            if waiting[c] == 0:
+                ready.append(c)
+    if len(rank) < len(waiting):
+        cyclic = min(x for x in waiting if x not in rank)
+        raise DredConditionError(
+            f"membership cycle through {cyclic!r}; no rank function exists"
+        )
+    return rank
+
+
 def dred_from_graph(g: ExtensionalDigraph) -> Dred:
     """Equip a well-founded graph with the trivial certificate: all
     depths zero and ``r_1`` the von Neumann rank.
@@ -337,19 +319,4 @@ def dred_from_graph(g: ExtensionalDigraph) -> Dred:
     Fails with DredConditionError if the membership relation has a
     cycle, since no rank function can exist then.
     """
-    rank: dict[NodeId, int] = {}
-    pending = dict(g.extensions)
-    while pending:
-        progressed = False
-        for x in sorted(pending):
-            members = pending[x]
-            if all(m in rank for m in members):
-                rank[x] = max((rank[m] + 1 for m in members), default=0)
-                del pending[x]
-                progressed = True
-        if not progressed:
-            cyclic = sorted(pending)[0]
-            raise DredConditionError(
-                f"membership cycle through {cyclic!r}; no rank function exists"
-            )
-    return Dred(graph=g, depth={x: 0 for x in g.nodes}, ranks={1: rank})
+    return Dred(graph=g, depth={x: 0 for x in g.nodes}, ranks={1: membership_ranks(g)})

@@ -32,8 +32,8 @@ class BudgetExceededError(SetforgeError):
 
 
 class SizeLimitError(SetforgeError):
-    """Isomorphism search or canonical labelling gave up because the
-    input exceeds the configured size bound."""
+    """Isomorphism search gave up because the input exceeds the
+    configured size bound."""
 
 
 class SeedClashError(SetforgeError):

@@ -22,11 +22,10 @@ from .errors import NonExtensionalError, SizeLimitError, UnknownNodeError
 
 NodeId = str
 
-# Guard for isomorphism search / canonical labelling.  The search itself
-# is pruned by colour refinement; these bounds cap the pathological cases.
+# Guards for isomorphism search.  The search itself is pruned by colour
+# refinement; these bounds cap the pathological cases.
 DEFAULT_ISO_NODE_LIMIT = 200_000
 _SEARCH_STATE_LIMIT = 500_000
-_BRANCH_LIMIT = 20_000
 
 _ID_SEPARATOR = "\x1f"
 
@@ -285,7 +284,7 @@ def _refine(
                 }
             )
         # Number classes by signature order, not first-seen order, so the
-        # integers themselves are canonical (fingerprints depend on it).
+        # colour integers do not depend on set iteration order.
         table = {
             sig: code
             for code, sig in enumerate(sorted({s for sigs in signatures for s in sigs.values()}))
@@ -397,69 +396,3 @@ def is_isomorphic(
                 undo = order[len(stack) - 1]
                 del bwd[fwd.pop(undo)]
     return False
-
-
-def _encode_discrete(
-    g: ExtensionalDigraph,
-    colouring: dict[NodeId, int],
-    initial: dict[NodeId, tuple],
-) -> str:
-    order = sorted(g.nodes, key=lambda x: colouring[x])
-    position = {x: i for i, x in enumerate(order)}
-    parts = []
-    for x in order:
-        members = ",".join(str(position[m]) for m in sorted(g.extensions[x], key=lambda m: position[m]))
-        parts.append(f"{initial[x]!r}<{members}>")
-    return ";".join(parts)
-
-
-def canonical_fingerprint(
-    g: ExtensionalDigraph,
-    *,
-    node_limit: int = DEFAULT_ISO_NODE_LIMIT,
-) -> str:
-    """Hex digest that is equal for two graphs exactly when they are
-    isomorphic (in the sense of :func:`is_isomorphic`).
-
-    Computed by colour refinement plus individualisation: when the
-    stable partition is not discrete, every choice in the first
-    ambiguous class is explored and the lexicographically least encoding
-    wins, so the result is independent of node ids.
-
-    The empty graph maps to the fixed constant
-    ``sha256("setforge-digraph|empty")``.
-    """
-    if len(g.nodes) > node_limit:
-        raise SizeLimitError(f"canonical labelling limited to {node_limit} nodes")
-    if not g.nodes:
-        return hashlib.sha256(b"setforge-digraph|empty").hexdigest()
-
-    initial = _initial_colours(g)
-    table = {sig: code for code, sig in enumerate(sorted(set(initial.values())))}
-    start = {x: table[sig] for x, sig in initial.items()}
-    branches = 0
-
-    def canonical(colouring: dict[NodeId, int]) -> str:
-        nonlocal branches
-        (colouring,) = _refine([g], [colouring])
-        classes: dict[int, list[NodeId]] = {}
-        for x, c in colouring.items():
-            classes.setdefault(c, []).append(x)
-        ambiguous = [(c, xs) for c, xs in classes.items() if len(xs) > 1]
-        if not ambiguous:
-            return _encode_discrete(g, colouring, initial)
-        ambiguous.sort(key=lambda item: (len(item[1]), item[0]))
-        _, xs = ambiguous[0]
-        best: str | None = None
-        fresh = max(colouring.values()) + 1
-        for x in sorted(xs):
-            branches += 1
-            if branches > _BRANCH_LIMIT:
-                raise SizeLimitError("canonical labelling exceeded its branch cap")
-            candidate = canonical({**colouring, x: fresh})
-            if best is None or candidate < best:
-                best = candidate
-        assert best is not None
-        return best
-
-    return hashlib.sha256(canonical(start).encode("utf-8")).hexdigest()

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .dred import Dred, require_dred
+from .dred import Dred, membership_ranks, require_dred
 from .errors import SeedClashError, SpecValidationError, UnknownNodeError
 from .graph import (
     Code,
@@ -440,7 +440,9 @@ def _numeral_graph(count: int) -> ExtensionalDigraph:
     )
 
 
-def _chain_style_depths(g: ExtensionalDigraph, spec: CodeSpec) -> dict[NodeId, int]:
+def _chain_style_depths(
+    g: ExtensionalDigraph, spec: CodeSpec, rank: dict[NodeId, int]
+) -> dict[NodeId, int]:
     """Depths under which chain-style completion provably stays legal.
 
     Chain atoms count up from their terminal (bottom link depth 1, head
@@ -450,48 +452,26 @@ def _chain_style_depths(g: ExtensionalDigraph, spec: CodeSpec) -> dict[NodeId, i
     satisfies depth(x) <= 1 + max over members, which is exactly what
     keeps the subset-depth condition stable when completion adds
     representatives of arbitrary member sets.
+
+    Nodes are visited in increasing ``rank``, which rises along every
+    edge, so each member's depth is known before its containers need it.
     """
     chain_lengths = {a.label: a.length for a in spec.atoms if a.kind == "chain"}
     depths: dict[NodeId, int] = {}
-
-    def depth_of(x: NodeId) -> int:
-        got = depths.get(x)
-        if got is not None:
-            return got
-        value: int
+    for x in sorted(g.nodes, key=rank.__getitem__):
         if x.startswith("chain:"):
             _, label, j = x.split(":", 2)
             length = chain_lengths[label]
             assert length is not None
-            value = length - int(j)
+            depths[x] = length - int(j)
         elif x.startswith("code:chain:"):
             rest = x[len("code:chain:") :]
             j_text, _, tuple_node = rest.partition(":")
             assert spec.code_length is not None
-            value = depth_of(tuple_node) + spec.code_length - int(j_text)
+            depths[x] = depths[tuple_node] + spec.code_length - int(j_text)
         else:
-            value = max((depth_of(m) for m in g.extensions[x]), default=0)
-        depths[x] = value
-        return value
-
-    for x in g.sorted_nodes():
-        depth_of(x)
+            depths[x] = max((depths[m] for m in g.extensions[x]), default=0)
     return depths
-
-
-def _acyclic_ranks(g: ExtensionalDigraph) -> dict[NodeId, int]:
-    ranks: dict[NodeId, int] = {}
-
-    def rank_of(x: NodeId) -> int:
-        got = ranks.get(x)
-        if got is None:
-            got = 1 + max((rank_of(m) for m in g.extensions[x]), default=-1)
-            ranks[x] = got
-        return got
-
-    for x in g.sorted_nodes():
-        rank_of(x)
-    return ranks
 
 
 def assemble(spec: CodeSpec) -> AssembledSeed:
@@ -529,8 +509,8 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
     require_extensional(g)
     dred: Dred | None = None
     if spec.code_style == "chain":
-        depth = _chain_style_depths(g, spec)
-        rank = _acyclic_ranks(g)
+        rank = membership_ranks(g)
+        depth = _chain_style_depths(g, spec, rank)
         top = max(depth.values(), default=0) + 1
         ranks = {
             i: {x: rank[x] for x in g.nodes if depth[x] < i}

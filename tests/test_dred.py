@@ -5,13 +5,15 @@ import random
 import pytest
 
 from setforge import (
+    AtomDecl,
     Budget,
+    CodeSpec,
     Dred,
     DredConditionError,
     ExtensionalDigraph,
-    bounded_deficiency,
+    TupleDecl,
+    assemble,
     complete,
-    deficiency,
     dred_complete,
     dred_from_graph,
     foundation_witness,
@@ -19,6 +21,9 @@ from setforge import (
     verify_dred,
     von_neumann_seed,
 )
+from setforge.dred import membership_ranks
+
+from helpers import random_extensional_graph
 
 
 def set_rank(g: ExtensionalDigraph) -> dict:
@@ -84,35 +89,26 @@ def test_require_dred_raises_with_report():
     assert exc.value.report is not None
 
 
-def test_bounded_deficiency_equals_plain_on_finite():
-    rng = random.Random(11)
-    for _ in range(10):
-        n = rng.randint(0, 4)
-        names = [f"n{i}" for i in range(n)]
-        while True:
-            extensions = {
-                x: frozenset(y for y in names[:i] if rng.random() < 0.5)
-                for i, x in enumerate(names)
-            }
-            if len(set(extensions.values())) == n:
-                break
-        g = ExtensionalDigraph.from_extensions(extensions)
-        h = dred_from_graph(g)
-        assert bounded_deficiency(h) == deficiency(g)
-
-
-def test_bounded_deficiency_empty():
-    h = Dred(graph=ExtensionalDigraph.empty(), depth={}, ranks={})
-    assert bounded_deficiency(h) == [()]
-
-
 def test_dred_complete_empty_matches_plain_completion():
     h = Dred(graph=ExtensionalDigraph.empty(), depth={}, ranks={1: {}})
     du = dred_complete(h, 4)
     assert [len(level) for level in du.levels] == [0, 1, 2, 4, 16]
-    assert du.graph == complete(ExtensionalDigraph.empty(), 4).graph
     assert set(du.depth.values()) == {0}
     assert du.ranks[1] == set_rank(du.graph)
+    chain_seed = assemble(
+        CodeSpec(
+            atoms=(AtomDecl("a", "chain", length=1),),
+            naturals_up_to=2,
+            tuples=(TupleDecl(0, ("a",)),),
+            code_style="chain",
+            code_length=1,
+        )
+    ).dred
+    for seed, n in ((h, 4), (dred_from_graph(von_neumann_seed(2)), 2), (chain_seed, 1)):
+        du = dred_complete(seed, n)
+        plain = complete(seed.graph, n)
+        assert du.graph == plain.graph
+        assert du.levels == plain.levels
 
 
 def test_dred_complete_rank_of_two_element_set():
@@ -204,3 +200,57 @@ def test_dred_from_graph_rejects_cycles():
     g = ExtensionalDigraph.from_extensions({"a": {"b"}, "b": {"a"}})
     with pytest.raises(DredConditionError):
         dred_from_graph(g)
+
+
+def random_well_founded_graph(rng: random.Random, n: int) -> ExtensionalDigraph:
+    """Members are drawn from earlier nodes of a shuffled order, so node
+    ids do not follow the rank order."""
+    names = [f"n{i}" for i in range(n)]
+    rng.shuffle(names)
+    return ExtensionalDigraph.from_extensions(
+        {x: {y for y in names[:i] if rng.random() < 0.4} for i, x in enumerate(names)}
+    )
+
+
+def least_node_on_or_above_a_cycle(g: ExtensionalDigraph):
+    """Independent recomputation by plain reachability: a node is on a
+    cycle when it reaches itself, and above one when it reaches such a
+    node."""
+
+    def reachable(x):
+        seen, todo = set(), list(g.extensions[x])
+        while todo:
+            y = todo.pop()
+            if y not in seen:
+                seen.add(y)
+                todo.extend(g.extensions[y])
+        return seen
+
+    reach = {x: reachable(x) for x in g.nodes}
+    on_cycle = {x for x in g.nodes if x in reach[x]}
+    return min((x for x in g.nodes if x in on_cycle or reach[x] & on_cycle), default=None)
+
+
+def test_membership_ranks_match_set_rank_on_well_founded_graphs():
+    rng = random.Random(5)
+    for _ in range(200):
+        g = random_well_founded_graph(rng, rng.randint(0, 12))
+        assert membership_ranks(g) == set_rank(g)
+
+
+def test_membership_ranks_name_the_least_node_on_or_above_a_cycle():
+    below = ExtensionalDigraph.from_extensions({"a": {"z"}, "z": {"y"}, "y": {"z"}})
+    assert least_node_on_or_above_a_cycle(below) == "a"
+    graphs = [below]
+    rng = random.Random(17)
+    while len(graphs) < 200:
+        g = random_extensional_graph(rng, 7, min_nodes=1)
+        if least_node_on_or_above_a_cycle(g) is not None:
+            graphs.append(g)
+    for g in graphs:
+        expected = least_node_on_or_above_a_cycle(g)
+        with pytest.raises(DredConditionError) as exc:
+            membership_ranks(g)
+        assert str(exc.value) == (
+            f"membership cycle through {expected!r}; no rank function exists"
+        )

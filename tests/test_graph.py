@@ -1,4 +1,4 @@
-"""Graph kernel: extensions, end extensions, isomorphism, fingerprints."""
+"""Graph kernel: extensions, end extensions, isomorphism."""
 
 import random
 
@@ -11,7 +11,6 @@ from setforge import (
     Seed,
     SizeLimitError,
     UnknownNodeError,
-    canonical_fingerprint,
     extension,
     extensionality_violation,
     is_end_extension,
@@ -21,10 +20,6 @@ from setforge import (
 )
 
 from helpers import naive_is_extensional, random_extensional_graph
-
-# sha256("setforge-digraph|empty"), pinned so serialization formats and
-# goldens can rely on it
-EMPTY_FINGERPRINT = "3b217e18f15da8e62d86752f190e20ea910406b6b4d99ff321a9cac03ba74739"
 
 
 def quine(label: str) -> ExtensionalDigraph:
@@ -158,27 +153,6 @@ def test_isomorphism_invariant_under_relabelling(r):
         {mapping[x]: {mapping[m] for m in g.extensions[x]} for x in g.nodes}
     )
     assert is_isomorphic(g, h)
-    assert canonical_fingerprint(g) == canonical_fingerprint(h)
-
-
-def test_fingerprint_empty_graph_constant():
-    assert canonical_fingerprint(ExtensionalDigraph.empty()) == EMPTY_FINGERPRINT
-
-
-def test_fingerprints_of_the_two_one_node_graphs_differ():
-    with_loop = canonical_fingerprint(quine("a"))
-    without = canonical_fingerprint(ExtensionalDigraph.from_extensions({"a": set()}))
-    assert with_loop != without
-
-
-def test_fingerprint_tracks_isomorphism_on_small_graphs():
-    """Equal fingerprints exactly when is_isomorphic says so."""
-    rng = random.Random(99)
-    graphs = [random_extensional_graph(rng, 4) for _ in range(12)]
-    for a in graphs:
-        for b in graphs:
-            same = is_isomorphic(a, b)
-            assert (canonical_fingerprint(a) == canonical_fingerprint(b)) == same
 
 
 def test_subset_node_id_deterministic_and_order_insensitive():

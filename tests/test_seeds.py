@@ -1,5 +1,7 @@
 """Seed constructors: numerals, atoms, chains, tuple codes, assembly."""
 
+import sys
+
 import pytest
 
 from setforge import (
@@ -292,6 +294,39 @@ def test_assemble_chain_style_verifies():
         code_style="chain",
         code_length=2,
     )
+    seed = assemble(spec)
+    assert seed.dred is not None
+    assert verify_dred(seed.dred).ok
+
+
+LONG_CHAIN = sys.getrecursionlimit() + 50
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        CodeSpec(
+            atoms=(AtomDecl("a", "chain", length=LONG_CHAIN),),
+            naturals_up_to=2,
+            code_style="chain",
+            code_length=1,
+        ),
+        CodeSpec(
+            naturals_up_to=1,
+            tuples=(TupleDecl(0, ("0",)),),
+            code_style="chain",
+            code_length=LONG_CHAIN,
+        ),
+        CodeSpec(
+            naturals_up_to=2,
+            tuples=(TupleDecl(0, ("0", "1") * 350),),
+            code_style="chain",
+            code_length=1,
+        ),
+    ],
+    ids=["long-chain-atom", "long-chain-code", "700-component-tuple"],
+)
+def test_assemble_certifies_chain_style_specs_deeper_than_the_recursion_limit(spec):
     seed = assemble(spec)
     assert seed.dred is not None
     assert verify_dred(seed.dred).ok
