@@ -286,7 +286,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         except OSError as e:
             raise SpecValidationError(f"cannot read {path}: {e}") from e
     a, b = docs
-    if serialize(a) == serialize(b):
+    if a == b:
         print("diff\tidentical\t" if args.porcelain else "identical")
         return 0
     verdict = compare(a.graph, b.graph)

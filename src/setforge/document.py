@@ -91,7 +91,7 @@ def _provenance_to_json(p: Provenance) -> dict[str, Any]:
     if isinstance(p, Seed):
         return {"kind": "seed", "label": p.label}
     if isinstance(p, Deficiency):
-        return {"kind": "deficiency", "level": p.level, "members": list(p.members)}
+        return {"kind": "deficiency", "level": p.level, "members": p.members}
     return {"kind": "code", "code_kind": p.kind, "detail": p.detail}
 
 
@@ -104,18 +104,16 @@ def serialize(doc: GraphDocument) -> str:
             {"id": x, "provenance": _provenance_to_json(g.provenance[x])}
             for x in g.sorted_nodes()
         ],
-        "edges": sorted([m, c] for m, c in g.edges),
+        "edges": sorted(g.edges),
     }
     if doc.levels is not None:
         payload["levels"] = [sorted(level) for level in doc.levels]
     if doc.depth is not None:
-        payload["depth"] = dict(sorted(doc.depth.items()))
+        payload["depth"] = doc.depth
     if doc.ranks is not None:
-        payload["ranks"] = {
-            str(i): dict(sorted(r.items())) for i, r in sorted(doc.ranks.items())
-        }
+        payload["ranks"] = {str(i): r for i, r in doc.ranks.items()}
     if doc.formulas:
-        payload["formulas"] = dict(sorted(doc.formulas.items()))
+        payload["formulas"] = doc.formulas
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 

@@ -96,14 +96,13 @@ def verify_dred(h: Dred) -> DredReport:
     depth = h.depth
     for y in nodes:
         dy = depth[y]
-        for z in sorted(g.extensions[y]):
-            if depth[z] > dy + 1:
-                violations.append(
-                    DredViolation(
-                        "edge_depth",
-                        f"edge ({z!r}, {y!r}): depth {depth[z]} > {dy} + 1",
-                    )
+        for z in sorted(z for z in g.extensions[y] if depth[z] > dy + 1):
+            violations.append(
+                DredViolation(
+                    "edge_depth",
+                    f"edge ({z!r}, {y!r}): depth {depth[z]} > {dy} + 1",
                 )
+            )
 
     if pair is None:
         by_extension = {ext: x for x, ext in g.extensions.items()}
@@ -170,14 +169,13 @@ def verify_dred(h: Dred) -> DredReport:
             if y not in r:
                 continue
             ry = r[y]
-            for z in sorted(g.extensions[y]):
-                if z in r and not r[z] < ry:
-                    violations.append(
-                        DredViolation(
-                            "rank_increase",
-                            f"r_{i}({z!r}) = {r[z]} not below r_{i}({y!r}) = {ry} along edge",
-                        )
+            for z in sorted(z for z in g.extensions[y] if z in r and not r[z] < ry):
+                violations.append(
+                    DredViolation(
+                        "rank_increase",
+                        f"r_{i}({z!r}) = {r[z]} not below r_{i}({y!r}) = {ry} along edge",
                     )
+                )
     return DredReport(tuple(violations))
 
 

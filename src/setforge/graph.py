@@ -15,6 +15,7 @@ re-runs are reproducible byte for byte.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -270,40 +271,26 @@ def _refine(
     Joint refinement keeps colour identifiers comparable across graphs.
     """
     containers = [g.containers() for g in graphs]
+    classes = len({c for col in colourings for c in col.values()})
     while True:
-        signatures: list[dict[NodeId, tuple]] = []
-        for g, colouring, cont in zip(graphs, colourings, containers):
-            signatures.append(
-                {
-                    x: (
+        table: dict[tuple, int] = {}
+        colourings = [
+            {
+                x: table.setdefault(
+                    (
                         colouring[x],
                         tuple(sorted(colouring[m] for m in g.extensions[x])),
                         tuple(sorted(colouring[c] for c in cont[x])),
-                    )
-                    for x in g.nodes
-                }
-            )
-        # Number classes by signature order, not first-seen order, so the
-        # colour integers do not depend on set iteration order.
-        table = {
-            sig: code
-            for code, sig in enumerate(sorted({s for sigs in signatures for s in sigs.values()}))
-        }
-        next_colourings = [
-            {x: table[sig] for x, sig in sigs.items()} for sigs in signatures
+                    ),
+                    len(table),
+                )
+                for x in g.nodes
+            }
+            for g, colouring, cont in zip(graphs, colourings, containers)
         ]
-        old_classes = len({c for col in colourings for c in col.values()})
-        changed = len(table) != old_classes
-        colourings = next_colourings
-        if not changed:
+        if len(table) == classes:
             return colourings
-
-
-def _colour_histogram(colouring: dict[NodeId, int]) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for c in colouring.values():
-        hist[c] = hist.get(c, 0) + 1
-    return hist
+        classes = len(table)
 
 
 def is_isomorphic(
@@ -336,7 +323,7 @@ def is_isomorphic(
     col_a = {x: init_table.setdefault(sig, len(init_table)) for x, sig in _initial_colours(a).items()}
     col_b = {x: init_table.setdefault(sig, len(init_table)) for x, sig in _initial_colours(b).items()}
     col_a, col_b = _refine([a, b], [col_a, col_b])
-    if _colour_histogram(col_a) != _colour_histogram(col_b):
+    if Counter(col_a.values()) != Counter(col_b.values()):
         return False
 
     by_colour_b: dict[int, list[NodeId]] = {}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .completion import Budget, DEFAULT_BUDGET
 from .errors import BudgetExceededError, DecorationError, SetforgeError
@@ -171,40 +171,46 @@ def decorate(g: ExtensionalDigraph) -> dict[NodeId, SetValue]:
     DecorationError.
     """
     done: dict[NodeId, SetValue] = {}
-    in_progress: set[NodeId] = set()
-
-    def visit(x: NodeId) -> SetValue:
-        got = done.get(x)
-        if got is not None:
-            return got
-        if x in in_progress:
-            raise DecorationError(f"membership cycle through {x!r} is not a self-loop")
-        in_progress.add(x)
-        ext = g.extensions[x]
-        if x in ext:
-            others = tuple(visit(m) for m in sorted(ext - {x}))
-            value = loop_code(x, others) if others else atom(x)
-        else:
-            value = collection(visit(m) for m in sorted(ext))
-        in_progress.discard(x)
-        done[x] = value
-        return value
-
-    for x in g.sorted_nodes():
-        visit(x)
+    # The walk's current path, deepest node last, each node with an
+    # iterator over its sorted members other than itself.  An explicit
+    # stack lets chains longer than the recursion limit decorate.
+    path: dict[NodeId, Iterator[NodeId]] = {}
+    for root in g.sorted_nodes():
+        if root not in done:
+            path[root] = iter(sorted(g.extensions[root] - {root}))
+        while path:
+            x, pending = next(reversed(path.items()))
+            m = next((m for m in pending if m not in done), None)
+            if m in path:
+                raise DecorationError(f"membership cycle through {m!r} is not a self-loop")
+            if m is not None:
+                path[m] = iter(sorted(g.extensions[m] - {m}))
+                continue
+            path.popitem()  # not `del`: dummy slots would slow `reversed`
+            ext = g.extensions[x]
+            others = [done[m] for m in sorted(ext - {x})]
+            if x in ext:
+                done[x] = loop_code(x, others) if others else atom(x)
+            else:
+                done[x] = collection(others)
     return done
 
 
 def _value_stage(v: SetValue, memo: dict[SetValue, int]) -> int:
-    got = memo.get(v)
-    if got is not None:
-        return got
-    if isinstance(v, Collection):
-        out = 1 + max((_value_stage(m, memo) for m in v.members), default=0)
-    else:
-        out = 0
-    memo[v] = out
-    return out
+    stack = [v]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+        elif not isinstance(top, Collection):
+            memo[stack.pop()] = 0
+        else:
+            pending = [m for m in top.members if m not in memo]
+            if pending:
+                stack.extend(pending)
+            else:
+                memo[stack.pop()] = 1 + max((memo[m] for m in top.members), default=0)
+    return memo[v]
 
 
 def values_to_graph(values: Iterable[SetValue]) -> ExtensionalDigraph:

@@ -7,10 +7,11 @@ they favour obviousness over speed.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
-from setforge import ExtensionalDigraph
+from setforge import Code, Deficiency, ExtensionalDigraph, Seed
 from setforge.logic import (
     And,
     Equal,
@@ -33,6 +34,36 @@ def naive_is_extensional(g: ExtensionalDigraph) -> bool:
             if g.extensions[x] == g.extensions[y]:
                 return False
     return True
+
+
+def _structural_label(p) -> tuple:
+    if isinstance(p, Seed):
+        return ("seed",)
+    if isinstance(p, Deficiency):
+        return ("deficiency", p.level)
+    assert isinstance(p, Code)
+    return ("code", p.kind)
+
+
+def naive_is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
+    """Try every bijection from the nodes of ``a`` to those of ``b``.
+
+    A bijection counts when it maps edges onto edges exactly and keeps
+    the provenance kind (with the level of deficiency nodes and the
+    kind of code nodes); labels and ids may differ.
+    """
+    if len(a.nodes) != len(b.nodes):
+        return False
+    xs = sorted(a.nodes)
+    for image in itertools.permutations(sorted(b.nodes)):
+        f = dict(zip(xs, image))
+        if all(
+            _structural_label(a.provenance[x]) == _structural_label(b.provenance[f[x]])
+            and {f[m] for m in a.extensions[x]} == b.extensions[f[x]]
+            for x in xs
+        ):
+            return True
+    return False
 
 
 def random_extensional_graph(

@@ -331,6 +331,13 @@ def test_diff_identical(tmp_path):
     b = write_doc(tmp_path / "b.json", doc)
     code, out, _ = invoke(["diff", a, b])
     assert (code, out) == (0, "identical\n")
+    # The same document in other bytes: indented, keys in reverse order.
+    payload = json.loads(doc)
+    c = write_doc(
+        tmp_path / "c.json", json.dumps(dict(reversed(list(payload.items()))), indent=2)
+    )
+    code, out, _ = invoke(["diff", a, c])
+    assert (code, out) == (0, "identical\n")
 
 
 def test_diff_isomorphic(tmp_path):
@@ -343,6 +350,14 @@ def test_diff_isomorphic(tmp_path):
         serialize(GraphDocument.from_graph(quine_atoms(["right"]))),
     )
     code, out, _ = invoke(["diff", a, b])
+    assert code == 0
+    assert out.startswith("isomorphic")
+    # Equal graphs, different formula libraries.
+    c = write_doc(
+        tmp_path / "c.json",
+        serialize(GraphDocument(graph=quine_atoms(["left"]), formulas={"f": "x = x"})),
+    )
+    code, out, _ = invoke(["diff", a, c])
     assert code == 0
     assert out.startswith("isomorphic")
 

@@ -2,10 +2,12 @@
 
 import json
 import pathlib
+import random
 
 import pytest
 
 from setforge import (
+    Code,
     Deficiency,
     ExtensionalDigraph,
     GraphDocument,
@@ -18,6 +20,7 @@ from setforge import (
     serialize,
     von_neumann_seed,
 )
+from helpers import random_extensional_graph
 
 GOLDEN_EMPTY = '{"edges":[],"format_version":1,"nodes":[]}'
 
@@ -89,6 +92,147 @@ def test_missing_blocks_raise():
         doc.to_universe()
     with pytest.raises(ValueError):
         doc.to_dred()
+
+
+def reference_serialize(doc: GraphDocument) -> str:
+    """``serialize`` as it was while it sorted every block itself before
+    handing it to ``json.dumps``; the reference for byte identity."""
+
+    def provenance_json(p):
+        if isinstance(p, Seed):
+            return {"kind": "seed", "label": p.label}
+        if isinstance(p, Deficiency):
+            return {"kind": "deficiency", "level": p.level, "members": list(p.members)}
+        return {"kind": "code", "code_kind": p.kind, "detail": p.detail}
+
+    g = doc.graph
+    payload = {
+        "format_version": doc.format_version,
+        "nodes": [
+            {"id": x, "provenance": provenance_json(g.provenance[x])}
+            for x in g.sorted_nodes()
+        ],
+        "edges": sorted([m, c] for m, c in g.edges),
+    }
+    if doc.levels is not None:
+        payload["levels"] = [sorted(level) for level in doc.levels]
+    if doc.depth is not None:
+        payload["depth"] = dict(sorted(doc.depth.items()))
+    if doc.ranks is not None:
+        payload["ranks"] = {
+            str(i): dict(sorted(r.items())) for i, r in sorted(doc.ranks.items())
+        }
+    if doc.formulas:
+        payload["formulas"] = dict(sorted(doc.formulas.items()))
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def shuffled(rng: random.Random, mapping: dict) -> dict:
+    """The same mapping, inserted in a random order."""
+    return dict(rng.sample(list(mapping.items()), len(mapping)))
+
+
+def random_document(rng: random.Random) -> GraphDocument:
+    """A valid document with every optional block: mixed provenance,
+    cumulative levels, depths up to 12, at least 11 rank families (so
+    "10" sorts before "2") and formulas; every dict is built in a
+    random insertion order."""
+    g = random_extensional_graph(rng, 6, min_nodes=1)
+    provenance = {}
+    for x, ext in g.extensions.items():
+        roll = rng.randrange(3)
+        if roll == 0:
+            provenance[x] = Seed(f"séed-{rng.randrange(3)}")
+        elif roll == 1:
+            provenance[x] = Code(rng.choice(("loop", "chain")), f"d{rng.randrange(3)}")
+        else:
+            provenance[x] = Deficiency(level=rng.randint(1, 3), members=tuple(sorted(ext)))
+    names = sorted(g.nodes)
+    graph = ExtensionalDigraph.from_extensions(
+        shuffled(rng, dict(g.extensions)), shuffled(rng, provenance)
+    )
+    levels, current = [], set()
+    for x in rng.sample(names, len(names)):
+        current.add(x)
+        if rng.random() < 0.5:
+            levels.append(frozenset(current))
+    levels.append(frozenset(names))
+    depth = {x: rng.randint(0, 12) for x in names}
+    families = rng.randint(max(11, max(depth.values()) + 1), 14)
+    ranks = {
+        i: shuffled(rng, {x: rng.randint(-2, 20) for x in names if depth[x] < i})
+        for i in rng.sample(range(1, families + 1), families)
+    }
+    formulas = {
+        name: rng.choice(("x = x", "exists b. (b in b)", "x in y"))
+        for name in rng.sample(["b", "a10", "a2", "Z", "é", "mid"], rng.randint(0, 4))
+    }
+    return GraphDocument(
+        graph=graph,
+        levels=tuple(levels),
+        depth=shuffled(rng, depth),
+        ranks=ranks,
+        formulas=formulas,
+    )
+
+
+def perturbed(rng: random.Random, doc: GraphDocument) -> GraphDocument:
+    """A copy with one random block changed, or an equal copy built in
+    another insertion order."""
+    roll = rng.randrange(6)
+    depth, ranks, formulas = dict(doc.depth), dict(doc.ranks), dict(doc.formulas)
+    graph = doc.graph
+    if roll == 0:
+        ranks = {i: dict(r) for i, r in ranks.items()}
+        target = rng.choice([r for r in ranks.values() if r])
+        x = rng.choice(sorted(target))
+        target[x] += rng.choice((0, 1))
+    elif roll == 1:
+        formulas[rng.choice(["b", "a10", "new"])] = "x = x"
+    elif roll == 2:
+        ranks = {i: r for i, r in ranks.items() if i != max(ranks)}
+    elif roll == 3:
+        x = rng.choice(sorted(graph.nodes))
+        provenance = dict(graph.provenance)
+        if not isinstance(provenance[x], Deficiency):
+            provenance[x] = Seed("relabelled")
+        graph = ExtensionalDigraph.from_extensions(graph.extensions, provenance)
+    elif roll == 4:
+        return GraphDocument(graph=graph, levels=doc.levels[-1:], depth=depth, ranks=ranks, formulas=formulas)
+    return GraphDocument(
+        graph=ExtensionalDigraph.from_extensions(
+            shuffled(rng, dict(graph.extensions)), shuffled(rng, dict(graph.provenance))
+        ),
+        levels=doc.levels,
+        depth=shuffled(rng, depth),
+        ranks=shuffled(rng, ranks),
+        formulas=shuffled(rng, formulas),
+    )
+
+
+def test_serialize_matches_reference_byte_for_byte():
+    rng = random.Random(99)
+    for _ in range(200):
+        doc = random_document(rng)
+        line = serialize(doc)
+        assert line == reference_serialize(doc)
+        assert serialize(deserialize(line)) == line
+    for g in (ExtensionalDigraph.empty(), von_neumann_seed(3)):
+        doc = GraphDocument.from_graph(g)
+        assert serialize(doc) == reference_serialize(doc)
+
+
+def test_parsed_documents_are_equal_exactly_when_their_lines_are():
+    rng = random.Random(7)
+    outcomes = []
+    for _ in range(300):
+        doc = random_document(rng)
+        other = perturbed(rng, doc)
+        x, y = serialize(doc), serialize(other)
+        same = x == y
+        assert (deserialize(x) == deserialize(y)) == same
+        outcomes.append(same)
+    assert any(outcomes) and not all(outcomes)
 
 
 # -- schema violations -------------------------------------------------------

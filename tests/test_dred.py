@@ -68,6 +68,21 @@ def test_verify_dred_two_node_chain_edge_depth():
     assert verify_dred(h).ok
 
 
+def test_verify_dred_reports_violating_members_in_id_order():
+    members = ["a", "b", "c", "d", "e"]
+    extensions = {x: {members[i - 1]} if i else set() for i, x in enumerate(members)}
+    g = ExtensionalDigraph.from_extensions({**extensions, "y": set(members)})
+    depth = {"y": 0, **{x: 2 for x in members}}
+    r3 = {"y": 0, **{x: 5 + i for i, x in enumerate(members)}}
+    h = Dred(graph=g, depth=depth, ranks={1: {"y": 0}, 2: {"y": 0}, 3: r3})
+    report = verify_dred(h)
+    details = lambda condition: [v.detail for v in report.violations if v.condition == condition]
+    assert details("edge_depth") == [f"edge ({z!r}, 'y'): depth 2 > 0 + 1" for z in members]
+    assert details("rank_increase") == [
+        f"r_3({z!r}) = {r3[z]} not below r_3('y') = 0 along edge" for z in members
+    ]
+
+
 def test_verify_dred_rejects_wrong_rank_domain():
     g = ExtensionalDigraph.from_extensions({"a": set()})
     h = Dred(graph=g, depth={"a": 5}, ranks={1: {"a": 0}})

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setforge import (
+    Code,
     Deficiency,
     ExtensionalDigraph,
     Seed,
@@ -19,7 +20,7 @@ from setforge import (
     subset_node_id,
 )
 
-from helpers import naive_is_extensional, random_extensional_graph
+from helpers import naive_is_extensional, naive_is_isomorphic, random_extensional_graph
 
 
 def quine(label: str) -> ExtensionalDigraph:
@@ -153,6 +154,50 @@ def test_isomorphism_invariant_under_relabelling(r):
         {mapping[x]: {mapping[m] for m in g.extensions[x]} for x in g.nodes}
     )
     assert is_isomorphic(g, h)
+
+
+def random_provenance(rng: random.Random, members) -> object:
+    roll = rng.randrange(4)
+    if roll == 0:
+        return Seed(f"label-{rng.randrange(3)}")
+    if roll == 1:
+        return Code(rng.choice(("loop", "chain")), f"detail-{rng.randrange(3)}")
+    return Deficiency(level=roll - 1, members=tuple(sorted(members)))
+
+
+def test_is_isomorphic_agrees_with_brute_force():
+    rng = random.Random(1234)
+    verdicts = []
+    for _ in range(300):
+        g = random_extensional_graph(rng, 6)
+        g = ExtensionalDigraph.from_extensions(
+            g.extensions,
+            {x: random_provenance(rng, g.extensions[x]) for x in g.nodes},
+        )
+        names = sorted(g.nodes)
+        shuffled = rng.sample(names, len(names))
+        mapping = {x: f"r{y}" for x, y in zip(names, shuffled)}
+        extensions = {mapping[x]: {mapping[m] for m in g.extensions[x]} for x in names}
+        # Seed label text is not structure, so the copies rename it too.
+        provenance = {
+            mapping[x]: Seed("renamed") if isinstance(p, Seed) else p
+            for x, p in g.provenance.items()
+        }
+        copies = [ExtensionalDigraph.from_extensions(extensions, provenance)]
+        if names:
+            member, container = rng.choice(names), rng.choice(names)
+            flipped = {x: set(ms) for x, ms in extensions.items()}
+            flipped[mapping[container]] ^= {mapping[member]}
+            copies.append(ExtensionalDigraph.from_extensions(flipped, provenance))
+            changed = dict(provenance)
+            changed[mapping[rng.choice(names)]] = random_provenance(rng, ())
+            copies.append(ExtensionalDigraph.from_extensions(extensions, changed))
+        for h in copies:
+            expected = naive_is_isomorphic(g, h)
+            assert is_isomorphic(g, h) == expected
+            assert is_isomorphic(h, g) == expected
+            verdicts.append(expected)
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 300
 
 
 def test_subset_node_id_deterministic_and_order_insensitive():

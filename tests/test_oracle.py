@@ -1,5 +1,10 @@
 """Reference model: interned set values, HF stages, decoration, comparison."""
 
+import io
+import json
+import random
+import sys
+
 import pytest
 
 from setforge import (
@@ -26,6 +31,9 @@ from setforge import (
     values_to_graph,
     von_neumann_seed,
 )
+from setforge.cli import main
+
+from helpers import random_decorable_graph, random_extensional_graph
 
 
 # -- value construction and interning ----------------------------------------
@@ -158,6 +166,85 @@ def test_decorate_respects_membership():
     for x in g.nodes:
         members = {decoration[m] for m in g.extensions[x]}
         assert value_extension(decoration[x]) == members
+
+
+def recursive_decorate(g: ExtensionalDigraph) -> dict:
+    """The recursive walk ``decorate`` used before it kept an explicit
+    stack, kept as the reference for values and error messages."""
+    done: dict = {}
+    in_progress: set = set()
+
+    def visit(x):
+        got = done.get(x)
+        if got is not None:
+            return got
+        if x in in_progress:
+            raise DecorationError(f"membership cycle through {x!r} is not a self-loop")
+        in_progress.add(x)
+        ext = g.extensions[x]
+        if x in ext:
+            others = tuple(visit(m) for m in sorted(ext - {x}))
+            value = loop_code(x, others) if others else atom(x)
+        else:
+            value = collection(visit(m) for m in sorted(ext))
+        in_progress.discard(x)
+        done[x] = value
+        return value
+
+    for x in sorted(g.nodes):
+        visit(x)
+    return done
+
+
+def decoration_outcome(decorate_fn, g):
+    try:
+        return {x: v.key for x, v in decorate_fn(g).items()}
+    except DecorationError as e:
+        return str(e)
+
+
+def test_decorate_agrees_with_recursive_reference():
+    rng = random.Random(4242)
+    outcomes = []
+    for i in range(200):
+        make = random_extensional_graph if i % 2 else random_decorable_graph
+        g = make(rng, 6)
+        expected = decoration_outcome(recursive_decorate, g)
+        assert decoration_outcome(decorate, g) == expected
+        outcomes.append(isinstance(expected, str))
+    assert any(outcomes) and not all(outcomes)
+
+
+def test_decorate_chain_longer_than_the_recursion_limit():
+    length = sys.getrecursionlimit() + 50
+    names = [f"c{i}" for i in range(length + 1)]
+    g = ExtensionalDigraph.from_extensions(
+        {x: {names[i - 1]} if i else set() for i, x in enumerate(names)}
+    )
+    decoration = decorate(g)
+    assert set(decoration) == g.nodes
+    for i in range(1, len(names)):
+        assert value_extension(decoration[names[i]]) == {decoration[names[i - 1]]}
+    levels = {p.level for p in values_to_graph(decoration.values()).provenance.values()}
+    assert levels == set(range(1, len(names) + 1))
+
+
+def test_oracle_compare_cli_on_a_1500_link_chain_atom(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "chain.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "atoms": [{"label": "long", "kind": "chain", "length": 1500}],
+                "naturals_up_to": 2,
+                "code_style": "loop",
+            }
+        )
+    )
+    assert main(["seed", "spec", str(spec)]) == 0
+    document = capsys.readouterr().out
+    monkeypatch.setattr(sys, "stdin", io.StringIO(document))
+    assert main(["oracle-compare", "--levels", "0", "--porcelain"]) == 0
+    assert capsys.readouterr().out == "oracle\tisomorphic\tisomorphic\n"
 
 
 def test_values_round_trip_through_graph():
