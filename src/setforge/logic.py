@@ -160,7 +160,26 @@ def _tokenize(text: str) -> Iterator[_Token]:
     yield ("eof", "", n)
 
 
+MAX_FORMULA_DEPTH = 100
+"""The deepest formula :func:`parse` accepts, counted on the parse tree.
+
+Every atom, negation, quantifier, binary connective and parenthesised
+group is one level, and a formula's depth is the number of levels on
+its longest root-to-atom path: ``x in y`` is 1, ``!(x in y)`` is 3, and
+a chain of k conjuncts is k.  The printer, the free-variable walk and
+the evaluator recurse once per level and the parser a few times, so the
+cap keeps all of them well inside Python's default recursion limit.
+"""
+
+
 class _Parser:
+    """Recursive descent over the token list.
+
+    Each method takes the ``level`` its subtree's root is known to sit
+    at (the root is at 1; a left operand turns out one level deeper
+    than it was parsed at) and returns the subtree with its depth.
+    """
+
     def __init__(self, text: str):
         self.tokens = list(_tokenize(text))
         self.pos = 0
@@ -179,79 +198,94 @@ class _Parser:
             raise ParseError(f"expected {what}, got {tok[1] or 'end of input'!r}", tok[2])
         return self.take()
 
-    def formula(self) -> Formula:
-        return self.iff()
+    def fit(self, level: int, depth: int, tok: _Token) -> int:
+        """``depth``, unless a subtree that deep at ``level`` is over the cap."""
+        if level + depth - 1 > MAX_FORMULA_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", tok[2])
+        return depth
 
-    def iff(self) -> Formula:
-        left = self.imp()
-        if self.peek()[0] == "<->":
-            self.take()
-            return Iff(left, self.iff())
-        return left
-
-    def imp(self) -> Formula:
-        left = self.or_()
-        if self.peek()[0] == "->":
-            self.take()
-            return Implies(left, self.imp())
-        return left
-
-    def or_(self) -> Formula:
-        node = self.and_()
-        while self.peek()[0] == "|":
-            self.take()
-            node = Or(node, self.and_())
-        return node
-
-    def and_(self) -> Formula:
-        node = self.unary()
-        while self.peek()[0] == "&":
-            self.take()
-            node = And(node, self.unary())
-        return node
-
-    def unary(self) -> Formula:
+    def iff(self, level: int) -> tuple[Formula, int]:
+        left, depth = self.imp(level)
         tok = self.peek()
+        if tok[0] == "<->":
+            self.take()
+            right, right_depth = self.iff(level + 1)
+            return Iff(left, right), self.fit(level, 1 + max(depth, right_depth), tok)
+        return left, depth
+
+    def imp(self, level: int) -> tuple[Formula, int]:
+        left, depth = self.or_(level)
+        tok = self.peek()
+        if tok[0] == "->":
+            self.take()
+            right, right_depth = self.imp(level + 1)
+            return Implies(left, right), self.fit(level, 1 + max(depth, right_depth), tok)
+        return left, depth
+
+    def or_(self, level: int) -> tuple[Formula, int]:
+        node, depth = self.and_(level)
+        while self.peek()[0] == "|":
+            tok = self.take()
+            right, right_depth = self.and_(level + 1)
+            node, depth = Or(node, right), self.fit(level, 1 + max(depth, right_depth), tok)
+        return node, depth
+
+    def and_(self, level: int) -> tuple[Formula, int]:
+        node, depth = self.unary(level)
+        while self.peek()[0] == "&":
+            tok = self.take()
+            right, right_depth = self.unary(level + 1)
+            node, depth = And(node, right), self.fit(level, 1 + max(depth, right_depth), tok)
+        return node, depth
+
+    def unary(self, level: int) -> tuple[Formula, int]:
+        tok = self.peek()
+        self.fit(level, 1, tok)
         if tok[0] == "!":
             self.take()
-            return Not(self.unary())
+            body, depth = self.unary(level + 1)
+            return Not(body), 1 + depth
         if tok[0] in {"exists", "all"}:
             self.take()
             var = self.expect("name", "a variable name")[1]
             self.expect(".", "'.' after the bound variable")
-            body = self.formula()
-            return Exists(var, body) if tok[0] == "exists" else ForAll(var, body)
-        return self.atom()
+            body, depth = self.iff(level + 1)
+            return (Exists(var, body) if tok[0] == "exists" else ForAll(var, body)), 1 + depth
+        return self.atom(level)
 
-    def atom(self) -> Formula:
+    def atom(self, level: int) -> tuple[Formula, int]:
         tok = self.peek()
         if tok[0] == "(":
             self.take()
-            inner = self.formula()
+            inner, depth = self.iff(level + 1)
             closing = self.peek()
             if closing[0] != ")":
                 raise ParseError("expected ')'", closing[2])
             self.take()
-            return inner
+            return inner, 1 + depth
         if tok[0] == "name":
             left = self.take()[1]
             op = self.peek()
             if op[0] == "in":
                 self.take()
                 right = self.expect("name", "a variable name")[1]
-                return Member(left, right)
+                return Member(left, right), 1
             if op[0] == "=":
                 self.take()
                 right = self.expect("name", "a variable name")[1]
-                return Equal(left, right)
+                return Equal(left, right), 1
             raise ParseError("expected 'in' or '=' after a variable", op[2])
         raise ParseError(f"expected a formula, got {tok[1] or 'end of input'!r}", tok[2])
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text. Offsets in errors are 0-based character positions."""
+    """Parse formula text. Offsets in errors are 0-based character positions.
+
+    A formula deeper than :data:`MAX_FORMULA_DEPTH` is a ParseError at
+    the token where its depth first exceeds the cap.
+    """
     parser = _Parser(text)
-    out = parser.formula()
+    out, _ = parser.iff(1)
     trailing = parser.peek()
     if trailing[0] != "eof":
         raise ParseError(f"unexpected trailing input {trailing[1]!r}", trailing[2])
@@ -299,7 +333,8 @@ def _print(f: Formula, parent: int) -> str:
 
 
 def print_formula(f: Formula) -> str:
-    """Render ``f`` in the ASCII grammar; parse(print_formula(f)) == f."""
+    """Render ``f`` in the ASCII grammar; parse(print_formula(f)) == f
+    whenever the printed text is within :data:`MAX_FORMULA_DEPTH`."""
     return _print(f, 0)
 
 

@@ -16,6 +16,7 @@ from helpers import parse_dot
 import setforge
 from setforge import GraphDocument, quine_atoms, serialize
 from setforge.cli import main
+from setforge.logic import MAX_FORMULA_DEPTH
 
 
 def invoke(argv, stdin_text=""):
@@ -187,6 +188,34 @@ def test_dred_conditions_pass(chain_spec_file):
     assert out == "dred\tok\t\n"
 
 
+def test_dred_conditions_report_subset_depth(chain_spec_file):
+    code, text, _ = invoke(["complete", "--levels", "1", "--dred"], seed("spec", chain_spec_file))
+    assert code == 0
+    doc = json.loads(text)
+    extensions = {n["id"]: set() for n in doc["nodes"]}
+    for member, container in doc["edges"]:
+        extensions[container].add(member)
+    depth, top = doc["depth"], max(doc["depth"].values())
+    # a node added by the last step is a member of nothing, so raising
+    # its depth to the top breaks no edge, only condition 3 against the
+    # shallow nodes whose extensions include its own; the rank maps that
+    # no longer cover it drop it
+    x = min(set(doc["levels"][-1]) - set(doc["levels"][-2]), key=lambda v: (depth[v], v))
+    depth[x] = top
+    for i, r in doc["ranks"].items():
+        if int(i) <= top:
+            del r[x]
+    expected = [
+        f"dred\tsubset_depth\text({x!r}) <= ext({y!r}) but depth {top} > {depth[y]} + 1"
+        for y in sorted(extensions)
+        if extensions[x] <= extensions[y] and depth[y] + 1 < top
+    ]
+    assert len(expected) > 1
+    code, out, _ = invoke(["check", "--dred-conditions", "--porcelain"], json.dumps(doc))
+    assert code == 1
+    assert out.splitlines() == expected
+
+
 def test_dred_conditions_need_annotations():
     code, _, err = invoke(["check", "--dred-conditions"], seed("vN", "2"))
     assert code == 3
@@ -249,6 +278,37 @@ def test_eval_parse_error():
     code, _, err = invoke(["eval", "--formula", "x in"], doc)
     assert code == 3
     assert "parse error" in err
+
+
+def test_formulas_past_the_nesting_cap_exit_3():
+    doc = seed("vN", "2")
+    probes = [
+        ["eval", "--formula", "!" * 5000 + "x = x"],
+        ["eval", "--formula", "(" * 3000 + "x = x" + ")" * 3000],
+        ["eval", "--formula", "exists y. " * 3000 + "y = y"],
+        ["eval", "--formula", " -> ".join(["x = x"] * 5001)],
+        ["define", "--formula", " & ".join(["x = x"] * 5000)],
+        ["define", "--formula", " | ".join(["x = x"] * 5000)],
+    ]
+    for argv in probes:
+        code, out, err = invoke(argv, doc)
+        assert (code, out) == (3, ""), argv[:2]
+        assert err.startswith("parse error at offset ")
+        assert f"formula nests deeper than {MAX_FORMULA_DEPTH} levels" in err
+        assert "Traceback" not in err
+
+
+def test_formulas_at_the_nesting_cap_evaluate():
+    doc = seed("vN", "2")
+    node_ids = sorted(n["id"] for n in json.loads(doc)["nodes"])
+    depth = MAX_FORMULA_DEPTH
+    grouped = "(" * (depth - 1) + "x = x" + ")" * (depth - 1)
+    code, out, _ = invoke(["define", "--formula", grouped], doc)
+    assert (code, out.splitlines()) == (0, node_ids)
+    code, out, _ = invoke(["define", "--formula", " & ".join(["x = x"] * depth)], doc)
+    assert (code, out.splitlines()) == (0, node_ids)
+    code, out, _ = invoke(["eval", "--formula", "exists y. " * (depth - 1) + "y = y"], doc)
+    assert (code, out) == (0, "true\n")
 
 
 def test_define_lists_class():

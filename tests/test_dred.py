@@ -10,12 +10,15 @@ from setforge import (
     CodeSpec,
     Dred,
     DredConditionError,
+    DredReport,
+    DredViolation,
     ExtensionalDigraph,
     TupleDecl,
     assemble,
     complete,
     dred_complete,
     dred_from_graph,
+    extensionality_violation,
     foundation_witness,
     require_dred,
     verify_dred,
@@ -81,6 +84,28 @@ def test_verify_dred_reports_violating_members_in_id_order():
     assert details("rank_increase") == [
         f"r_3({z!r}) = {r3[z]} not below r_3('y') = 0 along edge" for z in members
     ]
+
+
+def test_verify_dred_reports_subset_depth():
+    # ext(x) = {e} lies inside ext(y) = {e, w}, x is no member of y, and
+    # x sits two levels below y: only condition 3 is broken
+    g = ExtensionalDigraph.from_extensions(
+        {"e": set(), "x": {"e"}, "w": {"x"}, "y": {"e", "w"}}
+    )
+    h = Dred(
+        graph=g,
+        depth={"e": 0, "x": 2, "w": 1, "y": 0},
+        ranks={
+            1: {"e": 0, "y": 1},
+            2: {"e": 0, "w": 0, "y": 1},
+            3: {"e": 0, "x": 1, "w": 2, "y": 3},
+        },
+    )
+    report = verify_dred(h)
+    assert [(v.condition, v.detail) for v in report.violations] == [
+        ("subset_depth", "ext('x') <= ext('y') but depth 2 > 0 + 1")
+    ]
+    assert reference_verify_dred(h) == report
 
 
 def test_verify_dred_rejects_wrong_rank_domain():
@@ -269,3 +294,172 @@ def test_membership_ranks_name_the_least_node_on_or_above_a_cycle():
         assert str(exc.value) == (
             f"membership cycle through {expected!r}; no rank function exists"
         )
+
+
+def reference_verify_dred(h: Dred) -> DredReport:
+    """The verifier as it was before condition 3 ran a subset-max
+    transform: every node's subsets are enumerated (or, when there are
+    too many, every node scanned), not only the suspects'."""
+    g = h.graph
+    violations: list[DredViolation] = []
+    nodes = g.sorted_nodes()
+
+    pair = extensionality_violation(g)
+    if pair is not None:
+        violations.append(
+            DredViolation("extensionality", f"nodes {pair[0]!r} and {pair[1]!r} share an extension")
+        )
+
+    for x in nodes:
+        if x not in h.depth:
+            violations.append(DredViolation("depth_domain", f"no depth for node {x!r}"))
+        elif h.depth[x] < 0:
+            violations.append(DredViolation("depth_domain", f"negative depth at {x!r}"))
+    for x in h.depth:
+        if x not in g.nodes:
+            violations.append(DredViolation("depth_domain", f"depth given for unknown node {x!r}"))
+    if any(v.condition == "depth_domain" for v in violations):
+        return DredReport(tuple(violations))
+
+    depth = h.depth
+    for y in nodes:
+        dy = depth[y]
+        for z in sorted(z for z in g.extensions[y] if depth[z] > dy + 1):
+            violations.append(
+                DredViolation(
+                    "edge_depth",
+                    f"edge ({z!r}, {y!r}): depth {depth[z]} > {dy} + 1",
+                )
+            )
+
+    if pair is None:
+        by_extension = {ext: x for x, ext in g.extensions.items()}
+        n = len(nodes)
+        for y in nodes:
+            ext_y = sorted(g.extensions[y])
+            bound = depth[y] + 1
+            if (1 << len(ext_y)) <= max(64, 2 * n):
+                for mask in range(1 << len(ext_y)):
+                    subset = frozenset(ext_y[i] for i in range(len(ext_y)) if mask >> i & 1)
+                    x = by_extension.get(subset)
+                    if x is not None and depth[x] > bound:
+                        violations.append(
+                            DredViolation(
+                                "subset_depth",
+                                f"ext({x!r}) <= ext({y!r}) but depth {depth[x]} > {depth[y]} + 1",
+                            )
+                        )
+            else:
+                ext_set = g.extensions[y]
+                for x in nodes:
+                    if g.extensions[x] <= ext_set and depth[x] > bound:
+                        violations.append(
+                            DredViolation(
+                                "subset_depth",
+                                f"ext({x!r}) <= ext({y!r}) but depth {depth[x]} > {depth[y]} + 1",
+                            )
+                        )
+
+    keys = sorted(h.ranks)
+    needed = h.max_depth() + 1
+    if any(k < 1 for k in keys):
+        violations.append(DredViolation("rank_family", "rank indices must be positive"))
+    elif keys != list(range(1, len(keys) + 1)):
+        violations.append(
+            DredViolation("rank_family", f"rank indices {keys} are not an initial segment 1..I")
+        )
+    elif not keys or keys[-1] < needed:
+        violations.append(
+            DredViolation(
+                "rank_family",
+                f"family stops at i={keys[-1] if keys else 0} but max depth {needed - 1} "
+                f"requires coverage up to i={needed}",
+            )
+        )
+
+    for i in keys:
+        if i < 1:
+            continue
+        r = h.ranks[i]
+        domain = {x for x in nodes if depth[x] < i}
+        for x in sorted(domain - set(r)):
+            violations.append(
+                DredViolation("rank_domain", f"r_{i} undefined at {x!r} (depth {depth[x]} < {i})")
+            )
+        for x in sorted(set(r) - domain):
+            violations.append(
+                DredViolation(
+                    "rank_domain",
+                    f"r_{i} defined at {x!r} whose depth is not below {i}",
+                )
+            )
+        for y in nodes:
+            if y not in r:
+                continue
+            ry = r[y]
+            for z in sorted(z for z in g.extensions[y] if z in r and not r[z] < ry):
+                violations.append(
+                    DredViolation(
+                        "rank_increase",
+                        f"r_{i}({z!r}) = {r[z]} not below r_{i}({y!r}) = {ry} along edge",
+                    )
+                )
+    return DredReport(tuple(violations))
+
+
+
+def chain_spec_completion():
+    """A certified completion with depths 0 to 4: 8 seed nodes, 256 in all."""
+    seed = assemble(
+        CodeSpec(
+            atoms=(AtomDecl("a", "chain", length=2),),
+            naturals_up_to=2,
+            tuples=(TupleDecl(0, ("a",)),),
+            code_style="chain",
+            code_length=2,
+        )
+    ).dred
+    return dred_complete(seed, 1).dred()
+
+
+def test_verify_dred_agrees_with_reference():
+    """Both condition 3 paths, the transform (the union of all extensions
+    has at most max(6, log2 2N) members) and the fallback, against the
+    verifier that enumerates every node's subsets."""
+    rng = random.Random(11)
+    cases = []
+    for _ in range(1500):
+        g = random_extensional_graph(rng, 8)
+        depth = {x: rng.randint(0, 4) for x in g.nodes}
+        family = rng.randint(0, 6)
+        ranks = {
+            i: {x: rng.randint(0, 5) for x in g.nodes if depth[x] < i or rng.random() < 0.05}
+            for i in range(1, family + 1)
+        }
+        cases.append(Dred(g, depth, ranks))
+    certified = chain_spec_completion()
+    assert verify_dred(certified).ok
+    nodes = certified.graph.sorted_nodes()
+    for _ in range(20):
+        depth = dict(certified.depth)
+        for x in rng.sample(nodes, rng.randint(1, 6)):
+            depth[x] = rng.randint(0, 6)
+        cases.append(Dred(certified.graph, depth, certified.ranks))
+    seen = set()
+    for h in cases:
+        report = verify_dred(h)
+        expected = reference_verify_dred(h)
+        assert [(v.condition, v.detail) for v in report.violations] == [
+            (v.condition, v.detail) for v in expected.violations
+        ]
+        support = set().union(*h.graph.extensions.values())
+        transform = (1 << len(support)) <= max(64, 2 * len(h.graph.nodes))
+        broken = any(v.condition == "subset_depth" for v in report.violations)
+        seen.add((transform, broken))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_verify_dred_certified_completion_of_von_neumann_4():
+    # 65,536 nodes whose extensions have up to 16 members: enumerating
+    # every subset of every extension took minutes
+    assert verify_dred(dred_complete(dred_from_graph(von_neumann_seed(4)), 1).dred()).ok

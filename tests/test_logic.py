@@ -40,6 +40,7 @@ from setforge import (
     quine_code_formula,
     von_neumann_seed,
 )
+from setforge.logic import MAX_FORMULA_DEPTH
 from setforge.seeds import quine_atom_id
 
 
@@ -113,6 +114,44 @@ def test_parse_error_trailing_garbage():
 def test_keywords_not_variables():
     with pytest.raises(ParseError):
         parse("exists in. in = in")
+
+
+def nested_formulas(depth: int) -> dict:
+    """One formula text per nesting shape, each exactly ``depth`` deep."""
+    return {
+        "negation": "!" * (depth - 1) + "x in y",
+        "parentheses": "(" * (depth - 1) + "x in y" + ")" * (depth - 1),
+        "quantifiers": "exists y. " * (depth - 1) + "x in y",
+        "implications": " -> ".join(["x in y"] * depth),
+        "equivalences": " <-> ".join(["x in y"] * depth),
+        "conjuncts": " & ".join(["x in y"] * depth),
+        "disjuncts": " | ".join(["x in y"] * depth),
+        "mixed": "all y. (" * ((depth - 1) // 2) + "!" * ((depth - 1) % 2) + "x in y"
+        + ")" * ((depth - 1) // 2),
+    }
+
+
+def test_formula_at_the_nesting_cap_round_trips():
+    for shape, text in nested_formulas(MAX_FORMULA_DEPTH).items():
+        f = parse(text)
+        assert parse(print_formula(f)) == f, shape
+        assert free_variables(f) <= {"x", "y"}
+
+
+def test_formula_past_the_nesting_cap_is_a_parse_error():
+    for shape, text in nested_formulas(MAX_FORMULA_DEPTH + 1).items():
+        with pytest.raises(ParseError, match="nests deeper than") as err:
+            parse(text)
+        assert 0 < err.value.position < len(text), shape
+    # the depth counts levels, not tokens: a group of k conjuncts is
+    # k + 1 deep, whichever side of a connective it stands on
+    def group(k):
+        return "(" + " & ".join(["x in y"] * k) + ")"
+
+    for shape in ("!{}", "{} & x in y", "x in y & {}", "{} -> x in y"):
+        parse(shape.format(group(MAX_FORMULA_DEPTH - 2)))
+        with pytest.raises(ParseError):
+            parse(shape.format(group(MAX_FORMULA_DEPTH - 1)))
 
 
 # -- printing ----------------------------------------------------------------
