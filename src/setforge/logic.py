@@ -24,7 +24,7 @@ accepted on input only; the printer emits ASCII.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import FormulaError, ParseError, UnknownNodeError
 from .graph import ExtensionalDigraph, NodeId, extensionality_violation
@@ -345,9 +345,52 @@ def print_formula(f: Formula) -> str:
 _MISSING = object()
 
 
-def _compile(
-    f: Formula, nodes: list[NodeId], extensions: Mapping[NodeId, frozenset[NodeId]]
-) -> Callable[[dict[Var, NodeId]], bool]:
+def _conjuncts(f: Formula) -> Iterator[Formula]:
+    """The conjuncts of ``f``'s ``&`` tree, left to right.
+
+    An explicit stack, so a long chain of conjuncts costs no Python
+    frames beyond the ones compiling it already takes.
+    """
+    stack = [f]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, And):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            yield node
+
+
+def _guard(f: Exists | ForAll) -> Member | None:
+    """The guard of quantifier ``f`` (see :func:`_compile`), or None."""
+    if isinstance(f, Exists):
+        scope = f.body
+    elif isinstance(f.body, Implies):
+        scope = f.body.left
+    else:
+        return None
+    for atom in _conjuncts(scope):
+        if isinstance(atom, Member) and atom.left != atom.right:
+            if f.var in (atom.left, atom.right):
+                return atom
+    return None
+
+
+def _compile(f: Formula, g: ExtensionalDigraph) -> Callable[[dict[Var, NodeId]], bool]:
+    """Compile ``f`` to a closure that evaluates it in an environment.
+
+    A quantifier over ``v`` is guarded when it has the shape
+    ``exists v. (... & G & ...)`` or ``all v. ((... & G & ...) -> F)``,
+    where G is a membership atom between ``v`` and a different variable
+    ``u``; the first such conjunct, left to right, is the guard. Only a
+    node in the guard's index can satisfy G, so a guarded quantifier
+    ranges over that index: ``extensions[u]`` for ``v in u`` and
+    ``containers()[u]`` for ``u in v``. Any other node would make the
+    ``exists`` body false and the ``all`` body true, so the result is
+    the one a scan of every node gives. ``v in v`` is no guard, and
+    every unguarded quantifier ranges over all nodes in sorted order.
+    """
+    extensions = g.extensions
     if isinstance(f, Member):
         left, right = f.left, f.right
         return lambda env: env[left] in extensions[env[right]]
@@ -355,33 +398,45 @@ def _compile(
         left, right = f.left, f.right
         return lambda env: env[left] == env[right]
     if isinstance(f, Not):
-        body = _compile(f.body, nodes, extensions)
+        body = _compile(f.body, g)
         return lambda env: not body(env)
     if isinstance(f, And):
-        a = _compile(f.left, nodes, extensions)
-        b = _compile(f.right, nodes, extensions)
+        a = _compile(f.left, g)
+        b = _compile(f.right, g)
         return lambda env: a(env) and b(env)
     if isinstance(f, Or):
-        a = _compile(f.left, nodes, extensions)
-        b = _compile(f.right, nodes, extensions)
+        a = _compile(f.left, g)
+        b = _compile(f.right, g)
         return lambda env: a(env) or b(env)
     if isinstance(f, Implies):
-        a = _compile(f.left, nodes, extensions)
-        b = _compile(f.right, nodes, extensions)
+        a = _compile(f.left, g)
+        b = _compile(f.right, g)
         return lambda env: not a(env) or b(env)
     if isinstance(f, Iff):
-        a = _compile(f.left, nodes, extensions)
-        b = _compile(f.right, nodes, extensions)
+        a = _compile(f.left, g)
+        b = _compile(f.right, g)
         return lambda env: a(env) is b(env)
     if isinstance(f, (Exists, ForAll)):
-        body = _compile(f.body, nodes, extensions)
+        body = _compile(f.body, g)
         var = f.var
         want = isinstance(f, Exists)
+        guard = _guard(f)
+        domain: Callable[[dict[Var, NodeId]], Iterable[NodeId]]
+        if guard is None:
+            nodes = g.sorted_nodes()
+            domain = lambda env: nodes
+        elif guard.left == var:
+            owner = guard.right
+            domain = lambda env: extensions[env[owner]]
+        else:
+            member = guard.left
+            containers = g.containers()
+            domain = lambda env: containers[env[member]]
 
         def run(env: dict[Var, NodeId]) -> bool:
             prev = env.get(var, _MISSING)
             try:
-                for node in nodes:
+                for node in domain(env):
                     env[var] = node
                     if body(env) is want:
                         return want
@@ -401,9 +456,11 @@ def eval_formula(
 ) -> bool:
     """Evaluate ``f`` over the nodes of ``g``.
 
-    Quantifiers enumerate nodes in sorted NodeId order, so witness
-    search is deterministic. Every free variable must be bound to a
-    node of the graph.
+    Every free variable must be bound to a node of the graph. A guarded
+    quantifier (see :func:`_compile`) ranges over the extension or the
+    containers of its guard variable's node, every other one over all
+    nodes. Evaluation has no side effects, so the result does not depend
+    on the order in which a quantifier visits its nodes.
     """
     bound = dict(env or {})
     missing = sorted(free_variables(f) - bound.keys())
@@ -412,7 +469,7 @@ def eval_formula(
     for var, node in bound.items():
         if node not in g.nodes:
             raise UnknownNodeError(f"binding {var}={node!r} names an unknown node")
-    compiled = _compile(f, g.sorted_nodes(), g.extensions)
+    compiled = _compile(f, g)
     return compiled(bound)
 
 
@@ -424,7 +481,7 @@ def define_class(g: ExtensionalDigraph, f: Formula) -> frozenset[NodeId]:
             f"class definition needs exactly one free variable, got {fv or 'none'}"
         )
     var = fv[0]
-    compiled = _compile(f, g.sorted_nodes(), g.extensions)
+    compiled = _compile(f, g)
     env: dict[Var, NodeId] = {}
     selected = []
     for node in g.sorted_nodes():
@@ -535,7 +592,7 @@ def comprehension_instance(
             f"comprehension needs exactly one free variable, got {fv or 'none'}"
         )
     var = fv[0]
-    compiled = _compile(f, g.sorted_nodes(), g.extensions)
+    compiled = _compile(f, g)
     env: dict[Var, NodeId] = {}
     subset = set()
     for z in sorted(g.extensions[x]):

@@ -560,3 +560,52 @@ def test_console_script_exit_code_budget():
     assert piped.returncode == 2, piped.stderr.decode()
     assert "budget exceeded" in piped.stderr.decode()
     assert piped.stdout == b""
+
+
+# -- guarded quantifiers at scale ---------------------------------------------
+
+
+def test_define_guarded_formulas_on_a_large_completion():
+    # An acyclic 11-node seed: node i has the members picked by the bits
+    # of masks[i], all of lower index. Its completion has 2,048 nodes.
+    masks = (0, 1, 3, 5, 14, 25, 41, 58, 252, 396, 152)
+    names = [f"s{i:02d}" for i in range(len(masks))]
+    seed_graph = setforge.ExtensionalDigraph.from_extensions(
+        {x: {names[j] for j in range(i) if masks[i] >> j & 1} for i, x in enumerate(names)}
+    )
+    seed_doc = serialize(GraphDocument.from_graph(seed_graph))
+    code, doc, _ = invoke(["complete", "--levels", "1"], seed_doc)
+    assert code == 0
+    payload = json.loads(doc)
+    assert len(payload["nodes"]) >= 2048
+    members = {n["id"]: set() for n in payload["nodes"]}
+    containers = {n["id"]: set() for n in payload["nodes"]}
+    for member, container in payload["edges"]:
+        members[container].add(member)
+        containers[member].add(container)
+    expected = {
+        "exists y. (y in x & x in y)": {
+            x for x in members if members[x] & containers[x]
+        },
+        "all y. (y in x -> exists z. (z in y & z in x))": {
+            x for x in members if all(members[y] & members[x] for y in members[x])
+        },
+        "exists y. (x in y & exists z. (z in y & !(z = x)))": {
+            x for x in members if any(members[y] - {x} for y in containers[x])
+        },
+        "exists y. (!(y = x) & !(y in x) & !(x in y) & all z. (z in y -> z in x))": {
+            x
+            for x in members
+            if any(
+                y != x and y not in members[x] and x not in members[y] and members[y] <= members[x]
+                for y in members
+            )
+        },
+    }
+    # Well-founded, so no 2-cycles and only the empty set is selected by
+    # the second formula (vacuously); only the seed nodes have containers.
+    assert [len(s) for s in expected.values()] == [0, 1, 11, 2046]
+    for formula, selection in expected.items():
+        code, out, _ = invoke(["define", "--formula", formula, "--porcelain"], doc)
+        assert code == 0, formula
+        assert out == "".join(f"define\t{x}\n" for x in sorted(selection)), formula

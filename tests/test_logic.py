@@ -40,7 +40,7 @@ from setforge import (
     quine_code_formula,
     von_neumann_seed,
 )
-from setforge.logic import MAX_FORMULA_DEPTH
+from setforge.logic import MAX_FORMULA_DEPTH, _guard
 from setforge.seeds import quine_atom_id
 
 
@@ -404,3 +404,151 @@ def test_quine_formula_ignores_bare_quine_atoms():
     # loop-detection formula selects nothing on an atoms-only graph.
     g = quine_atoms(["a", "b"])
     assert define_class(g, quine_code_formula()) == frozenset()
+
+
+# -- guarded quantifiers -----------------------------------------------------
+
+GUARD_SHAPES = frozenset(
+    {
+        "member-of-guard",  # v in u
+        "container-of-guard",  # u in v
+        "exists-first",
+        "exists-later",
+        "forall-antecedent",
+        "forall-conjunct",
+        "outer-bound-guard",
+        "shadowed",
+        "self-membership",
+    }
+)
+
+
+def near_guard(rng, var, scope):
+    """An atom on ``var`` alone or under a connective that hides it as a guard."""
+    u = rng.choice(scope)
+    atom = rng.choice((Member(var, u), Member(u, var), Equal(var, u)))
+    ctor = rng.choice((None, Not, Or, Implies, Iff))
+    if ctor is None:
+        return atom
+    if ctor is Not:
+        return Not(atom)
+    return ctor(atom, Member(rng.choice(scope), rng.choice(scope)))
+
+
+def random_guarded_formula(rng, depth, scope, free, seen):
+    """Random formula whose quantifiers mostly take a guarded shape.
+
+    ``scope`` lists the variables in scope, ``free`` those free in the
+    whole formula; every shape a quantifier takes is added to ``seen``.
+    """
+    if depth == 0 or rng.random() < 0.15:
+        a, b = rng.choice(scope), rng.choice(scope)
+        return Member(a, b) if rng.random() < 0.6 else Equal(a, b)
+    roll = rng.random()
+    if roll < 0.1:
+        return Not(random_guarded_formula(rng, depth - 1, scope, free, seen))
+    if roll < 0.3:
+        ctor = rng.choice((And, Or, Implies, Iff))
+        return ctor(
+            random_guarded_formula(rng, depth - 1, scope, free, seen),
+            random_guarded_formula(rng, depth - 1, scope, free, seen),
+        )
+    var = rng.choice(("x", "y", "z", "w"))
+    if var in scope:
+        seen.add("shadowed")
+    inner = tuple(sorted(set(scope) | {var}))
+    others = [u for u in scope if u != var]
+    if others and rng.random() < 0.85:
+        u = rng.choice(others)
+        if u not in free:
+            seen.add("outer-bound-guard")
+        if rng.random() < 0.5:
+            guard, direction = Member(var, u), "member-of-guard"
+        else:
+            guard, direction = Member(u, var), "container-of-guard"
+        seen.add(direction)
+    else:
+        guard = None
+    if guard is None and rng.random() < 0.5:
+        guard = near_guard(rng, var, inner)
+    elif guard is None or rng.random() < 0.2:
+        # v in v ahead of the real guard, or in place of one
+        seen.add("self-membership")
+        loop = Member(var, var)
+        guard = loop if guard is None else And(loop, guard)
+    body = random_guarded_formula(rng, depth - 1, inner, free, seen)
+    other = near_guard(rng, var, inner)
+    shape = rng.choice(("exists-first", "exists-later", "forall-antecedent", "forall-conjunct"))
+    seen.add(shape)
+    if shape == "exists-first":
+        return Exists(var, And(guard, body))
+    if shape == "exists-later":
+        if rng.random() < 0.5:
+            return Exists(var, And(other, And(guard, body)))
+        return Exists(var, And(And(other, guard), body))
+    if shape == "forall-antecedent":
+        return ForAll(var, Implies(guard, body))
+    ante = And(other, guard) if rng.random() < 0.5 else And(guard, other)
+    return ForAll(var, Implies(ante, body))
+
+
+def test_guarded_shapes_agree_with_naive():
+    rng = random.Random(20261018)
+    seen = set()
+    formulas = 0
+    for _ in range(150):
+        g = random_extensional_graph(rng, 5, min_nodes=1)
+        nodes = sorted(g.nodes)
+        for _ in range(4):
+            f = random_guarded_formula(rng, 3, ("x", "y"), ("x", "y"), seen)
+            env = {"x": rng.choice(nodes), "y": rng.choice(nodes)}
+            assert eval_formula(g, f, env) == naive_eval(g, f, env), print_formula(f)
+            one = random_guarded_formula(rng, 3, ("x",), ("x",), seen)
+            if free_variables(one) != {"x"}:
+                continue
+            formulas += 1
+            scan = frozenset(x for x in nodes if naive_eval(g, one, {"x": x}))
+            assert define_class(g, one) == scan, print_formula(one)
+            owner = rng.choice(nodes)
+            report = comprehension_instance(g, owner, one)
+            subset = frozenset(z for z in g.extensions[owner] if z in scan)
+            assert report.subset == subset
+            assert report.witness == next(
+                (w for w in nodes if g.extensions[w] == subset), None
+            )
+    assert GUARD_SHAPES <= seen, GUARD_SHAPES - seen
+    assert formulas > 300
+
+
+@pytest.mark.parametrize(
+    "text, guard",
+    [
+        ("exists y. (y in x & x in y)", Member("y", "x")),
+        ("exists y. (y = y & x in y)", Member("x", "y")),
+        ("exists y. ((y = x & z in x) & (y in y & y in z))", Member("y", "z")),
+        ("all y. (y in x -> y = y)", Member("y", "x")),
+        ("all y. (y = x & x in y -> y in z)", Member("x", "y")),
+        ("all y. (y in x & y = y)", None),
+        ("all y. (y = y -> y in x)", None),
+        ("exists y. (y in y & y = x)", None),
+        ("exists y. (y in x | y = y)", None),
+        ("exists y. !(y in x)", None),
+        ("exists y. exists z. (z in y & y in x)", None),
+    ],
+)
+def test_guard_is_first_membership_conjunct(text, guard):
+    assert _guard(parse(text)) == guard
+
+
+def test_containers_built_only_for_a_container_guard():
+    g = complete(von_neumann_seed(3), 1).graph
+    define_class(g, parse("exists y. (y in x & x in y)"))
+    define_class(g, parse("all y. (y in y -> x in y)"))
+    assert "_containers" not in g.__dict__
+    assert define_class(g, parse("exists y. (x in y & y in x)")) == frozenset()
+    assert "_containers" in g.__dict__
+
+
+def test_deep_library_formula_still_compiles():
+    g = ExtensionalDigraph.from_extensions({"e": set()})
+    assert define_class(g, chain_code_formula(300)) == frozenset()
