@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Any, Sequence
 
 from .completion import Budget, DEFAULT_BUDGET, complete, witness_report
@@ -138,10 +139,7 @@ def _cmd_seed(args: argparse.Namespace) -> int:
     spec, formulas = _spec_from_json(raw)
     seed = assemble(spec)
     if seed.dred is not None:
-        doc = GraphDocument.from_dred(seed.dred)
-        doc = GraphDocument(
-            graph=doc.graph, depth=doc.depth, ranks=doc.ranks, formulas=formulas
-        )
+        doc = replace(GraphDocument.from_dred(seed.dred), formulas=formulas)
     else:
         doc = GraphDocument(graph=seed.graph, formulas=formulas)
     _emit_document(doc)
@@ -152,23 +150,12 @@ def _cmd_complete(args: argparse.Namespace) -> int:
     doc = _read_document()
     budget = _resolve_budget(args.budget)
     if args.dred:
-        if doc.depth is None or doc.ranks is None:
-            print("input document has no depth/ranks blocks", file=sys.stderr)
-            return 3
         du = dred_complete(doc.to_dred(), args.levels, budget)
         out = GraphDocument.from_dred_universe(du)
     else:
         u = complete(doc.graph, args.levels, budget)
         out = GraphDocument.from_universe(u)
-    _emit_document(
-        GraphDocument(
-            graph=out.graph,
-            levels=out.levels,
-            depth=out.depth,
-            ranks=out.ranks,
-            formulas=doc.formulas,
-        )
-    )
+    _emit_document(replace(out, formulas=doc.formulas))
     return 0
 
 
@@ -202,9 +189,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 print(line)
         return 0 if report.ok else 1
     # dred conditions
-    if doc.depth is None or doc.ranks is None:
-        print("input document has no depth/ranks blocks", file=sys.stderr)
-        return 3
     report = verify_dred(doc.to_dred())
     if args.porcelain:
         if report.ok:

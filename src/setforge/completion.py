@@ -89,13 +89,13 @@ class LeveledUniverse:
 
         Because completion-created nodes only ever point at older nodes,
         the induced subgraph on a level is exactly the graph as it stood
-        when that level was the top.
+        when that level was the top.  A hand-built level that is not
+        closed under membership raises UnknownNodeError.
         """
         wanted = self.levels[n]
-        return ExtensionalDigraph(
-            nodes=wanted,
-            extensions={x: self.graph.extensions[x] for x in wanted},
-            provenance={x: self.graph.provenance[x] for x in wanted},
+        return ExtensionalDigraph.from_extensions(
+            {x: self.graph.extensions[x] for x in wanted},
+            {x: self.graph.provenance[x] for x in wanted},
         )
 
 
@@ -161,7 +161,7 @@ def complete_step(u: LeveledUniverse, budget: Budget = DEFAULT_BUDGET) -> Levele
             f"completion step would grow the graph to {projected} nodes, "
             f"over the budget of {budget.max_nodes}"
         )
-    level = len(u.levels)
+    stamp = Deficiency(level=len(u.levels))
     extensions = dict(g.extensions)
     provenance = dict(g.provenance)
     for mask in masks:
@@ -172,12 +172,8 @@ def complete_step(u: LeveledUniverse, budget: Budget = DEFAULT_BUDGET) -> Levele
                 f"generated id {node!r} collides with an existing node of different extension"
             )
         extensions[node] = frozenset(members)
-        provenance[node] = Deficiency(level=level, members=members)
-    new_graph = ExtensionalDigraph(
-        nodes=frozenset(extensions),
-        extensions=extensions,
-        provenance=provenance,
-    )
+        provenance[node] = stamp
+    new_graph = ExtensionalDigraph(extensions, provenance)
     return LeveledUniverse(graph=new_graph, levels=u.levels + (new_graph.nodes,))
 
 

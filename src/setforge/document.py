@@ -54,44 +54,36 @@ class GraphDocument:
 
     @classmethod
     def from_dred(cls, h: Dred) -> "GraphDocument":
-        return cls(graph=h.graph, depth=dict(h.depth), ranks={i: dict(r) for i, r in h.ranks.items()})
+        return cls(graph=h.graph, depth=h.depth, ranks=h.ranks)
 
     @classmethod
     def from_dred_universe(cls, du: DredLeveledUniverse) -> "GraphDocument":
-        return cls(
-            graph=du.graph,
-            levels=du.levels,
-            depth=dict(du.depth),
-            ranks={i: dict(r) for i, r in du.ranks.items()},
-        )
+        return cls(graph=du.graph, levels=du.levels, depth=du.depth, ranks=du.ranks)
 
     def to_universe(self) -> LeveledUniverse:
         if self.levels is None:
-            raise ValueError("document has no levels block")
+            raise SchemaError("levels", "document has no levels block")
         return LeveledUniverse(graph=self.graph, levels=self.levels)
 
     def to_dred(self) -> Dred:
-        if self.depth is None or self.ranks is None:
-            raise ValueError("document has no depth/ranks blocks")
-        return Dred(graph=self.graph, depth=dict(self.depth), ranks={i: dict(r) for i, r in self.ranks.items()})
+        if self.depth is None:
+            raise SchemaError("depth", "document has no depth block")
+        if self.ranks is None:
+            raise SchemaError("ranks", "document has no ranks block")
+        return Dred(graph=self.graph, depth=self.depth, ranks=self.ranks)
 
     def to_dred_universe(self) -> DredLeveledUniverse:
-        if self.levels is None:
-            raise ValueError("document has no levels block")
-        if self.depth is None or self.ranks is None:
-            raise ValueError("document has no depth/ranks blocks")
-        return DredLeveledUniverse(
-            universe=LeveledUniverse(graph=self.graph, levels=self.levels),
-            depth=dict(self.depth),
-            ranks={i: dict(r) for i, r in self.ranks.items()},
-        )
+        u = self.to_universe()
+        h = self.to_dred()
+        return DredLeveledUniverse(universe=u, depth=h.depth, ranks=h.ranks)
 
 
-def _provenance_to_json(p: Provenance) -> dict[str, Any]:
+def _provenance_to_json(g: ExtensionalDigraph, x: NodeId) -> dict[str, Any]:
+    p = g.provenance[x]
     if isinstance(p, Seed):
         return {"kind": "seed", "label": p.label}
     if isinstance(p, Deficiency):
-        return {"kind": "deficiency", "level": p.level, "members": p.members}
+        return {"kind": "deficiency", "level": p.level, "members": sorted(g.extensions[x])}
     return {"kind": "code", "code_kind": p.kind, "detail": p.detail}
 
 
@@ -101,7 +93,7 @@ def serialize(doc: GraphDocument) -> str:
     payload: dict[str, Any] = {
         "format_version": doc.format_version,
         "nodes": [
-            {"id": x, "provenance": _provenance_to_json(g.provenance[x])}
+            {"id": x, "provenance": _provenance_to_json(g, x)}
             for x in g.sorted_nodes()
         ],
         "edges": sorted(g.edges),
@@ -142,7 +134,7 @@ def _parse_provenance(raw: Any, path: str) -> Provenance:
         members = raw.get("members")
         if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
             raise SchemaError(path, "deficiency members must be a list of ids")
-        return Deficiency(level=level, members=tuple(members))
+        return Deficiency(level=level)
     if kind == "code":
         code_kind = raw.get("code_kind")
         if code_kind not in _CODE_KINDS:
@@ -204,18 +196,17 @@ def deserialize(text: str) -> GraphDocument:
             raise SchemaError(path, f"references unknown id {container!r}")
         extensions[container].add(member)
 
-    for node_id, p in provenance.items():
-        if isinstance(p, Deficiency) and list(p.members) != sorted(extensions[node_id]):
+    # A deficiency node's members are written from its extension, so a
+    # document whose two copies disagree did not come from ``serialize``.
+    for i, item in enumerate(nodes_raw):
+        p, ext = provenance[order[i]], extensions[order[i]]
+        if isinstance(p, Deficiency) and item["provenance"]["members"] != sorted(ext):
             raise SchemaError(
-                f"nodes[{order.index(node_id)}].provenance",
+                f"nodes[{i}].provenance",
                 "deficiency members must equal the node's extension",
             )
 
-    graph = ExtensionalDigraph(
-        nodes=known,
-        extensions={x: frozenset(ms) for x, ms in extensions.items()},
-        provenance=provenance,
-    )
+    graph = ExtensionalDigraph({x: frozenset(ms) for x, ms in extensions.items()}, provenance)
 
     levels: tuple[frozenset[NodeId], ...] | None = None
     if "levels" in raw:

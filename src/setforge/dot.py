@@ -30,7 +30,7 @@ def _base_label(g: ExtensionalDigraph, x: NodeId) -> str:
     if isinstance(p, Seed):
         return p.label
     if isinstance(p, Deficiency):
-        return f"D{p.level}#{len(p.members)}"
+        return f"D{p.level}#{len(g.extensions[x])}"
     return p.detail
 
 

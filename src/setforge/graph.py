@@ -10,6 +10,13 @@ Node ids are plain strings with no semantics beyond identity and total
 get a content-addressed id from :func:`subset_node_id`, so independently
 constructed graphs agree on the identity of shared subset nodes and
 re-runs are reproducible byte for byte.
+
+The extension map is a graph's only representation, and it is checked
+once, where data enters: :meth:`ExtensionalDigraph.from_extensions`,
+:meth:`ExtensionalDigraph.from_edges` and
+:func:`setforge.document.deserialize` reject members and provenance
+that name unknown nodes.  The plain constructor trusts its input, so
+functions that derive a graph from a valid one pay for no re-check.
 """
 
 from __future__ import annotations
@@ -42,11 +49,10 @@ class Seed:
 class Deficiency:
     """Provenance of a node created by a completion step.
 
-    ``members`` is the node's extension at creation time, sorted.
+    Only the level is kept: the node's members are its extension.
     """
 
     level: int
-    members: tuple[NodeId, ...]
 
 
 @dataclass(frozen=True)
@@ -79,37 +85,22 @@ class ExtensionalDigraph:
     """A finite membership digraph, stored as an extension map.
 
     ``extensions`` maps every node to the frozenset of its members and
-    is the primary representation; the edge set is derived.  Instances
-    are immutable: all operations return new graphs.
+    is the graph's only representation: ``nodes`` is its key set and
+    the edge set is derived.  Instances are immutable: all operations
+    return new graphs.
+
+    The constructor trusts its input: every member must be a node and
+    ``provenance`` must cover exactly the nodes.  Outside data goes
+    through :meth:`from_extensions` or :meth:`from_edges`, which check
+    it and give unlabelled nodes ``Seed`` provenance.
     """
 
-    nodes: frozenset[NodeId]
     extensions: dict[NodeId, frozenset[NodeId]]
     provenance: dict[NodeId, Provenance]
+    nodes: frozenset[NodeId] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if set(self.extensions) != self.nodes:
-            missing = set(self.nodes) ^ set(self.extensions)
-            raise UnknownNodeError(
-                f"extension map does not cover the node set exactly: {sorted(missing)!r}"
-            )
-        for x, ext in self.extensions.items():
-            bad = ext - self.nodes
-            if bad:
-                raise UnknownNodeError(
-                    f"extension of {x!r} mentions unknown nodes {sorted(bad)!r}"
-                )
-        for x in self.provenance:
-            if x not in self.nodes:
-                raise UnknownNodeError(f"provenance for unknown node {x!r}")
-        for x in self.nodes:
-            if x not in self.provenance:
-                object.__setattr__(
-                    self,
-                    "provenance",
-                    {**self.provenance, **{y: Seed(y) for y in self.nodes if y not in self.provenance}},
-                )
-                break
+        object.__setattr__(self, "nodes", frozenset(self.extensions))
 
     @classmethod
     def from_edges(
@@ -119,15 +110,12 @@ class ExtensionalDigraph:
         provenance: Mapping[NodeId, Provenance] | None = None,
     ) -> "ExtensionalDigraph":
         """Build a graph from an explicit edge list ``(member, container)``."""
-        node_set = frozenset(nodes)
-        ext: dict[NodeId, set[NodeId]] = {x: set() for x in node_set}
+        ext: dict[NodeId, set[NodeId]] = {x: set() for x in nodes}
         for member, container in edges:
-            if member not in node_set or container not in node_set:
+            if member not in ext or container not in ext:
                 raise UnknownNodeError(f"edge ({member!r}, {container!r}) leaves the node set")
             ext[container].add(member)
-        frozen = {x: frozenset(m) for x, m in ext.items()}
-        prov = dict(provenance) if provenance is not None else {}
-        return cls(node_set, frozen, prov)
+        return cls.from_extensions(ext, provenance)
 
     @classmethod
     def from_extensions(
@@ -135,14 +123,27 @@ class ExtensionalDigraph:
         extensions: Mapping[NodeId, Iterable[NodeId]],
         provenance: Mapping[NodeId, Provenance] | None = None,
     ) -> "ExtensionalDigraph":
-        node_set = frozenset(extensions)
+        """Build a graph from a node -> members map, checking that every
+        member and every provenance key is a node."""
         frozen = {x: frozenset(m) for x, m in extensions.items()}
+        # A frozenset, not ``frozen.keys()``: a set minus a dict view
+        # walks the whole view, which would make this loop quadratic.
+        known = frozenset(frozen)
+        for x, ext in frozen.items():
+            if not ext <= known:
+                raise UnknownNodeError(
+                    f"extension of {x!r} mentions unknown nodes {sorted(ext - known)!r}"
+                )
         prov = dict(provenance) if provenance is not None else {}
-        return cls(node_set, frozen, prov)
+        for x in prov:
+            if x not in known:
+                raise UnknownNodeError(f"provenance for unknown node {x!r}")
+        prov.update({x: Seed(x) for x in known if x not in prov})
+        return cls(frozen, prov)
 
     @classmethod
     def empty(cls) -> "ExtensionalDigraph":
-        return cls(frozenset(), {}, {})
+        return cls({}, {})
 
     @property
     def edges(self) -> frozenset[tuple[NodeId, NodeId]]:

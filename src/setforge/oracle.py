@@ -17,6 +17,7 @@ true by construction.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -73,7 +74,9 @@ class Collection(SetValue):
         object.__setattr__(self, "key", "{" + ",".join(m.key for m in self.members) + "}")
 
 
-_registry: dict[str, SetValue] = {}
+# A value stays interned only while something holds it, so the table
+# shrinks back once a run drops its values.
+_registry: weakref.WeakValueDictionary[str, SetValue] = weakref.WeakValueDictionary()
 
 
 def _intern(value: SetValue) -> SetValue:
@@ -239,13 +242,8 @@ def values_to_graph(values: Iterable[SetValue]) -> ExtensionalDigraph:
         elif isinstance(v, LoopCode):
             provenance[ids[v]] = Code(kind="loop", detail=v.label)
         else:
-            provenance[ids[v]] = Deficiency(
-                level=_value_stage(v, stage_memo),
-                members=tuple(sorted(extensions[ids[v]])),
-            )
-    return ExtensionalDigraph(
-        nodes=frozenset(extensions), extensions=extensions, provenance=provenance
-    )
+            provenance[ids[v]] = Deficiency(level=_value_stage(v, stage_memo))
+    return ExtensionalDigraph(extensions, provenance)
 
 
 def oracle_complete(
@@ -298,12 +296,8 @@ def oracle_complete(
         if v in node_of:
             provenance[node] = g.provenance[node]
         else:
-            provenance[node] = Deficiency(
-                level=added_at[v], members=tuple(sorted(extensions[node]))
-            )
-    return ExtensionalDigraph(
-        nodes=frozenset(extensions), extensions=extensions, provenance=provenance
-    )
+            provenance[node] = Deficiency(level=added_at[v])
+    return ExtensionalDigraph(extensions, provenance)
 
 
 @dataclass(frozen=True)

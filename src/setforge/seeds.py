@@ -217,9 +217,7 @@ def von_neumann_seed(k: int) -> ExtensionalDigraph:
     provenance: dict[NodeId, Provenance] = {
         x: Seed(label=notation[x]) for x in extensions
     }
-    return ExtensionalDigraph(
-        nodes=frozenset(extensions), extensions=extensions, provenance=provenance
-    )
+    return ExtensionalDigraph(extensions, provenance)
 
 
 def quine_atoms(labels: Iterable[str]) -> ExtensionalDigraph:
@@ -233,9 +231,7 @@ def quine_atoms(labels: Iterable[str]) -> ExtensionalDigraph:
         node = quine_atom_id(label)
         extensions[node] = frozenset({node})
         provenance[node] = Code(kind="atom", detail=label)
-    return ExtensionalDigraph(
-        nodes=frozenset(extensions), extensions=extensions, provenance=provenance
-    )
+    return ExtensionalDigraph(extensions, provenance)
 
 
 def _extension_index(g: ExtensionalDigraph) -> dict[frozenset[NodeId], NodeId]:
@@ -273,9 +269,7 @@ def chain_atoms(
         below = ids[j + 1] if j + 1 < length else terminal
         extensions[node] = frozenset({below})
         provenance[node] = Code(kind="atom", detail=f"{label}[{j}]")
-    return ExtensionalDigraph(
-        nodes=frozenset(extensions), extensions=extensions, provenance=provenance
-    )
+    return ExtensionalDigraph(extensions, provenance)
 
 
 def _add_subset_node(
@@ -328,9 +322,7 @@ def encode_tuple(
     top = components[-1]
     for c in reversed(components[:-1]):
         top = pair(c, top)
-    out = ExtensionalDigraph(
-        nodes=frozenset(extensions), extensions=extensions, provenance=provenance
-    )
+    out = ExtensionalDigraph(extensions, provenance)
     return out, top
 
 
@@ -407,9 +399,7 @@ def attach_codes(
                 add(ids[j], members, f"chain[{j}]({p})", "chain")
             index.code_nodes[decl] = tuple(ids)
 
-    out = ExtensionalDigraph(
-        nodes=frozenset(extensions), extensions=extensions, provenance=provenance
-    )
+    out = ExtensionalDigraph(extensions, provenance)
     return out, index
 
 
@@ -435,9 +425,7 @@ def _numeral_graph(count: int) -> ExtensionalDigraph:
     provenance: dict[NodeId, Provenance] = {
         ids[k]: Seed(label=str(k)) for k in range(count)
     }
-    return ExtensionalDigraph(
-        nodes=frozenset(extensions), extensions=extensions, provenance=provenance
-    )
+    return ExtensionalDigraph(extensions, provenance)
 
 
 def _chain_style_depths(
@@ -477,34 +465,26 @@ def _chain_style_depths(
 def assemble(spec: CodeSpec) -> AssembledSeed:
     """Build the full seed graph a declaration describes.
 
-    Numerals first, then atoms in declaration order (chain atom number
-    c ends at numeral c+1, which no other node may claim), then tuple
-    encodings, then codes. Chain style additionally derives the
-    depth/rank certificate and verifies it before returning.
+    Numerals first, then quine atoms, then chain atoms in declaration
+    order (chain atom number c ends at numeral c+1, which no other node
+    may claim), then tuple encodings, then codes. Chain style
+    additionally derives the depth/rank certificate and verifies it
+    before returning.
     """
     g = _numeral_graph(spec.naturals_up_to)
     numerals = numeral_ids(spec.naturals_up_to)
-    atom_nodes: dict[str, NodeId] = {}
-    chain_ordinal = 0
-    for a in spec.atoms:
-        if a.kind == "quine":
-            node = quine_atom_id(a.label)
-            extensions = dict(g.extensions)
-            provenance = dict(g.provenance)
-            extensions[node] = frozenset({node})
-            provenance[node] = Code(kind="atom", detail=a.label)
-            g = ExtensionalDigraph(
-                nodes=frozenset(extensions),
-                extensions=extensions,
-                provenance=provenance,
-            )
-            atom_nodes[a.label] = node
-        else:
-            assert a.length is not None
-            terminal = numerals[chain_ordinal + 1]
-            chain_ordinal += 1
-            g = chain_atoms(g, a.label, a.length, terminal)
-            atom_nodes[a.label] = chain_atom_id(a.label, 0)
+    quines = quine_atoms(a.label for a in spec.atoms if a.kind == "quine")
+    g = ExtensionalDigraph(
+        {**g.extensions, **quines.extensions}, {**g.provenance, **quines.provenance}
+    )
+    chains = [a for a in spec.atoms if a.kind == "chain"]
+    for c, a in enumerate(chains):
+        assert a.length is not None
+        g = chain_atoms(g, a.label, a.length, numerals[c + 1])
+    atom_nodes = {
+        a.label: quine_atom_id(a.label) if a.kind == "quine" else chain_atom_id(a.label, 0)
+        for a in spec.atoms
+    }
     g, index = attach_codes(g, spec)
     require_extensional(g)
     dred: Dred | None = None

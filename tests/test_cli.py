@@ -367,6 +367,19 @@ def test_export_dot_stdout():
     assert (node, node) in edges
 
 
+def test_export_dot_labels_deficiency_nodes_by_level_and_size():
+    _, doc, _ = invoke(["complete", "--levels", "1"], seed("vN", "2"))
+    code, out, _ = invoke(["export", "--dot", "-"], doc)
+    assert code == 0
+    _, nodes, _ = parse_dot(out)
+    labels = sorted(
+        nodes[n["id"]].split(",")[0]
+        for n in json.loads(doc)["nodes"]
+        if n["provenance"]["kind"] == "deficiency"
+    )
+    assert labels == ['label="D1#1"', 'label="D1#2"']
+
+
 def test_export_dot_file(tmp_path, chain_spec_file):
     doc = seed("spec", chain_spec_file)
     target = tmp_path / "out.dot"

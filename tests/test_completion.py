@@ -11,6 +11,7 @@ from setforge import (
     ExtensionalDigraph,
     LeveledUniverse,
     NonExtensionalError,
+    UnknownNodeError,
     affordable_levels,
     complete,
     complete_step,
@@ -151,13 +152,19 @@ def test_new_nodes_carry_deficiency_provenance():
             p = u.graph.provenance[x]
             assert isinstance(p, Deficiency)
             assert p.level == n
-            assert frozenset(p.members) == u.graph.extensions[x]
 
 
 def test_leveled_universe_validates_nesting():
     g = ExtensionalDigraph.from_extensions({"a": set()})
     with pytest.raises(Exception):
         LeveledUniverse(graph=g, levels=(frozenset({"a"}), frozenset()))
+
+
+def test_level_graph_rejects_a_level_not_closed_under_membership():
+    g = ExtensionalDigraph.from_extensions({"a": set(), "b": {"a"}})
+    u = LeveledUniverse(graph=g, levels=(frozenset({"b"}), frozenset({"a", "b"})))
+    with pytest.raises(UnknownNodeError, match=r"extension of 'b' mentions unknown nodes \['a'\]"):
+        u.level_graph(0)
 
 
 def test_budget_must_be_positive():
@@ -202,9 +209,9 @@ def test_witness_report_detects_missing_subset_node():
     g = ExtensionalDigraph.from_extensions(
         {"p": set(), "q": {"p"}, "r": {"p", "q"}, "t": {"r"}},
         {
-            "q": Deficiency(level=1, members=("p",)),
-            "r": Deficiency(level=2, members=("p", "q")),
-            "t": Deficiency(level=3, members=("r",)),
+            "q": Deficiency(level=1),
+            "r": Deficiency(level=2),
+            "t": Deficiency(level=3),
         },
     )
     u = LeveledUniverse(

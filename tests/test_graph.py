@@ -133,7 +133,7 @@ def test_isomorphic_respects_edge_structure():
 def test_isomorphism_distinguishes_provenance():
     seeded = ExtensionalDigraph.from_extensions({"a": set()}, {"a": Seed("a")})
     derived = ExtensionalDigraph.from_extensions(
-        {"a": set()}, {"a": Deficiency(level=1, members=())}
+        {"a": set()}, {"a": Deficiency(level=1)}
     )
     assert not is_isomorphic(seeded, derived)
 
@@ -156,13 +156,13 @@ def test_isomorphism_invariant_under_relabelling(r):
     assert is_isomorphic(g, h)
 
 
-def random_provenance(rng: random.Random, members) -> object:
+def random_provenance(rng: random.Random) -> object:
     roll = rng.randrange(4)
     if roll == 0:
         return Seed(f"label-{rng.randrange(3)}")
     if roll == 1:
         return Code(rng.choice(("loop", "chain")), f"detail-{rng.randrange(3)}")
-    return Deficiency(level=roll - 1, members=tuple(sorted(members)))
+    return Deficiency(level=roll - 1)
 
 
 def test_is_isomorphic_agrees_with_brute_force():
@@ -172,7 +172,7 @@ def test_is_isomorphic_agrees_with_brute_force():
         g = random_extensional_graph(rng, 6)
         g = ExtensionalDigraph.from_extensions(
             g.extensions,
-            {x: random_provenance(rng, g.extensions[x]) for x in g.nodes},
+            {x: random_provenance(rng) for x in g.nodes},
         )
         names = sorted(g.nodes)
         shuffled = rng.sample(names, len(names))
@@ -190,7 +190,7 @@ def test_is_isomorphic_agrees_with_brute_force():
             flipped[mapping[container]] ^= {mapping[member]}
             copies.append(ExtensionalDigraph.from_extensions(flipped, provenance))
             changed = dict(provenance)
-            changed[mapping[rng.choice(names)]] = random_provenance(rng, ())
+            changed[mapping[rng.choice(names)]] = random_provenance(rng)
             copies.append(ExtensionalDigraph.from_extensions(extensions, changed))
         for h in copies:
             expected = naive_is_isomorphic(g, h)
@@ -212,5 +212,26 @@ def test_unknown_edge_rejected():
 
 
 def test_extension_map_must_cover_nodes():
-    with pytest.raises(UnknownNodeError):
-        ExtensionalDigraph(frozenset({"a", "b"}), {"a": frozenset()}, {})
+    with pytest.raises(UnknownNodeError, match=r"extension of 'a' mentions unknown nodes \['b'\]"):
+        ExtensionalDigraph.from_extensions({"a": {"b"}, "c": set()})
+
+
+def test_provenance_for_unknown_node_rejected():
+    with pytest.raises(UnknownNodeError, match="provenance for unknown node 'ghost'"):
+        ExtensionalDigraph.from_extensions({"a": set()}, {"ghost": Seed("ghost")})
+
+
+def test_entry_points_and_constructor_build_equal_graphs():
+    extensions = {"e": frozenset(), "s": frozenset({"e"}), "q": frozenset({"q", "s"})}
+    provenance = {"e": Seed("zero"), "s": Deficiency(level=1), "q": Code("loop", "q")}
+    edges = [(m, c) for c, ms in extensions.items() for m in ms]
+    graphs = [
+        ExtensionalDigraph(extensions, provenance),
+        ExtensionalDigraph.from_extensions(extensions, provenance),
+        ExtensionalDigraph.from_edges(extensions, edges, provenance),
+    ]
+    for g in graphs:
+        assert g == graphs[0]
+        assert g.nodes == frozenset(extensions)
+    unlabelled = ExtensionalDigraph.from_edges(extensions, edges)
+    assert unlabelled == ExtensionalDigraph(extensions, {x: Seed(x) for x in extensions})

@@ -1,5 +1,6 @@
 """Reference model: interned set values, HF stages, decoration, comparison."""
 
+import gc
 import io
 import json
 import random
@@ -31,6 +32,7 @@ from setforge import (
     values_to_graph,
     von_neumann_seed,
 )
+from setforge import oracle
 from setforge.cli import main
 
 from helpers import random_decorable_graph, random_extensional_graph
@@ -42,6 +44,19 @@ from helpers import random_decorable_graph, random_extensional_graph
 def test_atoms_are_interned():
     assert atom("a") is atom("a")
     assert atom("a") is not atom("b")
+
+
+def test_intern_table_keeps_only_values_something_holds():
+    gc.collect()
+    start = len(oracle._registry)
+    oracle_complete(von_neumann_seed(2), 2)
+    oracle_complete(quine_atoms(["a", "b"]), 1)
+    gc.collect()
+    assert len(oracle._registry) == start
+    held = atom("held")
+    gc.collect()
+    assert atom("held") is held
+    assert len(oracle._registry) == start + 1
 
 
 def test_collections_are_interned():
