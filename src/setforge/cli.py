@@ -23,7 +23,7 @@ from typing import Any, Sequence
 from .completion import Budget, DEFAULT_BUDGET, complete, witness_report
 from .document import GraphDocument, deserialize, serialize
 from .dot import to_dot
-from .dred import dred_complete, verify_dred
+from .dred import Dred, dred_complete, verify_dred
 from .errors import (
     BudgetExceededError,
     DredConditionError,
@@ -49,7 +49,7 @@ def _resolve_budget(value: int | None) -> Budget:
             value = int(raw)
         except ValueError:
             raise SpecValidationError(f"{_BUDGET_ENV} must be an integer, got {raw!r}")
-    return Budget(max_nodes=value, max_subsets_enumerated=value)
+    return Budget(value)
 
 
 def _read_document() -> GraphDocument:
@@ -61,38 +61,33 @@ def _emit_document(doc: GraphDocument) -> None:
 
 
 def _spec_from_json(raw: Any) -> tuple[CodeSpec, dict[str, str]]:
+    """Check the JSON shape of a spec file; CodeSpec checks the field types."""
     if not isinstance(raw, dict):
         raise SpecValidationError("a code spec file must hold a JSON object")
-    atoms = []
-    for item in raw.get("atoms", []):
-        if not isinstance(item, dict):
-            raise SpecValidationError("atoms entries must be objects")
-        atoms.append(
-            AtomDecl(
-                label=item.get("label", ""),
-                kind=item.get("kind", "quine"),
-                length=item.get("length"),
-            )
+    entries = {}
+    for block in ("atoms", "tuples"):
+        entries[block] = raw.get(block, [])
+        if not isinstance(entries[block], list):
+            raise SpecValidationError(f"{block} must be a list")
+        if not all(isinstance(item, dict) for item in entries[block]):
+            raise SpecValidationError(f"{block} entries must be objects")
+    atoms = [
+        AtomDecl(
+            label=item.get("label", ""),
+            kind=item.get("kind", "quine"),
+            length=item.get("length"),
         )
+        for item in entries["atoms"]
+    ]
     tuples = []
-    for item in raw.get("tuples", []):
-        if not isinstance(item, dict):
-            raise SpecValidationError("tuples entries must be objects")
+    for item in entries["tuples"]:
         components = item.get("components", [])
-        if not isinstance(components, list) or not all(
-            isinstance(c, str) for c in components
-        ):
+        if not isinstance(components, list):
             raise SpecValidationError("tuple components must be a list of labels")
-        tag = item.get("tag")
-        if not isinstance(tag, int) or isinstance(tag, bool):
-            raise SpecValidationError("tuple tag must be an integer")
-        tuples.append(TupleDecl(tag=tag, components=tuple(components)))
-    naturals = raw.get("naturals_up_to", 0)
-    if not isinstance(naturals, int) or isinstance(naturals, bool):
-        raise SpecValidationError("naturals_up_to must be an integer")
+        tuples.append(TupleDecl(tag=item.get("tag"), components=tuple(components)))
     spec = CodeSpec(
         atoms=tuple(atoms),
-        naturals_up_to=naturals,
+        naturals_up_to=raw.get("naturals_up_to", 0),
         tuples=tuple(tuples),
         code_style=raw.get("code_style", "loop"),
         code_length=raw.get("code_length"),
@@ -132,10 +127,12 @@ def _cmd_seed(args: argparse.Namespace) -> int:
     try:
         with open(args.arg, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise SpecValidationError(f"cannot read {args.arg}: {e}") from e
     except json.JSONDecodeError as e:
         raise SpecValidationError(f"invalid JSON in {args.arg}: {e.msg}") from e
+    except RecursionError as e:
+        raise SpecValidationError(f"invalid JSON in {args.arg}: nested too deeply") from e
     spec, formulas = _spec_from_json(raw)
     seed = assemble(spec)
     if seed.dred is not None:
@@ -251,13 +248,16 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     doc = _read_document()
-    source = doc.to_dred() if doc.depth is not None and doc.ranks is not None else doc.graph
+    source = doc.graph if doc.depth is None else Dred(doc.graph, doc.depth, doc.ranks or {})
     rendered = to_dot(source)
     if args.dot == "-":
         sys.stdout.write(rendered)
-    else:
+        return 0
+    try:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(rendered)
+    except OSError as e:
+        raise SpecValidationError(f"cannot write {args.dot}: {e}") from e
     return 0
 
 
@@ -267,7 +267,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 docs.append(deserialize(handle.read()))
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise SpecValidationError(f"cannot read {path}: {e}") from e
     a, b = docs
     if a == b:
@@ -363,9 +363,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DredConditionError as e:
         print(f"depth/rank conditions fail: {e}")
         return 1
-    except ParseError as e:
-        print(str(e), file=sys.stderr)
-        return 3
     except SetforgeError as e:
         print(str(e), file=sys.stderr)
         return 3

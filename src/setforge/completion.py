@@ -29,23 +29,22 @@ from .graph import (
 )
 
 DEFAULT_MAX_SUBSETS = 2**20
-DEFAULT_MAX_NODES = 2**20
 
 
 @dataclass(frozen=True)
 class Budget:
-    """Hard resource ceilings for completion-like enumeration.
+    """Hard resource ceiling for completion-like enumeration.
 
     ``max_subsets_enumerated`` bounds ``2**n`` for a single step over an
-    ``n``-node graph; ``max_nodes`` bounds the node count of any graph a
-    step is allowed to produce.
+    ``n``-node graph.  The same bound caps the node count a step
+    produces: an extensional ``n``-node graph represents exactly ``n``
+    of its ``2**n`` subsets, so the step leaves exactly ``2**n`` nodes.
     """
 
-    max_nodes: int = DEFAULT_MAX_NODES
     max_subsets_enumerated: int = DEFAULT_MAX_SUBSETS
 
     def __post_init__(self) -> None:
-        if self.max_nodes < 1 or self.max_subsets_enumerated < 1:
+        if self.max_subsets_enumerated < 1:
             raise ValueError("budget bounds must be positive")
 
     def subset_count_allowed(self, node_count: int) -> bool:
@@ -155,12 +154,6 @@ def complete_step(u: LeveledUniverse, budget: Budget = DEFAULT_BUDGET) -> Levele
     """
     g = u.graph
     nodes, masks = _deficiency_masks(g, budget)
-    projected = len(g.nodes) + len(masks)
-    if projected > budget.max_nodes:
-        raise BudgetExceededError(
-            f"completion step would grow the graph to {projected} nodes, "
-            f"over the budget of {budget.max_nodes}"
-        )
     stamp = Deficiency(level=len(u.levels))
     extensions = dict(g.extensions)
     provenance = dict(g.provenance)
@@ -207,10 +200,7 @@ def affordable_levels(seed_size: int, requested: int, budget: Budget = DEFAULT_B
     """
     size = seed_size
     steps = 0
-    while steps < requested:
-        # Both guards compare in the exponent so no huge integers are built.
-        if not budget.subset_count_allowed(size) or size >= budget.max_nodes.bit_length():
-            break
+    while steps < requested and budget.subset_count_allowed(size):
         size = 2**size
         steps += 1
     return steps

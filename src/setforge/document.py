@@ -42,7 +42,6 @@ class GraphDocument:
     depth: dict[NodeId, int] | None = None
     ranks: dict[int, dict[NodeId, int]] | None = None
     formulas: dict[str, str] = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     @classmethod
     def from_graph(cls, g: ExtensionalDigraph) -> "GraphDocument":
@@ -91,7 +90,7 @@ def serialize(doc: GraphDocument) -> str:
     """One canonical line; equal documents serialize byte-identically."""
     g = doc.graph
     payload: dict[str, Any] = {
-        "format_version": doc.format_version,
+        "format_version": FORMAT_VERSION,
         "nodes": [
             {"id": x, "provenance": _provenance_to_json(g, x)}
             for x in g.sorted_nodes()
@@ -153,6 +152,8 @@ def deserialize(text: str) -> GraphDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError("$", f"invalid JSON: {e.msg} at position {e.pos}") from e
+    except RecursionError as e:
+        raise SchemaError("$", "invalid JSON: nested too deeply") from e
     if not isinstance(raw, dict):
         raise SchemaError("$", "document must be a JSON object")
     version = _want(raw, "format_version", int, "$")
@@ -283,5 +284,4 @@ def deserialize(text: str) -> GraphDocument:
         depth=depth,
         ranks=ranks,
         formulas=formulas,
-        format_version=version,
     )

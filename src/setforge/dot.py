@@ -34,9 +34,7 @@ def _base_label(g: ExtensionalDigraph, x: NodeId) -> str:
     return p.detail
 
 
-def to_dot(
-    source: ExtensionalDigraph | Dred | DredLeveledUniverse, name: str = "setforge"
-) -> str:
+def to_dot(source: ExtensionalDigraph | Dred | DredLeveledUniverse) -> str:
     """Render a graph (optionally with depth/rank annotations) as DOT."""
     if isinstance(source, DredLeveledUniverse):
         source = source.dred()
@@ -49,7 +47,7 @@ def to_dot(
         g = source
         depth = None
         top_rank = {}
-    lines = [f"digraph {_quote(name)} {{", "  rankdir=BT;"]
+    lines = ['digraph "setforge" {', "  rankdir=BT;"]
     for x in g.sorted_nodes():
         label_lines = [_base_label(g, x)]
         if depth is not None:

@@ -32,7 +32,7 @@ NodeId = str
 
 # Guards for isomorphism search.  The search itself is pruned by colour
 # refinement; these bounds cap the pathological cases.
-DEFAULT_ISO_NODE_LIMIT = 200_000
+ISO_NODE_LIMIT = 200_000
 _SEARCH_STATE_LIMIT = 500_000
 
 _ID_SEPARATOR = "\x1f"
@@ -294,12 +294,7 @@ def _refine(
         classes = len(table)
 
 
-def is_isomorphic(
-    a: ExtensionalDigraph,
-    b: ExtensionalDigraph,
-    *,
-    node_limit: int = DEFAULT_ISO_NODE_LIMIT,
-) -> bool:
+def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
     """Exact isomorphism test.
 
     A bijection must preserve edges and structural labels (provenance
@@ -308,12 +303,12 @@ def is_isomorphic(
     then plain backtracking settles genuinely ambiguous orbits, so no
     behavioural quotient (bisimulation or otherwise) is ever taken.
 
-    Raises SizeLimitError when the input exceeds ``node_limit`` nodes or
-    the backtracking search exceeds its internal state cap.
+    Raises SizeLimitError when the input exceeds ``ISO_NODE_LIMIT`` nodes
+    or the backtracking search exceeds its internal state cap.
     """
-    if len(a.nodes) > node_limit or len(b.nodes) > node_limit:
+    if len(a.nodes) > ISO_NODE_LIMIT or len(b.nodes) > ISO_NODE_LIMIT:
         raise SizeLimitError(
-            f"isomorphism search limited to {node_limit} nodes, "
+            f"isomorphism search limited to {ISO_NODE_LIMIT} nodes, "
             f"got {len(a.nodes)} and {len(b.nodes)}"
         )
     if len(a.nodes) != len(b.nodes):

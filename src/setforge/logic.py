@@ -613,12 +613,12 @@ def comprehension_instance(
 
 
 def _is_doubleton_of(setvar: Var, first: Var, second: Var) -> Formula:
-    """b = {first, second} spelled out in raw membership."""
-    z = "z" if setvar != "z" else "w"
-    return ForAll(z, Iff(Member(z, setvar), Or(Equal(z, first), Equal(z, second))))
+    """setvar = {first, second} spelled out in raw membership.  Callers
+    never name a variable ``z``, so it is free to bind here."""
+    return ForAll("z", Iff(Member("z", setvar), Or(Equal("z", first), Equal("z", second))))
 
 
-def quine_code_formula(var: Var = "p") -> Formula:
+def quine_code_formula() -> Formula:
     """Selects p when some b other than p satisfies b = {p, b}.
 
     On a loop-coded graph this picks out exactly the guarded tuple
@@ -627,11 +627,11 @@ def quine_code_formula(var: Var = "p") -> Formula:
     """
     return Exists(
         "b",
-        And(_is_doubleton_of("b", "b", var), Not(Equal("b", var))),
+        And(_is_doubleton_of("b", "b", "p"), Not(Equal("b", "p"))),
     )
 
 
-def chain_code_formula(bound: int, var: Var = "p") -> Formula:
+def chain_code_formula(bound: int) -> Formula:
     """Bounded unfolding of the descending-chain code shape.
 
     Selects p when nodes b_0 .. b_bound exist with b_j = {b_{j+1}, p}
@@ -647,7 +647,7 @@ def chain_code_formula(bound: int, var: Var = "p") -> Formula:
     names = [f"b{j}" for j in range(bound + 1)]
     body: Formula | None = None
     for j in range(bound):
-        clause = _is_doubleton_of(names[j], names[j + 1], var)
+        clause = _is_doubleton_of(names[j], names[j + 1], "p")
         body = clause if body is None else And(body, clause)
     assert body is not None
     out = body

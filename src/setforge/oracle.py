@@ -270,12 +270,6 @@ def oracle_complete(
     added_at: dict[SetValue, int] = {}
     for stage in range(1, n + 1):
         fresh = _one_stage(values, budget, f"stage {stage}")
-        if len(values) + len(fresh) > budget.max_nodes:
-            raise BudgetExceededError(
-                f"completion step would grow the graph to "
-                f"{len(values) + len(fresh)} nodes, over the budget of "
-                f"{budget.max_nodes}"
-            )
         for v in fresh:
             added_at[v] = stage
         values.update(fresh)

@@ -60,6 +60,10 @@ class TupleDecl:
     components: tuple[str, ...]
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """Declarative description of a seed graph.
@@ -84,6 +88,8 @@ class CodeSpec:
         seen: set[str] = set()
         chain_count = 0
         for a in self.atoms:
+            if not isinstance(a.label, str):
+                raise SpecValidationError("atom labels must be strings")
             if not a.label:
                 raise SpecValidationError("atom labels must be nonempty")
             if a.label.isdigit():
@@ -98,12 +104,14 @@ class CodeSpec:
                     raise SpecValidationError("quine atoms carry no length")
             elif a.kind == "chain":
                 chain_count += 1
-                if a.length is None or a.length < 1:
+                if not _is_int(a.length) or a.length < 1:
                     raise SpecValidationError(
                         f"chain atom {a.label!r} needs a length of at least 1"
                     )
             else:
                 raise SpecValidationError(f"unknown atom kind {a.kind!r}")
+        if not _is_int(self.naturals_up_to):
+            raise SpecValidationError("naturals_up_to must be an integer")
         if self.naturals_up_to < 0:
             raise SpecValidationError("naturals_up_to must be non-negative")
         if chain_count and self.naturals_up_to < chain_count + 1:
@@ -113,6 +121,10 @@ class CodeSpec:
             )
         seen_tuples: set[TupleDecl] = set()
         for t in self.tuples:
+            if not _is_int(t.tag):
+                raise SpecValidationError("tuple tag must be an integer")
+            if not all(isinstance(c, str) for c in t.components):
+                raise SpecValidationError("tuple components must be a list of labels")
             if not (0 <= t.tag < self.naturals_up_to):
                 raise SpecValidationError(
                     f"tuple tag {t.tag} outside the embedded numerals "
@@ -136,7 +148,7 @@ class CodeSpec:
             if self.code_length is not None:
                 raise SpecValidationError("loop code style carries no length")
         elif self.code_style == "chain":
-            if self.code_length is None or self.code_length < 1:
+            if not _is_int(self.code_length) or self.code_length < 1:
                 raise SpecValidationError("chain code style needs code_length >= 1")
             if any(a.kind == "quine" for a in self.atoms):
                 # A self-loop admits no strictly increasing rank along its
@@ -147,10 +159,6 @@ class CodeSpec:
                 )
         else:
             raise SpecValidationError(f"unknown code style {self.code_style!r}")
-
-    @property
-    def chain_atom_count(self) -> int:
-        return sum(1 for a in self.atoms if a.kind == "chain")
 
 
 def quine_atom_id(label: str) -> NodeId:
@@ -429,7 +437,7 @@ def _numeral_graph(count: int) -> ExtensionalDigraph:
 
 
 def _chain_style_depths(
-    g: ExtensionalDigraph, spec: CodeSpec, rank: dict[NodeId, int]
+    g: ExtensionalDigraph, spec: CodeSpec, index: CodeIndex, rank: dict[NodeId, int]
 ) -> dict[NodeId, int]:
     """Depths under which chain-style completion provably stays legal.
 
@@ -444,19 +452,24 @@ def _chain_style_depths(
     Nodes are visited in increasing ``rank``, which rises along every
     edge, so each member's depth is known before its containers need it.
     """
-    chain_lengths = {a.label: a.length for a in spec.atoms if a.kind == "chain"}
+    ladder: dict[NodeId, int] = {}
+    for a in spec.atoms:
+        if a.kind == "chain":
+            assert a.length is not None
+            for j in range(a.length):
+                ladder[chain_atom_id(a.label, j)] = a.length - j
+    # Code node j of tuple node p sits code_length - j above p.
+    above: dict[NodeId, tuple[NodeId, int]] = {}
+    for decl, codes in index.code_nodes.items():
+        for j, node in enumerate(codes):
+            above[node] = (index.tuple_nodes[decl], len(codes) - j)
     depths: dict[NodeId, int] = {}
     for x in sorted(g.nodes, key=rank.__getitem__):
-        if x.startswith("chain:"):
-            _, label, j = x.split(":", 2)
-            length = chain_lengths[label]
-            assert length is not None
-            depths[x] = length - int(j)
-        elif x.startswith("code:chain:"):
-            rest = x[len("code:chain:") :]
-            j_text, _, tuple_node = rest.partition(":")
-            assert spec.code_length is not None
-            depths[x] = depths[tuple_node] + spec.code_length - int(j_text)
+        if x in ladder:
+            depths[x] = ladder[x]
+        elif x in above:
+            p, height = above[x]
+            depths[x] = depths[p] + height
         else:
             depths[x] = max((depths[m] for m in g.extensions[x]), default=0)
     return depths
@@ -490,7 +503,7 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
     dred: Dred | None = None
     if spec.code_style == "chain":
         rank = membership_ranks(g)
-        depth = _chain_style_depths(g, spec, rank)
+        depth = _chain_style_depths(g, spec, index, rank)
         top = max(depth.values(), default=0) + 1
         ranks = {
             i: {x: rank[x] for x in g.nodes if depth[x] < i}

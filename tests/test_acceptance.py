@@ -57,7 +57,7 @@ RNG_SEED = 20260818
 
 # 4-node seeds reach 65536 nodes after two steps; the subset budget of
 # 2**16 is exactly what the deficiency scan of a 16-node level needs.
-BATCH_BUDGET = Budget(max_nodes=70000, max_subsets_enumerated=65536)
+BATCH_BUDGET = Budget(max_subsets_enumerated=65536)
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -176,7 +176,7 @@ def test_criterion_7_end_extension_monotonicity(seed_batch):
 
     # Second half: growing a code spec only end-extends its completion.
     rng = random.Random(RNG_SEED + 7)
-    budget = Budget(max_nodes=600, max_subsets_enumerated=600)
+    budget = Budget(max_subsets_enumerated=600)
     pair_failures = []
     pairs = 0
     while pairs < 12:
@@ -263,7 +263,7 @@ def random_loop_spec(rng: random.Random, small: bool = False) -> CodeSpec:
 
 def test_criterion_5_loop_codes_definable():
     rng = random.Random(RNG_SEED + 5)
-    budget = Budget(max_nodes=300, max_subsets_enumerated=300)
+    budget = Budget(max_subsets_enumerated=300)
     failures = []
     completed = 0
     for i in range(24):
@@ -322,7 +322,7 @@ def minimal_member_ok(g: ExtensionalDigraph, x, w) -> bool:
 
 def test_criterion_6_chain_certificates():
     rng = random.Random(RNG_SEED + 6)
-    budget = Budget(max_nodes=4096, max_subsets_enumerated=4096)
+    budget = Budget(max_subsets_enumerated=4096)
     failures = []
     completed = 0
     for i in range(20):

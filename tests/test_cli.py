@@ -87,6 +87,65 @@ def test_seed_spec_file_invalid(tmp_path):
     assert code == 3
 
 
+def test_seed_spec_chain_label_with_colon(tmp_path):
+    path = tmp_path / "colon.json"
+    path.write_text(json.dumps({
+        "atoms": [{"label": "a:b", "kind": "chain", "length": 2}],
+        "naturals_up_to": 2,
+        "code_style": "chain",
+        "code_length": 1,
+    }))
+    code, doc, err = invoke(["seed", "spec", str(path)])
+    assert (code, err) == (0, "")
+    code, out, _ = invoke(["check", "--dred-conditions", "--porcelain"], doc)
+    assert (code, out) == (0, "dred\tok\t\n")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"atoms": [{"label": 7, "kind": "quine"}]},
+        {"atoms": [{"label": "a", "kind": "chain", "length": "2"}], "naturals_up_to": 2},
+        {"code_style": "chain", "code_length": "1", "naturals_up_to": 1},
+        {"atoms": 7},
+        {"tuples": 7},
+    ],
+    ids=["label", "length", "code-length", "atoms", "tuples"],
+)
+def test_seed_spec_wrong_field_types_exit_3(tmp_path, change):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(change))
+    code, out, err = invoke(["seed", "spec", str(path)])
+    assert (code, out) == (3, "")
+    assert err and "Traceback" not in err
+
+
+def test_seed_spec_not_utf8_exit_3(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_bytes(b'{"atoms": ["\xff"]}')
+    code, _, err = invoke(["seed", "spec", str(path)])
+    assert code == 3
+    assert err.startswith(f"cannot read {path}: ")
+
+
+DEEP_JSON = "[" * 200_000
+
+
+def test_deeply_nested_json_exit_3(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    code, _, err = invoke(["check", "--axiom", "extensionality"], DEEP_JSON)
+    assert code == 3
+    assert "nested too deeply" in err
+    code, _, err = invoke(["seed", "spec", str(path)])
+    assert code == 3
+    assert "nested too deeply" in err
+    good = write_doc(tmp_path / "good.json", seed("empty"))
+    code, _, err = invoke(["diff", good, str(path)])
+    assert code == 3
+    assert "nested too deeply" in err
+
+
 def test_seed_vn_needs_stage():
     code, _, _ = invoke(["seed", "vN"])
     assert code == 3
@@ -390,6 +449,23 @@ def test_export_dot_file(tmp_path, chain_spec_file):
     assert edges
 
 
+def test_export_dot_unwritable_path_exit_3(tmp_path):
+    target = tmp_path / "absent" / "out.dot"
+    code, out, err = invoke(["export", "--dot", str(target)], seed("vN", "2"))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"cannot write {target}: ")
+
+
+def test_export_dot_draws_depth_without_ranks(chain_spec_file):
+    payload = json.loads(seed("spec", chain_spec_file))
+    del payload["ranks"]
+    code, out, _ = invoke(["export", "--dot", "-"], json.dumps(payload))
+    assert code == 0
+    _, nodes, _ = parse_dot(out)
+    for node, depth in payload["depth"].items():
+        assert f"\\nd={depth}\"" in nodes[node]
+
+
 # -- diff --------------------------------------------------------------------
 
 
@@ -442,6 +518,15 @@ def test_diff_different(tmp_path):
     assert code == 1
     assert out.startswith("different:")
     assert "node counts" in out
+
+
+def test_diff_not_utf8_exit_3(tmp_path):
+    a = write_doc(tmp_path / "a.json", seed("vN", "2"))
+    b = tmp_path / "b.json"
+    b.write_bytes(b"\xff")
+    code, _, err = invoke(["diff", a, str(b)])
+    assert code == 3
+    assert err.startswith(f"cannot read {b}: ")
 
 
 def test_diff_missing_file(tmp_path):

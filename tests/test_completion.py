@@ -60,7 +60,7 @@ def test_deficiency_rejects_non_extensional_input():
 def test_deficiency_budget_guard():
     g = random_extensional_graph(random.Random(1), 6, min_nodes=6)
     with pytest.raises(BudgetExceededError):
-        deficiency(g, Budget(max_nodes=10**6, max_subsets_enumerated=2**5))
+        deficiency(g, Budget(max_subsets_enumerated=2**5))
 
 
 def test_complete_step_sizes_from_empty():
@@ -85,7 +85,7 @@ def test_complete_quine_two_levels():
 def test_complete_budget_tower_blowup():
     seed = von_neumann_seed(3)
     with pytest.raises(BudgetExceededError):
-        complete(seed, 3, Budget(max_nodes=10**6, max_subsets_enumerated=10**6))
+        complete(seed, 3, Budget(max_subsets_enumerated=10**6))
 
 
 def test_complete_levels_are_end_extensions():
@@ -169,7 +169,7 @@ def test_level_graph_rejects_a_level_not_closed_under_membership():
 
 def test_budget_must_be_positive():
     with pytest.raises(Exception):
-        Budget(max_nodes=0, max_subsets_enumerated=16)
+        Budget(max_subsets_enumerated=0)
 
 
 def test_affordable_levels_arithmetic():
@@ -179,7 +179,7 @@ def test_affordable_levels_arithmetic():
     # four-node seed: 16 then 65536, then the wall
     assert affordable_levels(4, 3) == 2
     assert affordable_levels(4, 1) == 1
-    assert affordable_levels(2, 2, Budget(max_nodes=3, max_subsets_enumerated=2**10)) == 0
+    assert affordable_levels(2, 2, Budget(max_subsets_enumerated=3)) == 0
 
 
 def test_witness_report_complete_empty():

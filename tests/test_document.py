@@ -8,6 +8,7 @@ import pytest
 
 from setforge import (
     Code,
+    FORMAT_VERSION,
     Deficiency,
     ExtensionalDigraph,
     GraphDocument,
@@ -109,7 +110,7 @@ def reference_serialize(doc: GraphDocument) -> str:
         return {"kind": "code", "code_kind": p.kind, "detail": p.detail}
 
     payload = {
-        "format_version": doc.format_version,
+        "format_version": FORMAT_VERSION,
         "nodes": [
             {"id": x, "provenance": provenance_json(x)}
             for x in g.sorted_nodes()

@@ -185,11 +185,11 @@ def test_dred_complete_depth_rank_agreement_across_levels():
 
 
 def test_dred_complete_budget():
-    # max_nodes trips at the projected 65536-node second level, before
-    # that level (and its costly verification pass) is ever built
+    # the bound trips at the second step's 2**16 subsets, before that
+    # 65536-node level (and its costly verification pass) is ever built
     h = dred_from_graph(von_neumann_seed(3))
     with pytest.raises(Exception):
-        dred_complete(h, 3, Budget(max_nodes=10**4, max_subsets_enumerated=10**6))
+        dred_complete(h, 3, Budget(max_subsets_enumerated=10**4))
 
 
 def test_foundation_witness_prefers_low_rank():

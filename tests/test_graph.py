@@ -138,10 +138,11 @@ def test_isomorphism_distinguishes_provenance():
     assert not is_isomorphic(seeded, derived)
 
 
-def test_is_isomorphic_size_limit():
+def test_is_isomorphic_size_limit(monkeypatch):
+    monkeypatch.setattr("setforge.graph.ISO_NODE_LIMIT", 0)
     g = quine("a")
-    with pytest.raises(SizeLimitError):
-        is_isomorphic(g, g, node_limit=0)
+    with pytest.raises(SizeLimitError, match="isomorphism search limited to 0 nodes"):
+        is_isomorphic(g, g)
 
 
 @settings(max_examples=60)

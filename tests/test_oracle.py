@@ -122,7 +122,7 @@ def test_hf_stage_limits():
 
 def test_hf_budget_guard():
     with pytest.raises(BudgetExceededError):
-        hf_universe(4, budget=Budget(max_nodes=1000, max_subsets_enumerated=8))
+        hf_universe(4, budget=Budget(max_subsets_enumerated=8))
 
 
 def hereditary_signatures(g: ExtensionalDigraph) -> frozenset:

@@ -299,6 +299,21 @@ def test_assemble_chain_style_verifies():
     assert verify_dred(seed.dred).ok
 
 
+def test_assemble_certifies_chain_labels_that_contain_the_id_separator():
+    spec = CodeSpec(
+        atoms=(AtomDecl("a:b", "chain", length=2),),
+        naturals_up_to=2,
+        tuples=(TupleDecl(0, ("a:b",)),),
+        code_style="chain",
+        code_length=1,
+    )
+    seed = assemble(spec)
+    assert seed.dred is not None
+    assert verify_dred(seed.dred).ok
+    assert seed.dred.depth[chain_atom_id("a:b", 0)] == 2
+    assert seed.dred.depth[chain_atom_id("a:b", 1)] == 1
+
+
 LONG_CHAIN = sys.getrecursionlimit() + 50
 
 
@@ -406,3 +421,25 @@ def test_spec_duplicate_tuples():
 def test_numeral_label_collision_rejected():
     with pytest.raises(SpecValidationError):
         loop_spec(atoms=(AtomDecl("3", "quine"),))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: loop_spec(atoms=(AtomDecl(7, "quine"),)),
+        lambda: CodeSpec(
+            atoms=(AtomDecl("a", "chain", length="2"),),
+            naturals_up_to=2,
+            code_style="chain",
+            code_length=1,
+        ),
+        lambda: CodeSpec(naturals_up_to=1, code_style="chain", code_length="1"),
+        lambda: CodeSpec(naturals_up_to="2"),
+        lambda: loop_spec(tuples=(TupleDecl(True, ("a",)),)),
+        lambda: loop_spec(tuples=(TupleDecl(0, (["a"],)),)),
+    ],
+    ids=["label", "length", "code-length", "naturals", "bool-tag", "component"],
+)
+def test_spec_field_types_are_checked(build):
+    with pytest.raises(SpecValidationError):
+        build()
