@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, SetforgeError
+from .errors import BudgetExceededError, SchemaError, SetforgeError
 from .graph import (
     Deficiency,
     ExtensionalDigraph,
@@ -254,10 +254,11 @@ def witness_report(u: LeveledUniverse) -> WitnessReport:
       node is represented at level ``n+2``.
 
     Requires at least three levels, otherwise no clause is checkable at
-    any level together with power set at the same offset discipline.
+    any level together with power set at the same offset discipline;
+    fewer raise SchemaError naming ``levels``, as bad data.
     """
     if len(u.levels) < 3:
-        raise ValueError("witness_report needs a universe with at least 3 levels")
+        raise SchemaError("levels", "witness report needs at least 3 levels")
     g = u.graph
     by_extension: dict[frozenset[NodeId], NodeId] = {}
     for x, ext in g.extensions.items():

@@ -32,8 +32,8 @@ class BudgetExceededError(SetforgeError):
 
 
 class SizeLimitError(SetforgeError):
-    """Isomorphism search gave up because the input exceeds the
-    configured size bound."""
+    """An input exceeds a fixed size bound: too many nodes or search
+    states for isomorphism, or too many numerals for a seed spec."""
 
 
 class SeedClashError(SetforgeError):

@@ -30,8 +30,9 @@ from .errors import NonExtensionalError, SizeLimitError, UnknownNodeError
 
 NodeId = str
 
-# Guards for isomorphism search.  The search itself is pruned by colour
-# refinement; these bounds cap the pathological cases.
+# Guards for isomorphism.  The search is pruned by colouring and runs
+# only when colours leave nodes ambiguous; these bounds cap the
+# pathological cases.
 ISO_NODE_LIMIT = 200_000
 _SEARCH_STATE_LIMIT = 500_000
 
@@ -248,18 +249,136 @@ def _provenance_colour(p: Provenance) -> tuple:
     return ("code", p.kind)
 
 
-def _initial_colours(g: ExtensionalDigraph) -> dict[NodeId, tuple]:
-    containers = g.containers()
-    out = {}
-    for x in g.nodes:
-        ext = g.extensions[x]
-        out[x] = (
-            _provenance_colour(g.provenance[x]),
-            x in ext,
-            len(ext),
-            len(containers[x]),
+def _condensation_colours(g: ExtensionalDigraph, table: dict[tuple, int]) -> dict[NodeId, int]:
+    """Colour every node of ``g`` from its members, one strongly
+    connected component (SCC) at a time, members first.
+
+    ``table`` interns colour keys and is shared by the graphs being
+    compared.  Keys hold only isomorphism-invariant data, so two nodes
+    of either graph get the same colour exactly when their keys are
+    equal, whichever graph is coloured first.
+
+    A node on no cycle is keyed by its provenance colour and the sorted
+    colours of its members.  This is the Mostowski collapse: on the
+    well-founded part of an extensional graph, equal colours mean equal
+    member sets, hence the same node.  The nodes of a cycle (a self-loop
+    included) are coloured by :func:`_colour_component`.
+
+    The walk is Tarjan's, kept iterative so that long membership chains
+    cannot exhaust the recursion limit.
+    """
+    ext = g.extensions
+    provenance = g.provenance
+    intern = table.setdefault
+    colour: dict[NodeId, int] = {}
+    # Visit order, raised to ``finished`` once a node is coloured: a
+    # visited node with a lower index is on the component stack.
+    index: dict[NodeId, int] = {}
+    finished = len(ext)
+    low: dict[NodeId, int] = {}
+    stack: list[NodeId] = []
+    for root in ext:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(ext[root]))]
+        while work:
+            x, members = work[-1]
+            lx = low[x]
+            for m in members:
+                i = index.get(m)
+                if i is None:
+                    low[x] = lx
+                    index[m] = low[m] = len(index)
+                    stack.append(m)
+                    work.append((m, iter(ext[m])))
+                    break
+                if i < lx:
+                    lx = i
+            else:
+                work.pop()
+                if work and lx < low[work[-1][0]]:
+                    low[work[-1][0]] = lx
+                if lx != index[x]:
+                    continue
+                if stack[-1] == x and x not in ext[x]:
+                    stack.pop()
+                    index[x] = finished
+                    colour[x] = intern(
+                        (
+                            _provenance_colour(provenance[x]),
+                            tuple(sorted([colour[m] for m in ext[x]])),
+                        ),
+                        len(table),
+                    )
+                    continue
+                cut = len(stack) - 1
+                while stack[cut] != x:
+                    cut -= 1
+                component = stack[cut:]
+                del stack[cut:]
+                _colour_component(g, component, colour, table)
+                for y in component:
+                    index[y] = finished
+    return colour
+
+
+def _colour_component(
+    g: ExtensionalDigraph,
+    component: list[NodeId],
+    colour: dict[NodeId, int],
+    table: dict[tuple, int],
+) -> None:
+    """Colour the nodes of one cyclic SCC, whose members outside it are
+    already in ``colour``.
+
+    Each node starts from its provenance colour, its self-loop flag, the
+    sorted colours of its members outside the component and its member
+    and container counts inside it.  Colour refinement then runs inside
+    the component only, until its class count stops growing, and the
+    last round's colours are the nodes' colours.  Each round's key
+    starts with the colour from the round before, and the first round's
+    keys have a shape of their own, so no two rounds share a colour and
+    no node on a cycle shares one with a node on none.
+    """
+    inside = frozenset(component)
+    members_in = {x: [m for m in g.extensions[x] if m in inside] for x in component}
+    containers_in: dict[NodeId, list[NodeId]] = {x: [] for x in component}
+    for x, ms in members_in.items():
+        for m in ms:
+            containers_in[m].append(x)
+    col = {
+        x: table.setdefault(
+            (
+                _provenance_colour(g.provenance[x]),
+                x in g.extensions[x],
+                tuple(sorted([colour[m] for m in g.extensions[x] if m not in inside])),
+                len(members_in[x]),
+                len(containers_in[x]),
+            ),
+            len(table),
         )
-    return out
+        for x in component
+    }
+    classes = len(set(col.values()))
+    while True:
+        col = {
+            x: table.setdefault(
+                (
+                    col[x],
+                    tuple(sorted([col[m] for m in members_in[x]])),
+                    tuple(sorted([col[c] for c in containers_in[x]])),
+                ),
+                len(table),
+            )
+            for x in component
+        }
+        refined = len(set(col.values()))
+        if refined == classes:
+            break
+        classes = refined
+    colour.update(col)
 
 
 def _refine(
@@ -299,9 +418,18 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
 
     A bijection must preserve edges and structural labels (provenance
     kind, and level for completion-created nodes); seed label text and
-    node ids are free to differ.  Colour refinement prunes the search,
-    then plain backtracking settles genuinely ambiguous orbits, so no
-    behavioural quotient (bisimulation or otherwise) is ever taken.
+    node ids are free to differ.
+
+    Both graphs are coloured in one pass over their SCC condensations
+    (:func:`_condensation_colours`), and every isomorphism preserves
+    these colours.  When they tell every node apart, as they do on a
+    well-founded extensional graph and on one glued onto self-membered
+    atoms without symmetry, the only candidate is the colour-matching
+    map, checked on every edge in O(E).  Otherwise colour refinement
+    over both edge directions (1-dimensional Weisfeiler-Leman) continues
+    from these colours and plain backtracking settles the remaining
+    ambiguous orbits, so no behavioural quotient (bisimulation or
+    otherwise) is ever taken.
 
     Raises SizeLimitError when the input exceeds ``ISO_NODE_LIMIT`` nodes
     or the backtracking search exceeds its internal state cap.
@@ -315,9 +443,23 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
         return False
     if len(a.nodes) == 0:
         return True
-    init_table: dict[tuple, int] = {}
-    col_a = {x: init_table.setdefault(sig, len(init_table)) for x, sig in _initial_colours(a).items()}
-    col_b = {x: init_table.setdefault(sig, len(init_table)) for x, sig in _initial_colours(b).items()}
+    table: dict[tuple, int] = {}
+    col_a = _condensation_colours(a, table)
+    col_b = _condensation_colours(b, table)
+    classes = Counter(col_a.values())
+    if classes != Counter(col_b.values()):
+        return False
+    if len(classes) == len(col_a):
+        # Both colourings are injective: only one map can be an
+        # isomorphism, so check it.
+        node_b = {c: y for y, c in col_b.items()}
+        f = {x: node_b[c] for x, c in col_a.items()}
+        image = f.__getitem__
+        return all(
+            _provenance_colour(a.provenance[x]) == _provenance_colour(b.provenance[y])
+            and frozenset(map(image, a.extensions[x])) == b.extensions[y]
+            for x, y in f.items()
+        )
     col_a, col_b = _refine([a, b], [col_a, col_b])
     if Counter(col_a.values()) != Counter(col_b.values()):
         return False

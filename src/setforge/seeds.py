@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .dred import Dred, membership_ranks, require_dred
-from .errors import SeedClashError, SpecValidationError, UnknownNodeError
+from .errors import SeedClashError, SizeLimitError, SpecValidationError, UnknownNodeError
 from .graph import (
     Code,
     ExtensionalDigraph,
@@ -31,6 +31,9 @@ from .graph import (
 )
 
 _MAX_VON_NEUMANN_STAGE = 5
+# Numeral k has k members, so n numerals take n(n-1)/2 edges: 1,024 of
+# them take 523,776, about as many as a 65,536-node completion.
+_MAX_NATURALS = 1024
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,8 @@ class CodeSpec:
     """Declarative description of a seed graph.
 
     Validation happens at construction; an invalid declaration is not
-    representable. Chain code style carries ``code_length``; loop style
+    representable, and more than ``_MAX_NATURALS`` numerals raise
+    SizeLimitError. Chain code style carries ``code_length``; loop style
     must leave it unset.
     """
 
@@ -114,6 +118,10 @@ class CodeSpec:
             raise SpecValidationError("naturals_up_to must be an integer")
         if self.naturals_up_to < 0:
             raise SpecValidationError("naturals_up_to must be non-negative")
+        if self.naturals_up_to > _MAX_NATURALS:
+            raise SizeLimitError(
+                f"naturals_up_to is limited to {_MAX_NATURALS}, got {self.naturals_up_to}"
+            )
         if chain_count and self.naturals_up_to < chain_count + 1:
             raise SpecValidationError(
                 f"{chain_count} chain atoms need distinct numeral terminals: "

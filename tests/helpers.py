@@ -10,8 +10,12 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from collections import Counter
+from typing import Iterator
 
-from setforge import Code, Deficiency, ExtensionalDigraph, Seed
+from setforge import Code, Deficiency, ExtensionalDigraph, Seed, SizeLimitError
+from setforge import graph
+from setforge.graph import NodeId
 from setforge.logic import (
     And,
     Equal,
@@ -63,6 +67,129 @@ def naive_is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
             for x in xs
         ):
             return True
+    return False
+
+
+def _reference_initial_colours(g: ExtensionalDigraph) -> dict[NodeId, tuple]:
+    containers = g.containers()
+    out = {}
+    for x in g.nodes:
+        ext = g.extensions[x]
+        out[x] = (
+            _structural_label(g.provenance[x]),
+            x in ext,
+            len(ext),
+            len(containers[x]),
+        )
+    return out
+
+
+def _reference_refine(
+    graphs: list[ExtensionalDigraph],
+    colourings: list[dict[NodeId, int]],
+) -> list[dict[NodeId, int]]:
+    """Jointly refine colourings of one or two graphs to a stable
+    partition (1-dimensional Weisfeiler-Leman over both edge directions).
+
+    Joint refinement keeps colour identifiers comparable across graphs.
+    """
+    containers = [g.containers() for g in graphs]
+    classes = len({c for col in colourings for c in col.values()})
+    while True:
+        table: dict[tuple, int] = {}
+        colourings = [
+            {
+                x: table.setdefault(
+                    (
+                        colouring[x],
+                        tuple(sorted(colouring[m] for m in g.extensions[x])),
+                        tuple(sorted(colouring[c] for c in cont[x])),
+                    ),
+                    len(table),
+                )
+                for x in g.nodes
+            }
+            for g, colouring, cont in zip(graphs, colourings, containers)
+        ]
+        if len(table) == classes:
+            return colourings
+        classes = len(table)
+
+
+def reference_is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
+    """The isomorphism test as it was before condensation colouring,
+    kept as a differential reference: colour refinement over both edge
+    directions from (label, self-loop, degree) colours, then
+    backtracking search.  Raises SizeLimitError past the library's
+    search-state cap.
+    """
+    if len(a.nodes) != len(b.nodes):
+        return False
+    if len(a.nodes) == 0:
+        return True
+    init_table: dict[tuple, int] = {}
+    col_a = {x: init_table.setdefault(sig, len(init_table)) for x, sig in _reference_initial_colours(a).items()}
+    col_b = {x: init_table.setdefault(sig, len(init_table)) for x, sig in _reference_initial_colours(b).items()}
+    col_a, col_b = _reference_refine([a, b], [col_a, col_b])
+    if Counter(col_a.values()) != Counter(col_b.values()):
+        return False
+
+    by_colour_b: dict[int, list[NodeId]] = {}
+    for y, c in col_b.items():
+        by_colour_b.setdefault(c, []).append(y)
+    for ys in by_colour_b.values():
+        ys.sort()
+
+    # Assign nodes of `a` in order of ascending candidate-class size so
+    # forced matches happen first.
+    order = sorted(a.nodes, key=lambda x: (len(by_colour_b[col_a[x]]), x))
+    cont_a = a.containers()
+    cont_b = b.containers()
+    fwd: dict[NodeId, NodeId] = {}
+    bwd: dict[NodeId, NodeId] = {}
+    states = 0
+
+    def consistent(x: NodeId, y: NodeId) -> bool:
+        for m in a.extensions[x]:
+            if m in fwd and fwd[m] not in b.extensions[y]:
+                return False
+        for c in cont_a[x]:
+            if c in fwd and fwd[c] not in cont_b[y]:
+                return False
+        for m in b.extensions[y]:
+            if m in bwd and bwd[m] not in a.extensions[x]:
+                return False
+        for c in cont_b[y]:
+            if c in bwd and bwd[c] not in cont_a[x]:
+                return False
+        return True
+
+    # Depth-first over candidate assignments, with an explicit iterator
+    # stack: recursion depth would otherwise scale with the node count.
+    stack: list[Iterator[NodeId]] = [iter(by_colour_b[col_a[order[0]]])]
+    while stack:
+        i = len(stack) - 1
+        x = order[i]
+        found = False
+        for y in stack[-1]:
+            if y in bwd or not consistent(x, y):
+                continue
+            fwd[x] = y
+            bwd[y] = x
+            found = True
+            break
+        if found:
+            states += 1
+            if states > graph._SEARCH_STATE_LIMIT:
+                raise SizeLimitError("isomorphism search exceeded its state cap")
+            if i + 1 == len(order):
+                return True
+            stack.append(iter(by_colour_b[col_a[order[i + 1]]]))
+        else:
+            stack.pop()
+            if stack:
+                undo = order[len(stack) - 1]
+                del bwd[fwd.pop(undo)]
     return False
 
 

@@ -14,7 +14,16 @@ import pytest
 from helpers import parse_dot
 
 import setforge
-from setforge import GraphDocument, quine_atoms, serialize
+from setforge import (
+    AtomDecl,
+    CodeSpec,
+    ExtensionalDigraph,
+    GraphDocument,
+    assemble,
+    quine_atoms,
+    serialize,
+)
+from setforge import graph
 from setforge.cli import main
 from setforge.logic import MAX_FORMULA_DEPTH
 
@@ -146,6 +155,14 @@ def test_deeply_nested_json_exit_3(tmp_path):
     assert "nested too deeply" in err
 
 
+def test_seed_spec_numerals_past_the_cap_exit_2(tmp_path):
+    path = tmp_path / "numerals.json"
+    path.write_text(json.dumps({"naturals_up_to": 2000}))
+    code, out, err = invoke(["seed", "spec", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "size limit: naturals_up_to is limited to 1024, got 2000\n"
+
+
 def test_seed_vn_needs_stage():
     code, _, _ = invoke(["seed", "vN"])
     assert code == 3
@@ -236,6 +253,14 @@ def test_witness_report_needs_levels():
     code, _, err = invoke(["check", "--witness-report"], doc)
     assert code == 3
     assert "levels" in err
+
+
+def test_witness_report_on_two_levels_is_bad_data():
+    _, doc, _ = invoke(["complete", "--levels", "1"], seed("vN", "2"))
+    assert len(json.loads(doc)["levels"]) == 2
+    code, out, err = invoke(["check", "--witness-report", "--porcelain"], doc)
+    assert (code, out) == (3, "")
+    assert err == "levels: witness report needs at least 3 levels\n"
 
 
 def test_dred_conditions_pass(chain_spec_file):
@@ -411,6 +436,40 @@ def test_oracle_compare_porcelain():
     code, out, _ = invoke(["oracle-compare", "--levels", "3", "--porcelain"], doc)
     assert code == 0
     assert out == "oracle\tisomorphic\tisomorphic\n"
+
+
+def test_oracle_compare_past_the_search_state_cap_exits_2(monkeypatch):
+    """Masks [1, 2, 5, 9] swap nodes 2 and 3, so the completion has a
+    real automorphism and the isomorphism test has to search."""
+    names = ["q0", "q1", "q2", "q3"]
+    g = ExtensionalDigraph.from_extensions(
+        {x: {names[j] for j in range(4) if mask >> j & 1} for x, mask in zip(names, [1, 2, 5, 9])}
+    )
+    doc = serialize(GraphDocument.from_graph(g))
+    argv = ["oracle-compare", "--levels", "1", "--porcelain"]
+    assert invoke(argv, doc) == (0, "oracle\tisomorphic\tisomorphic\n", "")
+    monkeypatch.setattr(graph, "_SEARCH_STATE_LIMIT", 1)
+    assert invoke(argv, doc) == (2, "", "size limit: isomorphism search exceeded its state cap\n")
+
+
+def test_oracle_compare_on_a_long_chain_never_refines(monkeypatch):
+    """A chain atom is well-founded, so condensation colours settle the
+    comparison without a refinement round (which once cost about one
+    round per two links)."""
+    spec = CodeSpec(
+        atoms=(AtomDecl("long", "chain", 1500),),
+        naturals_up_to=2,
+        code_style="chain",
+        code_length=1,
+    )
+    doc = serialize(GraphDocument.from_graph(assemble(spec).graph))
+
+    def refine(*args):
+        raise AssertionError("a well-founded graph reached colour refinement")
+
+    monkeypatch.setattr(graph, "_refine", refine)
+    code, out, _ = invoke(["oracle-compare", "--levels", "0", "--porcelain"], doc)
+    assert (code, out) == (0, "oracle\tisomorphic\tisomorphic\n")
 
 
 # -- export ------------------------------------------------------------------

@@ -11,6 +11,7 @@ from setforge import (
     ExtensionalDigraph,
     LeveledUniverse,
     NonExtensionalError,
+    SchemaError,
     UnknownNodeError,
     affordable_levels,
     complete,
@@ -199,7 +200,7 @@ def test_witness_report_complete_quine():
 
 def test_witness_report_requires_three_levels():
     u = complete(ExtensionalDigraph.empty(), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="^levels: witness report needs at least 3 levels$"):
         witness_report(u)
 
 

@@ -12,15 +12,23 @@ from setforge import (
     Seed,
     SizeLimitError,
     UnknownNodeError,
+    complete,
     extension,
     extensionality_violation,
     is_end_extension,
     is_extensional,
     is_isomorphic,
+    oracle_complete,
     subset_node_id,
 )
+from setforge import graph
 
-from helpers import naive_is_extensional, naive_is_isomorphic, random_extensional_graph
+from helpers import (
+    naive_is_extensional,
+    naive_is_isomorphic,
+    random_extensional_graph,
+    reference_is_isomorphic,
+)
 
 
 def quine(label: str) -> ExtensionalDigraph:
@@ -199,6 +207,115 @@ def test_is_isomorphic_agrees_with_brute_force():
             assert is_isomorphic(h, g) == expected
             verdicts.append(expected)
     assert verdicts.count(True) > 300 and verdicts.count(False) > 300
+
+
+def random_seed_with_quines(rng: random.Random, n: int) -> ExtensionalDigraph:
+    """An extensional n-node seed: some nodes are quines (x = {x}), the
+    others have random members, self-loops allowed."""
+    names = [f"s{i}" for i in range(n)]
+    while True:
+        extensions = {
+            x: {x} if rng.random() < 0.3 else {y for y in names if rng.random() < 0.4}
+            for x in names
+        }
+        if len({frozenset(e) for e in extensions.values()}) == n:
+            return ExtensionalDigraph.from_extensions(extensions)
+
+
+def outcome(test, a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool | None:
+    """The verdict of an isomorphism test, or None when it gives up."""
+    try:
+        return test(a, b)
+    except SizeLimitError:
+        return None
+
+
+def test_is_isomorphic_agrees_with_reference_on_completions(monkeypatch):
+    """The condensation colouring against the refinement-and-search test
+    it replaced, on completions too big for brute force, in both argument
+    orders: a relabelled copy, one with an edge flipped and one with a
+    provenance changed.  Both the injective fast path and the fallback
+    must occur.  Plain backtracking gives up on some symmetric 256-node
+    completions in one argument order; the new test must give up on
+    exactly the same calls.  A lower state cap keeps those calls short."""
+    monkeypatch.setattr(graph, "_SEARCH_STATE_LIMIT", 5_000)
+    fallbacks = []
+    refine = graph._refine
+
+    def counting_refine(graphs, colourings):
+        fallbacks.append(len(graphs[0]))
+        return refine(graphs, colourings)
+
+    monkeypatch.setattr(graph, "_refine", counting_refine)
+    rng = random.Random(4321)
+    verdicts = []
+    calls = 0
+    for _ in range(60):
+        n = rng.choice((3, 4))
+        g = complete(random_seed_with_quines(rng, n), 1 if n == 4 else rng.choice((1, 2))).graph
+        names = sorted(g.nodes)
+        mapping = dict(zip(names, rng.sample([f"r{i}" for i in range(len(names))], len(names))))
+        extensions = {mapping[x]: {mapping[m] for m in g.extensions[x]} for x in names}
+        provenance = {
+            mapping[x]: Seed("renamed") if isinstance(p, Seed) else p
+            for x, p in g.provenance.items()
+        }
+        flipped = {x: set(ms) for x, ms in extensions.items()}
+        flipped[mapping[rng.choice(names)]] ^= {mapping[rng.choice(names)]}
+        changed = dict(provenance)
+        changed[mapping[rng.choice(names)]] = random_provenance(rng)
+        for h in (
+            ExtensionalDigraph.from_extensions(extensions, provenance),
+            ExtensionalDigraph.from_extensions(flipped, provenance),
+            ExtensionalDigraph.from_extensions(extensions, changed),
+        ):
+            for x, y in ((g, h), (h, g)):
+                expected = outcome(reference_is_isomorphic, x, y)
+                assert outcome(is_isomorphic, x, y) == expected
+                calls += 1
+                verdicts.append(expected)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+    assert 0 < len(fallbacks) < calls
+    assert max(fallbacks) >= 16
+
+
+def test_cycle_told_apart_inside_its_component_needs_no_fallback(monkeypatch):
+    """In e = {}, a = {e, b}, b = {c}, c = {d}, d = {f}, f = {a} the
+    5-cycle's nodes differ only through a's member e outside the cycle;
+    two refinement rounds inside the cycle carry that to c and d, so the
+    colours settle both verdicts."""
+
+    def refine(*args):
+        raise AssertionError("colours left the cycle's nodes ambiguous")
+
+    monkeypatch.setattr(graph, "_refine", refine)
+    g = ExtensionalDigraph.from_extensions(
+        {"e": set(), "a": {"e", "b"}, "b": {"c"}, "c": {"d"}, "d": {"f"}, "f": {"a"}}
+    )
+    h = ExtensionalDigraph.from_extensions(
+        {"0": set(), "1": {"0", "5"}, "5": {"2"}, "2": {"4"}, "4": {"3"}, "3": {"1"}}
+    )
+    assert is_isomorphic(g, h) and is_isomorphic(h, g)
+    three_cycle_and_two_cycle = ExtensionalDigraph.from_extensions(
+        {"e": set(), "a": {"e", "b"}, "b": {"c"}, "c": {"a"}, "d": {"f"}, "f": {"d"}}
+    )
+    assert not is_isomorphic(g, three_cycle_and_two_cycle)
+
+
+def test_search_state_cap_raises_size_limit(monkeypatch):
+    """Masks [1, 2, 5, 9] (nodes 2 and 3 swap) give a completion with a
+    real automorphism, so colours cannot settle it and the search runs."""
+    names = ["q0", "q1", "q2", "q3"]
+    seed = ExtensionalDigraph.from_extensions(
+        {x: {names[j] for j in range(4) if mask >> j & 1} for x, mask in zip(names, [1, 2, 5, 9])}
+    )
+    ours = complete(seed, 1).graph
+    reference = oracle_complete(seed, 1)
+    assert len(ours) == len(reference) == 16
+    assert is_isomorphic(ours, reference)
+    monkeypatch.setattr(graph, "_SEARCH_STATE_LIMIT", 1)
+    with pytest.raises(SizeLimitError, match="isomorphism search exceeded its state cap"):
+        is_isomorphic(ours, reference)
 
 
 def test_subset_node_id_deterministic_and_order_insensitive():

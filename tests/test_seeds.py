@@ -9,6 +9,7 @@ from setforge import (
     CodeSpec,
     ExtensionalDigraph,
     SeedClashError,
+    SizeLimitError,
     SpecValidationError,
     TupleDecl,
     UnknownNodeError,
@@ -24,6 +25,7 @@ from setforge import (
     verify_dred,
     von_neumann_seed,
 )
+from setforge import seeds
 from setforge.seeds import chain_atom_id, quine_atom_id
 
 
@@ -411,6 +413,12 @@ def test_spec_chain_terminals_need_numerals():
             code_style="chain",
             code_length=1,
         )
+
+
+def test_spec_numerals_capped_at_validation():
+    assert CodeSpec(naturals_up_to=seeds._MAX_NATURALS).naturals_up_to == 1024
+    with pytest.raises(SizeLimitError, match="^naturals_up_to is limited to 1024, got 1025$"):
+        CodeSpec(naturals_up_to=1025)
 
 
 def test_spec_duplicate_tuples():
