@@ -261,8 +261,13 @@ def _condensation_colours(g: ExtensionalDigraph, table: dict[tuple, int]) -> dic
     A node on no cycle is keyed by its provenance colour and the sorted
     colours of its members.  This is the Mostowski collapse: on the
     well-founded part of an extensional graph, equal colours mean equal
-    member sets, hence the same node.  The nodes of a cycle (a self-loop
-    included) are coloured by :func:`_colour_component`.
+    member sets, hence the same node.  A node of a cycle (a self-loop
+    included) is keyed once, by its provenance colour, its self-loop
+    flag, the sorted colours of its members outside its component and
+    its member and container counts inside it; the two key shapes
+    differ, so no node on a cycle shares a colour with a node on none.
+    Nodes of one cycle that these keys leave tied are told apart by
+    :func:`_refine` and the search.
 
     The walk is Tarjan's, kept iterative so that long membership chains
     cannot exhaust the recursion limit.
@@ -318,67 +323,23 @@ def _condensation_colours(g: ExtensionalDigraph, table: dict[tuple, int]) -> dic
                     cut -= 1
                 component = stack[cut:]
                 del stack[cut:]
-                _colour_component(g, component, colour, table)
+                # Members outside the component are coloured already,
+                # those inside are not yet.
+                keys: dict[NodeId, tuple] = {}
+                containers_in: Counter[NodeId] = Counter()
                 for y in component:
+                    outside = [colour[m] for m in ext[y] if m in colour]
+                    containers_in.update(m for m in ext[y] if m not in colour)
+                    keys[y] = (
+                        _provenance_colour(provenance[y]),
+                        y in ext[y],
+                        tuple(sorted(outside)),
+                        len(ext[y]) - len(outside),
+                    )
+                for y in component:
+                    colour[y] = intern(keys[y] + (containers_in[y],), len(table))
                     index[y] = finished
     return colour
-
-
-def _colour_component(
-    g: ExtensionalDigraph,
-    component: list[NodeId],
-    colour: dict[NodeId, int],
-    table: dict[tuple, int],
-) -> None:
-    """Colour the nodes of one cyclic SCC, whose members outside it are
-    already in ``colour``.
-
-    Each node starts from its provenance colour, its self-loop flag, the
-    sorted colours of its members outside the component and its member
-    and container counts inside it.  Colour refinement then runs inside
-    the component only, until its class count stops growing, and the
-    last round's colours are the nodes' colours.  Each round's key
-    starts with the colour from the round before, and the first round's
-    keys have a shape of their own, so no two rounds share a colour and
-    no node on a cycle shares one with a node on none.
-    """
-    inside = frozenset(component)
-    members_in = {x: [m for m in g.extensions[x] if m in inside] for x in component}
-    containers_in: dict[NodeId, list[NodeId]] = {x: [] for x in component}
-    for x, ms in members_in.items():
-        for m in ms:
-            containers_in[m].append(x)
-    col = {
-        x: table.setdefault(
-            (
-                _provenance_colour(g.provenance[x]),
-                x in g.extensions[x],
-                tuple(sorted([colour[m] for m in g.extensions[x] if m not in inside])),
-                len(members_in[x]),
-                len(containers_in[x]),
-            ),
-            len(table),
-        )
-        for x in component
-    }
-    classes = len(set(col.values()))
-    while True:
-        col = {
-            x: table.setdefault(
-                (
-                    col[x],
-                    tuple(sorted([col[m] for m in members_in[x]])),
-                    tuple(sorted([col[c] for c in containers_in[x]])),
-                ),
-                len(table),
-            )
-            for x in component
-        }
-        refined = len(set(col.values()))
-        if refined == classes:
-            break
-        classes = refined
-    colour.update(col)
 
 
 def _refine(
@@ -451,15 +412,16 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
         return False
     if len(classes) == len(col_a):
         # Both colourings are injective: only one map can be an
-        # isomorphism, so check it.
+        # isomorphism, so check it.  Every key holds the provenance
+        # colour, so the map preserves provenance.  A node on no cycle
+        # has its member colours in its key, so the map carries its
+        # members onto its image's; but a node on a cycle records only
+        # how many members it has inside its component, so the edges
+        # must still be checked.
         node_b = {c: y for y, c in col_b.items()}
         f = {x: node_b[c] for x, c in col_a.items()}
         image = f.__getitem__
-        return all(
-            _provenance_colour(a.provenance[x]) == _provenance_colour(b.provenance[y])
-            and frozenset(map(image, a.extensions[x])) == b.extensions[y]
-            for x, y in f.items()
-        )
+        return all(frozenset(map(image, a.extensions[x])) == b.extensions[y] for x, y in f.items())
     col_a, col_b = _refine([a, b], [col_a, col_b])
     if Counter(col_a.values()) != Counter(col_b.values()):
         return False

@@ -236,8 +236,11 @@ def test_is_isomorphic_agrees_with_reference_on_completions(monkeypatch):
     orders: a relabelled copy, one with an edge flipped and one with a
     provenance changed.  Both the injective fast path and the fallback
     must occur.  Plain backtracking gives up on some symmetric 256-node
-    completions in one argument order; the new test must give up on
-    exactly the same calls.  A lower state cap keeps those calls short."""
+    completions in one argument order, so the reference's verdict is
+    taken from whichever order it answers in.  The new test must answer
+    wherever the reference does, and where the reference gives up it may
+    give up too or give that verdict.  A lower state cap keeps the
+    give-ups short."""
     monkeypatch.setattr(graph, "_SEARCH_STATE_LIMIT", 5_000)
     fallbacks = []
     refine = graph._refine
@@ -269,9 +272,16 @@ def test_is_isomorphic_agrees_with_reference_on_completions(monkeypatch):
             ExtensionalDigraph.from_extensions(flipped, provenance),
             ExtensionalDigraph.from_extensions(extensions, changed),
         ):
-            for x, y in ((g, h), (h, g)):
-                expected = outcome(reference_is_isomorphic, x, y)
-                assert outcome(is_isomorphic, x, y) == expected
+            orders = ((g, h), (h, g))
+            reference = [outcome(reference_is_isomorphic, x, y) for x, y in orders]
+            known = {v for v in reference if v is not None}
+            assert len(known) <= 1
+            for (x, y), expected in zip(orders, reference):
+                got = outcome(is_isomorphic, x, y)
+                if expected is not None:
+                    assert got == expected
+                else:
+                    assert got is None or not known or got in known
                 calls += 1
                 verdicts.append(expected)
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
@@ -279,27 +289,29 @@ def test_is_isomorphic_agrees_with_reference_on_completions(monkeypatch):
     assert max(fallbacks) >= 16
 
 
-def test_cycle_told_apart_inside_its_component_needs_no_fallback(monkeypatch):
-    """In e = {}, a = {e, b}, b = {c}, c = {d}, d = {f}, f = {a} the
-    5-cycle's nodes differ only through a's member e outside the cycle;
-    two refinement rounds inside the cycle carry that to c and d, so the
-    colours settle both verdicts."""
+def test_edges_inside_a_cycle_settled_by_the_edge_check(monkeypatch):
+    """The 3-cycles a -> b -> c -> a and a -> c -> b -> a, each node with
+    its own member outside the cycle (e0, e1, e2), get the same injective
+    colours: a cycle's key counts its members inside the component and
+    does not name them.  The colour-matching map must still fail on the
+    edges, without refinement or search."""
 
     def refine(*args):
-        raise AssertionError("colours left the cycle's nodes ambiguous")
+        raise AssertionError("colours left nodes tied")
 
     monkeypatch.setattr(graph, "_refine", refine)
-    g = ExtensionalDigraph.from_extensions(
-        {"e": set(), "a": {"e", "b"}, "b": {"c"}, "c": {"d"}, "d": {"f"}, "f": {"a"}}
+    below = {"e0": set(), "e1": {"e0"}, "e2": {"e1"}}
+    forward = ExtensionalDigraph.from_extensions(
+        {**below, "a": {"e0", "b"}, "b": {"e1", "c"}, "c": {"e2", "a"}}
     )
-    h = ExtensionalDigraph.from_extensions(
-        {"0": set(), "1": {"0", "5"}, "5": {"2"}, "2": {"4"}, "4": {"3"}, "3": {"1"}}
+    backward = ExtensionalDigraph.from_extensions(
+        {**below, "a": {"e0", "c"}, "b": {"e1", "a"}, "c": {"e2", "b"}}
     )
-    assert is_isomorphic(g, h) and is_isomorphic(h, g)
-    three_cycle_and_two_cycle = ExtensionalDigraph.from_extensions(
-        {"e": set(), "a": {"e", "b"}, "b": {"c"}, "c": {"a"}, "d": {"f"}, "f": {"d"}}
+    relabelled = ExtensionalDigraph.from_extensions(
+        {"0": set(), "1": {"0"}, "2": {"1"}, "x": {"0", "y"}, "y": {"1", "z"}, "z": {"2", "x"}}
     )
-    assert not is_isomorphic(g, three_cycle_and_two_cycle)
+    assert not is_isomorphic(forward, backward) and not is_isomorphic(backward, forward)
+    assert is_isomorphic(forward, relabelled) and is_isomorphic(relabelled, forward)
 
 
 def test_search_state_cap_raises_size_limit(monkeypatch):
