@@ -252,7 +252,9 @@ def deserialize(text: str) -> GraphDocument:
         ranks = {}
         for key, rank_map in ranks_raw.items():
             path = f"ranks.{key}"
-            if not key.isdigit() or int(key) < 1:
+            # The schema's pattern ^[1-9][0-9]*$: ASCII digits, no
+            # leading zero, so distinct keys name distinct families.
+            if not (key.isascii() and key.isdigit() and key[0] != "0"):
                 raise SchemaError(path, "rank family keys must be positive integers")
             i = int(key)
             if not isinstance(rank_map, dict):

@@ -24,17 +24,17 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import NonExtensionalError, SizeLimitError, UnknownNodeError
 
 NodeId = str
 
-# Guards for isomorphism.  The search is pruned by colouring and runs
-# only when colours leave nodes ambiguous; these bounds cap the
-# pathological cases.
+# Guards for isomorphism: the node count of either input, and the work of
+# the individualisation search, which runs only when colour refinement
+# leaves nodes tied.  Each branch charges the node count it re-colours.
 ISO_NODE_LIMIT = 200_000
-_SEARCH_STATE_LIMIT = 500_000
+_SEARCH_STATE_LIMIT = 1 << 22
 
 _ID_SEPARATOR = "\x1f"
 
@@ -386,14 +386,18 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
     these colours.  When they tell every node apart, as they do on a
     well-founded extensional graph and on one glued onto self-membered
     atoms without symmetry, the only candidate is the colour-matching
-    map, checked on every edge in O(E).  Otherwise colour refinement
-    over both edge directions (1-dimensional Weisfeiler-Leman) continues
-    from these colours and plain backtracking settles the remaining
-    ambiguous orbits, so no behavioural quotient (bisimulation or
-    otherwise) is ever taken.
+    map, checked on every edge in O(E).  Otherwise the search is
+    individualisation-refinement (McKay-Piperno 2014): colour refinement
+    over both edge directions (1-dimensional Weisfeiler-Leman) runs from
+    these colours, and while classes still tie, the least-id node of
+    ``a`` in the smallest tied class shares a fresh colour with each
+    node of ``b`` in that class in turn, one branch each, until the
+    colours are injective and the colour-matching map can be checked.
+    No behavioural quotient (bisimulation or otherwise) is ever taken.
 
     Raises SizeLimitError when the input exceeds ``ISO_NODE_LIMIT`` nodes
-    or the backtracking search exceeds its internal state cap.
+    or the branches together re-colour more than ``_SEARCH_STATE_LIMIT``
+    nodes.
     """
     if len(a.nodes) > ISO_NODE_LIMIT or len(b.nodes) > ISO_NODE_LIMIT:
         raise SizeLimitError(
@@ -404,82 +408,57 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
         return False
     if len(a.nodes) == 0:
         return True
-    table: dict[tuple, int] = {}
-    col_a = _condensation_colours(a, table)
-    col_b = _condensation_colours(b, table)
-    classes = Counter(col_a.values())
-    if classes != Counter(col_b.values()):
-        return False
-    if len(classes) == len(col_a):
-        # Both colourings are injective: only one map can be an
-        # isomorphism, so check it.  Every key holds the provenance
-        # colour, so the map preserves provenance.  A node on no cycle
-        # has its member colours in its key, so the map carries its
-        # members onto its image's; but a node on a cycle records only
-        # how many members it has inside its component, so the edges
-        # must still be checked.
+
+    def settle(col_a: dict[NodeId, int], col_b: dict[NodeId, int]) -> bool | None:
+        """False when the colour multisets differ, the verdict of the
+        colour-matching map when the colours are injective, else None."""
+        classes = Counter(col_a.values())
+        if classes != Counter(col_b.values()):
+            return False
+        if len(classes) < len(col_a):
+            return None
+        # Every key holds the provenance colour, so the map preserves
+        # provenance.  A node on no cycle has its member colours in its
+        # key, so the map carries its members onto its image's; but a
+        # node on a cycle records only how many members it has inside
+        # its component, so the edges must still be checked.
         node_b = {c: y for y, c in col_b.items()}
         f = {x: node_b[c] for x, c in col_a.items()}
         image = f.__getitem__
         return all(frozenset(map(image, a.extensions[x])) == b.extensions[y] for x, y in f.items())
-    col_a, col_b = _refine([a, b], [col_a, col_b])
-    if Counter(col_a.values()) != Counter(col_b.values()):
-        return False
 
-    by_colour_b: dict[int, list[NodeId]] = {}
-    for y, c in col_b.items():
-        by_colour_b.setdefault(c, []).append(y)
-    for ys in by_colour_b.values():
-        ys.sort()
-
-    # Assign nodes of `a` in order of ascending candidate-class size so
-    # forced matches happen first.
-    order = sorted(a.nodes, key=lambda x: (len(by_colour_b[col_a[x]]), x))
-    cont_a = a.containers()
-    cont_b = b.containers()
-    fwd: dict[NodeId, NodeId] = {}
-    bwd: dict[NodeId, NodeId] = {}
-    states = 0
-
-    def consistent(x: NodeId, y: NodeId) -> bool:
-        for m in a.extensions[x]:
-            if m in fwd and fwd[m] not in b.extensions[y]:
-                return False
-        for c in cont_a[x]:
-            if c in fwd and fwd[c] not in cont_b[y]:
-                return False
-        for m in b.extensions[y]:
-            if m in bwd and bwd[m] not in a.extensions[x]:
-                return False
-        for c in cont_b[y]:
-            if c in bwd and bwd[c] not in cont_a[x]:
-                return False
-        return True
-
-    # Depth-first over candidate assignments, with an explicit iterator
-    # stack: recursion depth would otherwise scale with the node count.
-    stack: list[Iterator[NodeId]] = [iter(by_colour_b[col_a[order[0]]])]
+    table: dict[tuple, int] = {}
+    col_a = _condensation_colours(a, table)
+    col_b = _condensation_colours(b, table)
+    # Depth-first over branches, with an explicit stack: recursion depth
+    # would otherwise scale with the node count.  A branch is a refined
+    # parent colouring pair and the nodes ``x`` and ``y`` that share a
+    # fresh colour in it; the root branch individualises nothing.
+    stack: list[tuple] = [(col_a, col_b, None, None)]
+    work = 0
     while stack:
-        i = len(stack) - 1
-        x = order[i]
-        found = False
-        for y in stack[-1]:
-            if y in bwd or not consistent(x, y):
-                continue
-            fwd[x] = y
-            bwd[y] = x
-            found = True
-            break
-        if found:
-            states += 1
-            if states > _SEARCH_STATE_LIMIT:
+        col_a, col_b, x, y = stack.pop()
+        if x is not None:
+            work += len(col_a)
+            if work > _SEARCH_STATE_LIMIT:
                 raise SizeLimitError("isomorphism search exceeded its state cap")
-            if i + 1 == len(order):
-                return True
-            stack.append(iter(by_colour_b[col_a[order[i + 1]]]))
-        else:
-            stack.pop()
-            if stack:
-                undo = order[len(stack) - 1]
-                del bwd[fwd.pop(undo)]
+            # Refined colours are numbered from 0 and tie somewhere, so
+            # the node count is a fresh colour.
+            fresh = len(col_a)
+            col_a = {**col_a, x: fresh}
+            col_b = {**col_b, y: fresh}
+        verdict = settle(col_a, col_b)
+        if verdict is None:
+            col_a, col_b = _refine([a, b], [col_a, col_b])
+            verdict = settle(col_a, col_b)
+        if verdict:
+            return True
+        if verdict is None:
+            cells: dict[int, list[NodeId]] = {}
+            for node, c in col_a.items():
+                cells.setdefault(c, []).append(node)
+            x = min((len(xs), min(xs)) for xs in cells.values() if len(xs) > 1)[1]
+            c = col_a[x]
+            ys = sorted((node for node, cy in col_b.items() if cy == c), reverse=True)
+            stack.extend((col_a, col_b, x, y) for y in ys)
     return False

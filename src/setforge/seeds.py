@@ -67,6 +67,11 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_numeral(label: str) -> bool:
+    """A numeral reference is written in ASCII decimal digits."""
+    return label.isascii() and label.isdigit()
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """Declarative description of a seed graph.
@@ -96,7 +101,7 @@ class CodeSpec:
                 raise SpecValidationError("atom labels must be strings")
             if not a.label:
                 raise SpecValidationError("atom labels must be nonempty")
-            if a.label.isdigit():
+            if _is_numeral(a.label):
                 raise SpecValidationError(
                     f"atom label {a.label!r} is reserved for numeral references"
                 )
@@ -141,7 +146,7 @@ class CodeSpec:
             if not t.components:
                 raise SpecValidationError("tuple components must be nonempty")
             for c in t.components:
-                if c.isdigit():
+                if _is_numeral(c):
                     if int(c) >= self.naturals_up_to:
                         raise SpecValidationError(
                             f"component numeral {c} not embedded (naturals_up_to="
@@ -359,7 +364,7 @@ class CodeIndex:
 
 
 def _component_node(spec: CodeSpec, label: str) -> NodeId:
-    if label.isdigit():
+    if _is_numeral(label):
         return numeral_ids(int(label) + 1)[-1]
     for a in spec.atoms:
         if a.label == label:

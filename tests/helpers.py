@@ -14,7 +14,6 @@ from collections import Counter
 from typing import Iterator
 
 from setforge import Code, Deficiency, ExtensionalDigraph, Seed, SizeLimitError
-from setforge import graph
 from setforge.graph import NodeId
 from setforge.logic import (
     And,
@@ -70,6 +69,11 @@ def naive_is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
     return False
 
 
+# The reference search's own state cap, in its own unit (assignments
+# tried), apart from the library's cap.
+_REFERENCE_STATE_LIMIT = 500_000
+
+
 def _reference_initial_colours(g: ExtensionalDigraph) -> dict[NodeId, tuple]:
     containers = g.containers()
     out = {}
@@ -120,8 +124,8 @@ def reference_is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> boo
     """The isomorphism test as it was before condensation colouring,
     kept as a differential reference: colour refinement over both edge
     directions from (label, self-loop, degree) colours, then
-    backtracking search.  Raises SizeLimitError past the library's
-    search-state cap.
+    backtracking search.  Raises SizeLimitError past
+    ``_REFERENCE_STATE_LIMIT`` search states.
     """
     if len(a.nodes) != len(b.nodes):
         return False
@@ -180,7 +184,7 @@ def reference_is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> boo
             break
         if found:
             states += 1
-            if states > graph._SEARCH_STATE_LIMIT:
+            if states > _REFERENCE_STATE_LIMIT:
                 raise SizeLimitError("isomorphism search exceeded its state cap")
             if i + 1 == len(order):
                 return True

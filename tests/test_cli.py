@@ -20,6 +20,8 @@ from setforge import (
     ExtensionalDigraph,
     GraphDocument,
     assemble,
+    complete,
+    oracle_complete,
     quine_atoms,
     serialize,
 )
@@ -163,6 +165,17 @@ def test_seed_spec_numerals_past_the_cap_exit_2(tmp_path):
     assert err == "size limit: naturals_up_to is limited to 1024, got 2000\n"
 
 
+@pytest.mark.parametrize("component", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
+def test_seed_spec_numerals_are_ascii_digits(tmp_path, component):
+    """Unicode digits are not numerals: "²" once crashed in int() and
+    "٣" silently named numeral 3."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"naturals_up_to": 4, "tuples": [{"tag": 0, "components": [component]}]}))
+    code, out, err = invoke(["seed", "spec", str(path)])
+    assert (code, out) == (3, "")
+    assert err == f"component {component!r} is not a declared atom\n"
+
+
 def test_seed_vn_needs_stage():
     code, _, _ = invoke(["seed", "vN"])
     assert code == 3
@@ -270,6 +283,14 @@ def test_dred_conditions_pass(chain_spec_file):
     assert "hold" in out
     code, out, _ = invoke(["check", "--dred-conditions", "--porcelain"], doc)
     assert out == "dred\tok\t\n"
+
+
+def test_dred_conditions_reject_a_unicode_digit_rank_key(chain_spec_file):
+    doc = json.loads(seed("spec", chain_spec_file))
+    doc["ranks"] = {"\u00b2" if key == "1" else key: ranks for key, ranks in doc["ranks"].items()}
+    code, out, err = invoke(["check", "--dred-conditions"], json.dumps(doc))
+    assert (code, out) == (3, "")
+    assert err == "ranks.\u00b2: rank family keys must be positive integers\n"
 
 
 def test_dred_conditions_report_subset_depth(chain_spec_file):
@@ -568,6 +589,17 @@ def test_diff_isomorphic(tmp_path):
     code, out, _ = invoke(["diff", a, c])
     assert code == 0
     assert out.startswith("isomorphic")
+
+
+def test_diff_symmetric_completion_in_both_orders(tmp_path):
+    """A completion with indiscernible atoms against its oracle
+    completion: diff must answer whichever document comes first."""
+    g = ExtensionalDigraph.from_extensions({"s0": {"s0", "s1", "s2"}, "s1": {"s1"}, "s2": {"s2"}})
+    a = write_doc(tmp_path / "a.json", serialize(GraphDocument.from_graph(complete(g, 2).graph)))
+    b = write_doc(tmp_path / "b.json", serialize(GraphDocument.from_graph(oracle_complete(g, 2))))
+    expected = (0, "diff\tisomorphic\tdocuments differ, graphs are isomorphic\n", "")
+    assert invoke(["diff", "--porcelain", a, b]) == expected
+    assert invoke(["diff", "--porcelain", b, a]) == expected
 
 
 def test_diff_different(tmp_path):

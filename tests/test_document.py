@@ -363,6 +363,22 @@ def test_rank_keys_are_positive_integers():
     reject(payload, "ranks.zero")
 
 
+def test_rank_keys_follow_the_schema_pattern():
+    """Keys match ^[1-9][0-9]*$: "1" is read, "01" would silently
+    overwrite it, and "²" is a digit to str.isdigit but not to int."""
+    payload = base_payload()
+    payload["depth"] = {n["id"]: 0 for n in payload["nodes"]}
+    family = {n["id"]: 0 for n in payload["nodes"]}
+    payload["ranks"] = {"1": family}
+    assert deserialize(json.dumps(payload)).ranks == {1: family}
+    payload["ranks"] = {"1": family, "01": family}
+    err = reject(payload, "ranks.01")
+    assert str(err) == "ranks.01: rank family keys must be positive integers"
+    payload["ranks"] = {"\u00b2": family}
+    err = reject(payload, "ranks.\u00b2")
+    assert str(err) == "ranks.\u00b2: rank family keys must be positive integers"
+
+
 def test_formula_bodies_are_strings():
     payload = base_payload()
     payload["formulas"] = {"broken": 7}
