@@ -118,7 +118,7 @@ def _cmd_seed(args: argparse.Namespace) -> int:
         if count < 0:
             raise SpecValidationError("atom count must be non-negative")
         _emit_document(
-            GraphDocument.from_graph(quine_atoms([f"q{i}" for i in range(count)]))
+            GraphDocument.from_graph(quine_atoms(f"q{i}" for i in range(count)))
         )
         return 0
     # spec file

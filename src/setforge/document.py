@@ -12,9 +12,14 @@ the offending field path, for example ``edges[3]`` or ``ranks.2``.
 
 from __future__ import annotations
 
+import gc
 import json
+from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from itertools import chain, compress, islice, repeat
+from operator import eq, le, lt
+from typing import Any, Iterable, Iterator, Mapping
 
 from .completion import LeveledUniverse
 from .dred import Dred, DredLeveledUniverse
@@ -77,6 +82,25 @@ class GraphDocument:
         return DredLeveledUniverse(universe=u, depth=h.depth, ranks=h.ranks)
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, restoring the caller's
+    setting on the way out. Documents are acyclic JSON trees and
+    extension maps, so the collector's repeated passes over their
+    millions of objects would free nothing.
+
+    Used as a decorator, so the function's locals, the parsed JSON tree
+    among them, are freed before the collector resumes and never
+    scanned."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _provenance_to_json(g: ExtensionalDigraph, x: NodeId) -> dict[str, Any]:
     p = g.provenance[x]
     if isinstance(p, Seed):
@@ -86,6 +110,7 @@ def _provenance_to_json(g: ExtensionalDigraph, x: NodeId) -> dict[str, Any]:
     return {"kind": "code", "code_kind": p.kind, "detail": p.detail}
 
 
+@_gc_paused()
 def serialize(doc: GraphDocument) -> str:
     """One canonical line; equal documents serialize byte-identically."""
     g = doc.graph
@@ -95,7 +120,7 @@ def serialize(doc: GraphDocument) -> str:
             {"id": x, "provenance": _provenance_to_json(g, x)}
             for x in g.sorted_nodes()
         ],
-        "edges": sorted(g.edges),
+        "edges": g.sorted_edges(),
     }
     if doc.levels is not None:
         payload["levels"] = [sorted(level) for level in doc.levels]
@@ -145,25 +170,149 @@ def _parse_provenance(raw: Any, path: str) -> Provenance:
     raise SchemaError(path, f"unknown provenance kind {kind!r}")
 
 
-def deserialize(text: str) -> GraphDocument:
-    """Parse and validate one document. See the module docstring for
-    the shape; violations name the field path."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError("$", f"invalid JSON: {e.msg} at position {e.pos}") from e
-    except RecursionError as e:
-        raise SchemaError("$", "invalid JSON: nested too deeply") from e
-    if not isinstance(raw, dict):
-        raise SchemaError("$", "document must be a JSON object")
-    version = _want(raw, "format_version", int, "$")
-    if version != FORMAT_VERSION:
-        raise SchemaError("format_version", f"unsupported version {version}")
+# -- bulk checks ---------------------------------------------------------------
+#
+# ``json.loads`` builds only exact dict, list, str, int, float, bool and
+# None objects, so comparing exact types is ``isinstance`` without the
+# bool-is-an-int exception.
 
-    nodes_raw = _want(raw, "nodes", list, "$")
-    extensions: dict[NodeId, set[NodeId]] = {}
-    provenance: dict[NodeId, Provenance] = {}
-    order: list[str] = []
+
+def _all_of(values: Iterable[Any], kind: type) -> bool:
+    return set(map(type, values)) <= {kind}
+
+
+def _fields(entries: list[dict], key: str) -> list[Any]:
+    return list(map(dict.get, entries, repeat(key)))
+
+
+def _node_ids(nodes_raw: list) -> list[NodeId]:
+    if _all_of(nodes_raw, dict):
+        ids = _fields(nodes_raw, "id")
+        if _all_of(ids, str):
+            distinct = set(ids)
+            if len(distinct) == len(ids) and "" not in distinct:
+                return ids
+    return _node_ids_by_item(nodes_raw)
+
+
+def _of_kind(
+    kind: str, kinds: list[str], ids: list[NodeId], entries: list[dict]
+) -> tuple[list[NodeId], list[dict]]:
+    mask = list(map(eq, kinds, repeat(kind)))
+    return list(compress(ids, mask)), list(compress(entries, mask))
+
+
+def _node_provenance(nodes_raw: list[dict], ids: list[NodeId]) -> dict[NodeId, Provenance]:
+    entries = _fields(nodes_raw, "provenance")
+    if not _all_of(entries, dict):
+        return _provenance_by_item(nodes_raw, ids)
+    kinds = _fields(entries, "kind")
+    if not (_all_of(kinds, str) and set(kinds) <= {"seed", "deficiency", "code"}):
+        return _provenance_by_item(nodes_raw, ids)
+    seed_ids, seeds = _of_kind("seed", kinds, ids, entries)
+    labels = _fields(seeds, "label")
+    deficiency_ids, deficiencies = _of_kind("deficiency", kinds, ids, entries)
+    levels = _fields(deficiencies, "level")
+    members = _fields(deficiencies, "members")
+    code_ids, codes = _of_kind("code", kinds, ids, entries)
+    code_kinds = _fields(codes, "code_kind")
+    details = _fields(codes, "detail")
+    if not (
+        _all_of(labels, str)
+        and _all_of(levels, int)
+        and min(levels, default=1) >= 1
+        and _all_of(members, list)
+        and _all_of(chain.from_iterable(members), str)
+        and _all_of(code_kinds, str)
+        and set(code_kinds) <= set(_CODE_KINDS)
+        and _all_of(details, str)
+    ):
+        return _provenance_by_item(nodes_raw, ids)
+    shared = {level: Deficiency(level=level) for level in set(levels)}
+    # Filled in node order, as the item-by-item parse fills it.
+    provenance: dict[NodeId, Provenance] = dict.fromkeys(ids)  # type: ignore[arg-type]
+    provenance.update(zip(seed_ids, map(Seed, labels)))
+    provenance.update(zip(deficiency_ids, map(shared.__getitem__, levels)))
+    provenance.update(zip(code_ids, map(Code, code_kinds, details)))
+    return provenance
+
+
+def _member_lists(
+    edges_raw: list, ids: list[NodeId], known: frozenset[NodeId]
+) -> dict[NodeId, list[NodeId]]:
+    """Each node's members, in edge order."""
+    if not (
+        _all_of(edges_raw, list)
+        and set(map(len, edges_raw)) <= {2}
+        and _all_of(chain.from_iterable(edges_raw), str)
+        and known.issuperset(chain.from_iterable(edges_raw))
+    ):
+        _check_edges_by_item(edges_raw, known)
+    members: dict[NodeId, list[NodeId]] = {x: [] for x in ids}
+    for member, container in edges_raw:
+        members[container].append(member)
+    return members
+
+
+def _check_deficiency_members(
+    nodes_raw: list[dict],
+    provenance: dict[NodeId, Provenance],
+    members: dict[NodeId, list[NodeId]],
+    edges_raw: list,
+) -> None:
+    # A deficiency node's members are written from its extension, so a
+    # document whose two copies disagree did not come from ``serialize``.
+    mask = list(map(isinstance, provenance.values(), repeat(Deficiency)))
+    claimed = [item["provenance"]["members"] for item in compress(nodes_raw, mask)]
+    lists = list(compress(members.values(), mask))
+    # Strictly sorted edges, as ``serialize`` writes them, list every
+    # container's members sorted and without repeats: no sort needed.
+    if claimed == lists and all(map(lt, edges_raw, islice(edges_raw, 1, None))):
+        return
+    if claimed != [sorted(frozenset(ms)) for ms in lists]:
+        _check_deficiency_members_by_item(nodes_raw, provenance, members)
+
+
+def _levels(levels_raw: list, known: frozenset[NodeId]) -> list[frozenset[NodeId]]:
+    if _all_of(levels_raw, list) and _all_of(chain.from_iterable(levels_raw), str):
+        collected = list(map(frozenset, levels_raw))
+        if all(map(known.issuperset, collected)) and all(
+            map(le, collected, islice(collected, 1, None))
+        ):
+            return collected
+    return _levels_by_item(levels_raw, known)
+
+
+def _rank_family_valid(
+    key: str,
+    rank_map: Any,
+    known: frozenset[NodeId],
+    depth: dict[NodeId, int],
+    sorted_depths: list[int],
+) -> bool:
+    """Whether ``_check_rank_family_by_item`` would pass, in bulk: the
+    domain is exactly the nodes of depth < i when it is a set of nodes,
+    all of depth < i, as large as the count of such nodes."""
+    if not (key.isascii() and key.isdigit() and key[0] != "0" and type(rank_map) is dict):
+        return False
+    i = int(key)
+    return (
+        known.issuperset(rank_map)
+        and _all_of(rank_map.values(), int)
+        and len(rank_map) == bisect_left(sorted_depths, i)
+        and max(map(depth.__getitem__, rank_map), default=-1) < i
+    )
+
+
+# -- item-by-item checks -------------------------------------------------------
+#
+# Each runs only when its section's bulk check failed, and raises the
+# error of the first offending item, as a walk in document order would.
+
+
+def _node_ids_by_item(nodes_raw: list) -> list[NodeId]:
+    seen: set[NodeId] = set()
+    order: list[NodeId] = []
     for i, item in enumerate(nodes_raw):
         path = f"nodes[{i}]"
         if not isinstance(item, dict):
@@ -171,17 +320,21 @@ def deserialize(text: str) -> GraphDocument:
         node_id = item.get("id")
         if not isinstance(node_id, str) or not node_id:
             raise SchemaError(path, "node id must be a nonempty string")
-        if node_id in extensions:
+        if node_id in seen:
             raise SchemaError(path, f"duplicate node id {node_id!r}")
-        extensions[node_id] = set()
+        seen.add(node_id)
         order.append(node_id)
-    known = frozenset(extensions)
-    for i, item in enumerate(nodes_raw):
-        provenance[order[i]] = _parse_provenance(
-            item.get("provenance"), f"nodes[{i}].provenance"
-        )
+    return order
 
-    edges_raw = _want(raw, "edges", list, "$")
+
+def _provenance_by_item(nodes_raw: list[dict], ids: list[NodeId]) -> dict[NodeId, Provenance]:
+    return {
+        x: _parse_provenance(item.get("provenance"), f"nodes[{i}].provenance")
+        for i, (x, item) in enumerate(zip(ids, nodes_raw))
+    }
+
+
+def _check_edges_by_item(edges_raw: list, known: frozenset[NodeId]) -> None:
     for i, pair in enumerate(edges_raw):
         path = f"edges[{i}]"
         if (
@@ -195,35 +348,107 @@ def deserialize(text: str) -> GraphDocument:
             raise SchemaError(path, f"references unknown id {member!r}")
         if container not in known:
             raise SchemaError(path, f"references unknown id {container!r}")
-        extensions[container].add(member)
 
-    # A deficiency node's members are written from its extension, so a
-    # document whose two copies disagree did not come from ``serialize``.
-    for i, item in enumerate(nodes_raw):
-        p, ext = provenance[order[i]], extensions[order[i]]
-        if isinstance(p, Deficiency) and item["provenance"]["members"] != sorted(ext):
+
+def _check_deficiency_members_by_item(
+    nodes_raw: list[dict],
+    provenance: dict[NodeId, Provenance],
+    members: dict[NodeId, list[NodeId]],
+) -> None:
+    for i, (item, x) in enumerate(zip(nodes_raw, provenance)):
+        if isinstance(provenance[x], Deficiency) and item["provenance"]["members"] != sorted(
+            frozenset(members[x])
+        ):
             raise SchemaError(
                 f"nodes[{i}].provenance",
                 "deficiency members must equal the node's extension",
             )
 
-    graph = ExtensionalDigraph({x: frozenset(ms) for x, ms in extensions.items()}, provenance)
+
+def _levels_by_item(levels_raw: list, known: frozenset[NodeId]) -> list[frozenset[NodeId]]:
+    collected: list[frozenset[NodeId]] = []
+    for i, level in enumerate(levels_raw):
+        path = f"levels[{i}]"
+        if not isinstance(level, list) or not all(isinstance(x, str) for x in level):
+            raise SchemaError(path, "levels must be lists of node ids")
+        stray = [x for x in level if x not in known]
+        if stray:
+            raise SchemaError(path, f"references unknown id {stray[0]!r}")
+        current = frozenset(level)
+        if collected and not collected[-1] <= current:
+            raise SchemaError(path, "levels must be cumulative")
+        collected.append(current)
+    return collected
+
+
+def _check_depth_by_item(depth_raw: dict, known: frozenset[NodeId]) -> None:
+    for key, value in depth_raw.items():
+        if key not in known:
+            raise SchemaError("depth", f"references unknown id {key!r}")
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise SchemaError("depth", f"depth of {key!r} must be a non-negative integer")
+
+
+def _check_rank_family_by_item(
+    key: str, rank_map: Any, known: frozenset[NodeId], depth: dict[NodeId, int]
+) -> None:
+    path = f"ranks.{key}"
+    # The schema's pattern ^[1-9][0-9]*$: ASCII digits, no
+    # leading zero, so distinct keys name distinct families.
+    if not (key.isascii() and key.isdigit() and key[0] != "0"):
+        raise SchemaError(path, "rank family keys must be positive integers")
+    i = int(key)
+    if not isinstance(rank_map, dict):
+        raise SchemaError(path, "each rank family entry must be an object")
+    for node_id, value in rank_map.items():
+        if node_id not in known:
+            raise SchemaError(path, f"references unknown id {node_id!r}")
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SchemaError(path, f"rank of {node_id!r} must be an integer")
+    wanted = {x for x in known if depth[x] < i}
+    if set(rank_map) != wanted:
+        off = sorted(set(rank_map) ^ wanted)[0]
+        raise SchemaError(path, f"domain must be exactly the nodes of depth < {i} ({off!r} is off)")
+
+
+def _check_formulas_by_item(formulas_raw: dict) -> None:
+    for name, body in formulas_raw.items():
+        if not isinstance(body, str):
+            raise SchemaError(f"formulas.{name}", "formula bodies must be strings")
+
+
+@_gc_paused()
+def deserialize(text: str) -> GraphDocument:
+    """Parse and validate one document. See the module docstring for
+    the shape; violations name the field path.
+
+    Each section is checked in bulk. Only a section that fails its bulk
+    check is walked item by item, to name the first offending field.
+    """
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise SchemaError("$", f"invalid JSON: {e.msg} at position {e.pos}") from e
+    except RecursionError as e:
+        raise SchemaError("$", "invalid JSON: nested too deeply") from e
+    if not isinstance(raw, dict):
+        raise SchemaError("$", "document must be a JSON object")
+    version = _want(raw, "format_version", int, "$")
+    if version != FORMAT_VERSION:
+        raise SchemaError("format_version", f"unsupported version {version}")
+
+    nodes_raw = _want(raw, "nodes", list, "$")
+    ids = _node_ids(nodes_raw)
+    known = frozenset(ids)
+    provenance = _node_provenance(nodes_raw, ids)
+    edges_raw = _want(raw, "edges", list, "$")
+    members = _member_lists(edges_raw, ids, known)
+    _check_deficiency_members(nodes_raw, provenance, members, edges_raw)
+    graph = ExtensionalDigraph({x: frozenset(ms) for x, ms in members.items()}, provenance)
 
     levels: tuple[frozenset[NodeId], ...] | None = None
     if "levels" in raw:
-        levels_raw = _want(raw, "levels", list, "$")
-        collected: list[frozenset[NodeId]] = []
-        for i, level in enumerate(levels_raw):
-            path = f"levels[{i}]"
-            if not isinstance(level, list) or not all(isinstance(x, str) for x in level):
-                raise SchemaError(path, "levels must be lists of node ids")
-            stray = [x for x in level if x not in known]
-            if stray:
-                raise SchemaError(path, f"references unknown id {stray[0]!r}")
-            current = frozenset(level)
-            if collected and not collected[-1] <= current:
-                raise SchemaError(path, "levels must be cumulative")
-            collected.append(current)
+        collected = _levels(_want(raw, "levels", list, "$"), known)
         if not collected:
             raise SchemaError("levels", "levels block must not be empty")
         if collected[-1] != known:
@@ -232,16 +457,14 @@ def deserialize(text: str) -> GraphDocument:
 
     depth: dict[NodeId, int] | None = None
     if "depth" in raw:
-        depth_raw = _want(raw, "depth", dict, "$")
-        depth = {}
-        for key, value in depth_raw.items():
-            if key not in known:
-                raise SchemaError("depth", f"references unknown id {key!r}")
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise SchemaError("depth", f"depth of {key!r} must be a non-negative integer")
-            depth[key] = value
-        if set(depth) != known:
-            missing = sorted(known - set(depth))[0]
+        depth = _want(raw, "depth", dict, "$")
+        values = depth.values()
+        if not (
+            known.issuperset(depth) and _all_of(values, int) and min(values, default=0) >= 0
+        ):
+            _check_depth_by_item(depth, known)
+        if len(depth) != len(known):
+            missing = sorted(known - depth.keys())[0]
             raise SchemaError("depth", f"missing depth for {missing!r}")
 
     ranks: dict[int, dict[NodeId, int]] | None = None
@@ -249,36 +472,18 @@ def deserialize(text: str) -> GraphDocument:
         if depth is None:
             raise SchemaError("ranks", "ranks need a depth block to fix their domains")
         ranks_raw = _want(raw, "ranks", dict, "$")
+        sorted_depths = sorted(depth.values())
         ranks = {}
         for key, rank_map in ranks_raw.items():
-            path = f"ranks.{key}"
-            # The schema's pattern ^[1-9][0-9]*$: ASCII digits, no
-            # leading zero, so distinct keys name distinct families.
-            if not (key.isascii() and key.isdigit() and key[0] != "0"):
-                raise SchemaError(path, "rank family keys must be positive integers")
-            i = int(key)
-            if not isinstance(rank_map, dict):
-                raise SchemaError(path, "each rank family entry must be an object")
-            out: dict[NodeId, int] = {}
-            for node_id, value in rank_map.items():
-                if node_id not in known:
-                    raise SchemaError(path, f"references unknown id {node_id!r}")
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise SchemaError(path, f"rank of {node_id!r} must be an integer")
-                out[node_id] = value
-            wanted = {x for x in known if depth[x] < i}
-            if set(out) != wanted:
-                off = sorted(set(out) ^ wanted)[0]
-                raise SchemaError(path, f"domain must be exactly the nodes of depth < {i} ({off!r} is off)")
-            ranks[i] = out
+            if not _rank_family_valid(key, rank_map, known, depth, sorted_depths):
+                _check_rank_family_by_item(key, rank_map, known, depth)
+            ranks[int(key)] = rank_map
 
     formulas: dict[str, str] = {}
     if "formulas" in raw:
-        formulas_raw = _want(raw, "formulas", dict, "$")
-        for name, body in formulas_raw.items():
-            if not isinstance(body, str):
-                raise SchemaError(f"formulas.{name}", "formula bodies must be strings")
-            formulas[name] = body
+        formulas = _want(raw, "formulas", dict, "$")
+        if not _all_of(formulas.values(), str):
+            _check_formulas_by_item(formulas)
 
     return GraphDocument(
         graph=graph,

@@ -62,7 +62,7 @@ def to_dot(source: ExtensionalDigraph | Dred | DredLeveledUniverse) -> str:
             attrs.append("style=filled")
             attrs.append(f"fillcolor={_quote(shade)}")
         lines.append(f"  {_quote(x)} [{', '.join(attrs)}];")
-    for member, container in sorted(g.edges):
+    for member, container in g.sorted_edges():
         lines.append(f"  {_quote(member)} -> {_quote(container)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

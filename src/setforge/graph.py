@@ -185,6 +185,18 @@ class ExtensionalDigraph:
             self.__dict__["_sorted"] = cached
         return cached
 
+    def sorted_edges(self) -> list[tuple[NodeId, NodeId]]:
+        """The (member, container) pairs in sorted order, built without
+        sorting them: walking the containers in id order lists each
+        member's containers in id order, so emitting the members in id
+        order yields the pairs sorted."""
+        order = self.sorted_nodes()
+        containers: dict[NodeId, list[NodeId]] = {x: [] for x in order}
+        for container in order:
+            for member in self.extensions[container]:
+                containers[member].append(container)
+        return [(m, c) for m in order for c in containers[m]]
+
     def __repr__(self) -> str:  # keep test failures readable
         return f"ExtensionalDigraph({len(self.nodes)} nodes, {sum(map(len, self.extensions.values()))} edges)"
 

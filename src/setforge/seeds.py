@@ -34,6 +34,10 @@ _MAX_VON_NEUMANN_STAGE = 5
 # Numeral k has k members, so n numerals take n(n-1)/2 edges: 1,024 of
 # them take 523,776, about as many as a 65,536-node completion.
 _MAX_NATURALS = 1024
+# As many nodes as a two-level completion of a four-node seed; a quine
+# seed past 20 atoms cannot be completed even one level within the
+# default budget anyway.
+_MAX_QUINE_ATOMS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -242,8 +246,14 @@ def von_neumann_seed(k: int) -> ExtensionalDigraph:
 
 
 def quine_atoms(labels: Iterable[str]) -> ExtensionalDigraph:
-    """A graph of self-membered atoms, one per label."""
-    labels = list(labels)
+    """A graph of self-membered atoms, one per label.
+
+    More than ``_MAX_QUINE_ATOMS`` labels raise SizeLimitError; past
+    that many, ``labels`` is not read further.
+    """
+    labels = list(itertools.islice(labels, _MAX_QUINE_ATOMS + 1))
+    if len(labels) > _MAX_QUINE_ATOMS:
+        raise SizeLimitError(f"quine atoms are limited to {_MAX_QUINE_ATOMS}")
     if len(set(labels)) != len(labels):
         raise SpecValidationError("quine atom labels must be distinct")
     extensions: dict[NodeId, frozenset[NodeId]] = {}

@@ -165,6 +165,21 @@ def test_seed_spec_numerals_past_the_cap_exit_2(tmp_path):
     assert err == "size limit: naturals_up_to is limited to 1024, got 2000\n"
 
 
+def test_seed_quine_at_the_cap_and_past_it():
+    from setforge import seeds
+
+    cap = seeds._MAX_QUINE_ATOMS
+    code, out, err = invoke(["seed", "quine", str(cap)])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["nodes"]) == cap
+    for count in (cap + 1, 5_000_000):
+        assert invoke(["seed", "quine", str(count)]) == (
+            2,
+            "",
+            f"size limit: quine atoms are limited to {cap}\n",
+        )
+
+
 @pytest.mark.parametrize("component", ["\u00b2", "\u0663"], ids=["superscript-two", "arabic-indic-three"])
 def test_seed_spec_numerals_are_ascii_digits(tmp_path, component):
     """Unicode digits are not numerals: "²" once crashed in int() and

@@ -1,27 +1,36 @@
 """On-disk document format: canonical serialization and schema checks."""
 
+import copy
+import gc
 import json
 import pathlib
 import random
+from dataclasses import replace
 
 import pytest
 
 from setforge import (
+    AtomDecl,
     Code,
+    CodeSpec,
     FORMAT_VERSION,
     Deficiency,
     ExtensionalDigraph,
     GraphDocument,
     SchemaError,
     Seed,
+    TupleDecl,
+    assemble,
     complete,
     deserialize,
     dred_complete,
     dred_from_graph,
+    quine_atoms,
     serialize,
     von_neumann_seed,
 )
-from helpers import random_extensional_graph
+from setforge import document
+from helpers import random_extensional_graph, reference_deserialize
 
 GOLDEN_EMPTY = '{"edges":[],"format_version":1,"nodes":[]}'
 
@@ -236,6 +245,246 @@ def test_parsed_documents_are_equal_exactly_when_their_lines_are():
         assert (deserialize(x) == deserialize(y)) == same
         outcomes.append(same)
     assert any(outcomes) and not all(outcomes)
+
+
+# -- bulk validation against the item-by-item reference -----------------------
+
+
+def valid_lines() -> list[str]:
+    """Documents as ``serialize`` writes them: random ones with every
+    block, a certified ``seed spec`` seed and its certified completion,
+    and levelled completions like those ``diff`` compares."""
+    rng = random.Random(2024)
+    lines = [serialize(random_document(rng)) for _ in range(60)]
+    lines.append(GOLDEN_EMPTY)
+    spec = CodeSpec(
+        atoms=(AtomDecl("a", "chain", 2),),
+        naturals_up_to=2,
+        tuples=(TupleDecl(0, ("a",)),),
+        code_style="chain",
+        code_length=2,
+    )
+    certified = assemble(spec).dred
+    lines.append(serialize(replace(GraphDocument.from_dred(certified), formulas={"s": "x in x"})))
+    lines.append(serialize(GraphDocument.from_dred_universe(dred_complete(certified, 1))))
+    for g in (von_neumann_seed(2), quine_atoms(["p", "q"]), random_extensional_graph(rng, 4)):
+        lines.append(serialize(GraphDocument.from_universe(complete(g, 2))))
+    return lines
+
+
+def outcome(parse, text: str):
+    """What ``parse`` makes of ``text``: the document with the insertion
+    order of every map it holds, or the error's type, path and text."""
+    try:
+        doc = parse(text)
+    except Exception as e:  # compared, not swallowed: both sides must agree
+        return ("raised", type(e).__name__, getattr(e, "path", None), str(e))
+    orders = (
+        list(doc.graph.extensions),
+        list(doc.graph.provenance),
+        None if doc.depth is None else list(doc.depth),
+        None if doc.ranks is None else [(i, list(r)) for i, r in doc.ranks.items()],
+        list(doc.formulas),
+    )
+    return ("ok", doc, orders)
+
+
+def test_valid_documents_parse_as_the_reference_parses_them():
+    for line in valid_lines():
+        ours = outcome(deserialize, line)
+        assert ours[0] == "ok", ours
+        assert ours == outcome(reference_deserialize, line)
+        assert serialize(ours[1]) == line
+
+
+def _ids(payload: dict) -> list[str]:
+    nodes = [node for node in payload["nodes"] if isinstance(node, dict)]
+    return [node["id"] for node in nodes if isinstance(node.get("id"), str)]
+
+
+def _deficiency_entries(payload: dict) -> list[dict]:
+    entries = [node["provenance"] for node in payload["nodes"]]
+    return [entry for entry in entries if entry["kind"] == "deficiency"]
+
+
+_FIELDS = {
+    "format_version", "nodes", "edges", "levels", "depth", "ranks", "formulas",
+    "id", "provenance", "kind", "label", "level", "members", "code_kind", "detail",
+}
+
+
+def _slots(tree) -> list[tuple]:
+    """Every (container, key, shape) position in a JSON tree. The shape
+    is the path with list indices, ids and other free keys read as "*"."""
+    out = []
+    stack = [(tree, ())]
+    while stack:
+        node, shape = stack.pop()
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            here = shape + (key if key in _FIELDS else "*",)
+            out.append((node, key, here))
+            if isinstance(node[key], (dict, list)):
+                stack.append((node[key], here))
+    return out
+
+
+def _pick(rng, slots) -> tuple:
+    """A (container, key) slot. Its shape is drawn first, so a field
+    that occurs once is hit as often as the thousands of edge ends."""
+    shape = rng.choice(sorted({s for _, _, s in slots}, key=repr))
+    return rng.choice([(c, k) for c, k, s in slots if s == shape])
+
+
+_RETYPED = (None, True, False, 0, 1, -1, 2.5, "", "x", [], {}, ["x"], {"x": 1})
+
+
+def _drop_field(rng, payload):
+    container, key = _pick(rng, [slot for slot in _slots(payload) if isinstance(slot[0], dict)])
+    del container[key]
+
+
+def _retype_field(rng, payload):
+    container, key = _pick(rng, _slots(payload))
+    values = [*_RETYPED, rng.choice(_ids(payload) or ["x"])]
+    container[key] = copy.deepcopy(rng.choice([v for v in values if v != container[key]]))
+
+
+def _duplicate_entry(rng, payload):
+    container, key = _pick(rng, [slot for slot in _slots(payload) if isinstance(slot[0], list)])
+    container.insert(rng.randrange(len(container) + 1), copy.deepcopy(container[key]))
+
+
+def _foreign_id(rng, payload):
+    ids = set(_ids(payload))
+    slots = _slots(payload)
+    values = [(c, k, s) for c, k, s in slots if isinstance(c[k], str) and c[k] in ids]
+    keys = [slot for slot in slots if isinstance(slot[0], dict) and slot[1] in ids]
+    if rng.random() < 0.5:
+        container, key = _pick(rng, values)
+        container[key] = "foreign"
+    else:
+        container, key = _pick(rng, keys)
+        container["foreign"] = container.pop(key)
+
+
+def _rename_key(rng, payload):
+    container, key = _pick(rng, [slot for slot in _slots(payload) if isinstance(slot[0], dict)])
+    names = ("foreign", "0", "01", "\u00b2", "", key + "x", rng.choice(_ids(payload) or ["x"]))
+    container[rng.choice(names)] = container.pop(key)
+
+
+def _unsort_edges(rng, payload):
+    rng.shuffle(payload["edges"])
+
+
+def _duplicate_edge(rng, payload):
+    if payload["edges"]:
+        edges = payload["edges"]
+        edges.insert(rng.randrange(len(edges) + 1), list(rng.choice(edges)))
+
+
+def _disagreeing_members(rng, payload):
+    entries = _deficiency_entries(payload)
+    if entries:
+        members = rng.choice(entries)["members"]
+        roll = rng.randrange(3)
+        if roll == 0 and members:
+            members.pop(rng.randrange(len(members)))
+        elif roll == 1:
+            members.insert(rng.randrange(len(members) + 1), rng.choice(_ids(payload)))
+        else:
+            members.reverse()
+
+
+def _provenance_and_edge_fault(rng, payload):
+    rng.choice(payload["nodes"])["provenance"]["kind"] = "mystery"
+    if payload["edges"]:
+        rng.choice(payload["edges"])[rng.randrange(2)] = "foreign"
+    else:
+        payload["edges"].append(["foreign", "foreign"])
+
+
+MUTATIONS = (
+    _drop_field,
+    _retype_field,
+    _duplicate_entry,
+    _foreign_id,
+    _rename_key,
+    _unsort_edges,
+    _duplicate_edge,
+    _disagreeing_members,
+    _provenance_and_edge_fault,
+)
+
+
+def test_mutated_documents_fail_as_the_reference_fails():
+    rng = random.Random(31)
+    lines = valid_lines()
+    messages = set()
+    accepted = 0
+    for _ in range(2500):
+        payload = json.loads(rng.choice(lines))
+        for mutate in rng.sample(MUTATIONS, rng.choice((1, 1, 2))):
+            try:
+                mutate(rng, payload)
+            except (LookupError, TypeError, AttributeError):
+                pass  # the first mutation removed what the second acts on
+        text = json.dumps(payload)
+        ours = outcome(deserialize, text)
+        assert ours == outcome(reference_deserialize, text), text
+        assert ours[0] == "ok" or ours[1] == "SchemaError", ours
+        if ours[0] == "ok":
+            accepted += 1
+        else:
+            messages.add(ours[3].split(": ", 1)[1].split("'")[0])
+    # Both outcomes occur, and the mutations reach most of the checks.
+    assert 0 < accepted < 2500
+    assert len(messages) >= 20, sorted(messages)
+
+
+@pytest.mark.parametrize(
+    "mutate", [_provenance_and_edge_fault, _disagreeing_members, _duplicate_edge, _unsort_edges]
+)
+def test_named_mutations_of_a_completion_match_the_reference(mutate):
+    rng = random.Random(5)
+    line = serialize(GraphDocument.from_universe(complete(von_neumann_seed(2), 2)))
+    for _ in range(20):
+        payload = json.loads(line)
+        mutate(rng, payload)
+        text = json.dumps(payload)
+        assert outcome(deserialize, text) == outcome(reference_deserialize, text)
+
+
+def test_valid_documents_never_walk_item_by_item(monkeypatch):
+    walks = [name for name in vars(document) if name.endswith("_by_item")] + ["_parse_provenance"]
+    assert len(walks) >= 8
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a valid document was walked item by item")
+
+    for name in walks:
+        monkeypatch.setattr(document, name, refuse)
+    for line in valid_lines():
+        assert deserialize(line) == reference_deserialize(line)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_setting_survives_document_io(enabled):
+    line = serialize(GraphDocument.from_universe(complete(von_neumann_seed(2), 1)))
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        serialize(deserialize(line))
+        assert gc.isenabled() is enabled
+        with pytest.raises(SchemaError):
+            deserialize(line.replace('"kind":"seed"', '"kind":"mystery"', 1))
+        assert gc.isenabled() is enabled
+        with pytest.raises(SchemaError):
+            deserialize("{nope")
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 # -- schema violations -------------------------------------------------------

@@ -88,6 +88,18 @@ def test_edges_derived_from_extensions():
     assert g.containers()["b"] == {"a"}
 
 
+def test_sorted_edges_are_the_sorted_edge_set():
+    """Self-loops, cycles and ids that sort apart from insertion order."""
+    r = random.Random(13)
+    for _ in range(200):
+        g = random_extensional_graph(random.Random(r.getrandbits(64)), 7)
+        relabelled = ExtensionalDigraph.from_extensions(
+            {f"{len(x)}{x[::-1]}": {f"{len(m)}{m[::-1]}" for m in ms} for x, ms in reversed(g.extensions.items())}
+        )
+        for h in (g, relabelled):
+            assert h.sorted_edges() == sorted(h.edges)
+
+
 def test_end_extension_reflexive():
     g = random_extensional_graph(random.Random(7), 5)
     assert is_end_extension(g, g)

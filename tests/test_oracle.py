@@ -327,6 +327,12 @@ def test_compare_reports_node_counts():
     assert "node counts differ: 2 vs 4" in verdict.detail
 
 
+def test_compare_reports_edge_counts():
+    g = ExtensionalDigraph.from_extensions({"t": set(), "a": {"t"}})
+    h = ExtensionalDigraph.from_extensions({"t": set(), "a": {"t", "a"}})
+    assert compare(g, h).detail == "edge counts differ: 1 vs 2"
+
+
 def test_compare_accepts_relabeling():
     g = ExtensionalDigraph.from_extensions({"t": set(), "a": {"t"}})
     h = ExtensionalDigraph.from_extensions({"x": set(), "y": {"x"}})

@@ -1,5 +1,6 @@
 """Seed constructors: numerals, atoms, chains, tuple codes, assembly."""
 
+import itertools
 import sys
 
 import pytest
@@ -98,6 +99,16 @@ def test_quine_atoms_two_are_extensional():
 def test_quine_atoms_duplicate_labels_rejected():
     with pytest.raises(Exception):
         quine_atoms(["a", "a"])
+
+
+def test_quine_atoms_are_capped_before_the_labels_run_out():
+    cap = seeds._MAX_QUINE_ATOMS
+    assert len(quine_atoms(f"q{i}" for i in range(cap))) == cap
+    with pytest.raises(SizeLimitError, match=f"^quine atoms are limited to {cap}$"):
+        quine_atoms(f"q{i}" for i in range(cap + 1))
+    # Past the cap the labels are not read: an endless supply is refused.
+    with pytest.raises(SizeLimitError):
+        quine_atoms(f"q{i}" for i in itertools.count())
 
 
 # -- chains ------------------------------------------------------------------
