@@ -21,7 +21,7 @@ from dataclasses import replace
 from typing import Any, Sequence
 
 from .completion import Budget, DEFAULT_BUDGET, complete, witness_report
-from .document import GraphDocument, deserialize, serialize
+from .document import GraphDocument, _gc_paused, deserialize, serialize
 from .dot import to_dot
 from .dred import Dred, dred_complete, verify_dred
 from .errors import (
@@ -350,7 +350,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as e:
         return 0 if e.code == 0 else 4
     try:
-        return args.func(args)
+        # Documents, graphs, oracle values and colour keys hold no
+        # reference cycles, so the cyclic collector's passes over the
+        # objects a command allocates would free nothing.
+        with _gc_paused():
+            return args.func(args)
     except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import gc
 import json
+import sys
 from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -91,7 +92,8 @@ def _gc_paused() -> Iterator[None]:
 
     Used as a decorator, so the function's locals, the parsed JSON tree
     among them, are freed before the collector resumes and never
-    scanned."""
+    scanned. ``cli.main`` also runs every command under it; the
+    decorators keep library callers covered."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -283,8 +285,23 @@ def _levels(levels_raw: list, known: frozenset[NodeId]) -> list[frozenset[NodeId
     return _levels_by_item(levels_raw, known)
 
 
+def _rank_key(key: str) -> int:
+    """The depth bound a rank family key names. The schema's pattern
+    ^[1-9][0-9]*$ asks for ASCII digits and no leading zero, so distinct
+    keys name distinct families."""
+    path = f"ranks.{key}"
+    if not (key.isascii() and key.isdigit() and key[0] != "0"):
+        raise SchemaError(path, "rank family keys must be positive integers")
+    try:
+        return int(key)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise SchemaError(
+            path, f"rank family keys have at most {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
 def _rank_family_valid(
-    key: str,
+    i: int,
     rank_map: Any,
     known: frozenset[NodeId],
     depth: dict[NodeId, int],
@@ -293,11 +310,9 @@ def _rank_family_valid(
     """Whether ``_check_rank_family_by_item`` would pass, in bulk: the
     domain is exactly the nodes of depth < i when it is a set of nodes,
     all of depth < i, as large as the count of such nodes."""
-    if not (key.isascii() and key.isdigit() and key[0] != "0" and type(rank_map) is dict):
-        return False
-    i = int(key)
     return (
-        known.issuperset(rank_map)
+        type(rank_map) is dict
+        and known.issuperset(rank_map)
         and _all_of(rank_map.values(), int)
         and len(rank_map) == bisect_left(sorted_depths, i)
         and max(map(depth.__getitem__, rank_map), default=-1) < i
@@ -390,14 +405,9 @@ def _check_depth_by_item(depth_raw: dict, known: frozenset[NodeId]) -> None:
 
 
 def _check_rank_family_by_item(
-    key: str, rank_map: Any, known: frozenset[NodeId], depth: dict[NodeId, int]
+    key: str, i: int, rank_map: Any, known: frozenset[NodeId], depth: dict[NodeId, int]
 ) -> None:
     path = f"ranks.{key}"
-    # The schema's pattern ^[1-9][0-9]*$: ASCII digits, no
-    # leading zero, so distinct keys name distinct families.
-    if not (key.isascii() and key.isdigit() and key[0] != "0"):
-        raise SchemaError(path, "rank family keys must be positive integers")
-    i = int(key)
     if not isinstance(rank_map, dict):
         raise SchemaError(path, "each rank family entry must be an object")
     for node_id, value in rank_map.items():
@@ -475,9 +485,10 @@ def deserialize(text: str) -> GraphDocument:
         sorted_depths = sorted(depth.values())
         ranks = {}
         for key, rank_map in ranks_raw.items():
-            if not _rank_family_valid(key, rank_map, known, depth, sorted_depths):
-                _check_rank_family_by_item(key, rank_map, known, depth)
-            ranks[int(key)] = rank_map
+            i = _rank_key(key)
+            if not _rank_family_valid(i, rank_map, known, depth, sorted_depths):
+                _check_rank_family_by_item(key, i, rank_map, known, depth)
+            ranks[i] = rank_map
 
     formulas: dict[str, str] = {}
     if "formulas" in raw:

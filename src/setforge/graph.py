@@ -282,12 +282,24 @@ def _condensation_colours(g: ExtensionalDigraph, table: dict[tuple, int]) -> dic
     :func:`_refine` and the search.
 
     The walk is Tarjan's, kept iterative so that long membership chains
-    cannot exhaust the recursion limit.
+    cannot exhaust the recursion limit.  A node whose members are all
+    coloured when the loop reaches it is keyed at once, without the
+    walk: no cycle runs through it, since a self-looped node is its
+    own uncoloured member.  In a graph listed members first, as
+    completions are, that is every node.
     """
     ext = g.extensions
     provenance = g.provenance
     intern = table.setdefault
     colour: dict[NodeId, int] = {}
+    coloured = colour.keys()
+
+    def acyclic_colour(x: NodeId) -> int:
+        return intern(
+            (_provenance_colour(provenance[x]), tuple(sorted([colour[m] for m in ext[x]]))),
+            len(table),
+        )
+
     # Visit order, raised to ``finished`` once a node is coloured: a
     # visited node with a lower index is on the component stack.
     index: dict[NodeId, int] = {}
@@ -296,6 +308,10 @@ def _condensation_colours(g: ExtensionalDigraph, table: dict[tuple, int]) -> dic
     stack: list[NodeId] = []
     for root in ext:
         if root in index:
+            continue
+        if coloured >= ext[root]:
+            colour[root] = acyclic_colour(root)
+            index[root] = finished
             continue
         index[root] = low[root] = len(index)
         stack.append(root)
@@ -322,13 +338,7 @@ def _condensation_colours(g: ExtensionalDigraph, table: dict[tuple, int]) -> dic
                 if stack[-1] == x and x not in ext[x]:
                     stack.pop()
                     index[x] = finished
-                    colour[x] = intern(
-                        (
-                            _provenance_colour(provenance[x]),
-                            tuple(sorted([colour[m] for m in ext[x]])),
-                        ),
-                        len(table),
-                    )
+                    colour[x] = acyclic_colour(x)
                     continue
                 cut = len(stack) - 1
                 while stack[cut] != x:

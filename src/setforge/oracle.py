@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from operator import attrgetter
+from typing import AbstractSet, Iterable, Iterator
 
 from .completion import Budget, DEFAULT_BUDGET
 from .errors import BudgetExceededError, DecorationError, SetforgeError
@@ -33,6 +34,9 @@ from .graph import (
     is_isomorphic,
     require_extensional,
 )
+
+
+_key = attrgetter("key")
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +66,7 @@ class LoopCode(SetValue):
     rest: tuple[SetValue, ...]
 
     def __post_init__(self) -> None:
-        inner = ",".join(m.key for m in self.rest)
+        inner = ",".join(map(_key, self.rest))
         object.__setattr__(self, "key", f"loop({self.label};{inner})")
 
 
@@ -71,7 +75,7 @@ class Collection(SetValue):
     members: tuple[SetValue, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "key", "{" + ",".join(m.key for m in self.members) + "}")
+        object.__setattr__(self, "key", "{" + ",".join(map(_key, self.members)) + "}")
 
 
 # A value stays interned only while something holds it, so the table
@@ -88,7 +92,7 @@ def atom(label: str) -> SetValue:
 
 
 def loop_code(label: str, rest: Iterable[SetValue] = ()) -> SetValue:
-    ordered = tuple(sorted(set(rest), key=lambda v: v.key))
+    ordered = tuple(sorted(set(rest), key=_key))
     return _intern(LoopCode(label=label, rest=ordered))
 
 
@@ -96,7 +100,7 @@ def collection(members: Iterable[SetValue]) -> SetValue:
     """The set of the given values, collapsed onto an existing atom or
     loop code when the member set equals that value's own extension."""
     unique = {v.key: v for v in members}
-    ordered = tuple(sorted(unique.values(), key=lambda v: v.key))
+    ordered = tuple(sorted(unique.values(), key=_key))
     as_set = frozenset(ordered)
     for v in ordered:
         if not isinstance(v, Collection) and value_extension(v) == as_set:
@@ -122,18 +126,23 @@ def _stage_guard(count: int, budget: Budget, what: str) -> None:
         )
 
 
-def _one_stage(values: set[SetValue], budget: Budget, what: str) -> list[SetValue]:
+def _one_stage(values: AbstractSet[SetValue], budget: Budget, what: str) -> list[SetValue]:
     """All subsets of ``values`` not already represented by one of them,
-    as fresh collection values, deterministically ordered."""
+    as fresh collection values, deterministically ordered.
+
+    Each subset is interned as a collection directly, without
+    :func:`collection`: its members come key-sorted and distinct from
+    the sorted snapshot, and it cannot collapse onto an atom or loop
+    code among them, whose own extension is represented and so skipped.
+    """
     _stage_guard(len(values), budget, what)
-    represented = {value_extension(v) for v in values}
-    snapshot = sorted(values, key=lambda v: v.key)
+    represented = set(map(value_extension, values))
+    snapshot = sorted(values, key=_key)
     fresh: list[SetValue] = []
     for size in range(len(snapshot) + 1):
         for combo in itertools.combinations(snapshot, size):
-            if frozenset(combo) in represented:
-                continue
-            fresh.append(collection(combo))
+            if frozenset(combo) not in represented:
+                fresh.append(_intern(Collection(members=combo)))
     return fresh
 
 
@@ -224,7 +233,7 @@ def values_to_graph(values: Iterable[SetValue]) -> ExtensionalDigraph:
     first universe stage that contains them, which is also the level a
     completion of the empty graph would create them at.
     """
-    family = sorted(set(values), key=lambda v: v.key)
+    family = sorted(set(values), key=_key)
     family_set = frozenset(family)
     ids: dict[SetValue, NodeId] = {}
     for v in family:
@@ -266,31 +275,26 @@ def oracle_complete(
                 f"decoration conflated {node_of[v]!r} and {x!r}; input was not extensional"
             )
         node_of[v] = x
-    values: set[SetValue] = set(node_of)
-    added_at: dict[SetValue, int] = {}
+    # Every value so far, with its provenance: a seed value keeps its
+    # node's, a stage-r value is stamped with level r, one shared stamp
+    # per stage.
+    stamps: dict[SetValue, Provenance] = {v: g.provenance[x] for v, x in node_of.items()}
     for stage in range(1, n + 1):
-        fresh = _one_stage(values, budget, f"stage {stage}")
-        for v in fresh:
-            added_at[v] = stage
-        values.update(fresh)
+        fresh = _one_stage(stamps.keys(), budget, f"stage {stage}")
+        stamps.update(zip(fresh, itertools.repeat(Deficiency(level=stage))))
 
-    ids: dict[SetValue, NodeId] = {}
-    for v in sorted(values, key=lambda v: v.key):
-        if v in node_of:
-            ids[v] = node_of[v]
-        else:
-            candidate = f"hf:{v.key}"
-            if candidate in g.nodes:
-                raise SetforgeError(f"generated id {candidate!r} collides with a seed id")
-            ids[v] = candidate
-    extensions: dict[NodeId, frozenset[NodeId]] = {}
-    provenance: dict[NodeId, Provenance] = {}
-    for v, node in ids.items():
-        extensions[node] = frozenset(ids[m] for m in value_extension(v))
-        if v in node_of:
-            provenance[node] = g.provenance[node]
-        else:
-            provenance[node] = Deficiency(level=added_at[v])
+    # Seeds keep their node ids; every other value is named by its key.
+    order = sorted(stamps, key=_key)
+    ids = dict(zip(order, map("hf:".__add__, map(_key, order))))
+    ids.update(node_of)
+    image = ids.__getitem__
+    members = [frozenset(map(image, value_extension(v))) for v in order]
+    extensions = dict(zip(ids.values(), members))
+    # Two values share a node only where a generated id is a seed's.
+    if len(extensions) != len(ids):
+        clash = next(ids[v] for v in order if v not in node_of and ids[v] in g.nodes)
+        raise SetforgeError(f"generated id {clash!r} collides with a seed id")
+    provenance = dict(zip(ids.values(), map(stamps.__getitem__, order)))
     return ExtensionalDigraph(extensions, provenance)
 
 

@@ -22,7 +22,13 @@ from setforge import (
     GraphDocument,
     SchemaError,
     Seed,
+    SetforgeError,
     SizeLimitError,
+    atom,
+    collection,
+    decorate,
+    require_extensional,
+    value_extension,
 )
 from setforge.graph import NodeId, Provenance
 from setforge.logic import (
@@ -205,6 +211,82 @@ def reference_is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> boo
                 undo = order[len(stack) - 1]
                 del bwd[fwd.pop(undo)]
     return False
+
+
+def reference_condensation_colours(
+    g: ExtensionalDigraph, table: dict[tuple, int]
+) -> dict[NodeId, int]:
+    """``graph._condensation_colours`` as it was while every node went
+    through Tarjan's walk; the reference for the partition it makes.
+
+    A node on no cycle is keyed by its provenance and the sorted colours
+    of its members; a node of a cycle by its provenance, its self-loop
+    flag, the sorted colours of its members outside its component and
+    its member and container counts inside it."""
+    ext = g.extensions
+    provenance = g.provenance
+    intern = table.setdefault
+    colour: dict[NodeId, int] = {}
+    index: dict[NodeId, int] = {}
+    finished = len(ext)
+    low: dict[NodeId, int] = {}
+    stack: list[NodeId] = []
+    for root in ext:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        work = [(root, iter(ext[root]))]
+        while work:
+            x, members = work[-1]
+            lx = low[x]
+            for m in members:
+                i = index.get(m)
+                if i is None:
+                    low[x] = lx
+                    index[m] = low[m] = len(index)
+                    stack.append(m)
+                    work.append((m, iter(ext[m])))
+                    break
+                if i < lx:
+                    lx = i
+            else:
+                work.pop()
+                if work and lx < low[work[-1][0]]:
+                    low[work[-1][0]] = lx
+                if lx != index[x]:
+                    continue
+                if stack[-1] == x and x not in ext[x]:
+                    stack.pop()
+                    index[x] = finished
+                    colour[x] = intern(
+                        (
+                            _structural_label(provenance[x]),
+                            tuple(sorted([colour[m] for m in ext[x]])),
+                        ),
+                        len(table),
+                    )
+                    continue
+                cut = len(stack) - 1
+                while stack[cut] != x:
+                    cut -= 1
+                component = stack[cut:]
+                del stack[cut:]
+                keys: dict[NodeId, tuple] = {}
+                containers_in: Counter[NodeId] = Counter()
+                for y in component:
+                    outside = [colour[m] for m in ext[y] if m in colour]
+                    containers_in.update(m for m in ext[y] if m not in colour)
+                    keys[y] = (
+                        _structural_label(provenance[y]),
+                        y in ext[y],
+                        tuple(sorted(outside)),
+                        len(ext[y]) - len(outside),
+                    )
+                for y in component:
+                    colour[y] = intern(keys[y] + (containers_in[y],), len(table))
+                    index[y] = finished
+    return colour
 
 
 def random_extensional_graph(
@@ -597,3 +679,66 @@ def reference_deserialize(text: str) -> GraphDocument:
         ranks=ranks,
         formulas=formulas,
     )
+
+
+def reference_one_stage(values: set) -> list:
+    """``oracle._one_stage`` as it was while every subset went through
+    ``collection``, which sorts, deduplicates and tries the collapse
+    again; the budget guard is left out."""
+    represented = {value_extension(v) for v in values}
+    snapshot = sorted(values, key=lambda v: v.key)
+    fresh = []
+    for size in range(len(snapshot) + 1):
+        for combo in itertools.combinations(snapshot, size):
+            if frozenset(combo) in represented:
+                continue
+            fresh.append(collection(combo))
+    return fresh
+
+
+def reference_hf_universe(k: int, atoms=()) -> frozenset:
+    """``hf_universe`` on the reference stages, without its limits."""
+    values = {atom(label) for label in atoms}
+    for _ in range(k):
+        values.update(reference_one_stage(values))
+    return frozenset(values)
+
+
+def reference_oracle_complete(g: ExtensionalDigraph, n: int) -> ExtensionalDigraph:
+    """``oracle_complete`` as it was while it built ids, extensions and
+    provenance one value at a time; the reference for the graph it
+    returns, down to dict insertion order."""
+    require_extensional(g)
+    node_of = {}
+    for x, v in decorate(g).items():
+        if v in node_of:
+            raise SetforgeError(
+                f"decoration conflated {node_of[v]!r} and {x!r}; input was not extensional"
+            )
+        node_of[v] = x
+    values = set(node_of)
+    added_at = {}
+    for stage in range(1, n + 1):
+        fresh = reference_one_stage(values)
+        for v in fresh:
+            added_at[v] = stage
+        values.update(fresh)
+
+    ids = {}
+    for v in sorted(values, key=lambda v: v.key):
+        if v in node_of:
+            ids[v] = node_of[v]
+        else:
+            candidate = f"hf:{v.key}"
+            if candidate in g.nodes:
+                raise SetforgeError(f"generated id {candidate!r} collides with a seed id")
+            ids[v] = candidate
+    extensions = {}
+    provenance = {}
+    for v, node in ids.items():
+        extensions[node] = frozenset(ids[m] for m in value_extension(v))
+        if v in node_of:
+            provenance[node] = g.provenance[node]
+        else:
+            provenance[node] = Deficiency(level=added_at[v])
+    return ExtensionalDigraph(extensions, provenance)

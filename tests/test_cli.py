@@ -1,6 +1,7 @@
 """End-to-end command line behaviour, including the documented exit codes."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -306,6 +307,15 @@ def test_dred_conditions_reject_a_unicode_digit_rank_key(chain_spec_file):
     code, out, err = invoke(["check", "--dred-conditions"], json.dumps(doc))
     assert (code, out) == (3, "")
     assert err == "ranks.\u00b2: rank family keys must be positive integers\n"
+
+
+def test_rank_key_past_the_int_digit_limit_is_a_schema_error():
+    key = "1" * 5000
+    doc = {"format_version": 1, "nodes": [], "edges": [], "depth": {}, "ranks": {key: {}}}
+    code, out, err = invoke(["check", "--axiom", "extensionality"], json.dumps(doc))
+    assert (code, out) == (3, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"ranks.{key}: rank family keys have at most {limit} digits\n"
 
 
 def test_dred_conditions_report_subset_depth(chain_spec_file):
@@ -671,6 +681,33 @@ def test_check_flags_are_exclusive():
         ["check", "--axiom", "extensionality", "--witness-report"], doc
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize(
+    "argv, stdin, want",
+    [
+        (["seed", "vN", "2"], "", 0),
+        (["check", "--axiom", "foundation_minimal"], ("quine", "1"), 1),
+        (["complete", "--levels", "3", "--budget", "1000000"], ("vN", "3"), 2),
+        (["check", "--axiom", "extensionality"], "not json", 3),
+        (["frobnicate"], "", 4),
+        (["seed", "vN", "9"], "", 4),
+    ],
+    ids=["ok", "fails", "budget", "schema", "argparse", "value-error"],
+)
+def test_main_leaves_the_collector_as_it_found_it(enabled, argv, stdin, want):
+    """Exit 4 comes from argparse for ``frobnicate`` and from a
+    ``ValueError`` for stage 9."""
+    stdin_text = seed(*stdin) if isinstance(stdin, tuple) else stdin
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        code, _, _ = invoke(argv, stdin_text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert code == want
 
 
 # -- console script parity ---------------------------------------------------

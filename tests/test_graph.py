@@ -29,6 +29,7 @@ from helpers import (
     naive_is_extensional,
     naive_is_isomorphic,
     random_extensional_graph,
+    reference_condensation_colours,
     reference_is_isomorphic,
 )
 
@@ -326,6 +327,59 @@ def test_edges_inside_a_cycle_settled_by_the_edge_check(monkeypatch):
     )
     assert not is_isomorphic(forward, backward) and not is_isomorphic(backward, forward)
     assert is_isomorphic(forward, relabelled) and is_isomorphic(relabelled, forward)
+
+
+def cycles_below_a_tower(rng: random.Random) -> ExtensionalDigraph:
+    """Self-loops, 2-cycles and 3-cycles at the bottom, acyclic nodes
+    above them, some self-looped and some of those with an acyclic twin
+    that has the same other members and provenance; listed members
+    first."""
+    ext: dict[str, set[str]] = {}
+    prov = {}
+    for c in range(rng.randint(0, 3)):
+        ring = [f"c{c}.{i}" for i in range(rng.choice([1, 2, 2, 3]))]
+        for i, x in enumerate(ring):
+            ext[x] = {ring[i - 1]} | {m for m in ext if rng.random() < 0.2}
+    for t in range(rng.randint(1, 7)):
+        x = f"t{t}"
+        ext[x] = {m for m in ext if rng.random() < 0.4}
+        if rng.random() < 0.3:
+            if rng.random() < 0.5:
+                ext[f"{x}.twin"] = set(ext[x])
+            ext[x].add(x)
+    for x in ext:
+        base = x.removesuffix(".twin")
+        prov[x] = prov.get(base) or (Deficiency(1) if rng.random() < 0.3 else Seed(x))
+    return ExtensionalDigraph({x: frozenset(m) for x, m in ext.items()}, prov)
+
+
+def joint_partition(colour, graphs: list[ExtensionalDigraph]) -> set[frozenset]:
+    """The classes of equal colour over the tagged nodes of all graphs,
+    coloured in order from one shared table."""
+    table: dict[tuple, int] = {}
+    classes: dict[int, set] = {}
+    for i, g in enumerate(graphs):
+        for x, c in colour(g, table).items():
+            classes.setdefault(c, set()).add((i, x))
+    return {frozenset(cls) for cls in classes.values()}
+
+
+def test_condensation_colours_agree_with_reference_partition():
+    rng = random.Random(31337)
+    twins = 0
+    for _ in range(300):
+        forward = cycles_below_a_tower(rng)
+        backward = ExtensionalDigraph(
+            dict(reversed(forward.extensions.items())), forward.provenance
+        )
+        for graphs in ([backward, forward], [forward], [forward, backward]):
+            expected = joint_partition(reference_condensation_colours, graphs)
+            assert joint_partition(graph._condensation_colours, graphs) == expected
+        # Either listing gives every node the same colour.
+        class_of = {node: cls for cls in expected for node in cls}
+        assert all(class_of[0, x] is class_of[1, x] for x in forward.nodes)
+        twins += sum(x.endswith(".twin") for x in forward.nodes)
+    assert twins >= 30
 
 
 def cycles(*named: list[str]) -> ExtensionalDigraph:

@@ -16,6 +16,7 @@ from setforge import (
     DecorationError,
     ExtensionalDigraph,
     NonExtensionalError,
+    SetforgeError,
     TupleDecl,
     assemble,
     atom,
@@ -35,7 +36,12 @@ from setforge import (
 from setforge import oracle
 from setforge.cli import main
 
-from helpers import random_decorable_graph, random_extensional_graph
+from helpers import (
+    random_decorable_graph,
+    random_extensional_graph,
+    reference_hf_universe,
+    reference_oracle_complete,
+)
 
 
 # -- value construction and interning ----------------------------------------
@@ -57,6 +63,28 @@ def test_intern_table_keeps_only_values_something_holds():
     gc.collect()
     assert atom("held") is held
     assert len(oracle._registry) == start + 1
+
+
+def test_intern_table_shrinks_back_after_a_command_with_the_collector_paused(
+    monkeypatch, capsys
+):
+    gc.collect()
+    start = len(oracle._registry)
+    document = json.dumps(
+        {
+            "format_version": 1,
+            "nodes": [
+                {"id": "q", "provenance": {"kind": "seed", "label": "q"}},
+                {"id": "t", "provenance": {"kind": "seed", "label": "t"}},
+            ],
+            "edges": [["q", "q"], ["t", "q"]],
+        }
+    )
+    monkeypatch.setattr(sys, "stdin", io.StringIO(document))
+    assert main(["oracle-compare", "--levels", "2", "--porcelain"]) == 0
+    assert capsys.readouterr().out == "oracle\tisomorphic\tisomorphic\n"
+    gc.collect()
+    assert len(oracle._registry) == start
 
 
 def test_collections_are_interned():
@@ -107,6 +135,14 @@ def test_hf_stages_nest():
 def test_hf_one_atom_collapse():
     family = hf_universe(1, ["a"])
     assert family == {atom("a"), collection([])}
+
+
+def test_hf_universe_matches_reference_stages():
+    for k in range(5):
+        assert hf_universe(k) == reference_hf_universe(k)
+    for atoms in (["a"], ["a", "b"]):
+        for k in range(4):
+            assert hf_universe(k, atoms) == reference_hf_universe(k, atoms)
 
 
 def test_hf_stage_limits():
@@ -295,6 +331,38 @@ def test_oracle_complete_matches_completion_on_coded_seed():
     g = assemble(spec).graph  # six nodes; one level adds 58 more
     verdict = compare(complete(g, 1).graph, oracle_complete(g, 1))
     assert verdict.isomorphic, verdict.detail
+
+
+def oracle_outcome(complete_fn, g, n):
+    """Everything a caller can see of the result: ids, extensions,
+    provenance and dict insertion order, or the error."""
+    try:
+        h = complete_fn(g, n)
+    except SetforgeError as e:
+        return type(e), str(e)
+    return list(h.extensions.items()), list(h.provenance.items())
+
+
+def test_oracle_complete_agrees_with_reference():
+    rng = random.Random(2024)
+    cases = [
+        (random_decorable_graph(rng, 5 if n < 2 else 3), n) for n in range(3) for _ in range(40)
+    ]
+    seeds = [
+        quine_atoms(["a"]),
+        quine_atoms(["a", "b"]),
+        ExtensionalDigraph.from_extensions({"p": set(), "c": {"c", "p"}}),
+        ExtensionalDigraph.from_extensions({"e": set(), "q": {"q"}, "c": {"c", "e", "q"}}),
+        # The seed node "hf:{{}}" takes the id the stage-1 value {{}} would get.
+        ExtensionalDigraph.from_extensions({"e": set(), "hf:{{}}": {"hf:{{}}"}}),
+    ]
+    cases += [(g, n) for g in seeds for n in range(3)]
+    outcomes = [oracle_outcome(reference_oracle_complete, g, n) for g, n in cases]
+    for (g, n), expected in zip(cases, outcomes):
+        assert oracle_outcome(oracle_complete, g, n) == expected, (g.extensions, n)
+    looped = [g for g, _ in cases if any(x in g.extensions[x] for x in g.nodes)]
+    assert len(looped) >= 20
+    assert sum(isinstance(o[0], type) for o in outcomes) == 2  # the id clash, at stages 1 and 2
 
 
 def test_oracle_complete_empty_seed():
