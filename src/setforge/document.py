@@ -92,8 +92,10 @@ def _gc_paused() -> Iterator[None]:
 
     Used as a decorator, so the function's locals, the parsed JSON tree
     among them, are freed before the collector resumes and never
-    scanned. ``cli.main`` also runs every command under it; the
-    decorators keep library callers covered."""
+    scanned. ``cli.main`` runs every command under it, where these
+    nested pauses do nothing; they stay for library callers, who parse
+    and write large documents in-process with the collector on, and
+    would otherwise pay for its passes over every JSON object."""
     enabled = gc.isenabled()
     gc.disable()
     try:

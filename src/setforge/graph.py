@@ -285,8 +285,9 @@ def _condensation_colours(g: ExtensionalDigraph, table: dict[tuple, int]) -> dic
     cannot exhaust the recursion limit.  A node whose members are all
     coloured when the loop reaches it is keyed at once, without the
     walk: no cycle runs through it, since a self-looped node is its
-    own uncoloured member.  In a graph listed members first, as
-    completions are, that is every node.
+    own uncoloured member.  In a completion, once a walk or two from
+    the first nodes reached has coloured the seed nodes, nearly every
+    other node qualifies, in id order and key order alike.
     """
     ext = g.extensions
     provenance = g.provenance
