@@ -133,6 +133,11 @@ def _cmd_seed(args: argparse.Namespace) -> int:
         raise SpecValidationError(f"invalid JSON in {args.arg}: {e.msg}") from e
     except RecursionError as e:
         raise SpecValidationError(f"invalid JSON in {args.arg}: nested too deeply") from e
+    except ValueError as e:  # an integer literal past the conversion limit
+        raise SpecValidationError(
+            f"invalid JSON in {args.arg}: integers have at most "
+            f"{sys.get_int_max_str_digits()} digits"
+        ) from e
     spec, formulas = _spec_from_json(raw)
     seed = assemble(spec)
     if seed.dred is not None:

@@ -18,6 +18,7 @@ steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .errors import BudgetExceededError, SchemaError, SetforgeError
 from .graph import (
@@ -98,6 +99,13 @@ class LeveledUniverse:
         )
 
 
+def _over_budget(node_count: int, budget: Budget) -> BudgetExceededError:
+    return BudgetExceededError(
+        f"deficiency of a {node_count}-node graph needs 2**{node_count} subset "
+        f"enumerations, over the budget of {budget.max_subsets_enumerated}"
+    )
+
+
 def _deficiency_masks(g: ExtensionalDigraph, budget: Budget) -> tuple[list[NodeId], list[int]]:
     """All unrepresented subsets of ``g``'s nodes, as bitmasks over the
     sorted node list.  Masks come back in ascending numeric order."""
@@ -105,10 +113,7 @@ def _deficiency_masks(g: ExtensionalDigraph, budget: Budget) -> tuple[list[NodeI
     nodes = g.sorted_nodes()
     n = len(nodes)
     if not budget.subset_count_allowed(n):
-        raise BudgetExceededError(
-            f"deficiency of a {n}-node graph needs 2**{n} subset enumerations, "
-            f"over the budget of {budget.max_subsets_enumerated}"
-        )
+        raise _over_budget(n, budget)
     index = {x: i for i, x in enumerate(nodes)}
     represented = set()
     for ext in g.extensions.values():
@@ -120,15 +125,29 @@ def _deficiency_masks(g: ExtensionalDigraph, budget: Budget) -> tuple[list[NodeI
     return nodes, missing
 
 
-def _mask_members(mask: int, nodes: list[NodeId]) -> tuple[NodeId, ...]:
-    # nodes is sorted, and bits are consumed low to high, so the result
-    # arrives already sorted by node id.
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(nodes[low.bit_length() - 1])
-        mask ^= low
-    return tuple(members)
+def _subsets(nodes: list[NodeId]) -> list[tuple[NodeId, ...]]:
+    """Every subset of ``nodes`` as a tuple, indexed by its bitmask over
+    the list: doubling the table per node appends the subsets that hold
+    it.  Sorted ``nodes`` give sorted tuples."""
+    subsets: list[tuple[NodeId, ...]] = [()]
+    for x in nodes:
+        subsets += [s + (x,) for s in subsets]
+    return subsets
+
+
+def _members(nodes: list[NodeId], masks: list[int]) -> Iterator[tuple[NodeId, ...]]:
+    """The sorted member tuple of each mask over sorted ``nodes``.
+
+    The low and the high half of the bits are tabled apart, so a mask
+    costs one concatenation, and the tables hold ``2 * 2**(n/2)``
+    tuples instead of ``2**n``. A full table's memory would stay
+    resident after it is freed, beside the new graph: the tuples that
+    Python keeps on its free lists pin it until a full collection."""
+    half = len(nodes) // 2
+    low, high = _subsets(nodes[:half]), _subsets(nodes[half:])
+    below = (1 << half) - 1
+    for mask in masks:
+        yield low[mask & below] + high[mask >> half]
 
 
 def deficiency(g: ExtensionalDigraph, budget: Budget = DEFAULT_BUDGET) -> list[tuple[NodeId, ...]]:
@@ -141,7 +160,7 @@ def deficiency(g: ExtensionalDigraph, budget: Budget = DEFAULT_BUDGET) -> list[t
     the subset budget.
     """
     nodes, masks = _deficiency_masks(g, budget)
-    return sorted(_mask_members(m, nodes) for m in masks)
+    return sorted(_members(nodes, masks))
 
 
 def complete_step(u: LeveledUniverse, budget: Budget = DEFAULT_BUDGET) -> LeveledUniverse:
@@ -157,8 +176,7 @@ def complete_step(u: LeveledUniverse, budget: Budget = DEFAULT_BUDGET) -> Levele
     stamp = Deficiency(level=len(u.levels))
     extensions = dict(g.extensions)
     provenance = dict(g.provenance)
-    for mask in masks:
-        members = _mask_members(mask, nodes)
+    for members in _members(nodes, masks):
         node = subset_node_id(members)
         if node in extensions:
             raise SetforgeError(
@@ -177,17 +195,30 @@ def complete(
 ) -> LeveledUniverse:
     """Run ``n`` completion steps starting from seed level ``g``.
 
-    The result has ``n + 1`` levels.  Fails with BudgetExceededError as
-    soon as any single step is infeasible; nothing is silently
-    truncated.
+    The result has ``n + 1`` levels.  The whole request is priced by
+    the growth law before the first step: if any step would exceed the
+    budget, BudgetExceededError names that step and nothing is built.
     """
     if n < 0:
         raise ValueError("level count must be non-negative")
     require_extensional(g)
+    _require_affordable(len(g), n, budget)
     u = LeveledUniverse(graph=g, levels=(g.nodes,))
     for _ in range(n):
         u = complete_step(u, budget)
     return u
+
+
+def _growth(seed_size: int, requested: int, budget: Budget) -> tuple[int, int]:
+    """The steps the budget permits, capped at ``requested``, and the
+    node count after them.  ``2**size`` is only formed for an allowed
+    step, so it never exceeds the budget."""
+    size = seed_size
+    steps = 0
+    while steps < requested and budget.subset_count_allowed(size):
+        size = 2**size
+        steps += 1
+    return steps, size
 
 
 def affordable_levels(seed_size: int, requested: int, budget: Budget = DEFAULT_BUDGET) -> int:
@@ -198,12 +229,17 @@ def affordable_levels(seed_size: int, requested: int, budget: Budget = DEFAULT_B
     ``2**size``), so the answer matches what :func:`complete` would
     survive.
     """
-    size = seed_size
-    steps = 0
-    while steps < requested and budget.subset_count_allowed(size):
-        size = 2**size
-        steps += 1
-    return steps
+    return _growth(seed_size, requested, budget)[0]
+
+
+def _require_affordable(seed_size: int, requested: int, budget: Budget) -> None:
+    """Refuse ``requested`` steps from an extensional ``seed_size``-node
+    graph unless the budget permits them all, with the error the first
+    refused step would raise: the growth law gives its node count
+    exactly."""
+    steps, size = _growth(seed_size, requested, budget)
+    if steps < requested:
+        raise _over_budget(size, budget)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,8 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
-from operator import eq, le, lt
+from json.encoder import encode_basestring_ascii
+from operator import eq, itemgetter, le, lt
 from typing import Any, Iterable, Iterator, Mapping
 
 from .completion import LeveledUniverse
@@ -105,36 +106,87 @@ def _gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-def _provenance_to_json(g: ExtensionalDigraph, x: NodeId) -> dict[str, Any]:
+def _array(items: list[str]) -> list[str]:
+    """The pieces of a JSON array of already encoded items, left for the
+    caller's one join, so that no array is first copied into a string
+    of its own."""
+    if not items:
+        return ["[]"]
+    pieces = [","] * (2 * len(items) + 1)
+    pieces[0], pieces[-1] = "[", "]"
+    pieces[1::2] = items
+    return pieces
+
+
+def _edge_runs(g: ExtensionalDigraph, quoted: dict[NodeId, str]) -> list[str]:
+    """The encoded edges, one string per member that has containers.
+    Walking the containers in id order lists each member's containers
+    in id order, so the runs come out sorted, as ``sorted_edges``."""
+    containers: dict[NodeId, list[str]] = {x: [] for x in quoted}
+    for container, q in quoted.items():
+        for member in g.extensions[container]:
+            containers[member].append(q)
+    return [
+        f"[{q},{f'],[{q},'.join(cs)}]"
+        for q, cs in zip(quoted.values(), containers.values())
+        if cs
+    ]
+
+
+def _node_entry(g: ExtensionalDigraph, x: NodeId, quoted: dict[NodeId, str]) -> str:
+    """One ``nodes`` item, keys in sorted order."""
     p = g.provenance[x]
+    quote = encode_basestring_ascii
     if isinstance(p, Seed):
-        return {"kind": "seed", "label": p.label}
-    if isinstance(p, Deficiency):
-        return {"kind": "deficiency", "level": p.level, "members": sorted(g.extensions[x])}
-    return {"kind": "code", "code_kind": p.kind, "detail": p.detail}
+        provenance = f'{{"kind":"seed","label":{quote(p.label)}}}'
+    elif isinstance(p, Deficiency):
+        members = ",".join(map(quoted.__getitem__, sorted(g.extensions[x])))
+        provenance = f'{{"kind":"deficiency","level":{p.level:d},"members":[{members}]}}'
+    else:
+        provenance = f'{{"code_kind":{quote(p.kind)},"detail":{quote(p.detail)},"kind":"code"}}'
+    return f'{{"id":{quoted[x]},"provenance":{provenance}}}'
+
+
+def _dumps(value: Any) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 @_gc_paused()
 def serialize(doc: GraphDocument) -> str:
-    """One canonical line; equal documents serialize byte-identically."""
+    """One canonical line; equal documents serialize byte-identically.
+
+    The graph core is written directly, byte for byte as
+    ``json.dumps(sort_keys=True)`` writes it: each id is quoted once by
+    the encoder's own routine, the edges come as one string per member,
+    and the whole line is joined once. Ids are always ordered raw, as
+    ``sort_keys`` orders them, never quoted: ``"é"`` sorts after ``"a"``
+    but quotes to ``"\\u00e9"``, which sorts before ``"a"``. The optional
+    blocks go through ``json.dumps`` itself.
+    """
     g = doc.graph
-    payload: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "nodes": [
-            {"id": x, "provenance": _provenance_to_json(g, x)}
-            for x in g.sorted_nodes()
-        ],
-        "edges": g.sorted_edges(),
-    }
+    order = g.sorted_nodes()
+    quoted = dict(zip(order, map(encode_basestring_ascii, order)))
+    sections = [
+        ("edges", _array(_edge_runs(g, quoted))),
+        ("format_version", [str(FORMAT_VERSION)]),
+        ("nodes", _array([_node_entry(g, x, quoted) for x in order])),
+    ]
+    del quoted  # not needed for the join, which is the peak
     if doc.levels is not None:
-        payload["levels"] = [sorted(level) for level in doc.levels]
+        sections.append(("levels", [_dumps([sorted(level) for level in doc.levels])]))
     if doc.depth is not None:
-        payload["depth"] = doc.depth
+        sections.append(("depth", [_dumps(doc.depth)]))
     if doc.ranks is not None:
-        payload["ranks"] = {str(i): r for i, r in doc.ranks.items()}
+        sections.append(("ranks", [_dumps({str(i): r for i, r in doc.ranks.items()})]))
     if doc.formulas:
-        payload["formulas"] = doc.formulas
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        sections.append(("formulas", [_dumps(doc.formulas)]))
+    pieces = []
+    for key, body in sorted(sections, key=itemgetter(0)):
+        pieces += (",", f'"{key}":')
+        pieces += body
+    pieces[0] = "{"
+    pieces.append("}")
+    return "".join(pieces)
 
 
 def _want(raw: Mapping[str, Any], key: str, kind: type, path: str) -> Any:
@@ -244,18 +296,25 @@ def _node_provenance(nodes_raw: list[dict], ids: list[NodeId]) -> dict[NodeId, P
 def _member_lists(
     edges_raw: list, ids: list[NodeId], known: frozenset[NodeId]
 ) -> dict[NodeId, list[NodeId]]:
-    """Each node's members, in edge order."""
-    if not (
-        _all_of(edges_raw, list)
-        and set(map(len, edges_raw)) <= {2}
-        and _all_of(chain.from_iterable(edges_raw), str)
-        and known.issuperset(chain.from_iterable(edges_raw))
-    ):
-        _check_edges_by_item(edges_raw, known)
-    members: dict[NodeId, list[NodeId]] = {x: [] for x in ids}
-    for member, container in edges_raw:
-        members[container].append(member)
-    return members
+    """Each node's members, in edge order.
+
+    Each edge end is checked once. Members are checked by one inclusion
+    over the first column. Containers are checked by the grouping's own
+    lookups, since only a known id finds a list. Only a ``str`` can
+    equal a known id, so neither check needs a type probe; an end that
+    cannot be hashed raises ``TypeError`` in either. A failed check
+    falls back to the walk that names the first bad edge.
+    """
+    if _all_of(edges_raw, list) and set(map(len, edges_raw)) <= {2}:
+        members: dict[NodeId, list[NodeId]] = {x: [] for x in ids}
+        try:
+            if known.issuperset(map(itemgetter(0), edges_raw)):
+                for member, container in edges_raw:
+                    members[container].append(member)
+                return members
+        except (KeyError, TypeError):  # an unknown or unhashable end
+            pass
+    return _member_lists_by_item(edges_raw, ids, known)
 
 
 def _check_deficiency_members(
@@ -351,7 +410,10 @@ def _provenance_by_item(nodes_raw: list[dict], ids: list[NodeId]) -> dict[NodeId
     }
 
 
-def _check_edges_by_item(edges_raw: list, known: frozenset[NodeId]) -> None:
+def _member_lists_by_item(
+    edges_raw: list, ids: list[NodeId], known: frozenset[NodeId]
+) -> dict[NodeId, list[NodeId]]:
+    members: dict[NodeId, list[NodeId]] = {x: [] for x in ids}
     for i, pair in enumerate(edges_raw):
         path = f"edges[{i}]"
         if (
@@ -365,6 +427,8 @@ def _check_edges_by_item(edges_raw: list, known: frozenset[NodeId]) -> None:
             raise SchemaError(path, f"references unknown id {member!r}")
         if container not in known:
             raise SchemaError(path, f"references unknown id {container!r}")
+        members[container].append(member)
+    return members
 
 
 def _check_deficiency_members_by_item(
@@ -443,6 +507,10 @@ def deserialize(text: str) -> GraphDocument:
         raise SchemaError("$", f"invalid JSON: {e.msg} at position {e.pos}") from e
     except RecursionError as e:
         raise SchemaError("$", "invalid JSON: nested too deeply") from e
+    except ValueError as e:  # an integer literal past the conversion limit
+        raise SchemaError(
+            "$", f"invalid JSON: integers have at most {sys.get_int_max_str_digits()} digits"
+        ) from e
     if not isinstance(raw, dict):
         raise SchemaError("$", "document must be a JSON object")
     version = _want(raw, "format_version", int, "$")
@@ -456,6 +524,9 @@ def deserialize(text: str) -> GraphDocument:
     edges_raw = _want(raw, "edges", list, "$")
     members = _member_lists(edges_raw, ids, known)
     _check_deficiency_members(nodes_raw, provenance, members, edges_raw)
+    # The parsed nodes and edges are checked and read, and are most of
+    # the tree: freed here, they make room for the frozensets.
+    del raw["nodes"], raw["edges"], nodes_raw, edges_raw
     graph = ExtensionalDigraph({x: frozenset(ms) for x, ms in members.items()}, provenance)
 
     levels: tuple[frozenset[NodeId], ...] | None = None

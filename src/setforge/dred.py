@@ -23,7 +23,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .completion import Budget, DEFAULT_BUDGET, LeveledUniverse, complete_step
+from .completion import (
+    Budget,
+    DEFAULT_BUDGET,
+    LeveledUniverse,
+    _require_affordable,
+    complete_step,
+)
 from .errors import DredConditionError
 from .graph import ExtensionalDigraph, NodeId, extensionality_violation
 
@@ -272,11 +278,14 @@ def dred_complete(
     set).  The DRED conditions are verified before the first step and
     after every step, and a violation is surfaced as DredConditionError
     rather than assumed away; with these recipes no violation is
-    expected, and the verification is the evidence.
+    expected, and the verification is the evidence.  Like
+    :func:`~setforge.completion.complete`, the whole request is priced
+    before the first step.
     """
     if n < 0:
         raise ValueError("level count must be non-negative")
     require_dred(h)
+    _require_affordable(len(h.graph), n, budget)
     depth = dict(h.depth)
     ranks = {i: dict(r) for i, r in h.ranks.items()}
     u = LeveledUniverse(graph=h.graph, levels=(h.graph.nodes,))

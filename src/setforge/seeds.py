@@ -76,6 +76,16 @@ def _is_numeral(label: str) -> bool:
     return label.isascii() and label.isdigit()
 
 
+def _numeral_value(label: str) -> int:
+    """The number a numeral reference names, or ``_MAX_NATURALS``, which
+    no spec embeds, for one with more significant digits than that:
+    ``int()`` refuses digit strings past ``sys.get_int_max_str_digits()``."""
+    digits = label.lstrip("0")
+    if len(digits) > len(str(_MAX_NATURALS)):
+        return _MAX_NATURALS
+    return int(digits or "0")
+
+
 @dataclass(frozen=True)
 class CodeSpec:
     """Declarative description of a seed graph.
@@ -151,7 +161,7 @@ class CodeSpec:
                 raise SpecValidationError("tuple components must be nonempty")
             for c in t.components:
                 if _is_numeral(c):
-                    if int(c) >= self.naturals_up_to:
+                    if _numeral_value(c) >= self.naturals_up_to:
                         raise SpecValidationError(
                             f"component numeral {c} not embedded (naturals_up_to="
                             f"{self.naturals_up_to})"
@@ -375,7 +385,7 @@ class CodeIndex:
 
 def _component_node(spec: CodeSpec, label: str) -> NodeId:
     if _is_numeral(label):
-        return numeral_ids(int(label) + 1)[-1]
+        return numeral_ids(_numeral_value(label) + 1)[-1]
     for a in spec.atoms:
         if a.label == label:
             if a.kind == "quine":

@@ -232,6 +232,27 @@ def test_pipeline_tower_hits_budget():
     assert "budget exceeded" in err
 
 
+def test_tower_refusal_names_the_refused_step():
+    """The request is priced up front, with the message of the step
+    that would exceed the budget: the third, on 65,536 nodes."""
+    doc = seed("vN", "3")
+    for argv in (["complete"], ["oracle-compare"]):
+        code, out, err = invoke(argv + ["--levels", "3", "--budget", "1000000"], doc)
+        assert (code, out) == (2, "")
+        assert err == (
+            "budget exceeded: deficiency of a 65536-node graph needs 2**65536 subset "
+            "enumerations, over the budget of 1000000\n"
+        )
+
+
+def test_non_extensional_seed_over_budget_exits_3():
+    """Extensionality is checked before the request is priced."""
+    doc = serialize(GraphDocument.from_graph(ExtensionalDigraph.from_extensions({"a": (), "b": ()})))
+    code, out, err = invoke(["complete", "--levels", "30", "--budget", "1"], doc)
+    assert (code, out) == (3, "")
+    assert err == "nodes 'a' and 'b' have equal extensions\n"
+
+
 def test_budget_env_variable(monkeypatch):
     monkeypatch.setenv("SETFORGE_BUDGET", "1000000")
     doc = seed("vN", "3")
@@ -316,6 +337,36 @@ def test_rank_key_past_the_int_digit_limit_is_a_schema_error():
     assert (code, out) == (3, "")
     limit = sys.get_int_max_str_digits()
     assert err == f"ranks.{key}: rank family keys have at most {limit} digits\n"
+
+
+def test_integer_literal_past_the_digit_limit_is_a_schema_error():
+    """``json.loads`` refuses such a literal with a plain ValueError."""
+    text = (
+        '{"depth":{"a":' + "1" * 5000 + '},"edges":[],"format_version":1,'
+        '"nodes":[{"id":"a","provenance":{"kind":"seed","label":"a"}}]}'
+    )
+    code, out, err = invoke(["check", "--axiom", "extensionality"], text)
+    assert (code, out) == (3, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"$: invalid JSON: integers have at most {limit} digits\n"
+
+
+def test_seed_spec_integer_literal_past_the_digit_limit_exit_3(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text('{"naturals_up_to": ' + "1" * 5000 + "}")
+    code, out, err = invoke(["seed", "spec", str(path)])
+    assert (code, out) == (3, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == f"invalid JSON in {path}: integers have at most {limit} digits\n"
+
+
+@pytest.mark.parametrize("component", ["4", "1" * 5000], ids=["just-past", "5000-digits"])
+def test_seed_spec_numeral_component_past_the_numerals_exit_3(tmp_path, component):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"naturals_up_to": 4, "tuples": [{"tag": 0, "components": [component]}]}))
+    code, out, err = invoke(["seed", "spec", str(path)])
+    assert (code, out) == (3, "")
+    assert err == f"component numeral {component} not embedded (naturals_up_to=4)\n"
 
 
 def test_dred_conditions_report_subset_depth(chain_spec_file):

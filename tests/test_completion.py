@@ -1,5 +1,6 @@
 """Deficiency, completion levels, budgets, and the witness suite."""
 
+import itertools
 import random
 
 import pytest
@@ -17,11 +18,15 @@ from setforge import (
     complete,
     complete_step,
     deficiency,
+    dred_complete,
+    dred_from_graph,
     is_end_extension,
     is_extensional,
     von_neumann_seed,
     witness_report,
 )
+
+from setforge import completion, dred
 
 from helpers import random_extensional_graph
 
@@ -50,6 +55,23 @@ def test_deficiency_result_is_sorted_canonically():
     out = deficiency(g)
     assert out == sorted(out)
     assert all(tuple(sorted(m)) == m for m in out)
+
+
+def test_deficiency_agrees_with_brute_force():
+    """The half-width doubling tables against subsets drawn by size:
+    the same sorted tuples, in the same lexicographic order."""
+    rng = random.Random(13)
+    for _ in range(40):
+        g = random_extensional_graph(rng, 6)
+        nodes = sorted(g.nodes)
+        represented = set(g.extensions.values())
+        expected = sorted(
+            subset
+            for size in range(len(nodes) + 1)
+            for subset in itertools.combinations(nodes, size)
+            if frozenset(subset) not in represented
+        )
+        assert deficiency(g) == expected
 
 
 def test_deficiency_rejects_non_extensional_input():
@@ -87,6 +109,64 @@ def test_complete_budget_tower_blowup():
     seed = von_neumann_seed(3)
     with pytest.raises(BudgetExceededError):
         complete(seed, 3, Budget(max_subsets_enumerated=10**6))
+
+
+def over_budget_message(nodes, bound):
+    return (
+        f"deficiency of a {nodes}-node graph needs 2**{nodes} subset enumerations, "
+        f"over the budget of {bound}"
+    )
+
+
+@pytest.fixture
+def counted_steps(monkeypatch):
+    """Counts calls to ``complete_step`` wherever completion looks it up."""
+    calls = []
+    original = completion.complete_step
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(completion, "complete_step", counting)
+    monkeypatch.setattr(dred, "complete_step", counting)
+    return calls
+
+
+def test_complete_prices_the_request_before_the_first_step(counted_steps):
+    # Two steps fit (4 -> 16 -> 65,536 nodes); the third would enumerate
+    # 2**65536 subsets. Nothing is built.
+    with pytest.raises(BudgetExceededError) as caught:
+        complete(von_neumann_seed(3), 3, Budget(10**6))
+    assert str(caught.value) == over_budget_message(65536, 10**6)
+    assert counted_steps == []
+    # An affordable request still runs every step.
+    assert complete(von_neumann_seed(3), 1, Budget(10**6)).level_sizes == [4, 16]
+    assert len(counted_steps) == 1
+
+
+def test_dred_complete_prices_the_request_before_the_first_step(counted_steps):
+    h = dred_from_graph(von_neumann_seed(3))
+    with pytest.raises(BudgetExceededError) as caught:
+        dred_complete(h, 2, Budget(10**4))
+    assert str(caught.value) == over_budget_message(16, 10**4)
+    assert counted_steps == []
+
+
+def test_up_front_refusal_matches_the_refusing_step():
+    """The message is the one the refused step itself raises."""
+    u = complete(von_neumann_seed(3), 1)
+    with pytest.raises(BudgetExceededError) as by_step:
+        complete_step(u, Budget(10**4))
+    with pytest.raises(BudgetExceededError) as up_front:
+        complete(von_neumann_seed(3), 2, Budget(10**4))
+    assert str(up_front.value) == str(by_step.value) == over_budget_message(16, 10**4)
+
+
+def test_non_extensional_input_is_refused_before_pricing():
+    g = ExtensionalDigraph.from_extensions({"a": set(), "b": set()})
+    with pytest.raises(NonExtensionalError):
+        complete(g, 5, Budget(1))
 
 
 def test_complete_levels_are_end_extensions():

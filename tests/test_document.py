@@ -13,7 +13,6 @@ from setforge import (
     AtomDecl,
     Code,
     CodeSpec,
-    FORMAT_VERSION,
     Deficiency,
     ExtensionalDigraph,
     GraphDocument,
@@ -30,7 +29,7 @@ from setforge import (
     von_neumann_seed,
 )
 from setforge import document
-from helpers import random_extensional_graph, reference_deserialize
+from helpers import random_extensional_graph, reference_deserialize, reference_serialize
 
 GOLDEN_EMPTY = '{"edges":[],"format_version":1,"nodes":[]}'
 
@@ -102,41 +101,6 @@ def test_missing_blocks_raise():
         doc.to_universe()
     with pytest.raises(SchemaError):
         doc.to_dred()
-
-
-def reference_serialize(doc: GraphDocument) -> str:
-    """``serialize`` as it was while it sorted every block itself before
-    handing it to ``json.dumps``; the reference for byte identity."""
-
-    g = doc.graph
-
-    def provenance_json(x):
-        p = g.provenance[x]
-        if isinstance(p, Seed):
-            return {"kind": "seed", "label": p.label}
-        if isinstance(p, Deficiency):
-            return {"kind": "deficiency", "level": p.level, "members": sorted(g.extensions[x])}
-        return {"kind": "code", "code_kind": p.kind, "detail": p.detail}
-
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "nodes": [
-            {"id": x, "provenance": provenance_json(x)}
-            for x in g.sorted_nodes()
-        ],
-        "edges": sorted([m, c] for m, c in g.edges),
-    }
-    if doc.levels is not None:
-        payload["levels"] = [sorted(level) for level in doc.levels]
-    if doc.depth is not None:
-        payload["depth"] = dict(sorted(doc.depth.items()))
-    if doc.ranks is not None:
-        payload["ranks"] = {
-            str(i): dict(sorted(r.items())) for i, r in sorted(doc.ranks.items())
-        }
-    if doc.formulas:
-        payload["formulas"] = dict(sorted(doc.formulas.items()))
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def shuffled(rng: random.Random, mapping: dict) -> dict:
@@ -222,6 +186,46 @@ def perturbed(rng: random.Random, doc: GraphDocument) -> GraphDocument:
     )
 
 
+# Ids and labels that JSON escapes, with members chosen so that two
+# pairs meet in edges and member lists. Each sorts one way raw and the
+# other way quoted: "a" < "é" but "\u00e9" < "a"; '"' < "#" but "\"" > "#".
+ESCAPED_EXTENSIONS = {
+    '"': (),
+    "#": ('"', "#"),
+    "\\": ("a", "\u00e9"),
+    "a": ("\u00e9", "\x00"),
+    "\u00e9": ("a", '"', "#", "\\"),
+    "\x00": ("\ud800",),
+    "\n": ("\n",),
+    "\x1f": ("tab\tend", "\u00e9"),
+    "\ud800": ("a",),
+    "tab\tend": ("#", "\x1f"),
+}
+
+
+def escaped_document() -> GraphDocument:
+    """A document whose ids, labels, details, depth and rank keys and
+    formula names need JSON escapes, every map in a shuffled order."""
+    rng = random.Random(3)
+    names = list(ESCAPED_EXTENSIONS)
+    provenance = {
+        **{x: Deficiency(level=2) for x in ("\\", "\u00e9", "#", "tab\tend")},
+        **{x: Seed(label=x + '"') for x in ('"', "a", "\n")},
+        **{x: Code("chain", "\\" + x) for x in ("\x00", "\x1f", "\ud800")},
+    }
+    graph = ExtensionalDigraph.from_extensions(
+        shuffled(rng, ESCAPED_EXTENSIONS), shuffled(rng, provenance)
+    )
+    depth = shuffled(rng, {x: i % 3 for i, x in enumerate(names)})
+    return GraphDocument(
+        graph=graph,
+        levels=(frozenset(names[:3]), frozenset(names)),
+        depth=depth,
+        ranks={i: shuffled(rng, {x: 7 for x in names if depth[x] < i}) for i in (3, 1, 2)},
+        formulas=shuffled(rng, {x: f"x = x {x}" for x in names}),
+    )
+
+
 def test_serialize_matches_reference_byte_for_byte():
     rng = random.Random(99)
     for _ in range(200):
@@ -232,6 +236,13 @@ def test_serialize_matches_reference_byte_for_byte():
     for g in (ExtensionalDigraph.empty(), von_neumann_seed(3)):
         doc = GraphDocument.from_graph(g)
         assert serialize(doc) == reference_serialize(doc)
+    assert json.dumps("\u00e9") < json.dumps("a") and json.dumps('"') > json.dumps("#")
+    doc = escaped_document()
+    line = serialize(doc)
+    assert line == reference_serialize(doc)
+    assert line.isascii()
+    assert deserialize(line) == doc
+    assert serialize(deserialize(line)) == line
 
 
 def test_parsed_documents_are_equal_exactly_when_their_lines_are():
@@ -454,6 +465,25 @@ def test_named_mutations_of_a_completion_match_the_reference(mutate):
         mutate(rng, payload)
         text = json.dumps(payload)
         assert outcome(deserialize, text) == outcome(reference_deserialize, text)
+
+
+@pytest.mark.parametrize("bad", ["foreign", 7, ["x"], None], ids=["unknown", "int", "list", "null"])
+def test_first_bad_edge_end_a_container_fails_as_the_reference_fails(bad):
+    """Members are checked in bulk and containers by the grouping's
+    lookups; a bad container after valid edges, alone or before a bad
+    member, is still named as the item-by-item walk names it."""
+    line = serialize(GraphDocument.from_universe(complete(von_neumann_seed(2), 2)))
+    count = len(json.loads(line)["edges"])
+    for at in (1, count // 2, count - 1):
+        for member_after in (False, True):
+            payload = json.loads(line)
+            payload["edges"][at][1] = copy.deepcopy(bad)
+            if member_after and at + 1 < count:
+                payload["edges"][at + 1][0] = "foreign"
+            text = json.dumps(payload)
+            ours = outcome(deserialize, text)
+            assert ours[:3] == ("raised", "SchemaError", f"edges[{at}]"), ours
+            assert ours == outcome(reference_deserialize, text)
 
 
 def test_valid_documents_never_walk_item_by_item(monkeypatch):

@@ -432,6 +432,21 @@ def test_spec_numerals_capped_at_validation():
         CodeSpec(naturals_up_to=1025)
 
 
+@pytest.mark.parametrize("component", ["4", "0004", "1" * 5000], ids=["just-past", "zero-padded", "5000-digits"])
+def test_spec_numeral_components_past_the_embedded_numerals(component):
+    """Past Python's integer string limit too: no numeral that long is
+    ever handed to int()."""
+    with pytest.raises(SpecValidationError) as caught:
+        CodeSpec(naturals_up_to=4, tuples=(TupleDecl(0, (component,)),))
+    assert str(caught.value) == f"component numeral {component} not embedded (naturals_up_to=4)"
+
+
+def test_spec_numeral_components_may_carry_any_number_of_leading_zeros():
+    padded = CodeSpec(naturals_up_to=4, tuples=(TupleDecl(0, ("0" * 5000 + "3",)),))
+    plain = CodeSpec(naturals_up_to=4, tuples=(TupleDecl(0, ("3",)),))
+    assert assemble(padded).graph == assemble(plain).graph
+
+
 def test_spec_duplicate_tuples():
     with pytest.raises(SpecValidationError):
         loop_spec(tuples=(TupleDecl(0, ("a",)), TupleDecl(0, ("a",))))
