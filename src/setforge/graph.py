@@ -270,14 +270,15 @@ def _condensation_colours(g: ExtensionalDigraph, table: dict[tuple, int]) -> dic
     of either graph get the same colour exactly when their keys are
     equal, whichever graph is coloured first.
 
-    A node on no cycle is keyed by its provenance colour and the sorted
-    colours of its members.  This is the Mostowski collapse: on the
+    A node on no cycle is keyed by a pair: its provenance colour and the
+    sorted colours of its members.  This is the Mostowski collapse: on the
     well-founded part of an extensional graph, equal colours mean equal
     member sets, hence the same node.  A node of a cycle (a self-loop
-    included) is keyed once, by its provenance colour, its self-loop
-    flag, the sorted colours of its members outside its component and
-    its member and container counts inside it; the two key shapes
-    differ, so no node on a cycle shares a colour with a node on none.
+    included) is keyed once, by five fields: its provenance colour, its
+    self-loop flag, the sorted colours of its members outside its
+    component and its member and container counts inside it.  The two
+    key shapes differ, so no node on a cycle shares a colour with a
+    node on none, and :func:`is_isomorphic` tells them apart by length.
     Nodes of one cycle that these keys leave tied are told apart by
     :func:`_refine` and the search.
 
@@ -293,13 +294,20 @@ def _condensation_colours(g: ExtensionalDigraph, table: dict[tuple, int]) -> dic
     provenance = g.provenance
     intern = table.setdefault
     colour: dict[NodeId, int] = {}
-    coloured = colour.keys()
+    colour_of = colour.__getitem__
+    # Provenance colours by provenance object: graphs share one object
+    # per completion level, so this holds a handful of entries.
+    by_provenance: dict[int, tuple] = {}
+
+    def provenance_colour(x: NodeId) -> tuple:
+        p = provenance[x]
+        pc = by_provenance.get(id(p))
+        if pc is None:
+            pc = by_provenance[id(p)] = _provenance_colour(p)
+        return pc
 
     def acyclic_colour(x: NodeId) -> int:
-        return intern(
-            (_provenance_colour(provenance[x]), tuple(sorted([colour[m] for m in ext[x]]))),
-            len(table),
-        )
+        return intern((provenance_colour(x), tuple(sorted(map(colour_of, ext[x])))), len(table))
 
     # Visit order, raised to ``finished`` once a node is coloured: a
     # visited node with a lower index is on the component stack.
@@ -310,8 +318,18 @@ def _condensation_colours(g: ExtensionalDigraph, table: dict[tuple, int]) -> dic
     for root in ext:
         if root in index:
             continue
-        if coloured >= ext[root]:
-            colour[root] = acyclic_colour(root)
+        # The shortcut, inlined because nearly every node takes it: it
+        # builds the key ``acyclic_colour`` would, and a KeyError at an
+        # uncoloured member sends the node to the walk instead.
+        try:
+            key = (
+                by_provenance.get(id(provenance[root])) or provenance_colour(root),
+                tuple(sorted(map(colour_of, ext[root]))),
+            )
+        except KeyError:
+            pass
+        else:
+            colour[root] = intern(key, len(table))
             index[root] = finished
             continue
         index[root] = low[root] = len(index)
@@ -354,7 +372,7 @@ def _condensation_colours(g: ExtensionalDigraph, table: dict[tuple, int]) -> dic
                     outside = [colour[m] for m in ext[y] if m in colour]
                     containers_in.update(m for m in ext[y] if m not in colour)
                     keys[y] = (
-                        _provenance_colour(provenance[y]),
+                        provenance_colour(y),
                         y in ext[y],
                         tuple(sorted(outside)),
                         len(ext[y]) - len(outside),
@@ -409,14 +427,15 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
     these colours.  When they tell every node apart, as they do on a
     well-founded extensional graph and on one glued onto self-membered
     atoms without symmetry, the only candidate is the colour-matching
-    map, checked on every edge in O(E).  Otherwise the search is
-    individualisation-refinement (McKay-Piperno 2014): colour refinement
-    over both edge directions (1-dimensional Weisfeiler-Leman) runs from
-    these colours, and while classes still tie, the least-id node of
-    ``a`` in the smallest tied class shares a fresh colour with each
-    node of ``b`` in that class in turn, one branch each, until the
-    colours are injective and the colour-matching map can be checked.
-    No behavioural quotient (bisimulation or otherwise) is ever taken.
+    map.  An acyclic node's colour names its members' colours, so the
+    map is checked only on the edges of nodes on a cycle.  Otherwise
+    the search is individualisation-refinement (McKay-Piperno 2014):
+    colour refinement over both edge directions (1-dimensional
+    Weisfeiler-Leman) runs from these colours, and while classes still
+    tie, the least-id node of ``a`` in the smallest tied class shares a
+    fresh colour with each node of ``b`` in that class in turn, one
+    branch each, until the colours are injective and the
+    colour-matching map can be checked on every edge.  No behavioural quotient (bisimulation or otherwise) is ever taken.
 
     Raises SizeLimitError when the input exceeds ``ISO_NODE_LIMIT`` nodes
     or the branches together re-colour more than ``_SEARCH_STATE_LIMIT``
@@ -432,27 +451,38 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
     if len(a.nodes) == 0:
         return True
 
-    def settle(col_a: dict[NodeId, int], col_b: dict[NodeId, int]) -> bool | None:
+    def settle(
+        col_a: dict[NodeId, int], col_b: dict[NodeId, int], checked: set[int] | None = None
+    ) -> bool | None:
         """False when the colour multisets differ, the verdict of the
-        colour-matching map when the colours are injective, else None."""
+        colour-matching map when the colours are injective, else None.
+        The map's edges are checked at every node, or, when ``checked``
+        is given, only at nodes with a colour in it."""
         classes = Counter(col_a.values())
         if classes != Counter(col_b.values()):
             return False
         if len(classes) < len(col_a):
             return None
-        # Every key holds the provenance colour, so the map preserves
-        # provenance.  A node on no cycle has its member colours in its
-        # key, so the map carries its members onto its image's; but a
-        # node on a cycle records only how many members it has inside
-        # its component, so the edges must still be checked.
         node_b = {c: y for y, c in col_b.items()}
         f = {x: node_b[c] for x, c in col_a.items()}
         image = f.__getitem__
-        return all(frozenset(map(image, a.extensions[x])) == b.extensions[y] for x, y in f.items())
+        pairs = f.items() if checked is None else (
+            (x, node_b[c]) for x, c in col_a.items() if c in checked
+        )
+        return all(frozenset(map(image, a.extensions[x])) == b.extensions[y] for x, y in pairs)
 
     table: dict[tuple, int] = {}
     col_a = _condensation_colours(a, table)
     col_b = _condensation_colours(b, table)
+    # Every condensation key holds the provenance colour, so the
+    # colour-matching map preserves provenance.  An acyclic node's key
+    # (a pair) also holds its member colours, so with injective colours
+    # the map carries its members onto its image's.  A cycle key (five
+    # fields) counts only the members inside the component, so the
+    # root verdict checks edges at nodes with such keys alone.  Refined
+    # and individualised colours keep no such promise: their verdicts
+    # check every edge.
+    on_cycle = {c for key, c in table.items() if len(key) == 5}
     # Depth-first over branches, with an explicit stack: recursion depth
     # would otherwise scale with the node count.  A branch is a refined
     # parent colouring pair and the nodes ``x`` and ``y`` that share a
@@ -470,7 +500,7 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
             fresh = len(col_a)
             col_a = {**col_a, x: fresh}
             col_b = {**col_b, y: fresh}
-        verdict = settle(col_a, col_b)
+        verdict = settle(col_a, col_b, on_cycle if x is None else None)
         if verdict is None:
             col_a, col_b = _refine([a, b], [col_a, col_b])
             verdict = settle(col_a, col_b)

@@ -11,7 +11,9 @@ Values are interned: building the same set twice yields the same
 object, and a collection whose members coincide with the membership
 extension of an atom or a self-membered code collapses onto it. That
 mirrors extensional identification and keeps "one value per extension"
-true by construction.
+true by construction. The stage values of :func:`oracle_complete` are
+the one exception: each is new to its run and never leaves it, so they
+skip the table.
 """
 
 from __future__ import annotations
@@ -126,11 +128,12 @@ def _stage_guard(count: int, budget: Budget, what: str) -> None:
         )
 
 
-def _one_stage(values: AbstractSet[SetValue], budget: Budget, what: str) -> list[SetValue]:
+def _one_stage(values: AbstractSet[SetValue], budget: Budget, what: str) -> list[Collection]:
     """All subsets of ``values`` not already represented by one of them,
-    as fresh collection values, deterministically ordered.
+    as fresh collection values, deterministically ordered and not
+    interned.
 
-    Each subset is interned as a collection directly, without
+    Each subset is built as a collection directly, without
     :func:`collection`: its members come key-sorted and distinct from
     the sorted snapshot, and it cannot collapse onto an atom or loop
     code among them, whose own extension is represented and so skipped.
@@ -138,11 +141,11 @@ def _one_stage(values: AbstractSet[SetValue], budget: Budget, what: str) -> list
     _stage_guard(len(values), budget, what)
     represented = set(map(value_extension, values))
     snapshot = sorted(values, key=_key)
-    fresh: list[SetValue] = []
+    fresh: list[Collection] = []
     for size in range(len(snapshot) + 1):
         for combo in itertools.combinations(snapshot, size):
             if frozenset(combo) not in represented:
-                fresh.append(_intern(Collection(members=combo)))
+                fresh.append(Collection(members=combo))
     return fresh
 
 
@@ -168,8 +171,10 @@ def hf_universe(
     values: set[SetValue] = {atom(lbl) for lbl in labels}
     if len(values) != len(labels):
         raise ValueError("atom labels must be distinct")
+    # Each stage is interned before the next one is built from it, so
+    # every member of a returned value is the interned value too.
     for stage in range(1, k + 1):
-        values.update(_one_stage(values, budget, f"stage {stage}"))
+        values.update(map(_intern, _one_stage(values, budget, f"stage {stage}")))
     return frozenset(values)
 
 
@@ -277,7 +282,10 @@ def oracle_complete(
         node_of[v] = x
     # Every value so far, with its provenance: a seed value keeps its
     # node's, a stage-r value is stamped with level r, one shared stamp
-    # per stage.
+    # per stage.  Stage values skip the intern table.  Each is a subset
+    # no value of the run represents, so it is distinct from every
+    # other value of the run, and it never leaves this function: only
+    # its key does, as a node id.
     stamps: dict[SetValue, Provenance] = {v: g.provenance[x] for v, x in node_of.items()}
     for stage in range(1, n + 1):
         fresh = _one_stage(stamps.keys(), budget, f"stage {stage}")
@@ -288,7 +296,10 @@ def oracle_complete(
     ids = dict(zip(order, map("hf:".__add__, map(_key, order))))
     ids.update(node_of)
     image = ids.__getitem__
-    members = [frozenset(map(image, value_extension(v))) for v in order]
+    members = [
+        frozenset(map(image, v.members if isinstance(v, Collection) else value_extension(v)))
+        for v in order
+    ]
     extensions = dict(zip(ids.values(), members))
     # Two values share a node only where a generated id is a seed's.
     if len(extensions) != len(ids):

@@ -38,6 +38,11 @@ _MAX_NATURALS = 1024
 # seed past 20 atoms cannot be completed even one level within the
 # default budget anyway.
 _MAX_QUINE_ATOMS = 1 << 16
+# A chain-style certificate lists node x in rank families depth(x)+1 up
+# to the top one, so a chain atom of L links takes about L**2/2 entries.
+# 2**21 entries (a 2,045-link chain atom) make a 40 MB document, less
+# than the 58 MB of a two-level completion of a four-node seed.
+_MAX_RANK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -515,7 +520,8 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
     order (chain atom number c ends at numeral c+1, which no other node
     may claim), then tuple encodings, then codes. Chain style
     additionally derives the depth/rank certificate and verifies it
-    before returning.
+    before returning; a certificate of more than ``_MAX_RANK_ENTRIES``
+    rank-family entries raises SizeLimitError before it is built.
     """
     g = _numeral_graph(spec.naturals_up_to)
     numerals = numeral_ids(spec.naturals_up_to)
@@ -538,6 +544,12 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
         rank = membership_ranks(g)
         depth = _chain_style_depths(g, spec, index, rank)
         top = max(depth.values(), default=0) + 1
+        entries = top * len(depth) - sum(depth.values())
+        if entries > _MAX_RANK_ENTRIES:
+            raise SizeLimitError(
+                f"chain-style certificates are limited to {_MAX_RANK_ENTRIES} "
+                f"rank-family entries, got {entries}"
+            )
         ranks = {
             i: {x: rank[x] for x in g.nodes if depth[x] < i}
             for i in range(1, top + 1)

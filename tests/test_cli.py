@@ -166,6 +166,31 @@ def test_seed_spec_numerals_past_the_cap_exit_2(tmp_path):
     assert err == "size limit: naturals_up_to is limited to 1024, got 2000\n"
 
 
+@pytest.mark.parametrize(
+    "length, entries", [(2046, 2098175), (20_000, 200050002)], ids=["just-past", "20000-links"]
+)
+def test_seed_spec_chain_certificate_past_the_cap_exits_2(tmp_path, length, entries):
+    """A 20,000-link chain atom once exited 1 with a MemoryError under a
+    1.5 GB address-space limit, building its 20,002 rank families."""
+    path = tmp_path / "chain.json"
+    path.write_text(
+        json.dumps(
+            {
+                "atoms": [{"label": "long", "kind": "chain", "length": length}],
+                "naturals_up_to": 2,
+                "code_style": "chain",
+                "code_length": 1,
+            }
+        )
+    )
+    assert invoke(["seed", "spec", str(path)]) == (
+        2,
+        "",
+        "size limit: chain-style certificates are limited to 2097152 rank-family entries, "
+        f"got {entries}\n",
+    )
+
+
 def test_seed_quine_at_the_cap_and_past_it():
     from setforge import seeds
 

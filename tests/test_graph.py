@@ -382,6 +382,61 @@ def test_condensation_colours_agree_with_reference_partition():
     assert twins >= 30
 
 
+def on_no_cycle(g: ExtensionalDigraph) -> list[str]:
+    """The nodes with members that no member path leads back to."""
+
+    def reaches_itself(x: str) -> bool:
+        seen: set[str] = set()
+        todo = list(g.extensions[x])
+        while todo:
+            m = todo.pop()
+            if m == x:
+                return True
+            if m not in seen:
+                seen.add(m)
+                todo.extend(g.extensions[m])
+        return False
+
+    return [x for x in sorted(g.nodes) if g.extensions[x] and not reaches_itself(x)]
+
+
+def test_root_verdict_agrees_with_reference_when_an_acyclic_edge_moves(monkeypatch):
+    """The root verdict checks edges only at nodes on a cycle and trusts
+    the keys of the rest.  One member edge of an acyclic node moved onto
+    another member, in a relabelled copy of a completion or of cycles
+    below a tower, must give the reference's verdict in both argument
+    orders.  Lower caps keep the reference's give-ups short, as in
+    the completion test above."""
+    monkeypatch.setattr(helpers, "_REFERENCE_STATE_LIMIT", 5_000)
+    monkeypatch.setattr(graph, "_SEARCH_STATE_LIMIT", 5_000)
+    rng = random.Random(2718)
+    graphs = [complete(random_seed_with_quines(rng, rng.choice((3, 4))), 1).graph for _ in range(30)]
+    graphs += [cycles_below_a_tower(rng) for _ in range(200)]
+    verdicts = []
+    for g in graphs:
+        acyclic = [x for x in on_no_cycle(g) if g.extensions[x] != g.nodes]
+        if not acyclic:
+            continue
+        x = rng.choice(acyclic)
+        moved = dict(g.extensions)
+        moved[x] = moved[x] - {rng.choice(sorted(moved[x]))}
+        moved[x] |= {rng.choice(sorted(g.nodes - g.extensions[x]))}
+        names = sorted(g.nodes)
+        rename = dict(zip(names, rng.sample([f"r{i}" for i in range(len(names))], len(names))))
+        h = ExtensionalDigraph(
+            {rename[y]: frozenset(map(rename.get, ms)) for y, ms in moved.items()},
+            {rename[y]: p for y, p in g.provenance.items()},
+        )
+        orders = ((g, h), (h, g))
+        reference = [outcome(reference_is_isomorphic, a, b) for a, b in orders]
+        known = {v for v in reference if v is not None}
+        assert len(known) == 1
+        for a, b in orders:
+            assert is_isomorphic(a, b) in known
+        verdicts.extend(known)
+    assert len(verdicts) >= 150 and verdicts.count(False) >= 100
+
+
 def cycles(*named: list[str]) -> ExtensionalDigraph:
     """Disjoint membership cycles, each node the only member of the next."""
     return ExtensionalDigraph.from_extensions(

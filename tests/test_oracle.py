@@ -87,6 +87,33 @@ def test_intern_table_shrinks_back_after_a_command_with_the_collector_paused(
     assert len(oracle._registry) == start
 
 
+def test_only_the_decoration_is_interned(monkeypatch):
+    """Stage values skip the intern table; ``hf_universe`` interns its
+    results, members included, so ``collection`` rebuilds each one as
+    the very same object."""
+    g = quine_atoms(["a", "b"])
+    decoration = sorted(v.key for v in decorate(g).values())
+    interned = []
+    intern = oracle._intern
+
+    def counting(value):
+        interned.append(value.key)
+        return intern(value)
+
+    monkeypatch.setattr(oracle, "_intern", counting)
+    assert len(oracle_complete(g, 2)) == 16
+    assert sorted(interned) == decoration
+
+    def rebuild(v):
+        if isinstance(v, oracle.Atom):
+            return atom(v.label)
+        return collection(map(rebuild, v.members))
+
+    for k, atoms in ((4, ()), (2, ("a", "b"))):
+        values = hf_universe(k, atoms)
+        assert all(rebuild(v) is v for v in values)
+
+
 def test_collections_are_interned():
     empty = collection([])
     assert empty is collection([])

@@ -327,6 +327,32 @@ def test_assemble_certifies_chain_labels_that_contain_the_id_separator():
     assert seed.dred.depth[chain_atom_id("a:b", 1)] == 1
 
 
+def test_chain_style_certificate_at_the_cap_and_one_past_it(monkeypatch):
+    """The rank families are priced before any is built: node x sits in
+    families depth(x)+1 up to the top one."""
+    spec = CodeSpec(
+        atoms=(AtomDecl("a", "chain", length=5),),
+        naturals_up_to=2,
+        tuples=(TupleDecl(0, ("a",)),),
+        code_style="chain",
+        code_length=2,
+    )
+    dred = assemble(spec).dred
+    assert dred is not None
+    entries = sum(map(len, dred.ranks.values()))
+    top = max(dred.depth.values()) + 1
+    assert entries == sum(top - d for d in dred.depth.values()) > 0
+    monkeypatch.setattr(seeds, "_MAX_RANK_ENTRIES", entries)
+    assert assemble(spec).dred == dred
+    monkeypatch.setattr(seeds, "_MAX_RANK_ENTRIES", entries - 1)
+    with pytest.raises(
+        SizeLimitError,
+        match=f"^chain-style certificates are limited to {entries - 1} rank-family entries, "
+        f"got {entries}$",
+    ):
+        assemble(spec)
+
+
 LONG_CHAIN = sys.getrecursionlimit() + 50
 
 
