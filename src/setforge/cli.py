@@ -21,9 +21,9 @@ from dataclasses import replace
 from typing import Any, Sequence
 
 from .completion import Budget, DEFAULT_BUDGET, complete, witness_report
-from .document import GraphDocument, _gc_paused, deserialize, serialize
+from .document import _gc_paused, deserialize, serialize
 from .dot import to_dot
-from .dred import Dred, dred_complete, verify_dred
+from .dred import dred_complete, verify_dred
 from .errors import (
     BudgetExceededError,
     DredConditionError,
@@ -32,7 +32,7 @@ from .errors import (
     SizeLimitError,
     SpecValidationError,
 )
-from .graph import ExtensionalDigraph
+from .graph import AnnotatedGraph, ExtensionalDigraph
 from .logic import AXIOM_NAMES, check_axiom, define_class, eval_formula, parse
 from .oracle import compare, oracle_complete
 from .seeds import AtomDecl, CodeSpec, TupleDecl, assemble, quine_atoms, von_neumann_seed
@@ -52,11 +52,11 @@ def _resolve_budget(value: int | None) -> Budget:
     return Budget(value)
 
 
-def _read_document() -> GraphDocument:
+def _read_document() -> AnnotatedGraph:
     return deserialize(sys.stdin.read())
 
 
-def _emit_document(doc: GraphDocument) -> None:
+def _emit_document(doc: AnnotatedGraph) -> None:
     print(serialize(doc))
 
 
@@ -104,12 +104,12 @@ def _cmd_seed(args: argparse.Namespace) -> int:
     if args.kind == "empty":
         if args.arg is not None:
             raise SpecValidationError("seed empty takes no argument")
-        _emit_document(GraphDocument.from_graph(ExtensionalDigraph.empty()))
+        _emit_document(AnnotatedGraph(ExtensionalDigraph.empty()))
         return 0
     if args.kind == "vN":
         if args.arg is None:
             raise SpecValidationError("seed vN needs a stage number")
-        _emit_document(GraphDocument.from_graph(von_neumann_seed(int(args.arg))))
+        _emit_document(AnnotatedGraph(von_neumann_seed(int(args.arg))))
         return 0
     if args.kind == "quine":
         if args.arg is None:
@@ -117,9 +117,7 @@ def _cmd_seed(args: argparse.Namespace) -> int:
         count = int(args.arg)
         if count < 0:
             raise SpecValidationError("atom count must be non-negative")
-        _emit_document(
-            GraphDocument.from_graph(quine_atoms(f"q{i}" for i in range(count)))
-        )
+        _emit_document(AnnotatedGraph(quine_atoms(f"q{i}" for i in range(count))))
         return 0
     # spec file
     if args.arg is None:
@@ -140,11 +138,7 @@ def _cmd_seed(args: argparse.Namespace) -> int:
         ) from e
     spec, formulas = _spec_from_json(raw)
     seed = assemble(spec)
-    if seed.dred is not None:
-        doc = replace(GraphDocument.from_dred(seed.dred), formulas=formulas)
-    else:
-        doc = GraphDocument(graph=seed.graph, formulas=formulas)
-    _emit_document(doc)
+    _emit_document(replace(seed.dred or AnnotatedGraph(seed.graph), formulas=formulas))
     return 0
 
 
@@ -152,11 +146,9 @@ def _cmd_complete(args: argparse.Namespace) -> int:
     doc = _read_document()
     budget = _resolve_budget(args.budget)
     if args.dred:
-        du = dred_complete(doc.to_dred(), args.levels, budget)
-        out = GraphDocument.from_dred_universe(du)
+        out = dred_complete(doc, args.levels, budget)
     else:
-        u = complete(doc.graph, args.levels, budget)
-        out = GraphDocument.from_universe(u)
+        out = complete(doc.graph, args.levels, budget)
     _emit_document(replace(out, formulas=doc.formulas))
     return 0
 
@@ -174,7 +166,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             print(f"axiom {report.axiom}: fails ({report.detail})")
         return 0 if report.holds else 1
     if args.witness_report:
-        report = witness_report(doc.to_universe())
+        report = witness_report(doc)
         if args.porcelain:
             failed = {(f.level, f.clause): f for f in report.failures}
             for level, clause in report.checked:
@@ -188,7 +180,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 print(line)
         return 0 if report.ok else 1
     # dred conditions
-    report = verify_dred(doc.to_dred())
+    report = verify_dred(doc)
     if args.porcelain:
         if report.ok:
             print("dred\tok\t")
@@ -200,7 +192,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _resolve_formula(doc: GraphDocument, text: str):
+def _resolve_formula(doc: AnnotatedGraph, text: str):
     if text.startswith("@"):
         name = text[1:]
         if name not in doc.formulas:
@@ -249,9 +241,7 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    doc = _read_document()
-    source = doc.graph if doc.depth is None else Dred(doc.graph, doc.depth, doc.ranks or {})
-    rendered = to_dot(source)
+    rendered = to_dot(_read_document())
     if args.dot == "-":
         sys.stdout.write(rendered)
         return 0

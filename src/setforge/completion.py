@@ -22,9 +22,11 @@ from typing import Iterator
 
 from .errors import BudgetExceededError, SchemaError, SetforgeError
 from .graph import (
+    AnnotatedGraph,
     Deficiency,
     ExtensionalDigraph,
     NodeId,
+    _require_blocks,
     require_extensional,
     subset_node_id,
 )
@@ -58,45 +60,6 @@ class Budget:
 
 
 DEFAULT_BUDGET = Budget()
-
-
-@dataclass(frozen=True)
-class LeveledUniverse:
-    """A graph together with the cumulative node set of every level.
-
-    ``levels[n]`` is the node set after ``n`` completion steps;
-    ``levels[0]`` is the seed.
-    """
-
-    graph: ExtensionalDigraph
-    levels: tuple[frozenset[NodeId], ...]
-
-    def __post_init__(self) -> None:
-        if not self.levels:
-            raise ValueError("a leveled universe needs at least one level")
-        if self.levels[-1] != self.graph.nodes:
-            raise ValueError("top level must equal the graph's node set")
-        for lower, upper in zip(self.levels, self.levels[1:]):
-            if not lower <= upper:
-                raise ValueError("levels must be cumulative")
-
-    @property
-    def level_sizes(self) -> list[int]:
-        return [len(level) for level in self.levels]
-
-    def level_graph(self, n: int) -> ExtensionalDigraph:
-        """The induced graph on ``levels[n]``.
-
-        Because completion-created nodes only ever point at older nodes,
-        the induced subgraph on a level is exactly the graph as it stood
-        when that level was the top.  A hand-built level that is not
-        closed under membership raises UnknownNodeError.
-        """
-        wanted = self.levels[n]
-        return ExtensionalDigraph.from_extensions(
-            {x: self.graph.extensions[x] for x in wanted},
-            {x: self.graph.provenance[x] for x in wanted},
-        )
 
 
 def _over_budget(node_count: int, budget: Budget) -> BudgetExceededError:
@@ -163,8 +126,9 @@ def deficiency(g: ExtensionalDigraph, budget: Budget = DEFAULT_BUDGET) -> list[t
     return sorted(_members(nodes, masks))
 
 
-def complete_step(u: LeveledUniverse, budget: Budget = DEFAULT_BUDGET) -> LeveledUniverse:
-    """Append one completion level: a fresh node per missing subset.
+def complete_step(u: AnnotatedGraph, budget: Budget = DEFAULT_BUDGET) -> AnnotatedGraph:
+    """Append one completion level to a leveled record: a fresh node per
+    missing subset.  The result carries the graph and levels only.
 
     New node ids are content-addressed from the member list, so the
     operation is deterministic and agrees across graphs that share
@@ -185,14 +149,14 @@ def complete_step(u: LeveledUniverse, budget: Budget = DEFAULT_BUDGET) -> Levele
         extensions[node] = frozenset(members)
         provenance[node] = stamp
     new_graph = ExtensionalDigraph(extensions, provenance)
-    return LeveledUniverse(graph=new_graph, levels=u.levels + (new_graph.nodes,))
+    return AnnotatedGraph(new_graph, levels=u.levels + (new_graph.nodes,))
 
 
 def complete(
     g: ExtensionalDigraph,
     n: int,
     budget: Budget = DEFAULT_BUDGET,
-) -> LeveledUniverse:
+) -> AnnotatedGraph:
     """Run ``n`` completion steps starting from seed level ``g``.
 
     The result has ``n + 1`` levels.  The whole request is priced by
@@ -203,7 +167,7 @@ def complete(
         raise ValueError("level count must be non-negative")
     require_extensional(g)
     _require_affordable(len(g), n, budget)
-    u = LeveledUniverse(graph=g, levels=(g.nodes,))
+    u = AnnotatedGraph(g, levels=(g.nodes,))
     for _ in range(n):
         u = complete_step(u, budget)
     return u
@@ -275,8 +239,9 @@ class WitnessReport:
         return lines
 
 
-def witness_report(u: LeveledUniverse) -> WitnessReport:
-    """Check the four finite model-construction clauses on a universe.
+def witness_report(u: AnnotatedGraph) -> WitnessReport:
+    """Check the four finite model-construction clauses on a leveled
+    record.
 
     For each level ``n`` where the needed higher level exists:
 
@@ -291,8 +256,9 @@ def witness_report(u: LeveledUniverse) -> WitnessReport:
 
     Requires at least three levels, otherwise no clause is checkable at
     any level together with power set at the same offset discipline;
-    fewer raise SchemaError naming ``levels``, as bad data.
+    fewer, or none, raise SchemaError naming ``levels``, as bad data.
     """
+    _require_blocks(u, "levels")
     if len(u.levels) < 3:
         raise SchemaError("levels", "witness report needs at least 3 levels")
     g = u.graph

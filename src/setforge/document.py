@@ -4,7 +4,8 @@ A document is one line of JSON with sorted keys and sorted node and
 edge lists, so equal documents are byte-identical and diffs are
 meaningful. The graph core (nodes with provenance, edges) is always
 present; level structure, depth and rank annotations, and a formula
-library are optional blocks.
+library are optional blocks. In memory a document is an
+:class:`~setforge.graph.AnnotatedGraph`, one field per block.
 
 Schema violations raise :class:`~setforge.errors.SchemaError` naming
 the offending field path, for example ``edges[3]`` or ``ranks.2``.
@@ -17,16 +18,14 @@ import json
 import sys
 from bisect import bisect_left
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, itemgetter, le, lt
 from typing import Any, Iterable, Iterator, Mapping
 
-from .completion import LeveledUniverse
-from .dred import Dred, DredLeveledUniverse
 from .errors import SchemaError
 from .graph import (
+    AnnotatedGraph,
     Code,
     Deficiency,
     ExtensionalDigraph,
@@ -38,50 +37,6 @@ from .graph import (
 FORMAT_VERSION = 1
 
 _CODE_KINDS = ("loop", "chain", "tuple", "atom")
-
-
-@dataclass(frozen=True)
-class GraphDocument:
-    """In-memory form of one serialized graph file."""
-
-    graph: ExtensionalDigraph
-    levels: tuple[frozenset[NodeId], ...] | None = None
-    depth: dict[NodeId, int] | None = None
-    ranks: dict[int, dict[NodeId, int]] | None = None
-    formulas: dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def from_graph(cls, g: ExtensionalDigraph) -> "GraphDocument":
-        return cls(graph=g)
-
-    @classmethod
-    def from_universe(cls, u: LeveledUniverse) -> "GraphDocument":
-        return cls(graph=u.graph, levels=u.levels)
-
-    @classmethod
-    def from_dred(cls, h: Dred) -> "GraphDocument":
-        return cls(graph=h.graph, depth=h.depth, ranks=h.ranks)
-
-    @classmethod
-    def from_dred_universe(cls, du: DredLeveledUniverse) -> "GraphDocument":
-        return cls(graph=du.graph, levels=du.levels, depth=du.depth, ranks=du.ranks)
-
-    def to_universe(self) -> LeveledUniverse:
-        if self.levels is None:
-            raise SchemaError("levels", "document has no levels block")
-        return LeveledUniverse(graph=self.graph, levels=self.levels)
-
-    def to_dred(self) -> Dred:
-        if self.depth is None:
-            raise SchemaError("depth", "document has no depth block")
-        if self.ranks is None:
-            raise SchemaError("ranks", "document has no ranks block")
-        return Dred(graph=self.graph, depth=self.depth, ranks=self.ranks)
-
-    def to_dred_universe(self) -> DredLeveledUniverse:
-        u = self.to_universe()
-        h = self.to_dred()
-        return DredLeveledUniverse(universe=u, depth=h.depth, ranks=h.ranks)
 
 
 @contextmanager
@@ -152,7 +107,7 @@ def _dumps(value: Any) -> str:
 
 
 @_gc_paused()
-def serialize(doc: GraphDocument) -> str:
+def serialize(doc: AnnotatedGraph) -> str:
     """One canonical line; equal documents serialize byte-identically.
 
     The graph core is written directly, byte for byte as
@@ -494,7 +449,7 @@ def _check_formulas_by_item(formulas_raw: dict) -> None:
 
 
 @_gc_paused()
-def deserialize(text: str) -> GraphDocument:
+def deserialize(text: str) -> AnnotatedGraph:
     """Parse and validate one document. See the module docstring for
     the shape; violations name the field path.
 
@@ -569,10 +524,4 @@ def deserialize(text: str) -> GraphDocument:
         if not _all_of(formulas.values(), str):
             _check_formulas_by_item(formulas)
 
-    return GraphDocument(
-        graph=graph,
-        levels=levels,
-        depth=depth,
-        ranks=ranks,
-        formulas=formulas,
-    )
+    return AnnotatedGraph(graph, levels, depth, ranks, formulas)

@@ -8,8 +8,7 @@ and rank annotations are appended to the label when present.
 
 from __future__ import annotations
 
-from .dred import Dred, DredLeveledUniverse
-from .graph import Deficiency, ExtensionalDigraph, NodeId, Seed
+from .graph import AnnotatedGraph, Deficiency, ExtensionalDigraph, NodeId, Seed
 
 _SHADES = ("gray92", "gray84", "gray76", "gray68")
 
@@ -34,19 +33,11 @@ def _base_label(g: ExtensionalDigraph, x: NodeId) -> str:
     return p.detail
 
 
-def to_dot(source: ExtensionalDigraph | Dred | DredLeveledUniverse) -> str:
-    """Render a graph (optionally with depth/rank annotations) as DOT."""
-    if isinstance(source, DredLeveledUniverse):
-        source = source.dred()
-    if isinstance(source, Dred):
-        g = source.graph
-        depth: dict[NodeId, int] | None = source.depth
-        top = max(source.ranks) if source.ranks else None
-        top_rank = source.ranks.get(top, {}) if top is not None else {}
-    else:
-        g = source
-        depth = None
-        top_rank = {}
+def to_dot(source: AnnotatedGraph) -> str:
+    """Render a graph as DOT, with its depths and top rank map when the
+    record carries them."""
+    g, depth, ranks = source.graph, source.depth, source.ranks
+    top_rank = ranks[max(ranks)] if ranks else {}
     lines = ['digraph "setforge" {', "  rankdir=BT;"]
     for x in g.sorted_nodes():
         label_lines = [_base_label(g, x)]

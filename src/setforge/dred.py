@@ -1,7 +1,8 @@
 """Depth/rank certificates for Foundation over extensional digraphs.
 
-A Dred is a graph plus a depth map and a finite family of partial rank
-maps.  The four conditions checked by :func:`verify_dred`:
+A certificate is the depth map and the finite family of partial rank
+maps that an :class:`~setforge.graph.AnnotatedGraph` carries.  The four
+conditions checked by :func:`verify_dred`:
 
 1. the graph is extensional;
 2. along every edge, the member's depth exceeds the container's by at
@@ -21,34 +22,22 @@ Foundation axiom's witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .completion import (
     Budget,
     DEFAULT_BUDGET,
-    LeveledUniverse,
     _require_affordable,
     complete_step,
 )
 from .errors import DredConditionError
-from .graph import ExtensionalDigraph, NodeId, extensionality_violation
-
-
-@dataclass(frozen=True)
-class Dred:
-    """An extensional digraph with depth and partial rank annotations.
-
-    ``ranks`` maps each carried index ``i`` to a map defined on the
-    nodes of depth strictly below ``i``.  Treat all three fields as
-    immutable.
-    """
-
-    graph: ExtensionalDigraph
-    depth: dict[NodeId, int]
-    ranks: dict[int, dict[NodeId, int]]
-
-    def max_depth(self) -> int:
-        return max(self.depth.values(), default=0)
+from .graph import (
+    AnnotatedGraph,
+    ExtensionalDigraph,
+    NodeId,
+    _require_blocks,
+    extensionality_violation,
+)
 
 
 @dataclass(frozen=True)
@@ -71,7 +60,7 @@ class DredReport:
         return [f"{v.condition}: {v.detail}" for v in self.violations]
 
 
-def verify_dred(h: Dred) -> DredReport:
+def verify_dred(h: AnnotatedGraph) -> DredReport:
     """Exhaustively check the DRED conditions, reporting every violation.
 
     Condition 3 first finds its suspects, the nodes that have a subset
@@ -79,8 +68,10 @@ def verify_dred(h: Dred) -> DredReport:
     :func:`_subset_depth_suspects`); a valid certificate has none.  Only
     the suspects are then named against their subsets, by enumerating
     the subsets of the extension when that is cheap and by a pairwise
-    scan otherwise.
+    scan otherwise.  A record without a depth or a ranks block raises
+    SchemaError naming it.
     """
+    _require_blocks(h, "depth", "ranks")
     g = h.graph
     violations: list[DredViolation] = []
     nodes = g.sorted_nodes()
@@ -142,7 +133,7 @@ def verify_dred(h: Dred) -> DredReport:
                         )
 
     keys = sorted(h.ranks)
-    needed = h.max_depth() + 1
+    needed = max(depth.values(), default=0) + 1
     if any(k < 1 for k in keys):
         violations.append(DredViolation("rank_family", "rank indices must be positive"))
     elif keys != list(range(1, len(keys) + 1)):
@@ -223,7 +214,7 @@ def _subset_depth_suspects(
     return [y for y in nodes if best[mask[y]] > depth[y] + 1]
 
 
-def require_dred(h: Dred) -> None:
+def require_dred(h: AnnotatedGraph) -> None:
     report = verify_dred(h)
     if not report.ok:
         first = report.violations[0]
@@ -232,43 +223,11 @@ def require_dred(h: Dred) -> None:
         )
 
 
-@dataclass(frozen=True)
-class DredLeveledUniverse:
-    """A leveled universe whose graph carries depth/rank annotations."""
-
-    universe: LeveledUniverse
-    depth: dict[NodeId, int]
-    ranks: dict[int, dict[NodeId, int]]
-
-    @property
-    def graph(self) -> ExtensionalDigraph:
-        return self.universe.graph
-
-    @property
-    def levels(self) -> tuple[frozenset[NodeId], ...]:
-        return self.universe.levels
-
-    def dred(self) -> Dred:
-        return Dred(self.universe.graph, self.depth, self.ranks)
-
-    def level_dred(self, n: int) -> Dred:
-        """The Dred induced on ``levels[n]``.
-
-        Depth and rank restrictions are plain dict restrictions because
-        completion only appends annotations for new nodes.
-        """
-        level_graph = self.universe.level_graph(n)
-        wanted = level_graph.nodes
-        depth = {x: self.depth[x] for x in wanted}
-        ranks = {i: {x: r[x] for x in r if x in wanted} for i, r in self.ranks.items()}
-        return Dred(level_graph, depth, ranks)
-
-
 def dred_complete(
-    h: Dred,
+    h: AnnotatedGraph,
     n: int,
     budget: Budget = DEFAULT_BUDGET,
-) -> DredLeveledUniverse:
+) -> AnnotatedGraph:
     """Run ``n`` steps of :func:`~setforge.completion.complete_step`,
     annotating each step's new nodes with depth and rank.
 
@@ -280,30 +239,33 @@ def dred_complete(
     rather than assumed away; with these recipes no violation is
     expected, and the verification is the evidence.  Like
     :func:`~setforge.completion.complete`, the whole request is priced
-    before the first step.
+    before the first step.  The result's levels start at ``h``'s graph;
+    ``h``'s own levels and formulas are not carried.
     """
+    _require_blocks(h, "depth", "ranks")
     if n < 0:
         raise ValueError("level count must be non-negative")
     require_dred(h)
     _require_affordable(len(h.graph), n, budget)
     depth = dict(h.depth)
     ranks = {i: dict(r) for i, r in h.ranks.items()}
-    u = LeveledUniverse(graph=h.graph, levels=(h.graph.nodes,))
+    u = AnnotatedGraph(h.graph, levels=(h.graph.nodes,), depth=depth, ranks=ranks)
     for _ in range(n):
-        u = complete_step(u, budget)
-        extensions = u.graph.extensions
-        for node in u.levels[-1] - u.levels[-2]:
+        step = complete_step(u, budget)
+        extensions = step.graph.extensions
+        for node in step.levels[-1] - step.levels[-2]:
             members = extensions[node]
             d = max((depth[m] for m in members), default=0)
             depth[node] = d
             for i, r in ranks.items():
                 if d < i:
                     r[node] = max((r[m] + 1 for m in members), default=0)
-        require_dred(Dred(u.graph, depth, ranks))
-    return DredLeveledUniverse(universe=u, depth=depth, ranks=ranks)
+        u = replace(step, depth=depth, ranks=ranks)
+        require_dred(u)
+    return u
 
 
-def foundation_witness(h: Dred, x: NodeId, *, skip_verify: bool = False) -> NodeId:
+def foundation_witness(h: AnnotatedGraph, x: NodeId, *, skip_verify: bool = False) -> NodeId:
     """A member of ``x`` that shares no member with ``x``.
 
     Picks ``n`` one above the deepest member and returns the member of
@@ -312,7 +274,7 @@ def foundation_witness(h: Dred, x: NodeId, *, skip_verify: bool = False) -> Node
     witness, contradicting minimality, so the returned node is
     E-minimal inside ``x``.
 
-    Verifies the Dred first (pass ``skip_verify=True`` after an
+    Verifies the certificate first (pass ``skip_verify=True`` after an
     external :func:`verify_dred` run to amortise the gate).
     """
     if not skip_verify:
@@ -357,11 +319,11 @@ def membership_ranks(g: ExtensionalDigraph) -> dict[NodeId, int]:
     return rank
 
 
-def dred_from_graph(g: ExtensionalDigraph) -> Dred:
+def dred_from_graph(g: ExtensionalDigraph) -> AnnotatedGraph:
     """Equip a well-founded graph with the trivial certificate: all
     depths zero and ``r_1`` the von Neumann rank.
 
     Fails with DredConditionError if the membership relation has a
     cycle, since no rank function can exist then.
     """
-    return Dred(graph=g, depth={x: 0 for x in g.nodes}, ranks={1: membership_ranks(g)})
+    return AnnotatedGraph(g, depth={x: 0 for x in g.nodes}, ranks={1: membership_ranks(g)})

@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import NonExtensionalError, SizeLimitError, UnknownNodeError
+from .errors import NonExtensionalError, SchemaError, SizeLimitError, UnknownNodeError
 
 NodeId = str
 
@@ -199,6 +199,65 @@ class ExtensionalDigraph:
 
     def __repr__(self) -> str:  # keep test failures readable
         return f"ExtensionalDigraph({len(self.nodes)} nodes, {sum(map(len, self.extensions.values()))} edges)"
+
+
+@dataclass(frozen=True)
+class AnnotatedGraph:
+    """A graph with the optional annotations a document carries.
+
+    ``levels[n]`` is the cumulative node set after ``n`` completion
+    steps; ``levels[0]`` is the seed.  ``depth`` and ``ranks`` are a
+    depth/rank (DRED) certificate: ``ranks`` maps each carried index
+    ``i`` to a rank map defined on the nodes of depth strictly below
+    ``i`` (see :func:`setforge.dred.verify_dred`).  ``formulas`` maps
+    names to formula text.  Treat every field as immutable.
+    """
+
+    graph: ExtensionalDigraph
+    levels: tuple[frozenset[NodeId], ...] | None = None
+    depth: dict[NodeId, int] | None = None
+    ranks: dict[int, dict[NodeId, int]] | None = None
+    formulas: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.levels is None:
+            return
+        if not self.levels:
+            raise ValueError("a leveled universe needs at least one level")
+        if self.levels[-1] != self.graph.nodes:
+            raise ValueError("top level must equal the graph's node set")
+        for lower, upper in zip(self.levels, self.levels[1:]):
+            if not lower <= upper:
+                raise ValueError("levels must be cumulative")
+
+    def level(self, n: int) -> "AnnotatedGraph":
+        """The record induced on ``levels[n]``, with the levels up to
+        ``n`` and depth and ranks restricted when they are present.
+
+        Because completion-created nodes only ever point at older nodes,
+        and completion only appends annotations for new nodes, this is
+        the record as it stood when that level was the top.  A
+        hand-built level that is not closed under membership raises
+        UnknownNodeError.
+        """
+        wanted = self.levels[n]
+        graph = ExtensionalDigraph.from_extensions(
+            {x: self.graph.extensions[x] for x in wanted},
+            {x: self.graph.provenance[x] for x in wanted},
+        )
+        depth = ranks = None
+        if self.depth is not None:
+            depth = {x: self.depth[x] for x in wanted}
+        if self.ranks is not None:
+            ranks = {i: {x: r[x] for x in r if x in wanted} for i, r in self.ranks.items()}
+        return AnnotatedGraph(graph, self.levels[: n + 1], depth, ranks, self.formulas)
+
+
+def _require_blocks(h: AnnotatedGraph, *blocks: str) -> None:
+    """Raise SchemaError naming the first of ``blocks`` that ``h`` lacks."""
+    for block in blocks:
+        if getattr(h, block) is None:
+            raise SchemaError(block, f"document has no {block} block")
 
 
 def extension(g: ExtensionalDigraph, x: NodeId) -> frozenset[NodeId]:

@@ -18,9 +18,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .dred import Dred, membership_ranks, require_dred
+from .dred import membership_ranks, require_dred
 from .errors import SeedClashError, SizeLimitError, SpecValidationError, UnknownNodeError
 from .graph import (
+    AnnotatedGraph,
     Code,
     ExtensionalDigraph,
     NodeId,
@@ -34,10 +35,11 @@ _MAX_VON_NEUMANN_STAGE = 5
 # Numeral k has k members, so n numerals take n(n-1)/2 edges: 1,024 of
 # them take 523,776, about as many as a 65,536-node completion.
 _MAX_NATURALS = 1024
-# As many nodes as a two-level completion of a four-node seed; a quine
-# seed past 20 atoms cannot be completed even one level within the
-# default budget anyway.
-_MAX_QUINE_ATOMS = 1 << 16
+# As many nodes as a two-level completion of a four-node seed; a seed
+# past 20 nodes cannot be completed even one level within the default
+# budget anyway. Bounds quine atoms, and chain-atom links and chain-code
+# nodes together.
+_MAX_SEED_NODES = 1 << 16
 # A chain-style certificate lists node x in rank families depth(x)+1 up
 # to the top one, so a chain atom of L links takes about L**2/2 entries.
 # 2**21 entries (a 2,045-link chain atom) make a 40 MB document, less
@@ -96,9 +98,10 @@ class CodeSpec:
     """Declarative description of a seed graph.
 
     Validation happens at construction; an invalid declaration is not
-    representable, and more than ``_MAX_NATURALS`` numerals raise
-    SizeLimitError. Chain code style carries ``code_length``; loop style
-    must leave it unset.
+    representable. More than ``_MAX_NATURALS`` numerals, or more than
+    ``_MAX_SEED_NODES`` chain-atom links and chain-code nodes together,
+    raise SizeLimitError. Chain code style carries ``code_length``; loop
+    style must leave it unset.
     """
 
     atoms: tuple[AtomDecl, ...] = ()
@@ -191,6 +194,13 @@ class CodeSpec:
                 )
         else:
             raise SpecValidationError(f"unknown code style {self.code_style!r}")
+        nodes = sum(a.length for a in self.atoms if a.kind == "chain")
+        if self.code_style == "chain":
+            nodes += len(self.tuples) * self.code_length
+        if nodes > _MAX_SEED_NODES:
+            raise SizeLimitError(
+                f"chain atoms and codes are limited to {_MAX_SEED_NODES} nodes, got {nodes}"
+            )
 
 
 def quine_atom_id(label: str) -> NodeId:
@@ -263,12 +273,12 @@ def von_neumann_seed(k: int) -> ExtensionalDigraph:
 def quine_atoms(labels: Iterable[str]) -> ExtensionalDigraph:
     """A graph of self-membered atoms, one per label.
 
-    More than ``_MAX_QUINE_ATOMS`` labels raise SizeLimitError; past
+    More than ``_MAX_SEED_NODES`` labels raise SizeLimitError; past
     that many, ``labels`` is not read further.
     """
-    labels = list(itertools.islice(labels, _MAX_QUINE_ATOMS + 1))
-    if len(labels) > _MAX_QUINE_ATOMS:
-        raise SizeLimitError(f"quine atoms are limited to {_MAX_QUINE_ATOMS}")
+    labels = list(itertools.islice(labels, _MAX_SEED_NODES + 1))
+    if len(labels) > _MAX_SEED_NODES:
+        raise SizeLimitError(f"quine atoms are limited to {_MAX_SEED_NODES}")
     if len(set(labels)) != len(labels):
         raise SpecValidationError("quine atom labels must be distinct")
     extensions: dict[NodeId, frozenset[NodeId]] = {}
@@ -462,7 +472,7 @@ class AssembledSeed:
     index: CodeIndex
     numerals: tuple[NodeId, ...]
     atom_nodes: dict[str, NodeId]
-    dred: Dred | None = None
+    dred: AnnotatedGraph | None = None
 
 
 def _numeral_graph(count: int) -> ExtensionalDigraph:
@@ -539,7 +549,7 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
     }
     g, index = attach_codes(g, spec)
     require_extensional(g)
-    dred: Dred | None = None
+    dred: AnnotatedGraph | None = None
     if spec.code_style == "chain":
         rank = membership_ranks(g)
         depth = _chain_style_depths(g, spec, index, rank)
@@ -554,7 +564,7 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
             i: {x: rank[x] for x in g.nodes if depth[x] < i}
             for i in range(1, top + 1)
         }
-        dred = Dred(graph=g, depth=depth, ranks=ranks)
+        dred = AnnotatedGraph(g, depth=depth, ranks=ranks)
         require_dred(dred)
     return AssembledSeed(
         spec=spec,

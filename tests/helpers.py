@@ -16,10 +16,10 @@ from typing import Any, Iterator, Mapping
 
 from setforge import (
     FORMAT_VERSION,
+    AnnotatedGraph,
     Code,
     Deficiency,
     ExtensionalDigraph,
-    GraphDocument,
     SchemaError,
     Seed,
     SetforgeError,
@@ -536,7 +536,7 @@ def _reference_parse_provenance(raw: Any, path: str) -> Provenance:
     raise SchemaError(path, f"unknown provenance kind {kind!r}")
 
 
-def reference_serialize(doc: GraphDocument) -> str:
+def reference_serialize(doc: AnnotatedGraph) -> str:
     """``serialize`` as it was while it sorted every block itself before
     handing it to ``json.dumps``; the reference for byte identity."""
 
@@ -571,7 +571,7 @@ def reference_serialize(doc: GraphDocument) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def reference_deserialize(text: str) -> GraphDocument:
+def reference_deserialize(text: str) -> AnnotatedGraph:
     """``deserialize`` as it was while it walked every node, edge and
     annotation one by one; the reference for what is accepted, what is
     built and which error is raised."""
@@ -707,7 +707,7 @@ def reference_deserialize(text: str) -> GraphDocument:
                 raise SchemaError(f"formulas.{name}", "formula bodies must be strings")
             formulas[name] = body
 
-    return GraphDocument(
+    return AnnotatedGraph(
         graph=graph,
         levels=levels,
         depth=depth,

@@ -2,6 +2,7 @@
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -16,10 +17,10 @@ from helpers import parse_dot
 
 import setforge
 from setforge import (
+    AnnotatedGraph,
     AtomDecl,
     CodeSpec,
     ExtensionalDigraph,
-    GraphDocument,
     assemble,
     complete,
     oracle_complete,
@@ -191,10 +192,38 @@ def test_seed_spec_chain_certificate_past_the_cap_exits_2(tmp_path, length, entr
     )
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {
+            "atoms": [{"label": "long", "kind": "chain", "length": 30_000_000}],
+            "naturals_up_to": 2,
+            "code_style": "loop",
+        },
+        {
+            "atoms": [{"label": "a", "kind": "chain", "length": 2}],
+            "naturals_up_to": 3,
+            "tuples": [{"tag": 0, "components": ["a"]}],
+            "code_style": "chain",
+            "code_length": 30_000_000,
+        },
+    ],
+    ids=["loop-style-chain-atom", "chain-style-code"],
+)
+def test_seed_spec_chain_nodes_past_the_cap_exit_2(tmp_path, spec):
+    """Both once exited 1 with a MemoryError under a 1.5 GB
+    address-space limit, building the chain's ids."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = invoke(["seed", "spec", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("size limit: ") and "Traceback" not in err
+
+
 def test_seed_quine_at_the_cap_and_past_it():
     from setforge import seeds
 
-    cap = seeds._MAX_QUINE_ATOMS
+    cap = seeds._MAX_SEED_NODES
     code, out, err = invoke(["seed", "quine", str(cap)])
     assert (code, err) == (0, "")
     assert len(json.loads(out)["nodes"]) == cap
@@ -235,6 +264,43 @@ def test_seed_vn_non_numeric_stage():
 # -- documented pipeline examples --------------------------------------------
 
 
+# stdout of each step of a certified pipeline, pinned by sha256: a
+# three-node chain-style seed with formulas, completed plainly and with
+# its certificate, and the certified completion drawn as DOT.
+GOLDEN_SPEC_JSON = {
+    "atoms": [{"label": "a", "kind": "chain", "length": 1}],
+    "naturals_up_to": 2,
+    "code_style": "chain",
+    "code_length": 1,
+    "formulas": {"selfmember": "x in x", "empty": "all y. !(y in x)"},
+}
+GOLDEN_SHA256 = {
+    "seed": "887d917c174622fbe91b220e81da3f15eae74b72755d488559be2375f618ed62",
+    "complete": "7ea429a50f21dde3376a40d296505b75fcf8605562a59dbb661e1799e3d55d27",
+    "certified": "96f781b22d8b99c6b93e317b410a748830be13976251f523963c0e64a49a23b1",
+    "dot": "508d9bf3d3cc9edc94f3e9e15139d4f112e681041f7b809247b03447c07aa73d",
+}
+
+
+def test_certified_pipeline_golden_stdout(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(GOLDEN_SPEC_JSON))
+    outputs = {}
+    code, outputs["seed"], _ = invoke(["seed", "spec", str(path)])
+    assert code == 0
+    code, outputs["complete"], _ = invoke(["complete", "--levels", "2"], outputs["seed"])
+    assert code == 0
+    code, outputs["certified"], _ = invoke(["complete", "--dred", "--levels", "1"], outputs["seed"])
+    assert code == 0
+    assert json.loads(outputs["certified"])["formulas"] == GOLDEN_SPEC_JSON["formulas"]
+    code, outputs["dot"], _ = invoke(["export", "--dot", "-"], outputs["certified"])
+    assert code == 0
+    digests = {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in outputs.items()}
+    assert digests == GOLDEN_SHA256
+
+
+
+
 def test_pipeline_witness_report_passes():
     doc = seed("empty")
     code, doc2, _ = invoke(["complete", "--levels", "4"], doc)
@@ -272,7 +338,7 @@ def test_tower_refusal_names_the_refused_step():
 
 def test_non_extensional_seed_over_budget_exits_3():
     """Extensionality is checked before the request is priced."""
-    doc = serialize(GraphDocument.from_graph(ExtensionalDigraph.from_extensions({"a": (), "b": ()})))
+    doc = serialize(AnnotatedGraph(ExtensionalDigraph.from_extensions({"a": (), "b": ()})))
     code, out, err = invoke(["complete", "--levels", "30", "--budget", "1"], doc)
     assert (code, out) == (3, "")
     assert err == "nodes 'a' and 'b' have equal extensions\n"
@@ -325,9 +391,11 @@ def test_witness_report_porcelain_shape():
 
 def test_witness_report_needs_levels():
     doc = seed("vN", "2")
-    code, _, err = invoke(["check", "--witness-report"], doc)
-    assert code == 3
-    assert "levels" in err
+    assert invoke(["check", "--witness-report"], doc) == (
+        3,
+        "",
+        "levels: document has no levels block\n",
+    )
 
 
 def test_witness_report_on_two_levels_is_bad_data():
@@ -423,9 +491,11 @@ def test_dred_conditions_report_subset_depth(chain_spec_file):
 
 
 def test_dred_conditions_need_annotations():
-    code, _, err = invoke(["check", "--dred-conditions"], seed("vN", "2"))
-    assert code == 3
-    assert "depth" in err
+    assert invoke(["check", "--dred-conditions"], seed("vN", "2")) == (
+        3,
+        "",
+        "depth: document has no depth block\n",
+    )
 
 
 def test_dred_completion_pipeline(chain_spec_file):
@@ -438,9 +508,22 @@ def test_dred_completion_pipeline(chain_spec_file):
 
 
 def test_dred_completion_needs_annotations():
-    code, _, err = invoke(["complete", "--levels", "1", "--dred"], seed("vN", "2"))
-    assert code == 3
-    assert "depth" in err
+    assert invoke(["complete", "--levels", "1", "--dred"], seed("vN", "2")) == (
+        3,
+        "",
+        "depth: document has no depth block\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--dred-conditions"], ["complete", "--levels", "1", "--dred"]],
+    ids=["check", "complete"],
+)
+def test_dred_commands_need_ranks(chain_spec_file, argv):
+    payload = json.loads(seed("spec", chain_spec_file))
+    del payload["ranks"]
+    assert invoke(argv, json.dumps(payload)) == (3, "", "ranks: document has no ranks block\n")
 
 
 # -- formula commands --------------------------------------------------------
@@ -567,7 +650,7 @@ def test_oracle_compare_past_the_search_state_cap_exits_2(monkeypatch):
     g = ExtensionalDigraph.from_extensions(
         {x: {names[j] for j in range(4) if mask >> j & 1} for x, mask in zip(names, [1, 2, 5, 9])}
     )
-    doc = serialize(GraphDocument.from_graph(g))
+    doc = serialize(AnnotatedGraph(g))
     argv = ["oracle-compare", "--levels", "1", "--porcelain"]
     assert invoke(argv, doc) == (0, "oracle\tisomorphic\tisomorphic\n", "")
     monkeypatch.setattr(graph, "_SEARCH_STATE_LIMIT", 1)
@@ -584,7 +667,7 @@ def test_oracle_compare_on_a_long_chain_never_refines(monkeypatch):
         code_style="chain",
         code_length=1,
     )
-    doc = serialize(GraphDocument.from_graph(assemble(spec).graph))
+    doc = serialize(AnnotatedGraph(assemble(spec).graph))
 
     def refine(*args):
         raise AssertionError("a well-founded graph reached colour refinement")
@@ -673,11 +756,11 @@ def test_diff_identical(tmp_path):
 def test_diff_isomorphic(tmp_path):
     a = write_doc(
         tmp_path / "a.json",
-        serialize(GraphDocument.from_graph(quine_atoms(["left"]))),
+        serialize(AnnotatedGraph(quine_atoms(["left"]))),
     )
     b = write_doc(
         tmp_path / "b.json",
-        serialize(GraphDocument.from_graph(quine_atoms(["right"]))),
+        serialize(AnnotatedGraph(quine_atoms(["right"]))),
     )
     code, out, _ = invoke(["diff", a, b])
     assert code == 0
@@ -685,7 +768,7 @@ def test_diff_isomorphic(tmp_path):
     # Equal graphs, different formula libraries.
     c = write_doc(
         tmp_path / "c.json",
-        serialize(GraphDocument(graph=quine_atoms(["left"]), formulas={"f": "x = x"})),
+        serialize(AnnotatedGraph(graph=quine_atoms(["left"]), formulas={"f": "x = x"})),
     )
     code, out, _ = invoke(["diff", a, c])
     assert code == 0
@@ -696,8 +779,8 @@ def test_diff_symmetric_completion_in_both_orders(tmp_path):
     """A completion with indiscernible atoms against its oracle
     completion: diff must answer whichever document comes first."""
     g = ExtensionalDigraph.from_extensions({"s0": {"s0", "s1", "s2"}, "s1": {"s1"}, "s2": {"s2"}})
-    a = write_doc(tmp_path / "a.json", serialize(GraphDocument.from_graph(complete(g, 2).graph)))
-    b = write_doc(tmp_path / "b.json", serialize(GraphDocument.from_graph(oracle_complete(g, 2))))
+    a = write_doc(tmp_path / "a.json", serialize(AnnotatedGraph(complete(g, 2).graph)))
+    b = write_doc(tmp_path / "b.json", serialize(AnnotatedGraph(oracle_complete(g, 2))))
     expected = (0, "diff\tisomorphic\tdocuments differ, graphs are isomorphic\n", "")
     assert invoke(["diff", "--porcelain", a, b]) == expected
     assert invoke(["diff", "--porcelain", b, a]) == expected
@@ -890,7 +973,7 @@ def test_define_guarded_formulas_on_a_large_completion():
     seed_graph = setforge.ExtensionalDigraph.from_extensions(
         {x: {names[j] for j in range(i) if masks[i] >> j & 1} for i, x in enumerate(names)}
     )
-    seed_doc = serialize(GraphDocument.from_graph(seed_graph))
+    seed_doc = serialize(AnnotatedGraph(seed_graph))
     code, doc, _ = invoke(["complete", "--levels", "1"], seed_doc)
     assert code == 0
     payload = json.loads(doc)

@@ -9,8 +9,8 @@ from setforge import (
     Budget,
     BudgetExceededError,
     Deficiency,
+    AnnotatedGraph,
     ExtensionalDigraph,
-    LeveledUniverse,
     NonExtensionalError,
     SchemaError,
     UnknownNodeError,
@@ -96,13 +96,13 @@ def test_complete_step_sizes_from_empty():
 
 def test_complete_empty_four_levels():
     u = complete(ExtensionalDigraph.empty(), 4)
-    assert u.level_sizes == [0, 1, 2, 4, 16]
+    assert [len(level) for level in u.levels] == [0, 1, 2, 4, 16]
 
 
 def test_complete_quine_two_levels():
     g = ExtensionalDigraph.from_extensions({"a": {"a"}})
     u = complete(g, 2)
-    assert u.level_sizes == [1, 2, 4]
+    assert [len(level) for level in u.levels] == [1, 2, 4]
 
 
 def test_complete_budget_tower_blowup():
@@ -141,7 +141,8 @@ def test_complete_prices_the_request_before_the_first_step(counted_steps):
     assert str(caught.value) == over_budget_message(65536, 10**6)
     assert counted_steps == []
     # An affordable request still runs every step.
-    assert complete(von_neumann_seed(3), 1, Budget(10**6)).level_sizes == [4, 16]
+    u = complete(von_neumann_seed(3), 1, Budget(10**6))
+    assert [len(level) for level in u.levels] == [4, 16]
     assert len(counted_steps) == 1
 
 
@@ -176,7 +177,7 @@ def test_complete_levels_are_end_extensions():
         u = complete(g, 2)
         for m in range(len(u.levels)):
             for n in range(m, len(u.levels)):
-                assert is_end_extension(u.level_graph(m), u.level_graph(n))
+                assert is_end_extension(u.level(m).graph, u.level(n).graph)
 
 
 def test_complete_adds_no_self_loops():
@@ -238,14 +239,14 @@ def test_new_nodes_carry_deficiency_provenance():
 def test_leveled_universe_validates_nesting():
     g = ExtensionalDigraph.from_extensions({"a": set()})
     with pytest.raises(Exception):
-        LeveledUniverse(graph=g, levels=(frozenset({"a"}), frozenset()))
+        AnnotatedGraph(graph=g, levels=(frozenset({"a"}), frozenset()))
 
 
 def test_level_graph_rejects_a_level_not_closed_under_membership():
     g = ExtensionalDigraph.from_extensions({"a": set(), "b": {"a"}})
-    u = LeveledUniverse(graph=g, levels=(frozenset({"b"}), frozenset({"a", "b"})))
+    u = AnnotatedGraph(graph=g, levels=(frozenset({"b"}), frozenset({"a", "b"})))
     with pytest.raises(UnknownNodeError, match=r"extension of 'b' mentions unknown nodes \['a'\]"):
-        u.level_graph(0)
+        u.level(0).graph
 
 
 def test_budget_must_be_positive():
@@ -295,7 +296,7 @@ def test_witness_report_detects_missing_subset_node():
             "t": Deficiency(level=3),
         },
     )
-    u = LeveledUniverse(
+    u = AnnotatedGraph(
         graph=g,
         levels=(
             frozenset({"p"}),
@@ -314,7 +315,7 @@ def test_witness_report_detects_missing_subset_node():
 def test_level_graph_restriction():
     g = ExtensionalDigraph.from_extensions({"a": {"a"}})
     u = complete(g, 2)
-    lg = u.level_graph(1)
+    lg = u.level(1).graph
     assert lg.nodes == u.levels[1]
     for x in lg.nodes:
         assert lg.extensions[x] == u.graph.extensions[x]

@@ -10,12 +10,12 @@ from dataclasses import replace
 import pytest
 
 from setforge import (
+    AnnotatedGraph,
     AtomDecl,
     Code,
     CodeSpec,
     Deficiency,
     ExtensionalDigraph,
-    GraphDocument,
     SchemaError,
     Seed,
     TupleDecl,
@@ -26,7 +26,9 @@ from setforge import (
     dred_from_graph,
     quine_atoms,
     serialize,
+    verify_dred,
     von_neumann_seed,
+    witness_report,
 )
 from setforge import document
 from helpers import random_extensional_graph, reference_deserialize, reference_serialize
@@ -35,51 +37,48 @@ GOLDEN_EMPTY = '{"edges":[],"format_version":1,"nodes":[]}'
 
 
 def test_empty_document_golden_line():
-    doc = GraphDocument.from_graph(ExtensionalDigraph.empty())
+    doc = AnnotatedGraph(ExtensionalDigraph.empty())
     assert serialize(doc) == GOLDEN_EMPTY
     assert deserialize(GOLDEN_EMPTY) == doc
 
 
 def test_serialize_is_canonical():
     g = von_neumann_seed(3)
-    line = serialize(GraphDocument.from_graph(g))
+    line = serialize(AnnotatedGraph(g))
     assert serialize(deserialize(line)) == line
     assert "\n" not in line
 
 
 def test_graph_round_trip():
-    doc = GraphDocument.from_graph(von_neumann_seed(3))
+    doc = AnnotatedGraph(von_neumann_seed(3))
     assert deserialize(serialize(doc)) == doc
 
 
 def test_universe_round_trip():
     u = complete(ExtensionalDigraph.empty(), 3)
-    doc = GraphDocument.from_universe(u)
-    back = deserialize(serialize(doc))
-    assert back == doc
-    assert back.to_universe().levels == u.levels
+    back = deserialize(serialize(u))
+    assert back == u
+    assert back.levels == u.levels
 
 
 def test_dred_round_trip():
     h = dred_from_graph(von_neumann_seed(3))
-    doc = GraphDocument.from_dred(h)
-    back = deserialize(serialize(doc))
+    back = deserialize(serialize(h))
     assert back.depth == h.depth
     assert back.ranks == {i: dict(r) for i, r in h.ranks.items()}
-    assert back.to_dred().graph == h.graph
+    assert back.graph == h.graph
 
 
 def test_dred_universe_round_trip():
     h = dred_from_graph(ExtensionalDigraph.empty())
     du = dred_complete(h, 3)
-    doc = GraphDocument.from_dred_universe(du)
-    back = deserialize(serialize(doc))
-    assert back == doc
-    assert back.to_dred_universe().levels == du.levels
+    back = deserialize(serialize(du))
+    assert back == du
+    assert back.levels == du.levels
 
 
 def test_formulas_round_trip():
-    doc = GraphDocument(
+    doc = AnnotatedGraph(
         graph=von_neumann_seed(2),
         formulas={"quine": "exists b. (b in b)", "refl": "x = x"},
     )
@@ -89,18 +88,18 @@ def test_formulas_round_trip():
 
 def test_provenance_round_trip():
     g = complete(von_neumann_seed(2), 1).graph
-    back = deserialize(serialize(GraphDocument.from_graph(g))).graph
+    back = deserialize(serialize(AnnotatedGraph(g))).graph
     assert back.provenance == g.provenance
     kinds = {type(p) for p in back.provenance.values()}
     assert kinds == {Seed, Deficiency}
 
 
 def test_missing_blocks_raise():
-    doc = GraphDocument.from_graph(von_neumann_seed(2))
+    doc = AnnotatedGraph(von_neumann_seed(2))
     with pytest.raises(SchemaError):
-        doc.to_universe()
+        witness_report(doc)
     with pytest.raises(SchemaError):
-        doc.to_dred()
+        verify_dred(doc)
 
 
 def shuffled(rng: random.Random, mapping: dict) -> dict:
@@ -108,7 +107,7 @@ def shuffled(rng: random.Random, mapping: dict) -> dict:
     return dict(rng.sample(list(mapping.items()), len(mapping)))
 
 
-def random_document(rng: random.Random) -> GraphDocument:
+def random_document(rng: random.Random) -> AnnotatedGraph:
     """A valid document with every optional block: mixed provenance,
     cumulative levels, depths up to 12, at least 11 rank families (so
     "10" sorts before "2") and formulas; every dict is built in a
@@ -143,7 +142,7 @@ def random_document(rng: random.Random) -> GraphDocument:
         name: rng.choice(("x = x", "exists b. (b in b)", "x in y"))
         for name in rng.sample(["b", "a10", "a2", "Z", "é", "mid"], rng.randint(0, 4))
     }
-    return GraphDocument(
+    return AnnotatedGraph(
         graph=graph,
         levels=tuple(levels),
         depth=shuffled(rng, depth),
@@ -152,7 +151,7 @@ def random_document(rng: random.Random) -> GraphDocument:
     )
 
 
-def perturbed(rng: random.Random, doc: GraphDocument) -> GraphDocument:
+def perturbed(rng: random.Random, doc: AnnotatedGraph) -> AnnotatedGraph:
     """A copy with one random block changed, or an equal copy built in
     another insertion order."""
     roll = rng.randrange(6)
@@ -174,8 +173,8 @@ def perturbed(rng: random.Random, doc: GraphDocument) -> GraphDocument:
             provenance[x] = Seed("relabelled")
         graph = ExtensionalDigraph.from_extensions(graph.extensions, provenance)
     elif roll == 4:
-        return GraphDocument(graph=graph, levels=doc.levels[-1:], depth=depth, ranks=ranks, formulas=formulas)
-    return GraphDocument(
+        return AnnotatedGraph(graph=graph, levels=doc.levels[-1:], depth=depth, ranks=ranks, formulas=formulas)
+    return AnnotatedGraph(
         graph=ExtensionalDigraph.from_extensions(
             shuffled(rng, dict(graph.extensions)), shuffled(rng, dict(graph.provenance))
         ),
@@ -203,7 +202,7 @@ ESCAPED_EXTENSIONS = {
 }
 
 
-def escaped_document() -> GraphDocument:
+def escaped_document() -> AnnotatedGraph:
     """A document whose ids, labels, details, depth and rank keys and
     formula names need JSON escapes, every map in a shuffled order."""
     rng = random.Random(3)
@@ -217,7 +216,7 @@ def escaped_document() -> GraphDocument:
         shuffled(rng, ESCAPED_EXTENSIONS), shuffled(rng, provenance)
     )
     depth = shuffled(rng, {x: i % 3 for i, x in enumerate(names)})
-    return GraphDocument(
+    return AnnotatedGraph(
         graph=graph,
         levels=(frozenset(names[:3]), frozenset(names)),
         depth=depth,
@@ -234,7 +233,7 @@ def test_serialize_matches_reference_byte_for_byte():
         assert line == reference_serialize(doc)
         assert serialize(deserialize(line)) == line
     for g in (ExtensionalDigraph.empty(), von_neumann_seed(3)):
-        doc = GraphDocument.from_graph(g)
+        doc = AnnotatedGraph(g)
         assert serialize(doc) == reference_serialize(doc)
     assert json.dumps("\u00e9") < json.dumps("a") and json.dumps('"') > json.dumps("#")
     doc = escaped_document()
@@ -276,10 +275,10 @@ def valid_lines() -> list[str]:
         code_length=2,
     )
     certified = assemble(spec).dred
-    lines.append(serialize(replace(GraphDocument.from_dred(certified), formulas={"s": "x in x"})))
-    lines.append(serialize(GraphDocument.from_dred_universe(dred_complete(certified, 1))))
+    lines.append(serialize(replace(certified, formulas={"s": "x in x"})))
+    lines.append(serialize(dred_complete(certified, 1)))
     for g in (von_neumann_seed(2), quine_atoms(["p", "q"]), random_extensional_graph(rng, 4)):
-        lines.append(serialize(GraphDocument.from_universe(complete(g, 2))))
+        lines.append(serialize(complete(g, 2)))
     return lines
 
 
@@ -459,7 +458,7 @@ def test_mutated_documents_fail_as_the_reference_fails():
 )
 def test_named_mutations_of_a_completion_match_the_reference(mutate):
     rng = random.Random(5)
-    line = serialize(GraphDocument.from_universe(complete(von_neumann_seed(2), 2)))
+    line = serialize(complete(von_neumann_seed(2), 2))
     for _ in range(20):
         payload = json.loads(line)
         mutate(rng, payload)
@@ -472,7 +471,7 @@ def test_first_bad_edge_end_a_container_fails_as_the_reference_fails(bad):
     """Members are checked in bulk and containers by the grouping's
     lookups; a bad container after valid edges, alone or before a bad
     member, is still named as the item-by-item walk names it."""
-    line = serialize(GraphDocument.from_universe(complete(von_neumann_seed(2), 2)))
+    line = serialize(complete(von_neumann_seed(2), 2))
     count = len(json.loads(line)["edges"])
     for at in (1, count // 2, count - 1):
         for member_after in (False, True):
@@ -501,7 +500,7 @@ def test_valid_documents_never_walk_item_by_item(monkeypatch):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_collector_setting_survives_document_io(enabled):
-    line = serialize(GraphDocument.from_universe(complete(von_neumann_seed(2), 1)))
+    line = serialize(complete(von_neumann_seed(2), 1))
     was = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()
@@ -521,7 +520,7 @@ def test_collector_setting_survives_document_io(enabled):
 
 
 def base_payload() -> dict:
-    return json.loads(serialize(GraphDocument.from_graph(von_neumann_seed(2))))
+    return json.loads(serialize(AnnotatedGraph(von_neumann_seed(2))))
 
 
 def reject(payload, path_prefix: str):
@@ -588,7 +587,7 @@ def test_bad_provenance_kind():
 
 def test_deficiency_members_must_match_extension():
     g = complete(ExtensionalDigraph.empty(), 2).graph
-    payload = json.loads(serialize(GraphDocument.from_graph(g)))
+    payload = json.loads(serialize(AnnotatedGraph(g)))
     i = max(i for i, node in enumerate(payload["nodes"]) if node["provenance"]["kind"] == "deficiency")
     payload["nodes"][i]["provenance"]["members"] = ["bogus-member"]
     err = reject(payload, f"nodes[{i}].provenance")
@@ -597,14 +596,14 @@ def test_deficiency_members_must_match_extension():
 
 def test_levels_must_be_cumulative():
     u = complete(ExtensionalDigraph.empty(), 2)
-    payload = json.loads(serialize(GraphDocument.from_universe(u)))
+    payload = json.loads(serialize(u))
     payload["levels"] = [payload["levels"][1], payload["levels"][0]]
     reject(payload, "levels[")
 
 
 def test_top_level_must_cover_nodes():
     u = complete(ExtensionalDigraph.empty(), 2)
-    payload = json.loads(serialize(GraphDocument.from_universe(u)))
+    payload = json.loads(serialize(u))
     payload["levels"] = payload["levels"][:-1]
     reject(payload, "levels")
 
@@ -675,11 +674,11 @@ def test_emitted_documents_satisfy_published_schema():
     schema = json.loads(SCHEMA_PATH.read_text())
     h = dred_from_graph(ExtensionalDigraph.empty())
     docs = [
-        GraphDocument.from_graph(ExtensionalDigraph.empty()),
-        GraphDocument.from_graph(von_neumann_seed(3)),
-        GraphDocument.from_universe(complete(von_neumann_seed(2), 2)),
-        GraphDocument.from_dred_universe(dred_complete(h, 3)),
-        GraphDocument(graph=von_neumann_seed(2), formulas={"f": "x = x"}),
+        AnnotatedGraph(ExtensionalDigraph.empty()),
+        AnnotatedGraph(von_neumann_seed(3)),
+        complete(von_neumann_seed(2), 2),
+        dred_complete(h, 3),
+        AnnotatedGraph(graph=von_neumann_seed(2), formulas={"f": "x = x"}),
     ]
     for doc in docs:
         jsonschema.validate(json.loads(serialize(doc)), schema)

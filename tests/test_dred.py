@@ -7,8 +7,8 @@ import pytest
 from setforge import (
     AtomDecl,
     Budget,
+    AnnotatedGraph,
     CodeSpec,
-    Dred,
     DredConditionError,
     DredReport,
     DredViolation,
@@ -48,13 +48,13 @@ def set_rank(g: ExtensionalDigraph) -> dict:
 def test_verify_dred_von_neumann_with_set_rank():
     g = von_neumann_seed(3)
     rank = set_rank(g)
-    h = Dred(graph=g, depth={x: 0 for x in g.nodes}, ranks={1: rank, 2: dict(rank)})
+    h = AnnotatedGraph(graph=g, depth={x: 0 for x in g.nodes}, ranks={1: rank, 2: dict(rank)})
     assert verify_dred(h).ok
 
 
 def test_verify_dred_quine_atom_fails_rank_condition():
     g = ExtensionalDigraph.from_extensions({"a": {"a"}})
-    h = Dred(graph=g, depth={"a": 0}, ranks={1: {"a": 7}})
+    h = AnnotatedGraph(graph=g, depth={"a": 0}, ranks={1: {"a": 7}})
     report = verify_dred(h)
     assert not report.ok
     # the self-loop would need r_1(a) < r_1(a)
@@ -63,7 +63,7 @@ def test_verify_dred_quine_atom_fails_rank_condition():
 
 def test_verify_dred_two_node_chain_edge_depth():
     g = ExtensionalDigraph.from_extensions({"a0": {"a1"}, "a1": set()})
-    h = Dred(
+    h = AnnotatedGraph(
         graph=g,
         depth={"a0": 1, "a1": 2},
         ranks={1: {}, 2: {"a0": 0}, 3: {"a0": 1, "a1": 0}},
@@ -77,7 +77,7 @@ def test_verify_dred_reports_violating_members_in_id_order():
     g = ExtensionalDigraph.from_extensions({**extensions, "y": set(members)})
     depth = {"y": 0, **{x: 2 for x in members}}
     r3 = {"y": 0, **{x: 5 + i for i, x in enumerate(members)}}
-    h = Dred(graph=g, depth=depth, ranks={1: {"y": 0}, 2: {"y": 0}, 3: r3})
+    h = AnnotatedGraph(graph=g, depth=depth, ranks={1: {"y": 0}, 2: {"y": 0}, 3: r3})
     report = verify_dred(h)
     details = lambda condition: [v.detail for v in report.violations if v.condition == condition]
     assert details("edge_depth") == [f"edge ({z!r}, 'y'): depth 2 > 0 + 1" for z in members]
@@ -92,7 +92,7 @@ def test_verify_dred_reports_subset_depth():
     g = ExtensionalDigraph.from_extensions(
         {"e": set(), "x": {"e"}, "w": {"x"}, "y": {"e", "w"}}
     )
-    h = Dred(
+    h = AnnotatedGraph(
         graph=g,
         depth={"e": 0, "x": 2, "w": 1, "y": 0},
         ranks={
@@ -110,27 +110,27 @@ def test_verify_dred_reports_subset_depth():
 
 def test_verify_dred_rejects_wrong_rank_domain():
     g = ExtensionalDigraph.from_extensions({"a": set()})
-    h = Dred(graph=g, depth={"a": 5}, ranks={1: {"a": 0}})
+    h = AnnotatedGraph(graph=g, depth={"a": 5}, ranks={1: {"a": 0}})
     report = verify_dred(h)
     assert not report.ok  # depth(a) = 5 is not < 1
 
 
 def test_verify_dred_depth_must_be_total():
     g = ExtensionalDigraph.from_extensions({"a": set()})
-    report = verify_dred(Dred(graph=g, depth={}, ranks={}))
+    report = verify_dred(AnnotatedGraph(graph=g, depth={}, ranks={}))
     assert not report.ok
 
 
 def test_require_dred_raises_with_report():
     g = ExtensionalDigraph.from_extensions({"a": {"a"}})
-    h = Dred(graph=g, depth={"a": 0}, ranks={1: {"a": 0}})
+    h = AnnotatedGraph(graph=g, depth={"a": 0}, ranks={1: {"a": 0}})
     with pytest.raises(DredConditionError) as exc:
         require_dred(h)
     assert exc.value.report is not None
 
 
 def test_dred_complete_empty_matches_plain_completion():
-    h = Dred(graph=ExtensionalDigraph.empty(), depth={}, ranks={1: {}})
+    h = AnnotatedGraph(graph=ExtensionalDigraph.empty(), depth={}, ranks={1: {}})
     du = dred_complete(h, 4)
     assert [len(level) for level in du.levels] == [0, 1, 2, 4, 16]
     assert set(du.depth.values()) == {0}
@@ -152,7 +152,7 @@ def test_dred_complete_empty_matches_plain_completion():
 
 
 def test_dred_complete_rank_of_two_element_set():
-    h = Dred(graph=ExtensionalDigraph.empty(), depth={}, ranks={1: {}})
+    h = AnnotatedGraph(graph=ExtensionalDigraph.empty(), depth={}, ranks={1: {}})
     du = dred_complete(h, 3)
     g = du.graph
     empty_node = next(x for x in g.nodes if g.extensions[x] == frozenset())
@@ -168,15 +168,15 @@ def test_dred_complete_levels_all_verify():
     h = dred_from_graph(von_neumann_seed(2))
     du = dred_complete(h, 2)
     for n in range(len(du.levels)):
-        assert verify_dred(du.level_dred(n)).ok
+        assert verify_dred(du.level(n)).ok
 
 
 def test_dred_complete_depth_rank_agreement_across_levels():
     h = dred_from_graph(von_neumann_seed(2))
     du = dred_complete(h, 2)
     for n in range(len(du.levels) - 1):
-        small = du.level_dred(n)
-        big = du.level_dred(n + 1)
+        small = du.level(n)
+        big = du.level(n + 1)
         for x in small.graph.nodes:
             assert small.depth[x] == big.depth[x]
         for i, r in small.ranks.items():
@@ -193,7 +193,7 @@ def test_dred_complete_budget():
 
 
 def test_foundation_witness_prefers_low_rank():
-    h = Dred(graph=ExtensionalDigraph.empty(), depth={}, ranks={1: {}})
+    h = AnnotatedGraph(graph=ExtensionalDigraph.empty(), depth={}, ranks={1: {}})
     du = dred_complete(h, 3)
     g = du.graph
     empty_node = next(x for x in g.nodes if g.extensions[x] == frozenset())
@@ -201,19 +201,18 @@ def test_foundation_witness_prefers_low_rank():
     pair = next(
         x for x in g.nodes if g.extensions[x] == frozenset({empty_node, singleton})
     )
-    assert foundation_witness(du.dred(), pair) == empty_node
-    assert foundation_witness(du.dred(), singleton) == empty_node
+    assert foundation_witness(du, pair) == empty_node
+    assert foundation_witness(du, singleton) == empty_node
 
 
 def test_foundation_witness_is_minimal_for_every_node():
     h = dred_from_graph(von_neumann_seed(3))
     du = dred_complete(h, 1)
-    dd = du.dred()
     g = du.graph
     for x in sorted(g.nodes):
         if not g.extensions[x]:
             continue
-        w = foundation_witness(dd, x, skip_verify=True)
+        w = foundation_witness(du, x, skip_verify=True)
         assert w in g.extensions[x]
         assert not (g.extensions[w] & g.extensions[x]), (
             f"witness {w} shares a member with {x}"
@@ -231,7 +230,7 @@ def test_foundation_witness_rejects_empty_extension():
 
 def test_foundation_witness_gate_rejects_quine_atom():
     g = ExtensionalDigraph.from_extensions({"a": {"a"}})
-    h = Dred(graph=g, depth={"a": 0}, ranks={1: {"a": 0}})
+    h = AnnotatedGraph(graph=g, depth={"a": 0}, ranks={1: {"a": 0}})
     with pytest.raises(DredConditionError):
         foundation_witness(h, "a")
 
@@ -296,7 +295,7 @@ def test_membership_ranks_name_the_least_node_on_or_above_a_cycle():
         )
 
 
-def reference_verify_dred(h: Dred) -> DredReport:
+def reference_verify_dred(h: AnnotatedGraph) -> DredReport:
     """The verifier as it was before condition 3 ran a subset-max
     transform: every node's subsets are enumerated (or, when there are
     too many, every node scanned), not only the suspects'."""
@@ -361,7 +360,7 @@ def reference_verify_dred(h: Dred) -> DredReport:
                         )
 
     keys = sorted(h.ranks)
-    needed = h.max_depth() + 1
+    needed = max(h.depth.values(), default=0) + 1
     if any(k < 1 for k in keys):
         violations.append(DredViolation("rank_family", "rank indices must be positive"))
     elif keys != list(range(1, len(keys) + 1)):
@@ -419,7 +418,7 @@ def chain_spec_completion():
             code_length=2,
         )
     ).dred
-    return dred_complete(seed, 1).dred()
+    return dred_complete(seed, 1)
 
 
 def test_verify_dred_agrees_with_reference():
@@ -436,7 +435,7 @@ def test_verify_dred_agrees_with_reference():
             i: {x: rng.randint(0, 5) for x in g.nodes if depth[x] < i or rng.random() < 0.05}
             for i in range(1, family + 1)
         }
-        cases.append(Dred(g, depth, ranks))
+        cases.append(AnnotatedGraph(g, depth=depth, ranks=ranks))
     certified = chain_spec_completion()
     assert verify_dred(certified).ok
     nodes = certified.graph.sorted_nodes()
@@ -444,7 +443,7 @@ def test_verify_dred_agrees_with_reference():
         depth = dict(certified.depth)
         for x in rng.sample(nodes, rng.randint(1, 6)):
             depth[x] = rng.randint(0, 6)
-        cases.append(Dred(certified.graph, depth, certified.ranks))
+        cases.append(AnnotatedGraph(certified.graph, depth=depth, ranks=certified.ranks))
     seen = set()
     for h in cases:
         report = verify_dred(h)
@@ -462,4 +461,4 @@ def test_verify_dred_agrees_with_reference():
 def test_verify_dred_certified_completion_of_von_neumann_4():
     # 65,536 nodes whose extensions have up to 16 members: enumerating
     # every subset of every extension took minutes
-    assert verify_dred(dred_complete(dred_from_graph(von_neumann_seed(4)), 1).dred()).ok
+    assert verify_dred(dred_complete(dred_from_graph(von_neumann_seed(4)), 1)).ok

@@ -102,7 +102,7 @@ def test_quine_atoms_duplicate_labels_rejected():
 
 
 def test_quine_atoms_are_capped_before_the_labels_run_out():
-    cap = seeds._MAX_QUINE_ATOMS
+    cap = seeds._MAX_SEED_NODES
     assert len(quine_atoms(f"q{i}" for i in range(cap))) == cap
     with pytest.raises(SizeLimitError, match=f"^quine atoms are limited to {cap}$"):
         quine_atoms(f"q{i}" for i in range(cap + 1))
@@ -456,6 +456,31 @@ def test_spec_numerals_capped_at_validation():
     assert CodeSpec(naturals_up_to=seeds._MAX_NATURALS).naturals_up_to == 1024
     with pytest.raises(SizeLimitError, match="^naturals_up_to is limited to 1024, got 1025$"):
         CodeSpec(naturals_up_to=1025)
+
+
+@pytest.mark.parametrize("style", ["loop", "chain"])
+def test_spec_chain_nodes_capped_at_validation(style):
+    """Chain-atom links and chain-code nodes are priced together before
+    anything is built: one chain atom, and in chain style one tuple
+    guarded by a chain code of the remaining length."""
+    cap = seeds._MAX_SEED_NODES
+
+    def spec(nodes):
+        if style == "loop":
+            return CodeSpec(atoms=(AtomDecl("a", "chain", length=nodes),), naturals_up_to=2)
+        return CodeSpec(
+            atoms=(AtomDecl("a", "chain", length=1),),
+            naturals_up_to=2,
+            tuples=(TupleDecl(0, ("a",)),),
+            code_style="chain",
+            code_length=nodes - 1,
+        )
+
+    assert spec(cap).code_style == style
+    with pytest.raises(
+        SizeLimitError, match=f"^chain atoms and codes are limited to {cap} nodes, got {cap + 1}$"
+    ):
+        spec(cap + 1)
 
 
 @pytest.mark.parametrize("component", ["4", "0004", "1" * 5000], ids=["just-past", "zero-padded", "5000-digits"])

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -28,3 +29,15 @@ def test_every_tracer_target_resolves():
         if not callable(getattr(importlib.import_module(f"setforge.{module}"), function, None))
     ]
     assert missing == []
+
+
+def test_complete_step_keeps_the_argument_the_tracer_reads():
+    """``_step_counts`` reads ``complete_step``'s first argument as ``u``
+    and ``.graph`` on it and on the result; if either goes, the step
+    counters turn into absent metrics."""
+    from setforge import ExtensionalDigraph, completion
+
+    assert next(iter(inspect.signature(completion.complete_step).parameters)) == "u"
+    u = completion.complete(ExtensionalDigraph.empty(), 1)
+    step = completion.complete_step(u=u)
+    assert len(step.graph.nodes) - len(u.graph.nodes) == 1
