@@ -17,6 +17,11 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# The fill attributes of a completion node, by level (the last shade
+# serves every later level).
+_FILLS = tuple(f", style=filled, fillcolor={_quote(shade)}" for shade in _SHADES)
+
+
 def _label_attr(lines: list[str]) -> str:
     escaped = "\\n".join(
         part.replace("\\", "\\\\").replace('"', '\\"') for part in lines
@@ -33,27 +38,42 @@ def _base_label(g: ExtensionalDigraph, x: NodeId) -> str:
     return p.detail
 
 
+def _edge_runs(g: ExtensionalDigraph, quoted: dict[NodeId, str]) -> list[str]:
+    """The edge statements, one string per member that has containers.
+    Walking the containers in id order lists each member's containers
+    in id order, so the statements come out sorted, as ``sorted_edges``."""
+    containers: dict[NodeId, list[str]] = {x: [] for x in quoted}
+    for container, q in quoted.items():
+        for member in g.extensions[container]:
+            containers[member].append(q)
+    runs = []
+    for q, cs in zip(quoted.values(), containers.values()):
+        if cs:
+            head = f"  {q} -> "
+            runs.append(head + f";\n{head}".join(cs) + ";")
+    return runs
+
+
 def to_dot(source: AnnotatedGraph) -> str:
     """Render a graph as DOT, with its depths and top rank map when the
-    record carries them."""
+    record carries them.  Each id is quoted once."""
     g, depth, ranks = source.graph, source.depth, source.ranks
     top_rank = ranks[max(ranks)] if ranks else {}
+    order = g.sorted_nodes()
+    quoted = dict(zip(order, map(_quote, order)))
     lines = ['digraph "setforge" {', "  rankdir=BT;"]
-    for x in g.sorted_nodes():
+    for x in order:
         label_lines = [_base_label(g, x)]
         if depth is not None:
             note = f"d={depth[x]}"
             if x in top_rank:
                 note += f" r={top_rank[x]}"
             label_lines.append(note)
-        attrs = [f"label={_label_attr(label_lines)}"]
+        attrs = f"label={_label_attr(label_lines)}"
         p = g.provenance[x]
         if isinstance(p, Deficiency):
-            shade = _SHADES[min(p.level - 1, len(_SHADES) - 1)]
-            attrs.append("style=filled")
-            attrs.append(f"fillcolor={_quote(shade)}")
-        lines.append(f"  {_quote(x)} [{', '.join(attrs)}];")
-    for member, container in g.sorted_edges():
-        lines.append(f"  {_quote(member)} -> {_quote(container)};")
+            attrs += _FILLS[min(p.level - 1, len(_FILLS) - 1)]
+        lines.append(f"  {quoted[x]} [{attrs}];")
+    lines += _edge_runs(g, quoted)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -22,6 +22,8 @@ Foundation axiom's witness.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .completion import (
@@ -63,74 +65,48 @@ class DredReport:
 def verify_dred(h: AnnotatedGraph) -> DredReport:
     """Exhaustively check the DRED conditions, reporting every violation.
 
-    Condition 3 first finds its suspects, the nodes that have a subset
-    node too deep for them, with one subset-max transform (see
-    :func:`_subset_depth_suspects`); a valid certificate has none.  Only
-    the suspects are then named against their subsets, by enumerating
-    the subsets of the extension when that is cheap and by a pairwise
-    scan otherwise.  A record without a depth or a ranks block raises
-    SchemaError naming it.
+    Each condition is checked in bulk first, by C-level passes over the
+    nodes or the rank families, and walked node by node only when that
+    check fails, to name its violations in id order; so a valid
+    certificate costs about one pass over its nodes and edges.  The
+    rank increase is checked once, on the top family, when every lower
+    family restricts it, as in every certificate setforge writes.
+    Condition 3 finds its suspects, the nodes that have a subset node
+    too deep for them, with one subset-max transform (see
+    :func:`_subset_depth_suspects`); only the suspects are then named
+    against their subsets, by enumerating the subsets of the extension
+    when that is cheap and by a pairwise scan otherwise.  Depths and
+    ranks are integers.  A record without a depth or a ranks block
+    raises SchemaError naming it.
     """
     _require_blocks(h, "depth", "ranks")
     g = h.graph
     violations: list[DredViolation] = []
     nodes = g.sorted_nodes()
 
-    pair = extensionality_violation(g)
-    if pair is not None:
+    pair = None
+    if len(set(g.extensions.values())) < len(nodes):
+        pair = extensionality_violation(g)
         violations.append(
             DredViolation("extensionality", f"nodes {pair[0]!r} and {pair[1]!r} share an extension")
         )
 
-    for x in nodes:
-        if x not in h.depth:
-            violations.append(DredViolation("depth_domain", f"no depth for node {x!r}"))
-        elif h.depth[x] < 0:
-            violations.append(DredViolation("depth_domain", f"negative depth at {x!r}"))
-    for x in h.depth:
-        if x not in g.nodes:
-            violations.append(DredViolation("depth_domain", f"depth given for unknown node {x!r}"))
-    if any(v.condition == "depth_domain" for v in violations):
+    depth = h.depth
+    if depth.keys() != g.nodes or min(depth.values(), default=0) < 0:
+        violations.extend(_depth_domain_violations(g, depth, nodes))
         return DredReport(tuple(violations))
 
-    depth = h.depth
-    for y in nodes:
-        dy = depth[y]
-        for z in sorted(z for z in g.extensions[y] if depth[z] > dy + 1):
-            violations.append(
-                DredViolation(
-                    "edge_depth",
-                    f"edge ({z!r}, {y!r}): depth {depth[z]} > {dy} + 1",
-                )
-            )
+    get_depth = depth.__getitem__
+    if any(
+        max(map(get_depth, _members(g, ys)), default=0) > d + 1
+        for d, ys in _nodes_by_value(depth).items()
+    ):
+        violations.extend(_edge_depth_violations(g, depth, nodes))
 
     if pair is None:
-        by_extension = {ext: x for x, ext in g.extensions.items()}
-        n = len(nodes)
-        for y in _subset_depth_suspects(g, depth, nodes):
-            ext_y = sorted(g.extensions[y])
-            bound = depth[y] + 1
-            if (1 << len(ext_y)) <= max(64, 2 * n):
-                for mask in range(1 << len(ext_y)):
-                    subset = frozenset(ext_y[i] for i in range(len(ext_y)) if mask >> i & 1)
-                    x = by_extension.get(subset)
-                    if x is not None and depth[x] > bound:
-                        violations.append(
-                            DredViolation(
-                                "subset_depth",
-                                f"ext({x!r}) <= ext({y!r}) but depth {depth[x]} > {depth[y]} + 1",
-                            )
-                        )
-            else:
-                ext_set = g.extensions[y]
-                for x in nodes:
-                    if g.extensions[x] <= ext_set and depth[x] > bound:
-                        violations.append(
-                            DredViolation(
-                                "subset_depth",
-                                f"ext({x!r}) <= ext({y!r}) but depth {depth[x]} > {depth[y]} + 1",
-                            )
-                        )
+        suspects = _subset_depth_suspects(g, depth, nodes)
+        if suspects:
+            violations.extend(_subset_depth_violations(g, depth, nodes, suspects))
 
     keys = sorted(h.ranks)
     needed = max(depth.values(), default=0) + 1
@@ -149,69 +125,200 @@ def verify_dred(h: AnnotatedGraph) -> DredReport:
             )
         )
 
+    top = h.ranks[keys[-1]] if keys else {}
+    top_rises = _rises_along_every_edge(g, top)
+    sorted_depths = sorted(depth.values())
     for i in keys:
         if i < 1:
             continue
         r = h.ranks[i]
-        domain = {x for x in nodes if depth[x] < i}
-        for x in sorted(domain - set(r)):
-            violations.append(
-                DredViolation("rank_domain", f"r_{i} undefined at {x!r} (depth {depth[x]} < {i})")
-            )
-        for x in sorted(set(r) - domain):
+        if not (
+            len(r) == bisect_left(sorted_depths, i)
+            and g.nodes.issuperset(r)
+            and max(map(get_depth, r), default=-1) < i
+        ):
+            violations.extend(_rank_domain_violations(i, r, depth, nodes))
+        if not (top_rises and r.items() <= top.items()):
+            violations.extend(_rank_increase_violations(g, i, r, nodes))
+    return DredReport(tuple(violations))
+
+
+def _rises_along_every_edge(g: ExtensionalDigraph, r: dict[NodeId, int]) -> bool:
+    """Whether ``r`` is defined at every node and increases strictly
+    along every edge, so that no family restricting it breaks the rank
+    increase."""
+    if len(r) != len(g.nodes) or not g.nodes.issuperset(r):
+        return False
+    get = r.__getitem__
+    for value, ys in _nodes_by_value(r).items():
+        members = _members(g, ys)
+        if members and max(map(get, members)) >= value:
+            return False
+    return True
+
+
+def _nodes_by_value(values: dict[NodeId, int]) -> dict[int, list[NodeId]]:
+    """The nodes grouped by their value.  A bound that must hold for the
+    members of every node of one value holds when it holds for the
+    members of the whole group, so a per-node check becomes one C-level
+    pass over each group's members."""
+    groups: defaultdict[int, list[NodeId]] = defaultdict(list)
+    for x, value in values.items():
+        groups[value].append(x)
+    return groups
+
+
+def _members(g: ExtensionalDigraph, ys: list[NodeId]) -> set[NodeId]:
+    """The members of any node in ``ys``."""
+    return set().union(*map(g.extensions.__getitem__, ys))
+
+
+# -- walks ---------------------------------------------------------------------
+#
+# Each runs only when its condition's bulk check failed, and names the
+# condition's violations in report order.
+
+
+def _depth_domain_violations(
+    g: ExtensionalDigraph, depth: dict[NodeId, int], nodes: list[NodeId]
+) -> list[DredViolation]:
+    violations = []
+    for x in nodes:
+        if x not in depth:
+            violations.append(DredViolation("depth_domain", f"no depth for node {x!r}"))
+        elif depth[x] < 0:
+            violations.append(DredViolation("depth_domain", f"negative depth at {x!r}"))
+    for x in depth:
+        if x not in g.nodes:
+            violations.append(DredViolation("depth_domain", f"depth given for unknown node {x!r}"))
+    return violations
+
+
+def _edge_depth_violations(
+    g: ExtensionalDigraph, depth: dict[NodeId, int], nodes: list[NodeId]
+) -> list[DredViolation]:
+    violations = []
+    for y in nodes:
+        dy = depth[y]
+        for z in sorted(z for z in g.extensions[y] if depth[z] > dy + 1):
             violations.append(
                 DredViolation(
-                    "rank_domain",
-                    f"r_{i} defined at {x!r} whose depth is not below {i}",
+                    "edge_depth",
+                    f"edge ({z!r}, {y!r}): depth {depth[z]} > {dy} + 1",
                 )
             )
-        for y in nodes:
-            if y not in r:
-                continue
-            ry = r[y]
-            for z in sorted(z for z in g.extensions[y] if z in r and not r[z] < ry):
-                violations.append(
-                    DredViolation(
-                        "rank_increase",
-                        f"r_{i}({z!r}) = {r[z]} not below r_{i}({y!r}) = {ry} along edge",
+    return violations
+
+
+def _subset_depth_violations(
+    g: ExtensionalDigraph,
+    depth: dict[NodeId, int],
+    nodes: list[NodeId],
+    suspects: list[NodeId],
+) -> list[DredViolation]:
+    violations = []
+    by_extension = {ext: x for x, ext in g.extensions.items()}
+    n = len(nodes)
+    for y in suspects:
+        ext_y = sorted(g.extensions[y])
+        bound = depth[y] + 1
+        if (1 << len(ext_y)) <= max(64, 2 * n):
+            for mask in range(1 << len(ext_y)):
+                subset = frozenset(ext_y[i] for i in range(len(ext_y)) if mask >> i & 1)
+                x = by_extension.get(subset)
+                if x is not None and depth[x] > bound:
+                    violations.append(
+                        DredViolation(
+                            "subset_depth",
+                            f"ext({x!r}) <= ext({y!r}) but depth {depth[x]} > {depth[y]} + 1",
+                        )
                     )
+        else:
+            ext_set = g.extensions[y]
+            for x in nodes:
+                if g.extensions[x] <= ext_set and depth[x] > bound:
+                    violations.append(
+                        DredViolation(
+                            "subset_depth",
+                            f"ext({x!r}) <= ext({y!r}) but depth {depth[x]} > {depth[y]} + 1",
+                        )
+                    )
+    return violations
+
+
+def _rank_domain_violations(
+    i: int, r: dict[NodeId, int], depth: dict[NodeId, int], nodes: list[NodeId]
+) -> list[DredViolation]:
+    violations = []
+    domain = {x for x in nodes if depth[x] < i}
+    for x in sorted(domain - set(r)):
+        violations.append(
+            DredViolation("rank_domain", f"r_{i} undefined at {x!r} (depth {depth[x]} < {i})")
+        )
+    for x in sorted(set(r) - domain):
+        violations.append(
+            DredViolation(
+                "rank_domain",
+                f"r_{i} defined at {x!r} whose depth is not below {i}",
+            )
+        )
+    return violations
+
+
+def _rank_increase_violations(
+    g: ExtensionalDigraph, i: int, r: dict[NodeId, int], nodes: list[NodeId]
+) -> list[DredViolation]:
+    violations = []
+    for y in nodes:
+        if y not in r:
+            continue
+        ry = r[y]
+        for z in sorted(z for z in g.extensions[y] if z in r and not r[z] < ry):
+            violations.append(
+                DredViolation(
+                    "rank_increase",
+                    f"r_{i}({z!r}) = {r[z]} not below r_{i}({y!r}) = {ry} along edge",
                 )
-    return DredReport(tuple(violations))
+            )
+    return violations
 
 
 def _subset_depth_suspects(
     g: ExtensionalDigraph, depth: dict[NodeId, int], nodes: list[NodeId]
 ) -> list[NodeId]:
     """The nodes ``y``, in the order of ``nodes``, with a node ``x`` such
-    that ext(x) <= ext(y) and depth[x] > depth[y] + 1.
+    that ext(x) <= ext(y) and depth[x] > depth[y] + 1.  Extensions must
+    be distinct (condition 1).
 
     Every extension is a subset of the union S of all extensions, so it
-    is a bitmask over S.  ``best[M]`` starts as the greatest depth of a
-    node whose extension is M (-1 if none) and, after one pass per bit
-    of Yates' subset-sum transform with max in place of sum, holds the
+    is a bitmask over S.  ``best[M]`` starts as the depth of the node
+    whose extension is M (-1 if none) and, after one pass per bit of
+    Yates' subset-sum transform with max in place of sum, holds the
     greatest depth over all extensions inside M, in O(|S| 2^|S|) steps.
-    The table has 2^|S| slots, so when that exceeds ``max(64, 2N)``, the
-    bound the per-node subset enumeration also uses, every node is a
-    suspect.  On a completion output S is the previous level, whose
-    2^|S| subsets are all nodes, so the transform applies.
+    Each pass folds the top bit of the index into the bottom half and
+    then interleaves the two halves, which rotates the index bits by
+    one, so every pass is a few slice operations and after |S| passes
+    the table is back in its own order.  The table has 2^|S| slots, so
+    when that exceeds ``max(64, 2N)``, the bound the per-node subset
+    enumeration also uses, every node is a suspect.  On a completion
+    output S is the previous level, whose 2^|S| subsets are all nodes,
+    so the transform applies.
     """
     support = set().union(*g.extensions.values())
     size = 1 << len(support)
     if size > max(64, 2 * len(nodes)):
         return nodes
     bit = {z: 1 << i for i, z in enumerate(support)}
-    mask = {x: sum(map(bit.__getitem__, ext)) for x, ext in g.extensions.items()}
+    masks = [sum(map(bit.__getitem__, g.extensions[y])) for y in nodes]
     best = [-1] * size
-    for x, m in mask.items():
-        if depth[x] > best[m]:
-            best[m] = depth[x]
-    low = 1
-    while low < size:
-        for s in range(0, size, 2 * low):
-            with_bit = slice(s + low, s + 2 * low)
-            best[with_bit] = map(max, best[with_bit], best[s : s + low])
-        low *= 2
-    return [y for y in nodes if best[mask[y]] > depth[y] + 1]
+    for m, y in zip(masks, nodes):
+        best[m] = depth[y]
+    half = size >> 1
+    for _ in support:
+        low = best[:half]
+        best[1::2] = map(max, best[half:], low)
+        best[0::2] = low
+    return [y for y, m in zip(nodes, masks) if best[m] > depth[y] + 1]
 
 
 def require_dred(h: AnnotatedGraph) -> None:
@@ -250,16 +357,17 @@ def dred_complete(
     depth = dict(h.depth)
     ranks = {i: dict(r) for i, r in h.ranks.items()}
     u = AnnotatedGraph(h.graph, levels=(h.graph.nodes,), depth=depth, ranks=ranks)
+    get_depth = depth.__getitem__
     for _ in range(n):
         step = complete_step(u, budget)
         extensions = step.graph.extensions
         for node in step.levels[-1] - step.levels[-2]:
             members = extensions[node]
-            d = max((depth[m] for m in members), default=0)
+            d = max(map(get_depth, members), default=0)
             depth[node] = d
             for i, r in ranks.items():
                 if d < i:
-                    r[node] = max((r[m] + 1 for m in members), default=0)
+                    r[node] = max(map(r.__getitem__, members), default=-1) + 1
         u = replace(step, depth=depth, ranks=ranks)
         require_dred(u)
     return u

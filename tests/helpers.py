@@ -494,6 +494,51 @@ def _dot_unescape(s: str) -> str:
     return s.replace('\\"', '"').replace("\\\\", "\\")
 
 
+def reference_to_dot(source: AnnotatedGraph) -> str:
+    """``to_dot`` as it was while it quoted both ends of every edge
+    again; the reference for byte identity."""
+
+    def quote(text: str) -> str:
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    def label_attr(lines: list[str]) -> str:
+        escaped = "\\n".join(
+            part.replace("\\", "\\\\").replace('"', '\\"') for part in lines
+        )
+        return f'"{escaped}"'
+
+    def base_label(x: NodeId) -> str:
+        p = g.provenance[x]
+        if isinstance(p, Seed):
+            return p.label
+        if isinstance(p, Deficiency):
+            return f"D{p.level}#{len(g.extensions[x])}"
+        return p.detail
+
+    shades = ("gray92", "gray84", "gray76", "gray68")
+    g, depth, ranks = source.graph, source.depth, source.ranks
+    top_rank = ranks[max(ranks)] if ranks else {}
+    lines = ['digraph "setforge" {', "  rankdir=BT;"]
+    for x in g.sorted_nodes():
+        label_lines = [base_label(x)]
+        if depth is not None:
+            note = f"d={depth[x]}"
+            if x in top_rank:
+                note += f" r={top_rank[x]}"
+            label_lines.append(note)
+        attrs = [f"label={label_attr(label_lines)}"]
+        p = g.provenance[x]
+        if isinstance(p, Deficiency):
+            shade = shades[min(p.level - 1, len(shades) - 1)]
+            attrs.append("style=filled")
+            attrs.append(f"fillcolor={quote(shade)}")
+        lines.append(f"  {quote(x)} [{', '.join(attrs)}];")
+    for member, container in g.sorted_edges():
+        lines.append(f"  {quote(member)} -> {quote(container)};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 # -- documents -----------------------------------------------------------------
 
 _REFERENCE_CODE_KINDS = ("loop", "chain", "tuple", "atom")

@@ -462,3 +462,200 @@ def test_verify_dred_certified_completion_of_von_neumann_4():
     # 65,536 nodes whose extensions have up to 16 members: enumerating
     # every subset of every extension took minutes
     assert verify_dred(dred_complete(dred_from_graph(von_neumann_seed(4)), 1)).ok
+
+
+def chain_seed(length, naturals, tuples, code_length):
+    return assemble(
+        CodeSpec(
+            atoms=(AtomDecl("a", "chain", length=length),),
+            naturals_up_to=naturals,
+            tuples=tuple(TupleDecl(tag, parts) for tag, parts in tuples),
+            code_style="chain",
+            code_length=code_length,
+        )
+    ).dred
+
+
+CHAIN_SEEDS = (
+    (1, 2, (), 1),
+    (2, 2, (), 1),
+    (3, 4, (), 2),
+    (2, 2, ((0, ("a",)),), 2),
+    (1, 2, ((0, ("a",)),), 3),
+    (3, 3, ((1, ("a", "a")),), 1),
+)
+
+
+def random_well_founded_extensional(rng: random.Random, n: int) -> ExtensionalDigraph:
+    while True:
+        g = random_well_founded_graph(rng, n)
+        if extensionality_violation(g) is None:
+            return g
+
+
+def nested_families(g: ExtensionalDigraph, depth: dict, rank: dict) -> dict:
+    """``r_i`` = ``rank`` on the nodes of depth below ``i``, for ``i`` up
+    to one above the greatest depth, as ``assemble`` writes them."""
+    top = max(depth.values(), default=0) + 1
+    return {i: {x: rank[x] for x in g.nodes if depth[x] < i} for i in range(1, top + 1)}
+
+
+def nested_certificates(rng: random.Random) -> list[AnnotatedGraph]:
+    """Certificates whose families all restrict one rank map: chain-style
+    seeds and their certified completions, and random well-founded
+    graphs with random depths and ``r_i`` their membership ranks below
+    depth ``i`` (most of those break conditions 2 or 3)."""
+    cases = []
+    for spec in CHAIN_SEEDS:
+        seed = chain_seed(*spec)
+        cases.append(seed)
+        if len(seed.graph) <= 8:
+            cases.append(dred_complete(seed, 1))
+    for _ in range(150):
+        g = random_well_founded_extensional(rng, rng.randint(1, 8))
+        depth = {x: rng.choice((0, 0, 1, 2, 3)) for x in g.nodes}
+        cases.append(AnnotatedGraph(g, depth=depth, ranks=nested_families(g, depth, membership_ranks(g))))
+    return cases
+
+
+def inject_violation(h: AnnotatedGraph, rng: random.Random) -> AnnotatedGraph:
+    """A copy of ``h`` with one fault aimed at a randomly chosen
+    condition (a fault may break further conditions too)."""
+    g = h.graph
+    depth = dict(h.depth)
+    ranks = {i: dict(r) for i, r in h.ranks.items()}
+    nodes = g.sorted_nodes()
+    x = rng.choice(nodes)
+    top = max(ranks)
+    condition = rng.choice(
+        ("extensionality", "depth_domain", "edge_depth", "subset_depth", "rank_family",
+         "rank_domain", "lower_disagrees", "top_rank", "negative_ranks")
+    )
+    if condition == "extensionality":
+        twin = f"{x}~"
+        g = ExtensionalDigraph(
+            {**g.extensions, twin: g.extensions[x]}, {**g.provenance, twin: g.provenance[x]}
+        )
+        depth[twin] = depth[x]
+        for r in ranks.values():
+            if x in r:
+                r[twin] = r[x]
+    elif condition == "depth_domain":
+        fault = rng.randrange(3)
+        if fault == 0:
+            del depth[x]
+        elif fault == 1:
+            depth["ghost"] = rng.randint(-1, 2)
+        else:
+            depth[x] = -1
+    elif condition == "edge_depth":
+        containers = [y for y in nodes if g.extensions[y]]
+        if containers:
+            y = rng.choice(containers)
+            z = rng.choice(sorted(g.extensions[y]))
+            depth[z] = depth[y] + rng.randint(2, 3)
+    elif condition == "subset_depth":
+        y = rng.choice(nodes)
+        inside = [w for w in nodes if g.extensions[w] <= g.extensions[y]]
+        depth[rng.choice(inside)] = depth[y] + 2
+    elif condition == "rank_family":
+        fault = rng.randrange(3)
+        if fault == 0:
+            del ranks[top]
+        elif fault == 1:
+            ranks[0] = {}
+        elif top > 1:
+            del ranks[rng.randint(1, top - 1)]
+    elif condition == "rank_domain":
+        i = rng.choice(sorted(ranks))
+        r = ranks[i]
+        if r and rng.random() < 0.5:
+            del r[rng.choice(sorted(r))]
+        else:
+            r[x] = rng.randint(-3, 9)
+    elif condition == "lower_disagrees":
+        lower = [i for i in ranks if i < top and ranks[i]]
+        if lower:
+            r = ranks[rng.choice(lower)]
+            y = rng.choice(sorted(r))
+            r[y] += rng.choice((-9, -1, 1, 9))
+    elif condition == "top_rank":
+        ranks[top][x] = rng.randint(-2, 4)
+    else:
+        shift = rng.randint(1, 20)
+        ranks = {i: {y: v - shift for y, v in r.items()} for i, r in ranks.items()}
+        if rng.random() < 0.5:
+            i = rng.choice(sorted(ranks))
+            if ranks[i]:
+                ranks[i][rng.choice(sorted(ranks[i]))] = -shift - rng.randint(0, 3)
+    return AnnotatedGraph(g, depth=depth, ranks=ranks)
+
+
+def test_verify_dred_agrees_with_reference_on_nested_families():
+    """Certificates shaped like the ones setforge writes, where the rank
+    increase is checked once on the top family, clean and with one
+    injected fault each: the same violations in the same order as the
+    verifier that walks every condition."""
+    rng = random.Random(23)
+    clean = nested_certificates(rng)
+    cases = clean + [inject_violation(h, rng) for h in clean for _ in range(4)]
+    conditions = set()
+    shortcut = 0
+    for h in cases:
+        report = verify_dred(h)
+        expected = reference_verify_dred(h)
+        assert [(v.condition, v.detail) for v in report.violations] == [
+            (v.condition, v.detail) for v in expected.violations
+        ]
+        conditions.update(v.condition for v in expected.violations)
+        top = h.ranks[max(h.ranks)] if h.ranks else {}
+        if h.ranks and all(r.items() <= top.items() for r in h.ranks.values()) and not any(
+            v.condition == "rank_increase" for v in expected.violations
+        ):
+            shortcut += 1
+    assert conditions == {
+        "extensionality", "depth_domain", "edge_depth", "subset_depth",
+        "rank_family", "rank_domain", "rank_increase",
+    }
+    assert shortcut >= len(clean)
+
+
+def reference_annotations(h: AnnotatedGraph, du: AnnotatedGraph) -> tuple[dict, dict]:
+    """``dred_complete``'s annotation as it was, one generator per node
+    and per family, replayed over ``du``'s levels from ``h``'s
+    certificate."""
+    depth = dict(h.depth)
+    ranks = {i: dict(r) for i, r in h.ranks.items()}
+    extensions = du.graph.extensions
+    for lower, upper in zip(du.levels, du.levels[1:]):
+        for node in sorted(upper - lower):
+            members = extensions[node]
+            d = max((depth[m] for m in members), default=0)
+            depth[node] = d
+            for i, r in ranks.items():
+                if d < i:
+                    r[node] = max((r[m] + 1 for m in members), default=0)
+    return depth, ranks
+
+
+def test_dred_complete_annotates_as_the_per_family_recipe():
+    rng = random.Random(29)
+    seeds = [(chain_seed(*spec), 1) for spec in CHAIN_SEEDS]
+    seeds.append((chain_seed(1, 2, (), 1), 2))
+    for _ in range(30):
+        g = random_well_founded_extensional(rng, rng.randint(0, 6))
+        seeds.append((dred_from_graph(g), 1))
+    while sum(n == 2 and len(h.ranks) > 1 for h, n in seeds) < 10:
+        # small enough for two levels, with depths that make several families
+        g = random_well_founded_extensional(rng, rng.randint(1, 3))
+        depth = {x: rng.randint(0, 2) for x in g.nodes}
+        h = AnnotatedGraph(g, depth=depth, ranks=nested_families(g, depth, membership_ranks(g)))
+        if reference_verify_dred(h).ok:
+            seeds.append((h, 2))
+    for _ in range(10):
+        seeds.append((dred_from_graph(random_well_founded_extensional(rng, rng.randint(0, 3))), 2))
+    for h, n in seeds:
+        du = dred_complete(h, n)
+        depth, ranks = reference_annotations(h, du)
+        assert du.depth == depth
+        assert du.ranks == ranks

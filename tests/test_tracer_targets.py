@@ -1,8 +1,12 @@
 """The benchmark's tracer finds layers by public function name."""
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
+import json
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -41,3 +45,46 @@ def test_complete_step_keeps_the_argument_the_tracer_reads():
     u = completion.complete(ExtensionalDigraph.empty(), 1)
     step = completion.complete_step(u=u)
     assert len(step.graph.nodes) - len(u.graph.nodes) == 1
+
+
+def test_certify_checks_through_the_name_the_tracer_wraps(tmp_path, monkeypatch):
+    """Certify's four commands call ``verify_dred`` exactly four times
+    when it is replaced in every ``setforge`` module that binds it, as
+    the tracer replaces it: once while seeding, before and after the
+    completion step, and once for the condition check.  A check made
+    past that name would escape ``dred.verify_dred.s``."""
+    from setforge import dred
+    from setforge.cli import main
+
+    original = dred.verify_dred
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "setforge" or name.startswith("setforge.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+
+    def run(argv: list[str], stdin_text: str) -> str:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        return out.getvalue()
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "atoms": [{"label": "k", "kind": "chain", "length": 2}],
+        "naturals_up_to": 2,
+        "code_style": "chain",
+        "code_length": 1,
+    }))
+    seed = run(["seed", "spec", str(spec)], "")
+    universe = run(["complete", "--dred", "--levels", "1"], seed)
+    assert run(["check", "--dred-conditions", "--porcelain"], universe) == "dred\tok\t\n"
+    run(["export", "--dot", "-"], universe)
+    assert len(calls) == 4
