@@ -73,21 +73,6 @@ def _array(items: list[str]) -> list[str]:
     return pieces
 
 
-def _edge_runs(g: ExtensionalDigraph, quoted: dict[NodeId, str]) -> list[str]:
-    """The encoded edges, one string per member that has containers.
-    Walking the containers in id order lists each member's containers
-    in id order, so the runs come out sorted, as ``sorted_edges``."""
-    containers: dict[NodeId, list[str]] = {x: [] for x in quoted}
-    for container, q in quoted.items():
-        for member in g.extensions[container]:
-            containers[member].append(q)
-    return [
-        f"[{q},{f'],[{q},'.join(cs)}]"
-        for q, cs in zip(quoted.values(), containers.values())
-        if cs
-    ]
-
-
 def _node_entry(g: ExtensionalDigraph, x: NodeId, quoted: dict[NodeId, str]) -> str:
     """One ``nodes`` item, keys in sorted order."""
     p = g.provenance[x]
@@ -121,12 +106,13 @@ def serialize(doc: AnnotatedGraph) -> str:
     g = doc.graph
     order = g.sorted_nodes()
     quoted = dict(zip(order, map(encode_basestring_ascii, order)))
+    edges = [f"[{q},{f'],[{q},'.join(cs)}]" for q, cs in g.member_runs(quoted)]
     sections = [
-        ("edges", _array(_edge_runs(g, quoted))),
+        ("edges", _array(edges)),
         ("format_version", [str(FORMAT_VERSION)]),
         ("nodes", _array([_node_entry(g, x, quoted) for x in order])),
     ]
-    del quoted  # not needed for the join, which is the peak
+    del quoted, edges  # not needed for the join, which is the peak
     if doc.levels is not None:
         sections.append(("levels", [_dumps([sorted(level) for level in doc.levels])]))
     if doc.depth is not None:

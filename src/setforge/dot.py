@@ -38,22 +38,6 @@ def _base_label(g: ExtensionalDigraph, x: NodeId) -> str:
     return p.detail
 
 
-def _edge_runs(g: ExtensionalDigraph, quoted: dict[NodeId, str]) -> list[str]:
-    """The edge statements, one string per member that has containers.
-    Walking the containers in id order lists each member's containers
-    in id order, so the statements come out sorted, as ``sorted_edges``."""
-    containers: dict[NodeId, list[str]] = {x: [] for x in quoted}
-    for container, q in quoted.items():
-        for member in g.extensions[container]:
-            containers[member].append(q)
-    runs = []
-    for q, cs in zip(quoted.values(), containers.values()):
-        if cs:
-            head = f"  {q} -> "
-            runs.append(head + f";\n{head}".join(cs) + ";")
-    return runs
-
-
 def to_dot(source: AnnotatedGraph) -> str:
     """Render a graph as DOT, with its depths and top rank map when the
     record carries them.  Each id is quoted once."""
@@ -74,6 +58,8 @@ def to_dot(source: AnnotatedGraph) -> str:
         if isinstance(p, Deficiency):
             attrs += _FILLS[min(p.level - 1, len(_FILLS) - 1)]
         lines.append(f"  {quoted[x]} [{attrs}];")
-    lines += _edge_runs(g, quoted)
+    for q, cs in g.member_runs(quoted):
+        head = f"  {q} -> "
+        lines.append(head + f";\n{head}".join(cs) + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -185,17 +185,19 @@ class ExtensionalDigraph:
             self.__dict__["_sorted"] = cached
         return cached
 
-    def sorted_edges(self) -> list[tuple[NodeId, NodeId]]:
-        """The (member, container) pairs in sorted order, built without
-        sorting them: walking the containers in id order lists each
-        member's containers in id order, so emitting the members in id
-        order yields the pairs sorted."""
+    def member_runs(self, names: Mapping[NodeId, str]) -> list[tuple[str, list[str]]]:
+        """The sorted (member, container) pairs grouped by member and
+        written through ``names``: each member that has containers, in
+        id order, with its containers in id order.  Nothing is sorted:
+        walking the containers in id order lists each member's
+        containers in id order."""
         order = self.sorted_nodes()
-        containers: dict[NodeId, list[NodeId]] = {x: [] for x in order}
-        for container in order:
+        written = list(map(names.__getitem__, order))
+        containers: dict[NodeId, list[str]] = {x: [] for x in order}
+        for container, name in zip(order, written):
             for member in self.extensions[container]:
-                containers[member].append(container)
-        return [(m, c) for m in order for c in containers[m]]
+                containers[member].append(name)
+        return [(name, cs) for name, cs in zip(written, containers.values()) if cs]
 
     def __repr__(self) -> str:  # keep test failures readable
         return f"ExtensionalDigraph({len(self.nodes)} nodes, {sum(map(len, self.extensions.values()))} edges)"
@@ -260,6 +262,7 @@ def _require_blocks(h: AnnotatedGraph, *blocks: str) -> None:
             raise SchemaError(block, f"document has no {block} block")
 
 
+# Not exported; bench/test_bench.py wraps it as a tracer target.
 def extension(g: ExtensionalDigraph, x: NodeId) -> frozenset[NodeId]:
     """Members of ``x`` in ``g``.  Raises UnknownNodeError for foreign ids."""
     try:

@@ -18,7 +18,8 @@ Syntax accepted by :func:`parse`::
 
 Precedence, tightest first: !, &, |, ->, <->. A quantifier body extends
 as far right as possible. The Unicode spellings ∈ ∀ ∃ ¬ ∧ ∨ → ↔ are
-accepted on input only; the printer emits ASCII.
+also accepted. The library has no printer; the test suite's printer,
+which emits ASCII, checks parsing by round trip.
 """
 
 from __future__ import annotations
@@ -166,9 +167,10 @@ MAX_FORMULA_DEPTH = 100
 Every atom, negation, quantifier, binary connective and parenthesised
 group is one level, and a formula's depth is the number of levels on
 its longest root-to-atom path: ``x in y`` is 1, ``!(x in y)`` is 3, and
-a chain of k conjuncts is k.  The printer, the free-variable walk and
-the evaluator recurse once per level and the parser a few times, so the
-cap keeps all of them well inside Python's default recursion limit.
+a chain of k conjuncts is k.  The free-variable walk and the evaluator
+recurse once per level and the parser a few times (the test suite's
+printer once, too), so the cap keeps all of them well inside Python's
+default recursion limit.
 """
 
 
@@ -290,52 +292,6 @@ def parse(text: str) -> Formula:
     if trailing[0] != "eof":
         raise ParseError(f"unexpected trailing input {trailing[1]!r}", trailing[2])
     return out
-
-
-# ---------------------------------------------------------------------------
-# printing
-
-
-_PREC_IFF = 1
-_PREC_IMP = 2
-_PREC_OR = 3
-_PREC_AND = 4
-_PREC_NOT = 5
-_PREC_ATOM = 6
-
-
-def _print(f: Formula, parent: int) -> str:
-    if isinstance(f, Member):
-        return f"{f.left} in {f.right}"
-    if isinstance(f, Equal):
-        return f"{f.left} = {f.right}"
-    if isinstance(f, Not):
-        return "!" + _print(f.body, _PREC_NOT)
-    if isinstance(f, (Exists, ForAll)):
-        word = "exists" if isinstance(f, Exists) else "all"
-        text = f"{word} {f.var}. {_print(f.body, 0)}"
-        return f"({text})" if parent > 0 else text
-    if isinstance(f, And):
-        text = f"{_print(f.left, _PREC_AND)} & {_print(f.right, _PREC_AND + 1)}"
-        mine = _PREC_AND
-    elif isinstance(f, Or):
-        text = f"{_print(f.left, _PREC_OR)} | {_print(f.right, _PREC_OR + 1)}"
-        mine = _PREC_OR
-    elif isinstance(f, Implies):
-        text = f"{_print(f.left, _PREC_IMP + 1)} -> {_print(f.right, _PREC_IMP)}"
-        mine = _PREC_IMP
-    elif isinstance(f, Iff):
-        text = f"{_print(f.left, _PREC_IFF + 1)} <-> {_print(f.right, _PREC_IFF)}"
-        mine = _PREC_IFF
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    return f"({text})" if mine < parent else text
-
-
-def print_formula(f: Formula) -> str:
-    """Render ``f`` in the ASCII grammar; parse(print_formula(f)) == f
-    whenever the printed text is within :data:`MAX_FORMULA_DEPTH`."""
-    return _print(f, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -566,46 +522,6 @@ def check_axiom(g: ExtensionalDigraph, axiom: str) -> AxiomReport:
     if axiom == "infinity":
         return _check_infinity(g)
     raise ValueError(f"unknown axiom {axiom!r}")
-
-
-@dataclass(frozen=True)
-class ComprehensionReport:
-    node: NodeId
-    subset: frozenset[NodeId]
-    witness: NodeId | None
-
-    @property
-    def holds(self) -> bool:
-        return self.witness is not None
-
-
-def comprehension_instance(
-    g: ExtensionalDigraph, x: NodeId, f: Formula
-) -> ComprehensionReport:
-    """Filter the members of ``x`` by a one-free-variable formula and
-    look for a node representing the result."""
-    if x not in g.nodes:
-        raise UnknownNodeError(f"unknown node {x!r}")
-    fv = sorted(free_variables(f))
-    if len(fv) != 1:
-        raise FormulaError(
-            f"comprehension needs exactly one free variable, got {fv or 'none'}"
-        )
-    var = fv[0]
-    compiled = _compile(f, g)
-    env: dict[Var, NodeId] = {}
-    subset = set()
-    for z in sorted(g.extensions[x]):
-        env[var] = z
-        if compiled(env):
-            subset.add(z)
-    wanted = frozenset(subset)
-    witness = None
-    for node in g.sorted_nodes():
-        if g.extensions[node] == wanted:
-            witness = node
-            break
-    return ComprehensionReport(node=x, subset=wanted, witness=witness)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from typing import AbstractSet, Iterable, Iterator
 from .completion import Budget, DEFAULT_BUDGET
 from .errors import BudgetExceededError, DecorationError, SetforgeError
 from .graph import (
-    Code,
     Deficiency,
     ExtensionalDigraph,
     NodeId,
@@ -120,14 +119,6 @@ def value_extension(v: SetValue) -> frozenset[SetValue]:
     raise TypeError(f"not a set value: {v!r}")
 
 
-def _stage_guard(count: int, budget: Budget, what: str) -> None:
-    if not budget.subset_count_allowed(count):
-        raise BudgetExceededError(
-            f"{what} needs 2**{count} subset enumerations, over the budget "
-            f"of {budget.max_subsets_enumerated}"
-        )
-
-
 def _one_stage(values: AbstractSet[SetValue], budget: Budget, what: str) -> list[Collection]:
     """All subsets of ``values`` not already represented by one of them,
     as fresh collection values, deterministically ordered and not
@@ -138,7 +129,11 @@ def _one_stage(values: AbstractSet[SetValue], budget: Budget, what: str) -> list
     the sorted snapshot, and it cannot collapse onto an atom or loop
     code among them, whose own extension is represented and so skipped.
     """
-    _stage_guard(len(values), budget, what)
+    if not budget.subset_count_allowed(len(values)):
+        raise BudgetExceededError(
+            f"{what} needs 2**{len(values)} subset enumerations, over the budget "
+            f"of {budget.max_subsets_enumerated}"
+        )
     represented = set(map(value_extension, values))
     snapshot = sorted(values, key=_key)
     fresh: list[Collection] = []
@@ -147,35 +142,6 @@ def _one_stage(values: AbstractSet[SetValue], budget: Budget, what: str) -> list
             if frozenset(combo) not in represented:
                 fresh.append(Collection(members=combo))
     return fresh
-
-
-def hf_universe(
-    k: int, atoms: Iterable[str] = (), budget: Budget = DEFAULT_BUDGET
-) -> frozenset[SetValue]:
-    """The k-th stage of the hereditarily finite universe over atoms.
-
-    Each stage keeps the previous values and adds every subset of them.
-    Atom semantics make {a} collapse onto a, so duplicates never arise.
-    Stages 5 and up are unreachable by size; with atoms the fourth
-    already is, hence the tighter bound.
-    """
-    labels = list(atoms)
-    if k < 0:
-        raise ValueError("stage must be non-negative")
-    limit = 3 if labels else 4
-    if k > limit:
-        raise ValueError(
-            f"stage {k} with {len(labels)} atoms is out of reach by doubling; "
-            f"the limit here is {limit}"
-        )
-    values: set[SetValue] = {atom(lbl) for lbl in labels}
-    if len(values) != len(labels):
-        raise ValueError("atom labels must be distinct")
-    # Each stage is interned before the next one is built from it, so
-    # every member of a returned value is the interned value too.
-    for stage in range(1, k + 1):
-        values.update(map(_intern, _one_stage(values, budget, f"stage {stage}")))
-    return frozenset(values)
 
 
 def decorate(g: ExtensionalDigraph) -> dict[NodeId, SetValue]:
@@ -211,53 +177,6 @@ def decorate(g: ExtensionalDigraph) -> dict[NodeId, SetValue]:
             else:
                 done[x] = collection(others)
     return done
-
-
-def _value_stage(v: SetValue, memo: dict[SetValue, int]) -> int:
-    stack = [v]
-    while stack:
-        top = stack[-1]
-        if top in memo:
-            stack.pop()
-        elif not isinstance(top, Collection):
-            memo[stack.pop()] = 0
-        else:
-            pending = [m for m in top.members if m not in memo]
-            if pending:
-                stack.extend(pending)
-            else:
-                memo[stack.pop()] = 1 + max((memo[m] for m in top.members), default=0)
-    return memo[v]
-
-
-def values_to_graph(values: Iterable[SetValue]) -> ExtensionalDigraph:
-    """Render a membership-closed family of values as a digraph.
-
-    Atoms keep their label as node id; everything else gets an id
-    derived from its canonical text. Collections are stamped with the
-    first universe stage that contains them, which is also the level a
-    completion of the empty graph would create them at.
-    """
-    family = sorted(set(values), key=_key)
-    family_set = frozenset(family)
-    ids: dict[SetValue, NodeId] = {}
-    for v in family:
-        ids[v] = v.label if isinstance(v, Atom) else f"hf:{v.key}"
-    extensions: dict[NodeId, frozenset[NodeId]] = {}
-    provenance: dict[NodeId, Provenance] = {}
-    stage_memo: dict[SetValue, int] = {}
-    for v in family:
-        members = value_extension(v)
-        if not members <= family_set:
-            raise ValueError(f"family is not membership-closed at {v.key}")
-        extensions[ids[v]] = frozenset(ids[m] for m in members)
-        if isinstance(v, Atom):
-            provenance[ids[v]] = Seed(label=v.label)
-        elif isinstance(v, LoopCode):
-            provenance[ids[v]] = Code(kind="loop", detail=v.label)
-        else:
-            provenance[ids[v]] = Deficiency(level=_value_stage(v, stage_memo))
-    return ExtensionalDigraph(extensions, provenance)
 
 
 def oracle_complete(

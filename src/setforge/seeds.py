@@ -37,8 +37,8 @@ _MAX_VON_NEUMANN_STAGE = 5
 _MAX_NATURALS = 1024
 # As many nodes as a two-level completion of a four-node seed; a seed
 # past 20 nodes cannot be completed even one level within the default
-# budget anyway. Bounds quine atoms, and chain-atom links and chain-code
-# nodes together.
+# budget anyway. Bounds quine atoms, and chain-atom links, tuple nodes
+# and code nodes together.
 _MAX_SEED_NODES = 1 << 16
 # A chain-style certificate lists node x in rank families depth(x)+1 up
 # to the top one, so a chain atom of L links takes about L**2/2 entries.
@@ -99,8 +99,9 @@ class CodeSpec:
 
     Validation happens at construction; an invalid declaration is not
     representable. More than ``_MAX_NATURALS`` numerals, or more than
-    ``_MAX_SEED_NODES`` chain-atom links and chain-code nodes together,
-    raise SizeLimitError. Chain code style carries ``code_length``; loop
+    ``_MAX_SEED_NODES`` chain-atom links, tuple nodes and code nodes
+    together (each tuple priced at its worst case), raise
+    SizeLimitError. Chain code style carries ``code_length``; loop
     style must leave it unset.
     """
 
@@ -194,12 +195,15 @@ class CodeSpec:
                 )
         else:
             raise SpecValidationError(f"unknown code style {self.code_style!r}")
+        # A tuple takes at most 3 nodes per Kuratowski pair, one pair
+        # per component, and its code's nodes.
+        codes = self.code_length if self.code_style == "chain" else 1
         nodes = sum(a.length for a in self.atoms if a.kind == "chain")
-        if self.code_style == "chain":
-            nodes += len(self.tuples) * self.code_length
+        nodes += sum(3 * len(t.components) + codes for t in self.tuples)
         if nodes > _MAX_SEED_NODES:
             raise SizeLimitError(
-                f"chain atoms and codes are limited to {_MAX_SEED_NODES} nodes, got {nodes}"
+                f"chain atoms, tuples and codes are limited to {_MAX_SEED_NODES} nodes, "
+                f"got {nodes}"
             )
 
 
@@ -328,21 +332,36 @@ def chain_atoms(
     return ExtensionalDigraph(extensions, provenance)
 
 
-def _add_subset_node(
+def _encode(
     extensions: dict[NodeId, frozenset[NodeId]],
     provenance: dict[NodeId, Provenance],
     index: dict[frozenset[NodeId], NodeId],
-    members: frozenset[NodeId],
-    detail: str,
+    components: list[NodeId],
 ) -> NodeId:
-    existing = index.get(members)
-    if existing is not None:
-        return existing
-    node = subset_node_id(sorted(members))
-    extensions[node] = members
-    provenance[node] = Code(kind="tuple", detail=detail)
-    index[members] = node
-    return node
+    """Encode ``components`` into the given maps, as :func:`encode_tuple`
+    describes, and return the top node. ``index`` maps each extension
+    in ``extensions`` to its node and is kept up to date."""
+    for c in components:
+        if c not in extensions:
+            raise UnknownNodeError(f"tuple component {c!r} is not in the graph")
+
+    def node(members: frozenset[NodeId], detail: str) -> NodeId:
+        existing = index.get(members)
+        if existing is not None:
+            return existing
+        created = subset_node_id(sorted(members))
+        extensions[created] = members
+        provenance[created] = Code(kind="tuple", detail=detail)
+        index[members] = created
+        return created
+
+    top = components[-1]
+    for x in reversed(components[:-1]):
+        members = {node(frozenset({x}), "singleton")}
+        if x != top:
+            members.add(node(frozenset({x, top}), "doubleton"))
+        top = node(frozenset(members), "pair")
+    return top
 
 
 def encode_tuple(
@@ -357,29 +376,10 @@ def encode_tuple(
     """
     if not components:
         raise ValueError("cannot encode an empty component list")
-    for c in components:
-        if c not in g.nodes:
-            raise UnknownNodeError(f"tuple component {c!r} is not in the graph")
     extensions = dict(g.extensions)
     provenance = dict(g.provenance)
-    index = {ext: x for x, ext in extensions.items()}
-
-    def pair(x: NodeId, y: NodeId) -> NodeId:
-        sing = _add_subset_node(extensions, provenance, index, frozenset({x}), "singleton")
-        if x == y:
-            top_members = frozenset({sing})
-        else:
-            doub = _add_subset_node(
-                extensions, provenance, index, frozenset({x, y}), "doubleton"
-            )
-            top_members = frozenset({sing, doub})
-        return _add_subset_node(extensions, provenance, index, top_members, "pair")
-
-    top = components[-1]
-    for c in reversed(components[:-1]):
-        top = pair(c, top)
-    out = ExtensionalDigraph(extensions, provenance)
-    return out, top
+    top = _encode(extensions, provenance, _extension_index(g), components)
+    return ExtensionalDigraph(extensions, provenance), top
 
 
 @dataclass(frozen=True)
@@ -398,15 +398,12 @@ class CodeIndex:
         return frozenset(self.tuple_nodes.values())
 
 
-def _component_node(spec: CodeSpec, label: str) -> NodeId:
-    if _is_numeral(label):
-        return numeral_ids(_numeral_value(label) + 1)[-1]
-    for a in spec.atoms:
-        if a.label == label:
-            if a.kind == "quine":
-                return quine_atom_id(label)
-            return chain_atom_id(label, 0)
-    raise SpecValidationError(f"component {label!r} is not a declared atom")
+def _atom_nodes(spec: CodeSpec) -> dict[str, NodeId]:
+    """Each declared atom's node: the atom itself, or its chain's head."""
+    return {
+        a.label: quine_atom_id(a.label) if a.kind == "quine" else chain_atom_id(a.label, 0)
+        for a in spec.atoms
+    }
 
 
 def attach_codes(
@@ -418,16 +415,18 @@ def attach_codes(
     Chain style adds b_0 .. b_{L-1} with b_j = {p, b_{j+1}} and the
     bottom b_{L-1} = {p}, which keeps the graph well-founded.
     """
-    index = CodeIndex()
-    for decl in spec.tuples:
-        components = [numeral_ids(decl.tag + 1)[-1]]
-        components += [_component_node(spec, c) for c in decl.components]
-        g, top = encode_tuple(g, components)
-        index.tuple_nodes[decl] = top
-
+    numerals = numeral_ids(spec.naturals_up_to)
+    atoms = _atom_nodes(spec)
     extensions = dict(g.extensions)
     provenance = dict(g.provenance)
-    by_extension = {ext: x for x, ext in extensions.items()}
+    by_extension = _extension_index(g)
+    index = CodeIndex()
+    for decl in spec.tuples:
+        components = [numerals[decl.tag]]
+        components += [
+            numerals[_numeral_value(c)] if _is_numeral(c) else atoms[c] for c in decl.components
+        ]
+        index.tuple_nodes[decl] = _encode(extensions, provenance, by_extension, components)
 
     def add(node: NodeId, members: frozenset[NodeId], detail: str, kind: str) -> None:
         if node in extensions:
@@ -475,11 +474,10 @@ class AssembledSeed:
     dred: AnnotatedGraph | None = None
 
 
-def _numeral_graph(count: int) -> ExtensionalDigraph:
-    ids = numeral_ids(count)
-    extensions = {ids[k]: frozenset(ids[:k]) for k in range(count)}
+def _numeral_graph(ids: tuple[NodeId, ...]) -> ExtensionalDigraph:
+    extensions = {ids[k]: frozenset(ids[:k]) for k in range(len(ids))}
     provenance: dict[NodeId, Provenance] = {
-        ids[k]: Seed(label=str(k)) for k in range(count)
+        ids[k]: Seed(label=str(k)) for k in range(len(ids))
     }
     return ExtensionalDigraph(extensions, provenance)
 
@@ -533,8 +531,8 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
     before returning; a certificate of more than ``_MAX_RANK_ENTRIES``
     rank-family entries raises SizeLimitError before it is built.
     """
-    g = _numeral_graph(spec.naturals_up_to)
     numerals = numeral_ids(spec.naturals_up_to)
+    g = _numeral_graph(numerals)
     quines = quine_atoms(a.label for a in spec.atoms if a.kind == "quine")
     g = ExtensionalDigraph(
         {**g.extensions, **quines.extensions}, {**g.provenance, **quines.provenance}
@@ -543,10 +541,6 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
     for c, a in enumerate(chains):
         assert a.length is not None
         g = chain_atoms(g, a.label, a.length, numerals[c + 1])
-    atom_nodes = {
-        a.label: quine_atom_id(a.label) if a.kind == "quine" else chain_atom_id(a.label, 0)
-        for a in spec.atoms
-    }
     g, index = attach_codes(g, spec)
     require_extensional(g)
     dred: AnnotatedGraph | None = None
@@ -571,6 +565,6 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
         graph=g,
         index=index,
         numerals=numerals,
-        atom_nodes=atom_nodes,
+        atom_nodes=_atom_nodes(spec),
         dred=dred,
     )

@@ -24,7 +24,6 @@ from setforge import (
     Seed,
     SetforgeError,
     SizeLimitError,
-    atom,
     collection,
     decorate,
     require_extensional,
@@ -452,6 +451,48 @@ def random_closed_formula(rng: random.Random, depth: int) -> Formula:
     return f
 
 
+# The printer: the parse/print round-trip tests check ``parse`` against it.
+_PREC_IFF = 1
+_PREC_IMP = 2
+_PREC_OR = 3
+_PREC_AND = 4
+_PREC_NOT = 5
+
+
+def _print(f: Formula, parent: int) -> str:
+    if isinstance(f, Member):
+        return f"{f.left} in {f.right}"
+    if isinstance(f, Equal):
+        return f"{f.left} = {f.right}"
+    if isinstance(f, Not):
+        return "!" + _print(f.body, _PREC_NOT)
+    if isinstance(f, (Exists, ForAll)):
+        word = "exists" if isinstance(f, Exists) else "all"
+        text = f"{word} {f.var}. {_print(f.body, 0)}"
+        return f"({text})" if parent > 0 else text
+    if isinstance(f, And):
+        text = f"{_print(f.left, _PREC_AND)} & {_print(f.right, _PREC_AND + 1)}"
+        mine = _PREC_AND
+    elif isinstance(f, Or):
+        text = f"{_print(f.left, _PREC_OR)} | {_print(f.right, _PREC_OR + 1)}"
+        mine = _PREC_OR
+    elif isinstance(f, Implies):
+        text = f"{_print(f.left, _PREC_IMP + 1)} -> {_print(f.right, _PREC_IMP)}"
+        mine = _PREC_IMP
+    elif isinstance(f, Iff):
+        text = f"{_print(f.left, _PREC_IFF + 1)} <-> {_print(f.right, _PREC_IFF)}"
+        mine = _PREC_IFF
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return f"({text})" if mine < parent else text
+
+
+def print_formula(f: Formula) -> str:
+    """Render ``f`` in the ASCII grammar; parse(print_formula(f)) == f
+    whenever the printed text is within ``MAX_FORMULA_DEPTH``."""
+    return _print(f, 0)
+
+
 _DOT_NODE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*(?:\[(.*)\])?\s*;$')
 _DOT_EDGE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*->\s*"((?:[^"\\]|\\.)*)"\s*;$')
 
@@ -533,7 +574,7 @@ def reference_to_dot(source: AnnotatedGraph) -> str:
             attrs.append("style=filled")
             attrs.append(f"fillcolor={quote(shade)}")
         lines.append(f"  {quote(x)} [{', '.join(attrs)}];")
-    for member, container in g.sorted_edges():
+    for member, container in sorted(g.edges):
         lines.append(f"  {quote(member)} -> {quote(container)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -774,14 +815,6 @@ def reference_one_stage(values: set) -> list:
                 continue
             fresh.append(collection(combo))
     return fresh
-
-
-def reference_hf_universe(k: int, atoms=()) -> frozenset:
-    """``hf_universe`` on the reference stages, without its limits."""
-    values = {atom(label) for label in atoms}
-    for _ in range(k):
-        values.update(reference_one_stage(values))
-    return frozenset(values)
 
 
 def reference_oracle_complete(g: ExtensionalDigraph, n: int) -> ExtensionalDigraph:

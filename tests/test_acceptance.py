@@ -19,6 +19,7 @@ import pytest
 from helpers import (
     all_small_self_loop_digraphs,
     naive_eval,
+    print_formula,
     random_closed_formula,
     random_extensional_graph,
     random_formula,
@@ -40,14 +41,11 @@ from setforge import (
     dred_complete,
     eval_formula,
     foundation_witness,
-    hf_universe,
     is_end_extension,
     oracle_complete,
     parse,
-    print_formula,
     quine_atoms,
     quine_code_formula,
-    values_to_graph,
     verify_dred,
     witness_report,
 )
@@ -95,7 +93,7 @@ def test_criterion_1_reference_agreement_on_all_small_seeds():
 def test_criterion_2_empty_seed_tower():
     u = complete(ExtensionalDigraph.empty(), 4)
     sizes = [len(level) for level in u.levels]
-    verdict = compare(u.graph, values_to_graph(hf_universe(4)))
+    verdict = compare(u.graph, oracle_complete(ExtensionalDigraph.empty(), 4))
     report(
         "criterion 2: empty seed grows [0, 1, 2, 4, 16] and matches the "
         "hereditarily finite stage",

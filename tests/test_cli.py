@@ -193,31 +193,47 @@ def test_seed_spec_chain_certificate_past_the_cap_exits_2(tmp_path, length, entr
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec, nodes",
     [
-        {
-            "atoms": [{"label": "long", "kind": "chain", "length": 30_000_000}],
-            "naturals_up_to": 2,
-            "code_style": "loop",
-        },
-        {
-            "atoms": [{"label": "a", "kind": "chain", "length": 2}],
-            "naturals_up_to": 3,
-            "tuples": [{"tag": 0, "components": ["a"]}],
-            "code_style": "chain",
-            "code_length": 30_000_000,
-        },
+        (
+            {
+                "atoms": [{"label": "long", "kind": "chain", "length": 30_000_000}],
+                "naturals_up_to": 2,
+                "code_style": "loop",
+            },
+            30_000_000,
+        ),
+        (
+            {
+                "atoms": [{"label": "a", "kind": "chain", "length": 2}],
+                "naturals_up_to": 3,
+                "tuples": [{"tag": 0, "components": ["a"]}],
+                "code_style": "chain",
+                "code_length": 30_000_000,
+            },
+            2 + 3 + 30_000_000,
+        ),
+        (
+            {
+                "naturals_up_to": 1024,
+                "tuples": [{"tag": i % 1024, "components": [str(i // 1024)]} for i in range(16_385)],
+            },
+            4 * 16_385,
+        ),
     ],
-    ids=["loop-style-chain-atom", "chain-style-code"],
+    ids=["loop-style-chain-atom", "chain-style-code", "tuples"],
 )
-def test_seed_spec_chain_nodes_past_the_cap_exit_2(tmp_path, spec):
-    """Both once exited 1 with a MemoryError under a 1.5 GB
-    address-space limit, building the chain's ids."""
+def test_seed_spec_chain_nodes_past_the_cap_exit_2(tmp_path, spec, nodes):
+    """The first two once exited 1 with a MemoryError under a 1.5 GB
+    address-space limit, building the chain's ids; the tuples, at 4
+    nodes each, are one tuple past the cap. Nothing is built."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    code, out, err = invoke(["seed", "spec", str(path)])
-    assert (code, out) == (2, "")
-    assert err.startswith("size limit: ") and "Traceback" not in err
+    assert invoke(["seed", "spec", str(path)]) == (
+        2,
+        "",
+        f"size limit: chain atoms, tuples and codes are limited to 65536 nodes, got {nodes}\n",
+    )
 
 
 def test_seed_quine_at_the_cap_and_past_it():

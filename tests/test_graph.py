@@ -13,7 +13,6 @@ from setforge import (
     SizeLimitError,
     UnknownNodeError,
     complete,
-    extension,
     extensionality_violation,
     is_end_extension,
     is_extensional,
@@ -23,6 +22,7 @@ from setforge import (
     subset_node_id,
 )
 from setforge import graph
+from setforge.graph import extension
 
 import helpers
 from helpers import (
@@ -90,7 +90,9 @@ def test_edges_derived_from_extensions():
 
 
 def test_sorted_edges_are_the_sorted_edge_set():
-    """Self-loops, cycles and ids that sort apart from insertion order."""
+    """``member_runs`` lists the sorted edges grouped by member, written
+    through the names given, whatever their order or their own sort:
+    self-loops, cycles and ids that sort apart from insertion order."""
     r = random.Random(13)
     for _ in range(200):
         g = random_extensional_graph(random.Random(r.getrandbits(64)), 7)
@@ -98,7 +100,12 @@ def test_sorted_edges_are_the_sorted_edge_set():
             {f"{len(x)}{x[::-1]}": {f"{len(m)}{m[::-1]}" for m in ms} for x, ms in reversed(g.extensions.items())}
         )
         for h in (g, relabelled):
-            assert h.sorted_edges() == sorted(h.edges)
+            names = {x: f"<{x}>" for x in reversed(h.sorted_nodes())}
+            runs = h.member_runs(names)
+            assert all(cs for _, cs in runs)
+            assert [(m, c) for m, cs in runs for c in cs] == [
+                (names[m], names[c]) for m, c in sorted(h.edges)
+            ]
 
 
 def test_end_extension_reflexive():

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_eval, random_closed_formula, random_extensional_graph, random_formula
+from helpers import (
+    naive_eval,
+    print_formula,
+    random_closed_formula,
+    random_extensional_graph,
+    random_formula,
+)
 
 from setforge import (
     And,
@@ -29,13 +35,11 @@ from setforge import (
     chain_code_formula,
     check_axiom,
     complete,
-    comprehension_instance,
     define_class,
     eval_formula,
     free_variables,
     is_extensional,
     parse,
-    print_formula,
     quine_atoms,
     quine_code_formula,
     von_neumann_seed,
@@ -302,37 +306,6 @@ def test_unknown_axiom():
         check_axiom(von_neumann_seed(1), "choice")
 
 
-# -- comprehension -----------------------------------------------------------
-
-
-def test_comprehension_witnessed():
-    g = von_neumann_seed(3)
-    two = next(x for x in g.nodes if len(g.extensions[x]) == 2)
-    report = comprehension_instance(g, two, parse("!(exists w. w in z)"))
-    assert report.holds
-    assert g.extensions[report.witness] == report.subset
-    assert len(report.subset) == 1  # just the empty node
-
-
-def test_comprehension_unwitnessed():
-    g = ExtensionalDigraph.from_extensions(
-        {"t": set(), "a": {"t"}, "b": {"a"}, "c": {"t", "a", "b"}}
-    )
-    report = comprehension_instance(g, "c", parse("exists w. w in z"))
-    assert report.subset == {"a", "b"}
-    assert not report.holds
-    assert report.witness is None
-
-
-def test_comprehension_validation():
-    g = von_neumann_seed(2)
-    with pytest.raises(UnknownNodeError):
-        comprehension_instance(g, "ghost", parse("z = z"))
-    some = next(iter(g.nodes))
-    with pytest.raises(FormulaError):
-        comprehension_instance(g, some, parse("z in w"))
-
-
 # -- code-detection formulas -------------------------------------------------
 
 
@@ -510,12 +483,7 @@ def test_guarded_shapes_agree_with_naive():
             scan = frozenset(x for x in nodes if naive_eval(g, one, {"x": x}))
             assert define_class(g, one) == scan, print_formula(one)
             owner = rng.choice(nodes)
-            report = comprehension_instance(g, owner, one)
-            subset = frozenset(z for z in g.extensions[owner] if z in scan)
-            assert report.subset == subset
-            assert report.witness == next(
-                (w for w in nodes if g.extensions[w] == subset), None
-            )
+            assert eval_formula(g, one, {"x": owner}) == (owner in scan), print_formula(one)
     assert GUARD_SHAPES <= seen, GUARD_SHAPES - seen
     assert formulas > 300
 

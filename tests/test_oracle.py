@@ -24,13 +24,10 @@ from setforge import (
     compare,
     complete,
     decorate,
-    hf_universe,
-    is_isomorphic,
     loop_code,
     oracle_complete,
     quine_atoms,
     value_extension,
-    values_to_graph,
     von_neumann_seed,
 )
 from setforge import oracle
@@ -39,7 +36,6 @@ from setforge.cli import main
 from helpers import (
     random_decorable_graph,
     random_extensional_graph,
-    reference_hf_universe,
     reference_oracle_complete,
 )
 
@@ -88,8 +84,8 @@ def test_intern_table_shrinks_back_after_a_command_with_the_collector_paused(
 
 
 def test_only_the_decoration_is_interned(monkeypatch):
-    """Stage values skip the intern table; ``hf_universe`` interns its
-    results, members included, so ``collection`` rebuilds each one as
+    """Stage values skip the intern table; ``decorate`` interns its
+    values, members included, so ``collection`` rebuilds each one as
     the very same object."""
     g = quine_atoms(["a", "b"])
     decoration = sorted(v.key for v in decorate(g).values())
@@ -109,8 +105,8 @@ def test_only_the_decoration_is_interned(monkeypatch):
             return atom(v.label)
         return collection(map(rebuild, v.members))
 
-    for k, atoms in ((4, ()), (2, ("a", "b"))):
-        values = hf_universe(k, atoms)
+    for seed in (von_neumann_seed(4), complete(g, 1).graph):
+        values = decorate(seed).values()
         assert all(rebuild(v) is v for v in values)
 
 
@@ -143,49 +139,32 @@ def test_pair_does_not_collapse():
 # -- hereditarily finite stages ----------------------------------------------
 
 
+def hf_stage(k: int) -> ExtensionalDigraph:
+    """The k-th stage of the hereditarily finite universe."""
+    return oracle_complete(ExtensionalDigraph.empty(), k)
+
+
 def test_hf_stage_zero():
-    assert hf_universe(0) == frozenset()
-    assert len(hf_universe(0, ["a"])) == 1
+    assert len(hf_stage(0)) == 0
+    assert len(oracle_complete(quine_atoms(["a"]), 0)) == 1
 
 
 def test_hf_stage_sizes_pure():
-    assert len(hf_universe(1)) == 1
-    assert len(hf_universe(2)) == 2
-    assert len(hf_universe(3)) == 4
-    assert len(hf_universe(4)) == 16
+    assert [len(hf_stage(k)) for k in range(1, 5)] == [1, 2, 4, 16]
 
 
 def test_hf_stages_nest():
-    assert hf_universe(2) < hf_universe(3) < hf_universe(4)
+    assert hf_stage(2).nodes < hf_stage(3).nodes < hf_stage(4).nodes
 
 
 def test_hf_one_atom_collapse():
-    family = hf_universe(1, ["a"])
-    assert family == {atom("a"), collection([])}
-
-
-def test_hf_universe_matches_reference_stages():
-    for k in range(5):
-        assert hf_universe(k) == reference_hf_universe(k)
-    for atoms in (["a"], ["a", "b"]):
-        for k in range(4):
-            assert hf_universe(k, atoms) == reference_hf_universe(k, atoms)
-
-
-def test_hf_stage_limits():
-    with pytest.raises(ValueError):
-        hf_universe(5)
-    with pytest.raises(ValueError):
-        hf_universe(4, ["a"])
-    with pytest.raises(ValueError):
-        hf_universe(-1)
-    with pytest.raises(ValueError):
-        hf_universe(1, ["a", "a"])
+    # {a} collapses onto the atom a, so stage 1 adds only the empty set
+    assert oracle_complete(quine_atoms(["a"]), 1).nodes == {"atom:a", "hf:{}"}
 
 
 def test_hf_budget_guard():
     with pytest.raises(BudgetExceededError):
-        hf_universe(4, budget=Budget(max_subsets_enumerated=8))
+        oracle_complete(ExtensionalDigraph.empty(), 4, budget=Budget(max_subsets_enumerated=8))
 
 
 def hereditary_signatures(g: ExtensionalDigraph) -> frozenset:
@@ -204,8 +183,7 @@ def hereditary_signatures(g: ExtensionalDigraph) -> frozenset:
 def test_hf_matches_von_neumann_rendering():
     # Same membership structure; provenance stamps differ (stage levels
     # versus seed), so compare hereditarily rather than by isomorphism.
-    g = values_to_graph(hf_universe(3))
-    assert hereditary_signatures(g) == hereditary_signatures(von_neumann_seed(3))
+    assert hereditary_signatures(hf_stage(3)) == hereditary_signatures(von_neumann_seed(3))
 
 
 # -- decoration --------------------------------------------------------------
@@ -303,8 +281,6 @@ def test_decorate_chain_longer_than_the_recursion_limit():
     assert set(decoration) == g.nodes
     for i in range(1, len(names)):
         assert value_extension(decoration[names[i]]) == {decoration[names[i - 1]]}
-    levels = {p.level for p in values_to_graph(decoration.values()).provenance.values()}
-    assert levels == set(range(1, len(names) + 1))
 
 
 def test_oracle_compare_cli_on_a_1500_link_chain_atom(tmp_path, capsys, monkeypatch):
@@ -323,18 +299,6 @@ def test_oracle_compare_cli_on_a_1500_link_chain_atom(tmp_path, capsys, monkeypa
     monkeypatch.setattr(sys, "stdin", io.StringIO(document))
     assert main(["oracle-compare", "--levels", "0", "--porcelain"]) == 0
     assert capsys.readouterr().out == "oracle\tisomorphic\tisomorphic\n"
-
-
-def test_values_round_trip_through_graph():
-    g = ExtensionalDigraph.from_extensions(
-        {"q": {"q"}, "t": set(), "s": {"t", "q"}}
-    )
-    values = set(decorate(g).values())
-    back = values_to_graph(values)
-    # Atoms keep their node id as label, so decorating the rendering
-    # reproduces the identical interned values.
-    assert set(decorate(back).values()) == values
-    assert len(back.nodes) == len(g.nodes)
 
 
 # -- reference completion ----------------------------------------------------
@@ -384,6 +348,7 @@ def test_oracle_complete_agrees_with_reference():
         ExtensionalDigraph.from_extensions({"e": set(), "hf:{{}}": {"hf:{{}}"}}),
     ]
     cases += [(g, n) for g in seeds for n in range(3)]
+    cases += [(ExtensionalDigraph.empty(), k) for k in range(5)]
     outcomes = [oracle_outcome(reference_oracle_complete, g, n) for g, n in cases]
     for (g, n), expected in zip(cases, outcomes):
         assert oracle_outcome(oracle_complete, g, n) == expected, (g.extensions, n)
@@ -393,9 +358,13 @@ def test_oracle_complete_agrees_with_reference():
 
 
 def test_oracle_complete_empty_seed():
-    reference = oracle_complete(ExtensionalDigraph.empty(), 3)
+    """Each value is stamped with the first stage that holds it: one
+    more than the latest stage of its members."""
+    reference = hf_stage(3)
     assert len(reference.nodes) == 4
-    assert is_isomorphic(reference, values_to_graph(hf_universe(3)))
+    level = {x: p.level for x, p in reference.provenance.items()}
+    for x, ext in reference.extensions.items():
+        assert level[x] == 1 + max(map(level.__getitem__, ext), default=0)
 
 
 def test_oracle_complete_validation():

@@ -1,5 +1,6 @@
 """Seed constructors: numerals, atoms, chains, tuple codes, assembly."""
 
+import dataclasses
 import itertools
 import sys
 
@@ -458,29 +459,79 @@ def test_spec_numerals_capped_at_validation():
         CodeSpec(naturals_up_to=1025)
 
 
-@pytest.mark.parametrize("style", ["loop", "chain"])
+@pytest.mark.parametrize("style", ["loop", "chain", "tuples"])
 def test_spec_chain_nodes_capped_at_validation(style):
-    """Chain-atom links and chain-code nodes are priced together before
-    anything is built: one chain atom, and in chain style one tuple
-    guarded by a chain code of the remaining length."""
+    """Chain-atom links, tuple nodes and code nodes are priced together
+    before anything is built, each tuple at 3 nodes per component plus
+    its code: one chain atom; in chain style with one one-component
+    tuple guarded by a chain code of the remaining length; in loop
+    style with 16,383 one-component tuples."""
     cap = seeds._MAX_SEED_NODES
 
     def spec(nodes):
         if style == "loop":
             return CodeSpec(atoms=(AtomDecl("a", "chain", length=nodes),), naturals_up_to=2)
+        if style == "tuples":
+            count = cap // 4 - 1
+            return CodeSpec(
+                atoms=(AtomDecl("a", "chain", length=nodes - 4 * count),),
+                naturals_up_to=1024,
+                tuples=[TupleDecl(i % 1024, (str(i // 1024),)) for i in range(count)],
+            )
         return CodeSpec(
             atoms=(AtomDecl("a", "chain", length=1),),
             naturals_up_to=2,
             tuples=(TupleDecl(0, ("a",)),),
             code_style="chain",
-            code_length=nodes - 1,
+            code_length=nodes - 1 - 3,
         )
 
-    assert spec(cap).code_style == style
+    spec(cap)
     with pytest.raises(
-        SizeLimitError, match=f"^chain atoms and codes are limited to {cap} nodes, got {cap + 1}$"
+        SizeLimitError,
+        match=f"^chain atoms, tuples and codes are limited to {cap} nodes, got {cap + 1}$",
     ):
         spec(cap + 1)
+
+
+def test_assemble_builds_the_numeral_ids_a_fixed_number_of_times(monkeypatch):
+    """Not once per tuple or component: each call hashes every numeral
+    below the count, so per-tuple calls made many tuples quadratic."""
+    calls = []
+    monkeypatch.setattr(seeds, "numeral_ids", lambda n: calls.append(n) or numeral_ids(n))
+    counts = []
+    for n in (1, 60):
+        calls.clear()
+        tuples = tuple(TupleDecl(i % 20, ("a", str(i // 20))) for i in range(n))
+        assemble(CodeSpec(atoms=(AtomDecl("a", "quine"),), naturals_up_to=20, tuples=tuples))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 2
+
+
+def test_attach_codes_agrees_with_encoding_one_tuple_at_a_time():
+    """Every tuple goes into one shared copy of the graph; encoding each
+    through ``encode_tuple`` in turn gives the same nodes, in the same
+    order, and the same tops."""
+    spec = CodeSpec(
+        atoms=(AtomDecl("a", "quine"), AtomDecl("b", "quine")),
+        naturals_up_to=4,
+        tuples=tuple(
+            TupleDecl(t, c)
+            for t in range(4)
+            for c in (("a",), ("b", "a"), ("3", "a", "3"), (str(t),), ("3", "3"))
+        ),
+    )
+    seed = assemble(spec)
+    g = assemble(dataclasses.replace(spec, tuples=())).graph
+    for decl in spec.tuples:
+        components = [seed.numerals[decl.tag]]
+        components += [seed.numerals[int(c)] if c.isdigit() else seed.atom_nodes[c] for c in decl.components]
+        g, top = encode_tuple(g, components)
+        assert seed.index.tuple_nodes[decl] == top
+    # the code nodes come after every tuple node
+    assert list(seed.graph.extensions)[: len(g)] == list(g.extensions)
+    assert all(seed.graph.extensions[x] == g.extensions[x] for x in g.nodes)
+    assert all(seed.graph.provenance[x] == g.provenance[x] for x in g.nodes)
 
 
 @pytest.mark.parametrize("component", ["4", "0004", "1" * 5000], ids=["just-past", "zero-padded", "5000-digits"])
