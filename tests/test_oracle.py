@@ -162,6 +162,15 @@ def test_hf_one_atom_collapse():
     assert oracle_complete(quine_atoms(["a"]), 1).nodes == {"atom:a", "hf:{}"}
 
 
+def test_hf_universe_matches_reference_stages():
+    # The pure stages 0-4, and stages 0-3 over one and two quine atoms.
+    cases = [(ExtensionalDigraph.empty(), k) for k in range(5)]
+    cases += [(quine_atoms(atoms), k) for atoms in (["a"], ["a", "b"]) for k in range(4)]
+    for g, k in cases:
+        expected = oracle_outcome(reference_oracle_complete, g, k)
+        assert oracle_outcome(oracle_complete, g, k) == expected, (sorted(g.nodes), k)
+
+
 def test_hf_budget_guard():
     with pytest.raises(BudgetExceededError):
         oracle_complete(ExtensionalDigraph.empty(), 4, budget=Budget(max_subsets_enumerated=8))
@@ -348,7 +357,6 @@ def test_oracle_complete_agrees_with_reference():
         ExtensionalDigraph.from_extensions({"e": set(), "hf:{{}}": {"hf:{{}}"}}),
     ]
     cases += [(g, n) for g in seeds for n in range(3)]
-    cases += [(ExtensionalDigraph.empty(), k) for k in range(5)]
     outcomes = [oracle_outcome(reference_oracle_complete, g, n) for g, n in cases]
     for (g, n), expected in zip(cases, outcomes):
         assert oracle_outcome(oracle_complete, g, n) == expected, (g.extensions, n)
