@@ -17,6 +17,7 @@ import gc
 import json
 import sys
 from bisect import bisect_left
+from collections import defaultdict, deque
 from contextlib import contextmanager
 from itertools import chain, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
@@ -234,49 +235,6 @@ def _node_provenance(nodes_raw: list[dict], ids: list[NodeId]) -> dict[NodeId, P
     return provenance
 
 
-def _member_lists(
-    edges_raw: list, ids: list[NodeId], known: frozenset[NodeId]
-) -> dict[NodeId, list[NodeId]]:
-    """Each node's members, in edge order.
-
-    Each edge end is checked once. Members are checked by one inclusion
-    over the first column. Containers are checked by the grouping's own
-    lookups, since only a known id finds a list. Only a ``str`` can
-    equal a known id, so neither check needs a type probe; an end that
-    cannot be hashed raises ``TypeError`` in either. A failed check
-    falls back to the walk that names the first bad edge.
-    """
-    if _all_of(edges_raw, list) and set(map(len, edges_raw)) <= {2}:
-        members: dict[NodeId, list[NodeId]] = {x: [] for x in ids}
-        try:
-            if known.issuperset(map(itemgetter(0), edges_raw)):
-                for member, container in edges_raw:
-                    members[container].append(member)
-                return members
-        except (KeyError, TypeError):  # an unknown or unhashable end
-            pass
-    return _member_lists_by_item(edges_raw, ids, known)
-
-
-def _check_deficiency_members(
-    nodes_raw: list[dict],
-    provenance: dict[NodeId, Provenance],
-    members: dict[NodeId, list[NodeId]],
-    edges_raw: list,
-) -> None:
-    # A deficiency node's members are written from its extension, so a
-    # document whose two copies disagree did not come from ``serialize``.
-    mask = list(map(isinstance, provenance.values(), repeat(Deficiency)))
-    claimed = [item["provenance"]["members"] for item in compress(nodes_raw, mask)]
-    lists = list(compress(members.values(), mask))
-    # Strictly sorted edges, as ``serialize`` writes them, list every
-    # container's members sorted and without repeats: no sort needed.
-    if claimed == lists and all(map(lt, edges_raw, islice(edges_raw, 1, None))):
-        return
-    if claimed != [sorted(frozenset(ms)) for ms in lists]:
-        _check_deficiency_members_by_item(nodes_raw, provenance, members)
-
-
 def _levels(levels_raw: list, known: frozenset[NodeId]) -> list[frozenset[NodeId]]:
     if _all_of(levels_raw, list) and _all_of(chain.from_iterable(levels_raw), str):
         collected = list(map(frozenset, levels_raw))
@@ -434,14 +392,128 @@ def _check_formulas_by_item(formulas_raw: dict) -> None:
             raise SchemaError(f"formulas.{name}", "formula bodies must be strings")
 
 
-@_gc_paused()
-def deserialize(text: str) -> AnnotatedGraph:
-    """Parse and validate one document. See the module docstring for
-    the shape; violations name the field path.
+# -- reading -----------------------------------------------------------------
+#
+# A document is read by one of two paths. ``_proven`` decodes the
+# top-level object one member at a time and keeps each section only as
+# long as it must; it returns a document only when it has shown the
+# text valid. Anything it cannot show, a JSON error included, goes to
+# ``_walked``, which parses the whole text with ``json.loads`` and walks
+# the edges, and any section that fails its bulk check, item by item,
+# so that the first error in section order is named.
 
-    Each section is checked in bulk. Only a section that fails its bulk
-    check is walked item by item, to name the first offending field.
+_scan_value = json.JSONDecoder().scan_once
+_scan_key = json.decoder.scanstring
+_skip_space = json.decoder.WHITESPACE.match
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+class _Unproven(Exception):
+    """``_proven`` cannot show the document valid; ``_walked`` decides."""
+
+
+def _grouped(edges: Any) -> tuple[dict[NodeId, list[NodeId]], dict[NodeId, NodeId], bool]:
+    """The members of each container, in edge order; the distinct
+    members, each a single string object that every list shares; and
+    whether the pairs are strictly sorted, as ``serialize`` writes
+    them, so that every list is sorted and has no repeats.
+
+    The ends are not yet known to be ids (``nodes`` comes later): an
+    end that cannot be ordered or hashed raises ``TypeError``, which
+    :func:`_sections` takes as not proven.
     """
+    if not (type(edges) is list and _all_of(edges, list) and set(map(len, edges)) <= {2}):
+        raise _Unproven
+    in_order = all(map(lt, edges, islice(edges, 1, None)))
+    groups: defaultdict[NodeId, list[NodeId]] = defaultdict(list)
+    canon: dict[NodeId, NodeId] = {}
+    members = map(canon.setdefault, map(_first, edges), map(_first, edges))
+    deque(map(list.append, map(groups.__getitem__, map(_second, edges)), members), maxlen=0)
+    return groups, canon, in_order
+
+
+def _sections(text: str) -> tuple[dict[str, Any], Any]:
+    """The top-level members of ``text`` but ``edges``, and ``edges``
+    as :func:`_grouped` groups it on arrival, before the next member is
+    decoded.
+
+    Keys go through ``json.decoder.scanstring`` and values through the
+    scanner that ``json.loads`` uses, with the same whitespace between
+    them, so every value is the one ``json.loads`` would build; a
+    repeated key keeps its last value, as there. Raises ``_Unproven``
+    for anything but one object that fills the text and has ``edges``.
+    """
+    sections: dict[str, Any] = {}
+    edges = None
+    try:
+        at = _skip_space(text, 0).end()
+        if text[at : at + 1] != "{":
+            raise _Unproven
+        at = _skip_space(text, at + 1).end()
+        while True:
+            if text[at : at + 1] != '"':
+                raise _Unproven
+            key, at = _scan_key(text, at + 1)
+            at = _skip_space(text, at).end()
+            if text[at : at + 1] != ":":
+                raise _Unproven
+            value, at = _scan_value(text, _skip_space(text, at + 1).end())
+            if key == "edges":
+                edges = _grouped(value)
+            else:
+                sections[key] = value
+            del value  # a decoded ``edges`` is freed before the next value
+            at = _skip_space(text, at).end()
+            if text[at : at + 1] != ",":
+                break
+            at = _skip_space(text, at + 1).end()
+    except (StopIteration, ValueError, RecursionError, TypeError):
+        # Not JSON, edge ends that cannot be ordered or hashed, or not a str.
+        raise _Unproven from None
+    if text[at : at + 1] != "}" or _skip_space(text, at + 1).end() != len(text) or edges is None:
+        raise _Unproven
+    return sections, edges
+
+
+def _nodes(raw: dict) -> tuple[list[dict], list[NodeId], dict[NodeId, Provenance]]:
+    """The checked ``format_version``, then the ``nodes`` entries, their
+    ids and their provenance."""
+    version = _want(raw, "format_version", int, "$")
+    if version != FORMAT_VERSION:
+        raise SchemaError("format_version", f"unsupported version {version}")
+    nodes_raw = _want(raw, "nodes", list, "$")
+    ids = _node_ids(nodes_raw)
+    return nodes_raw, ids, _node_provenance(nodes_raw, ids)
+
+
+def _proven(text: str) -> AnnotatedGraph:
+    """The document, read section by section; raises ``_Unproven`` when
+    the edges cannot be shown valid this way, and ``SchemaError`` only
+    once the whole text is known to be JSON and every section before
+    the offending one valid."""
+    sections, edges = _sections(text)
+    nodes_raw, ids, provenance = _nodes(sections)
+    groups, canon, in_order = edges
+    known = frozenset(ids)
+    if not (known.issuperset(groups) and known.issuperset(canon)):
+        raise _Unproven
+    # A deficiency node's members are written from its extension, so a
+    # document whose two copies disagree did not come from ``serialize``.
+    mask = list(map(isinstance, provenance.values(), repeat(Deficiency)))
+    claimed = [item["provenance"]["members"] for item in compress(nodes_raw, mask)]
+    lists = list(map(groups.get, compress(ids, mask), repeat([])))
+    if claimed != (lists if in_order else [sorted(set(ms)) for ms in lists]):
+        raise _Unproven
+    # The decoded nodes are checked and read: freed here, they make
+    # room for the frozensets.
+    del sections["nodes"], nodes_raw, claimed, lists
+    graph = ExtensionalDigraph({x: frozenset(groups.pop(x, ())) for x in ids}, provenance)
+    return _annotated(sections, graph)
+
+
+def _walked(text: str) -> AnnotatedGraph:
+    """The document, read as ``json.loads`` parses it, the nodes and
+    edges walked item by item to name the first offending field."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -454,22 +526,18 @@ def deserialize(text: str) -> AnnotatedGraph:
         ) from e
     if not isinstance(raw, dict):
         raise SchemaError("$", "document must be a JSON object")
-    version = _want(raw, "format_version", int, "$")
-    if version != FORMAT_VERSION:
-        raise SchemaError("format_version", f"unsupported version {version}")
-
-    nodes_raw = _want(raw, "nodes", list, "$")
-    ids = _node_ids(nodes_raw)
+    nodes_raw, ids, provenance = _nodes(raw)
     known = frozenset(ids)
-    provenance = _node_provenance(nodes_raw, ids)
-    edges_raw = _want(raw, "edges", list, "$")
-    members = _member_lists(edges_raw, ids, known)
-    _check_deficiency_members(nodes_raw, provenance, members, edges_raw)
-    # The parsed nodes and edges are checked and read, and are most of
-    # the tree: freed here, they make room for the frozensets.
-    del raw["nodes"], raw["edges"], nodes_raw, edges_raw
+    members = _member_lists_by_item(_want(raw, "edges", list, "$"), ids, known)
+    _check_deficiency_members_by_item(nodes_raw, provenance, members)
     graph = ExtensionalDigraph({x: frozenset(ms) for x, ms in members.items()}, provenance)
+    return _annotated(raw, graph)
 
+
+def _annotated(raw: dict, graph: ExtensionalDigraph) -> AnnotatedGraph:
+    """``graph`` with the optional blocks of ``raw``, each checked in
+    bulk and walked item by item only to name an error."""
+    known = graph.nodes
     levels: tuple[frozenset[NodeId], ...] | None = None
     if "levels" in raw:
         collected = _levels(_want(raw, "levels", list, "$"), known)
@@ -477,7 +545,8 @@ def deserialize(text: str) -> AnnotatedGraph:
             raise SchemaError("levels", "levels block must not be empty")
         if collected[-1] != known:
             raise SchemaError("levels", "top level must contain every node")
-        levels = tuple(collected)
+        # The graph's own node set, which AnnotatedGraph need not compare.
+        levels = (*collected[:-1], known)
 
     depth: dict[NodeId, int] | None = None
     if "depth" in raw:
@@ -511,3 +580,20 @@ def deserialize(text: str) -> AnnotatedGraph:
             _check_formulas_by_item(formulas)
 
     return AnnotatedGraph(graph, levels, depth, ranks, formulas)
+
+
+@_gc_paused()
+def deserialize(text: str) -> AnnotatedGraph:
+    """Parse and validate one document. See the module docstring for
+    the shape; violations name the field path.
+
+    The sections are decoded one at a time and checked in bulk; the
+    edges are grouped by container as soon as they are decoded, before
+    the nodes. Only a document that these checks cannot show valid is
+    parsed whole and walked item by item, to name the first offending
+    field.
+    """
+    try:
+        return _proven(text)
+    except _Unproven:
+        return _walked(text)

@@ -226,7 +226,10 @@ class AnnotatedGraph:
             return
         if not self.levels:
             raise ValueError("a leveled universe needs at least one level")
-        if self.levels[-1] != self.graph.nodes:
+        # ``levels[-1] is graph.nodes`` where a completion step or a
+        # checked document built the record; only a hand-built top level
+        # needs the comparison.
+        if self.levels[-1] is not self.graph.nodes and self.levels[-1] != self.graph.nodes:
             raise ValueError("top level must equal the graph's node set")
         for lower, upper in zip(self.levels, self.levels[1:]):
             if not lower <= upper:

@@ -421,12 +421,22 @@ def attach_codes(
     provenance = dict(g.provenance)
     by_extension = _extension_index(g)
     index = CodeIndex()
+    declared: dict[NodeId, TupleDecl] = {}
     for decl in spec.tuples:
         components = [numerals[decl.tag]]
         components += [
             numerals[_numeral_value(c)] if _is_numeral(c) else atoms[c] for c in decl.components
         ]
-        index.tuple_nodes[decl] = _encode(extensions, provenance, by_extension, components)
+        p = _encode(extensions, provenance, by_extension, components)
+        if p in declared:
+            # Over a quine atom a, {a} is a itself, so distinct
+            # declarations can encode to one node, which one code cannot
+            # guard twice.
+            raise SpecValidationError(
+                f"tuple declarations {declared[p]} and {decl} both encode to node {p!r}"
+            )
+        declared[p] = decl
+        index.tuple_nodes[decl] = p
 
     def add(node: NodeId, members: frozenset[NodeId], detail: str, kind: str) -> None:
         if node in extensions:

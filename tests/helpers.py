@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 import re
+import sys
 from collections import Counter
 from typing import Any, Iterator, Mapping
 
@@ -667,6 +668,10 @@ def reference_deserialize(text: str) -> AnnotatedGraph:
         raise SchemaError("$", f"invalid JSON: {e.msg} at position {e.pos}") from e
     except RecursionError as e:
         raise SchemaError("$", "invalid JSON: nested too deeply") from e
+    except ValueError as e:  # an integer literal past the conversion limit
+        raise SchemaError(
+            "$", f"invalid JSON: integers have at most {sys.get_int_max_str_digits()} digits"
+        ) from e
     if not isinstance(raw, dict):
         raise SchemaError("$", "document must be a JSON object")
     version = _reference_want(raw, "format_version", int, "$")

@@ -133,6 +133,21 @@ def test_seed_spec_wrong_field_types_exit_3(tmp_path, change):
     assert err and "Traceback" not in err
 
 
+def test_seed_spec_tuples_that_encode_to_one_node_exit_3(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "atoms": [{"label": "a", "kind": "quine"}],
+        "naturals_up_to": 1,
+        "tuples": [{"tag": 0, "components": ["a"]}, {"tag": 0, "components": ["a", "a"]}],
+    }))
+    code, out, err = invoke(["seed", "spec", str(path)])
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        "tuple declarations TupleDecl(tag=0, components=('a',)) and "
+        "TupleDecl(tag=0, components=('a', 'a')) both encode to node 'set:"
+    ), err
+
+
 def test_seed_spec_not_utf8_exit_3(tmp_path):
     path = tmp_path / "spec.json"
     path.write_bytes(b'{"atoms": ["\xff"]}')

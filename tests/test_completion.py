@@ -238,8 +238,10 @@ def test_new_nodes_carry_deficiency_provenance():
 
 def test_leveled_universe_validates_nesting():
     g = ExtensionalDigraph.from_extensions({"a": set()})
-    with pytest.raises(Exception):
+    with pytest.raises(ValueError, match="top level must equal the graph's node set"):
         AnnotatedGraph(graph=g, levels=(frozenset({"a"}), frozenset()))
+    # A hand-built top level is compared by value, not by identity.
+    assert AnnotatedGraph(graph=g, levels=(frozenset({"a"}),)).levels == (g.nodes,)
 
 
 def test_level_graph_rejects_a_level_not_closed_under_membership():

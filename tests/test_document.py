@@ -5,6 +5,7 @@ import gc
 import json
 import pathlib
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -75,6 +76,11 @@ def test_dred_universe_round_trip():
     back = deserialize(serialize(du))
     assert back == du
     assert back.levels == du.levels
+
+
+def test_read_top_level_is_the_graph_node_set():
+    doc = deserialize(serialize(complete(von_neumann_seed(2), 2)))
+    assert doc.levels[-1] is doc.graph.nodes
 
 
 def test_formulas_round_trip():
@@ -488,14 +494,118 @@ def test_first_bad_edge_end_a_container_fails_as_the_reference_fails(bad):
 def test_valid_documents_never_walk_item_by_item(monkeypatch):
     walks = [name for name in vars(document) if name.endswith("_by_item")] + ["_parse_provenance"]
     assert len(walks) >= 8
+    lines = valid_lines()
+    expected = [reference_deserialize(line) for line in lines]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a valid document was walked item by item")
 
     for name in walks:
         monkeypatch.setattr(document, name, refuse)
-    for line in valid_lines():
-        assert deserialize(line) == reference_deserialize(line)
+    # Nor parsed whole: the sections are decoded one at a time.
+    monkeypatch.setattr(document.json, "loads", refuse)
+    assert [deserialize(line) for line in lines] == expected
+
+
+def _layouts(line: str) -> list[str]:
+    """``line`` as other writers could lay it out: keys in reverse
+    order, whitespace between every pair of tokens, and the edges in
+    reverse order."""
+    payload = json.loads(line)
+    backwards = dict(reversed(payload.items()))
+    return [
+        json.dumps(backwards, separators=(",", ":")),
+        json.dumps(backwards, indent=2),
+        json.dumps({**payload, "edges": payload.get("edges", [])[::-1]}),
+        " \n\t\r" + json.dumps(payload, indent="\t", separators=(" , ", " : ")) + "\r\n ",
+    ]
+
+
+def _odd_texts(line: str) -> list[str]:
+    """Texts around the valid document ``line`` that only a decoder
+    reading member by member could get wrong."""
+    body = line[1:-1]
+    first_edge = line.index("[[") + 1
+    return [
+        # Repeated top-level keys: the last one wins, edges included.
+        "{" + body + ',"edges":[]}',
+        '{"edges":[],' + body + "}",
+        '{"edges":[["x"]],' + body + "}",
+        "{" + body + ',"edges":' + json.dumps(json.loads(line)["edges"][::-1]) + "}",
+        "{" + body + ',"nodes":[]}',
+        "{" + body + ',"format_version":2}',
+        '{"format_version":2,' + body + "}",
+        '{"levels":7,' + body + "}",
+        # Not one object that fills the text.
+        "\ufeff" + line,
+        line + "x",
+        line + " {}",
+        line + ",",
+        "{" + body + ",}",
+        "{" + body + ' "x":1}',
+        "{" + body + ',"x" 1}',
+        "{" + body + ",x:1}",
+        line[:-1],
+        "{}",
+        "{ }",
+        # Nesting past the recursion limit, before and after the edges.
+        '{"formulas":' + "[" * 100_000 + "]" * 100_000 + "," + body + "}",
+        "{" + body + ',"formulas":' + "[" * 100_000 + "}",
+        # An integer literal past Python's digit limit inside the edges.
+        line[:first_edge] + "[" + "1" * 5000 + "," + line[first_edge + 1 :],
+        line[:first_edge] + "[" + "1" * 5000 + "]," + line[first_edge:],
+        # Roots that are not objects.
+        "[" + line + "]",
+        "null",
+        "1",
+        '"' + body.replace('"', "'") + '"',
+        "",
+        "  ",
+    ]
+
+
+def test_other_layouts_and_odd_texts_parse_as_the_reference_parses_them():
+    line = serialize(complete(von_neumann_seed(2), 2))
+    layouts = _layouts(line)
+    for text in layouts:
+        assert outcome(deserialize, text) == outcome(reference_deserialize, line)
+    texts = _odd_texts(line) + [t for bad in _odd_texts(line)[:8] for t in _layouts(bad)]
+    # Empty edges that are not an empty list.
+    texts += [GOLDEN_EMPTY.replace("[]", empty, 1) for empty in ("{}", '""', "[[]]", "null")]
+    for text in texts:
+        ours = outcome(deserialize, text)
+        assert ours == outcome(reference_deserialize, text), text[:200]
+        assert ours[0] == "ok" or ours[1] == "SchemaError", ours
+
+
+def test_other_layouts_are_read_section_by_section(monkeypatch):
+    line = serialize(dred_complete(dred_from_graph(von_neumann_seed(2)), 1))
+    expected = deserialize(line)
+    texts = _layouts(line)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a valid document was parsed whole")
+
+    monkeypatch.setattr(document.json, "loads", refuse)
+    for text in texts:
+        assert deserialize(text) == expected
+
+
+def test_reading_holds_less_than_the_parsed_tree():
+    """The edges are grouped as soon as they are decoded and dropped
+    before the nodes are, so a read never holds the whole tree that
+    ``json.loads`` builds. Measured in allocated bytes, not time."""
+    text = serialize(complete(quine_atoms([f"q{i}" for i in range(12)]), 1))
+
+    def peak(parse) -> int:
+        tracemalloc.start()
+        try:
+            parse(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(deserialize) < peak(json.loads)
 
 
 @pytest.mark.parametrize("enabled", [True, False])

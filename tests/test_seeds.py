@@ -262,6 +262,23 @@ def test_attach_codes_requires_known_components():
         attach_codes(g, spec)
 
 
+def test_attach_codes_names_both_tuples_that_encode_to_one_node(monkeypatch):
+    """Over a quine atom a, {a} is a itself, so the tuples (0, a) and
+    (0, a, a) encode to one node. Both declarations and the node are
+    named, before any code node is made."""
+    first, second = TupleDecl(0, ("a",)), TupleDecl(0, ("a", "a"))
+    spec = loop_spec(atoms=(AtomDecl("a", "quine"),), naturals_up_to=1, tuples=(first, second))
+    node = assemble(dataclasses.replace(spec, tuples=(first,))).index.tuple_nodes[first]
+
+    def refuse(p):
+        raise AssertionError(f"a code node was made for {p!r}")
+
+    monkeypatch.setattr(seeds, "loop_code_id", refuse)
+    with pytest.raises(SpecValidationError) as e:
+        assemble(spec)
+    assert str(e.value) == f"tuple declarations {first} and {second} both encode to node {node!r}"
+
+
 # -- assemble ----------------------------------------------------------------
 
 
