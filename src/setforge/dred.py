@@ -25,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from itertools import compress
 
 from .completion import (
     Budget,
@@ -71,13 +72,21 @@ def verify_dred(h: AnnotatedGraph) -> DredReport:
     certificate costs about one pass over its nodes and edges.  The
     rank increase is checked once, on the top family, when every lower
     family restricts it, as in every certificate setforge writes.
-    Condition 3 finds its suspects, the nodes that have a subset node
-    too deep for them, with one subset-max transform (see
-    :func:`_subset_depth_suspects`); only the suspects are then named
-    against their subsets, by enumerating the subsets of the extension
-    when that is cheap and by a pairwise scan otherwise.  Depths and
-    ranks are integers.  A record without a depth or a ranks block
-    raises SchemaError naming it.
+    Condition 3 needs no table of subsets, because condition 2 bounds
+    it.  Let m(x) be the greatest depth among x's members (-1 if none)
+    and let ext(x) <= ext(y), where y meets condition 2.  Every member of
+    x is a member of y, so m(x) <= depth(y) + 1; if x breaks condition 3
+    at y, depth(x) >= depth(y) + 2, so depth(x) is at least 2 and above
+    m(x): x *jumps*.  So condition 3 can fail only at condition 2's
+    offenders and at nodes more than one level above a jumping node
+    whose members they hold.  The jumping nodes are found per depth
+    group, as those whose members all lie in shallower groups, and a
+    jumping node's candidate supersets are the containers of its member
+    with the fewest (every node, if it has none).  Only these suspects
+    are named against their subsets, by enumerating the subsets of the
+    extension when that is cheap and by a pairwise scan otherwise.
+    Depths and ranks are integers.  A record without a depth or a ranks
+    block raises SchemaError naming it.
     """
     _require_blocks(h, "depth", "ranks")
     g = h.graph
@@ -97,16 +106,31 @@ def verify_dred(h: AnnotatedGraph) -> DredReport:
         return DredReport(tuple(violations))
 
     get_depth = depth.__getitem__
-    if any(
-        max(map(get_depth, _members(g, ys)), default=0) > d + 1
-        for d, ys in _nodes_by_value(depth).items()
-    ):
+    extensions = g.extensions
+    by_depth = _nodes_by_value(depth)
+    suspects: set[NodeId] = set()
+    if any(max(map(get_depth, _members(g, ys)), default=0) > d + 1 for d, ys in by_depth.items()):
         violations.extend(_edge_depth_violations(g, depth, nodes))
+        suspects = {
+            y for y in nodes if max(map(get_depth, extensions[y]), default=0) > depth[y] + 1
+        }
 
     if pair is None:
-        suspects = _subset_depth_suspects(g, depth, nodes)
+        jumping: list[NodeId] = []
+        shallower: set[NodeId] = set()
+        for d, xs in sorted(by_depth.items()):
+            if d >= 2:
+                jumping += compress(xs, map(shallower.issuperset, map(extensions.__getitem__, xs)))
+            shallower.update(xs)
+        holders = _holders(g, set().union(*map(extensions.__getitem__, jumping))) if jumping else {}
+        for x in jumping:
+            ext = extensions[x]
+            bound = depth[x] - 1
+            for y in min(map(holders.__getitem__, ext), key=len) if ext else nodes:
+                if depth[y] < bound and ext <= extensions[y]:
+                    suspects.add(y)
         if suspects:
-            violations.extend(_subset_depth_violations(g, depth, nodes, suspects))
+            violations.extend(_subset_depth_violations(g, depth, nodes, sorted(suspects)))
 
     keys = sorted(h.ranks)
     needed = max(depth.values(), default=0) + 1
@@ -155,6 +179,16 @@ def _rises_along_every_edge(g: ExtensionalDigraph, r: dict[NodeId, int]) -> bool
         if members and max(map(get, members)) >= value:
             return False
     return True
+
+
+def _holders(g: ExtensionalDigraph, wanted: set[NodeId]) -> dict[NodeId, list[NodeId]]:
+    """The containers of each node in ``wanted``, in one pass over the
+    extensions."""
+    holders: dict[NodeId, list[NodeId]] = {z: [] for z in wanted}
+    for y, ext in g.extensions.items():
+        for z in wanted.intersection(ext):
+            holders[z].append(y)
+    return holders
 
 
 def _nodes_by_value(values: dict[NodeId, int]) -> dict[int, list[NodeId]]:
@@ -281,44 +315,6 @@ def _rank_increase_violations(
                 )
             )
     return violations
-
-
-def _subset_depth_suspects(
-    g: ExtensionalDigraph, depth: dict[NodeId, int], nodes: list[NodeId]
-) -> list[NodeId]:
-    """The nodes ``y``, in the order of ``nodes``, with a node ``x`` such
-    that ext(x) <= ext(y) and depth[x] > depth[y] + 1.  Extensions must
-    be distinct (condition 1).
-
-    Every extension is a subset of the union S of all extensions, so it
-    is a bitmask over S.  ``best[M]`` starts as the depth of the node
-    whose extension is M (-1 if none) and, after one pass per bit of
-    Yates' subset-sum transform with max in place of sum, holds the
-    greatest depth over all extensions inside M, in O(|S| 2^|S|) steps.
-    Each pass folds the top bit of the index into the bottom half and
-    then interleaves the two halves, which rotates the index bits by
-    one, so every pass is a few slice operations and after |S| passes
-    the table is back in its own order.  The table has 2^|S| slots, so
-    when that exceeds ``max(64, 2N)``, the bound the per-node subset
-    enumeration also uses, every node is a suspect.  On a completion
-    output S is the previous level, whose 2^|S| subsets are all nodes,
-    so the transform applies.
-    """
-    support = set().union(*g.extensions.values())
-    size = 1 << len(support)
-    if size > max(64, 2 * len(nodes)):
-        return nodes
-    bit = {z: 1 << i for i, z in enumerate(support)}
-    masks = [sum(map(bit.__getitem__, g.extensions[y])) for y in nodes]
-    best = [-1] * size
-    for m, y in zip(masks, nodes):
-        best[m] = depth[y]
-    half = size >> 1
-    for _ in support:
-        low = best[:half]
-        best[1::2] = map(max, best[half:], low)
-        best[0::2] = low
-    return [y for y, m in zip(nodes, masks) if best[m] > depth[y] + 1]
 
 
 def require_dred(h: AnnotatedGraph) -> None:

@@ -146,20 +146,6 @@ class ExtensionalDigraph:
     def empty(cls) -> "ExtensionalDigraph":
         return cls({}, {})
 
-    @property
-    def edges(self) -> frozenset[tuple[NodeId, NodeId]]:
-        """The edge set as (member, container) pairs.  Materialised on
-        demand; prefer ``extensions`` in hot paths."""
-        cached = self.__dict__.get("_edges")
-        if cached is None:
-            cached = frozenset(
-                (member, container)
-                for container, members in self.extensions.items()
-                for member in members
-            )
-            self.__dict__["_edges"] = cached
-        return cached
-
     def containers(self) -> dict[NodeId, frozenset[NodeId]]:
         """Inverse of the extension map: node -> nodes it is a member of."""
         cached = self.__dict__.get("_containers")
@@ -243,8 +229,13 @@ class AnnotatedGraph:
         and completion only appends annotations for new nodes, this is
         the record as it stood when that level was the top.  A
         hand-built level that is not closed under membership raises
-        UnknownNodeError.
+        UnknownNodeError.  A record without levels raises SchemaError
+        naming them, and an ``n`` outside ``0..len(levels) - 1`` raises
+        IndexError naming that range.
         """
+        _require_blocks(self, "levels")
+        if not 0 <= n < len(self.levels):
+            raise IndexError(f"level {n} is outside 0..{len(self.levels) - 1}")
         wanted = self.levels[n]
         graph = ExtensionalDigraph.from_extensions(
             {x: self.graph.extensions[x] for x in wanted},

@@ -45,6 +45,11 @@ from setforge.logic import (
 )
 
 
+def edges(g: ExtensionalDigraph) -> frozenset[tuple[NodeId, NodeId]]:
+    """The edge set as (member, container) pairs."""
+    return frozenset((m, c) for c, ms in g.extensions.items() for m in ms)
+
+
 def naive_is_extensional(g: ExtensionalDigraph) -> bool:
     """Double loop over node pairs, no hashing tricks."""
     nodes = sorted(g.nodes)
@@ -575,7 +580,7 @@ def reference_to_dot(source: AnnotatedGraph) -> str:
             attrs.append("style=filled")
             attrs.append(f"fillcolor={quote(shade)}")
         lines.append(f"  {quote(x)} [{', '.join(attrs)}];")
-    for member, container in sorted(g.edges):
+    for member, container in sorted(edges(g)):
         lines.append(f"  {quote(member)} -> {quote(container)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -643,7 +648,7 @@ def reference_serialize(doc: AnnotatedGraph) -> str:
             {"id": x, "provenance": provenance_json(x)}
             for x in g.sorted_nodes()
         ],
-        "edges": sorted([m, c] for m, c in g.edges),
+        "edges": sorted([m, c] for m, c in edges(g)),
     }
     if doc.levels is not None:
         payload["levels"] = [sorted(level) for level in doc.levels]

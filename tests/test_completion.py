@@ -251,6 +251,20 @@ def test_level_graph_rejects_a_level_not_closed_under_membership():
         u.level(0).graph
 
 
+def test_level_of_a_record_without_levels_names_the_block():
+    h = AnnotatedGraph(graph=ExtensionalDigraph.from_extensions({"a": set()}))
+    with pytest.raises(SchemaError, match="^levels: document has no levels block$"):
+        h.level(0)
+
+
+def test_level_outside_the_levels_names_the_range():
+    u = complete(ExtensionalDigraph.from_extensions({"a": {"a"}}), 2)
+    for n in (-1, 3, 5):
+        with pytest.raises(IndexError, match=rf"^level {n} is outside 0\.\.2$"):
+            u.level(n)
+    assert u.level(2).graph == u.graph
+
+
 def test_budget_must_be_positive():
     with pytest.raises(Exception):
         Budget(max_subsets_enumerated=0)

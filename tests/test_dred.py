@@ -24,6 +24,7 @@ from setforge import (
     verify_dred,
     von_neumann_seed,
 )
+from setforge import dred
 from setforge.dred import membership_ranks
 
 from helpers import random_extensional_graph
@@ -296,8 +297,8 @@ def test_membership_ranks_name_the_least_node_on_or_above_a_cycle():
 
 
 def reference_verify_dred(h: AnnotatedGraph) -> DredReport:
-    """The verifier as it was before condition 3 ran a subset-max
-    transform: every node's subsets are enumerated (or, when there are
+    """The verifier that walks every condition at every node: for
+    condition 3 every node's subsets are enumerated (or, when there are
     too many, every node scanned), not only the suspects'."""
     g = h.graph
     violations: list[DredViolation] = []
@@ -422,9 +423,10 @@ def chain_spec_completion():
 
 
 def test_verify_dred_agrees_with_reference():
-    """Both condition 3 paths, the transform (the union of all extensions
-    has at most max(6, log2 2N) members) and the fallback, against the
-    verifier that enumerates every node's subsets."""
+    """Random certificates on graphs whose extensions span few members
+    (the union of all extensions has at most max(6, log2 2N) members)
+    and many, against the verifier that enumerates every node's
+    subsets."""
     rng = random.Random(11)
     cases = []
     for _ in range(1500):
@@ -659,3 +661,107 @@ def test_dred_complete_annotates_as_the_per_family_recipe():
         depth, ranks = reference_annotations(h, du)
         assert du.depth == depth
         assert du.ranks == ranks
+
+
+def deepest_members(h: AnnotatedGraph) -> dict:
+    """Each node's greatest member depth, -1 for no members."""
+    return {
+        y: max((h.depth[z] for z in ext), default=-1) for y, ext in h.graph.extensions.items()
+    }
+
+
+def jumping_nodes(h: AnnotatedGraph) -> list:
+    """The nodes two or more levels deep and deeper than every member."""
+    deepest = deepest_members(h)
+    return sorted(x for x in h.graph.nodes if h.depth[x] >= 2 and h.depth[x] > deepest[x])
+
+
+def move_depths(h: AnnotatedGraph, rng: random.Random) -> AnnotatedGraph:
+    """A copy of ``h`` with one depth fault, at a jumping or another
+    node: a node raised or lowered, a member of a jumping node raised,
+    or a node moved more than one level off the subset nodes it
+    contains."""
+    g = h.graph
+    depth = dict(h.depth)
+    nodes = g.sorted_nodes()
+    jumping = jumping_nodes(h)
+    pool = jumping if jumping and rng.random() < 0.5 else nodes
+    x = rng.choice(pool)
+    fault = rng.randrange(4)
+    if fault == 0:
+        depth[x] += rng.randint(1, 3)
+    elif fault == 1:
+        depth[x] = max(0, depth[x] - rng.randint(1, 3))
+    elif fault == 2 and g.extensions[x]:
+        z = rng.choice(sorted(g.extensions[x]))
+        depth[z] = depth[x] + rng.randint(1, 3)
+    else:
+        inside = [w for w in nodes if g.extensions[w] <= g.extensions[x] and w != x]
+        if inside:
+            w = rng.choice(inside)
+            if rng.random() < 0.5:
+                depth[w] = depth[x] + 2
+            else:
+                depth[x] = max(0, depth[w] - 2)
+    return AnnotatedGraph(g, depth=depth, ranks=h.ranks)
+
+
+def test_verify_dred_agrees_with_reference_at_jumping_nodes():
+    """Condition 3 is walked only at the nodes that fail condition 2 and
+    at the supersets of jumping nodes.  Against the verifier that walks
+    every node: empty extensions two or more levels deep, chain-style
+    seeds with depth faults at jumping and other nodes, and graphs
+    whose extensions span far too many members for a table of their
+    subsets."""
+    rng = random.Random(31)
+    cases = []
+    for _ in range(300):
+        g = random_well_founded_extensional(rng, rng.randint(1, 10))
+        depth = {x: rng.choice((0, 0, 1, 2, 3)) for x in g.nodes}
+        for x in g.nodes:
+            if not g.extensions[x]:
+                depth[x] = rng.randint(2, 4)
+        cases.append(AnnotatedGraph(g, depth=depth, ranks=nested_families(g, depth, membership_ranks(g))))
+    seeds = [chain_seed(*spec) for spec in CHAIN_SEEDS]
+    seeds += [
+        chain_seed(4, 40, ((0, ("a", "7")), (3, ("12", "a", "a"))), 2),
+        chain_seed(2, 120, tuple((0, (str(i), str(2 * i + 1))) for i in range(20)), 3),
+    ]
+    for seed in seeds:
+        assert verify_dred(seed).ok
+        cases.append(seed)
+        for _ in range(12):
+            cases.append(move_depths(seed, rng))
+    seen = set()
+    for h in cases:
+        report = verify_dred(h)
+        expected = reference_verify_dred(h)
+        assert [(v.condition, v.detail) for v in report.violations] == [
+            (v.condition, v.detail) for v in expected.violations
+        ]
+        g = h.graph
+        support = set().union(*g.extensions.values())
+        jumping = set(jumping_nodes(h))
+        for x in g.nodes:
+            for y in g.nodes:
+                if g.extensions[x] <= g.extensions[y] and h.depth[x] > h.depth[y] + 1:
+                    seen.add(("jumping" if x in jumping else "not jumping", not g.extensions[x]))
+        seen.add(("large support", (1 << len(support)) > max(64, 2 * len(g.nodes))))
+    assert seen >= {
+        ("not jumping", False), ("jumping", False), ("jumping", True),
+        ("large support", True), ("large support", False),
+    }
+
+
+def test_valid_chain_seed_with_a_large_support_walks_no_condition(monkeypatch):
+    """A valid certificate has no suspects, so condition 3 is never
+    walked, however many members its extensions span."""
+
+    def walked(*args):
+        raise AssertionError("condition 3 walked on a valid certificate")
+
+    monkeypatch.setattr(dred, "_subset_depth_violations", walked)
+    h = chain_seed(3, 400, tuple((0, (str(i), str(2 * i + 1))) for i in range(40)), 2)
+    support = set().union(*h.graph.extensions.values())
+    assert len(support) >= 400 and len(jumping_nodes(h)) >= 40
+    assert verify_dred(h).ok
