@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from dataclasses import replace
-from typing import Any, Sequence
+from typing import Any, Sequence, TextIO
 
 from .completion import Budget, DEFAULT_BUDGET, complete, witness_report
 from .document import _gc_paused, deserialize, serialize
@@ -50,6 +50,31 @@ def _resolve_budget(value: int | None) -> Budget:
         except ValueError:
             raise SpecValidationError(f"{_BUDGET_ENV} must be an integer, got {raw!r}")
     return Budget(value)
+
+
+class _Unread:
+    """Standard output that, once its reader has closed the pipe (as
+    ``| head`` does), sends the rest to the null device instead of
+    raising, so the command still ends with its own exit code. The
+    descriptor itself is redirected, so the interpreter's flush at exit
+    does not fail either."""
+
+    def __init__(self, stream: TextIO) -> None:
+        self._stream = stream
+
+    def write(self, text: str) -> None:
+        self._call(self._stream.write, text)
+
+    def flush(self) -> None:
+        self._call(self._stream.flush)
+
+    def _call(self, method: Any, *args: str) -> None:
+        try:
+            method(*args)
+        except BrokenPipeError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, self._stream.fileno())
+            os.close(devnull)
 
 
 def _read_document() -> AnnotatedGraph:
@@ -288,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser = argparse.ArgumentParser(
         prog="setforge",
-        parents=[common],
         description="build, complete, and model-check extensional digraphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -344,6 +368,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 4
+    stdout, sys.stdout = sys.stdout, _Unread(sys.stdout)
     try:
         # Documents, graphs, oracle values and colour keys hold no
         # reference cycles, so the cyclic collector's passes over the
@@ -365,6 +390,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 4
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

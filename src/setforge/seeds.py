@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .dred import membership_ranks, require_dred
 from .errors import SeedClashError, SizeLimitError, SpecValidationError, UnknownNodeError
@@ -294,44 +294,6 @@ def quine_atoms(labels: Iterable[str]) -> ExtensionalDigraph:
     return ExtensionalDigraph(extensions, provenance)
 
 
-def _extension_index(g: ExtensionalDigraph) -> dict[frozenset[NodeId], NodeId]:
-    return {ext: x for x, ext in g.extensions.items()}
-
-
-def chain_atoms(
-    g: ExtensionalDigraph, label: str, length: int, terminal: NodeId
-) -> ExtensionalDigraph:
-    """Add a descending pseudo-atom chain to ``g``.
-
-    Nodes a_0 .. a_{length-1} are added with a_j = {a_{j+1}} and the
-    last link a_{length-1} = {terminal}. The terminal must already be
-    in the graph and must be unique to this chain, otherwise the two
-    chain bottoms would share an extension.
-    """
-    if length < 1:
-        raise ValueError("chain length must be at least 1")
-    if terminal not in g.nodes:
-        raise UnknownNodeError(f"chain terminal {terminal!r} is not in the graph")
-    ids = [chain_atom_id(label, j) for j in range(length)]
-    for node in ids:
-        if node in g.nodes:
-            raise SeedClashError(f"chain label {label!r} already used: {node!r} exists")
-    bottom_ext = frozenset({terminal})
-    taken = _extension_index(g).get(bottom_ext)
-    if taken is not None:
-        raise SeedClashError(
-            f"cannot end chain {label!r} at {terminal!r}: node {taken!r} "
-            f"already has extension {{{terminal}}}"
-        )
-    extensions = dict(g.extensions)
-    provenance = dict(g.provenance)
-    for j, node in enumerate(ids):
-        below = ids[j + 1] if j + 1 < length else terminal
-        extensions[node] = frozenset({below})
-        provenance[node] = Code(kind="atom", detail=f"{label}[{j}]")
-    return ExtensionalDigraph(extensions, provenance)
-
-
 def _encode(
     extensions: dict[NodeId, frozenset[NodeId]],
     provenance: dict[NodeId, Provenance],
@@ -378,7 +340,8 @@ def encode_tuple(
         raise ValueError("cannot encode an empty component list")
     extensions = dict(g.extensions)
     provenance = dict(g.provenance)
-    top = _encode(extensions, provenance, _extension_index(g), components)
+    index = {ext: x for x, ext in extensions.items()}
+    top = _encode(extensions, provenance, index, components)
     return ExtensionalDigraph(extensions, provenance), top
 
 
@@ -398,34 +361,90 @@ class CodeIndex:
         return frozenset(self.tuple_nodes.values())
 
 
-def _atom_nodes(spec: CodeSpec) -> dict[str, NodeId]:
-    """Each declared atom's node: the atom itself, or its chain's head."""
-    return {
+@dataclass(frozen=True)
+class AssembledSeed:
+    """Everything :func:`assemble` produced.
+
+    ``dred`` is populated exactly for chain-style declarations; loop
+    style yields self-loops, which admit no depth/rank certificate.
+    """
+
+    spec: CodeSpec
+    graph: ExtensionalDigraph
+    index: CodeIndex
+    numerals: tuple[NodeId, ...]
+    atom_nodes: dict[str, NodeId]
+    dred: AnnotatedGraph | None = None
+
+
+def _chain_style_depths(g: ExtensionalDigraph, rank: dict[NodeId, int]) -> dict[NodeId, int]:
+    """Depths under which chain-style completion provably stays legal.
+
+    A chain atom's link or a chain code's node (provenance kind "atom"
+    or "chain"; a chain-style seed has no quine atoms) sits one above
+    its deepest member, so chain atoms count up from their numeral
+    terminal (bottom link depth 1, head depth L) and chain codes climb
+    the same ladder from their tuple node. Everything else takes the
+    max of its members' depths, the same recipe completion applies to
+    new nodes. Every node then satisfies
+    depth(x) <= 1 + max over members, which is exactly what keeps the
+    subset-depth condition stable when completion adds representatives
+    of arbitrary member sets.
+
+    Nodes are visited in increasing ``rank``, which rises along every
+    edge, so each member's depth is known before its containers need it.
+    """
+    depths: dict[NodeId, int] = {}
+    for x in sorted(g.nodes, key=rank.__getitem__):
+        prov = g.provenance[x]
+        step = isinstance(prov, Code) and prov.kind in ("atom", "chain")
+        depths[x] = max((depths[m] for m in g.extensions[x]), default=0) + step
+    return depths
+
+
+def assemble(spec: CodeSpec) -> AssembledSeed:
+    """Build the full seed graph a declaration describes.
+
+    Numerals first, then quine atoms, then chain atoms in declaration
+    order, then tuple encodings, then codes, all into one extensions
+    map, one provenance map and one extension index; the graph is built
+    once, at the end. Chain atom number c has links a_0 .. a_{L-1} with
+    a_j = {a_{j+1}} and the bottom a_{L-1} = {numeral c+1}: CodeSpec
+    gives every chain atom its own numeral and a distinct label, so no
+    two links share an id or an extension. A loop code is one
+    self-membered node b = {p, b} per tuple node p; a chain code is
+    b_0 .. b_{L-1} with b_j = {p, b_{j+1}} and the bottom b_{L-1} = {p},
+    which keeps the graph well-founded. Chain style additionally
+    derives the depth/rank certificate and verifies it before
+    returning; a certificate of more than ``_MAX_RANK_ENTRIES``
+    rank-family entries raises SizeLimitError before it is built.
+    """
+    numerals = numeral_ids(spec.naturals_up_to)
+    extensions = {x: frozenset(numerals[:k]) for k, x in enumerate(numerals)}
+    provenance: dict[NodeId, Provenance] = {
+        x: Seed(label=str(k)) for k, x in enumerate(numerals)
+    }
+    quines = quine_atoms(a.label for a in spec.atoms if a.kind == "quine")
+    extensions.update(quines.extensions)
+    provenance.update(quines.provenance)
+    for c, a in enumerate(a for a in spec.atoms if a.kind == "chain"):
+        assert a.length is not None
+        ids = [chain_atom_id(a.label, j) for j in range(a.length)] + [numerals[c + 1]]
+        for j in range(a.length):
+            extensions[ids[j]] = frozenset({ids[j + 1]})
+            provenance[ids[j]] = Code(kind="atom", detail=f"{a.label}[{j}]")
+    atom_nodes = {
         a.label: quine_atom_id(a.label) if a.kind == "quine" else chain_atom_id(a.label, 0)
         for a in spec.atoms
     }
-
-
-def attach_codes(
-    g: ExtensionalDigraph, spec: CodeSpec
-) -> tuple[ExtensionalDigraph, CodeIndex]:
-    """Encode the declared tuples into ``g`` and guard each with a code.
-
-    Loop style adds one self-membered node b = {p, b} per tuple node p.
-    Chain style adds b_0 .. b_{L-1} with b_j = {p, b_{j+1}} and the
-    bottom b_{L-1} = {p}, which keeps the graph well-founded.
-    """
-    numerals = numeral_ids(spec.naturals_up_to)
-    atoms = _atom_nodes(spec)
-    extensions = dict(g.extensions)
-    provenance = dict(g.provenance)
-    by_extension = _extension_index(g)
+    by_extension = {ext: x for x, ext in extensions.items()}
     index = CodeIndex()
     declared: dict[NodeId, TupleDecl] = {}
     for decl in spec.tuples:
         components = [numerals[decl.tag]]
         components += [
-            numerals[_numeral_value(c)] if _is_numeral(c) else atoms[c] for c in decl.components
+            numerals[_numeral_value(c)] if _is_numeral(c) else atom_nodes[c]
+            for c in decl.components
         ]
         p = _encode(extensions, provenance, by_extension, components)
         if p in declared:
@@ -439,8 +458,8 @@ def attach_codes(
         index.tuple_nodes[decl] = p
 
     def add(node: NodeId, members: frozenset[NodeId], detail: str, kind: str) -> None:
-        if node in extensions:
-            raise SeedClashError(f"code node {node!r} already exists")
+        # No other kind of node has a "code:" id, and no tuple node is
+        # guarded twice, so only the extension can clash.
         clash = by_extension.get(members)
         if clash is not None:
             raise SeedClashError(
@@ -463,100 +482,12 @@ def attach_codes(
                 members = frozenset({p}) if j == length - 1 else frozenset({p, ids[j + 1]})
                 add(ids[j], members, f"chain[{j}]({p})", "chain")
             index.code_nodes[decl] = tuple(ids)
-
-    out = ExtensionalDigraph(extensions, provenance)
-    return out, index
-
-
-@dataclass(frozen=True)
-class AssembledSeed:
-    """Everything :func:`assemble` produced.
-
-    ``dred`` is populated exactly for chain-style declarations; loop
-    style yields self-loops, which admit no depth/rank certificate.
-    """
-
-    spec: CodeSpec
-    graph: ExtensionalDigraph
-    index: CodeIndex
-    numerals: tuple[NodeId, ...]
-    atom_nodes: dict[str, NodeId]
-    dred: AnnotatedGraph | None = None
-
-
-def _numeral_graph(ids: tuple[NodeId, ...]) -> ExtensionalDigraph:
-    extensions = {ids[k]: frozenset(ids[:k]) for k in range(len(ids))}
-    provenance: dict[NodeId, Provenance] = {
-        ids[k]: Seed(label=str(k)) for k in range(len(ids))
-    }
-    return ExtensionalDigraph(extensions, provenance)
-
-
-def _chain_style_depths(
-    g: ExtensionalDigraph, spec: CodeSpec, index: CodeIndex, rank: dict[NodeId, int]
-) -> dict[NodeId, int]:
-    """Depths under which chain-style completion provably stays legal.
-
-    Chain atoms count up from their terminal (bottom link depth 1, head
-    depth L) and chain codes sit that same ladder on top of their tuple
-    node. Everything else takes the max of its members' depths, the
-    same recipe completion applies to new nodes. Every node then
-    satisfies depth(x) <= 1 + max over members, which is exactly what
-    keeps the subset-depth condition stable when completion adds
-    representatives of arbitrary member sets.
-
-    Nodes are visited in increasing ``rank``, which rises along every
-    edge, so each member's depth is known before its containers need it.
-    """
-    ladder: dict[NodeId, int] = {}
-    for a in spec.atoms:
-        if a.kind == "chain":
-            assert a.length is not None
-            for j in range(a.length):
-                ladder[chain_atom_id(a.label, j)] = a.length - j
-    # Code node j of tuple node p sits code_length - j above p.
-    above: dict[NodeId, tuple[NodeId, int]] = {}
-    for decl, codes in index.code_nodes.items():
-        for j, node in enumerate(codes):
-            above[node] = (index.tuple_nodes[decl], len(codes) - j)
-    depths: dict[NodeId, int] = {}
-    for x in sorted(g.nodes, key=rank.__getitem__):
-        if x in ladder:
-            depths[x] = ladder[x]
-        elif x in above:
-            p, height = above[x]
-            depths[x] = depths[p] + height
-        else:
-            depths[x] = max((depths[m] for m in g.extensions[x]), default=0)
-    return depths
-
-
-def assemble(spec: CodeSpec) -> AssembledSeed:
-    """Build the full seed graph a declaration describes.
-
-    Numerals first, then quine atoms, then chain atoms in declaration
-    order (chain atom number c ends at numeral c+1, which no other node
-    may claim), then tuple encodings, then codes. Chain style
-    additionally derives the depth/rank certificate and verifies it
-    before returning; a certificate of more than ``_MAX_RANK_ENTRIES``
-    rank-family entries raises SizeLimitError before it is built.
-    """
-    numerals = numeral_ids(spec.naturals_up_to)
-    g = _numeral_graph(numerals)
-    quines = quine_atoms(a.label for a in spec.atoms if a.kind == "quine")
-    g = ExtensionalDigraph(
-        {**g.extensions, **quines.extensions}, {**g.provenance, **quines.provenance}
-    )
-    chains = [a for a in spec.atoms if a.kind == "chain"]
-    for c, a in enumerate(chains):
-        assert a.length is not None
-        g = chain_atoms(g, a.label, a.length, numerals[c + 1])
-    g, index = attach_codes(g, spec)
+    g = ExtensionalDigraph(extensions, provenance)
     require_extensional(g)
     dred: AnnotatedGraph | None = None
     if spec.code_style == "chain":
         rank = membership_ranks(g)
-        depth = _chain_style_depths(g, spec, index, rank)
+        depth = _chain_style_depths(g, rank)
         top = max(depth.values(), default=0) + 1
         entries = top * len(depth) - sum(depth.values())
         if entries > _MAX_RANK_ENTRIES:
@@ -575,6 +506,6 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
         graph=g,
         index=index,
         numerals=numerals,
-        atom_nodes=_atom_nodes(spec),
+        atom_nodes=atom_nodes,
         dred=dred,
     )

@@ -100,6 +100,22 @@ def test_seed_spec_file_invalid(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("atoms: []", "invalid JSON in {path}: Expecting value"),
+        ("[1, 2]", "a code spec file must hold a JSON object"),
+        ('{"formulas": {"f": 1}}', "the formulas block must map names to formula text"),
+        ('{"formulas": ["x in x"]}', "the formulas block must map names to formula text"),
+    ],
+    ids=["not-json", "not-an-object", "formula-not-text", "formulas-not-an-object"],
+)
+def test_seed_spec_file_shape_errors_exit_3(tmp_path, text, message):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert invoke(["seed", "spec", str(path)]) == (3, "", message.format(path=path) + "\n")
+
+
 def test_seed_spec_chain_label_with_colon(tmp_path):
     path = tmp_path / "colon.json"
     path.write_text(json.dumps({
@@ -420,6 +436,29 @@ def test_witness_report_porcelain_shape():
         assert len(fields) == 5
 
 
+def test_witness_report_failures_in_prose_and_porcelain():
+    """A record whose levels never grow: the union of x = {o, t} is the
+    missing set {e, o}, and the set of x's subset representatives is
+    missing too. Each clause reports its last counterexample, the same
+    in prose and in porcelain."""
+    g = ExtensionalDigraph.from_extensions({"e": set(), "o": {"e"}, "t": {"o"}, "x": {"o", "t"}})
+    doc = serialize(AnnotatedGraph(g, levels=[g.nodes] * 3))
+    failures = [
+        ("0", "pairing", "pair {x, x} missing at level 1"),
+        ("0", "union", "union of x missing at level 1"),
+        ("0", "subsets", "subset {t} of x missing at level 1"),
+        ("0", "power_set", "power set of x missing at level 2"),
+        ("1", "pairing", "pair {x, x} missing at level 2"),
+        ("1", "union", "union of x missing at level 2"),
+        ("1", "subsets", "subset {t} of x missing at level 2"),
+    ]
+    code, prose, _ = invoke(["check", "--witness-report"], doc)
+    assert (code, prose.splitlines()) == (1, [f"level {n} {c}: FAIL ({d})" for n, c, d in failures])
+    code, porcelain, _ = invoke(["check", "--witness-report", "--porcelain"], doc)
+    records = [f"witness\t{n}\t{c}\tfail\t{d}" for n, c, d in failures]
+    assert (code, porcelain.splitlines()) == (1, records)
+
+
 def test_witness_report_needs_levels():
     doc = seed("vN", "2")
     assert invoke(["check", "--witness-report"], doc) == (
@@ -519,6 +558,39 @@ def test_dred_conditions_report_subset_depth(chain_spec_file):
     code, out, _ = invoke(["check", "--dred-conditions", "--porcelain"], json.dumps(doc))
     assert code == 1
     assert out.splitlines() == expected
+
+
+def broken_rank_document(chain_spec_file):
+    """The chain spec's seed with the head of its chain atom ranked 0,
+    below its one member, in every rank family that holds it."""
+    doc = json.loads(seed("spec", chain_spec_file))
+    for family in doc["ranks"].values():
+        if "chain:a:0" in family:
+            family["chain:a:0"] = 0
+    return json.dumps(doc)
+
+
+def test_dred_conditions_fail_in_prose_and_porcelain(chain_spec_file):
+    doc = broken_rank_document(chain_spec_file)
+    expected = [
+        f"rank_increase: r_{i}('chain:a:1') = 2 not below r_{i}('chain:a:0') = 0 along edge"
+        for i in (3, 4, 5)
+    ]
+    code, prose, _ = invoke(["check", "--dred-conditions"], doc)
+    assert (code, prose.splitlines()) == (1, expected)
+    code, porcelain, _ = invoke(["check", "--dred-conditions", "--porcelain"], doc)
+    assert (code, porcelain.splitlines()) == (1, ["dred\t" + line.replace(": ", "\t", 1) for line in expected])
+
+
+def test_dred_completion_of_a_failing_certificate_exits_1(chain_spec_file):
+    """The input certificate is checked before the first step; its first
+    violation goes to stdout, as a failed property's report does."""
+    assert invoke(["complete", "--dred", "--levels", "1"], broken_rank_document(chain_spec_file)) == (
+        1,
+        "depth/rank conditions fail: dred condition violated (rank_increase): "
+        "r_3('chain:a:1') = 2 not below r_3('chain:a:0') = 0 along edge\n",
+        "",
+    )
 
 
 def test_dred_conditions_need_annotations():
@@ -826,6 +898,33 @@ def test_diff_different(tmp_path):
     assert "node counts" in out
 
 
+@pytest.mark.parametrize(
+    "left, right, detail",
+    [
+        (
+            {"e": [], "a": ["e"], "b": ["a"], "c": ["e", "a", "b"]},
+            {"e": [], "a": ["e"], "b": ["e", "a"], "c": ["a", "b"]},
+            "extension size histograms differ: {1: 2, 3: 1, 0: 1} vs {1: 1, 2: 2, 0: 1}",
+        ),
+        (
+            {**{q: [q] for q in "abcd"}, "p": ["a", "b"], "r": ["c", "d"]},
+            {**{q: [q] for q in "abcd"}, "p": ["a", "b"], "r": ["b", "c"]},
+            "no label-preserving bijection exists",
+        ),
+    ],
+    ids=["histogram", "no-bijection"],
+)
+def test_diff_different_with_equal_counts(tmp_path, left, right, detail):
+    """Equal node, edge and self-loop counts: the verdict comes from the
+    histograms, or, where they agree too, from the search alone."""
+    a, b = (
+        write_doc(tmp_path / f"{name}.json", serialize(AnnotatedGraph(ExtensionalDigraph.from_extensions(ext))))
+        for name, ext in (("a", left), ("b", right))
+    )
+    assert invoke(["diff", a, b]) == (1, f"different: {detail}\n", "")
+    assert invoke(["diff", "--porcelain", a, b]) == (1, f"diff\tdifferent\t{detail}\n", "")
+
+
 def test_diff_not_utf8_exit_3(tmp_path):
     a = write_doc(tmp_path / "a.json", seed("vN", "2"))
     b = tmp_path / "b.json"
@@ -857,6 +956,18 @@ def test_unknown_subcommand_is_usage_error():
 def test_missing_required_flag_is_usage_error():
     code, _, _ = invoke(["complete"], seed("empty"))
     assert code == 4
+
+
+def test_porcelain_goes_after_the_subcommand():
+    """Each subcommand takes its own ``--porcelain``; the top-level
+    parser has none, so the flag before the subcommand is a usage error
+    instead of a flag the subcommand's default silently overrides."""
+    doc = seed("vN", "2")
+    code, out, err = invoke(["--porcelain", "check", "--axiom", "extensionality"], doc)
+    assert (code, out) == (4, "")
+    assert "unrecognized arguments: --porcelain" in err
+    code, out, _ = invoke(["check", "--axiom", "extensionality", "--porcelain"], doc)
+    assert (code, out) == (0, "axiom\textensionality\tpass\t\n")
 
 
 def test_help_exits_zero():
@@ -925,17 +1036,16 @@ def console_script_target():
     return None
 
 
-def run_console_pipeline(first, second):
-    """Run `setforge FIRST | setforge SECOND` through a real OS pipe.
+def console_command():
+    """The argv prefix and environment that run the `setforge` command.
 
-    Each side is a fresh interpreter running `python -m MODULE`, where
-    MODULE comes from the console-script entry point that pyproject.toml
+    It is a fresh interpreter running `python -m MODULE`, where MODULE
+    comes from the console-script entry point that pyproject.toml
     declares; its `__main__` block makes the same `sys.exit(main())` call as
     the wrapper an install generates, so no install or PATH lookup is
     needed. The directory holding the imported `setforge` package goes first
-    on the children's PYTHONPATH, so the subprocess and in-process halves of
-    a test run the same code. Returns the producer's and the consumer's
-    CompletedProcess, with stdout and stderr as bytes.
+    on the child's PYTHONPATH, so the subprocess and in-process halves of
+    a test run the same code.
     """
     target = console_script_target()
     assert target == f"{main.__module__}:{main.__name__}", (
@@ -946,15 +1056,24 @@ def run_console_pipeline(first, second):
     package_root = str(pathlib.Path(setforge.__file__).resolve().parents[1])
     pythonpath = [package_root, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, pythonpath)))
-    argv = [sys.executable, "-m", module]
+    return [sys.executable, "-m", module], env
+
+
+def run_console_pipeline(first, second):
+    """Run `setforge FIRST | setforge SECOND` through a real OS pipe, each
+    side as :func:`console_command` runs it. Returns the producer's and
+    the consumer's CompletedProcess, with stdout and stderr as bytes.
+    """
+    argv, env = console_command()
     pipe = subprocess.PIPE
     with subprocess.Popen(
         argv + first, stdout=pipe, stderr=pipe, env=env
     ) as producer, subprocess.Popen(
         argv + second, stdin=producer.stdout, stdout=pipe, stderr=pipe, env=env
     ) as consumer:
-        # The consumer now holds the only read end, so the producer gets
-        # SIGPIPE instead of blocking if the consumer exits early.
+        # The consumer now holds the only read end, so the producer's
+        # writes fail with EPIPE instead of blocking if the consumer exits
+        # early.
         producer.stdout.close()
         try:
             out, err = consumer.communicate(timeout=PIPE_TIMEOUT_S)
@@ -981,6 +1100,40 @@ def test_console_script_pipe_matches_in_process():
     code, out, _ = invoke(["complete", "--levels", "1"], doc)
     assert code == 0
     assert piped.stdout == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [(["seed", "quine", "3000"], None), (["complete", "--levels", "1"], ("quine", "12"))],
+    ids=["seed", "complete"],
+)
+def test_console_script_into_a_pipe_closed_early(tmp_path, argv, stdin):
+    """`setforge ARGV | head -c 10`: the reader takes 10 bytes of a
+    document far larger than a pipe's buffer and closes its end. The
+    writer still exits 0, as a document writer does, and writes nothing
+    to stderr: no traceback, and no "Exception ignored" line from the
+    interpreter's flush at exit."""
+    command, env = console_command()
+    source = None
+    if stdin is not None:
+        source = tmp_path / "in.json"
+        source.write_text(seed(*stdin))
+    with contextlib.ExitStack() as stack:
+        fin = stack.enter_context(open(source, "rb")) if source else subprocess.DEVNULL
+        proc = stack.enter_context(
+            subprocess.Popen(
+                command + argv, stdin=fin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+            )
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=PIPE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            raise
+    assert head == b'{"edges":['
+    assert (proc.returncode, err.decode()) == (0, "")
 
 
 def test_console_script_exit_code_budget():

@@ -483,6 +483,27 @@ def test_search_state_cap_raises_size_limit(monkeypatch):
         is_isomorphic(ours, reference)
 
 
+def test_container_direction_settles_at_the_root(monkeypatch):
+    """Twelve self-membered atoms with two pair nodes over them: {q10,
+    q11} and {q08, q09} against {q10, q11} and {q09, q10}.  The members-
+    first colouring gives every atom one colour and every pair another,
+    in both graphs; only the atoms' containers tell the graphs apart (q10
+    sits in both pairs of the second).  Refinement over both edge
+    directions answers at the root, charging no branch, where a search
+    that re-ran the members-first pass alone would have to branch over
+    the tied atoms."""
+    atoms = {f"q{i:02d}": {f"q{i:02d}"} for i in range(12)}
+    first = ExtensionalDigraph.from_extensions(
+        {**atoms, "p0": {"q10", "q11"}, "p1": {"q08", "q09"}}
+    )
+    second = ExtensionalDigraph.from_extensions(
+        {**atoms, "p0": {"q10", "q11"}, "p1": {"q09", "q10"}}
+    )
+    monkeypatch.setattr(graph, "_SEARCH_STATE_LIMIT", 1)
+    assert not is_isomorphic(first, second)
+    assert not is_isomorphic(second, first)
+
+
 def test_symmetric_completions_settled_in_both_orders():
     """Completions with indiscernible atoms against their oracle
     completions.  Backtracking once answered the first of these in one

@@ -10,14 +10,11 @@ from setforge import (
     AtomDecl,
     CodeSpec,
     ExtensionalDigraph,
-    SeedClashError,
     SizeLimitError,
     SpecValidationError,
     TupleDecl,
     UnknownNodeError,
     assemble,
-    attach_codes,
-    chain_atoms,
     define_class,
     encode_tuple,
     is_extensional,
@@ -115,33 +112,37 @@ def test_quine_atoms_are_capped_before_the_labels_run_out():
 # -- chains ------------------------------------------------------------------
 
 
-def chain_host() -> ExtensionalDigraph:
-    return ExtensionalDigraph.from_extensions({"t": set()})
+def chain_seed(*lengths: int) -> seeds.AssembledSeed:
+    atoms = tuple(AtomDecl(f"c{i}", "chain", length=n) for i, n in enumerate(lengths))
+    return assemble(CodeSpec(atoms=atoms, naturals_up_to=len(lengths) + 1))
 
 
 def test_chain_length_one():
-    g = chain_atoms(chain_host(), "a", 1, "t")
-    node = chain_atom_id("a", 0)
-    assert g.extensions[node] == {"t"}
+    seed = chain_seed(2, 1)
+    node = chain_atom_id("c1", 0)
+    assert seed.graph.extensions[node] == {seed.numerals[2]}
+    assert seed.atom_nodes["c1"] == node
 
 
 def test_chain_length_three_structure():
-    g = chain_atoms(chain_host(), "a", 3, "t")
-    a0, a1, a2 = (chain_atom_id("a", j) for j in range(3))
-    assert g.extensions[a0] == {a1}
-    assert g.extensions[a1] == {a2}
-    assert g.extensions[a2] == {"t"}
+    seed = chain_seed(3)
+    a0, a1, a2 = (chain_atom_id("c0", j) for j in range(3))
+    assert seed.graph.extensions[a0] == {a1}
+    assert seed.graph.extensions[a1] == {a2}
+    assert seed.graph.extensions[a2] == {seed.numerals[1]}
+    assert seed.atom_nodes["c0"] == a0
 
 
 def test_chains_sharing_terminal_clash():
-    g = chain_atoms(chain_host(), "a", 2, "t")
-    with pytest.raises(SeedClashError):
-        chain_atoms(g, "b", 2, "t")  # both bottoms would be {t}
-
-
-def test_chain_missing_terminal():
-    with pytest.raises(UnknownNodeError):
-        chain_atoms(chain_host(), "a", 1, "ghost")
+    """Chain atom c ends at numeral c+1, so two chain atoms need three
+    numerals; with two, both bottoms would be {numeral 1}."""
+    atoms = (AtomDecl("a", "chain", length=2), AtomDecl("b", "chain", length=2))
+    with pytest.raises(
+        SpecValidationError,
+        match="^2 chain atoms need distinct numeral terminals: naturals_up_to must be at least 3$",
+    ):
+        CodeSpec(atoms=atoms, naturals_up_to=2)
+    assert len(assemble(CodeSpec(atoms=atoms, naturals_up_to=3)).graph) == 3 + 4
 
 
 # -- tuple encoding ----------------------------------------------------------
@@ -255,11 +256,11 @@ def test_attach_codes_distinct_tuples_distinct_codes():
 
 
 def test_attach_codes_requires_known_components():
-    g = ExtensionalDigraph.empty()
-    spec = loop_spec(tuples=(TupleDecl(0, ("a",)),))
-    # graph lacks the atoms the declaration names
-    with pytest.raises(UnknownNodeError):
-        attach_codes(g, spec)
+    """Tuples are encoded through the step ``encode_tuple`` exposes,
+    which refuses a component that is not in the graph."""
+    g = quine_atoms(["a"])
+    with pytest.raises(UnknownNodeError, match="^tuple component 'atom:b' is not in the graph$"):
+        encode_tuple(g, [quine_atom_id("a"), quine_atom_id("b")])
 
 
 def test_attach_codes_names_both_tuples_that_encode_to_one_node(monkeypatch):
@@ -513,16 +514,26 @@ def test_spec_chain_nodes_capped_at_validation(style):
 
 def test_assemble_builds_the_numeral_ids_a_fixed_number_of_times(monkeypatch):
     """Not once per tuple or component: each call hashes every numeral
-    below the count, so per-tuple calls made many tuples quadratic."""
+    below the count, so per-tuple calls made many tuples quadratic. Nor
+    a graph per chain atom: the seed is built once, besides the one
+    ``quine_atoms`` returns."""
     calls = []
+    graphs = []
     monkeypatch.setattr(seeds, "numeral_ids", lambda n: calls.append(n) or numeral_ids(n))
+    monkeypatch.setattr(
+        seeds, "ExtensionalDigraph", lambda *a: graphs.append(a) or ExtensionalDigraph(*a)
+    )
     counts = []
     for n in (1, 60):
         calls.clear()
+        graphs.clear()
+        atoms = (AtomDecl("a", "quine"),) + tuple(
+            AtomDecl(f"c{i}", "chain", length=2) for i in range(n // 5)
+        )
         tuples = tuple(TupleDecl(i % 20, ("a", str(i // 20))) for i in range(n))
-        assemble(CodeSpec(atoms=(AtomDecl("a", "quine"),), naturals_up_to=20, tuples=tuples))
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == 2
+        assemble(CodeSpec(atoms=atoms, naturals_up_to=20, tuples=tuples))
+        counts.append((len(calls), len(graphs)))
+    assert counts[0] == counts[1] == (1, 2)
 
 
 def test_attach_codes_agrees_with_encoding_one_tuple_at_a_time():
