@@ -471,6 +471,15 @@ def _refine(
         classes = len(table)
 
 
+def _require_iso_size(a: ExtensionalDigraph, b: ExtensionalDigraph) -> None:
+    """Raise SizeLimitError when either graph exceeds ``ISO_NODE_LIMIT`` nodes."""
+    if len(a.nodes) > ISO_NODE_LIMIT or len(b.nodes) > ISO_NODE_LIMIT:
+        raise SizeLimitError(
+            f"isomorphism search limited to {ISO_NODE_LIMIT} nodes, "
+            f"got {len(a.nodes)} and {len(b.nodes)}"
+        )
+
+
 def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
     """Exact isomorphism test.
 
@@ -497,11 +506,7 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
     or the branches together re-colour more than ``_SEARCH_STATE_LIMIT``
     nodes.
     """
-    if len(a.nodes) > ISO_NODE_LIMIT or len(b.nodes) > ISO_NODE_LIMIT:
-        raise SizeLimitError(
-            f"isomorphism search limited to {ISO_NODE_LIMIT} nodes, "
-            f"got {len(a.nodes)} and {len(b.nodes)}"
-        )
+    _require_iso_size(a, b)
     if len(a.nodes) != len(b.nodes):
         return False
     if len(a.nodes) == 0:
@@ -514,18 +519,25 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
         colour-matching map when the colours are injective, else None.
         The map's edges are checked at every node, or, when ``checked``
         is given, only at nodes with a colour in it."""
-        classes = Counter(col_a.values())
-        if classes != Counter(col_b.values()):
+        colours = set(col_a.values())
+        if len(colours) < len(col_a):
+            return None if sorted(col_a.values()) == sorted(col_b.values()) else False
+        # Both colourings have one entry per node, so with ``a``'s
+        # injective the multisets agree exactly when the sets do.
+        if colours != set(col_b.values()):
             return False
-        if len(classes) < len(col_a):
-            return None
-        node_b = {c: y for y, c in col_b.items()}
-        f = {x: node_b[c] for x, c in col_a.items()}
-        image = f.__getitem__
-        pairs = f.items() if checked is None else (
-            (x, node_b[c]) for x, c in col_a.items() if c in checked
-        )
-        return all(frozenset(map(image, a.extensions[x])) == b.extensions[y] for x, y in pairs)
+
+        def member_colours(g: ExtensionalDigraph, col: dict[NodeId, int]) -> dict:
+            colour = col.__getitem__
+            return {
+                c: frozenset(map(colour, g.extensions[x]))
+                for x, c in col.items()
+                if checked is None or c in checked
+            }
+
+        # With injective colours the map carries a node's members onto
+        # its image's exactly when their colour sets are equal.
+        return member_colours(a, col_a) == member_colours(b, col_b)
 
     table: dict[tuple, int] = {}
     col_a = _condensation_colours(a, table)

@@ -746,18 +746,45 @@ def test_oracle_compare_porcelain():
     assert out == "oracle\tisomorphic\tisomorphic\n"
 
 
-def test_oracle_compare_past_the_search_state_cap_exits_2(monkeypatch):
-    """Masks [1, 2, 5, 9] swap nodes 2 and 3, so the completion has a
-    real automorphism and the isomorphism test has to search."""
-    names = ["q0", "q1", "q2", "q3"]
-    g = ExtensionalDigraph.from_extensions(
+def swapping_seed(prefix: str) -> ExtensionalDigraph:
+    """Masks [1, 2, 5, 9]: nodes 2 and 3 swap, so a completion has a
+    real automorphism."""
+    names = [f"{prefix}{i}" for i in range(4)]
+    return ExtensionalDigraph.from_extensions(
         {x: {names[j] for j in range(4) if mask >> j & 1} for x, mask in zip(names, [1, 2, 5, 9])}
     )
-    doc = serialize(AnnotatedGraph(g))
+
+
+def test_oracle_compare_settles_a_symmetric_seed_from_the_seed_map(monkeypatch):
+    """The completion and its oracle completion share the seed's ids, so
+    oracle-compare answers without the search, even with its cap at 1."""
+    monkeypatch.setattr(graph, "_SEARCH_STATE_LIMIT", 1)
+    doc = serialize(AnnotatedGraph(swapping_seed("q")))
     argv = ["oracle-compare", "--levels", "1", "--porcelain"]
     assert invoke(argv, doc) == (0, "oracle\tisomorphic\tisomorphic\n", "")
+
+
+def test_oracle_compare_refuses_a_pair_over_the_node_limit(monkeypatch):
+    """The node limit is checked before the seed map, which would
+    otherwise answer on this pair."""
+    monkeypatch.setattr(graph, "ISO_NODE_LIMIT", 8)
+    doc = serialize(AnnotatedGraph(swapping_seed("q")))
+    argv = ["oracle-compare", "--levels", "1", "--porcelain"]
+    expected = "size limit: isomorphism search limited to 8 nodes, got 16 and 16\n"
+    assert invoke(argv, doc) == (2, "", expected)
+
+
+def test_diff_past_the_search_state_cap_exits_2(monkeypatch, tmp_path):
+    """Completions of the swapping seed under two namings: no seed map
+    applies, and the automorphism leaves colours tied, so the
+    isomorphism test has to search."""
+    argv = ["diff", "--porcelain"]
+    for p in "qr":
+        doc = serialize(AnnotatedGraph(complete(swapping_seed(p), 1).graph))
+        argv.append(write_doc(tmp_path / f"{p}.json", doc))
+    assert invoke(argv) == (0, "diff\tisomorphic\tdocuments differ, graphs are isomorphic\n", "")
     monkeypatch.setattr(graph, "_SEARCH_STATE_LIMIT", 1)
-    assert invoke(argv, doc) == (2, "", "size limit: isomorphism search exceeded its state cap\n")
+    assert invoke(argv) == (2, "", "size limit: isomorphism search exceeded its state cap\n")
 
 
 def test_oracle_compare_on_a_long_chain_never_refines(monkeypatch):

@@ -14,8 +14,10 @@ from setforge import (
     BudgetExceededError,
     CodeSpec,
     DecorationError,
+    Deficiency,
     ExtensionalDigraph,
     NonExtensionalError,
+    Seed,
     SetforgeError,
     TupleDecl,
     assemble,
@@ -24,6 +26,7 @@ from setforge import (
     compare,
     complete,
     decorate,
+    is_isomorphic,
     loop_code,
     oracle_complete,
     quine_atoms,
@@ -417,3 +420,99 @@ def test_compare_distinguishes_loop_structure():
     verdict = compare(g, h)
     assert not verdict.isomorphic
     assert "self-loop" in verdict.detail or "edge" in verdict.detail
+
+
+# -- the seed map against the label-free search -------------------------------
+
+
+def random_comparison_seed(rng: random.Random) -> tuple[ExtensionalDigraph, int]:
+    """A seed the oracle can decorate, with a level count that keeps its
+    completion at 256 nodes or fewer: quine atoms, von Neumann stages,
+    the two side by side, a random graph whose only cycles are
+    self-loops, or a chain-style spec."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        n = rng.randint(1, 3)
+        return quine_atoms([f"q{i}" for i in range(n)]), rng.randint(1, 2) if n < 3 else 1
+    if kind == 1:
+        return rng.choice(((von_neumann_seed(2), 2), (von_neumann_seed(3), 1)))
+    if kind == 2:
+        stage = von_neumann_seed(2)
+        atoms = quine_atoms([f"q{i}" for i in range(rng.randint(1, 2))])
+        seed = ExtensionalDigraph.from_extensions({**stage.extensions, **atoms.extensions})
+        return seed, 1 if len(seed) > 3 else rng.randint(1, 2)
+    if kind == 3:
+        seed = random_decorable_graph(rng, 5, min_nodes=1)
+        return seed, 1 if len(seed) > 3 else rng.randint(1, 2)
+    spec = CodeSpec(
+        atoms=(AtomDecl("c", "chain", rng.randint(1, 2)),),
+        naturals_up_to=2,
+        tuples=(TupleDecl(0, ("c",)),) if rng.random() < 0.5 else (),
+        code_style="chain",
+        code_length=rng.randint(1, 2),
+    )
+    return assemble(spec).graph, rng.randint(0, 1)
+
+
+def level_of(g: ExtensionalDigraph, x: str) -> int:
+    p = g.provenance[x]
+    return p.level if isinstance(p, Deficiency) else 0
+
+
+def mutated_copies(rng: random.Random, g: ExtensionalDigraph) -> list[ExtensionalDigraph]:
+    """Copies of ``g`` with one change each: an edge moved into a
+    non-deficiency node, an edge moved into a deficiency node onto an
+    older member, a seed label changed, a deficiency level changed, and
+    one node renamed."""
+    ext, prov = dict(g.extensions), dict(g.provenance)
+    names = sorted(g.nodes)
+    copies = []
+    for deficient in (False, True):
+        containers = [x for x in names if (level_of(g, x) > 0) == deficient and ext[x]]
+        if containers:
+            x = rng.choice(containers)
+            older = [m for m in names if level_of(g, m) < max(level_of(g, x), 1)]
+            moved = {**ext, x: ext[x] - {rng.choice(sorted(ext[x]))}}
+            moved[x] |= {rng.choice(older)}
+            copies.append(ExtensionalDigraph(moved, prov))
+    seeds = [x for x in names if isinstance(prov[x], Seed)]
+    if seeds:
+        copies.append(ExtensionalDigraph(ext, {**prov, rng.choice(seeds): Seed("relabelled")}))
+    deficient = [x for x in names if level_of(g, x) > 0]
+    if deficient:
+        x = rng.choice(deficient)
+        others = {level_of(g, y) for y in deficient} - {level_of(g, x)}
+        levels = sorted(others) or [level_of(g, x) + 1]
+        copies.append(ExtensionalDigraph(ext, {**prov, x: Deficiency(rng.choice(levels))}))
+    old = rng.choice(names)
+    rename = {y: y for y in names} | {old: "renamed"}
+    copies.append(
+        ExtensionalDigraph(
+            {rename[y]: frozenset(map(rename.get, ms)) for y, ms in ext.items()},
+            {rename[y]: p for y, p in prov.items()},
+        )
+    )
+    return copies
+
+
+def test_compare_agrees_with_the_label_free_search():
+    """``compare`` settles shared-seed pairs from the seed map and
+    falls through to ``is_isomorphic`` otherwise; either way its verdict
+    must be ``is_isomorphic``'s, in both argument orders.  A completion
+    against its oracle completion and against copies with one edge
+    moved, one provenance changed or one node renamed."""
+    rng = random.Random(8128)
+    verdicts = []
+    for _ in range(80):
+        seed, levels = random_comparison_seed(rng)
+        ours = complete(seed, levels).graph
+        reference = oracle_complete(seed, levels)
+        for other in [reference, *mutated_copies(rng, reference)]:
+            for a, b in ((ours, other), (other, ours)):
+                expected = is_isomorphic(a, b)
+                assert compare(a, b).isomorphic == expected
+                verdicts.append((expected, oracle._seed_map_agrees(a, b)))
+    assert verdicts.count((True, True)) >= 150
+    assert verdicts.count((True, False)) >= 100
+    assert verdicts.count((False, False)) >= 300
+    assert (False, True) not in verdicts
