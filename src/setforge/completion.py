@@ -185,17 +185,6 @@ def _growth(seed_size: int, requested: int, budget: Budget) -> tuple[int, int]:
     return steps, size
 
 
-def affordable_levels(seed_size: int, requested: int, budget: Budget = DEFAULT_BUDGET) -> int:
-    """How many completion steps of an extensional ``seed_size``-node
-    graph the budget permits, capped at ``requested``.
-
-    Uses the exact growth law for extensional graphs (next size is
-    ``2**size``), so the answer matches what :func:`complete` would
-    survive.
-    """
-    return _growth(seed_size, requested, budget)[0]
-
-
 def _require_affordable(seed_size: int, requested: int, budget: Budget) -> None:
     """Refuse ``requested`` steps from an extensional ``seed_size``-node
     graph unless the budget permits them all, with the error the first

@@ -19,9 +19,9 @@ import sys
 from bisect import bisect_left
 from collections import defaultdict, deque
 from contextlib import contextmanager
-from itertools import chain, compress, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat, starmap
 from json.encoder import encode_basestring_ascii
-from operator import eq, itemgetter, le, lt
+from operator import eq, ge, itemgetter, le, lt, not_
 from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import SchemaError
@@ -74,6 +74,12 @@ def _array(items: list[str]) -> list[str]:
     return pieces
 
 
+def _edge_run(q: str, containers: Iterable[str]) -> str:
+    """The edges of the member quoted as ``q`` into ``containers``,
+    quoted and in id order, as the ``edges`` block writes them."""
+    return f"[{q},{f'],[{q},'.join(containers)}]"
+
+
 def _node_entry(g: ExtensionalDigraph, x: NodeId, quoted: dict[NodeId, str]) -> str:
     """One ``nodes`` item, keys in sorted order."""
     p = g.provenance[x]
@@ -107,15 +113,17 @@ def serialize(doc: AnnotatedGraph) -> str:
     g = doc.graph
     order = g.sorted_nodes()
     quoted = dict(zip(order, map(encode_basestring_ascii, order)))
-    edges = [f"[{q},{f'],[{q},'.join(cs)}]" for q, cs in g.member_runs(quoted)]
+    edges = list(starmap(_edge_run, g.member_runs(quoted)))
     sections = [
         ("edges", _array(edges)),
         ("format_version", [str(FORMAT_VERSION)]),
         ("nodes", _array([_node_entry(g, x, quoted) for x in order])),
     ]
-    del quoted, edges  # not needed for the join, which is the peak
     if doc.levels is not None:
-        sections.append(("levels", [_dumps([sorted(level) for level in doc.levels])]))
+        # The top level is the node set, already sorted and quoted.
+        lower = [_dumps(sorted(level)) for level in doc.levels[:-1]]
+        sections.append(("levels", _array([*lower, f"[{','.join(quoted.values())}]"])))
+    del quoted, edges  # not needed for the join, which is the peak
     if doc.depth is not None:
         sections.append(("depth", [_dumps(doc.depth)]))
     if doc.ranks is not None:
@@ -397,26 +405,41 @@ def _check_formulas_by_item(formulas_raw: dict) -> None:
 # A document is read by one of two paths. ``_proven`` decodes the
 # top-level object one member at a time and keeps each section only as
 # long as it must; it returns a document only when it has shown the
-# text valid. Anything it cannot show, a JSON error included, goes to
-# ``_walked``, which parses the whole text with ``json.loads`` and walks
-# the edges, and any section that fails its bulk check, item by item,
-# so that the first error in section order is named.
+# text valid. Where the document has deficiency nodes, it first tries
+# to show the ``edges`` text by rendering it from their ``members``
+# (``_claimed``), and decodes the edges only when that fails. Anything
+# it cannot show, a JSON error included, goes to ``_walked``, which
+# parses the whole text with ``json.loads`` and walks the edges, and any
+# section that fails its bulk check, item by item, so that the first
+# error in section order is named.
 
 _scan_value = json.JSONDecoder().scan_once
 _scan_key = json.decoder.scanstring
 _skip_space = json.decoder.WHITESPACE.match
 _first, _second = itemgetter(0), itemgetter(1)
+# Not JSON, edge ends that cannot be ordered or hashed, or not a str.
+_SCAN_ERRORS = (StopIteration, ValueError, RecursionError, TypeError)
 
 
 class _Unproven(Exception):
     """``_proven`` cannot show the document valid; ``_walked`` decides."""
 
 
-def _grouped(edges: Any) -> tuple[dict[NodeId, list[NodeId]], dict[NodeId, NodeId], bool]:
-    """The members of each container, in edge order; the distinct
-    members, each a single string object that every list shares; and
-    whether the pairs are strictly sorted, as ``serialize`` writes
-    them, so that every list is sorted and has no repeats.
+# What :func:`_grouped` makes of the edges.
+_Groups = tuple[dict[NodeId, list[NodeId]], dict[NodeId, NodeId]]
+
+
+def _ascending(flat: list[NodeId], sizes: list[int]) -> bool:
+    """Whether each of the consecutive lists of ``sizes`` ids that make
+    up ``flat`` is strictly sorted: ``flat`` only descends, or repeats
+    an id, where a list starts."""
+    starts = set(accumulate(sizes))
+    return starts.issuperset(compress(count(1), map(ge, flat, islice(flat, 1, None))))
+
+
+def _grouped(edges: Any) -> _Groups:
+    """The members of each container, in edge order, and the distinct
+    members, each a single string object that every list shares.
 
     The ends are not yet known to be ids (``nodes`` comes later): an
     end that cannot be ordered or hashed raises ``TypeError``, which
@@ -424,18 +447,23 @@ def _grouped(edges: Any) -> tuple[dict[NodeId, list[NodeId]], dict[NodeId, NodeI
     """
     if not (type(edges) is list and _all_of(edges, list) and set(map(len, edges)) <= {2}):
         raise _Unproven
-    in_order = all(map(lt, edges, islice(edges, 1, None)))
     groups: defaultdict[NodeId, list[NodeId]] = defaultdict(list)
     canon: dict[NodeId, NodeId] = {}
     members = map(canon.setdefault, map(_first, edges), map(_first, edges))
     deque(map(list.append, map(groups.__getitem__, map(_second, edges)), members), maxlen=0)
-    return groups, canon, in_order
+    return groups, canon
 
 
-def _sections(text: str) -> tuple[dict[str, Any], Any]:
+def _sections(text: str, spans: bool = False) -> tuple[dict[str, Any], Any]:
     """The top-level members of ``text`` but ``edges``, and ``edges``
     as :func:`_grouped` groups it on arrival, before the next member is
     decoded.
+
+    With ``spans``, an ``edges`` value that starts as ``serialize``
+    writes one (``[[`` or ``[]``) is not decoded: its place in the text
+    comes back as a ``slice``, which ends at the first ``]]`` after its
+    start. That end is a guess, which :func:`_claimed` must confirm; a
+    repeated ``edges`` key is not guessed at.
 
     Keys go through ``json.decoder.scanstring`` and values through the
     scanner that ``json.loads`` uses, with the same whitespace between
@@ -457,18 +485,25 @@ def _sections(text: str) -> tuple[dict[str, Any], Any]:
             at = _skip_space(text, at).end()
             if text[at : at + 1] != ":":
                 raise _Unproven
-            value, at = _scan_value(text, _skip_space(text, at + 1).end())
-            if key == "edges":
-                edges = _grouped(value)
+            at = _skip_space(text, at + 1).end()
+            if key != "edges":
+                sections[key], at = _scan_value(text, at)
+            elif type(edges) is slice:
+                raise _Unproven  # the last value wins; the guess would go unconfirmed
+            elif spans and text.startswith(("[[", "[]"), at):
+                close = text.find("]]", at) if text[at + 1] == "[" else at
+                if close < 0:
+                    raise _Unproven
+                edges, at = slice(at, close + 2), close + 2
             else:
-                sections[key] = value
-            del value  # a decoded ``edges`` is freed before the next value
+                value, at = _scan_value(text, at)
+                edges = _grouped(value)
+                del value  # freed before the next value is decoded
             at = _skip_space(text, at).end()
             if text[at : at + 1] != ",":
                 break
             at = _skip_space(text, at + 1).end()
-    except (StopIteration, ValueError, RecursionError, TypeError):
-        # Not JSON, edge ends that cannot be ordered or hashed, or not a str.
+    except _SCAN_ERRORS:
         raise _Unproven from None
     if text[at : at + 1] != "}" or _skip_space(text, at + 1).end() != len(text) or edges is None:
         raise _Unproven
@@ -486,29 +521,142 @@ def _nodes(raw: dict) -> tuple[list[dict], list[NodeId], dict[NodeId, Provenance
     return nodes_raw, ids, _node_provenance(nodes_raw, ids)
 
 
-def _proven(text: str) -> AnnotatedGraph:
-    """The document, read section by section; raises ``_Unproven`` when
-    the edges cannot be shown valid this way, and ``SchemaError`` only
-    once the whole text is known to be JSON and every section before
-    the offending one valid."""
-    sections, edges = _sections(text)
-    nodes_raw, ids, provenance = _nodes(sections)
-    groups, canon, in_order = edges
+def _decoded(text: str, span: slice) -> _Groups:
+    """The edges at ``span``, decoded and grouped by :func:`_grouped`,
+    once the scanner ends them where the guess did."""
+    try:
+        value, end = _scan_value(text, span.start)
+        if end != span.stop:
+            raise _Unproven
+        return _grouped(value)
+    except _SCAN_ERRORS:
+        raise _Unproven from None
+
+
+def _claimed(text: str, sections: dict, span: slice) -> AnnotatedGraph:
+    """The document, its deficiency nodes' extensions read from their
+    ``members``, once the ``edges`` text at ``span`` is shown to be
+    exactly what ``serialize`` writes for them; raises ``_Unproven``,
+    never ``SchemaError``, until it is.
+
+    Each run of edges from one member is rendered from the deficiency
+    nodes that list it and compared with the text. A node without a
+    ``members`` list can only be tested: it is looked for at its sorted
+    place in every run, so the runs times those nodes must stay within
+    the node count. Without deficiency nodes nothing claims the edges,
+    and they are decoded after all.
+    """
+    try:
+        nodes_raw, ids, provenance = _nodes(sections)
+    except SchemaError:
+        raise _Unproven from None
+    mask = list(map(isinstance, provenance.values(), repeat(Deficiency)))
+    if not any(mask):
+        return _compared(sections, _decoded(text, span), (nodes_raw, ids, provenance))
+    if not all(map(lt, ids, islice(ids, 1, None))):
+        raise _Unproven
+    claimed = [item["provenance"]["members"] for item in compress(nodes_raw, mask)]
+    # The members, each the one string object of its id; a KeyError is
+    # an unknown id.
+    canon = dict(zip(ids, ids))
+    try:
+        members = list(map(canon.__getitem__, chain.from_iterable(claimed)))
+    except KeyError:
+        raise _Unproven from None
+    sizes = list(map(len, claimed))
+    # The decoded nodes are read: freed here, they make room for the
+    # frozensets.
+    del sections["nodes"], nodes_raw, claimed, canon
+    if not _ascending(members, sizes):
+        raise _Unproven
+    # The deficiency containers of each member, as indices into ``ids``,
+    # in id order.
+    runs: defaultdict[NodeId, list[int]] = defaultdict(list)
+    containers = chain.from_iterable(map(repeat, compress(count(), mask), sizes))
+    deque(map(list.append, map(runs.__getitem__, members), containers), maxlen=0)
+    others = list(compress(count(), map(not_, mask)))
+    if len(runs) * len(others) > len(ids):
+        raise _Unproven
+    quoted = list(map(encode_basestring_ascii, ids))
+    found: defaultdict[int, list[NodeId]] = defaultdict(list)
+    at, gap = span.start + 1, ""
+    for member in sorted(runs):
+        q, into = encode_basestring_ascii(member), runs[member]
+        head, done = f"[{q},", 0
+        # ``len(ids)`` sorts after every container: it ends the run.
+        for other in [*others, len(ids)]:
+            place = bisect_left(into, other, done)
+            if place > done:
+                piece = gap + _edge_run(q, map(quoted.__getitem__, into[done:place]))
+                if not text.startswith(piece, at):
+                    raise _Unproven
+                at, gap, done = at + len(piece), ",", place
+            if other < len(ids):
+                # The container is compared first and nothing is copied,
+                # so a miss costs no pass over a long member id.
+                c = quoted[other]
+                end = at + len(gap) + len(head) + len(c)
+                if (
+                    text.startswith(c, end - len(c))
+                    and text.startswith("]", end)
+                    and text.startswith(gap, at)
+                    and text.startswith(head, at + len(gap))
+                ):
+                    at, gap = end + 1, ","
+                    found[other].append(member)
+    if not (text.startswith("]", at) and at + 1 == span.stop):
+        raise _Unproven
+    extensions = dict.fromkeys(ids, frozenset())
+    lists = map(islice, repeat(iter(members)), sizes)
+    extensions.update(zip(compress(ids, mask), map(frozenset, lists)))
+    extensions.update((ids[x], frozenset(ms)) for x, ms in found.items())
+    return _annotated(sections, ExtensionalDigraph(extensions, provenance))
+
+
+def _compared(
+    sections: dict,
+    edges: _Groups,
+    nodes: tuple[list[dict], list[NodeId], dict[NodeId, Provenance]] | None = None,
+) -> AnnotatedGraph:
+    """The document, its extensions the edges as :func:`_grouped`
+    grouped them, once the deficiency members agree; ``nodes`` is
+    :func:`_nodes` of ``sections`` where it has run."""
+    nodes_raw, ids, provenance = nodes or _nodes(sections)
+    groups, canon = edges
     known = frozenset(ids)
     if not (known.issuperset(groups) and known.issuperset(canon)):
         raise _Unproven
     # A deficiency node's members are written from its extension, so a
     # document whose two copies disagree did not come from ``serialize``.
+    # Where they are equal and strictly sorted, sorting changes nothing.
     mask = list(map(isinstance, provenance.values(), repeat(Deficiency)))
     claimed = [item["provenance"]["members"] for item in compress(nodes_raw, mask)]
     lists = list(map(groups.get, compress(ids, mask), repeat([])))
-    if claimed != (lists if in_order else [sorted(set(ms)) for ms in lists]):
+    if not (
+        claimed == lists
+        and _ascending(list(chain.from_iterable(claimed)), list(map(len, claimed)))
+        or claimed == [sorted(set(ms)) for ms in lists]
+    ):
         raise _Unproven
     # The decoded nodes are checked and read: freed here, they make
     # room for the frozensets.
     del sections["nodes"], nodes_raw, claimed, lists
     graph = ExtensionalDigraph({x: frozenset(groups.pop(x, ())) for x in ids}, provenance)
     return _annotated(sections, graph)
+
+
+def _proven(text: str) -> AnnotatedGraph:
+    """The document, read section by section; raises ``_Unproven`` when
+    the edges cannot be shown valid this way, and ``SchemaError`` only
+    once the whole text is known to be JSON and every section before
+    the offending one valid."""
+    try:
+        sections, edges = _sections(text, spans=True)
+        if type(edges) is slice:
+            return _claimed(text, sections, edges)
+    except _Unproven:
+        sections, edges = _sections(text)
+    return _compared(sections, edges)
 
 
 def _walked(text: str) -> AnnotatedGraph:

@@ -280,30 +280,10 @@ def extensionality_violation(g: ExtensionalDigraph) -> tuple[NodeId, NodeId] | N
     return None
 
 
-def is_extensional(g: ExtensionalDigraph) -> bool:
-    return extensionality_violation(g) is None
-
-
 def require_extensional(g: ExtensionalDigraph) -> None:
     pair = extensionality_violation(g)
     if pair is not None:
         raise NonExtensionalError(pair[0], pair[1])
-
-
-def is_end_extension(small: ExtensionalDigraph, big: ExtensionalDigraph) -> bool:
-    """True when ``big`` end-extends ``small``: nodes and edges carry
-    over, and no node of ``small`` gains a new member in ``big``.
-
-    Equivalent formulation used here: every old node keeps exactly its
-    old extension, which covers both "edges are preserved" and "no new
-    members of old nodes" in one pass.
-    """
-    if not small.nodes <= big.nodes:
-        return False
-    for x in small.nodes:
-        if big.extensions[x] != small.extensions[x]:
-            return False
-    return True
 
 
 def _provenance_colour(p: Provenance) -> tuple:

@@ -27,9 +27,11 @@ from setforge import (
     SizeLimitError,
     collection,
     decorate,
+    extensionality_violation,
     require_extensional,
     value_extension,
 )
+from setforge.completion import DEFAULT_BUDGET, Budget, _growth
 from setforge.graph import NodeId, Provenance
 from setforge.logic import (
     And,
@@ -48,6 +50,33 @@ from setforge.logic import (
 def edges(g: ExtensionalDigraph) -> frozenset[tuple[NodeId, NodeId]]:
     """The edge set as (member, container) pairs."""
     return frozenset((m, c) for c, ms in g.extensions.items() for m in ms)
+
+
+def is_extensional(g: ExtensionalDigraph) -> bool:
+    return extensionality_violation(g) is None
+
+
+def is_end_extension(small: ExtensionalDigraph, big: ExtensionalDigraph) -> bool:
+    """True when ``big`` end-extends ``small``: nodes and edges carry
+    over, and no node of ``small`` gains a new member in ``big``.
+
+    Equivalent formulation used here: every old node keeps exactly its
+    old extension, which covers both "edges are preserved" and "no new
+    members of old nodes" in one pass.
+    """
+    if not small.nodes <= big.nodes:
+        return False
+    for x in small.nodes:
+        if big.extensions[x] != small.extensions[x]:
+            return False
+    return True
+
+
+def affordable_levels(seed_size: int, requested: int, budget: Budget = DEFAULT_BUDGET) -> int:
+    """How many completion steps of an extensional ``seed_size``-node
+    graph the budget permits, capped at ``requested``: the steps that
+    ``complete`` takes before it refuses, by its own growth law."""
+    return _growth(seed_size, requested, budget)[0]
 
 
 def naive_is_extensional(g: ExtensionalDigraph) -> bool:

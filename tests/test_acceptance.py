@@ -17,7 +17,9 @@ import time
 import pytest
 
 from helpers import (
+    affordable_levels,
     all_small_self_loop_digraphs,
+    is_end_extension,
     naive_eval,
     print_formula,
     random_closed_formula,
@@ -32,7 +34,6 @@ from setforge import (
     DEFAULT_BUDGET,
     ExtensionalDigraph,
     TupleDecl,
-    affordable_levels,
     assemble,
     check_axiom,
     compare,
@@ -41,7 +42,6 @@ from setforge import (
     dred_complete,
     eval_formula,
     foundation_witness,
-    is_end_extension,
     oracle_complete,
     parse,
     quine_atoms,

@@ -14,21 +14,18 @@ from setforge import (
     NonExtensionalError,
     SchemaError,
     UnknownNodeError,
-    affordable_levels,
     complete,
     complete_step,
     deficiency,
     dred_complete,
     dred_from_graph,
-    is_end_extension,
-    is_extensional,
     von_neumann_seed,
     witness_report,
 )
 
 from setforge import completion, dred
 
-from helpers import random_extensional_graph
+from helpers import affordable_levels, is_end_extension, is_extensional, random_extensional_graph
 
 
 def members_of(subsets):

@@ -434,6 +434,13 @@ MUTATIONS = (
 )
 
 
+def written(payload) -> list[str]:
+    """``payload`` with ``json.dumps``'s spaced separators, and in the
+    writer's layout, compact with sorted keys, where the reader can
+    take a text that still looks written by ``serialize`` for it."""
+    return [json.dumps(payload), json.dumps(payload, sort_keys=True, separators=(",", ":"))]
+
+
 def test_mutated_documents_fail_as_the_reference_fails():
     rng = random.Random(31)
     lines = valid_lines()
@@ -446,16 +453,16 @@ def test_mutated_documents_fail_as_the_reference_fails():
                 mutate(rng, payload)
             except (LookupError, TypeError, AttributeError):
                 pass  # the first mutation removed what the second acts on
-        text = json.dumps(payload)
-        ours = outcome(deserialize, text)
-        assert ours == outcome(reference_deserialize, text), text
-        assert ours[0] == "ok" or ours[1] == "SchemaError", ours
-        if ours[0] == "ok":
-            accepted += 1
-        else:
-            messages.add(ours[3].split(": ", 1)[1].split("'")[0])
+        for text in written(payload):
+            ours = outcome(deserialize, text)
+            assert ours == outcome(reference_deserialize, text), text
+            assert ours[0] == "ok" or ours[1] == "SchemaError", ours
+            if ours[0] == "ok":
+                accepted += 1
+            else:
+                messages.add(ours[3].split(": ", 1)[1].split("'")[0])
     # Both outcomes occur, and the mutations reach most of the checks.
-    assert 0 < accepted < 2500
+    assert 0 < accepted < 5000
     assert len(messages) >= 20, sorted(messages)
 
 
@@ -468,8 +475,8 @@ def test_named_mutations_of_a_completion_match_the_reference(mutate):
     for _ in range(20):
         payload = json.loads(line)
         mutate(rng, payload)
-        text = json.dumps(payload)
-        assert outcome(deserialize, text) == outcome(reference_deserialize, text)
+        for text in written(payload):
+            assert outcome(deserialize, text) == outcome(reference_deserialize, text)
 
 
 @pytest.mark.parametrize("bad", ["foreign", 7, ["x"], None], ids=["unknown", "int", "list", "null"])
@@ -505,6 +512,135 @@ def test_valid_documents_never_walk_item_by_item(monkeypatch):
     # Nor parsed whole: the sections are decoded one at a time.
     monkeypatch.setattr(document.json, "loads", refuse)
     assert [deserialize(line) for line in lines] == expected
+
+
+def _guessed_end_traps() -> dict[str, str]:
+    """Texts that look written by ``serialize`` but where the reader
+    must not trust its guess or its render: the first ``]]`` after the
+    start of ``edges`` is not where the block ends, the block goes on
+    after the last run the members imply, or a member has no node."""
+    line = serialize(complete(von_neumann_seed(2), 2))
+    payload = json.loads(line)
+    end = line.index(',"format_version":')
+    block = line[len('{"edges":') : end]
+    seed = min(node["id"] for node in payload["nodes"] if node["provenance"]["kind"] == "seed")
+    last = max(node["id"] for node in payload["nodes"])
+    assert payload["edges"][-1][0] < last
+    bracketed = ExtensionalDigraph.from_extensions({"]]": (), "a]],": ("]]",), "b]]": ("a]],",)})
+    unknown = json.loads(serialize(AnnotatedGraph(complete(von_neumann_seed(2), 2).graph)))
+    member = unknown["edges"][-1][0]
+    unknown["nodes"] = [node for node in unknown["nodes"] if node["id"] != member]
+    return {
+        # Not an array: decoded, though a ``]]`` follows in ``levels``.
+        "edges true": written({**payload, "edges": True})[1],
+        # Ids that hold ``]]``: the first one is inside an id.
+        "bracketed ids": serialize(complete(bracketed, 1)),
+        # The last ``edges`` wins, so the first one's end is never confirmed.
+        "edges key repeated after": "{" + line[1:-1] + ',"edges":' + block + "}",
+        "edges key repeated before": '{"edges":[' + block[1:] + "," + line[1:-1] + "}",
+        "edges key repeated empty": "{" + line[1:-1] + ',"edges":[]}',
+        "space after edges": line[:end] + " \n\t" + line[end:],
+        # One more edge after the last run, into a seed node.
+        "edge after the last run": f'{line[: end - 1]},["{last}","{seed}"]{line[end - 1 :]}',
+        # A member id missing from ``nodes`` but consistent everywhere else.
+        "member without a node": written(unknown)[1],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_guessed_end_traps()))
+def test_guessed_end_traps_parse_as_the_reference_parses_them(name):
+    text = _guessed_end_traps()[name]
+    ours = outcome(deserialize, text)
+    assert ours == outcome(reference_deserialize, text)
+    assert ours[0] == "ok" or ours[1] == "SchemaError", ours
+
+
+def _certified_seed() -> AnnotatedGraph:
+    spec = CodeSpec(
+        atoms=(AtomDecl("a", "chain", 2),), naturals_up_to=2, code_style="chain", code_length=1
+    )
+    return assemble(spec).dred
+
+
+def _completions() -> list[str]:
+    """Completions as ``serialize`` writes them: without levels, with
+    levels, certified, and over ids that JSON escapes."""
+    # A lone surrogate cannot name a subset node (its id hashes the
+    # UTF-8 of the members), so an astral character stands in for it.
+    rename = {"\ud800": "\U0001f600"}.get
+    escaped = ExtensionalDigraph.from_extensions(
+        {rename(x, x): [rename(m, m) for m in ms] for x, ms in ESCAPED_EXTENSIONS.items()},
+        {rename(x, x): p for x, p in escaped_document().graph.provenance.items()},
+    )
+    return [
+        serialize(AnnotatedGraph(complete(quine_atoms(["p", "q"]), 2).graph)),
+        serialize(complete(von_neumann_seed(2), 2)),
+        serialize(dred_complete(_certified_seed(), 1)),
+        serialize(complete(escaped, 1)),
+    ]
+
+
+def test_completions_are_read_from_their_members(monkeypatch):
+    """Completions, with ids that need escapes too, are shown valid by
+    rendering their edges from the deficiency ``members``; seeds, other
+    layouts of the edges and unsorted nodes decode their edges."""
+    # The last four of ``valid_lines`` are completions too.
+    lines = _completions() + valid_lines()[-4:]
+    expected = [outcome(reference_deserialize, line) for line in lines]
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("the edges were decoded")
+
+    monkeypatch.setattr(document, "_grouped", refuse)
+    assert [outcome(deserialize, line) for line in lines] == expected
+    assert calls == []
+    monkeypatch.undo()
+
+    grouped = document._grouped
+    monkeypatch.setattr(document, "_grouped", lambda edges: calls.append(1) or grouped(edges))
+    payload = json.loads(lines[1])
+    decoded = [
+        GOLDEN_EMPTY,
+        serialize(AnnotatedGraph(von_neumann_seed(3))),
+        serialize(_certified_seed()),
+        *_layouts(lines[1])[1:],
+        written({**payload, "nodes": payload["nodes"][::-1]})[1],
+    ]
+    for text in decoded:
+        calls.clear()
+        assert outcome(deserialize, text) == outcome(reference_deserialize, text)
+        assert calls, text[:200]
+    # Keys in another order leave the writer's edges block as it was.
+    calls.clear()
+    assert outcome(deserialize, _layouts(lines[1])[0]) == outcome(reference_deserialize, lines[1])
+    assert calls == []
+
+
+def test_probing_seed_nodes_compares_about_the_text(monkeypatch):
+    """A member with a long id and a thousand seed nodes to test it
+    against: each miss compares a seed id, not the member's id, so the
+    characters compared stay near the length of the text."""
+    member = "m" * 20_000
+    seeds = {f"s{i:04d}": () for i in range(1000)}
+    graph = ExtensionalDigraph.from_extensions(
+        {member: (), **seeds, "zz": (member,)}, {"zz": Deficiency(level=1)}
+    )
+    text = serialize(AnnotatedGraph(graph))
+    compared = []
+
+    class Counted(str):
+        def startswith(self, prefix, *args):
+            compared.append(sum(map(len, prefix)) if type(prefix) is tuple else len(prefix))
+            return super().startswith(prefix, *args)
+
+    def refuse(edges):
+        raise AssertionError("the edges were decoded")
+
+    monkeypatch.setattr(document, "_grouped", refuse)
+    assert deserialize(Counted(text)) == reference_deserialize(text)
+    assert sum(compared) < 2 * len(text)
 
 
 def _layouts(line: str) -> list[str]:

@@ -14,8 +14,6 @@ from setforge import (
     UnknownNodeError,
     complete,
     extensionality_violation,
-    is_end_extension,
-    is_extensional,
     is_isomorphic,
     oracle_complete,
     quine_atoms,
@@ -26,6 +24,8 @@ from setforge.graph import extension
 
 import helpers
 from helpers import (
+    is_end_extension,
+    is_extensional,
     naive_is_extensional,
     naive_is_isomorphic,
     random_extensional_graph,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    is_extensional,
     naive_eval,
     print_formula,
     random_closed_formula,
@@ -38,7 +39,6 @@ from setforge import (
     define_class,
     eval_formula,
     free_variables,
-    is_extensional,
     parse,
     quine_atoms,
     quine_code_formula,

@@ -17,7 +17,6 @@ from setforge import (
     assemble,
     define_class,
     encode_tuple,
-    is_extensional,
     numeral_ids,
     quine_atoms,
     quine_code_formula,
@@ -26,6 +25,8 @@ from setforge import (
 )
 from setforge import seeds
 from setforge.seeds import chain_atom_id, quine_atom_id
+
+from helpers import is_extensional
 
 
 def extensions_as_sets(g: ExtensionalDigraph) -> set:
