@@ -18,10 +18,12 @@ import json
 import os
 import sys
 from dataclasses import replace
+from itertools import accumulate, groupby, repeat
+from operator import floordiv, itemgetter
 from typing import Any, Sequence, TextIO
 
 from .completion import Budget, DEFAULT_BUDGET, complete, witness_report
-from .document import _gc_paused, deserialize, serialize
+from .document import _gc_paused, _pieces, deserialize
 from .dot import to_dot
 from .dred import dred_complete, verify_dred
 from .errors import (
@@ -38,6 +40,10 @@ from .oracle import compare, oracle_complete
 from .seeds import AtomDecl, CodeSpec, TupleDecl, assemble, quine_atoms, von_neumann_seed
 
 _BUDGET_ENV = "SETFORGE_BUDGET"
+
+# Characters handed to stdout in one write; a document is never joined
+# into one line in memory.
+_WRITE_SIZE = 1 << 20
 
 
 def _resolve_budget(value: int | None) -> Budget:
@@ -82,7 +88,14 @@ def _read_document() -> AnnotatedGraph:
 
 
 def _emit_document(doc: AnnotatedGraph) -> None:
-    print(serialize(doc))
+    """Write ``serialize(doc)`` and a newline, joined in runs of about
+    ``_WRITE_SIZE`` characters: each piece goes into the run in which
+    its end falls. Every piece exists before the first write."""
+    pieces = _pieces(doc)
+    pieces.append("\n")
+    runs = map(floordiv, accumulate(map(len, pieces)), repeat(_WRITE_SIZE))
+    for _, run in groupby(zip(runs, pieces), key=itemgetter(0)):
+        sys.stdout.write("".join(map(itemgetter(1), run)))
 
 
 def _spec_from_json(raw: Any) -> tuple[CodeSpec, dict[str, str]]:

@@ -18,6 +18,7 @@ steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, combinations
 from typing import Iterator
 
 from .errors import BudgetExceededError, SchemaError, SetforgeError
@@ -254,6 +255,9 @@ def witness_report(u: AnnotatedGraph) -> WitnessReport:
     by_extension: dict[frozenset[NodeId], NodeId] = {}
     for x, ext in g.extensions.items():
         by_extension[ext] = x
+    # Where every extension names one node, the nodes below ``ext`` are
+    # those its subsets name; fewer subsets than nodes are looked up.
+    extensional = len(by_extension) == len(g.extensions)
 
     checked: list[tuple[int, str]] = []
     failures: list[WitnessFailure] = []
@@ -298,9 +302,16 @@ def witness_report(u: AnnotatedGraph) -> WitnessReport:
             checked.append((n, "power_set"))
             for x in level_nodes:
                 ext = g.extensions[x]
-                representatives = frozenset(
-                    z for z, zext in g.extensions.items() if zext <= ext
-                )
+                if extensional and 1 << len(ext) <= len(g.extensions):
+                    subsets = chain.from_iterable(
+                        combinations(ext, k) for k in range(len(ext) + 1)
+                    )
+                    named = filter(by_extension.__contains__, map(frozenset, subsets))
+                    representatives = frozenset(map(by_extension.__getitem__, named))
+                else:
+                    representatives = frozenset(
+                        z for z, zext in g.extensions.items() if zext <= ext
+                    )
                 if not represented_in(representatives, n + 2):
                     failures.append(
                         WitnessFailure(n, "power_set", f"power set of {x} missing at level {n + 2}")

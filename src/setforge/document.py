@@ -99,17 +99,10 @@ def _dumps(value: Any) -> str:
 
 
 @_gc_paused()
-def serialize(doc: AnnotatedGraph) -> str:
-    """One canonical line; equal documents serialize byte-identically.
-
-    The graph core is written directly, byte for byte as
-    ``json.dumps(sort_keys=True)`` writes it: each id is quoted once by
-    the encoder's own routine, the edges come as one string per member,
-    and the whole line is joined once. Ids are always ordered raw, as
-    ``sort_keys`` orders them, never quoted: ``"é"`` sorts after ``"a"``
-    but quotes to ``"\\u00e9"``, which sorts before ``"a"``. The optional
-    blocks go through ``json.dumps`` itself.
-    """
+def _pieces(doc: AnnotatedGraph) -> list[str]:
+    """The pieces of ``doc``'s canonical line, in order, every one built
+    before the list is returned, so that a writer which fails has
+    nothing to print yet."""
     g = doc.graph
     order = g.sorted_nodes()
     quoted = dict(zip(order, map(encode_basestring_ascii, order)))
@@ -123,7 +116,7 @@ def serialize(doc: AnnotatedGraph) -> str:
         # The top level is the node set, already sorted and quoted.
         lower = [_dumps(sorted(level)) for level in doc.levels[:-1]]
         sections.append(("levels", _array([*lower, f"[{','.join(quoted.values())}]"])))
-    del quoted, edges  # not needed for the join, which is the peak
+    del quoted, edges  # freed before the last blocks are encoded
     if doc.depth is not None:
         sections.append(("depth", [_dumps(doc.depth)]))
     if doc.ranks is not None:
@@ -136,7 +129,23 @@ def serialize(doc: AnnotatedGraph) -> str:
         pieces += body
     pieces[0] = "{"
     pieces.append("}")
-    return "".join(pieces)
+    return pieces
+
+
+def serialize(doc: AnnotatedGraph) -> str:
+    """One canonical line; equal documents serialize byte-identically.
+
+    The graph core is written directly, byte for byte as
+    ``json.dumps(sort_keys=True)`` writes it: each id is quoted once by
+    the encoder's own routine and the edges come as one string per
+    member. The line is the join of the pieces that ``_pieces`` builds;
+    the command line writes those pieces a bounded run at a time
+    instead, so it never holds the joined line. Ids are always ordered
+    raw, as ``sort_keys`` orders them, never quoted: ``"é"`` sorts after
+    ``"a"`` but quotes to ``"\\u00e9"``, which sorts before ``"a"``. The
+    optional blocks go through ``json.dumps`` itself.
+    """
+    return "".join(_pieces(doc))
 
 
 def _want(raw: Mapping[str, Any], key: str, kind: type, path: str) -> Any:
@@ -156,6 +165,8 @@ def _parse_provenance(raw: Any, path: str) -> Provenance:
         label = raw.get("label")
         if not isinstance(label, str):
             raise SchemaError(path, "seed provenance needs a string label")
+        if not _encodable((label,)):
+            raise SchemaError(f"{path}.label", "labels must not hold a lone surrogate")
         return Seed(label=label)
     if kind == "deficiency":
         level = raw.get("level")
@@ -172,6 +183,8 @@ def _parse_provenance(raw: Any, path: str) -> Provenance:
         detail = raw.get("detail")
         if not isinstance(detail, str):
             raise SchemaError(path, "code provenance needs a string detail")
+        if not _encodable((detail,)):
+            raise SchemaError(f"{path}.detail", "details must not hold a lone surrogate")
         return Code(kind=code_kind, detail=detail)
     raise SchemaError(path, f"unknown provenance kind {kind!r}")
 
@@ -191,14 +204,17 @@ def _fields(entries: list[dict], key: str) -> list[Any]:
     return list(map(dict.get, entries, repeat(key)))
 
 
-def _node_ids(nodes_raw: list) -> list[NodeId]:
-    if _all_of(nodes_raw, dict):
-        ids = _fields(nodes_raw, "id")
-        if _all_of(ids, str):
-            distinct = set(ids)
-            if len(distinct) == len(ids) and "" not in distinct:
-                return ids
-    return _node_ids_by_item(nodes_raw)
+def _encodable(strings: Iterable[str]) -> bool:
+    """Whether no string holds a lone surrogate, which no UTF-8 text can
+    carry and no subset node id can hash."""
+    joined = "".join(strings)
+    if joined.isascii():
+        return True
+    try:
+        joined.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
 
 
 def _of_kind(
@@ -208,39 +224,74 @@ def _of_kind(
     return list(compress(ids, mask)), list(compress(entries, mask))
 
 
-def _node_provenance(nodes_raw: list[dict], ids: list[NodeId]) -> dict[NodeId, Provenance]:
-    entries = _fields(nodes_raw, "provenance")
-    if not _all_of(entries, dict):
-        return _provenance_by_item(nodes_raw, ids)
-    kinds = _fields(entries, "kind")
-    if not (_all_of(kinds, str) and set(kinds) <= {"seed", "deficiency", "code"}):
-        return _provenance_by_item(nodes_raw, ids)
-    seed_ids, seeds = _of_kind("seed", kinds, ids, entries)
-    labels = _fields(seeds, "label")
-    deficiency_ids, deficiencies = _of_kind("deficiency", kinds, ids, entries)
-    levels = _fields(deficiencies, "level")
-    members = _fields(deficiencies, "members")
-    code_ids, codes = _of_kind("code", kinds, ids, entries)
-    code_kinds = _fields(codes, "code_kind")
-    details = _fields(codes, "detail")
-    if not (
-        _all_of(labels, str)
-        and _all_of(levels, int)
-        and min(levels, default=1) >= 1
-        and _all_of(members, list)
-        and _all_of(chain.from_iterable(members), str)
-        and _all_of(code_kinds, str)
-        and set(code_kinds) <= set(_CODE_KINDS)
-        and _all_of(details, str)
-    ):
-        return _provenance_by_item(nodes_raw, ids)
-    shared = {level: Deficiency(level=level) for level in set(levels)}
-    # Filled in node order, as the item-by-item parse fills it.
-    provenance: dict[NodeId, Provenance] = dict.fromkeys(ids)  # type: ignore[arg-type]
-    provenance.update(zip(seed_ids, map(Seed, labels)))
-    provenance.update(zip(deficiency_ids, map(shared.__getitem__, levels)))
-    provenance.update(zip(code_ids, map(Code, code_kinds, details)))
-    return provenance
+class _Nodes:
+    """The ``nodes`` entries as columns, read a batch of entries at a
+    time: the ids, their provenance filled in node order, whether each
+    is a deficiency node, and the deficiency ``members`` lists
+    flattened, with each list's length. Every id and member is one
+    string object per value, shared through ``canon``, so no column
+    holds a decoded entry once its batch is read."""
+
+    def __init__(self) -> None:
+        self.ids: list[NodeId] = []
+        self.provenance: dict[NodeId, Provenance] = {}
+        self.deficient: list[bool] = []
+        self.members: list[NodeId] = []
+        self.sizes: list[int] = []
+        self.canon: dict[NodeId, NodeId] = {}
+        self._shared: dict[int, Deficiency] = {}
+
+    def add(self, entries: Any) -> bool:
+        """Read in the batch ``entries``; False, and the columns not to
+        be used, when a bulk check fails."""
+        if not (type(entries) is list and _all_of(entries, dict)):
+            return False
+        ids = _fields(entries, "id")
+        entries = _fields(entries, "provenance")
+        if not (_all_of(ids, str) and _encodable(ids) and _all_of(entries, dict)):
+            return False
+        kinds = _fields(entries, "kind")
+        if not (_all_of(kinds, str) and set(kinds) <= {"seed", "deficiency", "code"}):
+            return False
+        ids = list(map(self.canon.setdefault, ids, ids))
+        seed_ids, seeds = _of_kind("seed", kinds, ids, entries)
+        labels = _fields(seeds, "label")
+        deficiency_ids, deficiencies = _of_kind("deficiency", kinds, ids, entries)
+        levels = _fields(deficiencies, "level")
+        lists = _fields(deficiencies, "members")
+        code_ids, codes = _of_kind("code", kinds, ids, entries)
+        code_kinds = _fields(codes, "code_kind")
+        details = _fields(codes, "detail")
+        if not (
+            _all_of(labels, str)
+            and _encodable(labels)
+            and _all_of(levels, int)
+            and min(levels, default=1) >= 1
+            and _all_of(lists, list)
+            and _all_of(chain.from_iterable(lists), str)
+            and _all_of(code_kinds, str)
+            and set(code_kinds) <= set(_CODE_KINDS)
+            and _all_of(details, str)
+            and _encodable(details)
+        ):
+            return False
+        shared = self._shared
+        shared.update((level, Deficiency(level=level)) for level in set(levels) - shared.keys())
+        provenance = self.provenance
+        provenance.update(zip(ids, repeat(None)))  # type: ignore[arg-type]
+        provenance.update(zip(seed_ids, map(Seed, labels)))
+        provenance.update(zip(deficiency_ids, map(shared.__getitem__, levels)))
+        provenance.update(zip(code_ids, map(Code, code_kinds, details)))
+        self.ids += ids
+        self.deficient += map(eq, kinds, repeat("deficiency"))
+        members = chain.from_iterable(lists)
+        self.members += map(self.canon.setdefault, members, chain.from_iterable(lists))
+        self.sizes += map(len, lists)
+        return True
+
+    def distinct(self) -> bool:
+        """Whether the ids read are distinct and nonempty."""
+        return len(self.provenance) == len(self.ids) and "" not in self.provenance
 
 
 def _levels(levels_raw: list, known: frozenset[NodeId]) -> list[frozenset[NodeId]]:
@@ -303,6 +354,8 @@ def _node_ids_by_item(nodes_raw: list) -> list[NodeId]:
         node_id = item.get("id")
         if not isinstance(node_id, str) or not node_id:
             raise SchemaError(path, "node id must be a nonempty string")
+        if not _encodable((node_id,)):
+            raise SchemaError(f"{path}.id", "node ids must not hold a lone surrogate")
         if node_id in seen:
             raise SchemaError(path, f"duplicate node id {node_id!r}")
         seen.add(node_id)
@@ -414,6 +467,8 @@ def _check_formulas_by_item(formulas_raw: dict) -> None:
 # error in section order is named.
 
 _scan_value = json.JSONDecoder().scan_once
+# About how many characters of ``nodes`` text are decoded at a time.
+_NODES_SLICE = 1 << 18
 _scan_key = json.decoder.scanstring
 _skip_space = json.decoder.WHITESPACE.match
 _first, _second = itemgetter(0), itemgetter(1)
@@ -463,7 +518,9 @@ def _sections(text: str, spans: bool = False) -> tuple[dict[str, Any], Any]:
     writes one (``[[`` or ``[]``) is not decoded: its place in the text
     comes back as a ``slice``, which ends at the first ``]]`` after its
     start. That end is a guess, which :func:`_claimed` must confirm; a
-    repeated ``edges`` key is not guessed at.
+    repeated ``edges`` key is not guessed at. A ``nodes`` value that
+    starts as ``serialize`` writes one (``[{``) is read by
+    :func:`_sliced` into columns, never decoded whole.
 
     Keys go through ``json.decoder.scanstring`` and values through the
     scanner that ``json.loads`` uses, with the same whitespace between
@@ -486,7 +543,9 @@ def _sections(text: str, spans: bool = False) -> tuple[dict[str, Any], Any]:
             if text[at : at + 1] != ":":
                 raise _Unproven
             at = _skip_space(text, at + 1).end()
-            if key != "edges":
+            if key == "nodes" and spans and text.startswith("[{", at):
+                sections[key], at = _sliced(text, at)
+            elif key != "edges":
                 sections[key], at = _scan_value(text, at)
             elif type(edges) is slice:
                 raise _Unproven  # the last value wins; the guess would go unconfirmed
@@ -510,15 +569,51 @@ def _sections(text: str, spans: bool = False) -> tuple[dict[str, Any], Any]:
     return sections, edges
 
 
-def _nodes(raw: dict) -> tuple[list[dict], list[NodeId], dict[NodeId, Provenance]]:
-    """The checked ``format_version``, then the ``nodes`` entries, their
-    ids and their provenance."""
+def _sliced(text: str, at: int) -> tuple[_Nodes, int]:
+    """The ``nodes`` array at ``at`` read into columns about
+    ``_NODES_SLICE`` characters at a time, and the index past its end.
+
+    The array is guessed to end at its first ``}}]``, where every
+    array ``serialize`` writes ends. Each slice is cut just before a
+    ``,{"id":`` and decoded by the scanner as an array of its own; it is
+    accepted only if it scans to exactly its own end, so the slices
+    together hold exactly the values of the whole array, whatever the
+    cuts fell into. Anything else raises ``_Unproven``.
+    """
+    close = text.find("}}]", at)
+    if close < 0:
+        raise _Unproven
+    nodes = _Nodes()
+    start = at + 1
+    while True:
+        cut = text.find(',{"id":', start + _NODES_SLICE, close)
+        piece = f"[{text[start : close + 2 if cut < 0 else cut]}]"
+        value, end = _scan_value(piece, 0)
+        if end != len(piece) or not nodes.add(value):
+            raise _Unproven
+        if cut < 0:
+            break
+        start = cut + 1
+    if not nodes.distinct():
+        raise _Unproven
+    return nodes, close + 3
+
+
+def _nodes(raw: dict) -> _Nodes:
+    """The checked ``format_version``, then the ``nodes`` entries as
+    columns: as :func:`_sliced` read them, or read from the decoded
+    list, which is walked item by item only to name an error."""
     version = _want(raw, "format_version", int, "$")
     if version != FORMAT_VERSION:
         raise SchemaError("format_version", f"unsupported version {version}")
+    if type(raw.get("nodes")) is _Nodes:
+        return raw["nodes"]
     nodes_raw = _want(raw, "nodes", list, "$")
-    ids = _node_ids(nodes_raw)
-    return nodes_raw, ids, _node_provenance(nodes_raw, ids)
+    nodes = _Nodes()
+    if not (nodes.add(nodes_raw) and nodes.distinct()):
+        # Raises wherever a bulk check fails.
+        _provenance_by_item(nodes_raw, _node_ids_by_item(nodes_raw))
+    return nodes
 
 
 def _decoded(text: str, span: slice) -> _Groups:
@@ -547,27 +642,19 @@ def _claimed(text: str, sections: dict, span: slice) -> AnnotatedGraph:
     and they are decoded after all.
     """
     try:
-        nodes_raw, ids, provenance = _nodes(sections)
+        nodes = _nodes(sections)
     except SchemaError:
         raise _Unproven from None
-    mask = list(map(isinstance, provenance.values(), repeat(Deficiency)))
+    ids, mask, members, sizes = nodes.ids, nodes.deficient, nodes.members, nodes.sizes
     if not any(mask):
-        return _compared(sections, _decoded(text, span), (nodes_raw, ids, provenance))
-    if not all(map(lt, ids, islice(ids, 1, None))):
-        raise _Unproven
-    claimed = [item["provenance"]["members"] for item in compress(nodes_raw, mask)]
-    # The members, each the one string object of its id; a KeyError is
-    # an unknown id.
-    canon = dict(zip(ids, ids))
-    try:
-        members = list(map(canon.__getitem__, chain.from_iterable(claimed)))
-    except KeyError:
-        raise _Unproven from None
-    sizes = list(map(len, claimed))
-    # The decoded nodes are read: freed here, they make room for the
-    # frozensets.
-    del sections["nodes"], nodes_raw, claimed, canon
-    if not _ascending(members, sizes):
+        return _compared(sections, _decoded(text, span), nodes)
+    # Strictly sorted ids, no member but an id (``canon`` holds both)
+    # and strictly sorted members.
+    if not (
+        all(map(lt, ids, islice(ids, 1, None)))
+        and len(nodes.canon) == len(ids)
+        and _ascending(members, sizes)
+    ):
         raise _Unproven
     # The deficiency containers of each member, as indices into ``ids``,
     # in id order.
@@ -606,22 +693,23 @@ def _claimed(text: str, sections: dict, span: slice) -> AnnotatedGraph:
                     found[other].append(member)
     if not (text.startswith("]", at) and at + 1 == span.stop):
         raise _Unproven
+    # Freed here, they make room for the frozensets.
+    del runs, quoted
+    nodes.canon.clear()
     extensions = dict.fromkeys(ids, frozenset())
     lists = map(islice, repeat(iter(members)), sizes)
     extensions.update(zip(compress(ids, mask), map(frozenset, lists)))
     extensions.update((ids[x], frozenset(ms)) for x, ms in found.items())
-    return _annotated(sections, ExtensionalDigraph(extensions, provenance))
+    return _annotated(sections, ExtensionalDigraph(extensions, nodes.provenance))
 
 
-def _compared(
-    sections: dict,
-    edges: _Groups,
-    nodes: tuple[list[dict], list[NodeId], dict[NodeId, Provenance]] | None = None,
-) -> AnnotatedGraph:
+def _compared(sections: dict, edges: _Groups, nodes: _Nodes | None = None) -> AnnotatedGraph:
     """The document, its extensions the edges as :func:`_grouped`
     grouped them, once the deficiency members agree; ``nodes`` is
     :func:`_nodes` of ``sections`` where it has run."""
-    nodes_raw, ids, provenance = nodes or _nodes(sections)
+    if nodes is None:
+        nodes = _nodes(sections)
+    ids, mask, members, sizes = nodes.ids, nodes.deficient, nodes.members, nodes.sizes
     groups, canon = edges
     known = frozenset(ids)
     if not (known.issuperset(groups) and known.issuperset(canon)):
@@ -629,19 +717,16 @@ def _compared(
     # A deficiency node's members are written from its extension, so a
     # document whose two copies disagree did not come from ``serialize``.
     # Where they are equal and strictly sorted, sorting changes nothing.
-    mask = list(map(isinstance, provenance.values(), repeat(Deficiency)))
-    claimed = [item["provenance"]["members"] for item in compress(nodes_raw, mask)]
+    claimed = list(map(list, map(islice, repeat(iter(members)), sizes)))
     lists = list(map(groups.get, compress(ids, mask), repeat([])))
     if not (
         claimed == lists
-        and _ascending(list(chain.from_iterable(claimed)), list(map(len, claimed)))
+        and _ascending(members, sizes)
         or claimed == [sorted(set(ms)) for ms in lists]
     ):
         raise _Unproven
-    # The decoded nodes are checked and read: freed here, they make
-    # room for the frozensets.
-    del sections["nodes"], nodes_raw, claimed, lists
-    graph = ExtensionalDigraph({x: frozenset(groups.pop(x, ())) for x in ids}, provenance)
+    del claimed, lists
+    graph = ExtensionalDigraph({x: frozenset(groups.pop(x, ())) for x in ids}, nodes.provenance)
     return _annotated(sections, graph)
 
 
@@ -674,10 +759,11 @@ def _walked(text: str) -> AnnotatedGraph:
         ) from e
     if not isinstance(raw, dict):
         raise SchemaError("$", "document must be a JSON object")
-    nodes_raw, ids, provenance = _nodes(raw)
+    nodes = _nodes(raw)
+    ids, provenance = nodes.ids, nodes.provenance
     known = frozenset(ids)
     members = _member_lists_by_item(_want(raw, "edges", list, "$"), ids, known)
-    _check_deficiency_members_by_item(nodes_raw, provenance, members)
+    _check_deficiency_members_by_item(raw["nodes"], provenance, members)
     graph = ExtensionalDigraph({x: frozenset(ms) for x, ms in members.items()}, provenance)
     return _annotated(raw, graph)
 

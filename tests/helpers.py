@@ -31,7 +31,13 @@ from setforge import (
     require_extensional,
     value_extension,
 )
-from setforge.completion import DEFAULT_BUDGET, Budget, _growth
+from setforge.completion import (
+    DEFAULT_BUDGET,
+    Budget,
+    WitnessFailure,
+    WitnessReport,
+    _growth,
+)
 from setforge.graph import NodeId, Provenance
 from setforge.logic import (
     And,
@@ -77,6 +83,59 @@ def affordable_levels(seed_size: int, requested: int, budget: Budget = DEFAULT_B
     graph the budget permits, capped at ``requested``: the steps that
     ``complete`` takes before it refuses, by its own growth law."""
     return _growth(seed_size, requested, budget)[0]
+
+
+def reference_witness_report(u: AnnotatedGraph) -> WitnessReport:
+    """``witness_report`` as it was while the power-set clause scanned
+    every node for the representatives of each subset; the reference
+    for its report, on extensional records and others."""
+    g = u.graph
+    by_extension = {ext: x for x, ext in g.extensions.items()}
+    checked: list[tuple[int, str]] = []
+    failures: list[WitnessFailure] = []
+    top = len(u.levels) - 1
+
+    def represented_in(target: frozenset, level: int) -> bool:
+        node = by_extension.get(target)
+        return node is not None and node in u.levels[level]
+
+    for n in range(top):
+        level_nodes = sorted(u.levels[n])
+        checked.append((n, "pairing"))
+        for i, x0 in enumerate(level_nodes):
+            for x1 in level_nodes[i:]:
+                if not represented_in(frozenset((x0, x1)), n + 1):
+                    failures.append(
+                        WitnessFailure(n, "pairing", f"pair {{{x0}, {x1}}} missing at level {n + 1}")
+                    )
+        checked.append((n, "union"))
+        for x in level_nodes:
+            union = frozenset().union(*(g.extensions[y] for y in g.extensions[x]))
+            if not represented_in(union, n + 1):
+                failures.append(WitnessFailure(n, "union", f"union of {x} missing at level {n + 1}"))
+        checked.append((n, "subsets"))
+        for x in level_nodes:
+            ext = sorted(g.extensions[x])
+            for mask in range(1 << len(ext)):
+                subset = frozenset(ext[i] for i in range(len(ext)) if mask >> i & 1)
+                if not represented_in(subset, n + 1):
+                    failures.append(
+                        WitnessFailure(
+                            n,
+                            "subsets",
+                            f"subset {{{', '.join(sorted(subset))}}} of {x} missing at level {n + 1}",
+                        )
+                    )
+        if n + 2 <= top:
+            checked.append((n, "power_set"))
+            for x in level_nodes:
+                ext = g.extensions[x]
+                representatives = frozenset(z for z, zext in g.extensions.items() if zext <= ext)
+                if not represented_in(representatives, n + 2):
+                    failures.append(
+                        WitnessFailure(n, "power_set", f"power set of {x} missing at level {n + 2}")
+                    )
+    return WitnessReport(checked=tuple(checked), failures=tuple(failures))
 
 
 def naive_is_extensional(g: ExtensionalDigraph) -> bool:
@@ -629,6 +688,10 @@ def _reference_want(raw: Mapping[str, Any], key: str, kind: type, path: str) -> 
     return value
 
 
+def _lone_surrogate(s: str) -> bool:
+    return any("\ud800" <= c <= "\udfff" for c in s)
+
+
 def _reference_parse_provenance(raw: Any, path: str) -> Provenance:
     if not isinstance(raw, dict):
         raise SchemaError(path, "provenance must be an object")
@@ -637,6 +700,8 @@ def _reference_parse_provenance(raw: Any, path: str) -> Provenance:
         label = raw.get("label")
         if not isinstance(label, str):
             raise SchemaError(path, "seed provenance needs a string label")
+        if _lone_surrogate(label):
+            raise SchemaError(f"{path}.label", "labels must not hold a lone surrogate")
         return Seed(label=label)
     if kind == "deficiency":
         level = raw.get("level")
@@ -653,6 +718,8 @@ def _reference_parse_provenance(raw: Any, path: str) -> Provenance:
         detail = raw.get("detail")
         if not isinstance(detail, str):
             raise SchemaError(path, "code provenance needs a string detail")
+        if _lone_surrogate(detail):
+            raise SchemaError(f"{path}.detail", "details must not hold a lone surrogate")
         return Code(kind=code_kind, detail=detail)
     raise SchemaError(path, f"unknown provenance kind {kind!r}")
 
@@ -723,6 +790,8 @@ def reference_deserialize(text: str) -> AnnotatedGraph:
         node_id = item.get("id")
         if not isinstance(node_id, str) or not node_id:
             raise SchemaError(path, "node id must be a nonempty string")
+        if _lone_surrogate(node_id):
+            raise SchemaError(f"{path}.id", "node ids must not hold a lone surrogate")
         if node_id in extensions:
             raise SchemaError(path, f"duplicate node id {node_id!r}")
         extensions[node_id] = set()

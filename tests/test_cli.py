@@ -10,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -27,7 +28,7 @@ from setforge import (
     quine_atoms,
     serialize,
 )
-from setforge import graph
+from setforge import cli, document, graph
 from setforge.cli import main
 from setforge.logic import MAX_FORMULA_DEPTH
 
@@ -1171,6 +1172,131 @@ def test_console_script_exit_code_budget():
     assert piped.returncode == 2, piped.stderr.decode()
     assert "budget exceeded" in piped.stderr.decode()
     assert piped.stdout == b""
+
+
+# -- writing documents in runs ------------------------------------------------
+
+
+class RecordedStdout(io.StringIO):
+    """Captured standard output that keeps the size of every write."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sizes: list[int] = []
+
+    def write(self, text: str) -> int:
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def emitted(argv, stdin_text):
+    old_stdin, sys.stdin = sys.stdin, io.StringIO(stdin_text)
+    out = RecordedStdout()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        sys.stdin = old_stdin
+    return code, out
+
+
+def test_documents_are_written_in_runs_as_serialize_writes_them():
+    """A 1.8 MB completion goes out in several writes, none much past
+    the run size, and a tiny seed in one; either way stdout is the
+    serialized line and a newline."""
+    source = seed("quine", "12")
+    expected = complete(setforge.deserialize(source).graph, 1)
+    code, out = emitted(["complete", "--levels", "1"], source)
+    assert code == 0 and out.getvalue() == serialize(expected) + "\n"
+    largest = max(map(len, document._pieces(expected)))
+    assert len(out.sizes) >= 2 and max(out.sizes) <= cli._WRITE_SIZE + largest
+    code, out = emitted(["seed", "vN", "2"], "")
+    assert code == 0 and out.sizes == [len(out.getvalue())]
+    assert out.getvalue() == serialize(AnnotatedGraph(setforge.von_neumann_seed(2))) + "\n"
+
+
+def test_a_document_whose_last_piece_fails_prints_nothing(monkeypatch):
+    """Every piece is built before the first write: when the last one
+    fails, nothing reaches stdout and the error's exit code stands."""
+    monkeypatch.setattr(cli, "_WRITE_SIZE", 1000)
+    source = seed("quine", "12")
+    last = max(complete(setforge.deserialize(source).graph, 1).graph.nodes)
+    entry = document._node_entry
+
+    def failing(g, x, quoted):
+        if x == last:
+            raise setforge.SizeLimitError("the last node entry fails")
+        return entry(g, x, quoted)
+
+    monkeypatch.setattr(document, "_node_entry", failing)
+    code, out = emitted(["complete", "--levels", "1"], source)
+    assert (code, out.getvalue(), out.sizes) == (2, "", [])
+
+
+def test_emitting_a_document_never_holds_the_joined_line(monkeypatch):
+    """Allocated bytes, not time: writing to a sink that keeps nothing
+    peaks at least half the line below ``serialize``, which holds the
+    pieces and the joined line together."""
+
+    class Discard:
+        def write(self, text: str) -> None:
+            pass
+
+    doc = complete(quine_atoms([f"q{i}" for i in range(12)]), 1)
+    monkeypatch.setattr(sys, "stdout", Discard())
+    monkeypatch.setattr(cli, "_WRITE_SIZE", 1 << 16)
+
+    def peak(write) -> int:
+        tracemalloc.start()
+        try:
+            write(doc)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    line = len(serialize(doc))
+    assert line > 1 << 20
+    assert peak(cli._emit_document) < peak(serialize) - line // 2
+
+
+# -- ids that no UTF-8 text can carry -----------------------------------------
+
+# Node ids "\ud800" and "a", the edge ["a", "\ud800"]: JSON can write a
+# lone surrogate as an escape, but no UTF-8 text can carry one and no
+# subset node id can hash it.
+LONE_SURROGATE_DOCUMENT = (
+    '{"edges":[["a","\\ud800"]],"format_version":1,"nodes":['
+    '{"id":"\\ud800","provenance":{"kind":"seed","label":"x"}},'
+    '{"id":"a","provenance":{"kind":"seed","label":"y"}}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["complete", "--levels", "1"], ["export", "--dot", "-"], ["define", "--formula", "x = x"]],
+    ids=["complete", "export", "define"],
+)
+def test_lone_surrogate_ids_are_schema_errors(argv):
+    assert json.loads(LONE_SURROGATE_DOCUMENT)["nodes"][0]["id"] == "\ud800"
+    code, out, err = invoke(argv, LONE_SURROGATE_DOCUMENT)
+    assert (code, out) == (3, "")
+    assert err == "nodes[0].id: node ids must not hold a lone surrogate\n"
+
+
+@pytest.mark.parametrize(
+    "provenance, path",
+    [
+        ('{"kind":"seed","label":"\\udc00"}', "nodes[1].provenance.label"),
+        ('{"code_kind":"atom","detail":"a\\udfff","kind":"code"}', "nodes[1].provenance.detail"),
+    ],
+)
+def test_lone_surrogate_labels_and_details_are_schema_errors(provenance, path):
+    text = LONE_SURROGATE_DOCUMENT.replace("\\ud800", "b").replace(
+        '{"kind":"seed","label":"y"}', provenance
+    )
+    code, out, err = invoke(["check", "--axiom", "extensionality"], text)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"{path}: ")
 
 
 # -- guarded quantifiers at scale ---------------------------------------------

@@ -25,7 +25,13 @@ from setforge import (
 
 from setforge import completion, dred
 
-from helpers import affordable_levels, is_end_extension, is_extensional, random_extensional_graph
+from helpers import (
+    affordable_levels,
+    is_end_extension,
+    is_extensional,
+    random_extensional_graph,
+    reference_witness_report,
+)
 
 
 def members_of(subsets):
@@ -323,6 +329,42 @@ def test_witness_report_detects_missing_subset_node():
     subset_failures = [f for f in report.failures if f.clause == "subsets"]
     assert subset_failures, report.failures
     assert any("q" in f.detail for f in subset_failures)
+
+
+def random_leveled_record(rng: random.Random) -> AnnotatedGraph:
+    """A small record with three or four levels: random extensions, half
+    the time a twin that repeats one of them, and for some nodes a node
+    whose extension is every node below theirs, so that power-set
+    clauses hold as well as fail, on extensional records and others."""
+    names = [f"n{i}" for i in range(rng.randint(1, 6))]
+    ext = {x: frozenset(y for y in names if rng.random() < 0.4) for x in names}
+    if rng.random() < 0.5:
+        ext["twin"] = ext[rng.choice(names)]
+    for x in rng.sample(names, rng.randint(0, len(names))):
+        ext[f"p{x}"] = frozenset(z for z in ext if ext[z] <= ext[x])
+    height = rng.randint(3, 4)
+    rank = {x: rng.randrange(height) for x in ext}
+    levels = tuple(frozenset(x for x in ext if rank[x] <= k) for k in range(height - 1))
+    return AnnotatedGraph(ExtensionalDigraph.from_extensions(ext), (*levels, frozenset(ext)))
+
+
+def test_witness_report_agrees_with_the_scanning_reference():
+    """The power-set clause looks subsets up only on extensional records
+    with no more subsets than nodes; elsewhere it scans, and every
+    report equals the reference's, which always scans."""
+    rng = random.Random(41)
+    records = [random_leveled_record(rng) for _ in range(400)]
+    records += [complete(random_extensional_graph(rng, 3), 2) for _ in range(10)]
+    records.append(complete(von_neumann_seed(2), 3))
+    held = {True: 0, False: 0}
+    for u in records:
+        report = witness_report(u)
+        assert report == reference_witness_report(u)
+        extensional = len(set(u.graph.extensions.values())) == len(u.graph.nodes)
+        checks = sum(len(u.levels[n]) for n in range(len(u.levels) - 2))
+        held[extensional] += checks - len([f for f in report.failures if f.clause == "power_set"])
+    # Power-set clauses that hold, on both kinds of record.
+    assert held[True] > 50 and held[False] > 50, held
 
 
 def test_level_graph_restriction():

@@ -200,10 +200,10 @@ ESCAPED_EXTENSIONS = {
     "\\": ("a", "\u00e9"),
     "a": ("\u00e9", "\x00"),
     "\u00e9": ("a", '"', "#", "\\"),
-    "\x00": ("\ud800",),
+    "\x00": ("\U0001f600",),
     "\n": ("\n",),
     "\x1f": ("tab\tend", "\u00e9"),
-    "\ud800": ("a",),
+    "\U0001f600": ("a",),
     "tab\tend": ("#", "\x1f"),
 }
 
@@ -216,7 +216,7 @@ def escaped_document() -> AnnotatedGraph:
     provenance = {
         **{x: Deficiency(level=2) for x in ("\\", "\u00e9", "#", "tab\tend")},
         **{x: Seed(label=x + '"') for x in ('"', "a", "\n")},
-        **{x: Code("chain", "\\" + x) for x in ("\x00", "\x1f", "\ud800")},
+        **{x: Code("chain", "\\" + x) for x in ("\x00", "\x1f", "\U0001f600")},
     }
     graph = ExtensionalDigraph.from_extensions(
         shuffled(rng, ESCAPED_EXTENSIONS), shuffled(rng, provenance)
@@ -248,6 +248,31 @@ def test_serialize_matches_reference_byte_for_byte():
     assert line.isascii()
     assert deserialize(line) == doc
     assert serialize(deserialize(line)) == line
+
+
+@pytest.mark.parametrize("where", ["id", "label", "detail"])
+def test_lone_surrogates_are_written_but_refused_on_reading(where):
+    """``serialize`` escapes a lone surrogate as the reference does, but
+    no UTF-8 text carries one and no subset node id hashes one, so
+    ``deserialize`` refuses ids, labels and details that hold one, at
+    the field, in the order the reference finds it."""
+    lone = "\udc00"
+    x = "x" + lone if where == "id" else "x"
+    provenance = {
+        x: Seed(label=lone if where == "label" else "s"),
+        "a": Code("atom", lone if where == "detail" else "d"),
+    }
+    doc = AnnotatedGraph(ExtensionalDigraph.from_extensions({x: (), "a": (x,)}, provenance))
+    line = serialize(doc)
+    assert line == reference_serialize(doc) and line.isascii()
+    ours = outcome(deserialize, line)
+    assert ours == outcome(reference_deserialize, line)
+    path = {
+        "id": "nodes[1].id",
+        "label": "nodes[1].provenance.label",
+        "detail": "nodes[0].provenance.detail",
+    }[where]
+    assert ours[:3] == ("raised", "SchemaError", path), ours
 
 
 def test_parsed_documents_are_equal_exactly_when_their_lines_are():
@@ -565,13 +590,7 @@ def _certified_seed() -> AnnotatedGraph:
 def _completions() -> list[str]:
     """Completions as ``serialize`` writes them: without levels, with
     levels, certified, and over ids that JSON escapes."""
-    # A lone surrogate cannot name a subset node (its id hashes the
-    # UTF-8 of the members), so an astral character stands in for it.
-    rename = {"\ud800": "\U0001f600"}.get
-    escaped = ExtensionalDigraph.from_extensions(
-        {rename(x, x): [rename(m, m) for m in ms] for x, ms in ESCAPED_EXTENSIONS.items()},
-        {rename(x, x): p for x, p in escaped_document().graph.provenance.items()},
-    )
+    escaped = escaped_document().graph
     return [
         serialize(AnnotatedGraph(complete(quine_atoms(["p", "q"]), 2).graph)),
         serialize(complete(von_neumann_seed(2), 2)),
@@ -641,6 +660,83 @@ def test_probing_seed_nodes_compares_about_the_text(monkeypatch):
     monkeypatch.setattr(document, "_grouped", refuse)
     assert deserialize(Counted(text)) == reference_deserialize(text)
     assert sum(compared) < 2 * len(text)
+
+
+def test_nodes_are_read_in_slices_not_in_one_scan(monkeypatch):
+    """A ``nodes`` array longer than a slice is scanned a slice at a
+    time, each slice a string of its own, never from the document text
+    at the array's start, and the completion is still read from its
+    members."""
+    line = serialize(complete(von_neumann_seed(2), 2))
+    start = line.index('"nodes":') + len('"nodes":')
+    expected = reference_deserialize(line)
+    scans = []
+    scan = document._scan_value
+
+    def recorded(text, at):
+        scans.append((text is line, at, len(text)))
+        return scan(text, at)
+
+    def refuse(edges):
+        raise AssertionError("the edges were decoded")
+
+    monkeypatch.setattr(document, "_NODES_SLICE", 300)
+    monkeypatch.setattr(document, "_scan_value", recorded)
+    monkeypatch.setattr(document, "_grouped", refuse)
+    assert deserialize(line) == expected
+    slices = [size for whole, _, size in scans if not whole]
+    assert len(slices) > 3 and max(slices) < len(line) // 3
+    assert (True, start) not in {(whole, at) for whole, at, _ in scans}
+
+
+def _slice_traps() -> dict[str, str]:
+    """Texts in which a cut before ``,{"id":`` or the guessed end at the
+    first ``}}]`` could fall inside a string or a nested value."""
+    tricky = ExtensionalDigraph.from_extensions(
+        {'a},{"id":': (), "b}}]": ('a},{"id":',), "c": ("b}}]",)},
+        {"c": Deficiency(level=1)},
+    )
+    nested = json.loads(serialize(complete(von_neumann_seed(2), 1)))
+    for i, node in enumerate(nested["nodes"]):
+        node["provenance"]["extra"] = [{"id": "x", "more": {"id": i}}, {"id": "y"}]
+    seed = '{"id":"%s","provenance":{"kind":"seed","label":"l"}%s}'
+    return {
+        "ids that hold the cut and the end": serialize(complete(tricky, 1)),
+        "nested id objects": written(nested)[1],
+        # The array ends before the first ``}}]``, and a later member holds
+        # what looks like a further node entry.
+        "an end before the guess": '{"edges":[],"format_version":1,"nodes":[%s],"x":[{"id":1},%s]}'
+        % (seed % ("a", ',"k":0'), seed % ("b", "")),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_slice_traps()))
+@pytest.mark.parametrize("size", [1, 40, 1 << 18])
+def test_slice_traps_parse_as_the_reference_parses_them(monkeypatch, name, size):
+    monkeypatch.setattr(document, "_NODES_SLICE", size)
+    text = _slice_traps()[name]
+    ours = outcome(deserialize, text)
+    assert ours[0] == "ok", ours
+    assert ours == outcome(reference_deserialize, text)
+
+
+def test_every_slice_boundary_reads_as_the_reference_reads(monkeypatch):
+    """Cuts sought from every offset inside an entry, ``members`` lists
+    included, give the same document."""
+    line = serialize(complete(quine_atoms(["p", "q"]), 2))
+    expected = outcome(reference_deserialize, line)
+    longest = max(map(len, line[line.index('"nodes":') :].split(',{"id":')))
+    for size in range(1, longest + 2):
+        monkeypatch.setattr(document, "_NODES_SLICE", size)
+        assert outcome(deserialize, line) == expected, size
+
+
+def test_members_are_the_id_strings_themselves():
+    """Every member of a completion read from its ``members`` is the very
+    string object of its id, so the graph holds one string per id."""
+    extensions = deserialize(serialize(complete(von_neumann_seed(2), 2))).graph.extensions
+    ids = {x: x for x in extensions}
+    assert all(m is ids[m] for ext in extensions.values() for m in ext)
 
 
 def _layouts(line: str) -> list[str]:
