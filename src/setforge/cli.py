@@ -22,7 +22,7 @@ from itertools import accumulate, groupby, repeat
 from operator import floordiv, itemgetter
 from typing import Any, Sequence, TextIO
 
-from .completion import Budget, DEFAULT_BUDGET, complete, witness_report
+from .completion import Budget, DEFAULT_BUDGET, _priced, complete, witness_report
 from .document import _gc_paused, _pieces, deserialize
 from .dot import to_dot
 from .dred import dred_complete, verify_dred
@@ -34,7 +34,7 @@ from .errors import (
     SizeLimitError,
     SpecValidationError,
 )
-from .graph import AnnotatedGraph, ExtensionalDigraph
+from .graph import AnnotatedGraph, ExtensionalDigraph, _require_iso_count
 from .logic import AXIOM_NAMES, check_axiom, define_class, eval_formula, parse
 from .oracle import compare, oracle_complete
 from .seeds import AtomDecl, CodeSpec, TupleDecl, assemble, quine_atoms, von_neumann_seed
@@ -267,8 +267,14 @@ def _cmd_define(args: argparse.Namespace) -> int:
 def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     doc = _read_document()
     budget = _resolve_budget(args.budget)
-    ours = complete(doc.graph, args.levels, budget).graph
+    # The request is priced as ``complete`` prices it, and its node
+    # count held to the isomorphism limit, before anything is built.
+    size = _priced(doc.graph, args.levels, budget)
+    _require_iso_count(size, size)
+    # The reference first: its working set is freed before the kernel's
+    # result exists, so the two never peak together.
     reference = oracle_complete(doc.graph, args.levels, budget)
+    ours = complete(doc.graph, args.levels, budget).graph
     verdict = compare(ours, reference)
     status = "isomorphic" if verdict.isomorphic else "mismatch"
     if args.porcelain:

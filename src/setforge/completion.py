@@ -164,10 +164,7 @@ def complete(
     the growth law before the first step: if any step would exceed the
     budget, BudgetExceededError names that step and nothing is built.
     """
-    if n < 0:
-        raise ValueError("level count must be non-negative")
-    require_extensional(g)
-    _require_affordable(len(g), n, budget)
+    _priced(g, n, budget)
     u = AnnotatedGraph(g, levels=(g.nodes,))
     for _ in range(n):
         u = complete_step(u, budget)
@@ -186,14 +183,19 @@ def _growth(seed_size: int, requested: int, budget: Budget) -> tuple[int, int]:
     return steps, size
 
 
-def _require_affordable(seed_size: int, requested: int, budget: Budget) -> None:
-    """Refuse ``requested`` steps from an extensional ``seed_size``-node
-    graph unless the budget permits them all, with the error the first
-    refused step would raise: the growth law gives its node count
-    exactly."""
-    steps, size = _growth(seed_size, requested, budget)
-    if steps < requested:
+def _priced(g: ExtensionalDigraph, n: int, budget: Budget) -> int:
+    """The node count that ``n`` completion steps from ``g`` leave,
+    once the request is shown valid: ``n`` non-negative (else
+    ValueError), ``g`` extensional, and every step within the budget.
+    A refused request raises the error its first refused step would
+    raise: the growth law gives that step's node count exactly."""
+    if n < 0:
+        raise ValueError("level count must be non-negative")
+    require_extensional(g)
+    steps, size = _growth(len(g), n, budget)
+    if steps < n:
         raise _over_budget(size, budget)
+    return size
 
 
 @dataclass(frozen=True)

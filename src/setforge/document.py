@@ -19,7 +19,7 @@ import sys
 from bisect import bisect_left
 from collections import defaultdict, deque
 from contextlib import contextmanager
-from itertools import accumulate, chain, compress, count, islice, repeat, starmap
+from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, ge, itemgetter, le, lt, not_
 from typing import Any, Iterable, Iterator, Mapping
@@ -80,18 +80,17 @@ def _edge_run(q: str, containers: Iterable[str]) -> str:
     return f"[{q},{f'],[{q},'.join(containers)}]"
 
 
-def _node_entry(g: ExtensionalDigraph, x: NodeId, quoted: dict[NodeId, str]) -> str:
-    """One ``nodes`` item, keys in sorted order."""
-    p = g.provenance[x]
+def _node_entry(q: str, p: Provenance, members: list[str]) -> str:
+    """One ``nodes`` item, keys in sorted order, for the node quoted as
+    ``q``; ``members`` are its members, quoted and in id order."""
     quote = encode_basestring_ascii
     if isinstance(p, Seed):
         provenance = f'{{"kind":"seed","label":{quote(p.label)}}}'
     elif isinstance(p, Deficiency):
-        members = ",".join(map(quoted.__getitem__, sorted(g.extensions[x])))
-        provenance = f'{{"kind":"deficiency","level":{p.level:d},"members":[{members}]}}'
+        provenance = f'{{"kind":"deficiency","level":{p.level:d},"members":[{",".join(members)}]}}'
     else:
         provenance = f'{{"code_kind":{quote(p.kind)},"detail":{quote(p.detail)},"kind":"code"}}'
-    return f'{{"id":{quoted[x]},"provenance":{provenance}}}'
+    return f'{{"id":{q},"provenance":{provenance}}}'
 
 
 def _dumps(value: Any) -> str:
@@ -105,17 +104,28 @@ def _pieces(doc: AnnotatedGraph) -> list[str]:
     nothing to print yet."""
     g = doc.graph
     order = g.sorted_nodes()
-    quoted = dict(zip(order, map(encode_basestring_ascii, order)))
-    edges = list(starmap(_edge_run, g.member_runs(quoted)))
+    quoted = list(map(encode_basestring_ascii, order))
+    runs = g.member_runs(dict(zip(order, count())))
+    at = quoted.__getitem__
+    edges = [_edge_run(at(m), map(at, cs)) for m, cs in runs]
+    # Transposed back, runs in member-id order list each node's members
+    # in id order. Reversed, so that each list is popped, and freed, as
+    # its entry is made.
+    members: list[list[str]] = [[] for _ in order]
+    for m, cs in runs:
+        deque(map(list.append, map(members.__getitem__, cs), repeat(at(m))), maxlen=0)
+    del runs
+    members.reverse()
+    provenance = map(g.provenance.__getitem__, order)
     sections = [
         ("edges", _array(edges)),
         ("format_version", [str(FORMAT_VERSION)]),
-        ("nodes", _array([_node_entry(g, x, quoted) for x in order])),
+        ("nodes", _array([_node_entry(q, p, members.pop()) for q, p in zip(quoted, provenance)])),
     ]
     if doc.levels is not None:
         # The top level is the node set, already sorted and quoted.
         lower = [_dumps(sorted(level)) for level in doc.levels[:-1]]
-        sections.append(("levels", _array([*lower, f"[{','.join(quoted.values())}]"])))
+        sections.append(("levels", _array([*lower, f"[{','.join(quoted)}]"])))
     del quoted, edges  # freed before the last blocks are encoded
     if doc.depth is not None:
         sections.append(("depth", [_dumps(doc.depth)]))
@@ -726,7 +736,11 @@ def _compared(sections: dict, edges: _Groups, nodes: _Nodes | None = None) -> An
     ):
         raise _Unproven
     del claimed, lists
-    graph = ExtensionalDigraph({x: frozenset(groups.pop(x, ())) for x in ids}, nodes.provenance)
+    # Each member becomes its id's one string object, as on the rendered
+    # path, not the edge end's.
+    image = nodes.canon.__getitem__
+    extensions = {x: frozenset(map(image, groups.pop(x, ()))) for x in ids}
+    graph = ExtensionalDigraph(extensions, nodes.provenance)
     return _annotated(sections, graph)
 
 

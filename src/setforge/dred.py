@@ -30,7 +30,7 @@ from itertools import compress
 from .completion import (
     Budget,
     DEFAULT_BUDGET,
-    _require_affordable,
+    _priced,
     complete_step,
 )
 from .errors import DredConditionError
@@ -342,14 +342,13 @@ def dred_complete(
     rather than assumed away; with these recipes no violation is
     expected, and the verification is the evidence.  Like
     :func:`~setforge.completion.complete`, the whole request is priced
-    before the first step.  The result's levels start at ``h``'s graph;
-    ``h``'s own levels and formulas are not carried.
+    before the first step, and before the conditions are verified.  The
+    result's levels start at ``h``'s graph; ``h``'s own levels and
+    formulas are not carried.
     """
     _require_blocks(h, "depth", "ranks")
-    if n < 0:
-        raise ValueError("level count must be non-negative")
+    _priced(h.graph, n, budget)
     require_dred(h)
-    _require_affordable(len(h.graph), n, budget)
     depth = dict(h.depth)
     ranks = {i: dict(r) for i, r in h.ranks.items()}
     u = AnnotatedGraph(h.graph, levels=(h.graph.nodes,), depth=depth, ranks=ranks)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TypeVar
 
 from .errors import NonExtensionalError, SchemaError, SizeLimitError, UnknownNodeError
 
@@ -37,6 +37,8 @@ ISO_NODE_LIMIT = 200_000
 _SEARCH_STATE_LIMIT = 1 << 22
 
 _ID_SEPARATOR = "\x1f"
+
+_Name = TypeVar("_Name")
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ class ExtensionalDigraph:
             self.__dict__["_sorted"] = cached
         return cached
 
-    def member_runs(self, names: Mapping[NodeId, str]) -> list[tuple[str, list[str]]]:
+    def member_runs(self, names: Mapping[NodeId, _Name]) -> list[tuple[_Name, list[_Name]]]:
         """The sorted (member, container) pairs grouped by member and
         written through ``names``: each member that has containers, in
         id order, with its containers in id order.  Nothing is sorted:
@@ -179,7 +181,7 @@ class ExtensionalDigraph:
         containers in id order."""
         order = self.sorted_nodes()
         written = list(map(names.__getitem__, order))
-        containers: dict[NodeId, list[str]] = {x: [] for x in order}
+        containers: dict[NodeId, list[_Name]] = {x: [] for x in order}
         for container, name in zip(order, written):
             for member in self.extensions[container]:
                 containers[member].append(name)
@@ -451,13 +453,18 @@ def _refine(
         classes = len(table)
 
 
+def _require_iso_count(a: int, b: int) -> None:
+    """Raise SizeLimitError when either node count exceeds
+    ``ISO_NODE_LIMIT``, so a pair can be refused before it is built."""
+    if a > ISO_NODE_LIMIT or b > ISO_NODE_LIMIT:
+        raise SizeLimitError(
+            f"isomorphism search limited to {ISO_NODE_LIMIT} nodes, got {a} and {b}"
+        )
+
+
 def _require_iso_size(a: ExtensionalDigraph, b: ExtensionalDigraph) -> None:
     """Raise SizeLimitError when either graph exceeds ``ISO_NODE_LIMIT`` nodes."""
-    if len(a.nodes) > ISO_NODE_LIMIT or len(b.nodes) > ISO_NODE_LIMIT:
-        raise SizeLimitError(
-            f"isomorphism search limited to {ISO_NODE_LIMIT} nodes, "
-            f"got {len(a.nodes)} and {len(b.nodes)}"
-        )
+    _require_iso_count(len(a.nodes), len(b.nodes))
 
 
 def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:

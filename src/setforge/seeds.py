@@ -124,6 +124,13 @@ class CodeSpec:
                 raise SpecValidationError("atom labels must be strings")
             if not a.label:
                 raise SpecValidationError("atom labels must be nonempty")
+            try:
+                a.label.encode("utf-8")
+            except UnicodeEncodeError:
+                # No document could carry the ids and codes it names.
+                raise SpecValidationError(
+                    f"atom label {a.label!r} must not hold a lone surrogate"
+                ) from None
             if _is_numeral(a.label):
                 raise SpecValidationError(
                     f"atom label {a.label!r} is reserved for numeral references"

@@ -165,6 +165,15 @@ def test_seed_spec_tuples_that_encode_to_one_node_exit_3(tmp_path):
     ), err
 
 
+def test_seed_spec_label_with_a_lone_surrogate_exit_3(tmp_path):
+    """The spec refuses the label, naming the atom, rather than write a
+    document whose node ids every reading command refuses."""
+    path = tmp_path / "spec.json"
+    path.write_text('{"atoms": [{"label": "\\ud800", "kind": "quine"}], "naturals_up_to": 1}')
+    expected = "atom label '\\ud800' must not hold a lone surrogate\n"
+    assert invoke(["seed", "spec", str(path)]) == (3, "", expected)
+
+
 def test_seed_spec_not_utf8_exit_3(tmp_path):
     path = tmp_path / "spec.json"
     path.write_bytes(b'{"atoms": ["\xff"]}')
@@ -594,6 +603,22 @@ def test_dred_completion_of_a_failing_certificate_exits_1(chain_spec_file):
     )
 
 
+def test_dred_completion_prices_the_request_before_it_checks_the_certificate(chain_spec_file):
+    """As ``complete`` does: an over-budget request on a failing
+    certificate exits 2, and a non-extensional certified seed exits 3
+    with the extensionality error, before the conditions are checked."""
+    broken = broken_rank_document(chain_spec_file)
+    code, out, err = invoke(["complete", "--dred", "--levels", "2", "--budget", "1000"], broken)
+    assert (code, out) == (2, "") and err.startswith("budget exceeded: deficiency of a ")
+    twins = AnnotatedGraph(
+        ExtensionalDigraph.from_extensions({"a": (), "b": ()}),
+        depth={"a": 0, "b": 0},
+        ranks={1: {"a": 0, "b": 0}},
+    )
+    expected = (3, "", "nodes 'a' and 'b' have equal extensions\n")
+    assert invoke(["complete", "--dred", "--levels", "1"], serialize(twins)) == expected
+
+
 def test_dred_conditions_need_annotations():
     assert invoke(["check", "--dred-conditions"], seed("vN", "2")) == (
         3,
@@ -765,14 +790,77 @@ def test_oracle_compare_settles_a_symmetric_seed_from_the_seed_map(monkeypatch):
     assert invoke(argv, doc) == (0, "oracle\tisomorphic\tisomorphic\n", "")
 
 
-def test_oracle_compare_refuses_a_pair_over_the_node_limit(monkeypatch):
-    """The node limit is checked before the seed map, which would
-    otherwise answer on this pair."""
+@pytest.fixture
+def completions(monkeypatch):
+    """The completions the command line runs, by name, in call order."""
+    calls = []
+    for name in ("oracle_complete", "complete"):
+
+        def recording(*args, name=name, original=getattr(cli, name)):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(cli, name, recording)
+    return calls
+
+
+def test_oracle_compare_builds_the_reference_before_the_kernel(completions):
+    """The reference's working set is freed before the kernel's result
+    exists, so the two never peak together."""
+    doc = serialize(AnnotatedGraph(swapping_seed("q")))
+    assert invoke(["oracle-compare", "--levels", "2"], doc) == (0, "isomorphic\n", "")
+    assert completions == ["oracle_complete", "complete"]
+
+
+def test_oracle_compare_refuses_a_pair_over_the_node_limit(monkeypatch, completions):
+    """The growth law's node count is held to the limit before either
+    completion is built; the seed map would otherwise answer on this
+    pair."""
     monkeypatch.setattr(graph, "ISO_NODE_LIMIT", 8)
     doc = serialize(AnnotatedGraph(swapping_seed("q")))
     argv = ["oracle-compare", "--levels", "1", "--porcelain"]
     expected = "size limit: isomorphism search limited to 8 nodes, got 16 and 16\n"
     assert invoke(argv, doc) == (2, "", expected)
+    assert completions == []
+
+
+@pytest.mark.parametrize(
+    "extensions, levels, budget, code",
+    [
+        ({"a": (), "b": {"a"}}, "3", "1000", 2),
+        ({"a": (), "b": {"a"}}, "-1", "1000", 4),
+        ({"a": (), "b": ()}, "30", "1", 3),
+    ],
+    ids=["over-budget", "negative-levels", "non-extensional"],
+)
+def test_oracle_compare_refuses_what_complete_refuses_before_building(
+    completions, extensions, levels, budget, code
+):
+    """oracle-compare prices the request as ``complete`` does, with
+    the same exit code and message, and builds neither completion."""
+    doc = serialize(AnnotatedGraph(ExtensionalDigraph.from_extensions(extensions)))
+    argv = ["--levels", levels, "--budget", budget]
+    expected = invoke(["complete", *argv], doc)
+    assert expected[0] == code and expected[2]
+    completions.clear()
+    assert invoke(["oracle-compare", *argv], doc) == expected
+    assert completions == []
+
+
+def test_oracle_compare_refuses_a_non_decorable_seed_over_the_limit_by_size(
+    monkeypatch, completions
+):
+    """Over the node limit, the 2-cycle a in b, b in a is refused by its
+    size (exit 2) before the reference would fail to decorate it; within
+    the limit, decoration still fails (exit 3)."""
+    monkeypatch.setattr(graph, "ISO_NODE_LIMIT", 2)
+    doc = serialize(AnnotatedGraph(ExtensionalDigraph.from_extensions({"a": {"b"}, "b": {"a"}})))
+    expected = "size limit: isomorphism search limited to 2 nodes, got 4 and 4\n"
+    assert invoke(["oracle-compare", "--levels", "1"], doc) == (2, "", expected)
+    assert completions == []
+    code, out, err = invoke(["oracle-compare", "--levels", "0"], doc)
+    assert (code, out) == (3, "") and "is not a self-loop" in err
+    assert completions == ["oracle_complete"]
 
 
 def test_diff_past_the_search_state_cap_exits_2(monkeypatch, tmp_path):
@@ -1220,13 +1308,13 @@ def test_a_document_whose_last_piece_fails_prints_nothing(monkeypatch):
     fails, nothing reaches stdout and the error's exit code stands."""
     monkeypatch.setattr(cli, "_WRITE_SIZE", 1000)
     source = seed("quine", "12")
-    last = max(complete(setforge.deserialize(source).graph, 1).graph.nodes)
+    last = json.dumps(max(complete(setforge.deserialize(source).graph, 1).graph.nodes))
     entry = document._node_entry
 
-    def failing(g, x, quoted):
-        if x == last:
+    def failing(q, p, members):
+        if q == last:
             raise setforge.SizeLimitError("the last node entry fails")
-        return entry(g, x, quoted)
+        return entry(q, p, members)
 
     monkeypatch.setattr(document, "_node_entry", failing)
     code, out = emitted(["complete", "--levels", "1"], source)

@@ -250,6 +250,43 @@ def test_serialize_matches_reference_byte_for_byte():
     assert serialize(deserialize(line)) == line
 
 
+# Ids that sort one way raw and the other way quoted, beside plain ones.
+MIXED_IDS = ("a", "\u00e9", '"', "#", "b", "\x1f", "\u03a9", "z")
+
+
+def test_member_lists_match_the_reference_on_random_graphs():
+    """The writer lists members from the edge transpose; on random
+    graphs, every member list and edge run is what the reference
+    writes, in raw id order."""
+    rng = random.Random(2401)
+    seen = set()
+    for _ in range(400):
+        names = rng.sample(MIXED_IDS, rng.randint(1, len(MIXED_IDS)))
+        extensions = {x: {y for y in names if rng.random() < 0.4} for x in names}
+        provenance = {
+            x: rng.choice((Seed(x), Code("loop", x), Deficiency(level=rng.randint(1, 3))))
+            for x in names
+        }
+        graph = ExtensionalDigraph.from_extensions(extensions, provenance)
+        doc = AnnotatedGraph(graph)
+        assert serialize(doc) == reference_serialize(doc)
+        contained = set().union(*extensions.values())
+        deficient = {x for x, p in provenance.items() if isinstance(p, Deficiency)}
+        seen.update(
+            feature
+            for x, ext in extensions.items()
+            for feature, holds in (
+                ("self-loop", x in ext),
+                ("empty", not ext),
+                ("uncontained", x not in contained),
+                ("seed or code member", bool(ext - deficient) and x in deficient),
+                ("raw and quoted orders differ", x in deficient and {"a", "\u00e9"} <= ext),
+            )
+            if holds
+        )
+    assert len(seen) == 5, seen
+
+
 @pytest.mark.parametrize("where", ["id", "label", "detail"])
 def test_lone_surrogates_are_written_but_refused_on_reading(where):
     """``serialize`` escapes a lone surrogate as the reference does, but
@@ -732,11 +769,15 @@ def test_every_slice_boundary_reads_as_the_reference_reads(monkeypatch):
 
 
 def test_members_are_the_id_strings_themselves():
-    """Every member of a completion read from its ``members`` is the very
-    string object of its id, so the graph holds one string per id."""
-    extensions = deserialize(serialize(complete(von_neumann_seed(2), 2))).graph.extensions
-    ids = {x: x for x in extensions}
-    assert all(m is ids[m] for ext in extensions.values() for m in ext)
+    """Every member is the very string object of its id, so the graph
+    holds one string per id: read from a completion's ``members``, from
+    its edges decoded in another layout, or from a seed's edges."""
+    line = serialize(complete(von_neumann_seed(2), 2))
+    seed = serialize(AnnotatedGraph(von_neumann_seed(3)))
+    for text in (line, json.dumps(json.loads(line), indent=2), seed):
+        extensions = deserialize(text).graph.extensions
+        ids = {x: x for x in extensions}
+        assert all(m is ids[m] for ext in extensions.values() for m in ext)
 
 
 def _layouts(line: str) -> list[str]:

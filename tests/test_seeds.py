@@ -5,21 +5,27 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setforge import (
+    AnnotatedGraph,
     AtomDecl,
     CodeSpec,
     ExtensionalDigraph,
+    SeedClashError,
     SizeLimitError,
     SpecValidationError,
     TupleDecl,
     UnknownNodeError,
     assemble,
     define_class,
+    deserialize,
     encode_tuple,
     numeral_ids,
     quine_atoms,
     quine_code_formula,
+    serialize,
     verify_dred,
     von_neumann_seed,
 )
@@ -608,3 +614,47 @@ def test_numeral_label_collision_rejected():
 def test_spec_field_types_are_checked(build):
     with pytest.raises(SpecValidationError):
         build()
+
+
+# Label characters: plain, escaped, the id separator, a numeral digit,
+# a character outside the BMP and two lone surrogates.
+LABEL_CHARS = ("a", "b", "é", ":", "\x1f", '"', "0", "\U0001f600", "\ud800", "\udfff")
+
+
+@st.composite
+def specs(draw):
+    """Code specs of every shape, most of them valid."""
+    label = st.text(st.sampled_from(LABEL_CHARS), min_size=1, max_size=3)
+    labels = draw(st.lists(label, max_size=3, unique=True))
+    style = draw(st.sampled_from(("loop", "chain")))
+    atoms = tuple(
+        AtomDecl(label, "chain", draw(st.integers(1, 3)))
+        if style == "chain" or draw(st.booleans())
+        else AtomDecl(label, "quine")
+        for label in labels
+    )
+    naturals = draw(st.integers(len(atoms) + 1, 5))
+    names = [*labels, *map(str, range(naturals))]
+    components = st.lists(st.sampled_from(names), min_size=1, max_size=3).map(tuple)
+    tuple_decl = st.builds(TupleDecl, st.integers(0, naturals - 1), components)
+    tuples = draw(st.lists(tuple_decl, max_size=2, unique=True))
+    length = draw(st.integers(1, 2)) if style == "chain" else None
+    return atoms, naturals, tuple(tuples), style, length
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(specs())
+def test_every_accepted_spec_writes_a_document_that_reads_back(case):
+    """No spec that CodeSpec accepts yields a document the reader
+    refuses: a lone surrogate in a label is refused by the spec."""
+    atoms, naturals, tuples, style, length = case
+    try:
+        spec = CodeSpec(atoms, naturals, tuples, style, length)
+    except SpecValidationError:
+        return
+    try:
+        seed = assemble(spec)
+    except (SeedClashError, SpecValidationError):
+        return
+    doc = seed.dred or AnnotatedGraph(seed.graph)
+    assert deserialize(serialize(doc)) == doc
