@@ -18,7 +18,6 @@ steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations
 from typing import Iterator
 
 from .errors import BudgetExceededError, SchemaError, SetforgeError
@@ -249,21 +248,39 @@ def witness_report(u: AnnotatedGraph) -> WitnessReport:
     Requires at least three levels, otherwise no clause is checkable at
     any level together with power set at the same offset discipline;
     fewer, or none, raise SchemaError naming ``levels``, as bad data.
+
+    The report is priced before anything is enumerated: more than
+    ``DEFAULT_MAX_SUBSETS`` pairs and subsets over the checked levels
+    raise BudgetExceededError.  A completion the default budget allows
+    prices at a few hundred: its checked levels hold at most 16 nodes.
     """
     _require_blocks(u, "levels")
     if len(u.levels) < 3:
         raise SchemaError("levels", "witness report needs at least 3 levels")
     g = u.graph
+    top = len(u.levels) - 1
+    # A node's subsets are counted in the exponent, capped where one
+    # node alone is over the budget, so no huge ``2**|ext|`` is formed.
+    cap = DEFAULT_MAX_SUBSETS.bit_length()
+    checks = sum(
+        len(level) * (len(level) + 1) // 2
+        + sum(1 << min(len(g.extensions[x]), cap) for x in level)
+        for level in u.levels[:top]
+    )
+    if checks > DEFAULT_MAX_SUBSETS:
+        raise BudgetExceededError(
+            f"witness report needs at least {checks} pair and subset checks, "
+            f"over the budget of {DEFAULT_MAX_SUBSETS}"
+        )
     by_extension: dict[frozenset[NodeId], NodeId] = {}
     for x, ext in g.extensions.items():
         by_extension[ext] = x
     # Where every extension names one node, the nodes below ``ext`` are
-    # those its subsets name; fewer subsets than nodes are looked up.
+    # those its subsets name.
     extensional = len(by_extension) == len(g.extensions)
 
     checked: list[tuple[int, str]] = []
     failures: list[WitnessFailure] = []
-    top = len(u.levels) - 1
 
     def represented_in(target: frozenset[NodeId], level: int) -> bool:
         node = by_extension.get(target)
@@ -288,11 +305,14 @@ def witness_report(u: AnnotatedGraph) -> WitnessReport:
                     WitnessFailure(n, "union", f"union of {x} missing at level {n + 1}")
                 )
         checked.append((n, "subsets"))
+        below: list[frozenset[NodeId]] = []
         for x in level_nodes:
-            ext = sorted(g.extensions[x])
-            for mask in range(1 << len(ext)):
-                subset = frozenset(ext[i] for i in range(len(ext)) if mask >> i & 1)
-                if not represented_in(subset, n + 1):
+            named: list[NodeId] = []
+            for subset in map(frozenset, _subsets(sorted(g.extensions[x]))):
+                z = by_extension.get(subset)
+                if z is not None:
+                    named.append(z)
+                if z not in u.levels[n + 1]:
                     failures.append(
                         WitnessFailure(
                             n,
@@ -300,20 +320,13 @@ def witness_report(u: AnnotatedGraph) -> WitnessReport:
                             f"subset {{{', '.join(sorted(subset))}}} of {x} missing at level {n + 1}",
                         )
                     )
+            below.append(frozenset(named))
         if n + 2 <= top:
             checked.append((n, "power_set"))
-            for x in level_nodes:
-                ext = g.extensions[x]
-                if extensional and 1 << len(ext) <= len(g.extensions):
-                    subsets = chain.from_iterable(
-                        combinations(ext, k) for k in range(len(ext) + 1)
-                    )
-                    named = filter(by_extension.__contains__, map(frozenset, subsets))
-                    representatives = frozenset(map(by_extension.__getitem__, named))
-                else:
-                    representatives = frozenset(
-                        z for z, zext in g.extensions.items() if zext <= ext
-                    )
+            for x, representatives in zip(level_nodes, below):
+                if not extensional:
+                    ext = g.extensions[x]
+                    representatives = frozenset(z for z, zext in g.extensions.items() if zext <= ext)
                 if not represented_in(representatives, n + 2):
                     failures.append(
                         WitnessFailure(n, "power_set", f"power set of {x} missing at level {n + 2}")

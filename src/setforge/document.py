@@ -33,6 +33,7 @@ from .graph import (
     NodeId,
     Provenance,
     Seed,
+    _rank_domain_exact,
 )
 
 FORMAT_VERSION = 1
@@ -336,15 +337,12 @@ def _rank_family_valid(
     depth: dict[NodeId, int],
     sorted_depths: list[int],
 ) -> bool:
-    """Whether ``_check_rank_family_by_item`` would pass, in bulk: the
-    domain is exactly the nodes of depth < i when it is a set of nodes,
-    all of depth < i, as large as the count of such nodes."""
+    """Whether ``_check_rank_family_by_item`` would pass, in bulk: an
+    object of integers whose domain is exactly the nodes of depth < i."""
     return (
         type(rank_map) is dict
-        and known.issuperset(rank_map)
         and _all_of(rank_map.values(), int)
-        and len(rank_map) == bisect_left(sorted_depths, i)
-        and max(map(depth.__getitem__, rank_map), default=-1) < i
+        and _rank_domain_exact(i, rank_map, known, depth, sorted_depths)
     )
 
 

@@ -22,7 +22,6 @@ Foundation axiom's witness.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import compress
@@ -31,16 +30,24 @@ from .completion import (
     Budget,
     DEFAULT_BUDGET,
     _priced,
+    _subsets,
     complete_step,
 )
-from .errors import DredConditionError
+from .errors import DredConditionError, SizeLimitError
 from .graph import (
     AnnotatedGraph,
+    Code,
     ExtensionalDigraph,
     NodeId,
+    _rank_domain_exact,
     _require_blocks,
     extensionality_violation,
 )
+
+# Node x sits in rank families depth(x)+1 up to the top one, so a chain
+# atom of L links takes about L**2/2 entries; 2**21 entries (2,045
+# links) make a 40 MB document, less than a two-level completion's 58 MB.
+_MAX_RANK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -156,11 +163,7 @@ def verify_dred(h: AnnotatedGraph) -> DredReport:
         if i < 1:
             continue
         r = h.ranks[i]
-        if not (
-            len(r) == bisect_left(sorted_depths, i)
-            and g.nodes.issuperset(r)
-            and max(map(get_depth, r), default=-1) < i
-        ):
+        if not _rank_domain_exact(i, r, g.nodes, depth, sorted_depths):
             violations.extend(_rank_domain_violations(i, r, depth, nodes))
         if not (top_rises and r.items() <= top.items()):
             violations.extend(_rank_increase_violations(g, i, r, nodes))
@@ -251,32 +254,20 @@ def _subset_depth_violations(
     suspects: list[NodeId],
 ) -> list[DredViolation]:
     violations = []
-    by_extension = {ext: x for x, ext in g.extensions.items()}
-    n = len(nodes)
+    extensions = g.extensions
+    by_extension = {ext: x for x, ext in extensions.items()}
     for y in suspects:
-        ext_y = sorted(g.extensions[y])
-        bound = depth[y] + 1
-        if (1 << len(ext_y)) <= max(64, 2 * n):
-            for mask in range(1 << len(ext_y)):
-                subset = frozenset(ext_y[i] for i in range(len(ext_y)) if mask >> i & 1)
-                x = by_extension.get(subset)
-                if x is not None and depth[x] > bound:
-                    violations.append(
-                        DredViolation(
-                            "subset_depth",
-                            f"ext({x!r}) <= ext({y!r}) but depth {depth[x]} > {depth[y]} + 1",
-                        )
-                    )
+        ext_y = extensions[y]
+        if (1 << len(ext_y)) <= max(64, 2 * len(nodes)):
+            named = map(by_extension.get, map(frozenset, _subsets(sorted(ext_y))))
+            below = [x for x in named if x is not None]
         else:
-            ext_set = g.extensions[y]
-            for x in nodes:
-                if g.extensions[x] <= ext_set and depth[x] > bound:
-                    violations.append(
-                        DredViolation(
-                            "subset_depth",
-                            f"ext({x!r}) <= ext({y!r}) but depth {depth[x]} > {depth[y]} + 1",
-                        )
-                    )
+            below = [x for x in nodes if extensions[x] <= ext_y]
+        violations += [
+            DredViolation("subset_depth", f"ext({x!r}) <= ext({y!r}) but depth {depth[x]} > {depth[y]} + 1")
+            for x in below
+            if depth[x] > depth[y] + 1
+        ]
     return violations
 
 
@@ -400,8 +391,10 @@ def membership_ranks(g: ExtensionalDigraph) -> dict[NodeId, int]:
 
     Nodes are ranked bottom-up, each as soon as all its members are, so
     the work is linear in nodes plus edges and no recursion is needed.
-    Fails with DredConditionError naming the least node that lies on a
-    membership cycle or above one, since no rank function exists then.
+    The dict is filled in that order, so walking it meets every node's
+    members before the node.  Fails with DredConditionError naming the
+    least node that lies on a membership cycle or above one, since no
+    rank function exists then.
     """
     containers = g.containers()
     waiting = {x: len(ext) for x, ext in g.extensions.items()}
@@ -422,6 +415,36 @@ def membership_ranks(g: ExtensionalDigraph) -> dict[NodeId, int]:
     return rank
 
 
+def _certificate(g: ExtensionalDigraph, chain_style: bool) -> AnnotatedGraph:
+    """The depth/rank certificate of a well-founded graph.
+
+    A node's depth is the greatest depth among its members (0 if it has
+    none); with ``chain_style``, a chain atom's link or a chain code's
+    node (provenance kind "atom" or "chain") sits one above that, so
+    chains climb from their terminal.  No depth is then more than one
+    above a member's, which keeps the subset-depth condition as
+    completion adds nodes.  Family ``i`` is the von Neumann rank on the
+    nodes of depth below ``i``, for ``i`` up to one above the greatest
+    depth.  More than ``_MAX_RANK_ENTRIES`` rank-family entries raise
+    SizeLimitError before any family is built.
+    """
+    rank = membership_ranks(g)
+    depth: dict[NodeId, int] = {}
+    for x in rank:  # members first
+        p = g.provenance[x]
+        step = chain_style and isinstance(p, Code) and p.kind in ("atom", "chain")
+        depth[x] = max(map(depth.__getitem__, g.extensions[x]), default=0) + step
+    top = max(depth.values(), default=0) + 1
+    entries = top * len(depth) - sum(depth.values())
+    if entries > _MAX_RANK_ENTRIES:
+        raise SizeLimitError(
+            f"chain-style certificates are limited to {_MAX_RANK_ENTRIES} "
+            f"rank-family entries, got {entries}"
+        )
+    ranks = {i: {x: r for x, r in rank.items() if depth[x] < i} for i in range(1, top + 1)}
+    return AnnotatedGraph(g, depth=depth, ranks=ranks)
+
+
 def dred_from_graph(g: ExtensionalDigraph) -> AnnotatedGraph:
     """Equip a well-founded graph with the trivial certificate: all
     depths zero and ``r_1`` the von Neumann rank.
@@ -429,4 +452,4 @@ def dred_from_graph(g: ExtensionalDigraph) -> AnnotatedGraph:
     Fails with DredConditionError if the membership relation has a
     cycle, since no rank function can exist then.
     """
-    return AnnotatedGraph(g, depth={x: 0 for x in g.nodes}, ranks={1: membership_ranks(g)})
+    return _certificate(g, chain_style=False)

@@ -22,6 +22,7 @@ functions that derive a graph from a valid one pay for no re-check.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, TypeVar
@@ -251,6 +252,20 @@ class AnnotatedGraph:
         return AnnotatedGraph(graph, self.levels[: n + 1], depth, ranks, self.formulas)
 
 
+def _rank_domain_exact(
+    i: int, r: Mapping[NodeId, int], nodes: frozenset[NodeId], depth: dict[NodeId, int],
+    sorted_depths: list[int],
+) -> bool:
+    """Whether rank family ``i`` is defined on exactly the nodes of depth
+    below ``i``, in bulk: as many keys as such nodes (``sorted_depths``
+    lists the depths in order), all of them nodes of depth below ``i``."""
+    return (
+        len(r) == bisect_left(sorted_depths, i)
+        and nodes.issuperset(r)
+        and max(map(depth.__getitem__, r), default=-1) < i
+    )
+
+
 def _require_blocks(h: AnnotatedGraph, *blocks: str) -> None:
     """Raise SchemaError naming the first of ``blocks`` that ``h`` lacks."""
     for block in blocks:
@@ -462,11 +477,6 @@ def _require_iso_count(a: int, b: int) -> None:
         )
 
 
-def _require_iso_size(a: ExtensionalDigraph, b: ExtensionalDigraph) -> None:
-    """Raise SizeLimitError when either graph exceeds ``ISO_NODE_LIMIT`` nodes."""
-    _require_iso_count(len(a.nodes), len(b.nodes))
-
-
 def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
     """Exact isomorphism test.
 
@@ -493,7 +503,7 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
     or the branches together re-colour more than ``_SEARCH_STATE_LIMIT``
     nodes.
     """
-    _require_iso_size(a, b)
+    _require_iso_count(len(a.nodes), len(b.nodes))
     if len(a.nodes) != len(b.nodes):
         return False
     if len(a.nodes) == 0:

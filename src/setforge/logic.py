@@ -496,18 +496,11 @@ def _check_foundation_minimal(g: ExtensionalDigraph) -> AxiomReport:
 
 
 def _check_infinity(g: ExtensionalDigraph) -> AxiomReport:
-    for i in g.sorted_nodes():
-        members = g.extensions[i]
-        if not any(not g.extensions[e] for e in members):
-            continue
-        closed = all(
-            any(g.extensions[s] == g.extensions[x] | {x} for s in members)
-            for x in members
-        )
-        if closed:
-            return AxiomReport(
-                "infinity", True, (i,), f"{i!r} contains an empty node and successors"
-            )
+    """Infinity asks for a node with an empty member x_0 whose every
+    member x has a member s with ext(s) = ext(x) | {x}.  No finite graph
+    has one: by induction the successors x_k have ext(x_k) = {x_0, ...,
+    x_{k-1}}, k distinct nodes, so x_k is none of them and the x_k never
+    repeat.  So the probe fails on every graph, without a search."""
     return AxiomReport(
         "infinity", False, (), "no node is successor-closed around an empty member"
     )
@@ -522,51 +515,3 @@ def check_axiom(g: ExtensionalDigraph, axiom: str) -> AxiomReport:
     if axiom == "infinity":
         return _check_infinity(g)
     raise ValueError(f"unknown axiom {axiom!r}")
-
-
-# ---------------------------------------------------------------------------
-# code-detection formulas
-
-
-def _is_doubleton_of(setvar: Var, first: Var, second: Var) -> Formula:
-    """setvar = {first, second} spelled out in raw membership.  Callers
-    never name a variable ``z``, so it is free to bind here."""
-    return ForAll("z", Iff(Member("z", setvar), Or(Equal("z", first), Equal("z", second))))
-
-
-def quine_code_formula() -> Formula:
-    """Selects p when some b other than p satisfies b = {p, b}.
-
-    On a loop-coded graph this picks out exactly the guarded tuple
-    nodes: the self-membership forces b to carry a self-loop, and the
-    only self-looped nodes whose other member is p are p's codes.
-    """
-    return Exists(
-        "b",
-        And(_is_doubleton_of("b", "b", "p"), Not(Equal("b", "p"))),
-    )
-
-
-def chain_code_formula(bound: int) -> Formula:
-    """Bounded unfolding of the descending-chain code shape.
-
-    Selects p when nodes b_0 .. b_bound exist with b_j = {b_{j+1}, p}
-    for every j below ``bound``. On a graph whose codes are chains of
-    length L this keeps every guarded tuple node selected as long as
-    bound < L (the chain itself provides the b_j); larger bounds run
-    off the truncated end. The unfolding is coarser than the unbounded
-    shape it approximates, so on small graphs other descending
-    configurations can satisfy it as well.
-    """
-    if bound < 1:
-        raise ValueError("unfolding bound must be at least 1")
-    names = [f"b{j}" for j in range(bound + 1)]
-    body: Formula | None = None
-    for j in range(bound):
-        clause = _is_doubleton_of(names[j], names[j + 1], "p")
-        body = clause if body is None else And(body, clause)
-    assert body is not None
-    out = body
-    for name in reversed(names):
-        out = Exists(name, out)
-    return out

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import AbstractSet, Iterable, Iterator
@@ -32,7 +33,7 @@ from .graph import (
     NodeId,
     Provenance,
     Seed,
-    _require_iso_size,
+    _require_iso_count,
     is_isomorphic,
     require_extensional,
 )
@@ -236,25 +237,22 @@ class ComparisonVerdict:
 
 
 def _extension_size_histogram(g: ExtensionalDigraph) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for ext in g.extensions.values():
-        hist[len(ext)] = hist.get(len(ext), 0) + 1
-    return hist
+    return dict(Counter(map(len, g.extensions.values())))
 
 
 def _level_histogram(g: ExtensionalDigraph) -> dict[object, int]:
-    hist: dict[object, int] = {}
-    for x in g.nodes:
+    """Nodes per provenance key, counted in id order, so that the keys
+    print in the same order in every run."""
+    hist: Counter[object] = Counter()
+    for x in g.sorted_nodes():
         p = g.provenance[x]
-        key: object
         if isinstance(p, Deficiency):
-            key = ("deficiency", p.level)
+            hist["deficiency", p.level] += 1
         elif isinstance(p, Seed):
-            key = "seed"
+            hist["seed"] += 1
         else:
-            key = ("code", p.kind)
-        hist[key] = hist.get(key, 0) + 1
-    return hist
+            hist["code", p.kind] += 1
+    return dict(hist)
 
 
 def _by_level(g: ExtensionalDigraph) -> tuple[dict[int, list[NodeId]], dict[NodeId, Provenance]]:
@@ -312,7 +310,7 @@ def compare(a: ExtensionalDigraph, b: ExtensionalDigraph) -> ComparisonVerdict:
     seed map (:func:`_seed_map_agrees`); only when that fails does
     :func:`is_isomorphic` search.
     """
-    _require_iso_size(a, b)
+    _require_iso_count(len(a.nodes), len(b.nodes))
     if _seed_map_agrees(a, b) or is_isomorphic(a, b):
         return ComparisonVerdict(True, "isomorphic")
     probes = [

@@ -18,7 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .dred import membership_ranks, require_dred
+from .completion import _subsets
+from .dred import _certificate, require_dred
 from .errors import SeedClashError, SizeLimitError, SpecValidationError, UnknownNodeError
 from .graph import (
     AnnotatedGraph,
@@ -40,11 +41,6 @@ _MAX_NATURALS = 1024
 # budget anyway. Bounds quine atoms, and chain-atom links, tuple nodes
 # and code nodes together.
 _MAX_SEED_NODES = 1 << 16
-# A chain-style certificate lists node x in rank families depth(x)+1 up
-# to the top one, so a chain atom of L links takes about L**2/2 entries.
-# 2**21 entries (a 2,045-link chain atom) make a 40 MB document, less
-# than the 58 MB of a two-level completion of a four-node seed.
-_MAX_RANK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -266,15 +262,13 @@ def von_neumann_seed(k: int) -> ExtensionalDigraph:
     notation: dict[NodeId, str] = {}
     current: list[NodeId] = []
     for _ in range(k):
-        snapshot = sorted(current)
-        for size in range(len(snapshot) + 1):
-            for subset in itertools.combinations(snapshot, size):
-                node = subset_node_id(subset)
-                if node in extensions:
-                    continue
-                extensions[node] = frozenset(subset)
-                notation[node] = _set_notation([notation[m] for m in subset])
-                current.append(node)
+        for subset in _subsets(sorted(current)):
+            node = subset_node_id(subset)
+            if node in extensions:
+                continue
+            extensions[node] = frozenset(subset)
+            notation[node] = _set_notation([notation[m] for m in subset])
+            current.append(node)
     provenance: dict[NodeId, Provenance] = {
         x: Seed(label=notation[x]) for x in extensions
     }
@@ -384,31 +378,6 @@ class AssembledSeed:
     dred: AnnotatedGraph | None = None
 
 
-def _chain_style_depths(g: ExtensionalDigraph, rank: dict[NodeId, int]) -> dict[NodeId, int]:
-    """Depths under which chain-style completion provably stays legal.
-
-    A chain atom's link or a chain code's node (provenance kind "atom"
-    or "chain"; a chain-style seed has no quine atoms) sits one above
-    its deepest member, so chain atoms count up from their numeral
-    terminal (bottom link depth 1, head depth L) and chain codes climb
-    the same ladder from their tuple node. Everything else takes the
-    max of its members' depths, the same recipe completion applies to
-    new nodes. Every node then satisfies
-    depth(x) <= 1 + max over members, which is exactly what keeps the
-    subset-depth condition stable when completion adds representatives
-    of arbitrary member sets.
-
-    Nodes are visited in increasing ``rank``, which rises along every
-    edge, so each member's depth is known before its containers need it.
-    """
-    depths: dict[NodeId, int] = {}
-    for x in sorted(g.nodes, key=rank.__getitem__):
-        prov = g.provenance[x]
-        step = isinstance(prov, Code) and prov.kind in ("atom", "chain")
-        depths[x] = max((depths[m] for m in g.extensions[x]), default=0) + step
-    return depths
-
-
 def assemble(spec: CodeSpec) -> AssembledSeed:
     """Build the full seed graph a declaration describes.
 
@@ -422,9 +391,9 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
     self-membered node b = {p, b} per tuple node p; a chain code is
     b_0 .. b_{L-1} with b_j = {p, b_{j+1}} and the bottom b_{L-1} = {p},
     which keeps the graph well-founded. Chain style additionally
-    derives the depth/rank certificate and verifies it before
-    returning; a certificate of more than ``_MAX_RANK_ENTRIES``
-    rank-family entries raises SizeLimitError before it is built.
+    derives the depth/rank certificate with
+    :func:`~setforge.dred._certificate`, which prices it before building
+    it, and verifies it before returning.
     """
     numerals = numeral_ids(spec.naturals_up_to)
     extensions = {x: frozenset(numerals[:k]) for k, x in enumerate(numerals)}
@@ -464,13 +433,20 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
         declared[p] = decl
         index.tuple_nodes[decl] = p
 
-    def add(node: NodeId, members: frozenset[NodeId], detail: str, kind: str) -> None:
+    def add(
+        decl: TupleDecl, node: NodeId, members: frozenset[NodeId], detail: str, kind: str
+    ) -> None:
         # No other kind of node has a "code:" id, and no tuple node is
-        # guarded twice, so only the extension can clash.
+        # guarded twice, so only the extension can clash: a tuple can
+        # encode to a chain atom's link, and its chain code's bottom
+        # {p} is then the link above, or a tuple's singleton of it.
         clash = by_extension.get(members)
         if clash is not None:
+            prov = provenance[clash]
+            origin = f"{prov.kind} {prov.detail}" if isinstance(prov, Code) else repr(prov)
             raise SeedClashError(
-                f"code node {node!r} would duplicate the extension of {clash!r}"
+                f"code node {node!r} of tuple declaration {decl} would duplicate "
+                f"the extension of {clash!r} ({origin})"
             )
         extensions[node] = members
         provenance[node] = Code(kind=kind, detail=detail)
@@ -479,7 +455,7 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
     for decl, p in index.tuple_nodes.items():
         if spec.code_style == "loop":
             node = loop_code_id(p)
-            add(node, frozenset({p, node}), f"loop({p})", "loop")
+            add(decl, node, frozenset({p, node}), f"loop({p})", "loop")
             index.code_nodes[decl] = (node,)
         else:
             length = spec.code_length
@@ -487,26 +463,13 @@ def assemble(spec: CodeSpec) -> AssembledSeed:
             ids = [chain_code_id(j, p) for j in range(length)]
             for j in reversed(range(length)):
                 members = frozenset({p}) if j == length - 1 else frozenset({p, ids[j + 1]})
-                add(ids[j], members, f"chain[{j}]({p})", "chain")
+                add(decl, ids[j], members, f"chain[{j}]({p})", "chain")
             index.code_nodes[decl] = tuple(ids)
     g = ExtensionalDigraph(extensions, provenance)
     require_extensional(g)
     dred: AnnotatedGraph | None = None
     if spec.code_style == "chain":
-        rank = membership_ranks(g)
-        depth = _chain_style_depths(g, rank)
-        top = max(depth.values(), default=0) + 1
-        entries = top * len(depth) - sum(depth.values())
-        if entries > _MAX_RANK_ENTRIES:
-            raise SizeLimitError(
-                f"chain-style certificates are limited to {_MAX_RANK_ENTRIES} "
-                f"rank-family entries, got {entries}"
-            )
-        ranks = {
-            i: {x: rank[x] for x in g.nodes if depth[x] < i}
-            for i in range(1, top + 1)
-        }
-        dred = AnnotatedGraph(g, depth=depth, ranks=ranks)
+        dred = _certificate(g, chain_style=True)
         require_dred(dred)
     return AssembledSeed(
         spec=spec,

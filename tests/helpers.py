@@ -18,13 +18,17 @@ from typing import Any, Iterator, Mapping
 from setforge import (
     FORMAT_VERSION,
     AnnotatedGraph,
+    AtomDecl,
+    AxiomReport,
     Code,
+    CodeSpec,
     Deficiency,
     ExtensionalDigraph,
     SchemaError,
     Seed,
     SetforgeError,
     SizeLimitError,
+    TupleDecl,
     collection,
     decorate,
     extensionality_violation,
@@ -50,6 +54,7 @@ from setforge.logic import (
     Member,
     Not,
     Or,
+    Var,
 )
 
 
@@ -83,6 +88,26 @@ def affordable_levels(seed_size: int, requested: int, budget: Budget = DEFAULT_B
     graph the budget permits, capped at ``requested``: the steps that
     ``complete`` takes before it refuses, by its own growth law."""
     return _growth(seed_size, requested, budget)[0]
+
+
+def reference_check_infinity(g: ExtensionalDigraph) -> AxiomReport:
+    """The infinity probe as a search: a node with an empty member whose
+    every member ``x`` has a member ``s`` with ext(s) = ext(x) | {x}."""
+    for i in g.sorted_nodes():
+        members = g.extensions[i]
+        if not any(not g.extensions[e] for e in members):
+            continue
+        closed = all(
+            any(g.extensions[s] == g.extensions[x] | {x} for s in members)
+            for x in members
+        )
+        if closed:
+            return AxiomReport(
+                "infinity", True, (i,), f"{i!r} contains an empty node and successors"
+            )
+    return AxiomReport(
+        "infinity", False, (), "no node is successor-closed around an empty member"
+    )
 
 
 def reference_witness_report(u: AnnotatedGraph) -> WitnessReport:
@@ -404,6 +429,67 @@ def random_extensional_graph(
             return ExtensionalDigraph.from_extensions(extensions)
 
 
+def random_chain_spec(rng: random.Random) -> CodeSpec:
+    """A chain-style spec of one or two chain atoms of one or two links
+    and one or two one-component tuples."""
+    chains = rng.randint(1, 2)
+    atoms = tuple(
+        AtomDecl(f"c{j}", "chain", length=rng.randint(1, 2))
+        for j in range(chains)
+    )
+    naturals = chains + 1
+    labels = [a.label for a in atoms] + [str(k) for k in range(naturals)]
+    tuples = []
+    seen = set()
+    for _ in range(rng.randint(1, 2)):
+        tag = rng.randrange(naturals)
+        components = (rng.choice(labels),)
+        if (tag, components) in seen:
+            continue
+        seen.add((tag, components))
+        tuples.append(TupleDecl(tag, components))
+    return CodeSpec(
+        atoms=atoms,
+        naturals_up_to=naturals,
+        tuples=tuple(tuples),
+        code_style="chain",
+        code_length=rng.randint(1, 2),
+    )
+
+
+def set_rank(g: ExtensionalDigraph) -> dict:
+    """Independent recomputation: rank 0 at empty extension, else
+    1 + max member rank. Only called on well-founded graphs."""
+    rank = {}
+
+    def visit(x):
+        if x in rank:
+            return rank[x]
+        rank[x] = max((visit(m) + 1 for m in g.extensions[x]), default=0)
+        return rank[x]
+
+    for x in sorted(g.nodes):
+        visit(x)
+    return rank
+
+
+def reference_chain_style_certificate(g: ExtensionalDigraph) -> AnnotatedGraph:
+    """The chain-style certificate by the recipe ``seeds`` used to carry:
+    nodes visited in increasing rank, which rises along every edge,
+    each one step above its deepest member at a chain atom's link or a
+    chain code's node and level with it elsewhere; family ``i`` the
+    rank on the nodes of depth below ``i``."""
+    rank = set_rank(g)
+    depth: dict[NodeId, int] = {}
+    for x in sorted(g.nodes, key=rank.__getitem__):
+        prov = g.provenance[x]
+        step = isinstance(prov, Code) and prov.kind in ("atom", "chain")
+        depth[x] = max((depth[m] for m in g.extensions[x]), default=0) + step
+    top = max(depth.values(), default=0) + 1
+    ranks = {i: {x: rank[x] for x in g.nodes if depth[x] < i} for i in range(1, top + 1)}
+    return AnnotatedGraph(g, depth=depth, ranks=ranks)
+
+
 def random_decorable_graph(
     rng: random.Random,
     max_nodes: int,
@@ -585,6 +671,54 @@ def print_formula(f: Formula) -> str:
     """Render ``f`` in the ASCII grammar; parse(print_formula(f)) == f
     whenever the printed text is within ``MAX_FORMULA_DEPTH``."""
     return _print(f, 0)
+
+
+# Code-detection formulas, built as syntax trees rather than parsed:
+# chain_code_formula(300) nests deeper than ``parse`` accepts.
+
+
+def _is_doubleton_of(setvar: Var, first: Var, second: Var) -> Formula:
+    """setvar = {first, second} spelled out in raw membership.  Callers
+    never name a variable ``z``, so it is free to bind here."""
+    return ForAll("z", Iff(Member("z", setvar), Or(Equal("z", first), Equal("z", second))))
+
+
+def quine_code_formula() -> Formula:
+    """Selects p when some b other than p satisfies b = {p, b}.
+
+    On a loop-coded graph this picks out exactly the guarded tuple
+    nodes: the self-membership forces b to carry a self-loop, and the
+    only self-looped nodes whose other member is p are p's codes.
+    """
+    return Exists(
+        "b",
+        And(_is_doubleton_of("b", "b", "p"), Not(Equal("b", "p"))),
+    )
+
+
+def chain_code_formula(bound: int) -> Formula:
+    """Bounded unfolding of the descending-chain code shape.
+
+    Selects p when nodes b_0 .. b_bound exist with b_j = {b_{j+1}, p}
+    for every j below ``bound``. On a graph whose codes are chains of
+    length L this keeps every guarded tuple node selected as long as
+    bound < L (the chain itself provides the b_j); larger bounds run
+    off the truncated end. The unfolding is coarser than the unbounded
+    shape it approximates, so on small graphs other descending
+    configurations can satisfy it as well.
+    """
+    if bound < 1:
+        raise ValueError("unfolding bound must be at least 1")
+    names = [f"b{j}" for j in range(bound + 1)]
+    body: Formula | None = None
+    for j in range(bound):
+        clause = _is_doubleton_of(names[j], names[j + 1], "p")
+        body = clause if body is None else And(body, clause)
+    assert body is not None
+    out = body
+    for name in reversed(names):
+        out = Exists(name, out)
+    return out
 
 
 _DOT_NODE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)"\s*(?:\[(.*)\])?\s*;$')

@@ -22,6 +22,8 @@ from helpers import (
     is_end_extension,
     naive_eval,
     print_formula,
+    random_chain_spec,
+    quine_code_formula,
     random_closed_formula,
     random_extensional_graph,
     random_formula,
@@ -45,7 +47,6 @@ from setforge import (
     oracle_complete,
     parse,
     quine_atoms,
-    quine_code_formula,
     verify_dred,
     witness_report,
 )
@@ -286,32 +287,6 @@ def test_criterion_5_loop_codes_definable():
 
 
 # -- criterion 6: chain codes and depth/rank certificates ----------------------
-
-
-def random_chain_spec(rng: random.Random) -> CodeSpec:
-    chains = rng.randint(1, 2)
-    atoms = tuple(
-        AtomDecl(f"c{j}", "chain", length=rng.randint(1, 2))
-        for j in range(chains)
-    )
-    naturals = chains + 1
-    labels = [a.label for a in atoms] + [str(k) for k in range(naturals)]
-    tuples = []
-    seen = set()
-    for _ in range(rng.randint(1, 2)):
-        tag = rng.randrange(naturals)
-        components = (rng.choice(labels),)
-        if (tag, components) in seen:
-            continue
-        seen.add((tag, components))
-        tuples.append(TupleDecl(tag, components))
-    return CodeSpec(
-        atoms=atoms,
-        naturals_up_to=naturals,
-        tuples=tuple(tuples),
-        code_style="chain",
-        code_length=rng.randint(1, 2),
-    )
 
 
 def minimal_member_ok(g: ExtensionalDigraph, x, w) -> bool:

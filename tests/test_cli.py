@@ -10,6 +10,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -20,6 +21,7 @@ import setforge
 from setforge import (
     AnnotatedGraph,
     AtomDecl,
+    Code,
     CodeSpec,
     ExtensionalDigraph,
     assemble,
@@ -484,6 +486,31 @@ def test_witness_report_on_two_levels_is_bad_data():
     code, out, err = invoke(["check", "--witness-report", "--porcelain"], doc)
     assert (code, out) == (3, "")
     assert err == "levels: witness report needs at least 3 levels\n"
+
+
+@pytest.mark.parametrize(
+    "atoms, levels, checks",
+    [(31, "one node", 4195484), (10, "completion", 1167698)],
+    ids=["31-members", "1024-node-levels"],
+)
+def test_witness_report_over_budget_exits_2_before_enumerating(atoms, levels, checks):
+    """A node of 31 members, or the 1,024-node completion of ten atoms,
+    with three levels that all hold every node: priced before any pair
+    or subset is enumerated."""
+    g = quine_atoms([f"a{i}" for i in range(atoms)])
+    if levels == "one node":
+        g = ExtensionalDigraph.from_extensions({**g.extensions, "big": g.nodes}, g.provenance)
+    else:
+        g = complete(g, 1).graph
+    doc = serialize(AnnotatedGraph(g, levels=[g.nodes] * 3))
+    start = time.perf_counter()
+    assert invoke(["check", "--witness-report"], doc) == (
+        2,
+        "",
+        f"budget exceeded: witness report needs at least {checks} pair and subset checks, "
+        "over the budget of 1048576\n",
+    )
+    assert time.perf_counter() - start < 1
 
 
 def test_dred_conditions_pass(chain_spec_file):
@@ -1039,6 +1066,30 @@ def test_diff_different_with_equal_counts(tmp_path, left, right, detail):
     )
     assert invoke(["diff", a, b]) == (1, f"different: {detail}\n", "")
     assert invoke(["diff", "--porcelain", a, b]) == (1, f"diff\tdifferent\t{detail}\n", "")
+
+
+def test_diff_provenance_histograms_print_in_id_order(tmp_path):
+    """Two graphs that differ only in one node's provenance kind: the
+    histogram keys print in node id order, whatever the hash seed."""
+    extensions = {"a": [], "b": ["a"], "c": ["b"]}
+    left = ExtensionalDigraph.from_extensions(extensions)
+    right = ExtensionalDigraph.from_extensions(extensions, {"a": Code("atom", "a")})
+    a, b = (
+        write_doc(tmp_path / f"{name}.json", serialize(AnnotatedGraph(g)))
+        for name, g in (("a", left), ("b", right))
+    )
+    line = "different: provenance histograms differ: {'seed': 3} vs {('code', 'atom'): 1, 'seed': 2}\n"
+    assert invoke(["diff", a, b]) == (1, line, "")
+    command, env = console_command()
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            command + ["diff", a, b],
+            capture_output=True,
+            text=True,
+            env=dict(env, PYTHONHASHSEED=hash_seed),
+            timeout=PIPE_TIMEOUT_S,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, line, "")
 
 
 def test_diff_not_utf8_exit_3(tmp_path):

@@ -19,6 +19,7 @@ from setforge import (
     deficiency,
     dred_complete,
     dred_from_graph,
+    quine_atoms,
     von_neumann_seed,
     witness_report,
 )
@@ -349,13 +350,14 @@ def random_leveled_record(rng: random.Random) -> AnnotatedGraph:
 
 
 def test_witness_report_agrees_with_the_scanning_reference():
-    """The power-set clause looks subsets up only on extensional records
-    with no more subsets than nodes; elsewhere it scans, and every
-    report equals the reference's, which always scans."""
+    """The power-set clause names the nodes of a node's subsets table on
+    extensional records and scans elsewhere; every report equals the
+    reference's, which always scans."""
     rng = random.Random(41)
     records = [random_leveled_record(rng) for _ in range(400)]
     records += [complete(random_extensional_graph(rng, 3), 2) for _ in range(10)]
     records.append(complete(von_neumann_seed(2), 3))
+    records.append(flat_levels(complete(quine_atoms([f"a{i}" for i in range(8)]), 1).graph))
     held = {True: 0, False: 0}
     for u in records:
         report = witness_report(u)
@@ -365,6 +367,23 @@ def test_witness_report_agrees_with_the_scanning_reference():
         held[extensional] += checks - len([f for f in report.failures if f.clause == "power_set"])
     # Power-set clauses that hold, on both kinds of record.
     assert held[True] > 50 and held[False] > 50, held
+
+
+def flat_levels(g: ExtensionalDigraph) -> AnnotatedGraph:
+    """``g`` with three levels that all hold every node."""
+    return AnnotatedGraph(g, levels=(g.nodes,) * 3)
+
+
+def test_witness_report_price_at_the_budget_and_one_past_it(monkeypatch):
+    """Two checked levels of 20 memberless nodes take 210 pairs and 20
+    subsets each, 460 checks in all."""
+    u = flat_levels(ExtensionalDigraph.from_extensions({f"e{i}": set() for i in range(20)}))
+    assert witness_report(u).checked
+    monkeypatch.setattr(completion, "DEFAULT_MAX_SUBSETS", 2 * (210 + 20))
+    assert witness_report(u).checked
+    monkeypatch.setattr(completion, "DEFAULT_MAX_SUBSETS", 2 * (210 + 20) - 1)
+    with pytest.raises(BudgetExceededError, match="needs at least 460 pair and subset checks"):
+        witness_report(u)
 
 
 def test_level_graph_restriction():

@@ -27,23 +27,7 @@ from setforge import (
 from setforge import dred
 from setforge.dred import membership_ranks
 
-from helpers import random_extensional_graph
-
-
-def set_rank(g: ExtensionalDigraph) -> dict:
-    """Independent recomputation: rank 0 at empty extension, else
-    1 + max member rank. Only called on well-founded graphs."""
-    rank = {}
-
-    def visit(x):
-        if x in rank:
-            return rank[x]
-        rank[x] = max((visit(m) + 1 for m in g.extensions[x]), default=0)
-        return rank[x]
-
-    for x in sorted(g.nodes):
-        visit(x)
-    return rank
+from helpers import random_extensional_graph, set_rank
 
 
 def test_verify_dred_von_neumann_with_set_rank():

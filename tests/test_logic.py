@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    chain_code_formula,
     is_extensional,
     naive_eval,
     print_formula,
+    quine_code_formula,
     random_closed_formula,
     random_extensional_graph,
     random_formula,
+    reference_check_infinity,
 )
 
 from setforge import (
@@ -33,7 +36,6 @@ from setforge import (
     TupleDecl,
     UnknownNodeError,
     assemble,
-    chain_code_formula,
     check_axiom,
     complete,
     define_class,
@@ -41,7 +43,6 @@ from setforge import (
     free_variables,
     parse,
     quine_atoms,
-    quine_code_formula,
     von_neumann_seed,
 )
 from setforge.logic import MAX_FORMULA_DEPTH, _guard
@@ -299,6 +300,38 @@ def test_infinity_probe_is_false_on_finite_graphs():
         complete(ExtensionalDigraph.empty(), 3).graph,
     ):
         assert not check_axiom(g, "infinity").holds
+
+
+def infinity_probe_graphs():
+    """Every digraph on up to three nodes, self-loops and shared
+    extensions included; random ones on up to seven; and von Neumann
+    numerals 0..k under a node that holds them all, with or without
+    the next numeral, so the successor search runs deep."""
+    for n in range(4):
+        names = [f"n{i}" for i in range(n)]
+        pairs = [(m, c) for c in names for m in names]
+        for mask in range(1 << len(pairs)):
+            chosen = (pair for bit, pair in enumerate(pairs) if mask >> bit & 1)
+            yield ExtensionalDigraph.from_edges(names, chosen)
+    rng = random.Random(508)
+    for _ in range(300):
+        names = [f"n{i}" for i in range(rng.randint(1, 7))]
+        yield ExtensionalDigraph.from_extensions(
+            {x: {y for y in names if rng.random() < 0.4} for x in names}
+        )
+    for k in range(1, 5):
+        for extra in (False, True):
+            numerals = [f"v{j}" for j in range(k + 1 + extra)]
+            extensions = {v: numerals[:j] for j, v in enumerate(numerals)}
+            yield ExtensionalDigraph.from_extensions({**extensions, "i": numerals[: k + 1]})
+
+
+def test_infinity_probe_agrees_with_the_search():
+    graphs = 0
+    for g in infinity_probe_graphs():
+        assert check_axiom(g, "infinity") == reference_check_infinity(g)
+        graphs += 1
+    assert graphs == 531 + 300 + 8
 
 
 def test_unknown_axiom():

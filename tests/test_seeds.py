@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import random
+import re
 import sys
 
 import pytest
@@ -24,15 +26,20 @@ from setforge import (
     encode_tuple,
     numeral_ids,
     quine_atoms,
-    quine_code_formula,
     serialize,
     verify_dred,
     von_neumann_seed,
 )
+from setforge import dred as dred_module
 from setforge import seeds
 from setforge.seeds import chain_atom_id, quine_atom_id
 
-from helpers import is_extensional
+from helpers import (
+    is_extensional,
+    quine_code_formula,
+    random_chain_spec,
+    reference_chain_style_certificate,
+)
 
 
 def extensions_as_sets(g: ExtensionalDigraph) -> set:
@@ -353,6 +360,52 @@ def test_assemble_certifies_chain_labels_that_contain_the_id_separator():
     assert seed.dred.depth[chain_atom_id("a:b", 1)] == 1
 
 
+CLASH = re.compile(
+    r"^code node '[^']+' of tuple declaration TupleDecl\(tag=\d+, components=\(.*\)\) "
+    r"would duplicate the extension of '[^']+' \((atom|tuple) .+\)$"
+)
+
+
+def assembled_or_named_clash(spec: CodeSpec) -> seeds.AssembledSeed | None:
+    """The assembled seed, whose certificate verifies in chain style, or
+    None when assembling refuses a code node that would duplicate a
+    node, naming its tuple declaration and that node's provenance."""
+    try:
+        seed = assemble(spec)
+    except SeedClashError as e:
+        assert CLASH.match(str(e)), str(e)
+        return None
+    assert (seed.dred is not None) == (spec.code_style == "chain")
+    assert seed.dred is None or verify_dred(seed.dred).ok
+    return seed
+
+
+def test_chain_link_clash_names_the_tuple_and_the_link():
+    spec = CodeSpec(
+        atoms=(AtomDecl("a", "chain", length=2),),
+        naturals_up_to=2,
+        tuples=(TupleDecl(0, ("0",)),),
+        code_style="chain",
+        code_length=1,
+    )
+    with pytest.raises(SeedClashError) as exc:
+        assemble(spec)
+    assert str(exc.value) == (
+        "code node 'code:chain:0:chain:a:1' of tuple declaration "
+        "TupleDecl(tag=0, components=('0',)) would duplicate the extension of "
+        "'chain:a:0' (atom a[0])"
+    )
+
+
+def test_random_chain_specs_assemble_the_reference_certificate_or_name_the_clash():
+    rng = random.Random(20)
+    assembled = [assembled_or_named_clash(random_chain_spec(rng)) for _ in range(80)]
+    built = [seed for seed in assembled if seed is not None]
+    assert len(built) == 76
+    for seed in built:
+        assert seed.dred == reference_chain_style_certificate(seed.graph)
+
+
 def test_chain_style_certificate_at_the_cap_and_one_past_it(monkeypatch):
     """The rank families are priced before any is built: node x sits in
     families depth(x)+1 up to the top one."""
@@ -368,9 +421,9 @@ def test_chain_style_certificate_at_the_cap_and_one_past_it(monkeypatch):
     entries = sum(map(len, dred.ranks.values()))
     top = max(dred.depth.values()) + 1
     assert entries == sum(top - d for d in dred.depth.values()) > 0
-    monkeypatch.setattr(seeds, "_MAX_RANK_ENTRIES", entries)
+    monkeypatch.setattr(dred_module, "_MAX_RANK_ENTRIES", entries)
     assert assemble(spec).dred == dred
-    monkeypatch.setattr(seeds, "_MAX_RANK_ENTRIES", entries - 1)
+    monkeypatch.setattr(dred_module, "_MAX_RANK_ENTRIES", entries - 1)
     with pytest.raises(
         SizeLimitError,
         match=f"^chain-style certificates are limited to {entries - 1} rank-family entries, "
@@ -646,15 +699,21 @@ def specs(draw):
 @given(specs())
 def test_every_accepted_spec_writes_a_document_that_reads_back(case):
     """No spec that CodeSpec accepts yields a document the reader
-    refuses: a lone surrogate in a label is refused by the spec."""
+    refuses: a lone surrogate in a label is refused by the spec. Each
+    accepted spec assembles, certified in chain style, or names the
+    clash; only loop style can encode two declarations to one node
+    (over a quine atom, {a} is a itself)."""
     atoms, naturals, tuples, style, length = case
     try:
         spec = CodeSpec(atoms, naturals, tuples, style, length)
     except SpecValidationError:
         return
     try:
-        seed = assemble(spec)
-    except (SeedClashError, SpecValidationError):
+        seed = assembled_or_named_clash(spec)
+    except SpecValidationError as e:
+        assert style == "loop" and "both encode to node" in str(e)
+        return
+    if seed is None:
         return
     doc = seed.dred or AnnotatedGraph(seed.graph)
     assert deserialize(serialize(doc)) == doc
