@@ -18,12 +18,13 @@ import json
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from itertools import accumulate, groupby, repeat
 from operator import floordiv, itemgetter
 from typing import Any, Sequence, TextIO
 
 from .completion import Budget, DEFAULT_BUDGET, _priced, complete, witness_report
-from .document import _gc_paused, _pieces, deserialize
+from .document import _gc_paused, _pieces, _taken, deserialize
 from .dot import to_dot
 from .dred import dred_complete, verify_dred
 from .errors import (
@@ -41,8 +42,8 @@ from .seeds import AtomDecl, CodeSpec, TupleDecl, assemble, quine_atoms, von_neu
 
 _BUDGET_ENV = "SETFORGE_BUDGET"
 
-# Characters handed to stdout in one write; a document is never joined
-# into one line in memory.
+# Characters handed to a stream in one write: a document is never
+# joined into one line in memory, and a DOT text is written in slices.
 _WRITE_SIZE = 1 << 20
 
 
@@ -90,12 +91,27 @@ def _read_document() -> AnnotatedGraph:
 def _emit_document(doc: AnnotatedGraph) -> None:
     """Write ``serialize(doc)`` and a newline, joined in runs of about
     ``_WRITE_SIZE`` characters: each piece goes into the run in which
-    its end falls. Every piece exists before the first write."""
-    pieces = _pieces(doc)
+    its end falls. Every piece exists before the first write.
+
+    The record is dropped once the line's parts are taken from it, so a
+    caller that passes it as a temporary (on Python 3.11+, where a call
+    moves its arguments into the callee) frees its graph before the
+    pieces, about as large, are rendered."""
+    parts = _taken(doc)
+    del doc
+    pieces = _pieces(parts)
+    del parts
     pieces.append("\n")
     runs = map(floordiv, accumulate(map(len, pieces)), repeat(_WRITE_SIZE))
     for _, run in groupby(zip(runs, pieces), key=itemgetter(0)):
         sys.stdout.write("".join(map(itemgetter(1), run)))
+
+
+def _write(text: str, stream: Any) -> None:
+    """Write ``text`` to ``stream`` in slices of ``_WRITE_SIZE``
+    characters, so that no encoded copy of the whole text is made."""
+    for start in range(0, len(text), _WRITE_SIZE):
+        stream.write(text[start : start + _WRITE_SIZE])
 
 
 def _spec_from_json(raw: Any) -> tuple[CodeSpec, dict[str, str]]:
@@ -183,11 +199,10 @@ def _cmd_seed(args: argparse.Namespace) -> int:
 def _cmd_complete(args: argparse.Namespace) -> int:
     doc = _read_document()
     budget = _resolve_budget(args.budget)
-    if args.dred:
-        out = dred_complete(doc, args.levels, budget)
-    else:
-        out = complete(doc.graph, args.levels, budget)
-    _emit_document(replace(out, formulas=doc.formulas))
+    grow = partial(dred_complete, doc) if args.dred else partial(complete, doc.graph)
+    # The result goes to the writer as a temporary, held by no local
+    # here, so that the writer can free it before it renders the line.
+    _emit_document(replace(grow(args.levels, budget), formulas=doc.formulas))
     return 0
 
 
@@ -287,11 +302,11 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     rendered = to_dot(_read_document())
     if args.dot == "-":
-        sys.stdout.write(rendered)
+        _write(rendered, sys.stdout)
         return 0
     try:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+            _write(rendered, handle)
     except OSError as e:
         raise SpecValidationError(f"cannot write {args.dot}: {e}") from e
     return 0

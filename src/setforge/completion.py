@@ -18,7 +18,7 @@ steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Iterator
 
 from .errors import BudgetExceededError, SchemaError, SetforgeError
 from .graph import (
@@ -199,9 +199,13 @@ def _priced(g: ExtensionalDigraph, n: int, budget: Budget) -> int:
 
 @dataclass(frozen=True)
 class WitnessFailure:
+    """The last counterexample found to a clause at a level, and how
+    many there were."""
+
     level: int
     clause: str
     detail: str
+    count: int = 1
 
 
 @dataclass(frozen=True)
@@ -210,7 +214,8 @@ class WitnessReport:
 
     ``checked`` lists every (level, clause) combination that was
     checkable given the universe's height; ``failures`` the ones that
-    did not hold, with a concrete counterexample each.
+    did not hold, in the same order, each with its last counterexample
+    and the number of counterexamples.
     """
 
     checked: tuple[tuple[int, str], ...]
@@ -228,6 +233,17 @@ class WitnessReport:
             status = f"FAIL ({f.detail})" if f else "pass"
             lines.append(f"level {level} {clause}: {status}")
         return lines
+
+
+# How the counterexample to a clause checked at level ``n`` is written.
+_DETAILS = {
+    "pairing": lambda n, x0, x1: f"pair {{{x0}, {x1}}} missing at level {n + 1}",
+    "union": lambda n, x: f"union of {x} missing at level {n + 1}",
+    "subsets": lambda n, subset, x: (
+        f"subset {{{', '.join(sorted(subset))}}} of {x} missing at level {n + 1}"
+    ),
+    "power_set": lambda n, x: f"power set of {x} missing at level {n + 2}",
+}
 
 
 def witness_report(u: AnnotatedGraph) -> WitnessReport:
@@ -280,7 +296,13 @@ def witness_report(u: AnnotatedGraph) -> WitnessReport:
     extensional = len(by_extension) == len(g.extensions)
 
     checked: list[tuple[int, str]] = []
-    failures: list[WitnessFailure] = []
+    # The last counterexample to each (level, clause) that failed, and
+    # how many there were; only the last one is written out.
+    missed: dict[tuple[int, str], tuple[int, tuple]] = {}
+
+    def miss(n: int, clause: str, *example: Any) -> None:
+        count, _ = missed.get((n, clause), (0, ()))
+        missed[n, clause] = (count + 1, example)
 
     def represented_in(target: frozenset[NodeId], level: int) -> bool:
         node = by_extension.get(target)
@@ -292,18 +314,14 @@ def witness_report(u: AnnotatedGraph) -> WitnessReport:
         for i, x0 in enumerate(level_nodes):
             for x1 in level_nodes[i:]:
                 if not represented_in(frozenset((x0, x1)), n + 1):
-                    failures.append(
-                        WitnessFailure(n, "pairing", f"pair {{{x0}, {x1}}} missing at level {n + 1}")
-                    )
+                    miss(n, "pairing", x0, x1)
         checked.append((n, "union"))
         for x in level_nodes:
             union: set[NodeId] = set()
             for y in g.extensions[x]:
                 union |= g.extensions[y]
             if not represented_in(frozenset(union), n + 1):
-                failures.append(
-                    WitnessFailure(n, "union", f"union of {x} missing at level {n + 1}")
-                )
+                miss(n, "union", x)
         checked.append((n, "subsets"))
         below: list[frozenset[NodeId]] = []
         for x in level_nodes:
@@ -313,13 +331,7 @@ def witness_report(u: AnnotatedGraph) -> WitnessReport:
                 if z is not None:
                     named.append(z)
                 if z not in u.levels[n + 1]:
-                    failures.append(
-                        WitnessFailure(
-                            n,
-                            "subsets",
-                            f"subset {{{', '.join(sorted(subset))}}} of {x} missing at level {n + 1}",
-                        )
-                    )
+                    miss(n, "subsets", subset, x)
             below.append(frozenset(named))
         if n + 2 <= top:
             checked.append((n, "power_set"))
@@ -328,7 +340,10 @@ def witness_report(u: AnnotatedGraph) -> WitnessReport:
                     ext = g.extensions[x]
                     representatives = frozenset(z for z, zext in g.extensions.items() if zext <= ext)
                 if not represented_in(representatives, n + 2):
-                    failures.append(
-                        WitnessFailure(n, "power_set", f"power set of {x} missing at level {n + 2}")
-                    )
+                    miss(n, "power_set", x)
+    failures = []
+    for n, clause in checked:
+        if (n, clause) in missed:
+            count, example = missed[n, clause]
+            failures.append(WitnessFailure(n, clause, _DETAILS[clause](n, *example), count))
     return WitnessReport(checked=tuple(checked), failures=tuple(failures))

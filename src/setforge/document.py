@@ -19,10 +19,11 @@ import sys
 from bisect import bisect_left
 from collections import defaultdict, deque
 from contextlib import contextmanager
+from functools import partial
 from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, ge, itemgetter, le, lt, not_
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import SchemaError
 from .graph import (
@@ -48,12 +49,13 @@ def _gc_paused() -> Iterator[None]:
     extension maps, so the collector's repeated passes over their
     millions of objects would free nothing.
 
-    Used as a decorator, so the function's locals, the parsed JSON tree
-    among them, are freed before the collector resumes and never
-    scanned. ``cli.main`` runs every command under it, where these
-    nested pauses do nothing; they stay for library callers, who parse
-    and write large documents in-process with the collector on, and
-    would otherwise pay for its passes over every JSON object."""
+    Used as a decorator, or as a block around all of a function's work,
+    so that its temporaries, the parsed JSON tree among them, are freed
+    before the collector resumes and never scanned. ``cli.main`` runs
+    every command under it, where these nested pauses do nothing; they
+    stay for library callers, who parse and write large documents
+    in-process with the collector on, and would otherwise pay for its
+    passes over every JSON object."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -98,42 +100,68 @@ def _dumps(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+class _Parts(NamedTuple):
+    """What a document's line is rendered from, taken out of the record
+    by :func:`_taken`. The parts share the id strings and the provenance
+    objects, but hold no reference to the record, its graph or its
+    frozensets."""
+
+    quoted: list[str]  # the ids, quoted, in id order
+    provenance: list[Provenance]  # in id order
+    runs: list[tuple[int, list[int]]]  # each member's containers, as indices
+    members: list[list[str]]  # each node's members, quoted; last node first
+    lower: list[str] | None  # the encoded levels but the top one
+    blocks: list[tuple[str, list[str]]]  # depth, ranks and formulas, encoded
+
+
 @_gc_paused()
-def _pieces(doc: AnnotatedGraph) -> list[str]:
-    """The pieces of ``doc``'s canonical line, in order, every one built
-    before the list is returned, so that a writer which fails has
-    nothing to print yet."""
+def _taken(doc: AnnotatedGraph) -> _Parts:
+    """The parts of ``doc``'s line: everything the line needs from the
+    record, so that the record can be freed before the pieces, which
+    are about as large as its graph, are rendered."""
     g = doc.graph
     order = g.sorted_nodes()
     quoted = list(map(encode_basestring_ascii, order))
     runs = g.member_runs(dict(zip(order, count())))
     at = quoted.__getitem__
-    edges = [_edge_run(at(m), map(at, cs)) for m, cs in runs]
     # Transposed back, runs in member-id order list each node's members
     # in id order. Reversed, so that each list is popped, and freed, as
     # its entry is made.
     members: list[list[str]] = [[] for _ in order]
     for m, cs in runs:
         deque(map(list.append, map(members.__getitem__, cs), repeat(at(m))), maxlen=0)
-    del runs
     members.reverse()
-    provenance = map(g.provenance.__getitem__, order)
+    lower = None
+    if doc.levels is not None:
+        # The top level is the node set, written from ``quoted``.
+        lower = [_dumps(sorted(level)) for level in doc.levels[:-1]]
+    blocks = []
+    if doc.depth is not None:
+        blocks.append(("depth", [_dumps(doc.depth)]))
+    if doc.ranks is not None:
+        blocks.append(("ranks", [_dumps({str(i): r for i, r in doc.ranks.items()})]))
+    if doc.formulas:
+        blocks.append(("formulas", [_dumps(doc.formulas)]))
+    provenance = list(map(g.provenance.__getitem__, order))
+    return _Parts(quoted, provenance, runs, members, lower, blocks)
+
+
+@_gc_paused()
+def _pieces(parts: _Parts) -> list[str]:
+    """The pieces of the line that ``parts`` were taken for, in order,
+    every one built before the list is returned, so that a writer which
+    fails has nothing to print yet. The per-node member lists are used
+    up."""
+    quoted, provenance, runs, members, lower, blocks = parts
+    at = quoted.__getitem__
     sections = [
-        ("edges", _array(edges)),
+        ("edges", _array([_edge_run(at(m), map(at, cs)) for m, cs in runs])),
         ("format_version", [str(FORMAT_VERSION)]),
         ("nodes", _array([_node_entry(q, p, members.pop()) for q, p in zip(quoted, provenance)])),
+        *blocks,
     ]
-    if doc.levels is not None:
-        # The top level is the node set, already sorted and quoted.
-        lower = [_dumps(sorted(level)) for level in doc.levels[:-1]]
+    if lower is not None:
         sections.append(("levels", _array([*lower, f"[{','.join(quoted)}]"])))
-    del quoted, edges  # freed before the last blocks are encoded
-    if doc.depth is not None:
-        sections.append(("depth", [_dumps(doc.depth)]))
-    if doc.ranks is not None:
-        sections.append(("ranks", [_dumps({str(i): r for i, r in doc.ranks.items()})]))
-    if doc.formulas:
-        sections.append(("formulas", [_dumps(doc.formulas)]))
     pieces = []
     for key, body in sorted(sections, key=itemgetter(0)):
         pieces += (",", f'"{key}":')
@@ -149,14 +177,16 @@ def serialize(doc: AnnotatedGraph) -> str:
     The graph core is written directly, byte for byte as
     ``json.dumps(sort_keys=True)`` writes it: each id is quoted once by
     the encoder's own routine and the edges come as one string per
-    member. The line is the join of the pieces that ``_pieces`` builds;
-    the command line writes those pieces a bounded run at a time
-    instead, so it never holds the joined line. Ids are always ordered
-    raw, as ``sort_keys`` orders them, never quoted: ``"é"`` sorts after
-    ``"a"`` but quotes to ``"\\u00e9"``, which sorts before ``"a"``. The
-    optional blocks go through ``json.dumps`` itself.
+    member. The line is the join of the pieces that ``_pieces`` renders
+    from the parts that ``_taken`` takes out of the record; the command
+    line writes those pieces a bounded run at a time instead, so it
+    never holds the joined line, and drops the record before it renders
+    them. Ids are always ordered raw, as ``sort_keys`` orders them,
+    never quoted: ``"é"`` sorts after ``"a"`` but quotes to
+    ``"\\u00e9"``, which sorts before ``"a"``. The optional blocks go
+    through ``json.dumps`` itself.
     """
-    return "".join(_pieces(doc))
+    return "".join(_pieces(_taken(doc)))
 
 
 def _want(raw: Mapping[str, Any], key: str, kind: type, path: str) -> Any:
@@ -476,7 +506,7 @@ def _check_formulas_by_item(formulas_raw: dict) -> None:
 
 _scan_value = json.JSONDecoder().scan_once
 # About how many characters of ``nodes`` text are decoded at a time.
-_NODES_SLICE = 1 << 18
+_NODES_SLICE = 1 << 16
 _scan_key = json.decoder.scanstring
 _skip_space = json.decoder.WHITESPACE.match
 _first, _second = itemgetter(0), itemgetter(1)
@@ -486,6 +516,11 @@ _SCAN_ERRORS = (StopIteration, ValueError, RecursionError, TypeError)
 
 class _Unproven(Exception):
     """``_proven`` cannot show the document valid; ``_walked`` decides."""
+
+
+# What ``_proven`` returns once the text is shown valid: the document's
+# build, which needs no more of the text.
+_Build = Callable[[], AnnotatedGraph]
 
 
 # What :func:`_grouped` makes of the edges.
@@ -636,11 +671,11 @@ def _decoded(text: str, span: slice) -> _Groups:
         raise _Unproven from None
 
 
-def _claimed(text: str, sections: dict, span: slice) -> AnnotatedGraph:
-    """The document, its deficiency nodes' extensions read from their
-    ``members``, once the ``edges`` text at ``span`` is shown to be
-    exactly what ``serialize`` writes for them; raises ``_Unproven``,
-    never ``SchemaError``, until it is.
+def _claimed(text: str, sections: dict, span: slice) -> _Build:
+    """The build of the document, its deficiency nodes' extensions read
+    from their ``members``, once the ``edges`` text at ``span`` is shown
+    to be exactly what ``serialize`` writes for them; raises
+    ``_Unproven``, never ``SchemaError``, until it is.
 
     Each run of edges from one member is rendered from the deficiency
     nodes that list it and compared with the text. A node without a
@@ -701,20 +736,31 @@ def _claimed(text: str, sections: dict, span: slice) -> AnnotatedGraph:
                     found[other].append(member)
     if not (text.startswith("]", at) and at + 1 == span.stop):
         raise _Unproven
-    # Freed here, they make room for the frozensets.
-    del runs, quoted
     nodes.canon.clear()
+    return partial(_from_members, sections, nodes, found)
+
+
+def _from_members(
+    sections: dict, nodes: _Nodes, found: dict[int, list[NodeId]]
+) -> AnnotatedGraph:
+    """The document :func:`_claimed` proved: each deficiency node's
+    extension its ``members``, and each other node's the members
+    ``found`` in the edges (keyed by its index). Its ids were proven in
+    sorted order, which the graph keeps as its ``sorted_nodes``."""
+    ids, mask = nodes.ids, nodes.deficient
     extensions = dict.fromkeys(ids, frozenset())
-    lists = map(islice, repeat(iter(members)), sizes)
+    lists = map(islice, repeat(iter(nodes.members)), nodes.sizes)
     extensions.update(zip(compress(ids, mask), map(frozenset, lists)))
     extensions.update((ids[x], frozenset(ms)) for x, ms in found.items())
-    return _annotated(sections, ExtensionalDigraph(extensions, nodes.provenance))
+    graph = ExtensionalDigraph(extensions, nodes.provenance)
+    graph.__dict__["_sorted"] = ids
+    return _annotated(sections, graph)
 
 
-def _compared(sections: dict, edges: _Groups, nodes: _Nodes | None = None) -> AnnotatedGraph:
-    """The document, its extensions the edges as :func:`_grouped`
-    grouped them, once the deficiency members agree; ``nodes`` is
-    :func:`_nodes` of ``sections`` where it has run."""
+def _compared(sections: dict, edges: _Groups, nodes: _Nodes | None = None) -> _Build:
+    """The build of the document, its extensions the edges as
+    :func:`_grouped` grouped them, once the deficiency members agree;
+    ``nodes`` is :func:`_nodes` of ``sections`` where it has run."""
     if nodes is None:
         nodes = _nodes(sections)
     ids, mask, members, sizes = nodes.ids, nodes.deficient, nodes.members, nodes.sizes
@@ -733,20 +779,26 @@ def _compared(sections: dict, edges: _Groups, nodes: _Nodes | None = None) -> An
         or claimed == [sorted(set(ms)) for ms in lists]
     ):
         raise _Unproven
-    del claimed, lists
-    # Each member becomes its id's one string object, as on the rendered
-    # path, not the edge end's.
+    return partial(_from_groups, sections, nodes, groups)
+
+
+def _from_groups(
+    sections: dict, nodes: _Nodes, groups: dict[NodeId, list[NodeId]]
+) -> AnnotatedGraph:
+    """The document :func:`_compared` proved, each extension its group
+    of edges. Each member becomes its id's one string object, as on the
+    rendered path, not the edge end's."""
     image = nodes.canon.__getitem__
-    extensions = {x: frozenset(map(image, groups.pop(x, ()))) for x in ids}
-    graph = ExtensionalDigraph(extensions, nodes.provenance)
-    return _annotated(sections, graph)
+    extensions = {x: frozenset(map(image, groups.pop(x, ()))) for x in nodes.ids}
+    return _annotated(sections, ExtensionalDigraph(extensions, nodes.provenance))
 
 
-def _proven(text: str) -> AnnotatedGraph:
-    """The document, read section by section; raises ``_Unproven`` when
-    the edges cannot be shown valid this way, and ``SchemaError`` only
-    once the whole text is known to be JSON and every section before
-    the offending one valid."""
+def _proven(text: str) -> _Build:
+    """The build of the document, read section by section; raises
+    ``_Unproven`` when the edges cannot be shown valid this way, and
+    ``SchemaError`` only once the whole text is known to be JSON and
+    every section before the offending one valid. The build holds no
+    reference to the text, and raises nothing but ``SchemaError``."""
     try:
         sections, edges = _sections(text, spans=True)
         if type(edges) is slice:
@@ -828,7 +880,6 @@ def _annotated(raw: dict, graph: ExtensionalDigraph) -> AnnotatedGraph:
     return AnnotatedGraph(graph, levels, depth, ranks, formulas)
 
 
-@_gc_paused()
 def deserialize(text: str) -> AnnotatedGraph:
     """Parse and validate one document. See the module docstring for
     the shape; violations name the field path.
@@ -837,9 +888,17 @@ def deserialize(text: str) -> AnnotatedGraph:
     edges are grouped by container as soon as they are decoded, before
     the nodes. Only a document that these checks cannot show valid is
     parsed whole and walked item by item, to name the first offending
-    field.
+    field. A document shown valid is built only after the text is
+    dropped here, so a caller that passes the text as a temporary (on
+    Python 3.11+, where a call moves its arguments into the callee)
+    never holds the text and the graph together.
     """
-    try:
-        return _proven(text)
-    except _Unproven:
-        return _walked(text)
+    # A block, not the decorator: the decorator's wrapper would hold
+    # ``text`` for the whole call.
+    with _gc_paused():
+        try:
+            build = _proven(text)
+        except _Unproven:
+            return _walked(text)
+        del text
+        return build()

@@ -8,9 +8,14 @@ and rank annotations are appended to the label when present.
 
 from __future__ import annotations
 
+from itertools import count
+
 from .graph import AnnotatedGraph, Deficiency, ExtensionalDigraph, NodeId, Seed
 
 _SHADES = ("gray92", "gray84", "gray76", "gray68")
+
+# How many lines ``to_dot`` joins into one string as it makes them.
+_BATCH = 1024
 
 
 def _quote(text: str) -> str:
@@ -38,28 +43,49 @@ def _base_label(g: ExtensionalDigraph, x: NodeId) -> str:
     return p.detail
 
 
+def _node_line(
+    g: ExtensionalDigraph, depth: dict | None, top_rank: dict, x: NodeId, q: str
+) -> str:
+    """The line of node ``x``, quoted as ``q``."""
+    label_lines = [_base_label(g, x)]
+    if depth is not None:
+        note = f"d={depth[x]}"
+        if x in top_rank:
+            note += f" r={top_rank[x]}"
+        label_lines.append(note)
+    attrs = f"label={_label_attr(label_lines)}"
+    p = g.provenance[x]
+    if isinstance(p, Deficiency):
+        attrs += _FILLS[min(p.level - 1, len(_FILLS) - 1)]
+    return f"  {q} [{attrs}];"
+
+
 def to_dot(source: AnnotatedGraph) -> str:
     """Render a graph as DOT, with its depths and top rank map when the
-    record carries them.  Each id is quoted once."""
+    record carries them.  Each id is quoted once.
+
+    Lines are joined ``_BATCH`` at a time as they are made, so the text
+    is held in few large strings, not one per line.  The record is
+    dropped once the node lines and the member runs are taken from it,
+    before the edge lines are made and the text is joined, so a caller
+    that passes it as a temporary never holds its graph and the text
+    together."""
     g, depth, ranks = source.graph, source.depth, source.ranks
     top_rank = ranks[max(ranks)] if ranks else {}
     order = g.sorted_nodes()
-    quoted = dict(zip(order, map(_quote, order)))
+    quoted = list(map(_quote, order))
     lines = ['digraph "setforge" {', "  rankdir=BT;"]
-    for x in order:
-        label_lines = [_base_label(g, x)]
-        if depth is not None:
-            note = f"d={depth[x]}"
-            if x in top_rank:
-                note += f" r={top_rank[x]}"
-            label_lines.append(note)
-        attrs = f"label={_label_attr(label_lines)}"
-        p = g.provenance[x]
-        if isinstance(p, Deficiency):
-            attrs += _FILLS[min(p.level - 1, len(_FILLS) - 1)]
-        lines.append(f"  {quoted[x]} [{attrs}];")
-    for q, cs in g.member_runs(quoted):
-        head = f"  {q} -> "
-        lines.append(head + f";\n{head}".join(cs) + ";")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    for i in range(0, len(order), _BATCH):
+        batch = zip(order[i : i + _BATCH], quoted[i : i + _BATCH])
+        lines.append("\n".join([_node_line(g, depth, top_rank, x, q) for x, q in batch]))
+    runs = g.member_runs(dict(zip(order, count())))
+    del source, g, depth, ranks, top_rank, order
+    at = quoted.__getitem__
+    for m, cs in runs:
+        head = f"  {at(m)} -> "
+        for i in range(0, len(cs), _BATCH):
+            lines.append(head + f";\n{head}".join(map(at, cs[i : i + _BATCH])) + ";")
+    del runs, quoted, at
+    # The empty last line ends the text with a newline.
+    lines += ("}", "")
+    return "\n".join(lines)

@@ -100,9 +100,8 @@ def verify_dred(h: AnnotatedGraph) -> DredReport:
     violations: list[DredViolation] = []
     nodes = g.sorted_nodes()
 
-    pair = None
-    if len(set(g.extensions.values())) < len(nodes):
-        pair = extensionality_violation(g)
+    pair = extensionality_violation(g)
+    if pair is not None:
         violations.append(
             DredViolation("extensionality", f"nodes {pair[0]!r} and {pair[1]!r} share an extension")
         )

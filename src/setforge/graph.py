@@ -286,8 +286,11 @@ def extensionality_violation(g: ExtensionalDigraph) -> tuple[NodeId, NodeId] | N
     """First pair of distinct nodes sharing an extension, or None.
 
     "First" is deterministic: the pair with the smallest ids in sorted
-    scan order.
+    scan order.  The ids are sorted and scanned only when the
+    extensions are not all distinct.
     """
+    if len(set(g.extensions.values())) == len(g.extensions):
+        return None
     seen: dict[frozenset[NodeId], NodeId] = {}
     for x in g.sorted_nodes():
         ext = g.extensions[x]

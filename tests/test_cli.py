@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 
 import pytest
 
@@ -1270,16 +1271,21 @@ def test_console_script_pipe_matches_in_process():
 
 
 @pytest.mark.parametrize(
-    "argv, stdin",
-    [(["seed", "quine", "3000"], None), (["complete", "--levels", "1"], ("quine", "12"))],
-    ids=["seed", "complete"],
+    "argv, stdin, first",
+    [
+        (["seed", "quine", "3000"], None, b'{"edges":['),
+        (["complete", "--levels", "1"], ("quine", "12"), b'{"edges":['),
+        (["export", "--dot", "-"], ("quine", "30000"), b'digraph "s'),
+    ],
+    ids=["seed", "complete", "export"],
 )
-def test_console_script_into_a_pipe_closed_early(tmp_path, argv, stdin):
+def test_console_script_into_a_pipe_closed_early(tmp_path, argv, stdin, first):
     """`setforge ARGV | head -c 10`: the reader takes 10 bytes of a
-    document far larger than a pipe's buffer and closes its end. The
-    writer still exits 0, as a document writer does, and writes nothing
-    to stderr: no traceback, and no "Exception ignored" line from the
-    interpreter's flush at exit."""
+    document (or of a DOT text of more than one write) far larger than a
+    pipe's buffer and closes its end. The writer still exits 0, as a
+    document writer does, and writes nothing to stderr: no traceback,
+    and no "Exception ignored" line from the interpreter's flush at
+    exit."""
     command, env = console_command()
     source = None
     if stdin is not None:
@@ -1299,7 +1305,7 @@ def test_console_script_into_a_pipe_closed_early(tmp_path, argv, stdin):
         except subprocess.TimeoutExpired:
             proc.kill()
             raise
-    assert head == b'{"edges":['
+    assert head == first
     assert (proc.returncode, err.decode()) == (0, "")
 
 
@@ -1347,7 +1353,7 @@ def test_documents_are_written_in_runs_as_serialize_writes_them():
     expected = complete(setforge.deserialize(source).graph, 1)
     code, out = emitted(["complete", "--levels", "1"], source)
     assert code == 0 and out.getvalue() == serialize(expected) + "\n"
-    largest = max(map(len, document._pieces(expected)))
+    largest = max(map(len, document._pieces(document._taken(expected))))
     assert len(out.sizes) >= 2 and max(out.sizes) <= cli._WRITE_SIZE + largest
     code, out = emitted(["seed", "vN", "2"], "")
     assert code == 0 and out.sizes == [len(out.getvalue())]
@@ -1396,6 +1402,39 @@ def test_emitting_a_document_never_holds_the_joined_line(monkeypatch):
     line = len(serialize(doc))
     assert line > 1 << 20
     assert peak(cli._emit_document) < peak(serialize) - line // 2
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 a call's arguments stay on the caller's stack until it returns",
+)
+def test_the_writer_frees_a_temporary_record_before_it_renders(monkeypatch):
+    """A record that only the call holds is freed once the writer has
+    taken its parts: its graph is gone by the first node entry."""
+
+    class Discard:
+        def write(self, text: str) -> None:
+            pass
+
+    graphs = []
+
+    def make_record() -> AnnotatedGraph:
+        doc = complete(quine_atoms([f"q{i}" for i in range(12)]), 1)
+        graphs.append(weakref.ref(doc.graph))
+        return doc
+
+    entry = document._node_entry
+    alive = []
+
+    def checked(q, p, members):
+        if not alive:
+            alive.append(graphs[0]() is not None)
+        return entry(q, p, members)
+
+    monkeypatch.setattr(document, "_node_entry", checked)
+    monkeypatch.setattr(sys, "stdout", Discard())
+    cli._emit_document(make_record())
+    assert alive == [False]
 
 
 # -- ids that no UTF-8 text can carry -----------------------------------------

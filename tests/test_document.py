@@ -5,7 +5,9 @@ import gc
 import json
 import pathlib
 import random
+import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -879,6 +881,70 @@ def test_reading_holds_less_than_the_parsed_tree():
             tracemalloc.stop()
 
     assert peak(deserialize) < peak(json.loads)
+
+
+def twelve_atoms_completion() -> AnnotatedGraph:
+    """The 1.8 MB completion of twelve quine atoms."""
+    return complete(quine_atoms([f"q{i}" for i in range(12)]), 1)
+
+
+def test_the_proof_stage_keeps_no_reference_to_the_text():
+    """``deserialize`` proves the text before it builds the record; what
+    the proof returns for the build holds no reference to the text."""
+    text = serialize(twelve_atoms_completion())
+    before = sys.getrefcount(text)
+    build = document._proven(text)
+    assert sys.getrefcount(text) == before
+    assert build() == reference_deserialize(text)
+
+
+def test_the_take_stage_keeps_no_reference_to_the_record():
+    """The writer takes from the record what the line needs before it
+    renders the pieces: once the record is dropped, its graph is freed
+    while the parts still render the whole line."""
+    doc = twelve_atoms_completion()
+    expected = serialize(doc)
+    graph = weakref.ref(doc.graph)
+    parts = document._taken(doc)
+    del doc
+    assert graph() is None
+    assert "".join(document._pieces(parts)) == expected
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 a call's arguments stay on the caller's stack until it returns",
+)
+def test_a_text_passed_as_a_temporary_is_freed_before_the_build():
+    """Allocated bytes, not time: a read of a text that only the call
+    holds peaks at least half the text below the same read with the
+    caller holding the text too."""
+    data = serialize(twelve_atoms_completion()).encode("utf-8")
+
+    def held() -> AnnotatedGraph:
+        text = data.decode("utf-8")
+        return deserialize(text)
+
+    def temporary() -> AnnotatedGraph:
+        return deserialize(data.decode("utf-8"))
+
+    def peak(read) -> int:
+        tracemalloc.start()
+        try:
+            read()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert held() == temporary()
+    assert peak(temporary) <= peak(held) - len(data) // 2
+
+
+def test_a_read_completion_keeps_its_proven_id_order():
+    """The ids of a completion read from its members are proven in
+    order; the graph keeps them as its sorted order."""
+    g = deserialize(serialize(twelve_atoms_completion())).graph
+    assert g.__dict__["_sorted"] == sorted(g.nodes)
 
 
 @pytest.mark.parametrize("enabled", [True, False])
