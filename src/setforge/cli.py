@@ -17,20 +17,22 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
 from itertools import accumulate, groupby, repeat
 from operator import floordiv, itemgetter
-from typing import Any, Sequence, TextIO
+from typing import Any, Iterator, Sequence, TextIO
 
 from .completion import Budget, DEFAULT_BUDGET, _priced, complete, witness_report
 from .document import _gc_paused, _pieces, _taken, deserialize
-from .dot import to_dot
+from .dot import _pieces as _dot_pieces
 from .dred import dred_complete, verify_dred
 from .errors import (
     BudgetExceededError,
     DredConditionError,
     ParseError,
+    SchemaError,
     SetforgeError,
     SizeLimitError,
     SpecValidationError,
@@ -42,8 +44,8 @@ from .seeds import AtomDecl, CodeSpec, TupleDecl, assemble, quine_atoms, von_neu
 
 _BUDGET_ENV = "SETFORGE_BUDGET"
 
-# Characters handed to a stream in one write: a document is never
-# joined into one line in memory, and a DOT text is written in slices.
+# About how many characters are handed to a stream in one write: a
+# document or a DOT text is never joined whole in memory.
 _WRITE_SIZE = 1 << 20
 
 
@@ -84,14 +86,34 @@ class _Unread:
             os.close(devnull)
 
 
+@contextmanager
+def _in_utf8(stream: Any) -> Iterator[None]:
+    """``stream`` writing UTF-8 for the block, whatever the locale or
+    ``PYTHONIOENCODING`` chose, where its encoding can be set (a
+    ``StringIO`` has none to set)."""
+    reconfigure = getattr(stream, "reconfigure", None)
+    if reconfigure is None:
+        yield
+        return
+    encoding, errors = stream.encoding, stream.errors
+    reconfigure(encoding="utf-8", errors=errors)
+    try:
+        yield
+    finally:
+        reconfigure(encoding=encoding, errors=errors)
+
+
 def _read_document() -> AnnotatedGraph:
-    return deserialize(sys.stdin.read())
+    """The document on stdin, read as bytes where the stream has them,
+    so that the whole input is never held decoded too: ``deserialize``
+    decodes what it must strictly as UTF-8, whatever the locale."""
+    stdin = sys.stdin
+    return deserialize(getattr(stdin, "buffer", stdin).read())
 
 
 def _emit_document(doc: AnnotatedGraph) -> None:
-    """Write ``serialize(doc)`` and a newline, joined in runs of about
-    ``_WRITE_SIZE`` characters: each piece goes into the run in which
-    its end falls. Every piece exists before the first write.
+    """Write ``serialize(doc)`` and a newline in runs (:func:`_write_runs`).
+    Every piece exists before the first write.
 
     The record is dropped once the line's parts are taken from it, so a
     caller that passes it as a temporary (on Python 3.11+, where a call
@@ -102,16 +124,17 @@ def _emit_document(doc: AnnotatedGraph) -> None:
     pieces = _pieces(parts)
     del parts
     pieces.append("\n")
+    _write_runs(pieces, sys.stdout)
+
+
+def _write_runs(pieces: list[str], stream: Any) -> None:
+    """Write the join of ``pieces`` to ``stream`` in runs of about
+    ``_WRITE_SIZE`` characters, each piece in the run in which its end
+    falls, so that neither the joined text nor an encoded copy of it is
+    ever made."""
     runs = map(floordiv, accumulate(map(len, pieces)), repeat(_WRITE_SIZE))
     for _, run in groupby(zip(runs, pieces), key=itemgetter(0)):
-        sys.stdout.write("".join(map(itemgetter(1), run)))
-
-
-def _write(text: str, stream: Any) -> None:
-    """Write ``text`` to ``stream`` in slices of ``_WRITE_SIZE``
-    characters, so that no encoded copy of the whole text is made."""
-    for start in range(0, len(text), _WRITE_SIZE):
-        stream.write(text[start : start + _WRITE_SIZE])
+        stream.write("".join(map(itemgetter(1), run)))
 
 
 def _spec_from_json(raw: Any) -> tuple[CodeSpec, dict[str, str]]:
@@ -300,13 +323,13 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    rendered = to_dot(_read_document())
+    pieces = _dot_pieces(_read_document())
     if args.dot == "-":
-        _write(rendered, sys.stdout)
+        _write_runs(pieces, sys.stdout)
         return 0
     try:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            _write(rendered, handle)
+            _write_runs(pieces, handle)
     except OSError as e:
         raise SpecValidationError(f"cannot write {args.dot}: {e}") from e
     return 0
@@ -316,10 +339,14 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     docs = []
     for path in (args.a, args.b):
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "rb") as handle:
                 docs.append(deserialize(handle.read()))
-        except (OSError, UnicodeDecodeError) as e:
+        except OSError as e:
             raise SpecValidationError(f"cannot read {path}: {e}") from e
+        except SchemaError as e:
+            if isinstance(e.__cause__, UnicodeDecodeError):
+                raise SpecValidationError(f"cannot read {path}: {e.__cause__}") from e
+            raise
     a, b = docs
     if a == b:
         print("diff\tidentical\t" if args.porcelain else "identical")
@@ -407,7 +434,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Documents, graphs, oracle values and colour keys hold no
         # reference cycles, so the cyclic collector's passes over the
         # objects a command allocates would free nothing.
-        with _gc_paused():
+        with _gc_paused(), _in_utf8(stdout):
             return args.func(args)
     except BudgetExceededError as e:
         print(f"budget exceeded: {e}", file=sys.stderr)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 import sys
 from bisect import bisect_left
 from collections import defaultdict, deque
@@ -493,24 +494,36 @@ def _check_formulas_by_item(formulas_raw: dict) -> None:
 
 # -- reading -----------------------------------------------------------------
 #
-# A document is read by one of two paths. ``_proven`` decodes the
-# top-level object one member at a time and keeps each section only as
-# long as it must; it returns a document only when it has shown the
-# text valid. Where the document has deficiency nodes, it first tries
-# to show the ``edges`` text by rendering it from their ``members``
+# A document is read as UTF-8 bytes, by one of two paths. ``_proven``
+# decodes the top-level object one member at a time, each from a
+# bounded slice of the bytes, and keeps each section only as long as it
+# must; it returns a document only when it has shown the bytes valid.
+# Where the document has deficiency nodes, it first tries to show the
+# ``edges`` bytes by rendering them from their ``members``
 # (``_claimed``), and decodes the edges only when that fails. Anything
-# it cannot show, a JSON error included, goes to ``_walked``, which
-# parses the whole text with ``json.loads`` and walks the edges, and any
-# section that fails its bulk check, item by item, so that the first
-# error in section order is named.
+# it cannot show, invalid UTF-8 or JSON included, goes to ``_walked``,
+# which decodes the whole input, parses it with ``json.loads`` and
+# walks the edges, and any section that fails its bulk check, item by
+# item, so that the first error in section order is named.
 
 _scan_value = json.JSONDecoder().scan_once
-# About how many characters of ``nodes`` text are decoded at a time.
+# About how many bytes of ``nodes`` are decoded at a time.
 _NODES_SLICE = 1 << 16
+# How many ids go into one piece of a rendered run or level.
+_JOIN = 1 << 12
 _scan_key = json.decoder.scanstring
-_skip_space = json.decoder.WHITESPACE.match
+# JSON's whitespace, as ``json.decoder.WHITESPACE`` matches it in text.
+_skip_space = re.compile(rb"[ \t\n\r]*").match
+# A JSON string, from its opening quote to its closing one.
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"')
+# The sections a document can have, in the order ``serialize`` writes
+# them; a key that names one is where the bytes that a value before it
+# fills are first guessed to end.
+_SECTIONS = ("depth", "edges", "format_version", "formulas", "levels", "nodes", "ranks")
+_SECTION_KEY = re.compile(b'"(?:%b)"' % "|".join(_SECTIONS).encode())
 _first, _second = itemgetter(0), itemgetter(1)
-# Not JSON, edge ends that cannot be ordered or hashed, or not a str.
+# Not UTF-8 or not JSON, edge ends that cannot be ordered or hashed, or
+# not a str.
 _SCAN_ERRORS = (StopIteration, ValueError, RecursionError, TypeError)
 
 
@@ -518,13 +531,21 @@ class _Unproven(Exception):
     """``_proven`` cannot show the document valid; ``_walked`` decides."""
 
 
-# What ``_proven`` returns once the text is shown valid: the document's
-# build, which needs no more of the text.
+# What ``_proven`` returns once the bytes are shown valid: the
+# document's build, which needs no more of them.
 _Build = Callable[[], AnnotatedGraph]
 
 
 # What :func:`_grouped` makes of the edges.
 _Groups = tuple[dict[NodeId, list[NodeId]], dict[NodeId, NodeId]]
+
+
+class _Top(NamedTuple):
+    """A ``levels`` value as :func:`_topped` leaves it: its levels but
+    the top one, decoded, and the place of the top one in the bytes."""
+
+    lower: list
+    span: slice
 
 
 def _ascending(flat: list[NodeId], sizes: list[int]) -> bool:
@@ -552,85 +573,144 @@ def _grouped(edges: Any) -> _Groups:
     return groups, canon
 
 
-def _sections(text: str, spans: bool = False) -> tuple[dict[str, Any], Any]:
-    """The top-level members of ``text`` but ``edges``, and ``edges``
+def _key(data: bytes, at: int) -> tuple[str, int]:
+    """The key that starts at ``at``, decoded by
+    ``json.decoder.scanstring``, and the index past it."""
+    string = _STRING.match(data, at)
+    if string is None:
+        raise _Unproven
+    return _scan_key(str(string[0], "utf-8"), 1)[0], string.end()
+
+
+def _value(data: bytes, at: int, key: str) -> tuple[Any, int]:
+    """The value of ``key`` that starts at ``at``, as the scanner
+    decodes it, and the index past it.
+
+    It is decoded from a window of the bytes, first up to the next key
+    that names a section, where a document ``serialize`` writes ends
+    it; the last section it writes runs to the end, so its window is the
+    rest of the bytes at once. A window that does not hold the whole
+    value fails to scan; the next one reaches at least twice as far, and
+    the last is the rest of the bytes, where a failure is the value's
+    own. A value that scans in a window is the one the whole input
+    holds: where the scanner stopped only for the end of the window, the
+    next key's quote ends it there too; and where it stopped before that
+    end, it stopped on a byte that the whole input has too.
+    """
+    stop = len(data) if key == _SECTIONS[-1] else at
+    while True:
+        found = stop < len(data) and _SECTION_KEY.search(data, 2 * stop - at + 1)
+        stop = found.start() if found else len(data)
+        window = str(memoryview(data)[at:stop], "utf-8")
+        try:
+            value, end = _scan_value(window, 0)
+        except _SCAN_ERRORS:
+            if not found:
+                raise
+            continue
+        return value, at + (end if window.isascii() else len(window[:end].encode()))
+
+
+def _edges_end(data: bytes, at: int) -> int:
+    """Where the ``edges`` value at ``at``, ``[[`` or ``[]``, is guessed
+    to end (its closing ``]]``): before ``,"format_version":`` when that
+    follows, as it follows every ``edges`` that ``serialize`` writes, and
+    otherwise at the first ``]]``. The longer needle is found in about a
+    third of the time."""
+    if not data.startswith(b"[[", at):
+        return at
+    close = data.find(b']],"format_version":', at)
+    if close < 0:
+        close = data.find(b"]]", at)
+    if close < 0:
+        raise _Unproven
+    return close
+
+
+def _sections(data: bytes, spans: bool = False) -> tuple[dict[str, Any], Any]:
+    """The top-level members of ``data`` but ``edges``, and ``edges``
     as :func:`_grouped` groups it on arrival, before the next member is
     decoded.
 
     With ``spans``, an ``edges`` value that starts as ``serialize``
-    writes one (``[[`` or ``[]``) is not decoded: its place in the text
-    comes back as a ``slice``, which ends at the first ``]]`` after its
-    start. That end is a guess, which :func:`_claimed` must confirm; a
-    repeated ``edges`` key is not guessed at. A ``nodes`` value that
-    starts as ``serialize`` writes one (``[{``) is read by
-    :func:`_sliced` into columns, never decoded whole.
+    writes one (``[[`` or ``[]``) is not decoded: its place in the
+    bytes comes back as a ``slice``, which ends at the first ``]]``
+    after its start. That end is a guess, which :func:`_claimed` must
+    confirm; a repeated ``edges`` key is not guessed at. A ``nodes``
+    value that starts as ``serialize`` writes one (``[{``) is read by
+    :func:`_sliced` into columns, never decoded whole. Once ``edges`` is
+    such a slice, a ``levels`` value that starts as ``serialize`` writes
+    one (``[[``) is left to :func:`_topped`: its top level, all of the
+    ids, is not decoded either.
 
     Keys go through ``json.decoder.scanstring`` and values through the
     scanner that ``json.loads`` uses, with the same whitespace between
-    them, so every value is the one ``json.loads`` would build; a
-    repeated key keeps its last value, as there. Raises ``_Unproven``
-    for anything but one object that fills the text and has ``edges``.
+    them, so every value is the one ``json.loads`` would build from the
+    decoded text; a repeated key keeps its last value, as there. Each is
+    decoded strictly as UTF-8 from the bytes it fills (:func:`_key`,
+    :func:`_value`); the bytes between them must be JSON's whitespace
+    and punctuation. Raises ``_Unproven`` for anything but one object
+    that fills the bytes and has ``edges``.
     """
     sections: dict[str, Any] = {}
     edges = None
     try:
-        at = _skip_space(text, 0).end()
-        if text[at : at + 1] != "{":
+        at = _skip_space(data).end()
+        if data[at : at + 1] != b"{":
             raise _Unproven
-        at = _skip_space(text, at + 1).end()
+        at = _skip_space(data, at + 1).end()
         while True:
-            if text[at : at + 1] != '"':
+            key, at = _key(data, at)
+            at = _skip_space(data, at).end()
+            if data[at : at + 1] != b":":
                 raise _Unproven
-            key, at = _scan_key(text, at + 1)
-            at = _skip_space(text, at).end()
-            if text[at : at + 1] != ":":
-                raise _Unproven
-            at = _skip_space(text, at + 1).end()
-            if key == "nodes" and spans and text.startswith("[{", at):
-                sections[key], at = _sliced(text, at)
+            at = _skip_space(data, at + 1).end()
+            if key == "nodes" and spans and data.startswith(b"[{", at):
+                sections[key], at = _sliced(data, at)
+            elif key == "levels" and type(edges) is slice and data.startswith(b"[[", at):
+                sections[key], at = _topped(data, at)
             elif key != "edges":
-                sections[key], at = _scan_value(text, at)
+                sections[key], at = _value(data, at, key)
             elif type(edges) is slice:
                 raise _Unproven  # the last value wins; the guess would go unconfirmed
-            elif spans and text.startswith(("[[", "[]"), at):
-                close = text.find("]]", at) if text[at + 1] == "[" else at
-                if close < 0:
-                    raise _Unproven
+            elif spans and data.startswith((b"[[", b"[]"), at):
+                close = _edges_end(data, at)
                 edges, at = slice(at, close + 2), close + 2
             else:
-                value, at = _scan_value(text, at)
+                value, at = _value(data, at, key)
                 edges = _grouped(value)
                 del value  # freed before the next value is decoded
-            at = _skip_space(text, at).end()
-            if text[at : at + 1] != ",":
+            at = _skip_space(data, at).end()
+            if data[at : at + 1] != b",":
                 break
-            at = _skip_space(text, at + 1).end()
+            at = _skip_space(data, at + 1).end()
     except _SCAN_ERRORS:
         raise _Unproven from None
-    if text[at : at + 1] != "}" or _skip_space(text, at + 1).end() != len(text) or edges is None:
+    if data[at : at + 1] != b"}" or _skip_space(data, at + 1).end() != len(data) or edges is None:
         raise _Unproven
     return sections, edges
 
 
-def _sliced(text: str, at: int) -> tuple[_Nodes, int]:
+def _sliced(data: bytes, at: int) -> tuple[_Nodes, int]:
     """The ``nodes`` array at ``at`` read into columns about
-    ``_NODES_SLICE`` characters at a time, and the index past its end.
+    ``_NODES_SLICE`` bytes at a time, and the index past its end.
 
     The array is guessed to end at its first ``}}]``, where every
     array ``serialize`` writes ends. Each slice is cut just before a
-    ``,{"id":`` and decoded by the scanner as an array of its own; it is
+    ``,{"id":``, decoded strictly as UTF-8 (a cut never splits a
+    character) and decoded by the scanner as an array of its own; it is
     accepted only if it scans to exactly its own end, so the slices
     together hold exactly the values of the whole array, whatever the
     cuts fell into. Anything else raises ``_Unproven``.
     """
-    close = text.find("}}]", at)
+    close = data.find(b"}}]", at)
     if close < 0:
         raise _Unproven
-    nodes = _Nodes()
+    nodes, view = _Nodes(), memoryview(data)
     start = at + 1
     while True:
-        cut = text.find(',{"id":', start + _NODES_SLICE, close)
-        piece = f"[{text[start : close + 2 if cut < 0 else cut]}]"
+        cut = data.find(b',{"id":', start + _NODES_SLICE, close)
+        piece = f"[{str(view[start : close + 2 if cut < 0 else cut], 'utf-8')}]"
         value, end = _scan_value(piece, 0)
         if end != len(piece) or not nodes.add(value):
             raise _Unproven
@@ -640,6 +720,24 @@ def _sliced(text: str, at: int) -> tuple[_Nodes, int]:
     if not nodes.distinct():
         raise _Unproven
     return nodes, close + 3
+
+
+def _topped(data: bytes, at: int) -> tuple[_Top, int]:
+    """The ``levels`` array at ``at``, its top level left in place, and
+    the index past its end.
+
+    The array is guessed to end at its first ``]]``, and its top level
+    to start after the last ``],[`` before that; the levels before it
+    are decoded as an array of their own, which must scan to exactly its
+    end. :func:`_claimed` confirms the top level by rendering it from
+    the ids, or decodes it where it reads no members."""
+    close = data.find(b"]]", at)
+    if close < 0:
+        raise _Unproven
+    cut = data.rfind(b"],[", at, close)
+    if cut < 0:
+        return _Top([], slice(at + 1, close + 1)), close + 2
+    return _Top(_spanned(data, slice(at, cut + 1), b"]"), slice(cut + 2, close + 1)), close + 2
 
 
 def _nodes(raw: dict) -> _Nodes:
@@ -659,38 +757,70 @@ def _nodes(raw: dict) -> _Nodes:
     return nodes
 
 
-def _decoded(text: str, span: slice) -> _Groups:
+def _spanned(data: bytes, span: slice, close: bytes = b"") -> Any:
+    """The value that the bytes at ``span``, and ``close`` after them,
+    hold exactly, as the scanner decodes it."""
+    try:
+        text = str(data[span] + close, "utf-8")
+        value, end = _scan_value(text, 0)
+    except _SCAN_ERRORS:
+        raise _Unproven from None
+    if end != len(text):
+        raise _Unproven
+    return value
+
+
+def _decoded(data: bytes, span: slice) -> _Groups:
     """The edges at ``span``, decoded and grouped by :func:`_grouped`,
     once the scanner ends them where the guess did."""
     try:
-        value, end = _scan_value(text, span.start)
-        if end != span.stop:
-            raise _Unproven
-        return _grouped(value)
-    except _SCAN_ERRORS:
+        return _grouped(_spanned(data, span))
+    except TypeError:
         raise _Unproven from None
 
 
-def _claimed(text: str, sections: dict, span: slice) -> _Build:
-    """The build of the document, its deficiency nodes' extensions read
-    from their ``members``, once the ``edges`` text at ``span`` is shown
-    to be exactly what ``serialize`` writes for them; raises
-    ``_Unproven``, never ``SchemaError``, until it is.
+def _matched(data: bytes, at: int, pieces: Iterable[bytes]) -> int:
+    """The index past ``pieces``, found in ``data`` one after the other
+    from ``at``; raises ``_Unproven`` where one is not there."""
+    for piece in pieces:
+        if not data.startswith(piece, at):
+            raise _Unproven
+        at += len(piece)
+    return at
 
-    Each run of edges from one member is rendered from the deficiency
-    nodes that list it and compared with the text. A node without a
-    ``members`` list can only be tested: it is looked for at its sorted
-    place in every run, so the runs times those nodes must stay within
-    the node count. Without deficiency nodes nothing claims the edges,
-    and they are decoded after all.
+
+def _joined(items: list[bytes], sep: bytes) -> Iterator[bytes]:
+    """``sep.join(items)`` in pieces of up to ``_JOIN`` items, so that
+    the join is never made whole."""
+    for i in range(0, len(items), _JOIN):
+        yield (sep if i else b"") + sep.join(items[i : i + _JOIN])
+
+
+def _claimed(data: bytes, sections: dict, span: slice) -> _Build:
+    """The build of the document, its deficiency nodes' extensions read
+    from their ``members``, once the ``edges`` bytes at ``span`` are
+    shown to be exactly what ``serialize`` writes for them; raises
+    ``_Unproven``, never ``SchemaError``, until they are.
+
+    Each run of edges from one member is rendered, in bytes, from the
+    deficiency nodes that list it and compared with the document. A node
+    without a ``members`` list can only be tested: it is looked for at
+    its sorted place in every run, so the runs times those nodes must
+    stay within the node count. The top ``levels`` entry that
+    :func:`_topped` left in place is rendered from the ids and compared
+    too. Without deficiency nodes nothing claims the edges, and they are
+    decoded after all, with that entry.
     """
     try:
         nodes = _nodes(sections)
     except SchemaError:
         raise _Unproven from None
     ids, mask, members, sizes = nodes.ids, nodes.deficient, nodes.members, nodes.sizes
+    top = sections.get("levels")
     if not any(mask):
-        return _compared(sections, _decoded(text, span), nodes)
+        if type(top) is _Top:
+            sections["levels"] = [*top.lower, _spanned(data, top.span)]
+        return _compared(sections, _decoded(data, span), nodes)
     # Strictly sorted ids, no member but an id (``canon`` holds both)
     # and strictly sorted members.
     if not (
@@ -707,35 +837,41 @@ def _claimed(text: str, sections: dict, span: slice) -> _Build:
     others = list(compress(count(), map(not_, mask)))
     if len(runs) * len(others) > len(ids):
         raise _Unproven
-    quoted = list(map(encode_basestring_ascii, ids))
+    quoted = list(map(str.encode, map(encode_basestring_ascii, ids)))
     found: defaultdict[int, list[NodeId]] = defaultdict(list)
-    at, gap = span.start + 1, ""
+    at, gap = span.start + 1, b""
     for member in sorted(runs):
-        q, into = encode_basestring_ascii(member), runs[member]
-        head, done = f"[{q},", 0
+        into = runs[member]
+        head, done = b"[%b," % encode_basestring_ascii(member).encode(), 0
+        between = b"]," + head
         # ``len(ids)`` sorts after every container: it ends the run.
         for other in [*others, len(ids)]:
             place = bisect_left(into, other, done)
             if place > done:
-                piece = gap + _edge_run(q, map(quoted.__getitem__, into[done:place]))
-                if not text.startswith(piece, at):
-                    raise _Unproven
-                at, gap, done = at + len(piece), ",", place
+                run = list(map(quoted.__getitem__, into[done:place]))
+                at = _matched(data, at, chain([gap + head], _joined(run, between), [b"]"]))
+                gap, done = b",", place
             if other < len(ids):
                 # The container is compared first and nothing is copied,
                 # so a miss costs no pass over a long member id.
                 c = quoted[other]
                 end = at + len(gap) + len(head) + len(c)
                 if (
-                    text.startswith(c, end - len(c))
-                    and text.startswith("]", end)
-                    and text.startswith(gap, at)
-                    and text.startswith(head, at + len(gap))
+                    data.startswith(c, end - len(c))
+                    and data.startswith(b"]", end)
+                    and data.startswith(gap, at)
+                    and data.startswith(head, at + len(gap))
                 ):
-                    at, gap = end + 1, ","
+                    at, gap = end + 1, b","
                     found[other].append(member)
-    if not (text.startswith("]", at) and at + 1 == span.stop):
+    if not (data.startswith(b"]", at) and at + 1 == span.stop):
         raise _Unproven
+    if type(top) is _Top:
+        # The top level as the writer renders it: every id, in order.
+        rendered = chain([b"["], _joined(quoted, b","), [b"]"])
+        if _matched(data, top.span.start, rendered) != top.span.stop:
+            raise _Unproven
+        sections["levels"] = [*top.lower, ids]
     nodes.canon.clear()
     return partial(_from_members, sections, nodes, found)
 
@@ -793,24 +929,30 @@ def _from_groups(
     return _annotated(sections, ExtensionalDigraph(extensions, nodes.provenance))
 
 
-def _proven(text: str) -> _Build:
+def _proven(data: bytes) -> _Build:
     """The build of the document, read section by section; raises
     ``_Unproven`` when the edges cannot be shown valid this way, and
-    ``SchemaError`` only once the whole text is known to be JSON and
-    every section before the offending one valid. The build holds no
-    reference to the text, and raises nothing but ``SchemaError``."""
+    ``SchemaError`` only once all of ``data`` is known to be UTF-8 and
+    JSON and every section before the offending one valid. The build
+    holds no reference to ``data``, and raises nothing but
+    ``SchemaError``."""
     try:
-        sections, edges = _sections(text, spans=True)
+        sections, edges = _sections(data, spans=True)
         if type(edges) is slice:
-            return _claimed(text, sections, edges)
+            return _claimed(data, sections, edges)
     except _Unproven:
-        sections, edges = _sections(text)
+        sections, edges = _sections(data)
     return _compared(sections, edges)
 
 
-def _walked(text: str) -> AnnotatedGraph:
-    """The document, read as ``json.loads`` parses it, the nodes and
-    edges walked item by item to name the first offending field."""
+def _walked(data: bytes, errors: str) -> AnnotatedGraph:
+    """The document, decoded with ``errors`` and read as ``json.loads``
+    parses it, the nodes and edges walked item by item to name the first
+    offending field."""
+    try:
+        text = data.decode("utf-8", errors)
+    except UnicodeDecodeError as e:
+        raise SchemaError("$", f"invalid UTF-8 at byte {e.start}: {e.reason}") from e
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
@@ -821,6 +963,7 @@ def _walked(text: str) -> AnnotatedGraph:
         raise SchemaError(
             "$", f"invalid JSON: integers have at most {sys.get_int_max_str_digits()} digits"
         ) from e
+    del text
     if not isinstance(raw, dict):
         raise SchemaError("$", "document must be a JSON object")
     nodes = _nodes(raw)
@@ -880,25 +1023,34 @@ def _annotated(raw: dict, graph: ExtensionalDigraph) -> AnnotatedGraph:
     return AnnotatedGraph(graph, levels, depth, ranks, formulas)
 
 
-def deserialize(text: str) -> AnnotatedGraph:
-    """Parse and validate one document. See the module docstring for
-    the shape; violations name the field path.
+def deserialize(text: str | bytes) -> AnnotatedGraph:
+    """Parse and validate one document, given as UTF-8 bytes or as the
+    text they decode to. See the module docstring for the shape;
+    violations name the field path.
 
-    The sections are decoded one at a time and checked in bulk; the
-    edges are grouped by container as soon as they are decoded, before
-    the nodes. Only a document that these checks cannot show valid is
-    parsed whole and walked item by item, to name the first offending
-    field. A document shown valid is built only after the text is
-    dropped here, so a caller that passes the text as a temporary (on
-    Python 3.11+, where a call moves its arguments into the callee)
-    never holds the text and the graph together.
+    Bytes are read as they are: only bounded slices are decoded, and
+    bytes that are not UTF-8 are refused at ``$`` with their offset. A
+    ``str`` is encoded once on entry and the encoded copy read; the
+    encoding passes lone surrogates through, so that a document the
+    proof cannot show is walked as exactly that text. The sections are
+    decoded one at a time and checked in bulk; the edges are grouped by
+    container as soon as they are decoded, before the nodes. Only a
+    document that these checks cannot show valid is decoded whole,
+    parsed and walked item by item, to name the first offending field.
+    A document shown valid is built only after the input is dropped
+    here, so a caller that passes it as a temporary (on Python 3.11+,
+    where a call moves its arguments into the callee) never holds the
+    input and the graph together.
     """
     # A block, not the decorator: the decorator's wrapper would hold
     # ``text`` for the whole call.
     with _gc_paused():
-        try:
-            build = _proven(text)
-        except _Unproven:
-            return _walked(text)
+        errors = "surrogatepass" if isinstance(text, str) else "strict"
+        data = text.encode("utf-8", errors) if isinstance(text, str) else text
         del text
+        try:
+            build = _proven(data)
+        except _Unproven:
+            return _walked(data, errors)
+        del data
         return build()

@@ -14,7 +14,7 @@ from .graph import AnnotatedGraph, Deficiency, ExtensionalDigraph, NodeId, Seed
 
 _SHADES = ("gray92", "gray84", "gray76", "gray68")
 
-# How many lines ``to_dot`` joins into one string as it makes them.
+# How many lines ``_pieces`` joins into one piece as it makes them.
 _BATCH = 1024
 
 
@@ -46,7 +46,7 @@ def _base_label(g: ExtensionalDigraph, x: NodeId) -> str:
 def _node_line(
     g: ExtensionalDigraph, depth: dict | None, top_rank: dict, x: NodeId, q: str
 ) -> str:
-    """The line of node ``x``, quoted as ``q``."""
+    """The line of node ``x``, quoted as ``q``, with its newline."""
     label_lines = [_base_label(g, x)]
     if depth is not None:
         note = f"d={depth[x]}"
@@ -57,35 +57,38 @@ def _node_line(
     p = g.provenance[x]
     if isinstance(p, Deficiency):
         attrs += _FILLS[min(p.level - 1, len(_FILLS) - 1)]
-    return f"  {q} [{attrs}];"
+    return f"  {q} [{attrs}];\n"
 
 
-def to_dot(source: AnnotatedGraph) -> str:
-    """Render a graph as DOT, with its depths and top rank map when the
-    record carries them.  Each id is quoted once.
+def _pieces(source: AnnotatedGraph) -> list[str]:
+    """The pieces of the DOT text of ``source``, in order, each up to
+    ``_BATCH`` whole lines. Each id is quoted once.
 
-    Lines are joined ``_BATCH`` at a time as they are made, so the text
-    is held in few large strings, not one per line.  The record is
-    dropped once the node lines and the member runs are taken from it,
-    before the edge lines are made and the text is joined, so a caller
-    that passes it as a temporary never holds its graph and the text
+    The record is dropped once the node lines and the member runs are
+    taken from it, before the edge lines are made, so a caller that
+    passes it as a temporary never holds its graph and the edge lines
     together."""
     g, depth, ranks = source.graph, source.depth, source.ranks
     top_rank = ranks[max(ranks)] if ranks else {}
     order = g.sorted_nodes()
     quoted = list(map(_quote, order))
-    lines = ['digraph "setforge" {', "  rankdir=BT;"]
+    pieces = ['digraph "setforge" {\n  rankdir=BT;\n']
     for i in range(0, len(order), _BATCH):
         batch = zip(order[i : i + _BATCH], quoted[i : i + _BATCH])
-        lines.append("\n".join([_node_line(g, depth, top_rank, x, q) for x, q in batch]))
+        pieces.append("".join([_node_line(g, depth, top_rank, x, q) for x, q in batch]))
     runs = g.member_runs(dict(zip(order, count())))
     del source, g, depth, ranks, top_rank, order
     at = quoted.__getitem__
     for m, cs in runs:
         head = f"  {at(m)} -> "
         for i in range(0, len(cs), _BATCH):
-            lines.append(head + f";\n{head}".join(map(at, cs[i : i + _BATCH])) + ";")
-    del runs, quoted, at
-    # The empty last line ends the text with a newline.
-    lines += ("}", "")
-    return "\n".join(lines)
+            pieces.append(head + f";\n{head}".join(map(at, cs[i : i + _BATCH])) + ";\n")
+    pieces.append("}\n")
+    return pieces
+
+
+def to_dot(source: AnnotatedGraph) -> str:
+    """Render a graph as DOT, with its depths and top rank map when the
+    record carries them: the join of :func:`_pieces`, which the command
+    line writes a run at a time instead."""
+    return "".join(_pieces(source))

@@ -1524,3 +1524,144 @@ def test_define_guarded_formulas_on_a_large_completion():
         code, out, _ = invoke(["define", "--formula", formula, "--porcelain"], doc)
         assert code == 0, formula
         assert out == "".join(f"define\t{x}\n" for x in sorted(selection)), formula
+
+
+# -- UTF-8 on stdin and stdout, whatever the locale ----------------------------
+
+# A seed document whose one node id holds a raw é, in UTF-8.
+RAW_UTF8_DOCUMENT = (
+    '{"edges":[],"format_version":1,"nodes":'
+    '[{"id":"é","provenance":{"kind":"seed","label":"x"}}]}\n'
+).encode("utf-8")
+# The same bytes with the é in Latin-1: not UTF-8 from byte 47 on.
+LATIN1_DOCUMENT = RAW_UTF8_DOCUMENT.replace("é".encode("utf-8"), b"\xe9")
+LATIN1_ERROR = "$: invalid UTF-8 at byte 47: invalid continuation byte\n"
+
+
+def invoke_streams(argv, data: bytes, encoding: str = "utf-8", errors: str = "strict"):
+    """Run main() in-process with stdin and stdout text streams over
+    bytes, as a console in ``encoding`` would give them; returns the
+    exit code, the bytes written to stdout, stderr, and the encoding
+    and error handler stdout is left with."""
+    streams = sys.stdin, sys.stdout
+    sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding=encoding, errors=errors)
+    sys.stdout = out = io.TextIOWrapper(io.BytesIO(), encoding=encoding, errors=errors)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        out.flush()
+    finally:
+        sys.stdin, sys.stdout = streams
+    return code, out.buffer.getvalue(), err.getvalue(), (out.encoding, out.errors)
+
+
+@pytest.mark.parametrize(
+    "encoding, errors",
+    [("utf-8", "strict"), ("utf-8", "surrogateescape"), ("latin-1", "strict"), ("ascii", "strict")],
+)
+def test_stdin_and_stdout_carry_utf8_whatever_their_encoding(encoding, errors):
+    """Input is read as UTF-8 bytes, so bytes that are not UTF-8 are a
+    schema error at ``$`` with their offset, and a raw é is é. Output is
+    written in UTF-8, and the stream gets its own encoding back."""
+    code, out, err, left = invoke_streams(
+        ["check", "--axiom", "extensionality"], LATIN1_DOCUMENT, encoding, errors
+    )
+    assert (code, out, err, left) == (3, b"", LATIN1_ERROR, (encoding, errors))
+    code, out, err, _ = invoke_streams(
+        ["define", "--formula", "x = x", "--porcelain"], RAW_UTF8_DOCUMENT, encoding, errors
+    )
+    assert (code, out, err) == (0, "define\té\n".encode("utf-8"), "")
+    vn1 = seed("vN", "1").encode()
+    code, out, err, left = invoke_streams(["export", "--dot", "-"], vn1, encoding, errors)
+    expected = setforge.to_dot(setforge.deserialize(vn1)).encode("utf-8")
+    assert "∅".encode("utf-8") in expected
+    assert (code, out, err, left) == (0, expected, "", (encoding, errors))
+
+
+def test_a_byte_order_mark_or_utf16_on_stdin_exit_3():
+    data = seed("vN", "2").encode()
+    argv = ["check", "--axiom", "extensionality"]
+    code, _, err, _ = invoke_streams(argv, b"\xef\xbb\xbf" + data)
+    assert code == 3 and err.startswith("$: invalid JSON: Unexpected UTF-8 BOM")
+    code, _, err, _ = invoke_streams(argv, data.decode().encode("utf-16"))
+    assert (code, err) == (3, "$: invalid UTF-8 at byte 0: invalid start byte\n")
+
+
+def test_diff_names_a_file_that_is_not_utf8(tmp_path):
+    a = write_doc(tmp_path / "a.json", seed("vN", "2"))
+    b = tmp_path / "b.json"
+    b.write_bytes(LATIN1_DOCUMENT)
+    code, out, err = invoke(["diff", a, str(b)])
+    assert (code, out) == (3, "")
+    assert err == (
+        f"cannot read {b}: 'utf-8' codec can't decode byte 0xe9 in position 47: "
+        "invalid continuation byte\n"
+    )
+
+
+def test_a_read_from_stdin_peaks_below_a_read_of_its_decoded_text(monkeypatch):
+    """Allocated bytes, not time: the command line reads stdin's bytes,
+    and so peaks at least half the input below ``deserialize`` of the
+    text that stdin's ``read`` decodes. The peak is taken where the
+    build starts: the build is the same for both, and on this completion
+    it outweighs the input."""
+    data = serialize(complete(quine_atoms([f"q{i}" for i in range(12)]), 1)).encode()
+
+    def from_cli(stdin) -> AnnotatedGraph:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        return cli._read_document()
+
+    def from_text(stdin) -> AnnotatedGraph:
+        return setforge.deserialize(stdin.read())
+
+    def stdin() -> io.TextIOWrapper:
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+    assert from_cli(stdin()) == from_text(stdin())
+    build, peaks = document._from_members, []
+
+    def recorded(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return build(*args)
+
+    monkeypatch.setattr(document, "_from_members", recorded)
+    for read in (from_cli, from_text):
+        stream = stdin()
+        tracemalloc.start()
+        try:
+            read(stream)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1] - len(data) // 2, peaks
+
+
+@pytest.mark.parametrize(
+    "environment",
+    [{"PYTHONIOENCODING": "utf-8:strict"}, {"LC_ALL": "C"}, {"PYTHONIOENCODING": "latin-1"}],
+    ids=["utf-8-strict", "c-locale", "latin-1"],
+)
+def test_console_script_reads_and_writes_utf8_whatever_the_environment(environment):
+    """Bytes that are not UTF-8 exit 3 with the same message whatever
+    decodes the console's text; a DOT text with ∅ labels goes out as
+    UTF-8 even to an ASCII console."""
+    command, env = console_command()
+    env = {k: v for k, v in env.items() if k not in ("PYTHONIOENCODING", "LC_ALL")}
+    proc = subprocess.run(
+        command + ["check", "--axiom", "extensionality"],
+        input=LATIN1_DOCUMENT,
+        capture_output=True,
+        env={**env, **environment},
+        timeout=PIPE_TIMEOUT_S,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr.decode()) == (3, b"", LATIN1_ERROR)
+    vn1 = seed("vN", "1").encode()
+    proc = subprocess.run(
+        command + ["export", "--dot", "-"],
+        input=vn1,
+        capture_output=True,
+        env={**env, **environment, "PYTHONIOENCODING": "ascii"},
+        timeout=PIPE_TIMEOUT_S,
+    )
+    expected = setforge.to_dot(setforge.deserialize(vn1)).encode("utf-8")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")

@@ -608,6 +608,12 @@ def _guessed_end_traps() -> dict[str, str]:
         "edge after the last run": f'{line[: end - 1]},["{last}","{seed}"]{line[end - 1 :]}',
         # A member id missing from ``nodes`` but consistent everywhere else.
         "member without a node": written(unknown)[1],
+        # The key that follows the writer's edges comes after another
+        # block that ends in ``]]``, not after the edges.
+        "format_version after levels": json.dumps(
+            {key: payload[key] for key in ("edges", "levels", "format_version", "nodes")},
+            separators=(",", ":"),
+        ),
     }
 
 
@@ -688,7 +694,7 @@ def test_probing_seed_nodes_compares_about_the_text(monkeypatch):
     text = serialize(AnnotatedGraph(graph))
     compared = []
 
-    class Counted(str):
+    class Counted(bytes):
         def startswith(self, prefix, *args):
             compared.append(sum(map(len, prefix)) if type(prefix) is tuple else len(prefix))
             return super().startswith(prefix, *args)
@@ -697,8 +703,8 @@ def test_probing_seed_nodes_compares_about_the_text(monkeypatch):
         raise AssertionError("the edges were decoded")
 
     monkeypatch.setattr(document, "_grouped", refuse)
-    assert deserialize(Counted(text)) == reference_deserialize(text)
-    assert sum(compared) < 2 * len(text)
+    assert deserialize(Counted(text.encode())) == reference_deserialize(text)
+    assert compared and sum(compared) < 2 * len(text)
 
 
 def test_nodes_are_read_in_slices_not_in_one_scan(monkeypatch):
@@ -866,6 +872,105 @@ def test_other_layouts_are_read_section_by_section(monkeypatch):
         assert deserialize(text) == expected
 
 
+# -- bytes and text -----------------------------------------------------------
+
+
+def _raw(line: str) -> str:
+    """``line`` with every character that JSON lets stand raw written
+    raw, as ``ensure_ascii=False`` writes it: labels, ids and keys in
+    UTF-8 of one to four bytes."""
+    return json.dumps(json.loads(line), ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
+def _read_inputs() -> list[str]:
+    """Valid documents and the traps and mutations around them, in the
+    writer's layout and in others."""
+    rng = random.Random(97)
+    lines = valid_lines()
+    texts = list(lines)
+    for mutate in MUTATIONS:
+        for _ in range(30):
+            payload = json.loads(rng.choice(lines))
+            mutate(rng, payload)
+            texts += written(payload)
+    texts += _guessed_end_traps().values()
+    texts += _slice_traps().values()
+    line = serialize(complete(von_neumann_seed(2), 2))
+    texts += _layouts(line) + _odd_texts(line)
+    # Sections whose keys and values hold other sections' keys, so that
+    # a value's first window ends inside it.
+    named = replace(
+        complete(von_neumann_seed(2), 1),
+        formulas={"nodes": '"edges"', "levels": "x = x", "z": '"ranks":'},
+    )
+    texts.append(serialize(named))
+    texts += [_raw(text) for text in (serialize(named), serialize(escaped_document()))]
+    texts.append(_raw(serialize(complete(escaped_document().graph, 1))))
+    texts += [_raw(text) for text in lines[:20]]
+    # Whitespace of every kind, and CRLF line ends, between the tokens.
+    for text in (line, serialize(escaped_document()), lines[0]):
+        payload = json.loads(text)
+        texts.append(json.dumps(payload, indent=1).replace("\n", "\r\n"))
+        spaced = json.dumps(payload, indent="\t", separators=(",\r\n", ":\t"))
+        texts.append(f"\r\n{spaced}\r\n")
+    return texts
+
+
+def test_bytes_and_text_read_as_the_reference_reads_the_text():
+    """The UTF-8 bytes of a document and its text read alike, as the
+    reference reads the text: the document with every map's order, or
+    the same error at the same path."""
+    texts = _read_inputs()
+    assert any(not text.isascii() for text in texts)
+    for text in texts:
+        expected = outcome(reference_deserialize, text)
+        data = text.encode("utf-8")
+        assert outcome(deserialize, data) == expected, text[:200]
+        assert outcome(deserialize, data.decode("utf-8")) == expected, text[:200]
+
+
+def test_text_with_a_raw_lone_surrogate_reads_as_the_reference_reads_it():
+    """A ``str`` can hold a lone surrogate that no UTF-8 bytes can: it
+    is refused where the reference refuses it, and kept where the
+    reference keeps it."""
+    line = serialize(replace(complete(von_neumann_seed(1), 1), formulas={"f": "x = x"}))
+    texts = [
+        line.replace('"label":"', '"label":"\udc80', 1),
+        line.replace('"x = x"', '"x = x\ud800"'),
+    ]
+    outcomes = [outcome(deserialize, text) for text in texts]
+    assert outcomes == [outcome(reference_deserialize, text) for text in texts]
+    assert outcomes[0][:2] == ("raised", "SchemaError")
+    assert outcomes[0][2].endswith("].provenance.label")
+    assert outcomes[1][0] == "ok"
+
+
+def test_bytes_that_are_not_utf8_are_refused_at_the_root_with_their_offset():
+    data = serialize(complete(von_neumann_seed(2), 1)).encode()
+    label = data.index(b'"label":"') + len(b'"label":"')
+    cases = {
+        # A byte that starts no character, inside a label.
+        data[:label] + b"\xff" + data[label:]: (
+            f"$: invalid UTF-8 at byte {label}: invalid start byte"
+        ),
+        # A lone surrogate, encoded as CESU-8 would.
+        data[:label] + "\ud800".encode("utf-8", "surrogatepass") + data[label:]: (
+            f"$: invalid UTF-8 at byte {label}: invalid continuation byte"
+        ),
+        # A character cut short at the end of the input.
+        data + b"\xe2\x88": f"$: invalid UTF-8 at byte {len(data)}: unexpected end of data",
+        # UTF-16, which ``json.loads`` would take from bytes.
+        data.decode().encode("utf-16"): "$: invalid UTF-8 at byte 0: invalid start byte",
+        # UTF-8 with a byte order mark, which ``json.loads`` refuses in text too.
+        b"\xef\xbb\xbf" + data: "$: invalid JSON: Unexpected UTF-8 BOM",
+    }
+    for bad, message in cases.items():
+        with pytest.raises(SchemaError) as raised:
+            deserialize(bad)
+        assert raised.value.path == "$"
+        assert str(raised.value).startswith(message), str(raised.value)
+
+
 def test_reading_holds_less_than_the_parsed_tree():
     """The edges are grouped as soon as they are decoded and dropped
     before the nodes are, so a read never holds the whole tree that
@@ -889,12 +994,13 @@ def twelve_atoms_completion() -> AnnotatedGraph:
 
 
 def test_the_proof_stage_keeps_no_reference_to_the_text():
-    """``deserialize`` proves the text before it builds the record; what
-    the proof returns for the build holds no reference to the text."""
+    """``deserialize`` proves the bytes before it builds the record;
+    what the proof returns for the build holds no reference to them."""
     text = serialize(twelve_atoms_completion())
-    before = sys.getrefcount(text)
-    build = document._proven(text)
-    assert sys.getrefcount(text) == before
+    data = text.encode()
+    before = sys.getrefcount(data)
+    build = document._proven(data)
+    assert sys.getrefcount(data) == before
     assert build() == reference_deserialize(text)
 
 
