@@ -429,31 +429,36 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 4
-    stdout, sys.stdout = sys.stdout, _Unread(sys.stdout)
-    try:
-        # Documents, graphs, oracle values and colour keys hold no
-        # reference cycles, so the cyclic collector's passes over the
-        # objects a command allocates would free nothing.
-        with _gc_paused(), _in_utf8(stdout):
-            return args.func(args)
-    except BudgetExceededError as e:
-        print(f"budget exceeded: {e}", file=sys.stderr)
-        return 2
-    except SizeLimitError as e:
-        print(f"size limit: {e}", file=sys.stderr)
-        return 2
-    except DredConditionError as e:
-        print(f"depth/rank conditions fail: {e}")
-        return 1
-    except SetforgeError as e:
-        print(str(e), file=sys.stderr)
-        return 3
-    except ValueError as e:
-        print(str(e), file=sys.stderr)
-        return 4
-    finally:
-        sys.stdout.flush()
-        sys.stdout = stdout
+    stdout = sys.stdout
+    # Outside the handlers, so that their reports go out in UTF-8 too,
+    # and the last flush goes through ``_Unread`` before the encoding is
+    # restored, which flushes the stream again.
+    with _in_utf8(stdout):
+        sys.stdout = _Unread(stdout)
+        try:
+            # Documents, graphs, oracle values and colour keys hold no
+            # reference cycles, so the cyclic collector's passes over the
+            # objects a command allocates would free nothing.
+            with _gc_paused():
+                return args.func(args)
+        except BudgetExceededError as e:
+            print(f"budget exceeded: {e}", file=sys.stderr)
+            return 2
+        except SizeLimitError as e:
+            print(f"size limit: {e}", file=sys.stderr)
+            return 2
+        except DredConditionError as e:
+            print(f"depth/rank conditions fail: {e}")
+            return 1
+        except SetforgeError as e:
+            print(str(e), file=sys.stderr)
+            return 3
+        except ValueError as e:
+            print(str(e), file=sys.stderr)
+            return 4
+        finally:
+            sys.stdout.flush()
+            sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -509,7 +509,12 @@ def _check_formulas_by_item(formulas_raw: dict) -> None:
 _scan_value = json.JSONDecoder().scan_once
 # About how many bytes of ``nodes`` are decoded at a time.
 _NODES_SLICE = 1 << 16
-# How many ids go into one piece of a rendered run or level.
+# About how many bytes of ``ranks`` are decoded at a time. The scanner
+# shares a key's string only within one scan, so each slice holds its
+# own copy of every node id it keys: slices this large keep to a few
+# copies of each id where the rank maps are long.
+_RANKS_SLICE = 1 << 21
+# How many ids go into one piece of a rendered run.
 _JOIN = 1 << 12
 _scan_key = json.decoder.scanstring
 # JSON's whitespace, as ``json.decoder.WHITESPACE`` matches it in text.
@@ -538,14 +543,6 @@ _Build = Callable[[], AnnotatedGraph]
 
 # What :func:`_grouped` makes of the edges.
 _Groups = tuple[dict[NodeId, list[NodeId]], dict[NodeId, NodeId]]
-
-
-class _Top(NamedTuple):
-    """A ``levels`` value as :func:`_topped` leaves it: its levels but
-    the top one, decoded, and the place of the top one in the bytes."""
-
-    lower: list
-    span: slice
 
 
 def _ascending(flat: list[NodeId], sizes: list[int]) -> bool:
@@ -611,20 +608,16 @@ def _value(data: bytes, at: int, key: str) -> tuple[Any, int]:
         return value, at + (end if window.isascii() else len(window[:end].encode()))
 
 
-def _edges_end(data: bytes, at: int) -> int:
-    """Where the ``edges`` value at ``at``, ``[[`` or ``[]``, is guessed
-    to end (its closing ``]]``): before ``,"format_version":`` when that
-    follows, as it follows every ``edges`` that ``serialize`` writes, and
-    otherwise at the first ``]]``. The longer needle is found in about a
-    third of the time."""
-    if not data.startswith(b"[[", at):
-        return at
-    close = data.find(b']],"format_version":', at)
-    if close < 0:
-        close = data.find(b"]]", at)
-    if close < 0:
+def _find(data: bytes, needle: bytes, at: int) -> int:
+    """``data.find(needle, at)``, where a guessed end is sought; raises
+    ``_Unproven`` where ``needle`` is not there. A pattern search takes
+    a third to a half of the time of ``bytes.find`` over the bytes of
+    ``edges``, ``nodes`` and ``ranks``, which hold ``needle``'s first
+    byte every few dozen bytes."""
+    found = re.compile(re.escape(needle)).search(data, at)
+    if found is None:
         raise _Unproven
-    return close
+    return found.start()
 
 
 def _sections(data: bytes, spans: bool = False) -> tuple[dict[str, Any], Any]:
@@ -638,10 +631,9 @@ def _sections(data: bytes, spans: bool = False) -> tuple[dict[str, Any], Any]:
     after its start. That end is a guess, which :func:`_claimed` must
     confirm; a repeated ``edges`` key is not guessed at. A ``nodes``
     value that starts as ``serialize`` writes one (``[{``) is read by
-    :func:`_sliced` into columns, never decoded whole. Once ``edges`` is
-    such a slice, a ``levels`` value that starts as ``serialize`` writes
-    one (``[[``) is left to :func:`_topped`: its top level, all of the
-    ids, is not decoded either.
+    :func:`_sliced` into columns, and a ``ranks`` value that starts as
+    it writes one (``{"``) is decoded by :func:`_ranked` in slices:
+    neither is decoded whole.
 
     Keys go through ``json.decoder.scanstring`` and values through the
     scanner that ``json.loads`` uses, with the same whitespace between
@@ -667,14 +659,14 @@ def _sections(data: bytes, spans: bool = False) -> tuple[dict[str, Any], Any]:
             at = _skip_space(data, at + 1).end()
             if key == "nodes" and spans and data.startswith(b"[{", at):
                 sections[key], at = _sliced(data, at)
-            elif key == "levels" and type(edges) is slice and data.startswith(b"[[", at):
-                sections[key], at = _topped(data, at)
+            elif key == "ranks" and spans and data.startswith(b'{"', at):
+                sections[key], at = _ranked(data, at)
             elif key != "edges":
                 sections[key], at = _value(data, at, key)
             elif type(edges) is slice:
                 raise _Unproven  # the last value wins; the guess would go unconfirmed
             elif spans and data.startswith((b"[[", b"[]"), at):
-                close = _edges_end(data, at)
+                close = _find(data, b"]]", at) if data.startswith(b"[[", at) else at
                 edges, at = slice(at, close + 2), close + 2
             else:
                 value, at = _value(data, at, key)
@@ -691,53 +683,62 @@ def _sections(data: bytes, spans: bool = False) -> tuple[dict[str, Any], Any]:
     return sections, edges
 
 
-def _sliced(data: bytes, at: int) -> tuple[_Nodes, int]:
-    """The ``nodes`` array at ``at`` read into columns about
-    ``_NODES_SLICE`` bytes at a time, and the index past its end.
+def _slices(data: bytes, at: int, close: int, cut: bytes, size: int) -> Iterator[Any]:
+    """The array or object whose brackets are at ``at`` and ``close``,
+    decoded in slices of about ``size`` bytes.
 
-    The array is guessed to end at its first ``}}]``, where every
-    array ``serialize`` writes ends. Each slice is cut just before a
-    ``,{"id":``, decoded strictly as UTF-8 (a cut never splits a
-    character) and decoded by the scanner as an array of its own; it is
-    accepted only if it scans to exactly its own end, so the slices
-    together hold exactly the values of the whole array, whatever the
-    cuts fell into. Anything else raises ``_Unproven``.
+    Each slice is cut at the comma in a ``cut`` (where one member ends
+    and the next starts), decoded strictly as UTF-8 (a cut never splits
+    a character) and decoded by the scanner as an array or object of its
+    own, in the brackets of the whole; it is accepted only if it scans
+    to exactly its own end, so the slices together hold exactly the
+    members of the whole value, whatever the cuts fell into. Anything
+    else raises ``_Unproven``.
     """
-    close = data.find(b"}}]", at)
-    if close < 0:
-        raise _Unproven
-    nodes, view = _Nodes(), memoryview(data)
+    view, comma = memoryview(data), cut.index(b",")
+    opening, closing = chr(data[at]), chr(data[close])
     start = at + 1
     while True:
-        cut = data.find(b',{"id":', start + _NODES_SLICE, close)
-        piece = f"[{str(view[start : close + 2 if cut < 0 else cut], 'utf-8')}]"
+        found = data.find(cut, start + size, close)
+        stop = close if found < 0 else found + comma
+        piece = f"{opening}{str(view[start:stop], 'utf-8')}{closing}"
         value, end = _scan_value(piece, 0)
-        if end != len(piece) or not nodes.add(value):
+        if end != len(piece):
             raise _Unproven
-        if cut < 0:
-            break
-        start = cut + 1
+        yield value
+        if found < 0:
+            return
+        start = stop + 1
+
+
+def _sliced(data: bytes, at: int) -> tuple[_Nodes, int]:
+    """The ``nodes`` array at ``at`` read into columns about
+    ``_NODES_SLICE`` bytes at a time (:func:`_slices`, cut before a
+    ``,{"id":``), and the index past its end. The array is guessed to
+    end at its first ``}}]``, where every array ``serialize`` writes
+    ends."""
+    close = _find(data, b"}}]", at)
+    nodes = _Nodes()
+    for value in _slices(data, at, close + 2, b',{"id":', _NODES_SLICE):
+        if not nodes.add(value):
+            raise _Unproven
     if not nodes.distinct():
         raise _Unproven
     return nodes, close + 3
 
 
-def _topped(data: bytes, at: int) -> tuple[_Top, int]:
-    """The ``levels`` array at ``at``, its top level left in place, and
-    the index past its end.
-
-    The array is guessed to end at its first ``]]``, and its top level
-    to start after the last ``],[`` before that; the levels before it
-    are decoded as an array of their own, which must scan to exactly its
-    end. :func:`_claimed` confirms the top level by rendering it from
-    the ids, or decodes it where it reads no members."""
-    close = data.find(b"]]", at)
-    if close < 0:
-        raise _Unproven
-    cut = data.rfind(b"],[", at, close)
-    if cut < 0:
-        return _Top([], slice(at + 1, close + 1)), close + 2
-    return _Top(_spanned(data, slice(at, cut + 1), b"]"), slice(cut + 2, close + 1)), close + 2
+def _ranked(data: bytes, at: int) -> tuple[dict, int]:
+    """The ``ranks`` object at ``at`` decoded about ``_RANKS_SLICE``
+    bytes at a time (:func:`_slices`, cut between two rank maps, after a
+    ``}`` and before a ``,"``), and the index past its end. The object
+    is guessed to end at its first ``}}``, where every ``ranks`` that
+    ``serialize`` writes ends: its rank maps hold only integers. A key
+    repeated across slices keeps its first place and its last value, as
+    in one scan."""
+    close = _find(data, b"}}", at)
+    ranks: dict[str, Any] = {}
+    deque(map(ranks.update, _slices(data, at, close + 1, b'},"', _RANKS_SLICE)), maxlen=0)
+    return ranks, close + 2
 
 
 def _nodes(raw: dict) -> _Nodes:
@@ -757,25 +758,17 @@ def _nodes(raw: dict) -> _Nodes:
     return nodes
 
 
-def _spanned(data: bytes, span: slice, close: bytes = b"") -> Any:
-    """The value that the bytes at ``span``, and ``close`` after them,
-    hold exactly, as the scanner decodes it."""
-    try:
-        text = str(data[span] + close, "utf-8")
-        value, end = _scan_value(text, 0)
-    except _SCAN_ERRORS:
-        raise _Unproven from None
-    if end != len(text):
-        raise _Unproven
-    return value
-
-
 def _decoded(data: bytes, span: slice) -> _Groups:
     """The edges at ``span``, decoded and grouped by :func:`_grouped`,
     once the scanner ends them where the guess did."""
     try:
-        return _grouped(_spanned(data, span))
-    except TypeError:
+        text = str(memoryview(data)[span], "utf-8")
+        value, end = _scan_value(text, 0)
+        if end != len(text):
+            raise _Unproven
+        del text
+        return _grouped(value)
+    except _SCAN_ERRORS:
         raise _Unproven from None
 
 
@@ -806,20 +799,15 @@ def _claimed(data: bytes, sections: dict, span: slice) -> _Build:
     deficiency nodes that list it and compared with the document. A node
     without a ``members`` list can only be tested: it is looked for at
     its sorted place in every run, so the runs times those nodes must
-    stay within the node count. The top ``levels`` entry that
-    :func:`_topped` left in place is rendered from the ids and compared
-    too. Without deficiency nodes nothing claims the edges, and they are
-    decoded after all, with that entry.
+    stay within the node count. Without deficiency nodes nothing claims
+    the edges, and they are decoded after all.
     """
     try:
         nodes = _nodes(sections)
     except SchemaError:
         raise _Unproven from None
     ids, mask, members, sizes = nodes.ids, nodes.deficient, nodes.members, nodes.sizes
-    top = sections.get("levels")
     if not any(mask):
-        if type(top) is _Top:
-            sections["levels"] = [*top.lower, _spanned(data, top.span)]
         return _compared(sections, _decoded(data, span), nodes)
     # Strictly sorted ids, no member but an id (``canon`` holds both)
     # and strictly sorted members.
@@ -866,12 +854,6 @@ def _claimed(data: bytes, sections: dict, span: slice) -> _Build:
                     found[other].append(member)
     if not (data.startswith(b"]", at) and at + 1 == span.stop):
         raise _Unproven
-    if type(top) is _Top:
-        # The top level as the writer renders it: every id, in order.
-        rendered = chain([b"["], _joined(quoted, b","), [b"]"])
-        if _matched(data, top.span.start, rendered) != top.span.stop:
-            raise _Unproven
-        sections["levels"] = [*top.lower, ids]
     nodes.canon.clear()
     return partial(_from_members, sections, nodes, found)
 

@@ -1309,6 +1309,44 @@ def test_console_script_into_a_pipe_closed_early(tmp_path, argv, stdin, first):
     assert (proc.returncode, err.decode()) == (0, "")
 
 
+@pytest.mark.parametrize(
+    "argv, atoms, size",
+    [
+        (["check", "--axiom", "extensionality"], "3", range(1, 1 << 13)),
+        (["define", "--formula", "x = x", "--porcelain"], "2000", range(1 << 13, 1 << 16)),
+    ],
+    ids=["report", "porcelain"],
+)
+def test_console_script_into_a_pipe_closed_before_its_last_flush(tmp_path, argv, atoms, size):
+    """`setforge ARGV | true`, the reader gone before the command
+    writes. Stdout is block-buffered, as in a shell pipeline: a short
+    report first meets the closed pipe in the last flush, and a
+    porcelain listing larger than the stream's buffer (but smaller than
+    a pipe's) in an earlier write, its tail still left to that flush.
+    Either way the command exits 0 and writes nothing to stderr."""
+    command, env = console_command()
+    env.pop("PYTHONUNBUFFERED", None)
+    source = tmp_path / "in.json"
+    source.write_text(seed("quine", atoms))
+    with open(source, "rb") as fin:
+        _, out, _ = invoke(argv, source.read_text())
+        assert len(out.encode()) in size
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run(
+                command + argv,
+                stdin=fin,
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=PIPE_TIMEOUT_S,
+            )
+        finally:
+            os.close(write)
+    assert (proc.returncode, proc.stderr.decode()) == (0, "")
+
+
 def test_console_script_exit_code_budget():
     seeded, piped = run_console_pipeline(
         ["seed", "vN", "3"], ["complete", "--levels", "3", "--budget", "1000000"]
@@ -1665,3 +1703,36 @@ def test_console_script_reads_and_writes_utf8_whatever_the_environment(environme
     )
     expected = setforge.to_dot(setforge.deserialize(vn1)).encode("utf-8")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+
+
+def test_console_script_writes_a_failed_condition_in_utf8_to_an_ascii_console():
+    """The report of a ``DredConditionError``, which the command line
+    prints once the command has raised it, goes out in UTF-8 like every
+    other report, node ids and all."""
+    doc = {
+        "depth": {"a": 0, "é": 0},
+        "edges": [["a", "é"]],
+        "format_version": 1,
+        "nodes": [
+            {"id": "a", "provenance": {"kind": "seed", "label": "a"}},
+            {"id": "é", "provenance": {"kind": "seed", "label": "e"}},
+        ],
+        "ranks": {"1": {"a": 0, "é": 0}},
+    }
+    text = json.dumps(doc)
+    argv = ["complete", "--levels", "1", "--dred"]
+    code, out, _ = invoke(argv, text)
+    assert (code, out) == (
+        1,
+        "depth/rank conditions fail: dred condition violated (rank_increase): "
+        "r_1('a') = 0 not below r_1('é') = 0 along edge\n",
+    )
+    command, env = console_command()
+    proc = subprocess.run(
+        command + argv,
+        input=text.encode(),
+        capture_output=True,
+        env={**env, "PYTHONIOENCODING": "ascii"},
+        timeout=PIPE_TIMEOUT_S,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, out.encode("utf-8"), b"")

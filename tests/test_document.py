@@ -5,6 +5,7 @@ import gc
 import json
 import pathlib
 import random
+import re
 import sys
 import tracemalloc
 import weakref
@@ -608,12 +609,6 @@ def _guessed_end_traps() -> dict[str, str]:
         "edge after the last run": f'{line[: end - 1]},["{last}","{seed}"]{line[end - 1 :]}',
         # A member id missing from ``nodes`` but consistent everywhere else.
         "member without a node": written(unknown)[1],
-        # The key that follows the writer's edges comes after another
-        # block that ends in ``]]``, not after the edges.
-        "format_version after levels": json.dumps(
-            {key: payload[key] for key in ("edges", "levels", "format_version", "nodes")},
-            separators=(",", ":"),
-        ),
     }
 
 
@@ -736,7 +731,9 @@ def test_nodes_are_read_in_slices_not_in_one_scan(monkeypatch):
 
 def _slice_traps() -> dict[str, str]:
     """Texts in which a cut before ``,{"id":`` or the guessed end at the
-    first ``}}]`` could fall inside a string or a nested value."""
+    first ``}}]`` of ``nodes``, or a cut before ``},"`` or the guessed
+    end at the first ``}}`` of ``ranks``, could fall inside a string or
+    a nested value."""
     tricky = ExtensionalDigraph.from_extensions(
         {'a},{"id":': (), "b}}]": ('a},{"id":',), "c": ("b}}]",)},
         {"c": Deficiency(level=1)},
@@ -745,7 +742,27 @@ def _slice_traps() -> dict[str, str]:
     for i, node in enumerate(nested["nodes"]):
         node["provenance"]["extra"] = [{"id": "x", "more": {"id": i}}, {"id": "y"}]
     seed = '{"id":"%s","provenance":{"kind":"seed","label":"l"}%s}'
+    certified = serialize(_certified_seed())
+    head = certified[: certified.index('"ranks":')]
+    ranks = json.loads(certified)["ranks"]
+
+    def compact(value) -> str:
+        return json.dumps(value, separators=(",", ":"))
+
     return {
+        # Ids whose closing quote follows a cut, or that hold the end.
+        "rank map ids that hold the cut and the end": certified.replace(
+            '"chain:a:0"', '"x},"'
+        ).replace('"chain:a:1"', '"c}}"'),
+        # The last value of a repeated key, at the key's first place.
+        "a repeated rank map": (
+            f'{head}"ranks":{compact(ranks)[:-1]},"1":{compact(dict.fromkeys(ranks["1"], 7))}}}}}'
+        ),
+        # ``ranks`` ends before the first ``}}``, and a later member holds
+        # what looks like a further rank map.
+        "a ranks end before the guess": (
+            f'{head}"ranks":{compact(ranks)[:-1]} }},"x":{{"9":{{"a":0}}}}}}'
+        ),
         "ids that hold the cut and the end": serialize(complete(tricky, 1)),
         "nested id objects": written(nested)[1],
         # The array ends before the first ``}}]``, and a later member holds
@@ -759,6 +776,7 @@ def _slice_traps() -> dict[str, str]:
 @pytest.mark.parametrize("size", [1, 40, 1 << 18])
 def test_slice_traps_parse_as_the_reference_parses_them(monkeypatch, name, size):
     monkeypatch.setattr(document, "_NODES_SLICE", size)
+    monkeypatch.setattr(document, "_RANKS_SLICE", size)
     text = _slice_traps()[name]
     ours = outcome(deserialize, text)
     assert ours[0] == "ok", ours
@@ -774,6 +792,39 @@ def test_every_slice_boundary_reads_as_the_reference_reads(monkeypatch):
     for size in range(1, longest + 2):
         monkeypatch.setattr(document, "_NODES_SLICE", size)
         assert outcome(deserialize, line) == expected, size
+
+
+def test_every_ranks_slice_boundary_reads_as_the_reference_reads(monkeypatch):
+    """Cuts sought from every offset inside a rank map give the same
+    document."""
+    line = serialize(_certified_seed())
+    expected = outcome(reference_deserialize, line)
+    longest = max(map(len, line[line.index('"ranks":') :].split('},"')))
+    for size in range(1, longest + 2):
+        monkeypatch.setattr(document, "_RANKS_SLICE", size)
+        assert outcome(deserialize, line) == expected, size
+
+
+def test_ranks_are_read_in_slices_not_in_one_scan(monkeypatch):
+    """A ``ranks`` object longer than a slice is scanned a slice at a
+    time, so that no string as long as the section is ever decoded
+    beside the bytes: with slices of one byte, each rank map is a scan
+    of its own."""
+    line = serialize(dred_complete(_certified_seed(), 1))
+    expected = reference_deserialize(line)
+    scans = []
+    scan = document._scan_value
+
+    def recorded(text, at):
+        # The scans that start at a rank map's key.
+        if re.match(r'\{"\d+":\{', text):
+            scans.append(len(text))
+        return scan(text, at)
+
+    monkeypatch.setattr(document, "_RANKS_SLICE", 1)
+    monkeypatch.setattr(document, "_scan_value", recorded)
+    assert deserialize(line.encode()) == expected
+    assert len(scans) == len(expected.ranks) > 1
 
 
 def test_members_are_the_id_strings_themselves():
