@@ -18,6 +18,7 @@ steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from hashlib import blake2b
 from typing import Any, Iterator
 
 from .errors import BudgetExceededError, SchemaError, SetforgeError
@@ -26,9 +27,9 @@ from .graph import (
     Deficiency,
     ExtensionalDigraph,
     NodeId,
+    _ID_SEPARATOR,
     _require_blocks,
     require_extensional,
-    subset_node_id,
 )
 
 DEFAULT_MAX_SUBSETS = 2**20
@@ -98,16 +99,25 @@ def _subsets(nodes: list[NodeId]) -> list[tuple[NodeId, ...]]:
     return subsets
 
 
-def _members(nodes: list[NodeId], masks: list[int]) -> Iterator[tuple[NodeId, ...]]:
-    """The sorted member tuple of each mask over sorted ``nodes``.
+def _halves(
+    nodes: list[NodeId],
+) -> tuple[int, list[tuple[NodeId, ...]], list[tuple[NodeId, ...]]]:
+    """The width of the low half of sorted ``nodes``, and the sorted
+    member tuples of the low and of the high half's subsets, each
+    indexed by its bitmask over its half.
 
-    The low and the high half of the bits are tabled apart, so a mask
-    costs one concatenation, and the tables hold ``2 * 2**(n/2)``
-    tuples instead of ``2**n``. A full table's memory would stay
-    resident after it is freed, beside the new graph: the tuples that
-    Python keeps on its free lists pin it until a full collection."""
+    A mask's member tuple is then one concatenation, and the tables
+    hold ``2 * 2**(n/2)`` tuples instead of ``2**n``. A full table's
+    memory would stay resident after it is freed, beside the new graph:
+    the tuples that Python keeps on its free lists pin it until a full
+    collection."""
     half = len(nodes) // 2
-    low, high = _subsets(nodes[:half]), _subsets(nodes[half:])
+    return half, _subsets(nodes[:half]), _subsets(nodes[half:])
+
+
+def _members(nodes: list[NodeId], masks: list[int]) -> Iterator[tuple[NodeId, ...]]:
+    """The sorted member tuple of each mask over sorted ``nodes``."""
+    half, low, high = _halves(nodes)
     below = (1 << half) - 1
     for mask in masks:
         yield low[mask & below] + high[mask >> half]
@@ -140,8 +150,28 @@ def complete_step(u: AnnotatedGraph, budget: Budget = DEFAULT_BUDGET) -> Annotat
     stamp = Deficiency(level=len(u.levels))
     extensions = dict(g.extensions)
     provenance = dict(g.provenance)
-    for members in _members(nodes, masks):
-        node = subset_node_id(members)
+    half, low, high = _halves(nodes)
+    below = (1 << half) - 1
+    # An id hashes the bytes that subset_node_id hashes: the sorted
+    # member ids joined by the separator.  Each low half's hash state,
+    # and each high half's bytes with a separator before every id, are
+    # made once, when a mask first needs them, so an id that no
+    # missing subset holds is never encoded.  A mask with an empty low
+    # half drops the high bytes' leading separator.
+    states: list[blake2b | None] = [None] * len(low)
+    tails: list[bytes | None] = [None] * len(high)
+    for mask in masks:
+        lo, hi = mask & below, mask >> half
+        state, tail = states[lo], tails[hi]
+        if state is None:
+            joined = _ID_SEPARATOR.join(low[lo]).encode("utf-8")
+            state = states[lo] = blake2b(joined, digest_size=12)
+        if tail is None:
+            tail = tails[hi] = "".join([_ID_SEPARATOR + x for x in high[hi]]).encode("utf-8")
+        h = state.copy()
+        h.update(tail if lo else tail[1:])
+        node = "set:" + h.hexdigest()
+        members = low[lo] + high[hi]
         if node in extensions:
             raise SetforgeError(
                 f"generated id {node!r} collides with an existing node of different extension"

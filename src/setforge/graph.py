@@ -7,7 +7,8 @@ extensions, which is the property that lets nodes be read as sets.
 
 Node ids are plain strings with no semantics beyond identity and total
 (string) order.  Derived nodes that stand for a subset of existing nodes
-get a content-addressed id from :func:`subset_node_id`, so independently
+get the content-addressed id that :func:`subset_node_id` defines (the
+completion kernel computes it from shared hash states), so independently
 constructed graphs agree on the identity of shared subset nodes and
 re-runs are reproducible byte for byte.
 

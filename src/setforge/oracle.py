@@ -136,14 +136,21 @@ def _one_stage(values: AbstractSet[SetValue], budget: Budget, what: str) -> list
             f"{what} needs 2**{len(values)} subset enumerations, over the budget "
             f"of {budget.max_subsets_enumerated}"
         )
-    represented = set(map(value_extension, values))
     snapshot = sorted(values, key=_key)
-    fresh: list[Collection] = []
-    for size in range(len(snapshot) + 1):
-        for combo in itertools.combinations(snapshot, size):
-            if frozenset(combo) not in represented:
-                fresh.append(Collection(members=combo))
-    return fresh
+    # Each represented extension inside the snapshot, as the tuple that
+    # combinations() draws for it: its members in snapshot order.
+    position = {v: i for i, v in enumerate(snapshot)}
+    represented = {
+        tuple(sorted(ext, key=position.__getitem__))
+        for ext in map(value_extension, snapshot)
+        if ext <= position.keys()
+    }
+    return [
+        Collection(members=combo)
+        for size in range(len(snapshot) + 1)
+        for combo in itertools.combinations(snapshot, size)
+        if combo not in represented
+    ]
 
 
 def decorate(g: ExtensionalDigraph) -> dict[NodeId, SetValue]:

@@ -404,6 +404,17 @@ def test_non_extensional_seed_over_budget_exits_3():
     assert err == "nodes 'a' and 'b' have equal extensions\n"
 
 
+def test_generated_id_taken_by_another_node_exits_3():
+    """A quine atom named like the empty set, which completion adds."""
+    empty = "set:b8e1dda3ac0aa3820ad2990b"
+    doc = serialize(AnnotatedGraph(ExtensionalDigraph.from_extensions({empty: {empty}})))
+    assert invoke(["complete", "--levels", "1"], doc) == (
+        3,
+        "",
+        f"generated id {empty!r} collides with an existing node of different extension\n",
+    )
+
+
 def test_budget_env_variable(monkeypatch):
     monkeypatch.setenv("SETFORGE_BUDGET", "1000000")
     doc = seed("vN", "3")

@@ -14,6 +14,7 @@ from setforge import (
     ExtensionalDigraph,
     NonExtensionalError,
     SchemaError,
+    SetforgeError,
     UnknownNodeError,
     WitnessFailure,
     WitnessReport,
@@ -23,6 +24,7 @@ from setforge import (
     dred_complete,
     dred_from_graph,
     quine_atoms,
+    subset_node_id,
     von_neumann_seed,
     witness_report,
 )
@@ -241,6 +243,94 @@ def test_new_nodes_carry_deficiency_provenance():
             p = u.graph.provenance[x]
             assert isinstance(p, Deficiency)
             assert p.level == n
+
+
+# Non-ASCII ids and ids holding the separator "\x1f" that
+# subset_node_id joins with; no two subsets of them join alike.
+ODD_NAMES = ["n", "é", "ø", "ü", "日本", "\x1fa", "b\x1f", "😀", "c\x1fd"]
+
+
+def renamed(g: ExtensionalDigraph, names: list[str]) -> ExtensionalDigraph:
+    """``g`` with its sorted nodes renamed to ``names`` in turn."""
+    to = dict(zip(g.sorted_nodes(), names))
+    return ExtensionalDigraph.from_extensions(
+        {to[x]: {to[m] for m in ext} for x, ext in g.extensions.items()}
+    )
+
+
+def assert_added_ids_are_subset_node_ids(u: AnnotatedGraph) -> None:
+    extensions = u.graph.extensions
+    added = u.graph.nodes - u.levels[0]
+    assert added
+    for x in added:
+        assert x == subset_node_id(sorted(extensions[x]))
+
+
+def random_well_founded_graph(rng: random.Random, n: int) -> ExtensionalDigraph:
+    """An extensional graph on ``n`` nodes where node ``i`` has members
+    below ``i`` only."""
+    while True:
+        masks = [rng.getrandbits(i) for i in range(n)]
+        if len(set(masks)) == n:
+            names = [f"w{i}" for i in range(n)]
+            return ExtensionalDigraph.from_extensions(
+                {x: {names[j] for j in range(i) if masks[i] >> j & 1} for i, x in enumerate(names)}
+            )
+
+
+def test_complete_ids_agree_with_subset_node_id():
+    """The ids hashed from shared half states against subset_node_id,
+    over 0 to 9 nodes, so that both halves are empty, equal or one
+    apart, and over ids that are not ASCII or hold the separator."""
+    rng = random.Random(28)
+    assert_added_ids_are_subset_node_ids(complete(ExtensionalDigraph.empty(), 4))
+    for n in range(10):
+        for _ in range(3):
+            g = random_extensional_graph(rng, n, min_nodes=n)
+            for h in (g, renamed(g, ODD_NAMES)):
+                assert_added_ids_are_subset_node_ids(complete(h, 2 if n <= 3 else 1))
+
+
+def test_dred_complete_ids_agree_with_subset_node_id():
+    rng = random.Random(29)
+    for n in range(10):
+        g = random_well_founded_graph(rng, n)
+        for h in (g, renamed(g, ODD_NAMES)):
+            u = dred_complete(dred_from_graph(h), 2 if n <= 3 else 1)
+            assert_added_ids_are_subset_node_ids(u)
+
+
+def test_complete_encodes_only_the_ids_of_missing_subsets():
+    """A lone surrogate has no UTF-8 bytes.  Where every subset holding
+    it is represented, in the low half of the sorted nodes or in the
+    high one, completion never hashes it; where a missing subset holds
+    it, completion fails as subset_node_id does."""
+    for g in (
+        ExtensionalDigraph.from_extensions({"\ud800": {"\ud800"}, "b": {"\ud800", "b"}}),
+        ExtensionalDigraph.from_extensions({"\ud800": {"\ud800"}, "\ue000": {"\ud800", "\ue000"}}),
+    ):
+        assert len(complete(g, 1).graph) == 4
+    g = ExtensionalDigraph.from_extensions({"\ud800": set(), "b": {"\ud800", "b"}})
+    assert frozenset({"\ud800"}) in members_of(deficiency(g))
+    with pytest.raises(UnicodeEncodeError):
+        subset_node_id(["\ud800"])
+    with pytest.raises(UnicodeEncodeError):
+        complete(g, 1)
+
+
+def test_complete_refuses_a_generated_id_that_names_another_node():
+    """A quine atom named like the empty set: the empty subset is
+    missing, and its id is taken by a node of another extension."""
+    empty = subset_node_id([])
+    assert empty == "set:b8e1dda3ac0aa3820ad2990b"
+    g = ExtensionalDigraph.from_extensions({empty: {empty}})
+    with pytest.raises(SetforgeError) as caught:
+        complete(g, 1)
+    assert type(caught.value) is SetforgeError
+    assert str(caught.value) == (
+        "generated id 'set:b8e1dda3ac0aa3820ad2990b' collides with an existing node "
+        "of different extension"
+    )
 
 
 def test_leveled_universe_validates_nesting():

@@ -174,6 +174,14 @@ def test_hf_universe_matches_reference_stages():
         assert oracle_outcome(oracle_complete, g, k) == expected, (sorted(g.nodes), k)
 
 
+def test_a_stage_skips_extensions_that_reach_outside_its_values():
+    """{{}} without {}: the extension of {{}} is not among the values,
+    so it represents none of their subsets and is skipped."""
+    singleton = collection([collection([])])
+    fresh = oracle._one_stage({singleton}, Budget(), "stage 1")
+    assert [v.key for v in fresh] == ["{}", "{{{}}}"]
+
+
 def test_hf_budget_guard():
     with pytest.raises(BudgetExceededError):
         oracle_complete(ExtensionalDigraph.empty(), 4, budget=Budget(max_subsets_enumerated=8))
