@@ -39,7 +39,7 @@ from .errors import (
 )
 from .graph import AnnotatedGraph, ExtensionalDigraph, _require_iso_count
 from .logic import AXIOM_NAMES, check_axiom, define_class, eval_formula, parse
-from .oracle import compare, oracle_complete
+from .oracle import ComparisonVerdict, compare, oracle_stages, stages_agree, stages_graph
 from .seeds import AtomDecl, CodeSpec, TupleDecl, assemble, quine_atoms, von_neumann_seed
 
 _BUDGET_ENV = "SETFORGE_BUDGET"
@@ -309,11 +309,20 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     # count held to the isomorphism limit, before anything is built.
     size = _priced(doc.graph, args.levels, budget)
     _require_iso_count(size, size)
-    # The reference first: its working set is freed before the kernel's
-    # result exists, so the two never peak together.
-    reference = oracle_complete(doc.graph, args.levels, budget)
+    # The reference's stage values first, so that a seed they cannot
+    # decorate, a stage over the budget or a generated id that clashes
+    # with a seed id is reported before the kernel runs.  The kernel's
+    # nodes are then matched to those values by key; only where that
+    # match fails is the reference graph built, for ``compare`` to
+    # settle and explain.
+    reference = oracle_stages(doc.graph, args.levels, budget)
     ours = complete(doc.graph, args.levels, budget).graph
-    verdict = compare(ours, reference)
+    if stages_agree(ours, doc.graph, reference):
+        verdict = ComparisonVerdict(True, "isomorphic")
+    else:
+        # Rebound, so that the values are freed once their graph exists.
+        reference = stages_graph(doc.graph, reference)
+        verdict = compare(ours, reference)
     status = "isomorphic" if verdict.isomorphic else "mismatch"
     if args.porcelain:
         print(f"oracle\t{status}\t{verdict.detail}")

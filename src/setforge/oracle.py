@@ -2,18 +2,22 @@
 
 Instead of enumerating missing subsets over node bitmasks the way the
 completion engine does, this module decorates a graph into honest set
-values (hereditarily finite sets over atoms and self-membered codes),
-grows the value universe stage by stage with itertools, and converts
-back. The two paths share no enumeration code, so agreement between
-them is evidence, not an echo.
+values (hereditarily finite sets over atoms and self-membered codes)
+and grows the value universe stage by stage with itertools
+(:func:`oracle_stages`).  A completion is checked against those values
+directly, its nodes matched to them by key (:func:`stages_agree`); the
+values are converted back into a graph (:func:`stages_graph`,
+:func:`oracle_complete`) only where a graph is asked for, or to explain
+a mismatch.  The two paths share no enumeration code, so agreement
+between them is evidence, not an echo.
 
 Values are interned: building the same set twice yields the same
 object, and a collection whose members coincide with the membership
 extension of an atom or a self-membered code collapses onto it. That
 mirrors extensional identification and keeps "one value per extension"
-true by construction. The stage values of :func:`oracle_complete` are
-the one exception: each is new to its run and never leaves it, so they
-skip the table.
+true by construction. The stage values of :func:`oracle_stages` are
+the one exception: each is new to its run and no other run meets it,
+so they skip the table.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import AbstractSet, Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .completion import Budget, DEFAULT_BUDGET
 from .errors import BudgetExceededError, DecorationError, SetforgeError
@@ -121,7 +125,7 @@ def value_extension(v: SetValue) -> frozenset[SetValue]:
     raise TypeError(f"not a set value: {v!r}")
 
 
-def _one_stage(values: AbstractSet[SetValue], budget: Budget, what: str) -> list[Collection]:
+def _one_stage(values: Sequence[SetValue], budget: Budget, what: str) -> list[Collection]:
     """All subsets of ``values`` not already represented by one of them,
     as fresh collection values, deterministically ordered and not
     interned.
@@ -188,14 +192,21 @@ def decorate(g: ExtensionalDigraph) -> dict[NodeId, SetValue]:
     return done
 
 
-def oracle_complete(
-    g: ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET
-) -> ExtensionalDigraph:
-    """Reference completion: decorate, run n stages on values, convert back.
+class StageValues(NamedTuple):
+    """What :func:`oracle_stages` builds: each decoration value with its
+    seed node, and the values each stage adds, in stage order."""
 
-    Seed nodes keep their ids and provenance; stage-r additions are
-    stamped like level-r completion nodes, so a correct completion of
-    the same graph is label-preservingly isomorphic to the result.
+    node_of: dict[SetValue, NodeId]
+    stages: list[list[Collection]]
+
+
+def oracle_stages(g: ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET) -> StageValues:
+    """The values of a reference completion: decorate, then run n stages.
+
+    Raises what :func:`oracle_complete` raises before it converts the
+    values, in the same order, the clash of a generated id with a seed
+    id included, so a caller that converts them later, or never,
+    reports those errors first.
     """
     if n < 0:
         raise ValueError("stage count must be non-negative")
@@ -208,18 +219,33 @@ def oracle_complete(
                 f"decoration conflated {node_of[v]!r} and {x!r}; input was not extensional"
             )
         node_of[v] = x
-    # Every value so far, with its provenance: a seed value keeps its
-    # node's, a stage-r value is stamped with level r, one shared stamp
-    # per stage.  Stage values skip the intern table.  Each is a subset
-    # no value of the run represents, so it is distinct from every
-    # other value of the run, and it never leaves this function: only
-    # its key does, as a node id.
-    stamps: dict[SetValue, Provenance] = {v: g.provenance[x] for v, x in node_of.items()}
+    # Stage values skip the intern table.  Each is a subset no value of
+    # the run represents, so it is distinct from every other value of
+    # the run, and no other run meets it: only its key is written, as a
+    # node id.
+    values: list[SetValue] = list(node_of)
+    stages: list[list[Collection]] = []
     for stage in range(1, n + 1):
-        fresh = _one_stage(stamps.keys(), budget, f"stage {stage}")
-        stamps.update(zip(fresh, itertools.repeat(Deficiency(level=stage))))
+        fresh = _one_stage(values, budget, f"stage {stage}")
+        values += fresh
+        stages.append(fresh)
+    # A stage value is named "hf:" and its key, which a seed id may hold.
+    claimed = {x[3:] for x in g.nodes if x.startswith("hf:")}
+    if claimed:
+        clash = min((v.key for fresh in stages for v in fresh if v.key in claimed), default=None)
+        if clash is not None:
+            raise SetforgeError(f"generated id {'hf:' + clash!r} collides with a seed id")
+    return StageValues(node_of, stages)
 
-    # Seeds keep their node ids; every other value is named by its key.
+
+def stages_graph(g: ExtensionalDigraph, values: StageValues) -> ExtensionalDigraph:
+    """The graph of :func:`oracle_stages`' values for ``g``: seed values
+    keep their node's id and provenance, every other value is named by
+    its key and stamped with the level of its stage."""
+    node_of, stages = values
+    stamps: dict[SetValue, Provenance] = {v: g.provenance[x] for v, x in node_of.items()}
+    for stage, fresh in enumerate(stages, 1):
+        stamps.update(zip(fresh, itertools.repeat(Deficiency(level=stage))))
     order = sorted(stamps, key=_key)
     ids = dict(zip(order, map("hf:".__add__, map(_key, order))))
     ids.update(node_of)
@@ -229,12 +255,26 @@ def oracle_complete(
         for v in order
     ]
     extensions = dict(zip(ids.values(), members))
-    # Two values share a node only where a generated id is a seed's.
+    # No generated id is a seed's (oracle_stages), so two values share
+    # a node only where two stage values spell one key, which labels
+    # holding key syntax can make them do; the order puts them side by side.
     if len(extensions) != len(ids):
-        clash = next(ids[v] for v in order if v not in node_of and ids[v] in g.nodes)
-        raise SetforgeError(f"generated id {clash!r} collides with a seed id")
+        clash = next(ids[v] for v, w in zip(order, order[1:]) if v.key == w.key)
+        raise SetforgeError(f"generated id {clash!r} names two different sets")
     provenance = dict(zip(ids.values(), map(stamps.__getitem__, order)))
     return ExtensionalDigraph(extensions, provenance)
+
+
+def oracle_complete(
+    g: ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET
+) -> ExtensionalDigraph:
+    """Reference completion: decorate, run n stages on values, convert back.
+
+    Seed nodes keep their ids and provenance; stage-r additions are
+    stamped like level-r completion nodes, so a correct completion of
+    the same graph is label-preservingly isomorphic to the result.
+    """
+    return stages_graph(g, oracle_stages(g, n, budget))
 
 
 @dataclass(frozen=True)
@@ -307,6 +347,61 @@ def _seed_map_agrees(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
     if not all(frozenset(map(image, ext_a[x])) == ext_b[x] for x in fixed):
         return False
     return len(set(f.values())) == len(f)
+
+
+# The characters that give a key its structure.  A label that holds none
+# of them keeps keys unambiguous: two values spell one key only if they
+# are one value.
+_KEY_SYNTAX = frozenset("(),;{}")
+
+
+def stages_agree(ours: ExtensionalDigraph, g: ExtensionalDigraph, values: StageValues) -> bool:
+    """``_seed_map_agrees(ours, stages_graph(g, values))``, decided on
+    the values themselves, without that graph; False, which decides
+    nothing, wherever a seed label holds key syntax.
+
+    Level by level, in ascending order, each deficiency node of ``ours``
+    is named by the key that its members' keys spell, as
+    :class:`Collection` spells it, and takes the value of that key from
+    its level's table: the stage's values and the decoration values of
+    the input's nodes at that level.  A member with no key yet, or a
+    key not in the table, ends the attempt, and so does a table not
+    emptied.  Then the non-deficiency nodes must be the input's, with
+    its provenance, and each must hold the values of its decoration's
+    extension.  These are :func:`_seed_map_agrees`' conditions, with
+    each node of the graph named by its value.
+    """
+    node_of, stages = values
+    if any(not isinstance(v, Collection) and not _KEY_SYNTAX.isdisjoint(v.label) for v in node_of):
+        return False
+    levels, fixed = _by_level(ours)
+    seed_levels, seed_fixed = _by_level(g)
+    if fixed != seed_fixed:
+        return False
+    value = {x: v for v, x in node_of.items()}
+    tables = {stage: {v.key: v for v in fresh} for stage, fresh in enumerate(stages, 1)}
+    for level, xs in seed_levels.items():
+        tables.setdefault(level, {}).update((value[x].key, value[x]) for x in xs)
+    key_of = {x: value[x].key for x in fixed}
+    ext = ours.extensions
+    for level in sorted(levels):
+        table = tables.pop(level, {})
+        xs = levels[level]
+        try:
+            matched = [
+                table.pop("{" + ",".join(sorted(map(key_of.__getitem__, ext[x]))) + "}")
+                for x in xs
+            ]
+        except KeyError:
+            return False
+        if table:
+            return False
+        key_of.update(zip(xs, map(_key, matched)))
+    if tables:
+        return False
+    return all(
+        {key_of[m] for m in ext[x]} == set(map(_key, value_extension(value[x]))) for x in fixed
+    )
 
 
 def compare(a: ExtensionalDigraph, b: ExtensionalDigraph) -> ComparisonVerdict:

@@ -248,16 +248,15 @@ def _set_notation(members: list[str]) -> str:
 def von_neumann_seed(k: int) -> ExtensionalDigraph:
     """The membership digraph of the k-th von Neumann stage.
 
-    Stages up to 5 are allowed; one more would need 2**65536 nodes.
+    Stages up to 5 are allowed; a later one raises SizeLimitError, since
+    stage 6 alone would need 2**65536 nodes.
     Nodes are labeled with canonical set notation, members ordered by
     notation length then text.
     """
     if k < 0:
         raise ValueError("stage must be non-negative")
     if k > _MAX_VON_NEUMANN_STAGE:
-        raise ValueError(
-            f"stage {k} is out of reach: stage 6 already holds 2**65536 sets"
-        )
+        raise SizeLimitError(f"stage {k} is out of reach: stage 6 already holds 2**65536 sets")
     extensions: dict[NodeId, frozenset[NodeId]] = {}
     notation: dict[NodeId, str] = {}
     current: list[NodeId] = []

@@ -31,7 +31,7 @@ from setforge import (
     quine_atoms,
     serialize,
 )
-from setforge import cli, document, graph
+from setforge import cli, document, graph, oracle
 from setforge.cli import main
 from setforge.logic import MAX_FORMULA_DEPTH
 
@@ -312,8 +312,8 @@ def test_seed_vn_needs_stage():
 
 
 def test_seed_vn_stage_out_of_reach():
-    code, _, _ = invoke(["seed", "vN", "9"])
-    assert code == 4
+    expected = "size limit: stage 9 is out of reach: stage 6 already holds 2**65536 sets\n"
+    assert invoke(["seed", "vN", "9"]) == (2, "", expected)
 
 
 def test_seed_vn_non_numeric_stage():
@@ -831,9 +831,11 @@ def test_oracle_compare_settles_a_symmetric_seed_from_the_seed_map(monkeypatch):
 
 @pytest.fixture
 def completions(monkeypatch):
-    """The completions the command line runs, by name, in call order."""
+    """What the command line builds toward a comparison, by name, in
+    call order: the reference's stage values, the kernel's completion,
+    and the reference graph made of those values."""
     calls = []
-    for name in ("oracle_complete", "complete"):
+    for name in ("oracle_stages", "complete", "stages_graph"):
 
         def recording(*args, name=name, original=getattr(cli, name)):
             calls.append(name)
@@ -844,11 +846,72 @@ def completions(monkeypatch):
 
 
 def test_oracle_compare_builds_the_reference_before_the_kernel(completions):
-    """The reference's working set is freed before the kernel's result
-    exists, so the two never peak together."""
+    """The reference's stage values are built before the kernel runs,
+    so that their errors come first, and an isomorphic run matches the
+    kernel's nodes to them without building the reference graph."""
     doc = serialize(AnnotatedGraph(swapping_seed("q")))
     assert invoke(["oracle-compare", "--levels", "2"], doc) == (0, "isomorphic\n", "")
-    assert completions == ["oracle_complete", "complete"]
+    assert completions == ["oracle_stages", "complete"]
+
+
+def sabotaged_completions(seed, levels):
+    """Completions of ``seed`` with one fault each: a node dropped, and
+    an edge moved off a node onto the empty set's node."""
+    g = complete(seed, levels).graph
+    ext, prov = dict(g.extensions), dict(g.provenance)
+    empty = next(x for x, members in ext.items() if not members)
+    dropped = max(g.nodes, key=lambda x: (len(ext[x]), x))
+    kept = {x: members - {dropped} for x, members in ext.items() if x != dropped}
+    moved_from = max(x for x in g.nodes if ext[x] and empty not in ext[x])
+    member = min(ext[moved_from])
+    moved = {**ext, moved_from: ext[moved_from] - {member} | {empty}}
+    return [
+        ExtensionalDigraph(kept, {x: prov[x] for x in kept}),
+        ExtensionalDigraph(moved, prov),
+    ]
+
+
+@pytest.mark.parametrize("fault", [0, 1], ids=["node-dropped", "edge-moved"])
+def test_oracle_compare_explains_a_sabotaged_kernel(monkeypatch, completions, fault):
+    """A kernel result that does not match the stage values falls back
+    to ``compare`` against the reference graph, which explains it: exit
+    1 and exactly that verdict's detail."""
+    seed_graph = swapping_seed("q")
+    bad = sabotaged_completions(seed_graph, 1)[fault]
+    expected = oracle.compare(bad, oracle_complete(seed_graph, 1))
+    assert not expected.isomorphic
+    original = cli.complete
+
+    def sabotaged(*args):
+        original(*args)
+        return AnnotatedGraph(bad)
+
+    monkeypatch.setattr(cli, "complete", sabotaged)
+    doc = serialize(AnnotatedGraph(seed_graph))
+    argv = ["oracle-compare", "--levels", "1", "--porcelain"]
+    assert invoke(argv, doc) == (1, f"oracle\tmismatch\t{expected.detail}\n", "")
+    assert completions == ["oracle_stages", "complete", "stages_graph"]
+
+
+def test_oracle_compare_reports_an_id_clash_before_the_kernel(completions):
+    """The seed node "hf:{{}}" takes the id the stage-1 value {{}}
+    would get; the clash is reported from the stage values, and the
+    kernel never runs."""
+    g = ExtensionalDigraph.from_extensions({"e": (), "hf:{{}}": {"hf:{{}}"}})
+    doc = serialize(AnnotatedGraph(g))
+    expected = "generated id 'hf:{{}}' collides with a seed id\n"
+    assert invoke(["oracle-compare", "--levels", "1"], doc) == (3, "", expected)
+    assert completions == ["oracle_stages"]
+
+
+def test_oracle_compare_refuses_labels_that_make_keys_ambiguous(completions):
+    """Ids holding key syntax make two stage values spell one key, so
+    one generated id would name both: exit 3, naming that id."""
+    g = ExtensionalDigraph.from_extensions({x: {x} for x in ["a", "c", "a),atom(b", "b),atom(c"]})
+    doc = serialize(AnnotatedGraph(g))
+    expected = "generated id 'hf:{atom(a),atom(b),atom(c)}' names two different sets\n"
+    assert invoke(["oracle-compare", "--levels", "1"], doc) == (3, "", expected)
+    assert completions == ["oracle_stages", "complete", "stages_graph"]
 
 
 def test_oracle_compare_refuses_a_pair_over_the_node_limit(monkeypatch, completions):
@@ -899,7 +962,7 @@ def test_oracle_compare_refuses_a_non_decorable_seed_over_the_limit_by_size(
     assert completions == []
     code, out, err = invoke(["oracle-compare", "--levels", "0"], doc)
     assert (code, out) == (3, "") and "is not a self-loop" in err
-    assert completions == ["oracle_complete"]
+    assert completions == ["oracle_stages"]
 
 
 def test_diff_past_the_search_state_cap_exits_2(monkeypatch, tmp_path):
@@ -1172,13 +1235,13 @@ def test_check_flags_are_exclusive():
         (["complete", "--levels", "3", "--budget", "1000000"], ("vN", "3"), 2),
         (["check", "--axiom", "extensionality"], "not json", 3),
         (["frobnicate"], "", 4),
-        (["seed", "vN", "9"], "", 4),
+        (["seed", "vN", "-1"], "", 4),
     ],
     ids=["ok", "fails", "budget", "schema", "argparse", "value-error"],
 )
 def test_main_leaves_the_collector_as_it_found_it(enabled, argv, stdin, want):
     """Exit 4 comes from argparse for ``frobnicate`` and from a
-    ``ValueError`` for stage 9."""
+    ``ValueError`` for stage -1."""
     stdin_text = seed(*stdin) if isinstance(stdin, tuple) else stdin
     was = gc.isenabled()
     try:

@@ -524,3 +524,66 @@ def test_compare_agrees_with_the_label_free_search():
     assert verdicts.count((True, False)) >= 100
     assert verdicts.count((False, False)) >= 300
     assert (False, True) not in verdicts
+
+
+# -- the stage values against the kernel's nodes ------------------------------
+
+
+def without_a_top_node(g: ExtensionalDigraph) -> ExtensionalDigraph:
+    """``g`` less its last node at its highest deficiency level, which no
+    node of ``g`` holds when ``g`` is a completion."""
+    top = max(level_of(g, x) for x in g.nodes)
+    gone = max(x for x in g.nodes if level_of(g, x) == top)
+    return ExtensionalDigraph(
+        {x: ms - {gone} for x, ms in g.extensions.items() if x != gone},
+        {x: p for x, p in g.provenance.items() if x != gone},
+    )
+
+
+def test_stages_agree_is_the_seed_map_against_the_oracle_graph():
+    """``stages_agree`` decides what ``_seed_map_agrees`` decides
+    against the graph of the same stage values, without building it.
+    On the seeds of the test above, and on their completions completed
+    again, whose input already holds deficiency nodes: the kernel's
+    completion, its mutated copies, the completion less a top-level
+    node, and the completion one level short."""
+    rng = random.Random(8128)
+    outcomes = []
+    for _ in range(80):
+        seed, levels = random_comparison_seed(rng)
+        inputs = [(seed, levels)]
+        again = complete(seed, 1).graph
+        if len(again) <= 8:
+            inputs += [(again, 0), (again, 1)]
+        for g, n in inputs:
+            values = oracle.oracle_stages(g, n)
+            reference = oracle.stages_graph(g, values)
+            ours = complete(g, n).graph
+            candidates = [ours, *mutated_copies(rng, ours), without_a_top_node(ours)]
+            if n:
+                candidates.append(complete(g, n - 1).graph)
+            for candidate in candidates:
+                expected = oracle._seed_map_agrees(candidate, reference)
+                assert oracle.stages_agree(candidate, g, values) == expected, (g.extensions, n)
+                outcomes.append(expected)
+    assert outcomes.count(True) >= 100
+    assert outcomes.count(False) >= 100
+
+
+def test_stages_agree_leaves_labels_with_key_syntax_to_the_graph():
+    """A seed label that holds key syntax could make two values spell
+    one key, so such a seed is never matched by key; the command line
+    then compares the reference graph, which agrees."""
+    g = ExtensionalDigraph.from_extensions({"a(": {"a("}, "b": set()})
+    values = oracle.oracle_stages(g, 2)
+    ours = complete(g, 2).graph
+    assert oracle._seed_map_agrees(ours, oracle.stages_graph(g, values))
+    assert not oracle.stages_agree(ours, g, values)
+    assert compare(ours, oracle_complete(g, 2)).isomorphic
+
+
+def test_oracle_complete_refuses_two_values_under_one_id():
+    """Ids holding key syntax make two stage values spell one key."""
+    g = ExtensionalDigraph.from_extensions({x: {x} for x in ["a", "c", "a),atom(b", "b),atom(c"]})
+    with pytest.raises(SetforgeError, match="names two different sets"):
+        oracle_complete(g, 1)

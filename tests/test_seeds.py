@@ -68,7 +68,7 @@ def test_von_neumann_four_has_sixteen_nodes():
 
 
 def test_von_neumann_six_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(SizeLimitError):
         von_neumann_seed(6)
 
 
