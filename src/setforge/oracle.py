@@ -1,4 +1,4 @@
-"""Independent reference path for checking completions.
+r"""Independent reference path for checking completions.
 
 Instead of enumerating missing subsets over node bitmasks the way the
 completion engine does, this module decorates a graph into honest set
@@ -6,10 +6,14 @@ values (hereditarily finite sets over atoms and self-membered codes)
 and grows the value universe stage by stage with itertools
 (:func:`oracle_stages`).  A completion is checked against those values
 directly, its nodes matched to them by key (:func:`stages_agree`); the
-values are converted back into a graph (:func:`stages_graph`,
-:func:`oracle_complete`) only where a graph is asked for, or to explain
-a mismatch.  The two paths share no enumeration code, so agreement
-between them is evidence, not an echo.
+values make a graph (:func:`stages_graph`, :func:`oracle_complete`)
+only where a graph is asked for, or to explain a mismatch.  The two
+paths share no enumeration code, so agreement between them is
+evidence, not an echo.
+
+A value's key names that one set, and a stage value's node id is
+``hf:`` and its key: atom and loop labels are written into keys with
+the characters of key syntax, ``\(),;{}``, escaped by a backslash.
 
 Values are interned: building the same set twice yields the same
 object, and a collection whose members coincide with the membership
@@ -27,7 +31,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .completion import Budget, DEFAULT_BUDGET
 from .errors import BudgetExceededError, DecorationError, SetforgeError
@@ -45,6 +49,9 @@ from .graph import (
 
 _key = attrgetter("key")
 
+# Key syntax, each character escaped where a label is written into a key.
+_ESCAPED = str.maketrans({c: "\\" + c for c in "\\(),;{}"})
+
 
 @dataclass(frozen=True, eq=False)
 class SetValue:
@@ -61,7 +68,7 @@ class Atom(SetValue):
     label: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "key", f"atom({self.label})")
+        object.__setattr__(self, "key", f"atom({self.label.translate(_ESCAPED)})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +81,7 @@ class LoopCode(SetValue):
 
     def __post_init__(self) -> None:
         inner = ",".join(map(_key, self.rest))
-        object.__setattr__(self, "key", f"loop({self.label};{inner})")
+        object.__setattr__(self, "key", f"loop({self.label.translate(_ESCAPED)};{inner})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,12 +262,6 @@ def stages_graph(g: ExtensionalDigraph, values: StageValues) -> ExtensionalDigra
         for v in order
     ]
     extensions = dict(zip(ids.values(), members))
-    # No generated id is a seed's (oracle_stages), so two values share
-    # a node only where two stage values spell one key, which labels
-    # holding key syntax can make them do; the order puts them side by side.
-    if len(extensions) != len(ids):
-        clash = next(ids[v] for v, w in zip(order, order[1:]) if v.key == w.key)
-        raise SetforgeError(f"generated id {clash!r} names two different sets")
     provenance = dict(zip(ids.values(), map(stamps.__getitem__, order)))
     return ExtensionalDigraph(extensions, provenance)
 
@@ -315,92 +316,86 @@ def _by_level(g: ExtensionalDigraph) -> tuple[dict[int, list[NodeId]], dict[Node
     return levels, fixed
 
 
+def _name_levels(
+    levels: dict[int, list[NodeId]],
+    ext: Mapping[NodeId, frozenset[NodeId]],
+    names: dict[NodeId, Hashable],
+    tables: dict[int, dict],
+    spell: Callable[[Iterator], Hashable],
+) -> bool:
+    """Name the deficiency nodes ``levels`` level by level, in ascending
+    order, and tell whether every table was used up.
+
+    ``names`` starts on the other nodes.  Each deficiency node pops, from
+    its level's table, the entry that its members' names spell, and is
+    named by it once its level is spelled.  A member not named yet, an
+    entry not in the table, entries left over, or a table whose level
+    has no nodes ends the walk.
+    """
+    for level in sorted(levels):
+        table = tables.pop(level, {})
+        xs = levels[level]
+        try:
+            found = [table.pop(spell(map(names.__getitem__, ext[x]))) for x in xs]
+        except KeyError:
+            return False
+        if table:
+            return False
+        names.update(zip(xs, found))
+    return not tables
+
+
 def _seed_map_agrees(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
     """True when the identity on the shared non-deficiency nodes extends
     to an isomorphism, found one deficiency level at a time; False when
     this map cannot be built, which decides nothing.
 
     The map starts as the identity on the non-deficiency nodes, which
-    both graphs must have with equal provenance.  Level by level, in
-    ascending order, each deficiency node of ``a`` goes to the node of
-    ``b`` at the same level whose extension is the image of its members;
-    a member not mapped yet, or no such node, ends the attempt.  The map
-    then preserves provenance kind and level and carries each deficiency
-    node's members onto its image's.  Checking the same at the
-    non-deficiency nodes, and that the map is injective, makes it an
+    both graphs must have with equal provenance, and goes on as
+    :func:`_name_levels` names each deficiency node of ``a`` by the node
+    of ``b`` at its level whose extension is the image of its members.
+    It then preserves provenance, carries those nodes' members onto
+    their images', and is injective, and onto with equal node counts.
+    Carrying the non-deficiency nodes' members too makes it an
     isomorphism in :func:`is_isomorphic`'s sense, so True is exact.
     """
     levels_a, fixed = _by_level(a)
     levels_b, fixed_b = _by_level(b)
-    if len(a.nodes) != len(b.nodes) or levels_a.keys() != levels_b.keys() or fixed != fixed_b:
+    if len(a.nodes) != len(b.nodes) or fixed != fixed_b:
         return False
     ext_a, ext_b = a.extensions, b.extensions
-    f = {x: x for x in fixed}
-    image = f.__getitem__
-    for level in sorted(levels_a):
-        node_of = {ext_b[y]: y for y in levels_b[level]}
-        xs = levels_a[level]
-        try:
-            f.update(zip(xs, [node_of[frozenset(map(image, ext_a[x]))] for x in xs]))
-        except KeyError:
-            return False
-    if not all(frozenset(map(image, ext_a[x])) == ext_b[x] for x in fixed):
-        return False
-    return len(set(f.values())) == len(f)
-
-
-# The characters that give a key its structure.  A label that holds none
-# of them keeps keys unambiguous: two values spell one key only if they
-# are one value.
-_KEY_SYNTAX = frozenset("(),;{}")
+    f: dict[NodeId, Hashable] = {x: x for x in fixed}
+    tables = {level: {ext_b[y]: y for y in ys} for level, ys in levels_b.items()}
+    return _name_levels(levels_a, ext_a, f, tables, frozenset) and all(
+        frozenset(map(f.__getitem__, ext_a[x])) == ext_b[x] for x in fixed
+    )
 
 
 def stages_agree(ours: ExtensionalDigraph, g: ExtensionalDigraph, values: StageValues) -> bool:
     """``_seed_map_agrees(ours, stages_graph(g, values))``, decided on
-    the values themselves, without that graph; False, which decides
-    nothing, wherever a seed label holds key syntax.
+    the values themselves, without that graph: the same walk, with each
+    node of that graph named by its value's key.
 
-    Level by level, in ascending order, each deficiency node of ``ours``
-    is named by the key that its members' keys spell, as
-    :class:`Collection` spells it, and takes the value of that key from
-    its level's table: the stage's values and the decoration values of
-    the input's nodes at that level.  A member with no key yet, or a
-    key not in the table, ends the attempt, and so does a table not
-    emptied.  Then the non-deficiency nodes must be the input's, with
-    its provenance, and each must hold the values of its decoration's
-    extension.  These are :func:`_seed_map_agrees`' conditions, with
-    each node of the graph named by its value.
+    Each deficiency node of ``ours`` spells the :class:`Collection` key
+    of its members' keys, in its level's table of the stage's values
+    and the decoration values of the input's nodes at that level.  The
+    non-deficiency nodes must be the input's, with its provenance, and
+    each must hold the values of its decoration's extension.
     """
     node_of, stages = values
-    if any(not isinstance(v, Collection) and not _KEY_SYNTAX.isdisjoint(v.label) for v in node_of):
-        return False
     levels, fixed = _by_level(ours)
     seed_levels, seed_fixed = _by_level(g)
     if fixed != seed_fixed:
         return False
     value = {x: v for v, x in node_of.items()}
-    tables = {stage: {v.key: v for v in fresh} for stage, fresh in enumerate(stages, 1)}
+    tables = {stage: {v.key: v.key for v in fresh} for stage, fresh in enumerate(stages, 1)}
     for level, xs in seed_levels.items():
-        tables.setdefault(level, {}).update((value[x].key, value[x]) for x in xs)
-    key_of = {x: value[x].key for x in fixed}
+        tables.setdefault(level, {}).update((value[x].key, value[x].key) for x in xs)
+    names: dict[NodeId, Hashable] = {x: value[x].key for x in fixed}
     ext = ours.extensions
-    for level in sorted(levels):
-        table = tables.pop(level, {})
-        xs = levels[level]
-        try:
-            matched = [
-                table.pop("{" + ",".join(sorted(map(key_of.__getitem__, ext[x]))) + "}")
-                for x in xs
-            ]
-        except KeyError:
-            return False
-        if table:
-            return False
-        key_of.update(zip(xs, map(_key, matched)))
-    if tables:
-        return False
-    return all(
-        {key_of[m] for m in ext[x]} == set(map(_key, value_extension(value[x]))) for x in fixed
+    spell = lambda keys: "{" + ",".join(sorted(keys)) + "}"  # as a Collection does
+    return _name_levels(levels, ext, names, tables, spell) and all(
+        {names[m] for m in ext[x]} == set(map(_key, value_extension(value[x]))) for x in fixed
     )
 
 

@@ -490,6 +490,22 @@ def reference_chain_style_certificate(g: ExtensionalDigraph) -> AnnotatedGraph:
     return AnnotatedGraph(g, depth=depth, ranks=ranks)
 
 
+def key_syntax_seed() -> ExtensionalDigraph:
+    """Self-looped a, b and "a),atom(b", e = {}, c = {a, b, e} and
+    d = {a),atom(b, e}: c and d would spell one key if labels went into
+    keys as they are, and the decoration would conflate them."""
+    return ExtensionalDigraph.from_extensions(
+        {
+            "a": {"a"},
+            "b": {"b"},
+            "a),atom(b": {"a),atom(b"},
+            "e": set(),
+            "c": {"a", "b", "e"},
+            "d": {"a),atom(b", "e"},
+        }
+    )
+
+
 def random_decorable_graph(
     rng: random.Random,
     max_nodes: int,

@@ -16,7 +16,7 @@ import weakref
 
 import pytest
 
-from helpers import parse_dot
+from helpers import key_syntax_seed, parse_dot
 
 import setforge
 from setforge import (
@@ -904,14 +904,20 @@ def test_oracle_compare_reports_an_id_clash_before_the_kernel(completions):
     assert completions == ["oracle_stages"]
 
 
-def test_oracle_compare_refuses_labels_that_make_keys_ambiguous(completions):
-    """Ids holding key syntax make two stage values spell one key, so
-    one generated id would name both: exit 3, naming that id."""
+def test_oracle_compare_matches_labels_with_key_syntax_by_key(completions):
+    """Ids holding key syntax are escaped in keys, so {a, b),atom(c}
+    and {a),atom(b, c} keep keys of their own and the kernel's nodes
+    are matched by key, without the reference graph."""
     g = ExtensionalDigraph.from_extensions({x: {x} for x in ["a", "c", "a),atom(b", "b),atom(c"]})
     doc = serialize(AnnotatedGraph(g))
-    expected = "generated id 'hf:{atom(a),atom(b),atom(c)}' names two different sets\n"
-    assert invoke(["oracle-compare", "--levels", "1"], doc) == (3, "", expected)
-    assert completions == ["oracle_stages", "complete", "stages_graph"]
+    assert invoke(["oracle-compare", "--levels", "1"], doc) == (0, "isomorphic\n", "")
+    assert completions == ["oracle_stages", "complete"]
+
+
+def test_oracle_compare_keeps_sets_apart_whose_labels_hold_key_syntax():
+    """The sets c and d of ``key_syntax_seed`` keep keys of their own."""
+    doc = serialize(AnnotatedGraph(key_syntax_seed()))
+    assert invoke(["oracle-compare", "--levels", "1"], doc) == (0, "isomorphic\n", "")
 
 
 def test_oracle_compare_refuses_a_pair_over_the_node_limit(monkeypatch, completions):

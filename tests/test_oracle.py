@@ -2,6 +2,7 @@
 
 import gc
 import io
+import itertools
 import json
 import random
 import sys
@@ -37,6 +38,7 @@ from setforge import oracle
 from setforge.cli import main
 
 from helpers import (
+    key_syntax_seed,
     random_decorable_graph,
     random_extensional_graph,
     reference_oracle_complete,
@@ -540,17 +542,52 @@ def without_a_top_node(g: ExtensionalDigraph) -> ExtensionalDigraph:
     )
 
 
+KEY_SYNTAX_PIECES = ["a", "(", ")", ",", ";", "{", "}", "\\", "atom", "loop"]
+
+
+def key_syntax_seeds(count: int) -> list[tuple[ExtensionalDigraph, int]]:
+    """Extensional seeds whose only cycles are self-loops, with ids
+    spelled from pieces of key syntax, each with a level count that
+    keeps its completion at 256 nodes or fewer.  Two or three atoms,
+    up to two atoms glued from two of them ("x),atom(y" and the like,
+    which two atoms x and y would spell together if labels went into
+    keys as they are), and sets or loop codes over the nodes before."""
+    rng = random.Random(4093)
+    seeds: list[tuple[ExtensionalDigraph, int]] = []
+    while len(seeds) < count:
+        ext = {x: {x} for x in spelled_ids(rng, rng.randint(2, 3), 2)}
+        for _ in range(rng.randint(0, 2)):
+            x, y = sorted(rng.sample(sorted(ext), 2), key=lambda i: atom(i).key)
+            z = x + rng.choice(["),atom(", "),loop(", ";atom(", ","]) + y
+            ext.setdefault(z, {z})
+        for z in spelled_ids(rng, rng.randint(0, 5 - len(ext)), 3) - ext.keys():
+            older = sorted(ext)
+            ext[z] = set(rng.sample(older, rng.randint(0, len(older))))
+            if rng.random() < 0.3:
+                ext[z].add(z)
+        if len(set(map(frozenset, ext.values()))) == len(ext):
+            g = ExtensionalDigraph.from_extensions(ext)
+            seeds.append((g, 1 if len(g) > 3 else rng.randint(1, 2)))
+    return seeds
+
+
+def spelled_ids(rng: random.Random, count: int, most: int) -> set[str]:
+    """Up to ``count`` ids of 1 to ``most`` pieces of key syntax each."""
+    return {"".join(rng.choices(KEY_SYNTAX_PIECES, k=rng.randint(1, most))) for _ in range(count)}
+
+
 def test_stages_agree_is_the_seed_map_against_the_oracle_graph():
     """``stages_agree`` decides what ``_seed_map_agrees`` decides
     against the graph of the same stage values, without building it.
     On the seeds of the test above, and on their completions completed
     again, whose input already holds deficiency nodes: the kernel's
     completion, its mutated copies, the completion less a top-level
-    node, and the completion one level short."""
+    node, and the completion one level short.  Then the same on seeds
+    whose ids are spelled from key syntax."""
     rng = random.Random(8128)
     outcomes = []
-    for _ in range(80):
-        seed, levels = random_comparison_seed(rng)
+    seeds = (random_comparison_seed(rng) for _ in range(80))
+    for seed, levels in itertools.chain(seeds, key_syntax_seeds(30)):
         inputs = [(seed, levels)]
         again = complete(seed, 1).graph
         if len(again) <= 8:
@@ -570,20 +607,80 @@ def test_stages_agree_is_the_seed_map_against_the_oracle_graph():
     assert outcomes.count(False) >= 100
 
 
-def test_stages_agree_leaves_labels_with_key_syntax_to_the_graph():
-    """A seed label that holds key syntax could make two values spell
-    one key, so such a seed is never matched by key; the command line
-    then compares the reference graph, which agrees."""
+def one_node_too_few_or_too_many(g: ExtensionalDigraph, n: int) -> list[ExtensionalDigraph]:
+    """Faulty completions of ``g`` at ``n`` levels: one level short, less
+    a top-level node, and with one node of the next level added."""
+    ours = complete(g, n).graph
+    top = {x for x in ours.nodes if level_of(ours, x) == n}
+    extra = ExtensionalDigraph(
+        {**ours.extensions, "extra": frozenset(top)},
+        {**ours.provenance, "extra": Deficiency(n + 1)},
+    )
+    return [complete(g, n - 1).graph, without_a_top_node(ours), extra]
+
+
+@pytest.mark.parametrize("fault", [0, 1, 2], ids=["level-short", "node-dropped", "node-added"])
+def test_the_level_walk_refuses_a_node_too_few_or_too_many(fault):
+    """Each level's table must be used up, and every level's table:
+    both matchers refuse a completion that misses or adds a node, and
+    ``compare`` names the node counts."""
+    g = von_neumann_seed(2)
+    values = oracle.oracle_stages(g, 2)
+    reference = oracle.stages_graph(g, values)
+    bad = one_node_too_few_or_too_many(g, 2)[fault]
+    assert not oracle.stages_agree(bad, g, values)
+    assert not oracle._seed_map_agrees(bad, reference)
+    assert not oracle._seed_map_agrees(reference, bad)
+    expected = f"node counts differ: {len(bad)} vs {len(reference)}"
+    assert compare(bad, reference) == oracle.ComparisonVerdict(False, expected)
+
+
+def test_stages_agree_matches_labels_with_key_syntax_by_key():
+    """A seed label that holds key syntax is escaped in keys, so its
+    seed is matched by key like any other."""
     g = ExtensionalDigraph.from_extensions({"a(": {"a("}, "b": set()})
     values = oracle.oracle_stages(g, 2)
     ours = complete(g, 2).graph
+    assert oracle.stages_agree(ours, g, values)
     assert oracle._seed_map_agrees(ours, oracle.stages_graph(g, values))
-    assert not oracle.stages_agree(ours, g, values)
-    assert compare(ours, oracle_complete(g, 2)).isomorphic
 
 
-def test_oracle_complete_refuses_two_values_under_one_id():
-    """Ids holding key syntax make two stage values spell one key."""
+def test_oracle_complete_gives_values_with_key_syntax_distinct_ids():
+    """{a, b),atom(c} and {a),atom(b, c} would spell one key if labels
+    went into keys as they are."""
     g = ExtensionalDigraph.from_extensions({x: {x} for x in ["a", "c", "a),atom(b", "b),atom(c"]})
-    with pytest.raises(SetforgeError, match="names two different sets"):
-        oracle_complete(g, 1)
+    reference = oracle_complete(g, 1)
+    assert len(reference) == 16
+    assert reference.nodes >= {
+        r"hf:{atom(a),atom(b\)\,atom\(c)}",
+        r"hf:{atom(a\)\,atom\(b),atom(c)}",
+    }
+    assert compare(complete(g, 1).graph, reference).isomorphic
+
+
+def test_oracle_complete_keeps_sets_apart_whose_labels_hold_key_syntax():
+    g = key_syntax_seed()
+    reference = oracle_complete(g, 0)
+    assert reference.extensions == g.extensions
+    assert reference.provenance == g.provenance
+
+
+def test_keys_escape_key_syntax_in_labels():
+    assert atom("a").key == "atom(a)"
+    assert atom("a)").key == r"atom(a\))"
+    assert loop_code("x;", [atom("{")]).key == r"loop(x\;;atom(\{))"
+    assert collection([atom("a"), atom("b\\")]).key == r"{atom(a),atom(b\\)}"
+
+
+def test_stages_agree_on_ids_spelled_from_key_syntax():
+    """Every value of a run has a key of its own, and the kernel's
+    completion of a seed whose ids are made of key syntax is matched by
+    key, as the graph of the same values matches it."""
+    seeds = key_syntax_seeds(60) + [(key_syntax_seed(), 1)]
+    for g, n in seeds:
+        values = oracle.oracle_stages(g, n)
+        keys = [v.key for v in values.node_of] + [v.key for fresh in values.stages for v in fresh]
+        assert len(set(keys)) == len(keys), g.extensions
+        ours = complete(g, n).graph
+        assert oracle.stages_agree(ours, g, values), (g.extensions, n)
+        assert oracle._seed_map_agrees(ours, oracle.stages_graph(g, values))
