@@ -190,45 +190,13 @@ def serialize(doc: AnnotatedGraph) -> str:
     return "".join(_pieces(_taken(doc)))
 
 
-def _want(raw: Mapping[str, Any], key: str, kind: type, path: str) -> Any:
+def _want(raw: Mapping[str, Any], key: str, kind: type) -> Any:
     if key not in raw:
-        raise SchemaError(path, f"missing required field {key!r}")
+        raise SchemaError("$", f"missing required field {key!r}")
     value = raw[key]
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}" if path != "$" else key, f"expected {kind.__name__}")
+        raise SchemaError(key, f"expected {kind.__name__}")
     return value
-
-
-def _parse_provenance(raw: Any, path: str) -> Provenance:
-    if not isinstance(raw, dict):
-        raise SchemaError(path, "provenance must be an object")
-    kind = raw.get("kind")
-    if kind == "seed":
-        label = raw.get("label")
-        if not isinstance(label, str):
-            raise SchemaError(path, "seed provenance needs a string label")
-        if not _encodable((label,)):
-            raise SchemaError(f"{path}.label", "labels must not hold a lone surrogate")
-        return Seed(label=label)
-    if kind == "deficiency":
-        level = raw.get("level")
-        if not isinstance(level, int) or isinstance(level, bool) or level < 1:
-            raise SchemaError(path, "deficiency level must be an integer >= 1")
-        members = raw.get("members")
-        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
-            raise SchemaError(path, "deficiency members must be a list of ids")
-        return Deficiency(level=level)
-    if kind == "code":
-        code_kind = raw.get("code_kind")
-        if code_kind not in _CODE_KINDS:
-            raise SchemaError(path, f"code_kind must be one of {', '.join(_CODE_KINDS)}")
-        detail = raw.get("detail")
-        if not isinstance(detail, str):
-            raise SchemaError(path, "code provenance needs a string detail")
-        if not _encodable((detail,)):
-            raise SchemaError(f"{path}.detail", "details must not hold a lone surrogate")
-        return Code(kind=code_kind, detail=detail)
-    raise SchemaError(path, f"unknown provenance kind {kind!r}")
 
 
 # -- bulk checks ---------------------------------------------------------------
@@ -343,7 +311,8 @@ def _levels(levels_raw: list, known: frozenset[NodeId]) -> list[frozenset[NodeId
             map(le, collected, islice(collected, 1, None))
         ):
             return collected
-    return _levels_by_item(levels_raw, known)
+    _raise_first(map(_level_fault, count(), chain([[]], levels_raw), levels_raw, repeat(known)))
+    raise AssertionError("a level fault went unnamed")
 
 
 def _rank_key(key: str) -> int:
@@ -361,135 +330,113 @@ def _rank_key(key: str) -> int:
         ) from None
 
 
-def _rank_family_valid(
-    i: int,
-    rank_map: Any,
-    known: frozenset[NodeId],
-    depth: dict[NodeId, int],
-    sorted_depths: list[int],
-) -> bool:
-    """Whether ``_check_rank_family_by_item`` would pass, in bulk: an
-    object of integers whose domain is exactly the nodes of depth < i."""
-    return (
-        type(rank_map) is dict
-        and _all_of(rank_map.values(), int)
-        and _rank_domain_exact(i, rank_map, known, depth, sorted_depths)
-    )
-
-
-# -- item-by-item checks -------------------------------------------------------
+# -- naming --------------------------------------------------------------------
 #
-# Each runs only when its section's bulk check failed, and raises the
-# error of the first offending item, as a walk in document order would.
+# Where a bulk check fails, each rule group's namer is given the
+# section's entries in the order an item-by-item walk meets them (every
+# node id before any provenance); it returns one entry's fault, or None.
 
 
-def _node_ids_by_item(nodes_raw: list) -> list[NodeId]:
-    seen: set[NodeId] = set()
-    order: list[NodeId] = []
-    for i, item in enumerate(nodes_raw):
-        path = f"nodes[{i}]"
-        if not isinstance(item, dict):
-            raise SchemaError(path, "node entries must be objects")
-        node_id = item.get("id")
-        if not isinstance(node_id, str) or not node_id:
-            raise SchemaError(path, "node id must be a nonempty string")
-        if not _encodable((node_id,)):
-            raise SchemaError(f"{path}.id", "node ids must not hold a lone surrogate")
-        if node_id in seen:
-            raise SchemaError(path, f"duplicate node id {node_id!r}")
-        seen.add(node_id)
-        order.append(node_id)
-    return order
+def _raise_first(faults: Iterable[SchemaError | None]) -> None:
+    for fault in filter(None, faults):
+        raise fault
 
 
-def _provenance_by_item(nodes_raw: list[dict], ids: list[NodeId]) -> dict[NodeId, Provenance]:
-    return {
-        x: _parse_provenance(item.get("provenance"), f"nodes[{i}].provenance")
-        for i, (x, item) in enumerate(zip(ids, nodes_raw))
-    }
+def _id_fault(i: int, item: Any, seen: set[NodeId]) -> SchemaError | None:
+    """``seen`` holds the ids of the ``nodes`` entries before ``item``."""
+    path = f"nodes[{i}]"
+    if type(item) is not dict:
+        return SchemaError(path, "node entries must be objects")
+    x = item.get("id")
+    if type(x) is not str or not x:
+        return SchemaError(path, "node id must be a nonempty string")
+    if not _encodable((x,)):
+        return SchemaError(f"{path}.id", "node ids must not hold a lone surrogate")
+    return SchemaError(path, f"duplicate node id {x!r}") if x in seen else None
 
 
-def _member_lists_by_item(
-    edges_raw: list, ids: list[NodeId], known: frozenset[NodeId]
-) -> dict[NodeId, list[NodeId]]:
-    members: dict[NodeId, list[NodeId]] = {x: [] for x in ids}
-    for i, pair in enumerate(edges_raw):
-        path = f"edges[{i}]"
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(end, str) for end in pair)
-        ):
-            raise SchemaError(path, "edges must be [member, container] id pairs")
-        member, container = pair
-        if member not in known:
-            raise SchemaError(path, f"references unknown id {member!r}")
-        if container not in known:
-            raise SchemaError(path, f"references unknown id {container!r}")
-        members[container].append(member)
-    return members
+def _text_fault(path: str, kind: str, field: str, value: Any) -> SchemaError | None:
+    if type(value) is not str:
+        return SchemaError(path, f"{kind} provenance needs a string {field}")
+    if not _encodable((value,)):
+        return SchemaError(f"{path}.{field}", f"{field}s must not hold a lone surrogate")
+    return None
 
 
-def _check_deficiency_members_by_item(
-    nodes_raw: list[dict],
-    provenance: dict[NodeId, Provenance],
-    members: dict[NodeId, list[NodeId]],
-) -> None:
-    for i, (item, x) in enumerate(zip(nodes_raw, provenance)):
-        if isinstance(provenance[x], Deficiency) and item["provenance"]["members"] != sorted(
-            frozenset(members[x])
-        ):
-            raise SchemaError(
-                f"nodes[{i}].provenance",
-                "deficiency members must equal the node's extension",
-            )
+def _provenance_fault(i: int, raw: Any) -> SchemaError | None:
+    path = f"nodes[{i}].provenance"
+    if type(raw) is not dict:
+        return SchemaError(path, "provenance must be an object")
+    kind = raw.get("kind")
+    if kind == "seed":
+        return _text_fault(path, "seed", "label", raw.get("label"))
+    if kind == "deficiency":
+        level, members = raw.get("level"), raw.get("members")
+        if type(level) is not int or level < 1:
+            return SchemaError(path, "deficiency level must be an integer >= 1")
+        if type(members) is not list or not _all_of(members, str):
+            return SchemaError(path, "deficiency members must be a list of ids")
+        return None
+    if kind == "code":
+        if raw.get("code_kind") not in _CODE_KINDS:
+            return SchemaError(path, f"code_kind must be one of {', '.join(_CODE_KINDS)}")
+        return _text_fault(path, "code", "detail", raw.get("detail"))
+    return SchemaError(path, f"unknown provenance kind {kind!r}")
 
 
-def _levels_by_item(levels_raw: list, known: frozenset[NodeId]) -> list[frozenset[NodeId]]:
-    collected: list[frozenset[NodeId]] = []
-    for i, level in enumerate(levels_raw):
-        path = f"levels[{i}]"
-        if not isinstance(level, list) or not all(isinstance(x, str) for x in level):
-            raise SchemaError(path, "levels must be lists of node ids")
-        stray = [x for x in level if x not in known]
-        if stray:
-            raise SchemaError(path, f"references unknown id {stray[0]!r}")
-        current = frozenset(level)
-        if collected and not collected[-1] <= current:
-            raise SchemaError(path, "levels must be cumulative")
-        collected.append(current)
-    return collected
+def _edge_fault(i: int, pair: Any, known: frozenset[NodeId]) -> SchemaError | None:
+    if type(pair) is not list or len(pair) != 2 or not type(pair[0]) is type(pair[1]) is str:
+        return SchemaError(f"edges[{i}]", "edges must be [member, container] id pairs")
+    stray = [x for x in pair if x not in known]
+    return SchemaError(f"edges[{i}]", f"references unknown id {stray[0]!r}") if stray else None
 
 
-def _check_depth_by_item(depth_raw: dict, known: frozenset[NodeId]) -> None:
-    for key, value in depth_raw.items():
-        if key not in known:
-            raise SchemaError("depth", f"references unknown id {key!r}")
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise SchemaError("depth", f"depth of {key!r} must be a non-negative integer")
+def _members_fault(i: int, claimed: list[NodeId], group: list[NodeId]) -> SchemaError | None:
+    """The fault of ``nodes[i]``, which claims ``claimed``; its edges give ``group``."""
+    path = f"nodes[{i}].provenance"
+    if claimed == sorted(set(group)):
+        return None
+    return SchemaError(path, "deficiency members must equal the node's extension")
 
 
-def _check_rank_family_by_item(
+def _level_fault(i: int, below: list, level: Any, known: frozenset[NodeId]) -> SchemaError | None:
+    """``below`` is the level before ``level``, or empty."""
+    path = f"levels[{i}]"
+    if type(level) is not list or not _all_of(level, str):
+        return SchemaError(path, "levels must be lists of node ids")
+    stray = [x for x in level if x not in known]
+    if stray:
+        return SchemaError(path, f"references unknown id {stray[0]!r}")
+    return None if set(below).issubset(level) else SchemaError(path, "levels must be cumulative")
+
+
+def _depth_fault(key: str, value: Any, known: frozenset[NodeId]) -> SchemaError | None:
+    if key not in known:
+        return SchemaError("depth", f"references unknown id {key!r}")
+    if type(value) is not int or value < 0:
+        return SchemaError("depth", f"depth of {key!r} must be a non-negative integer")
+    return None
+
+
+def _rank_fault(
     key: str, i: int, rank_map: Any, known: frozenset[NodeId], depth: dict[NodeId, int]
-) -> None:
+) -> SchemaError | None:
     path = f"ranks.{key}"
-    if not isinstance(rank_map, dict):
-        raise SchemaError(path, "each rank family entry must be an object")
-    for node_id, value in rank_map.items():
-        if node_id not in known:
-            raise SchemaError(path, f"references unknown id {node_id!r}")
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise SchemaError(path, f"rank of {node_id!r} must be an integer")
-    wanted = {x for x in known if depth[x] < i}
-    if set(rank_map) != wanted:
-        off = sorted(set(rank_map) ^ wanted)[0]
-        raise SchemaError(path, f"domain must be exactly the nodes of depth < {i} ({off!r} is off)")
+    if type(rank_map) is not dict:
+        return SchemaError(path, "each rank family entry must be an object")
+    for x, value in rank_map.items():
+        if x not in known:
+            return SchemaError(path, f"references unknown id {x!r}")
+        if type(value) is not int:
+            return SchemaError(path, f"rank of {x!r} must be an integer")
+    off = sorted(rank_map.keys() ^ {x for x in known if depth[x] < i})[:1]
+    domain = f"domain must be exactly the nodes of depth < {i}"
+    return SchemaError(path, f"{domain} ({off[0]!r} is off)") if off else None
 
 
-def _check_formulas_by_item(formulas_raw: dict) -> None:
-    for name, body in formulas_raw.items():
-        if not isinstance(body, str):
-            raise SchemaError(f"formulas.{name}", "formula bodies must be strings")
+def _formula_fault(name: str, body: Any) -> SchemaError | None:
+    path = f"formulas.{name}"
+    return None if type(body) is str else SchemaError(path, "formula bodies must be strings")
 
 
 # -- reading -----------------------------------------------------------------
@@ -502,9 +449,9 @@ def _check_formulas_by_item(formulas_raw: dict) -> None:
 # ``edges`` bytes by rendering them from their ``members``
 # (``_claimed``), and decodes the edges only when that fails. Anything
 # it cannot show, invalid UTF-8 or JSON included, goes to ``_walked``,
-# which decodes the whole input, parses it with ``json.loads`` and
-# walks the edges, and any section that fails its bulk check, item by
-# item, so that the first error in section order is named.
+# which parses the whole input with ``json.loads`` and puts the parsed
+# object through the same bulk checks; a failed check names its first
+# offending entry, as an item-by-item walk would.
 
 _scan_value = json.JSONDecoder().scan_once
 # About how many bytes of ``nodes`` are decoded at a time.
@@ -744,17 +691,20 @@ def _ranked(data: bytes, at: int) -> tuple[dict, int]:
 def _nodes(raw: dict) -> _Nodes:
     """The checked ``format_version``, then the ``nodes`` entries as
     columns: as :func:`_sliced` read them, or read from the decoded
-    list, which is walked item by item only to name an error."""
-    version = _want(raw, "format_version", int, "$")
+    list, which the namers walk where a bulk check fails."""
+    version = _want(raw, "format_version", int)
     if version != FORMAT_VERSION:
         raise SchemaError("format_version", f"unsupported version {version}")
     if type(raw.get("nodes")) is _Nodes:
         return raw["nodes"]
-    nodes_raw = _want(raw, "nodes", list, "$")
+    nodes_raw = _want(raw, "nodes", list)
     nodes = _Nodes()
     if not (nodes.add(nodes_raw) and nodes.distinct()):
-        # Raises wherever a bulk check fails.
-        _provenance_by_item(nodes_raw, _node_ids_by_item(nodes_raw))
+        seen: set[NodeId] = set()
+        for i, item in enumerate(nodes_raw):
+            _raise_first([_id_fault(i, item, seen)])
+            seen.add(item["id"])
+        _raise_first(map(_provenance_fault, count(), _fields(nodes_raw, "provenance")))
     return nodes
 
 
@@ -875,12 +825,10 @@ def _from_members(
     return _annotated(sections, graph)
 
 
-def _compared(sections: dict, edges: _Groups, nodes: _Nodes | None = None) -> _Build:
+def _compared(sections: dict, edges: _Groups, nodes: _Nodes) -> _Build:
     """The build of the document, its extensions the edges as
-    :func:`_grouped` grouped them, once the deficiency members agree;
-    ``nodes`` is :func:`_nodes` of ``sections`` where it has run."""
-    if nodes is None:
-        nodes = _nodes(sections)
+    :func:`_grouped` grouped them, once their ends are ids (or
+    ``_Unproven``) and the deficiency members agree (or ``SchemaError``)."""
     ids, mask, members, sizes = nodes.ids, nodes.deficient, nodes.members, nodes.sizes
     groups, canon = edges
     known = frozenset(ids)
@@ -896,7 +844,7 @@ def _compared(sections: dict, edges: _Groups, nodes: _Nodes | None = None) -> _B
         and _ascending(members, sizes)
         or claimed == [sorted(set(ms)) for ms in lists]
     ):
-        raise _Unproven
+        _raise_first(map(_members_fault, compress(count(), mask), claimed, lists))
     return partial(_from_groups, sections, nodes, groups)
 
 
@@ -924,19 +872,16 @@ def _proven(data: bytes) -> _Build:
             return _claimed(data, sections, edges)
     except _Unproven:
         sections, edges = _sections(data)
-    return _compared(sections, edges)
+    return _compared(sections, edges, _nodes(sections))
 
 
 def _walked(data: bytes, errors: str) -> AnnotatedGraph:
-    """The document, decoded with ``errors`` and read as ``json.loads``
-    parses it, the nodes and edges walked item by item to name the first
-    offending field."""
+    """The document, decoded with ``errors``, parsed by ``json.loads``
+    and read by the checks that read ``_proven``'s sections."""
     try:
-        text = data.decode("utf-8", errors)
+        raw = json.loads(data.decode("utf-8", errors))
     except UnicodeDecodeError as e:
         raise SchemaError("$", f"invalid UTF-8 at byte {e.start}: {e.reason}") from e
-    try:
-        raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise SchemaError("$", f"invalid JSON: {e.msg} at position {e.pos}") from e
     except RecursionError as e:
@@ -945,25 +890,30 @@ def _walked(data: bytes, errors: str) -> AnnotatedGraph:
         raise SchemaError(
             "$", f"invalid JSON: integers have at most {sys.get_int_max_str_digits()} digits"
         ) from e
-    del text
     if not isinstance(raw, dict):
         raise SchemaError("$", "document must be a JSON object")
     nodes = _nodes(raw)
-    ids, provenance = nodes.ids, nodes.provenance
-    known = frozenset(ids)
-    members = _member_lists_by_item(_want(raw, "edges", list, "$"), ids, known)
-    _check_deficiency_members_by_item(raw["nodes"], provenance, members)
-    graph = ExtensionalDigraph({x: frozenset(ms) for x, ms in members.items()}, provenance)
-    return _annotated(raw, graph)
+    try:
+        build = _compared(raw, _grouped(raw.get("edges")), nodes)
+    except (_Unproven, TypeError):
+        _name_edges(raw, nodes)
+        raise
+    return build()
+
+
+def _name_edges(raw: dict, nodes: _Nodes) -> None:
+    """Raises the first fault of ``raw``'s edges."""
+    edges = _want(raw, "edges", list)
+    _raise_first(map(_edge_fault, count(), edges, repeat(frozenset(nodes.ids))))
 
 
 def _annotated(raw: dict, graph: ExtensionalDigraph) -> AnnotatedGraph:
     """``graph`` with the optional blocks of ``raw``, each checked in
-    bulk and walked item by item only to name an error."""
+    bulk, and its first offending entry named where that fails."""
     known = graph.nodes
     levels: tuple[frozenset[NodeId], ...] | None = None
     if "levels" in raw:
-        collected = _levels(_want(raw, "levels", list, "$"), known)
+        collected = _levels(_want(raw, "levels", list), known)
         if not collected:
             raise SchemaError("levels", "levels block must not be empty")
         if collected[-1] != known:
@@ -973,12 +923,12 @@ def _annotated(raw: dict, graph: ExtensionalDigraph) -> AnnotatedGraph:
 
     depth: dict[NodeId, int] | None = None
     if "depth" in raw:
-        depth = _want(raw, "depth", dict, "$")
+        depth = _want(raw, "depth", dict)
         values = depth.values()
         if not (
             known.issuperset(depth) and _all_of(values, int) and min(values, default=0) >= 0
         ):
-            _check_depth_by_item(depth, known)
+            _raise_first(map(_depth_fault, depth, values, repeat(known)))
         if len(depth) != len(known):
             missing = sorted(known - depth.keys())[0]
             raise SchemaError("depth", f"missing depth for {missing!r}")
@@ -987,20 +937,24 @@ def _annotated(raw: dict, graph: ExtensionalDigraph) -> AnnotatedGraph:
     if "ranks" in raw:
         if depth is None:
             raise SchemaError("ranks", "ranks need a depth block to fix their domains")
-        ranks_raw = _want(raw, "ranks", dict, "$")
+        ranks_raw = _want(raw, "ranks", dict)
         sorted_depths = sorted(depth.values())
         ranks = {}
         for key, rank_map in ranks_raw.items():
             i = _rank_key(key)
-            if not _rank_family_valid(i, rank_map, known, depth, sorted_depths):
-                _check_rank_family_by_item(key, i, rank_map, known, depth)
+            if not (
+                type(rank_map) is dict
+                and _all_of(rank_map.values(), int)
+                and _rank_domain_exact(i, rank_map, known, depth, sorted_depths)
+            ):
+                _raise_first([_rank_fault(key, i, rank_map, known, depth)])
             ranks[i] = rank_map
 
     formulas: dict[str, str] = {}
     if "formulas" in raw:
-        formulas = _want(raw, "formulas", dict, "$")
+        formulas = _want(raw, "formulas", dict)
         if not _all_of(formulas.values(), str):
-            _check_formulas_by_item(formulas)
+            _raise_first(map(_formula_fault, formulas, formulas.values()))
 
     return AnnotatedGraph(graph, levels, depth, ranks, formulas)
 
@@ -1014,11 +968,11 @@ def deserialize(text: str | bytes) -> AnnotatedGraph:
     bytes that are not UTF-8 are refused at ``$`` with their offset. A
     ``str`` is encoded once on entry and the encoded copy read; the
     encoding passes lone surrogates through, so that a document the
-    proof cannot show is walked as exactly that text. The sections are
+    proof cannot show is parsed as exactly that text. The sections are
     decoded one at a time and checked in bulk; the edges are grouped by
     container as soon as they are decoded, before the nodes. Only a
-    document that these checks cannot show valid is decoded whole,
-    parsed and walked item by item, to name the first offending field.
+    document that these checks cannot show valid is parsed whole, to
+    name the first offending field.
     A document shown valid is built only after the input is dropped
     here, so a caller that passes it as a temporary (on Python 3.11+,
     where a call moves its arguments into the callee) never holds the

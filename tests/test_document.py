@@ -531,17 +531,38 @@ def test_mutated_documents_fail_as_the_reference_fails():
     assert len(messages) >= 20, sorted(messages)
 
 
+def _provenance_fault_then_duplicate(rng, payload):
+    """``nodes[0]`` gets an unknown provenance kind and a copy of a later
+    entry goes in after that entry: every id is named before any
+    provenance, so the duplicate is the first error."""
+    nodes = payload["nodes"]
+    nodes[0]["provenance"]["kind"] = "mystery"
+    at = rng.randrange(1, len(nodes))
+    nodes.insert(at + 1, copy.deepcopy(nodes[at]))
+    return f"nodes[{at + 1}]: duplicate node id {nodes[at]['id']!r}"
+
+
 @pytest.mark.parametrize(
-    "mutate", [_provenance_and_edge_fault, _disagreeing_members, _duplicate_edge, _unsort_edges]
+    "mutate",
+    [
+        _provenance_and_edge_fault,
+        _disagreeing_members,
+        _duplicate_edge,
+        _unsort_edges,
+        _provenance_fault_then_duplicate,
+    ],
 )
 def test_named_mutations_of_a_completion_match_the_reference(mutate):
     rng = random.Random(5)
     line = serialize(complete(von_neumann_seed(2), 2))
     for _ in range(20):
         payload = json.loads(line)
-        mutate(rng, payload)
+        message = mutate(rng, payload)
         for text in written(payload):
-            assert outcome(deserialize, text) == outcome(reference_deserialize, text)
+            ours = outcome(deserialize, text)
+            assert ours == outcome(reference_deserialize, text)
+            if message is not None:
+                assert ours[3] == message, ours
 
 
 @pytest.mark.parametrize("bad", ["foreign", 7, ["x"], None], ids=["unknown", "int", "list", "null"])
@@ -564,15 +585,17 @@ def test_first_bad_edge_end_a_container_fails_as_the_reference_fails(bad):
 
 
 def test_valid_documents_never_walk_item_by_item(monkeypatch):
-    walks = [name for name in vars(document) if name.endswith("_by_item")] + ["_parse_provenance"]
-    assert len(walks) >= 8
+    """No valid document reaches a namer, the per-entry function that
+    names a fault once a bulk check has failed."""
+    namers = ["_id_fault", "_provenance_fault", "_edge_fault", "_members_fault"]
+    namers += ["_level_fault", "_depth_fault", "_rank_fault", "_formula_fault"]
     lines = valid_lines()
     expected = [reference_deserialize(line) for line in lines]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a valid document was walked item by item")
+        raise AssertionError("a valid document reached a namer")
 
-    for name in walks:
+    for name in namers:
         monkeypatch.setattr(document, name, refuse)
     # Nor parsed whole: the sections are decoded one at a time.
     monkeypatch.setattr(document.json, "loads", refuse)
