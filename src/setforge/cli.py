@@ -25,7 +25,7 @@ from operator import floordiv, itemgetter
 from typing import Any, Iterator, Sequence, TextIO
 
 from .completion import Budget, DEFAULT_BUDGET, _priced, complete, witness_report
-from .document import _gc_paused, _pieces, _taken, deserialize
+from .document import _gc_paused, _pieces, deserialize
 from .dot import _pieces as _dot_pieces
 from .dred import dred_complete, verify_dred
 from .errors import (
@@ -111,22 +111,6 @@ def _read_document() -> AnnotatedGraph:
     return deserialize(getattr(stdin, "buffer", stdin).read())
 
 
-def _emit_document(doc: AnnotatedGraph) -> None:
-    """Write ``serialize(doc)`` and a newline in runs (:func:`_write_runs`).
-    Every piece exists before the first write.
-
-    The record is dropped once the line's parts are taken from it, so a
-    caller that passes it as a temporary (on Python 3.11+, where a call
-    moves its arguments into the callee) frees its graph before the
-    pieces, about as large, are rendered."""
-    parts = _taken(doc)
-    del doc
-    pieces = _pieces(parts)
-    del parts
-    pieces.append("\n")
-    _write_runs(pieces, sys.stdout)
-
-
 def _write_runs(pieces: list[str], stream: Any) -> None:
     """Write the join of ``pieces`` to ``stream`` in runs of about
     ``_WRITE_SIZE`` characters, each piece in the run in which its end
@@ -181,12 +165,12 @@ def _cmd_seed(args: argparse.Namespace) -> int:
     if args.kind == "empty":
         if args.arg is not None:
             raise SpecValidationError("seed empty takes no argument")
-        _emit_document(AnnotatedGraph(ExtensionalDigraph.empty()))
+        _write_runs(_pieces(AnnotatedGraph(ExtensionalDigraph.empty())), sys.stdout)
         return 0
     if args.kind == "vN":
         if args.arg is None:
             raise SpecValidationError("seed vN needs a stage number")
-        _emit_document(AnnotatedGraph(von_neumann_seed(int(args.arg))))
+        _write_runs(_pieces(AnnotatedGraph(von_neumann_seed(int(args.arg)))), sys.stdout)
         return 0
     if args.kind == "quine":
         if args.arg is None:
@@ -194,7 +178,7 @@ def _cmd_seed(args: argparse.Namespace) -> int:
         count = int(args.arg)
         if count < 0:
             raise SpecValidationError("atom count must be non-negative")
-        _emit_document(AnnotatedGraph(quine_atoms(f"q{i}" for i in range(count))))
+        _write_runs(_pieces(AnnotatedGraph(quine_atoms(f"q{i}" for i in range(count)))), sys.stdout)
         return 0
     # spec file
     if args.arg is None:
@@ -215,7 +199,9 @@ def _cmd_seed(args: argparse.Namespace) -> int:
         ) from e
     spec, formulas = _spec_from_json(raw)
     seed = assemble(spec)
-    _emit_document(replace(seed.dred or AnnotatedGraph(seed.graph), formulas=formulas))
+    _write_runs(
+        _pieces(replace(seed.dred or AnnotatedGraph(seed.graph), formulas=formulas)), sys.stdout
+    )
     return 0
 
 
@@ -223,9 +209,9 @@ def _cmd_complete(args: argparse.Namespace) -> int:
     doc = _read_document()
     budget = _resolve_budget(args.budget)
     grow = partial(dred_complete, doc) if args.dred else partial(complete, doc.graph)
-    # The result goes to the writer as a temporary, held by no local
-    # here, so that the writer can free it before it renders the line.
-    _emit_document(replace(grow(args.levels, budget), formulas=doc.formulas))
+    # The result goes to ``_pieces`` as a temporary, held by no local
+    # here, so that its graph is freed before the line is rendered.
+    _write_runs(_pieces(replace(grow(args.levels, budget), formulas=doc.formulas)), sys.stdout)
     return 0
 
 

@@ -24,7 +24,7 @@ from functools import partial
 from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, ge, itemgetter, le, lt, not_
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import SchemaError
 from .graph import (
@@ -50,9 +50,11 @@ def _gc_paused() -> Iterator[None]:
     extension maps, so the collector's repeated passes over their
     millions of objects would free nothing.
 
-    Used as a decorator, or as a block around all of a function's work,
-    so that its temporaries, the parsed JSON tree among them, are freed
-    before the collector resumes and never scanned. ``cli.main`` runs
+    Used as a block around all of a function's work, so that its
+    temporaries, the parsed JSON tree among them, are freed before the
+    collector resumes and never scanned. Not as a decorator: its wrapper
+    would hold the arguments for the whole call, so a record or text
+    passed as a temporary could not be freed early. ``cli.main`` runs
     every command under it, where these nested pauses do nothing; they
     stay for library callers, who parse and write large documents
     in-process with the collector on, and would otherwise pay for its
@@ -101,75 +103,55 @@ def _dumps(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-class _Parts(NamedTuple):
-    """What a document's line is rendered from, taken out of the record
-    by :func:`_taken`. The parts share the id strings and the provenance
-    objects, but hold no reference to the record, its graph or its
-    frozensets."""
+def _pieces(doc: AnnotatedGraph) -> list[str]:
+    """The pieces of ``doc``'s line and its newline, in order, every one
+    built before the list is returned, so that a writer which fails has
+    nothing to print yet.
 
-    quoted: list[str]  # the ids, quoted, in id order
-    provenance: list[Provenance]  # in id order
-    runs: list[tuple[int, list[int]]]  # each member's containers, as indices
-    members: list[list[str]]  # each node's members, quoted; last node first
-    lower: list[str] | None  # the encoded levels but the top one
-    blocks: list[tuple[str, list[str]]]  # depth, ranks and formulas, encoded
-
-
-@_gc_paused()
-def _taken(doc: AnnotatedGraph) -> _Parts:
-    """The parts of ``doc``'s line: everything the line needs from the
-    record, so that the record can be freed before the pieces, which
-    are about as large as its graph, are rendered."""
-    g = doc.graph
-    order = g.sorted_nodes()
-    quoted = list(map(encode_basestring_ascii, order))
-    runs = g.member_runs(dict(zip(order, count())))
-    at = quoted.__getitem__
-    # Transposed back, runs in member-id order list each node's members
-    # in id order. Reversed, so that each list is popped, and freed, as
-    # its entry is made.
-    members: list[list[str]] = [[] for _ in order]
-    for m, cs in runs:
-        deque(map(list.append, map(members.__getitem__, cs), repeat(at(m))), maxlen=0)
-    members.reverse()
-    lower = None
-    if doc.levels is not None:
+    The record, its graph and its ``sorted_nodes()`` are dropped once
+    everything the line needs is taken from them, before the pieces,
+    about as large as the graph, are rendered: a caller that passes the
+    record as a temporary (on Python 3.11+, where a call moves its
+    arguments into the callee) never holds its graph and the pieces
+    together."""
+    with _gc_paused():
+        g = doc.graph
+        order = g.sorted_nodes()
+        quoted = list(map(encode_basestring_ascii, order))
+        runs = g.member_runs()
+        at = quoted.__getitem__
+        # Transposed back, runs in member-id order list each node's
+        # members in id order. Reversed, so that each list is popped,
+        # and freed, as its entry is made.
+        members: list[list[str]] = [[] for _ in order]
+        for m, cs in runs:
+            deque(map(list.append, map(members.__getitem__, cs), repeat(at(m))), maxlen=0)
+        members.reverse()
         # The top level is the node set, written from ``quoted``.
-        lower = [_dumps(sorted(level)) for level in doc.levels[:-1]]
-    blocks = []
-    if doc.depth is not None:
-        blocks.append(("depth", [_dumps(doc.depth)]))
-    if doc.ranks is not None:
-        blocks.append(("ranks", [_dumps({str(i): r for i, r in doc.ranks.items()})]))
-    if doc.formulas:
-        blocks.append(("formulas", [_dumps(doc.formulas)]))
-    provenance = list(map(g.provenance.__getitem__, order))
-    return _Parts(quoted, provenance, runs, members, lower, blocks)
-
-
-@_gc_paused()
-def _pieces(parts: _Parts) -> list[str]:
-    """The pieces of the line that ``parts`` were taken for, in order,
-    every one built before the list is returned, so that a writer which
-    fails has nothing to print yet. The per-node member lists are used
-    up."""
-    quoted, provenance, runs, members, lower, blocks = parts
-    at = quoted.__getitem__
-    sections = [
-        ("edges", _array([_edge_run(at(m), map(at, cs)) for m, cs in runs])),
-        ("format_version", [str(FORMAT_VERSION)]),
-        ("nodes", _array([_node_entry(q, p, members.pop()) for q, p in zip(quoted, provenance)])),
-        *blocks,
-    ]
-    if lower is not None:
-        sections.append(("levels", _array([*lower, f"[{','.join(quoted)}]"])))
-    pieces = []
-    for key, body in sorted(sections, key=itemgetter(0)):
-        pieces += (",", f'"{key}":')
-        pieces += body
-    pieces[0] = "{"
-    pieces.append("}")
-    return pieces
+        lower = None if doc.levels is None else [_dumps(sorted(x)) for x in doc.levels[:-1]]
+        sections = []
+        if doc.depth is not None:
+            sections.append(("depth", [_dumps(doc.depth)]))
+        if doc.ranks is not None:
+            sections.append(("ranks", [_dumps({str(i): r for i, r in doc.ranks.items()})]))
+        if doc.formulas:
+            sections.append(("formulas", [_dumps(doc.formulas)]))
+        provenance = list(map(g.provenance.__getitem__, order))
+        del doc, g, order
+        sections += [
+            ("edges", _array([_edge_run(at(m), map(at, cs)) for m, cs in runs])),
+            ("format_version", [str(FORMAT_VERSION)]),
+            ("nodes", _array([_node_entry(q, p, members.pop()) for q, p in zip(quoted, provenance)])),
+        ]
+        if lower is not None:
+            sections.append(("levels", _array([*lower, f"[{','.join(quoted)}]"])))
+        pieces = []
+        for key, body in sorted(sections, key=itemgetter(0)):
+            pieces += (",", f'"{key}":')
+            pieces += body
+        pieces[0] = "{"
+        pieces.append("}\n")
+        return pieces
 
 
 def serialize(doc: AnnotatedGraph) -> str:
@@ -178,16 +160,16 @@ def serialize(doc: AnnotatedGraph) -> str:
     The graph core is written directly, byte for byte as
     ``json.dumps(sort_keys=True)`` writes it: each id is quoted once by
     the encoder's own routine and the edges come as one string per
-    member. The line is the join of the pieces that ``_pieces`` renders
-    from the parts that ``_taken`` takes out of the record; the command
-    line writes those pieces a bounded run at a time instead, so it
-    never holds the joined line, and drops the record before it renders
-    them. Ids are always ordered raw, as ``sort_keys`` orders them,
-    never quoted: ``"é"`` sorts after ``"a"`` but quotes to
-    ``"\\u00e9"``, which sorts before ``"a"``. The optional blocks go
-    through ``json.dumps`` itself.
+    member. The line is the join of the pieces that ``_pieces`` renders,
+    less their closing newline; the command line writes those pieces, a
+    bounded run at a time, so it never holds the joined line. Ids are
+    always ordered raw, as ``sort_keys`` orders them, never quoted:
+    ``"é"`` sorts after ``"a"`` but quotes to ``"\\u00e9"``, which sorts
+    before ``"a"``. The optional blocks go through ``json.dumps`` itself.
     """
-    return "".join(_pieces(_taken(doc)))
+    pieces = _pieces(doc)
+    pieces[-1] = pieces[-1].removesuffix("\n")
+    return "".join(pieces)
 
 
 def _want(raw: Mapping[str, Any], key: str, kind: type) -> Any:
@@ -740,25 +722,35 @@ def _joined(items: list[bytes], sep: bytes) -> Iterator[bytes]:
 
 
 def _claimed(data: bytes, sections: dict, span: slice) -> _Build:
-    """The build of the document, its deficiency nodes' extensions read
-    from their ``members``, once the ``edges`` bytes at ``span`` are
-    shown to be exactly what ``serialize`` writes for them; raises
-    ``_Unproven``, never ``SchemaError``, until they are.
-
-    Each run of edges from one member is rendered, in bytes, from the
-    deficiency nodes that list it and compared with the document. A node
-    without a ``members`` list can only be tested: it is looked for at
-    its sorted place in every run, so the runs times those nodes must
-    stay within the node count. Without deficiency nodes nothing claims
-    the edges, and they are decoded after all.
-    """
+    """The build of the document whose ``edges`` bytes are at ``span``:
+    its extensions are read from the deficiency nodes' ``members`` where
+    :func:`_found` proves the edges from them, and otherwise from the
+    edges decoded in place, as :func:`_compared` checks them. Raises
+    ``_Unproven``, never ``SchemaError``, until the edges are JSON."""
     try:
         nodes = _nodes(sections)
     except SchemaError:
         raise _Unproven from None
-    ids, mask, members, sizes = nodes.ids, nodes.deficient, nodes.members, nodes.sizes
-    if not any(mask):
+    try:
+        found = _found(data, nodes, span)
+    except _Unproven:
         return _compared(sections, _decoded(data, span), nodes)
+    nodes.canon.clear()
+    return partial(_from_members, sections, nodes, found)
+
+
+def _found(data: bytes, nodes: _Nodes, span: slice) -> dict[int, list[NodeId]]:
+    """The members of each node that lists none, by index, once the
+    ``edges`` bytes at ``span`` are shown to be exactly what
+    ``serialize`` writes for ``nodes``; raises ``_Unproven`` until then.
+    Each run of edges from one member is rendered, in bytes, from the
+    deficiency nodes that list it and compared with the document. A node
+    without a ``members`` list can only be tested: it is looked for at
+    its sorted place in every run, so the runs times those nodes must
+    stay within the node count."""
+    ids, mask, members, sizes = nodes.ids, nodes.deficient, nodes.members, nodes.sizes
+    if not any(mask):  # nothing claims the edges
+        raise _Unproven
     # Strictly sorted ids, no member but an id (``canon`` holds both)
     # and strictly sorted members.
     if not (
@@ -804,8 +796,7 @@ def _claimed(data: bytes, sections: dict, span: slice) -> _Build:
                     found[other].append(member)
     if not (data.startswith(b"]", at) and at + 1 == span.stop):
         raise _Unproven
-    nodes.canon.clear()
-    return partial(_from_members, sections, nodes, found)
+    return found
 
 
 def _from_members(
@@ -978,8 +969,6 @@ def deserialize(text: str | bytes) -> AnnotatedGraph:
     where a call moves its arguments into the callee) never holds the
     input and the graph together.
     """
-    # A block, not the decorator: the decorator's wrapper would hold
-    # ``text`` for the whole call.
     with _gc_paused():
         errors = "surrogatepass" if isinstance(text, str) else "strict"
         data = text.encode("utf-8", errors) if isinstance(text, str) else text

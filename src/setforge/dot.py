@@ -8,8 +8,6 @@ and rank annotations are appended to the label when present.
 
 from __future__ import annotations
 
-from itertools import count
-
 from .graph import AnnotatedGraph, Deficiency, ExtensionalDigraph, NodeId, Seed
 
 _SHADES = ("gray92", "gray84", "gray76", "gray68")
@@ -76,7 +74,7 @@ def _pieces(source: AnnotatedGraph) -> list[str]:
     for i in range(0, len(order), _BATCH):
         batch = zip(order[i : i + _BATCH], quoted[i : i + _BATCH])
         pieces.append("".join([_node_line(g, depth, top_rank, x, q) for x, q in batch]))
-    runs = g.member_runs(dict(zip(order, count())))
+    runs = g.member_runs()
     del source, g, depth, ranks, top_rank, order
     at = quoted.__getitem__
     for m, cs in runs:

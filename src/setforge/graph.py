@@ -26,7 +26,7 @@ import hashlib
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping
 
 from .errors import NonExtensionalError, SchemaError, SizeLimitError, UnknownNodeError
 
@@ -39,8 +39,6 @@ ISO_NODE_LIMIT = 200_000
 _SEARCH_STATE_LIMIT = 1 << 22
 
 _ID_SEPARATOR = "\x1f"
-
-_Name = TypeVar("_Name")
 
 
 @dataclass(frozen=True)
@@ -175,19 +173,18 @@ class ExtensionalDigraph:
             self.__dict__["_sorted"] = cached
         return cached
 
-    def member_runs(self, names: Mapping[NodeId, _Name]) -> list[tuple[_Name, list[_Name]]]:
-        """The sorted (member, container) pairs grouped by member and
-        written through ``names``: each member that has containers, in
-        id order, with its containers in id order.  Nothing is sorted:
-        walking the containers in id order lists each member's
-        containers in id order."""
+    def member_runs(self) -> list[tuple[int, list[int]]]:
+        """The sorted (member, container) pairs grouped by member, as
+        indices into ``sorted_nodes()``: each member that has
+        containers, in id order, with its containers in id order.
+        Nothing is sorted: walking the containers in id order lists each
+        member's containers in id order."""
         order = self.sorted_nodes()
-        written = list(map(names.__getitem__, order))
-        containers: dict[NodeId, list[_Name]] = {x: [] for x in order}
-        for container, name in zip(order, written):
+        containers: dict[NodeId, list[int]] = {x: [] for x in order}
+        for i, container in enumerate(order):
             for member in self.extensions[container]:
-                containers[member].append(name)
-        return [(name, cs) for name, cs in zip(written, containers.values()) if cs]
+                containers[member].append(i)
+        return [(i, cs) for i, cs in enumerate(containers.values()) if cs]
 
     def __repr__(self) -> str:  # keep test failures readable
         return f"ExtensionalDigraph({len(self.nodes)} nodes, {sum(map(len, self.extensions.values()))} edges)"

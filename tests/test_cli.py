@@ -111,8 +111,17 @@ def test_seed_spec_file_invalid(tmp_path):
         ("[1, 2]", "a code spec file must hold a JSON object"),
         ('{"formulas": {"f": 1}}', "the formulas block must map names to formula text"),
         ('{"formulas": ["x in x"]}', "the formulas block must map names to formula text"),
+        ('{"naturals_up_to": -1}', "naturals_up_to must be non-negative"),
+        ('{"code_style": "zigzag"}', "unknown code style 'zigzag'"),
     ],
-    ids=["not-json", "not-an-object", "formula-not-text", "formulas-not-an-object"],
+    ids=[
+        "not-json",
+        "not-an-object",
+        "formula-not-text",
+        "formulas-not-an-object",
+        "negative-naturals",
+        "unknown-code-style",
+    ],
 )
 def test_seed_spec_file_shape_errors_exit_3(tmp_path, text, message):
     path = tmp_path / "spec.json"
@@ -1471,7 +1480,7 @@ def test_documents_are_written_in_runs_as_serialize_writes_them():
     expected = complete(setforge.deserialize(source).graph, 1)
     code, out = emitted(["complete", "--levels", "1"], source)
     assert code == 0 and out.getvalue() == serialize(expected) + "\n"
-    largest = max(map(len, document._pieces(document._taken(expected))))
+    largest = max(map(len, document._pieces(expected)))
     assert len(out.sizes) >= 2 and max(out.sizes) <= cli._WRITE_SIZE + largest
     code, out = emitted(["seed", "vN", "2"], "")
     assert code == 0 and out.sizes == [len(out.getvalue())]
@@ -1519,7 +1528,7 @@ def test_emitting_a_document_never_holds_the_joined_line(monkeypatch):
 
     line = len(serialize(doc))
     assert line > 1 << 20
-    assert peak(cli._emit_document) < peak(serialize) - line // 2
+    assert peak(lambda d: cli._write_runs(document._pieces(d), sys.stdout)) < peak(serialize) - line // 2
 
 
 @pytest.mark.skipif(
@@ -1551,7 +1560,7 @@ def test_the_writer_frees_a_temporary_record_before_it_renders(monkeypatch):
 
     monkeypatch.setattr(document, "_node_entry", checked)
     monkeypatch.setattr(sys, "stdout", Discard())
-    cli._emit_document(make_record())
+    cli._write_runs(document._pieces(make_record()), sys.stdout)
     assert alive == [False]
 
 

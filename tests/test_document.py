@@ -632,6 +632,14 @@ def _guessed_end_traps() -> dict[str, str]:
         "edge after the last run": f'{line[: end - 1]},["{last}","{seed}"]{line[end - 1 :]}',
         # A member id missing from ``nodes`` but consistent everywhere else.
         "member without a node": written(unknown)[1],
+        # The first ``]]`` is inside ``levels``: the guessed end swallows
+        # the ``levels`` key, though the scanner ends the edges before it.
+        "edges end before the guess": (
+            '{"format_version":1,"nodes":['
+            '{"id":"a","provenance":{"kind":"seed","label":"a"}},'
+            '{"id":"b","provenance":{"kind":"seed","label":"b"}}],'
+            '"edges":[["a","b"] ],"levels":[["a","b"]]}'
+        ),
     }
 
 
@@ -1078,17 +1086,17 @@ def test_the_proof_stage_keeps_no_reference_to_the_text():
     assert build() == reference_deserialize(text)
 
 
-def test_the_take_stage_keeps_no_reference_to_the_record():
-    """The writer takes from the record what the line needs before it
-    renders the pieces: once the record is dropped, its graph is freed
-    while the parts still render the whole line."""
+def test_the_pieces_keep_no_reference_to_the_record():
+    """The writer's pieces are rendered from what it took from the
+    record: once the record is dropped, its graph is freed while the
+    pieces still join to the whole line and its newline."""
     doc = twelve_atoms_completion()
-    expected = serialize(doc)
+    expected = serialize(doc) + "\n"
     graph = weakref.ref(doc.graph)
-    parts = document._taken(doc)
+    pieces = document._pieces(doc)
     del doc
     assert graph() is None
-    assert "".join(document._pieces(parts)) == expected
+    assert "".join(pieces) == expected
 
 
 @pytest.mark.skipif(

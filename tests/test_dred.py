@@ -213,6 +213,17 @@ def test_foundation_witness_rejects_empty_extension():
         foundation_witness(h, empty_node)
 
 
+def test_foundation_witness_names_an_unknown_node_and_a_missing_rank_family():
+    h = dred_from_graph(von_neumann_seed(2))
+    with pytest.raises(DredConditionError, match="^unknown node 'nope'$"):
+        foundation_witness(h, "nope")
+    # The members of {∅} have depth 0, so its witness is ordered by r_1.
+    singleton = next(x for x in h.graph.nodes if h.graph.extensions[x])
+    unranked = AnnotatedGraph(h.graph, depth=h.depth, ranks={})
+    with pytest.raises(DredConditionError, match="^no rank family r_1 to order the members of "):
+        foundation_witness(unranked, singleton, skip_verify=True)
+
+
 def test_foundation_witness_gate_rejects_quine_atom():
     g = ExtensionalDigraph.from_extensions({"a": {"a"}})
     h = AnnotatedGraph(graph=g, depth={"a": 0}, ranks={1: {"a": 0}})

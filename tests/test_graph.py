@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from setforge import (
+    AnnotatedGraph,
     Code,
     Deficiency,
     ExtensionalDigraph,
@@ -90,9 +91,9 @@ def test_edges_derived_from_extensions():
 
 
 def test_sorted_edges_are_the_sorted_edge_set():
-    """``member_runs`` lists the sorted edges grouped by member, written
-    through the names given, whatever their order or their own sort:
-    self-loops, cycles and ids that sort apart from insertion order."""
+    """``member_runs`` lists the sorted edges grouped by member, as
+    indices into ``sorted_nodes()``: self-loops, cycles and ids that
+    sort apart from insertion order."""
     r = random.Random(13)
     for _ in range(200):
         g = random_extensional_graph(random.Random(r.getrandbits(64)), 7)
@@ -100,12 +101,18 @@ def test_sorted_edges_are_the_sorted_edge_set():
             {f"{len(x)}{x[::-1]}": {f"{len(m)}{m[::-1]}" for m in ms} for x, ms in reversed(g.extensions.items())}
         )
         for h in (g, relabelled):
-            names = {x: f"<{x}>" for x in reversed(h.sorted_nodes())}
-            runs = h.member_runs(names)
+            order = h.sorted_nodes()
+            runs = h.member_runs()
             assert all(cs for _, cs in runs)
-            assert [(m, c) for m, cs in runs for c in cs] == [
-                (names[m], names[c]) for m, c in sorted(helpers.edges(h))
-            ]
+            assert [(order[m], order[c]) for m, cs in runs for c in cs] == sorted(helpers.edges(h))
+
+
+def test_levels_are_nonempty_and_cumulative():
+    g = ExtensionalDigraph.from_extensions({"a": set(), "b": {"a"}})
+    with pytest.raises(ValueError, match="^a leveled universe needs at least one level$"):
+        AnnotatedGraph(g, levels=())
+    with pytest.raises(ValueError, match="^levels must be cumulative$"):
+        AnnotatedGraph(g, levels=(frozenset({"a"}), frozenset({"b"}), g.nodes))
 
 
 def test_end_extension_reflexive():

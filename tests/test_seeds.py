@@ -171,6 +171,11 @@ def test_encode_pair_degenerate():
     assert g2.extensions[inner] == {"t"}
 
 
+def test_encode_an_empty_component_list_fails():
+    with pytest.raises(ValueError, match="^cannot encode an empty component list$"):
+        encode_tuple(ExtensionalDigraph.from_extensions({"t": set()}), [])
+
+
 def test_encode_pair_quine_collapse():
     # For a quine atom x, {x} is extensionally x itself, so the whole
     # Kuratowski pair folds back onto the atom.
@@ -492,6 +497,13 @@ def test_spec_duplicate_labels():
             naturals_up_to=0,
             tuples=(),
         )
+
+
+def test_spec_negative_naturals_and_unknown_code_style():
+    with pytest.raises(SpecValidationError, match="^naturals_up_to must be non-negative$"):
+        CodeSpec(naturals_up_to=-1)
+    with pytest.raises(SpecValidationError, match="^unknown code style 'zigzag'$"):
+        CodeSpec(code_style="zigzag")
 
 
 def test_spec_tag_out_of_range():
