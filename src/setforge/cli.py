@@ -298,8 +298,8 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     # The reference's stage values first, so that a seed they cannot
     # decorate, a stage over the budget or a generated id that clashes
     # with a seed id is reported before the kernel runs.  The kernel's
-    # nodes are then matched to those values by key; only where that
-    # match fails is the reference graph built, for ``compare`` to
+    # nodes are then matched to those values by position; only where
+    # that match fails is the reference graph built, for ``compare`` to
     # settle and explain.
     reference = oracle_stages(doc.graph, args.levels, budget)
     ours = complete(doc.graph, args.levels, budget).graph

@@ -4,12 +4,14 @@ Instead of enumerating missing subsets over node bitmasks the way the
 completion engine does, this module decorates a graph into honest set
 values (hereditarily finite sets over atoms and self-membered codes)
 and grows the value universe stage by stage with itertools
-(:func:`oracle_stages`).  A completion is checked against those values
-directly, its nodes matched to them by key (:func:`stages_agree`); the
-values make a graph (:func:`stages_graph`, :func:`oracle_complete`)
-only where a graph is asked for, or to explain a mismatch.  The two
-paths share no enumeration code, so agreement between them is
-evidence, not an echo.
+(:func:`oracle_stages`).  A stage's subsets are named by the positions
+of their members in the run's list of values; only a stage that a
+later stage draws from is made into values.  A completion is checked
+against those subsets directly, its nodes matched to them by position
+(:func:`stages_agree`); the values and subsets make a graph
+(:func:`stages_graph`, :func:`oracle_complete`) only where a graph is
+asked for, or to explain a mismatch.  The two paths share no
+enumeration code, so agreement between them is evidence, not an echo.
 
 A value's key names that one set, and a stage value's node id is
 ``hf:`` and its key: atom and loop labels are written into keys with
@@ -132,34 +134,27 @@ def value_extension(v: SetValue) -> frozenset[SetValue]:
     raise TypeError(f"not a set value: {v!r}")
 
 
-def _one_stage(values: Sequence[SetValue], budget: Budget, what: str) -> list[Collection]:
+def _one_stage(values: Sequence[SetValue], budget: Budget, what: str) -> list[tuple[int, ...]]:
     """All subsets of ``values`` not already represented by one of them,
-    as fresh collection values, deterministically ordered and not
-    interned.
-
-    Each subset is built as a collection directly, without
-    :func:`collection`: its members come key-sorted and distinct from
-    the sorted snapshot, and it cannot collapse onto an atom or loop
-    code among them, whose own extension is represented and so skipped.
-    """
+    each as the ascending tuple of its members' positions in ``values``,
+    in the order :func:`itertools.combinations` draws them."""
     if not budget.subset_count_allowed(len(values)):
         raise BudgetExceededError(
             f"{what} needs 2**{len(values)} subset enumerations, over the budget "
             f"of {budget.max_subsets_enumerated}"
         )
-    snapshot = sorted(values, key=_key)
-    # Each represented extension inside the snapshot, as the tuple that
-    # combinations() draws for it: its members in snapshot order.
-    position = {v: i for i, v in enumerate(snapshot)}
+    # Each represented extension inside ``values``, as the tuple that
+    # combinations() draws for it.
+    position = {v: i for i, v in enumerate(values)}
     represented = {
-        tuple(sorted(ext, key=position.__getitem__))
-        for ext in map(value_extension, snapshot)
+        tuple(sorted(map(position.__getitem__, ext)))
+        for ext in map(value_extension, values)
         if ext <= position.keys()
     }
     return [
-        Collection(members=combo)
-        for size in range(len(snapshot) + 1)
-        for combo in itertools.combinations(snapshot, size)
+        combo
+        for size in range(len(values) + 1)
+        for combo in itertools.combinations(range(len(values)), size)
         if combo not in represented
     ]
 
@@ -201,10 +196,14 @@ def decorate(g: ExtensionalDigraph) -> dict[NodeId, SetValue]:
 
 class StageValues(NamedTuple):
     """What :func:`oracle_stages` builds: each decoration value with its
-    seed node, and the values each stage adds, in stage order."""
+    seed node; the run's values, which are the decoration values in key
+    order and then each stage but the last, made into values in draw
+    order; and the subsets each stage adds, in stage order, as
+    :func:`_one_stage` names them by position in those values."""
 
     node_of: dict[SetValue, NodeId]
-    stages: list[list[Collection]]
+    values: list[SetValue]
+    stages: list[list[tuple[int, ...]]]
 
 
 def oracle_stages(g: ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET) -> StageValues:
@@ -226,43 +225,72 @@ def oracle_stages(g: ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET
                 f"decoration conflated {node_of[v]!r} and {x!r}; input was not extensional"
             )
         node_of[v] = x
-    # Stage values skip the intern table.  Each is a subset no value of
-    # the run represents, so it is distinct from every other value of
-    # the run, and no other run meets it: only its key is written, as a
-    # node id.
-    values: list[SetValue] = list(node_of)
-    stages: list[list[Collection]] = []
+    # A stage's subsets become values only for the next stage to draw
+    # from.  Each is built as a collection directly, without
+    # :func:`collection`: it cannot collapse onto an atom or loop code
+    # among its members, whose own extension is represented and so
+    # skipped.  Stage values skip the intern table: each is a subset no
+    # value of the run represents, so it is distinct from every other
+    # value of the run, and no other run meets it.
+    values: list[SetValue] = sorted(node_of, key=_key)
+    stages: list[list[tuple[int, ...]]] = []
     for stage in range(1, n + 1):
-        fresh = _one_stage(values, budget, f"stage {stage}")
-        values += fresh
-        stages.append(fresh)
-    # A stage value is named "hf:" and its key, which a seed id may hold.
+        if stages:
+            values += [
+                Collection(members=tuple(sorted(map(values.__getitem__, p), key=_key)))
+                for p in stages[-1]
+            ]
+        stages.append(_one_stage(values, budget, f"stage {stage}"))
+    found = StageValues(node_of, values, stages)
+    # A stage subset is named "hf:" and its key, which a seed id may hold.
     claimed = {x[3:] for x in g.nodes if x.startswith("hf:")}
     if claimed:
-        clash = min((v.key for fresh in stages for v in fresh if v.key in claimed), default=None)
+        keys = _keys(found)[len(node_of) :]
+        clash = min((k for k in keys if k in claimed), default=None)
         if clash is not None:
             raise SetforgeError(f"generated id {'hf:' + clash!r} collides with a seed id")
-    return StageValues(node_of, stages)
+    return found
+
+
+def _members(values: StageValues) -> list[tuple[int, ...]]:
+    """The members of each decoration value and then of each stage
+    subset, as positions: a stage's subsets follow the values and the
+    subsets of the stages before it, where :func:`oracle_stages` puts
+    them in its values when a later stage draws from them."""
+    node_of, pool, stages = values
+    seeds = pool[: len(node_of)]
+    position = {v: i for i, v in enumerate(seeds)}
+    members = [tuple(map(position.__getitem__, value_extension(v))) for v in seeds]
+    for fresh in stages:
+        members += fresh
+    return members
+
+
+def _keys(values: StageValues) -> list[str]:
+    """The key of each value and stage subset, in :func:`_members`'
+    order, each subset's spelled as a :class:`Collection` spells it."""
+    node_of, pool, stages = values
+    keys = list(map(_key, pool[: len(node_of)]))
+    for fresh in stages:
+        keys += ["{" + ",".join(sorted(map(keys.__getitem__, p))) + "}" for p in fresh]
+    return keys
 
 
 def stages_graph(g: ExtensionalDigraph, values: StageValues) -> ExtensionalDigraph:
     """The graph of :func:`oracle_stages`' values for ``g``: seed values
-    keep their node's id and provenance, every other value is named by
+    keep their node's id and provenance, every stage subset is named by
     its key and stamped with the level of its stage."""
-    node_of, stages = values
-    stamps: dict[SetValue, Provenance] = {v: g.provenance[x] for v, x in node_of.items()}
+    node_of, pool, stages = values
+    stamps = [g.provenance[node_of[v]] for v in pool[: len(node_of)]]
     for stage, fresh in enumerate(stages, 1):
-        stamps.update(zip(fresh, itertools.repeat(Deficiency(level=stage))))
-    order = sorted(stamps, key=_key)
-    ids = dict(zip(order, map("hf:".__add__, map(_key, order))))
-    ids.update(node_of)
-    image = ids.__getitem__
-    members = [
-        frozenset(map(image, v.members if isinstance(v, Collection) else value_extension(v)))
-        for v in order
-    ]
-    extensions = dict(zip(ids.values(), members))
-    provenance = dict(zip(ids.values(), map(stamps.__getitem__, order)))
+        stamps += itertools.repeat(Deficiency(level=stage), len(fresh))
+    keys = _keys(values)
+    ids = list(map(node_of.__getitem__, pool[: len(node_of)]))
+    ids += map("hf:".__add__, keys[len(node_of) :])
+    members = _members(values)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    extensions = {ids[i]: frozenset(map(ids.__getitem__, members[i])) for i in order}
+    provenance = {ids[i]: stamps[i] for i in order}
     return ExtensionalDigraph(extensions, provenance)
 
 
@@ -374,28 +402,33 @@ def _seed_map_agrees(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
 def stages_agree(ours: ExtensionalDigraph, g: ExtensionalDigraph, values: StageValues) -> bool:
     """``_seed_map_agrees(ours, stages_graph(g, values))``, decided on
     the values themselves, without that graph: the same walk, with each
-    node of that graph named by its value's key.
+    node of that graph named by its position in :func:`_members`' order.
 
-    Each deficiency node of ``ours`` spells the :class:`Collection` key
-    of its members' keys, in its level's table of the stage's values
-    and the decoration values of the input's nodes at that level.  The
-    non-deficiency nodes must be the input's, with its provenance, and
-    each must hold the values of its decoration's extension.
+    Each deficiency node of ``ours`` spells the ascending tuple of its
+    members' positions, in its level's table of the stage's subsets and
+    the input's nodes at that level.  The non-deficiency nodes must be
+    the input's, with its provenance, and each must hold the positions
+    of its decoration's extension.
     """
-    node_of, stages = values
+    node_of, pool, stages = values
     levels, fixed = _by_level(ours)
     seed_levels, seed_fixed = _by_level(g)
     if fixed != seed_fixed:
         return False
-    value = {x: v for v, x in node_of.items()}
-    tables = {stage: {v.key: v.key for v in fresh} for stage, fresh in enumerate(stages, 1)}
+    members = _members(values)
+    position = {x: i for i, x in enumerate(map(node_of.__getitem__, pool[: len(node_of)]))}
+    tables: dict[int, dict] = {}
+    start = len(node_of)
+    for stage, fresh in enumerate(stages, 1):
+        tables[stage] = dict(zip(fresh, range(start, start + len(fresh))))
+        start += len(fresh)
+    spell = lambda positions: tuple(sorted(positions))  # as _one_stage draws them
     for level, xs in seed_levels.items():
-        tables.setdefault(level, {}).update((value[x].key, value[x].key) for x in xs)
-    names: dict[NodeId, Hashable] = {x: value[x].key for x in fixed}
+        tables.setdefault(level, {}).update((spell(members[position[x]]), position[x]) for x in xs)
+    names: dict[NodeId, Hashable] = {x: position[x] for x in fixed}
     ext = ours.extensions
-    spell = lambda keys: "{" + ",".join(sorted(keys)) + "}"  # as a Collection does
     return _name_levels(levels, ext, names, tables, spell) and all(
-        {names[m] for m in ext[x]} == set(map(_key, value_extension(value[x]))) for x in fixed
+        {names[m] for m in ext[x]} == set(members[position[x]]) for x in fixed
     )
 
 

@@ -913,10 +913,71 @@ def test_oracle_compare_reports_an_id_clash_before_the_kernel(completions):
     assert completions == ["oracle_stages"]
 
 
+@pytest.mark.parametrize(
+    "ids, expected",
+    [
+        (["hf:{{{}}}", "hf:{{{}},{}}"], "hf:{{{}},{}}"),
+        (["hf:{{{{}}}}", "hf:{{{{}},{}}}"], "hf:{{{{}},{}}}"),
+    ],
+    ids=["stage-1", "last-stage"],
+)
+def test_oracle_compare_reports_the_smallest_id_clash_at_either_stage(completions, ids, expected):
+    """Over the seed {}, {{}} and two self-looped nodes, each pair of
+    ids spells two keys of one stage of a 2-level request: the first
+    stage, whose subsets become values for the second, and the last,
+    whose subsets stay positions.  The smallest key is named, and the
+    kernel never runs."""
+    g = ExtensionalDigraph.from_extensions({"e": (), "f": {"e"}, **{x: {x} for x in ids}})
+    doc = serialize(AnnotatedGraph(g))
+    message = f"generated id {expected!r} collides with a seed id\n"
+    assert invoke(["oracle-compare", "--levels", "2"], doc) == (3, "", message)
+    assert completions == ["oracle_stages"]
+
+
+def test_oracle_compare_makes_values_only_of_a_stage_drawn_from(monkeypatch):
+    """The last stage's subsets stay positions: over eight atoms no
+    collection is built at all, and over von Neumann stage 2 only its
+    two decoration values and the two subsets of stage 1, which stage 2
+    draws from.  A kernel result that does not match still gets the
+    whole reference graph to explain it."""
+    collections_built = []
+
+    def counting(self, original=oracle.Collection.__post_init__):
+        collections_built.append(self)
+        original(self)
+
+    monkeypatch.setattr(oracle.Collection, "__post_init__", counting)
+    doc = serialize(AnnotatedGraph(quine_atoms([f"q{i}" for i in range(8)])))
+    assert invoke(["oracle-compare", "--levels", "1"], doc) == (0, "isomorphic\n", "")
+    assert collections_built == []
+    seed_graph = setforge.von_neumann_seed(2)
+    doc = serialize(AnnotatedGraph(seed_graph))
+    built = ["{{{}},{}}", "{{{}}}", "{{}}", "{}"]
+    assert invoke(["oracle-compare", "--levels", "2"], doc) == (0, "isomorphic\n", "")
+    assert sorted(v.key for v in collections_built) == built
+
+    references = []
+
+    def recording(*args, original=cli.stages_graph):
+        references.append(original(*args))
+        return references[-1]
+
+    monkeypatch.setattr(cli, "stages_graph", recording)
+    bad = sabotaged_completions(seed_graph, 2)[0]
+    monkeypatch.setattr(cli, "complete", lambda *args: AnnotatedGraph(bad))
+    collections_built.clear()
+    assert invoke(["oracle-compare", "--levels", "2"], doc)[0] == 1
+    assert sorted(v.key for v in collections_built) == built
+    expected = oracle_complete(seed_graph, 2)
+    [reference] = references
+    assert reference.extensions == expected.extensions
+    assert reference.provenance == expected.provenance
+
+
 def test_oracle_compare_matches_labels_with_key_syntax_by_key(completions):
     """Ids holding key syntax are escaped in keys, so {a, b),atom(c}
     and {a),atom(b, c} keep keys of their own and the kernel's nodes
-    are matched by key, without the reference graph."""
+    are matched to the stage subsets, without the reference graph."""
     g = ExtensionalDigraph.from_extensions({x: {x} for x in ["a", "c", "a),atom(b", "b),atom(c"]})
     doc = serialize(AnnotatedGraph(g))
     assert invoke(["oracle-compare", "--levels", "1"], doc) == (0, "isomorphic\n", "")

@@ -180,8 +180,8 @@ def test_a_stage_skips_extensions_that_reach_outside_its_values():
     """{{}} without {}: the extension of {{}} is not among the values,
     so it represents none of their subsets and is skipped."""
     singleton = collection([collection([])])
-    fresh = oracle._one_stage({singleton}, Budget(), "stage 1")
-    assert [v.key for v in fresh] == ["{}", "{{{}}}"]
+    fresh = oracle._one_stage([singleton], Budget(), "stage 1")
+    assert fresh == [(), (0,)]
 
 
 def test_hf_budget_guard():
@@ -637,7 +637,7 @@ def test_the_level_walk_refuses_a_node_too_few_or_too_many(fault):
 
 def test_stages_agree_matches_labels_with_key_syntax_by_key():
     """A seed label that holds key syntax is escaped in keys, so its
-    seed is matched by key like any other."""
+    seed keeps a key of its own and is matched like any other."""
     g = ExtensionalDigraph.from_extensions({"a(": {"a("}, "b": set()})
     values = oracle.oracle_stages(g, 2)
     ours = complete(g, 2).graph
@@ -674,13 +674,17 @@ def test_keys_escape_key_syntax_in_labels():
 
 def test_stages_agree_on_ids_spelled_from_key_syntax():
     """Every value of a run has a key of its own, and the kernel's
-    completion of a seed whose ids are made of key syntax is matched by
-    key, as the graph of the same values matches it."""
+    completion of a seed whose ids are made of key syntax is matched to
+    the stage subsets, as the graph of the same values matches it.  The
+    stage subsets' keys are read from that graph's "hf:" ids."""
     seeds = key_syntax_seeds(60) + [(key_syntax_seed(), 1)]
     for g, n in seeds:
         values = oracle.oracle_stages(g, n)
-        keys = [v.key for v in values.node_of] + [v.key for fresh in values.stages for v in fresh]
+        reference = oracle.stages_graph(g, values)
+        generated = [x[3:] for x in reference.nodes - g.nodes]
+        assert len(generated) == sum(map(len, values.stages)), g.extensions
+        keys = [v.key for v in values.node_of] + generated
         assert len(set(keys)) == len(keys), g.extensions
         ours = complete(g, n).graph
         assert oracle.stages_agree(ours, g, values), (g.extensions, n)
-        assert oracle._seed_map_agrees(ours, oracle.stages_graph(g, values))
+        assert oracle._seed_map_agrees(ours, reference)
