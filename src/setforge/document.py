@@ -424,16 +424,18 @@ def _formula_fault(name: str, body: Any) -> SchemaError | None:
 # -- reading -----------------------------------------------------------------
 #
 # A document is read as UTF-8 bytes, by one of two paths. ``_proven``
-# decodes the top-level object one member at a time, each from a
-# bounded slice of the bytes, and keeps each section only as long as it
-# must; it returns a document only when it has shown the bytes valid.
-# Where the document has deficiency nodes, it first tries to show the
-# ``edges`` bytes by rendering them from their ``members``
-# (``_claimed``), and decodes the edges only when that fails. Anything
-# it cannot show, invalid UTF-8 or JSON included, goes to ``_walked``,
-# which parses the whole input with ``json.loads`` and puts the parsed
-# object through the same bulk checks; a failed check names its first
-# offending entry, as an item-by-item walk would.
+# makes one pass over the bytes: it decodes the top-level object one
+# member at a time, each from a bounded slice of the bytes, and keeps
+# each section only as long as it must; it returns a document only when
+# it has shown the bytes valid. Where the document has deficiency
+# nodes, it first tries to show the ``edges`` bytes by rendering them
+# from their ``members`` (``_claimed``), and decodes the edges in place
+# only when that fails. Anything the pass cannot show (invalid UTF-8 or
+# JSON, a guessed end that does not hold, an edge end that names no
+# node) goes to ``_walked``, which parses the whole input with
+# ``json.loads`` and puts the parsed object through the same bulk
+# checks; a failed check names its first offending entry, as an
+# item-by-item walk would.
 
 _scan_value = json.JSONDecoder().scan_once
 # About how many bytes of ``nodes`` are decoded at a time.
@@ -549,20 +551,17 @@ def _find(data: bytes, needle: bytes, at: int) -> int:
     return found.start()
 
 
-def _sections(data: bytes, spans: bool = False) -> tuple[dict[str, Any], Any]:
-    """The top-level members of ``data`` but ``edges``, and ``edges``
-    as :func:`_grouped` groups it on arrival, before the next member is
-    decoded.
+def _sections(data: bytes) -> tuple[dict[str, Any], Any]:
+    """The top-level members of ``data`` but ``edges``, each read by
+    :func:`_section`, and ``edges``.
 
-    With ``spans``, an ``edges`` value that starts as ``serialize``
-    writes one (``[[`` or ``[]``) is not decoded: its place in the
-    bytes comes back as a ``slice``, which ends at the first ``]]``
-    after its start. That end is a guess, which :func:`_claimed` must
-    confirm; a repeated ``edges`` key is not guessed at. A ``nodes``
-    value that starts as ``serialize`` writes one (``[{``) is read by
-    :func:`_sliced` into columns, and a ``ranks`` value that starts as
-    it writes one (``{"``) is decoded by :func:`_ranked` in slices:
-    neither is decoded whole.
+    An ``edges`` value that starts as ``serialize`` writes one (``[[``
+    or ``[]``) is not decoded: its place in the bytes comes back as a
+    ``slice``, which ends at the first ``]]`` after its start. That end
+    is a guess, which :func:`_claimed` must confirm; a repeated
+    ``edges`` key is not guessed at. Any other ``edges`` value comes
+    back as :func:`_grouped` groups it on arrival, before the next
+    member is decoded.
 
     Keys go through ``json.decoder.scanstring`` and values through the
     scanner that ``json.loads`` uses, with the same whitespace between
@@ -586,15 +585,11 @@ def _sections(data: bytes, spans: bool = False) -> tuple[dict[str, Any], Any]:
             if data[at : at + 1] != b":":
                 raise _Unproven
             at = _skip_space(data, at + 1).end()
-            if key == "nodes" and spans and data.startswith(b"[{", at):
-                sections[key], at = _sliced(data, at)
-            elif key == "ranks" and spans and data.startswith(b'{"', at):
-                sections[key], at = _ranked(data, at)
-            elif key != "edges":
-                sections[key], at = _value(data, at, key)
+            if key != "edges":
+                sections[key], at = _section(data, at, key)
             elif type(edges) is slice:
                 raise _Unproven  # the last value wins; the guess would go unconfirmed
-            elif spans and data.startswith((b"[[", b"[]"), at):
+            elif data.startswith((b"[[", b"[]"), at):
                 close = _find(data, b"]]", at) if data.startswith(b"[[", at) else at
                 edges, at = slice(at, close + 2), close + 2
             else:
@@ -610,6 +605,22 @@ def _sections(data: bytes, spans: bool = False) -> tuple[dict[str, Any], Any]:
     if data[at : at + 1] != b"}" or _skip_space(data, at + 1).end() != len(data) or edges is None:
         raise _Unproven
     return sections, edges
+
+
+def _section(data: bytes, at: int, key: str) -> tuple[Any, int]:
+    """The value of ``key`` at ``at`` and the index past it: ``nodes``
+    and ``ranks`` that start as ``serialize`` writes them (``[{`` and
+    ``{"``) are read in slices by :func:`_sliced` and :func:`_ranked`,
+    and decoded whole in place by :func:`_value` where the slices
+    cannot show them; any other value is decoded by :func:`_value`."""
+    try:
+        if key == "nodes" and data.startswith(b"[{", at):
+            return _sliced(data, at)
+        if key == "ranks" and data.startswith(b'{"', at):
+            return _ranked(data, at)
+    except (_Unproven, *_SCAN_ERRORS):
+        pass
+    return _value(data, at, key)
 
 
 def _slices(data: bytes, at: int, close: int, cut: bytes, size: int) -> Iterator[Any]:
@@ -716,7 +727,11 @@ def _matched(data: bytes, at: int, pieces: Iterable[bytes]) -> int:
 
 def _joined(items: list[bytes], sep: bytes) -> Iterator[bytes]:
     """``sep.join(items)`` in pieces of up to ``_JOIN`` items, so that
-    the join is never made whole."""
+    the join is never made whole. A run joined whole reads the 58 MB
+    completion ``seed vN 3 | complete --levels 2`` no faster (0.34 s
+    either way) but raises its peak from 151.4 to 154.0 MB, and the
+    bench grow workload's ``peak_rss_mb`` from 107.2-109.8 to
+    110.5-111.1 MB (3 runs each; 2-vCPU x86-64 VM, Python 3.11.7)."""
     for i in range(0, len(items), _JOIN):
         yield (sep if i else b"") + sep.join(items[i : i + _JOIN])
 
@@ -729,14 +744,20 @@ def _claimed(data: bytes, sections: dict, span: slice) -> _Build:
     ``_Unproven``, never ``SchemaError``, until the edges are JSON."""
     try:
         nodes = _nodes(sections)
-    except SchemaError:
-        raise _Unproven from None
-    try:
-        found = _found(data, nodes, span)
-    except _Unproven:
-        return _compared(sections, _decoded(data, span), nodes)
-    nodes.canon.clear()
-    return partial(_from_members, sections, nodes, found)
+    except SchemaError as e:
+        # The frames of the failed check hold what it read: neither they
+        # nor the sections are kept while the edges are decoded.
+        error = e.with_traceback(None)
+    else:
+        try:
+            found = _found(data, nodes, span)
+        except _Unproven:
+            return _compared(sections, _decoded(data, span), nodes)
+        nodes.canon.clear()
+        return partial(_from_members, sections, nodes, found)
+    sections.clear()
+    _decoded(data, span)
+    raise error
 
 
 def _found(data: bytes, nodes: _Nodes, span: slice) -> dict[int, list[NodeId]]:
@@ -851,18 +872,15 @@ def _from_groups(
 
 
 def _proven(data: bytes) -> _Build:
-    """The build of the document, read section by section; raises
-    ``_Unproven`` when the edges cannot be shown valid this way, and
+    """The build of the document, read section by section in one pass;
+    raises ``_Unproven`` when the pass cannot show it valid, and
     ``SchemaError`` only once all of ``data`` is known to be UTF-8 and
     JSON and every section before the offending one valid. The build
     holds no reference to ``data``, and raises nothing but
     ``SchemaError``."""
-    try:
-        sections, edges = _sections(data, spans=True)
-        if type(edges) is slice:
-            return _claimed(data, sections, edges)
-    except _Unproven:
-        sections, edges = _sections(data)
+    sections, edges = _sections(data)
+    if type(edges) is slice:
+        return _claimed(data, sections, edges)
     return _compared(sections, edges, _nodes(sections))
 
 

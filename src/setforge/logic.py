@@ -90,6 +90,16 @@ Formula = Union[Member, Equal, Not, And, Or, Implies, Iff, Exists, ForAll]
 
 _KEYWORDS = frozenset({"in", "exists", "all"})
 
+# The binary connectives, loosest first: token, class, whether it
+# associates to the right, and the truth function that makes its
+# closure from its operands' closures.
+_CONNECTIVES = (
+    ("<->", Iff, True, lambda a, b: lambda env: a(env) is b(env)),
+    ("->", Implies, True, lambda a, b: lambda env: not a(env) or b(env)),
+    ("|", Or, False, lambda a, b: lambda env: a(env) or b(env)),
+    ("&", And, False, lambda a, b: lambda env: a(env) and b(env)),
+)
+
 
 def free_variables(f: Formula) -> frozenset[Var]:
     if isinstance(f, (Member, Equal)):
@@ -167,10 +177,11 @@ MAX_FORMULA_DEPTH = 100
 Every atom, negation, quantifier, binary connective and parenthesised
 group is one level, and a formula's depth is the number of levels on
 its longest root-to-atom path: ``x in y`` is 1, ``!(x in y)`` is 3, and
-a chain of k conjuncts is k.  The free-variable walk and the evaluator
-recurse once per level and the parser a few times (the test suite's
-printer once, too), so the cap keeps all of them well inside Python's
-default recursion limit.
+a chain of k conjuncts is k.  The free-variable walk, the evaluator and
+the test suite's printer recurse once per level, and the parser at most
+three times (a parenthesised group: the connective loop, the unary and
+the atom), so a formula at the cap needs about 305 frames, well inside
+Python's default recursion limit.
 """
 
 
@@ -206,39 +217,20 @@ class _Parser:
             raise ParseError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", tok[2])
         return depth
 
-    def iff(self, level: int) -> tuple[Formula, int]:
-        left, depth = self.imp(level)
-        tok = self.peek()
-        if tok[0] == "<->":
-            self.take()
-            right, right_depth = self.iff(level + 1)
-            return Iff(left, right), self.fit(level, 1 + max(depth, right_depth), tok)
-        return left, depth
-
-    def imp(self, level: int) -> tuple[Formula, int]:
-        left, depth = self.or_(level)
-        tok = self.peek()
-        if tok[0] == "->":
-            self.take()
-            right, right_depth = self.imp(level + 1)
-            return Implies(left, right), self.fit(level, 1 + max(depth, right_depth), tok)
-        return left, depth
-
-    def or_(self, level: int) -> tuple[Formula, int]:
-        node, depth = self.and_(level)
-        while self.peek()[0] == "|":
-            tok = self.take()
-            right, right_depth = self.and_(level + 1)
-            node, depth = Or(node, right), self.fit(level, 1 + max(depth, right_depth), tok)
-        return node, depth
-
-    def and_(self, level: int) -> tuple[Formula, int]:
+    def binary(self, level: int, loosest: int = 0) -> tuple[Formula, int]:
+        """The formula at ``level`` up to the first connective looser than
+        ``_CONNECTIVES[loosest]``, by precedence climbing: a right operand
+        takes its own tier too where its connective associates right."""
         node, depth = self.unary(level)
-        while self.peek()[0] == "&":
-            tok = self.take()
-            right, right_depth = self.unary(level + 1)
-            node, depth = And(node, right), self.fit(level, 1 + max(depth, right_depth), tok)
-        return node, depth
+        while True:
+            tok = self.peek()
+            tier = next((i for i, c in enumerate(_CONNECTIVES) if c[0] == tok[0]), -1)
+            if tier < loosest:
+                return node, depth
+            self.take()
+            _, cls, right_assoc, _ = _CONNECTIVES[tier]
+            right, right_depth = self.binary(level + 1, tier if right_assoc else tier + 1)
+            node, depth = cls(node, right), self.fit(level, 1 + max(depth, right_depth), tok)
 
     def unary(self, level: int) -> tuple[Formula, int]:
         tok = self.peek()
@@ -251,7 +243,7 @@ class _Parser:
             self.take()
             var = self.expect("name", "a variable name")[1]
             self.expect(".", "'.' after the bound variable")
-            body, depth = self.iff(level + 1)
+            body, depth = self.binary(level + 1)
             return (Exists(var, body) if tok[0] == "exists" else ForAll(var, body)), 1 + depth
         return self.atom(level)
 
@@ -259,7 +251,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "(":
             self.take()
-            inner, depth = self.iff(level + 1)
+            inner, depth = self.binary(level + 1)
             closing = self.peek()
             if closing[0] != ")":
                 raise ParseError("expected ')'", closing[2])
@@ -287,7 +279,7 @@ def parse(text: str) -> Formula:
     the token where its depth first exceeds the cap.
     """
     parser = _Parser(text)
-    out, _ = parser.iff(1)
+    out, _ = parser.binary(1)
     trailing = parser.peek()
     if trailing[0] != "eof":
         raise ParseError(f"unexpected trailing input {trailing[1]!r}", trailing[2])
@@ -356,22 +348,9 @@ def _compile(f: Formula, g: ExtensionalDigraph) -> Callable[[dict[Var, NodeId]],
     if isinstance(f, Not):
         body = _compile(f.body, g)
         return lambda env: not body(env)
-    if isinstance(f, And):
-        a = _compile(f.left, g)
-        b = _compile(f.right, g)
-        return lambda env: a(env) and b(env)
-    if isinstance(f, Or):
-        a = _compile(f.left, g)
-        b = _compile(f.right, g)
-        return lambda env: a(env) or b(env)
-    if isinstance(f, Implies):
-        a = _compile(f.left, g)
-        b = _compile(f.right, g)
-        return lambda env: not a(env) or b(env)
-    if isinstance(f, Iff):
-        a = _compile(f.left, g)
-        b = _compile(f.right, g)
-        return lambda env: a(env) is b(env)
+    for _, cls, _, truth in _CONNECTIVES:
+        if isinstance(f, cls):
+            return truth(_compile(f.left, g), _compile(f.right, g))
     if isinstance(f, (Exists, ForAll)):
         body = _compile(f.body, g)
         var = f.var

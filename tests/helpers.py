@@ -24,6 +24,7 @@ from setforge import (
     CodeSpec,
     Deficiency,
     ExtensionalDigraph,
+    ParseError,
     SchemaError,
     Seed,
     SetforgeError,
@@ -44,6 +45,7 @@ from setforge.completion import (
 )
 from setforge.graph import NodeId, Provenance
 from setforge.logic import (
+    MAX_FORMULA_DEPTH,
     And,
     Equal,
     Exists,
@@ -55,6 +57,7 @@ from setforge.logic import (
     Not,
     Or,
     Var,
+    _tokenize,
 )
 
 
@@ -687,6 +690,118 @@ def print_formula(f: Formula) -> str:
     """Render ``f`` in the ASCII grammar; parse(print_formula(f)) == f
     whenever the printed text is within ``MAX_FORMULA_DEPTH``."""
     return _print(f, 0)
+
+
+# The reference parser: the grammar in ``setforge.logic``'s docstring
+# with one method per precedence tier, which ``parse`` must agree with
+# on every tree, error message and error position.
+
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.tokens = list(_tokenize(text))
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(f"expected {what}, got {tok[1] or 'end of input'!r}", tok[2])
+        return self.take()
+
+    def fit(self, level: int, depth: int, tok) -> int:
+        if level + depth - 1 > MAX_FORMULA_DEPTH:
+            raise ParseError(f"formula nests deeper than {MAX_FORMULA_DEPTH} levels", tok[2])
+        return depth
+
+    def iff(self, level: int) -> tuple[Formula, int]:
+        left, depth = self.imp(level)
+        tok = self.peek()
+        if tok[0] == "<->":
+            self.take()
+            right, right_depth = self.iff(level + 1)
+            return Iff(left, right), self.fit(level, 1 + max(depth, right_depth), tok)
+        return left, depth
+
+    def imp(self, level: int) -> tuple[Formula, int]:
+        left, depth = self.or_(level)
+        tok = self.peek()
+        if tok[0] == "->":
+            self.take()
+            right, right_depth = self.imp(level + 1)
+            return Implies(left, right), self.fit(level, 1 + max(depth, right_depth), tok)
+        return left, depth
+
+    def or_(self, level: int) -> tuple[Formula, int]:
+        node, depth = self.and_(level)
+        while self.peek()[0] == "|":
+            tok = self.take()
+            right, right_depth = self.and_(level + 1)
+            node, depth = Or(node, right), self.fit(level, 1 + max(depth, right_depth), tok)
+        return node, depth
+
+    def and_(self, level: int) -> tuple[Formula, int]:
+        node, depth = self.unary(level)
+        while self.peek()[0] == "&":
+            tok = self.take()
+            right, right_depth = self.unary(level + 1)
+            node, depth = And(node, right), self.fit(level, 1 + max(depth, right_depth), tok)
+        return node, depth
+
+    def unary(self, level: int) -> tuple[Formula, int]:
+        tok = self.peek()
+        self.fit(level, 1, tok)
+        if tok[0] == "!":
+            self.take()
+            body, depth = self.unary(level + 1)
+            return Not(body), 1 + depth
+        if tok[0] in {"exists", "all"}:
+            self.take()
+            var = self.expect("name", "a variable name")[1]
+            self.expect(".", "'.' after the bound variable")
+            body, depth = self.iff(level + 1)
+            return (Exists(var, body) if tok[0] == "exists" else ForAll(var, body)), 1 + depth
+        return self.atom(level)
+
+    def atom(self, level: int) -> tuple[Formula, int]:
+        tok = self.peek()
+        if tok[0] == "(":
+            self.take()
+            inner, depth = self.iff(level + 1)
+            closing = self.peek()
+            if closing[0] != ")":
+                raise ParseError("expected ')'", closing[2])
+            self.take()
+            return inner, 1 + depth
+        if tok[0] == "name":
+            left = self.take()[1]
+            op = self.peek()
+            if op[0] == "in":
+                self.take()
+                right = self.expect("name", "a variable name")[1]
+                return Member(left, right), 1
+            if op[0] == "=":
+                self.take()
+                right = self.expect("name", "a variable name")[1]
+                return Equal(left, right), 1
+            raise ParseError("expected 'in' or '=' after a variable", op[2])
+        raise ParseError(f"expected a formula, got {tok[1] or 'end of input'!r}", tok[2])
+
+
+def reference_parse(text: str) -> Formula:
+    parser = _ReferenceParser(text)
+    out, _ = parser.iff(1)
+    trailing = parser.peek()
+    if trailing[0] != "eof":
+        raise ParseError(f"unexpected trailing input {trailing[1]!r}", trailing[2])
+    return out
 
 
 # Code-detection formulas, built as syntax trees rather than parsed:

@@ -651,6 +651,47 @@ def test_guessed_end_traps_parse_as_the_reference_parses_them(name):
     assert ours[0] == "ok" or ours[1] == "SchemaError", ours
 
 
+def test_each_read_makes_one_pass_over_the_sections(monkeypatch):
+    """A document the section-by-section pass cannot show valid is parsed
+    whole at once, never passed over again: valid documents, the traps
+    and the named mutations each start the pass once. A ``nodes`` or
+    ``ranks`` value its slices cannot show is decoded in place, so the
+    slice traps are never parsed whole."""
+    calls = []
+
+    def counted(name):
+        original = getattr(document, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        return call
+
+    for name in ("_sections", "_walked"):
+        monkeypatch.setattr(document, name, counted(name))
+    shown = valid_lines() + list(_slice_traps().values())
+    texts = list(_guessed_end_traps().values())
+    line = serialize(complete(von_neumann_seed(2), 2))
+    for mutate in (
+        _provenance_and_edge_fault,
+        _disagreeing_members,
+        _duplicate_edge,
+        _unsort_edges,
+        _provenance_fault_then_duplicate,
+    ):
+        rng = random.Random(5)
+        for _ in range(5):
+            payload = json.loads(line)
+            mutate(rng, payload)
+            texts += written(payload)
+    for text in shown + texts:
+        calls.clear()
+        outcome(deserialize, text)
+        assert calls.count("_sections") == 1, text[:200]
+        assert text not in shown or "_walked" not in calls, text[:200]
+
+
 def _certified_seed() -> AnnotatedGraph:
     spec = CodeSpec(
         atoms=(AtomDecl("a", "chain", 2),), naturals_up_to=2, code_style="chain", code_length=1

@@ -1,6 +1,7 @@
 """Formula parsing, printing, evaluation, and the axiom probes."""
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from helpers import (
     random_extensional_graph,
     random_formula,
     reference_check_infinity,
+    reference_parse,
 )
 
 from setforge import (
@@ -157,6 +159,82 @@ def test_formula_past_the_nesting_cap_is_a_parse_error():
         parse(shape.format(group(MAX_FORMULA_DEPTH - 2)))
         with pytest.raises(ParseError):
             parse(shape.format(group(MAX_FORMULA_DEPTH - 1)))
+
+
+def _frames() -> int:
+    """How many frames the caller's stack holds."""
+    frame, count = sys._getframe(1), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+def test_formulas_at_the_nesting_cap_parse_within_400_frames():
+    """The parser takes three frames per parenthesised level (the
+    connective loop, the unary and the atom), two per quantifier and one
+    per negation or connective: about 305 for the deepest shape at the
+    cap. One method per precedence tier takes six per parenthesised
+    level, about 605."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 400)
+    try:
+        for shape, text in nested_formulas(MAX_FORMULA_DEPTH).items():
+            try:
+                parse(text)
+            except RecursionError:
+                pytest.fail(f"{shape} needs more than 400 frames")
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+_TOKENS = ("x", "y", "in", "=", "!", "&", "|", "->", "<->", "(", ")", "exists", "all", ".")
+
+
+def _formula_text(rng: random.Random, nesting: int, operands: int) -> str:
+    """A formula in the grammar: ``operands`` operands joined by
+    connectives without parentheses, an operand being an atom, negations
+    of one or, while ``nesting`` lasts, a quantifier or a parenthesised
+    formula."""
+
+    def operand() -> str:
+        roll = rng.random()
+        if nesting and roll < 0.25:
+            inner = _formula_text(rng, nesting - 1, rng.randint(1, 4))
+            if roll < 0.15:
+                return f"({inner})"
+            return f"{rng.choice(['exists', 'all', '∃', '∀'])} {rng.choice('xyz')}. {inner}"
+        if roll < 0.4:
+            return rng.choice(["!", "¬"]) * rng.randint(1, 3) + operand()
+        return f"{rng.choice('xyz')} {rng.choice(['in', '=', '∈'])} {rng.choice('xyz')}"
+
+    connectives = rng.sample(["&", "|", "->", "<->", "∧", "∨", "→", "↔"], rng.randint(1, 4))
+    text = operand()
+    for _ in range(operands - 1):
+        text += f" {rng.choice(connectives)} {operand()}"
+    return text
+
+
+def _parsed(parse_text, text: str):
+    try:
+        return ("ok", parse_text(text))
+    except Exception as e:  # compared, not swallowed: both parsers must agree
+        return ("raised", type(e).__name__, str(e), getattr(e, "position", None))
+
+
+def test_parse_agrees_with_the_reference_parser():
+    """Grammar-generated formulas, their truncations, and random token
+    strings give equal trees, or equal errors at equal positions."""
+    rng = random.Random(34)
+    texts = []
+    for _ in range(1500):
+        # Some chains are long enough to pass the nesting cap.
+        text = _formula_text(rng, 3, rng.choice([rng.randint(1, 6), rng.randint(40, 110)]))
+        texts += [text, text[: rng.randrange(len(text) + 1)]]
+    texts += [" ".join(rng.choices(_TOKENS, k=rng.randint(0, 12))) for _ in range(3000)]
+    outcomes = [_parsed(parse, text) for text in texts]
+    assert outcomes == [_parsed(reference_parse, text) for text in texts]
+    kinds = [o[0] if o[0] == "ok" else o[2].split(": ", 1)[1][:12] for o in outcomes]
+    assert kinds.count("ok") > 1000 and kinds.count("formula nest") > 100, set(kinds)
 
 
 # -- printing ----------------------------------------------------------------
