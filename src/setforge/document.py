@@ -701,16 +701,24 @@ def _nodes(raw: dict) -> _Nodes:
     return nodes
 
 
-def _decoded(data: bytes, span: slice) -> _Groups:
-    """The edges at ``span``, decoded and grouped by :func:`_grouped`,
-    once the scanner ends them where the guess did."""
+def _scanned(data: bytes, span: slice) -> Any:
+    """The JSON value at ``span``, once the scanner ends it where the
+    guess did; raises ``_Unproven`` until then."""
     try:
         text = str(memoryview(data)[span], "utf-8")
         value, end = _scan_value(text, 0)
-        if end != len(text):
-            raise _Unproven
-        del text
-        return _grouped(value)
+    except _SCAN_ERRORS:
+        raise _Unproven from None
+    if end != len(text):
+        raise _Unproven
+    return value
+
+
+def _decoded(data: bytes, span: slice) -> _Groups:
+    """The edges at ``span``, scanned by :func:`_scanned` and grouped by
+    :func:`_grouped`."""
+    try:
+        return _grouped(_scanned(data, span))
     except _SCAN_ERRORS:
         raise _Unproven from None
 
@@ -755,8 +763,10 @@ def _claimed(data: bytes, sections: dict, span: slice) -> _Build:
             return _compared(sections, _decoded(data, span), nodes)
         nodes.canon.clear()
         return partial(_from_members, sections, nodes, found)
+    # Shown to be JSON, not grouped: whatever their shape, the error
+    # stands.
     sections.clear()
-    _decoded(data, span)
+    _scanned(data, span)
     raise error
 
 

@@ -479,7 +479,7 @@ def _require_iso_count(a: int, b: int) -> None:
 
 
 def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
-    """Exact isomorphism test.
+    """Exact isomorphism test: whether :func:`_isomorphism` finds a map.
 
     A bijection must preserve edges and structural labels (provenance
     kind, and level for completion-created nodes); seed label text and
@@ -504,11 +504,30 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
     or the branches together re-colour more than ``_SEARCH_STATE_LIMIT``
     nodes.
     """
+    return _matching_colours(a, b) is not None
+
+
+def _isomorphism(a: ExtensionalDigraph, b: ExtensionalDigraph) -> dict[NodeId, NodeId] | None:
+    """The isomorphism from ``a`` onto ``b`` that :func:`is_isomorphic`
+    settles on, or None where there is none; raises what
+    :func:`is_isomorphic` raises."""
+    colours = _matching_colours(a, b)
+    if colours is None:
+        return None
+    col_a, col_b = colours
+    node_of = {c: y for y, c in col_b.items()}
+    return {x: node_of[c] for x, c in col_a.items()}
+
+
+def _matching_colours(
+    a: ExtensionalDigraph, b: ExtensionalDigraph
+) -> tuple[dict[NodeId, int], dict[NodeId, int]] | None:
+    """Injective colourings of ``a`` and ``b`` whose colour-matching map
+    is an isomorphism, found as :func:`is_isomorphic` describes, or
+    None where there is none."""
     _require_iso_count(len(a.nodes), len(b.nodes))
     if len(a.nodes) != len(b.nodes):
-        return False
-    if len(a.nodes) == 0:
-        return True
+        return None
 
     def settle(
         col_a: dict[NodeId, int], col_b: dict[NodeId, int], checked: set[int] | None = None
@@ -571,7 +590,7 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
             col_a, col_b = _refine([a, b], [col_a, col_b])
             verdict = settle(col_a, col_b)
         if verdict:
-            return True
+            return col_a, col_b
         if verdict is None:
             cells: dict[int, list[NodeId]] = {}
             for node, c in col_a.items():
@@ -580,4 +599,4 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
             c = col_a[x]
             ys = sorted((node for node, cy in col_b.items() if cy == c), reverse=True)
             stack.extend((col_a, col_b, x, y) for y in ys)
-    return False
+    return None

@@ -33,7 +33,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, MutableMapping, NamedTuple, Sequence
 
 from .completion import Budget, DEFAULT_BUDGET
 from .errors import BudgetExceededError, DecorationError, SetforgeError
@@ -43,6 +43,8 @@ from .graph import (
     NodeId,
     Provenance,
     Seed,
+    _isomorphism,
+    _provenance_colour,
     _require_iso_count,
     is_isomorphic,
     require_extensional,
@@ -333,102 +335,156 @@ def _level_histogram(g: ExtensionalDigraph) -> dict[object, int]:
 
 def _by_level(g: ExtensionalDigraph) -> tuple[dict[int, list[NodeId]], dict[NodeId, Provenance]]:
     """The deficiency nodes of ``g`` by level, and the other nodes with
-    their provenance."""
+    their provenance.  A completion step and the reader give a level's
+    nodes one provenance object, mostly in a run: a node with the
+    object of the node before joins that node's list at once."""
     levels: dict[int, list[NodeId]] = {}
     fixed: dict[NodeId, Provenance] = {}
+    last: Provenance | None = None
     for x, p in g.provenance.items():
-        if isinstance(p, Deficiency):
-            levels.setdefault(p.level, []).append(x)
+        if p is last:
+            xs.append(x)
+        elif isinstance(p, Deficiency):
+            last, xs = p, levels.setdefault(p.level, [])
+            xs.append(x)
         else:
             fixed[x] = p
     return levels, fixed
 
 
 def _name_levels(
-    levels: dict[int, list[NodeId]],
-    ext: Mapping[NodeId, frozenset[NodeId]],
-    names: dict[NodeId, Hashable],
-    tables: dict[int, dict],
-    spell: Callable[[Iterator], Hashable],
+    levels: dict[int, Sequence[Hashable]],
+    ext: Mapping[NodeId, frozenset[NodeId]] | Sequence[tuple[int, ...]],
+    names: MutableMapping[NodeId, NodeId] | list[NodeId | None],
+    g: ExtensionalDigraph,
+    levels_g: dict[int, list[NodeId]],
 ) -> bool:
-    """Name the deficiency nodes ``levels`` level by level, in ascending
-    order, and tell whether every table was used up.
+    """Name the deficiency nodes ``levels`` by nodes of ``g``, level by
+    level in ascending order, and tell whether every node of
+    ``levels_g``, the deficiency nodes of ``g`` by level, was named.
 
-    ``names`` starts on the other nodes.  Each deficiency node pops, from
-    its level's table, the entry that its members' names spell, and is
-    named by it once its level is spelled.  A member not named yet, an
-    entry not in the table, entries left over, or a table whose level
-    has no nodes ends the walk.
+    ``names`` starts on the other nodes, and ``ext`` gives each node's
+    members.  At each level, each node of ``levels`` takes the node of
+    ``g`` there whose extension its members' names spell, and is named
+    by it once its level is spelled.  Unequal node counts at a level, a
+    member not named yet, or a spelling that no node of ``g`` at the
+    level has ends the walk; with equal counts, every spelling finding
+    a node takes every node.  Each spelling is a frozenset dropped as
+    soon as it is looked up.
     """
+    extensions = g.extensions
     for level in sorted(levels):
-        table = tables.pop(level, {})
         xs = levels[level]
+        ys = levels_g.pop(level, ())
+        if len(xs) != len(ys):
+            return False
+        table = {extensions[y]: y for y in ys}
         try:
-            found = [table.pop(spell(map(names.__getitem__, ext[x]))) for x in xs]
+            found = [table.pop(frozenset(map(names.__getitem__, ext[x]))) for x in xs]
         except KeyError:
             return False
-        if table:
-            return False
-        names.update(zip(xs, found))
-    return not tables
+        for x, y in zip(xs, found):
+            names[x] = y
+    return not levels_g
+
+
+def _lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, phi: Mapping[NodeId, NodeId]) -> bool:
+    """True when ``phi``, a map of the non-deficiency nodes of ``a``,
+    extends to an isomorphism onto ``b``; False when :func:`_name_levels`
+    cannot extend it, which decides nothing.
+
+    ``phi`` must be one to one onto the non-deficiency nodes of ``b``
+    and keep provenance colours.  The walk then names each deficiency
+    node of ``a`` one to one by the node of ``b`` at its level whose
+    extension is the image of its members; with the non-deficiency
+    nodes' members carried onto their images' too, the map is an
+    isomorphism in :func:`is_isomorphic`'s sense, so True is exact.
+    Every isomorphism of two seeds lifts to their exact completions: a
+    level adds exactly the subsets that no node represents, and an
+    isomorphism carries those onto those.
+    """
+    levels_a, fixed_a = _by_level(a)
+    levels_b, fixed_b = _by_level(b)
+    image = set(phi.values())
+    if not (
+        phi.keys() == fixed_a.keys()
+        and len(image) == len(phi)
+        and image == fixed_b.keys()
+        and all(
+            _provenance_colour(p) == _provenance_colour(fixed_b[phi[x]])
+            for x, p in fixed_a.items()
+        )
+    ):
+        return False
+    ext_a = a.extensions
+    f = dict(phi)
+    return _name_levels(levels_a, ext_a, f, b, levels_b) and all(
+        frozenset(map(f.__getitem__, ext_a[x])) == b.extensions[y] for x, y in phi.items()
+    )
 
 
 def _seed_map_agrees(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
-    """True when the identity on the shared non-deficiency nodes extends
-    to an isomorphism, found one deficiency level at a time; False when
-    this map cannot be built, which decides nothing.
+    """:func:`_lifts` from the identity on the non-deficiency nodes,
+    which both graphs must have with equal provenance."""
+    fixed = _by_level(a)[1]
+    return fixed == _by_level(b)[1] and _lifts(a, b, dict(zip(fixed, fixed)))
 
-    The map starts as the identity on the non-deficiency nodes, which
-    both graphs must have with equal provenance, and goes on as
-    :func:`_name_levels` names each deficiency node of ``a`` by the node
-    of ``b`` at its level whose extension is the image of its members.
-    It then preserves provenance, carries those nodes' members onto
-    their images', and is injective, and onto with equal node counts.
-    Carrying the non-deficiency nodes' members too makes it an
-    isomorphism in :func:`is_isomorphic`'s sense, so True is exact.
-    """
-    levels_a, fixed = _by_level(a)
-    levels_b, fixed_b = _by_level(b)
-    if len(a.nodes) != len(b.nodes) or fixed != fixed_b:
+
+def _seed_isomorphism_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
+    """:func:`_lifts` from the isomorphism that :func:`_isomorphism` finds
+    between the two graphs' non-deficiency parts, tried only where
+    each part is a graph of its own (no node of it holds a deficiency
+    node) and the parts differ: equal parts have the identity, which
+    :func:`_seed_map_agrees` lifts."""
+    parts = []
+    for g in (a, b):
+        fixed = _by_level(g)[1]
+        part = {x: g.extensions[x] for x in fixed}
+        if not all(ms <= fixed.keys() for ms in part.values()):
+            return False
+        parts.append(ExtensionalDigraph(part, fixed))
+    if parts[0] == parts[1]:
         return False
-    ext_a, ext_b = a.extensions, b.extensions
-    f: dict[NodeId, Hashable] = {x: x for x in fixed}
-    tables = {level: {ext_b[y]: y for y in ys} for level, ys in levels_b.items()}
-    return _name_levels(levels_a, ext_a, f, tables, frozenset) and all(
-        frozenset(map(f.__getitem__, ext_a[x])) == ext_b[x] for x in fixed
-    )
+    phi = _isomorphism(*parts)
+    return phi is not None and _lifts(a, b, phi)
 
 
 def stages_agree(ours: ExtensionalDigraph, g: ExtensionalDigraph, values: StageValues) -> bool:
     """``_seed_map_agrees(ours, stages_graph(g, values))``, decided on
-    the values themselves, without that graph: the same walk, with each
-    node of that graph named by its position in :func:`_members`' order.
+    the values themselves, without that graph: the same walk, run the
+    other way, from each node of that graph, named by its position in
+    :func:`_members`' order, to a node of ``ours``.
 
-    Each deficiency node of ``ours`` spells the ascending tuple of its
-    members' positions, in its level's table of the stage's subsets and
-    the input's nodes at that level.  The non-deficiency nodes must be
-    the input's, with its provenance, and each must hold the positions
-    of its decoration's extension.
+    At each level, each stage subset and each of the input's nodes
+    there spells its member positions into the ids of ``ours`` through
+    the names found so far, and takes the node of ``ours`` at that
+    level with that extension.  The non-deficiency nodes of ``ours``
+    must be the input's, with its provenance, and each must hold the
+    images of its decoration's members.  A map and its inverse are
+    built by the same level walk, so the two directions decide alike.
     """
     node_of, pool, stages = values
-    levels, fixed = _by_level(ours)
+    levels_ours, fixed = _by_level(ours)
     seed_levels, seed_fixed = _by_level(g)
     if fixed != seed_fixed:
         return False
     members = _members(values)
     position = {x: i for i, x in enumerate(map(node_of.__getitem__, pool[: len(node_of)]))}
-    tables: dict[int, dict] = {}
+    levels: dict[int, Sequence[int]] = {}
     start = len(node_of)
     for stage, fresh in enumerate(stages, 1):
-        tables[stage] = dict(zip(fresh, range(start, start + len(fresh))))
+        levels[stage] = range(start, start + len(fresh))
         start += len(fresh)
-    spell = lambda positions: tuple(sorted(positions))  # as _one_stage draws them
     for level, xs in seed_levels.items():
-        tables.setdefault(level, {}).update((spell(members[position[x]]), position[x]) for x in xs)
-    names: dict[NodeId, Hashable] = {x: position[x] for x in fixed}
-    ext = ours.extensions
-    return _name_levels(levels, ext, names, tables, spell) and all(
-        {names[m] for m in ext[x]} == set(members[position[x]]) for x in fixed
+        levels[level] = [*levels.get(level, ()), *map(position.__getitem__, xs)]
+    # Names by position; None, which no extension holds, where a
+    # position is not named yet.
+    names: list[NodeId | None] = [None] * len(members)
+    for x in fixed:
+        names[position[x]] = x
+    return _name_levels(levels, members, names, ours, levels_ours) and all(
+        frozenset(map(names.__getitem__, members[position[x]])) == ours.extensions[x]
+        for x in fixed
     )
 
 
@@ -437,11 +493,13 @@ def compare(a: ExtensionalDigraph, b: ExtensionalDigraph) -> ComparisonVerdict:
 
     Graphs that share their non-deficiency nodes, as a completion and
     its :func:`oracle_complete` do, are first matched from that shared
-    seed map (:func:`_seed_map_agrees`); only when that fails does
-    :func:`is_isomorphic` search.
+    seed map (:func:`_seed_map_agrees`), then from an isomorphism of
+    their non-deficiency parts (:func:`_seed_isomorphism_lifts`), which
+    is all completions of seeds under other ids need; only when both
+    fail does :func:`is_isomorphic` search the whole graphs.
     """
     _require_iso_count(len(a.nodes), len(b.nodes))
-    if _seed_map_agrees(a, b) or is_isomorphic(a, b):
+    if _seed_map_agrees(a, b) or _seed_isomorphism_lifts(a, b) or is_isomorphic(a, b):
         return ComparisonVerdict(True, "isomorphic")
     probes = [
         ("node counts", lambda g: len(g.nodes)),

@@ -238,6 +238,33 @@ def test_is_isomorphic_agrees_with_brute_force():
     assert verdicts.count(True) > 300 and verdicts.count(False) > 300
 
 
+def test_isomorphism_is_a_colour_preserving_bijection(monkeypatch):
+    """On every pair the brute-force test above draws, in both orders,
+    ``_isomorphism`` returns a bijection that preserves edges and the
+    label-free provenance colour, or None exactly where brute force
+    finds no isomorphism: that test runs with ``is_isomorphic`` replaced
+    by this check of the map."""
+    maps = []
+
+    def checked(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
+        phi = graph._isomorphism(a, b)
+        if phi is not None:
+            assert phi.keys() == a.nodes and set(phi.values()) == b.nodes
+            assert len(a.nodes) == len(b.nodes)
+            for x, y in phi.items():
+                assert helpers._structural_label(a.provenance[x]) == helpers._structural_label(
+                    b.provenance[y]
+                )
+                assert frozenset(map(phi.__getitem__, a.extensions[x])) == b.extensions[y]
+        maps.append(phi)
+        return phi is not None
+
+    monkeypatch.setitem(globals(), "is_isomorphic", checked)
+    test_is_isomorphic_agrees_with_brute_force()
+    found = sum(phi is not None for phi in maps)
+    assert found > 600 and len(maps) - found > 600
+
+
 def random_seed_with_quines(rng: random.Random, n: int) -> ExtensionalDigraph:
     """An extensional n-node seed: some nodes are quines (x = {x}), the
     others have random members, self-loops allowed."""

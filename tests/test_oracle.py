@@ -1,5 +1,6 @@
 """Reference model: interned set values, HF stages, decoration, comparison."""
 
+import contextlib
 import gc
 import io
 import itertools
@@ -20,6 +21,7 @@ from setforge import (
     NonExtensionalError,
     Seed,
     SetforgeError,
+    SizeLimitError,
     TupleDecl,
     assemble,
     atom,
@@ -37,10 +39,12 @@ from setforge import (
 from setforge import oracle
 from setforge.cli import main
 
+import helpers
 from helpers import (
     key_syntax_seed,
     random_decorable_graph,
     random_extensional_graph,
+    reference_is_isomorphic,
     reference_oracle_complete,
 )
 
@@ -528,6 +532,119 @@ def test_compare_agrees_with_the_label_free_search():
     assert (False, True) not in verdicts
 
 
+def atoms_beside_a_stage(rng: random.Random) -> tuple[ExtensionalDigraph, int]:
+    """Two to five quine atoms, whose permutations are automorphisms,
+    beside a von Neumann stage of up to two nodes, with a level count
+    that keeps the completion at 256 nodes or fewer."""
+    atoms = quine_atoms([f"q{i}" for i in range(rng.randint(2, 5))])
+    stage = von_neumann_seed(rng.randint(0, 2))
+    seed = ExtensionalDigraph(
+        {**atoms.extensions, **stage.extensions}, {**atoms.provenance, **stage.provenance}
+    )
+    return seed, 1 if len(seed) > 3 else rng.randint(1, 2)
+
+
+def relabelled(rng: random.Random, g: ExtensionalDigraph) -> ExtensionalDigraph:
+    """``g`` under random new ids, listed in another order, each seed
+    node labelled by its new id."""
+    names = sorted(g.nodes)
+    rename = dict(zip(names, rng.sample([f"r{i:03d}" for i in range(len(names))], len(names))))
+    order = rng.sample(names, len(names))
+    prov = g.provenance
+    return ExtensionalDigraph(
+        {rename[x]: frozenset(map(rename.get, g.extensions[x])) for x in order},
+        {rename[x]: Seed(rename[x]) if isinstance(prov[x], Seed) else prov[x] for x in order},
+    )
+
+
+def hand_levelled(rng: random.Random, g: ExtensionalDigraph) -> list[ExtensionalDigraph]:
+    """Records of ``g``'s graph whose provenance no completion step
+    wrote: a level-1 node stamped as a seed node, a seed node added that
+    holds a deficiency node (so the non-deficiency part is not a graph
+    of its own), and a top-level node moved one level up."""
+    ext, prov = g.extensions, g.provenance
+    first = sorted(x for x in g.nodes if level_of(g, x) == 1)
+    top = max(level_of(g, x) for x in g.nodes)
+    last = sorted(x for x in g.nodes if level_of(g, x) == top)
+    return [
+        ExtensionalDigraph(ext, {**prov, rng.choice(first): Seed("stamped")}),
+        ExtensionalDigraph(
+            {**ext, "holder": frozenset([rng.choice(first)])}, {**prov, "holder": Seed("holder")}
+        ),
+        ExtensionalDigraph(ext, {**prov, rng.choice(last): Deficiency(top + 1)}),
+    ]
+
+
+def one_edge_flipped(rng: random.Random, g: ExtensionalDigraph) -> ExtensionalDigraph:
+    names = sorted(g.nodes)
+    member, container = rng.choice(names), rng.choice(names)
+    flipped = {**g.extensions, container: g.extensions[container] ^ {member}}
+    return ExtensionalDigraph(flipped, g.provenance)
+
+
+def test_compare_agrees_with_the_reference_on_relabelled_completions(monkeypatch):
+    """``compare`` against ``reference_is_isomorphic``, in both argument
+    orders, on completions of seeds with non-trivial automorphisms
+    under other ids: the seed map cannot apply, so an isomorphism of the
+    seeds must be lifted through the levels.  Also on hand-levelled
+    records of the same graphs, and on copies with one edge flipped.
+    The reference's cap is lowered, as in the isomorphism tests, to the
+    least power of ten at which it answers every pair in one order or
+    the other, and its verdict is taken from that order."""
+    monkeypatch.setattr(helpers, "_REFERENCE_STATE_LIMIT", 50_000)
+    rng = random.Random(1313)
+    verdicts = []
+    for _ in range(40):
+        seed, levels = atoms_beside_a_stage(rng)
+        ours = complete(seed, levels).graph
+        pairs = [(ours, complete(relabelled(rng, seed), levels).graph)]
+        for a in [ours, *hand_levelled(rng, ours)]:
+            b = relabelled(rng, a)
+            pairs += [(a, b), (a, one_edge_flipped(rng, b))]
+        for a, b in pairs:
+            orders = ((a, b), (b, a))
+            reference = set()
+            for x, y in orders:
+                with contextlib.suppress(SizeLimitError):
+                    reference.add(reference_is_isomorphic(x, y))
+            (expected,) = reference
+            for x, y in orders:
+                assert compare(x, y).isomorphic == expected
+                verdicts.append((expected, oracle._seed_isomorphism_lifts(x, y)))
+    assert verdicts.count((True, True)) >= 250
+    assert verdicts.count((True, False)) >= 100
+    assert verdicts.count((False, False)) >= 300
+    assert (False, True) not in verdicts
+
+
+def test_relabelled_quine_completions_are_compared_without_a_search(monkeypatch):
+    """Twelve indiscernible atoms under two namings, completed one level:
+    4,096 nodes whose colours tie by the atoms' 12! automorphisms.  An
+    isomorphism of the seeds is lifted instead, and the whole graphs are
+    never searched."""
+
+    def search(a, b):
+        raise AssertionError("searched the whole graphs")
+
+    monkeypatch.setattr(oracle, "is_isomorphic", search)
+    a = complete(quine_atoms([f"q{i:02d}" for i in range(12)]), 1).graph
+    b = complete(quine_atoms([f"r{i:02d}" for i in range(12)]), 1).graph
+    assert compare(a, b).isomorphic and compare(b, a).isomorphic
+
+
+def test_a_lift_needs_a_one_to_one_seed_map():
+    """Two quine atoms sent onto one: each node's members still map onto
+    its image's, but the map is not one to one, and into two atoms it is
+    not onto either."""
+    a = ExtensionalDigraph.from_extensions({"q0": {"q0"}, "q1": {"q1"}})
+    b = ExtensionalDigraph.from_extensions({"r0": {"r0"}, "r1": {"r1"}})
+    one = ExtensionalDigraph.from_extensions({"r0": {"r0"}})
+    assert oracle._lifts(a, b, {"q0": "r1", "q1": "r0"})
+    assert oracle._lifts(complete(a, 1).graph, complete(b, 1).graph, {"q0": "r1", "q1": "r0"})
+    for target in (b, one):
+        assert not oracle._lifts(a, target, {"q0": "r0", "q1": "r0"})
+
+
 # -- the stage values against the kernel's nodes ------------------------------
 
 
@@ -633,6 +750,22 @@ def test_the_level_walk_refuses_a_node_too_few_or_too_many(fault):
     assert not oracle._seed_map_agrees(reference, bad)
     expected = f"node counts differ: {len(bad)} vs {len(reference)}"
     assert compare(bad, reference) == oracle.ComparisonVerdict(False, expected)
+
+
+def test_the_flipped_walk_refuses_a_top_level_node_no_subset_takes():
+    """A node added at the top level that holds a top-level node: every
+    stage subset still finds its node, so only the count of the
+    level's nodes shows the one left untaken."""
+    g = von_neumann_seed(2)
+    values = oracle.oracle_stages(g, 2)
+    ours = complete(g, 2).graph
+    top = max(x for x in ours.nodes if level_of(ours, x) == 2)
+    extra = ExtensionalDigraph(
+        {**ours.extensions, "extra": frozenset([top])}, {**ours.provenance, "extra": Deficiency(2)}
+    )
+    assert oracle.stages_agree(ours, g, values)
+    assert not oracle.stages_agree(extra, g, values)
+    assert not oracle._seed_map_agrees(extra, oracle.stages_graph(g, values))
 
 
 def test_stages_agree_matches_labels_with_key_syntax_by_key():
