@@ -5,7 +5,8 @@ edge lists, so equal documents are byte-identical and diffs are
 meaningful. The graph core (nodes with provenance, edges) is always
 present; level structure, depth and rank annotations, and a formula
 library are optional blocks. In memory a document is an
-:class:`~setforge.graph.AnnotatedGraph`, one field per block.
+:class:`~setforge.graph.AnnotatedGraph`, one field per block (``ranks``
+as one rank map and its top family index).
 
 Schema violations raise :class:`~setforge.errors.SchemaError` naming
 the offending field path, for example ``edges[3]`` or ``ranks.2``.
@@ -23,7 +24,7 @@ from contextlib import contextmanager
 from functools import partial
 from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import eq, ge, itemgetter, le, lt, not_
+from operator import eq, ge, gt, itemgetter, le, lt, not_
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import SchemaError
@@ -103,6 +104,21 @@ def _dumps(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
+def _families(doc: AnnotatedGraph) -> str:
+    """The ``ranks`` object of ``doc`` as ``_dumps`` would write its
+    families (keys in string order, "10" before "2"): family ``top`` is
+    the rank map, and each lower family ``i`` joins the map's entries,
+    each encoded once, at depths below ``i`` (no depth reads as ``top``)."""
+    top, items = doc.top, sorted(doc.rank.items())
+    entries = [f"{encode_basestring_ascii(x)}:{r!r}" for x, r in items]
+    below = [doc.depth.get(x, top) for x, _ in items]
+    families = [
+        f'"{i}":{{{",".join(entries if i == top else compress(entries, map(gt, repeat(i), below)))}}}'
+        for i in sorted(range(1, top + 1), key=str)
+    ]
+    return f"{{{','.join(families)}}}"
+
+
 def _pieces(doc: AnnotatedGraph) -> list[str]:
     """The pieces of ``doc``'s line and its newline, in order, every one
     built before the list is returned, so that a writer which fails has
@@ -132,8 +148,8 @@ def _pieces(doc: AnnotatedGraph) -> list[str]:
         sections = []
         if doc.depth is not None:
             sections.append(("depth", [_dumps(doc.depth)]))
-        if doc.ranks is not None:
-            sections.append(("ranks", [_dumps({str(i): r for i, r in doc.ranks.items()})]))
+        if doc.rank is not None:
+            sections.append(("ranks", [_families(doc)]))
         if doc.formulas:
             sections.append(("formulas", [_dumps(doc.formulas)]))
         provenance = list(map(g.provenance.__getitem__, order))
@@ -952,13 +968,14 @@ def _annotated(raw: dict, graph: ExtensionalDigraph) -> AnnotatedGraph:
             missing = sorted(known - depth.keys())[0]
             raise SchemaError("depth", f"missing depth for {missing!r}")
 
-    ranks: dict[int, dict[NodeId, int]] | None = None
+    rank: dict[NodeId, int] | None = None
+    top: int | None = None
     if "ranks" in raw:
         if depth is None:
             raise SchemaError("ranks", "ranks need a depth block to fix their domains")
         ranks_raw = _want(raw, "ranks", dict)
         sorted_depths = sorted(depth.values())
-        ranks = {}
+        families = {}
         for key, rank_map in ranks_raw.items():
             i = _rank_key(key)
             if not (
@@ -967,7 +984,19 @@ def _annotated(raw: dict, graph: ExtensionalDigraph) -> AnnotatedGraph:
                 and _rank_domain_exact(i, rank_map, known, depth, sorted_depths)
             ):
                 _raise_first([_rank_fault(key, i, rank_map, known, depth)])
-            ranks[i] = rank_map
+            families[i] = rank_map
+        # One rank map: families 1..I, each the top one restricted.
+        top = len(families)
+        past = min((i for i in families if i > top), default=0)
+        if past:
+            missing = min(set(range(1, top + 1)) - families.keys())
+            raise SchemaError(f"ranks.{past}", f"rank families must be 1..I; {missing} is missing")
+        rank = families.get(top, {})
+        for i in range(1, top):
+            if not families[i].items() <= rank.items():
+                x = min(x for x, r in families[i].items() if rank[x] != r)
+                off = f"family {i} is not family {top} restricted to depth < {i} ({x!r} is off)"
+                raise SchemaError(f"ranks.{i}", off)
 
     formulas: dict[str, str] = {}
     if "formulas" in raw:
@@ -975,7 +1004,7 @@ def _annotated(raw: dict, graph: ExtensionalDigraph) -> AnnotatedGraph:
         if not _all_of(formulas.values(), str):
             _raise_first(map(_formula_fault, formulas, formulas.values()))
 
-    return AnnotatedGraph(graph, levels, depth, ranks, formulas)
+    return AnnotatedGraph(graph, levels, depth, rank, top, formulas)
 
 
 def deserialize(text: str | bytes) -> AnnotatedGraph:

@@ -41,15 +41,13 @@ def _base_label(g: ExtensionalDigraph, x: NodeId) -> str:
     return p.detail
 
 
-def _node_line(
-    g: ExtensionalDigraph, depth: dict | None, top_rank: dict, x: NodeId, q: str
-) -> str:
+def _node_line(g: ExtensionalDigraph, depth: dict | None, rank: dict, x: NodeId, q: str) -> str:
     """The line of node ``x``, quoted as ``q``, with its newline."""
     label_lines = [_base_label(g, x)]
     if depth is not None:
         note = f"d={depth[x]}"
-        if x in top_rank:
-            note += f" r={top_rank[x]}"
+        if x in rank:
+            note += f" r={rank[x]}"
         label_lines.append(note)
     attrs = f"label={_label_attr(label_lines)}"
     p = g.provenance[x]
@@ -66,16 +64,15 @@ def _pieces(source: AnnotatedGraph) -> list[str]:
     taken from it, before the edge lines are made, so a caller that
     passes it as a temporary never holds its graph and the edge lines
     together."""
-    g, depth, ranks = source.graph, source.depth, source.ranks
-    top_rank = ranks[max(ranks)] if ranks else {}
+    g, depth, rank = source.graph, source.depth, source.rank or {}
     order = g.sorted_nodes()
     quoted = list(map(_quote, order))
     pieces = ['digraph "setforge" {\n  rankdir=BT;\n']
     for i in range(0, len(order), _BATCH):
         batch = zip(order[i : i + _BATCH], quoted[i : i + _BATCH])
-        pieces.append("".join([_node_line(g, depth, top_rank, x, q) for x, q in batch]))
+        pieces.append("".join([_node_line(g, depth, rank, x, q) for x, q in batch]))
     runs = g.member_runs()
-    del source, g, depth, ranks, top_rank, order
+    del source, g, depth, rank, order
     at = quoted.__getitem__
     for m, cs in runs:
         head = f"  {at(m)} -> "
@@ -86,7 +83,7 @@ def _pieces(source: AnnotatedGraph) -> list[str]:
 
 
 def to_dot(source: AnnotatedGraph) -> str:
-    """Render a graph as DOT, with its depths and top rank map when the
+    """Render a graph as DOT, with its depths and rank map when the
     record carries them: the join of :func:`_pieces`, which the command
     line writes a run at a time instead."""
     return "".join(_pieces(source))

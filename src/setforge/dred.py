@@ -1,30 +1,30 @@
 """Depth/rank certificates for Foundation over extensional digraphs.
 
-A certificate is the depth map and the finite family of partial rank
-maps that an :class:`~setforge.graph.AnnotatedGraph` carries.  The four
-conditions checked by :func:`verify_dred`:
+A certificate is the depth map, the top family index ``I`` and the one
+rank map that an :class:`~setforge.graph.AnnotatedGraph` carries; its
+rank families ``r_i``, for ``i`` in 1..I, are the map on the nodes of
+depth below ``i``.  The four conditions checked by :func:`verify_dred`:
 
 1. the graph is extensional;
 2. along every edge, the member's depth exceeds the container's by at
    most one;
 3. the same depth bound holds whenever one node's extension is included
    in another's;
-4. for each carried index ``i``, the rank map ``r_i`` is defined on
-   exactly the nodes of depth below ``i`` and increases strictly along
-   every edge inside that domain.
+4. the rank map is defined on exactly the nodes of depth below ``I``
+   and increases strictly along every edge inside that domain, and so
+   does each family ``r_i`` below ``i``.
 
-The carried family must reach ``i = max depth + 1`` (``coverage``), so
-every node lies in the domain of the top rank map.  That is what makes
-:func:`foundation_witness` total: for any node with members, rank
-minimality hands back a member disjoint from it, which is exactly the
-Foundation axiom's witness.
+``I`` must reach ``max depth + 1`` (``coverage``), so the rank map is
+defined at every node.  That is what makes :func:`foundation_witness`
+total: for any node with members, rank minimality hands back a member
+disjoint from it, which is exactly the Foundation axiom's witness.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import compress, repeat
 
 from .completion import (
     Budget,
@@ -44,9 +44,9 @@ from .graph import (
     extensionality_violation,
 )
 
-# Node x sits in rank families depth(x)+1 up to the top one, so a chain
-# atom of L links takes about L**2/2 entries; 2**21 entries (2,045
-# links) make a 40 MB document, less than a two-level completion's 58 MB.
+# A document writes node x in rank families depth(x)+1 up to the top,
+# so a chain atom of L links writes about L**2/2 entries. This prices the
+# document, not memory: 2**21 entries (2,045 links) make 40 MB.
 _MAX_RANK_ENTRIES = 1 << 21
 
 
@@ -74,26 +74,25 @@ def verify_dred(h: AnnotatedGraph) -> DredReport:
     """Exhaustively check the DRED conditions, reporting every violation.
 
     Each condition is checked in bulk first, by C-level passes over the
-    nodes or the rank families, and walked node by node only when that
-    check fails, to name its violations in id order; so a valid
-    certificate costs about one pass over its nodes and edges.  The
-    rank increase is checked once, on the top family, when every lower
-    family restricts it, as in every certificate setforge writes.
-    Condition 3 needs no table of subsets, because condition 2 bounds
-    it.  Let m(x) be the greatest depth among x's members (-1 if none)
-    and let ext(x) <= ext(y), where y meets condition 2.  Every member of
-    x is a member of y, so m(x) <= depth(y) + 1; if x breaks condition 3
-    at y, depth(x) >= depth(y) + 2, so depth(x) is at least 2 and above
-    m(x): x *jumps*.  So condition 3 can fail only at condition 2's
-    offenders and at nodes more than one level above a jumping node
-    whose members they hold.  The jumping nodes are found per depth
-    group, as those whose members all lie in shallower groups, and a
-    jumping node's candidate supersets are the containers of its member
-    with the fewest (every node, if it has none).  Only these suspects
-    are named against their subsets, by enumerating the subsets of the
-    extension when that is cheap and by a pairwise scan otherwise.
-    Depths and ranks are integers.  A record without a depth or a ranks
-    block raises SchemaError naming it.
+    nodes or the rank map, and walked node by node only when that check
+    fails, to name its violations in id order; so a valid certificate costs
+    about one pass over its nodes and edges.  The rank map is checked once;
+    its walk names each violation in every family ``r_i`` that holds
+    it.  Condition 3 needs no table of subsets, because condition 2 bounds
+    it.  Let m(x) be the greatest depth among x's members (-1 if none) and
+    let ext(x) <= ext(y), where y meets condition 2.  Every member of x is a
+    member of y, so m(x) <= depth(y) + 1; if x breaks condition 3 at y,
+    depth(x) >= depth(y) + 2, so depth(x) is at least 2 and above m(x): x
+    *jumps*.  So condition 3 can fail only at condition 2's offenders and at
+    nodes more than one level above a jumping node whose members they
+    hold.  The jumping nodes are found per depth group, as those whose
+    members all lie in shallower groups, and a jumping node's candidate
+    supersets are the containers of its member with the fewest (every node,
+    if it has none).  Only these suspects are named against their subsets, by
+    enumerating the subsets of the extension when that is cheap and by a
+    pairwise scan otherwise.
+    Depths and ranks are integers.  A record without a depth or a rank
+    map raises SchemaError naming its block, ``depth`` or ``ranks``.
     """
     _require_blocks(h, "depth", "ranks")
     g = h.graph
@@ -138,47 +137,27 @@ def verify_dred(h: AnnotatedGraph) -> DredReport:
         if suspects:
             violations.extend(_subset_depth_violations(g, depth, nodes, sorted(suspects)))
 
-    keys = sorted(h.ranks)
+    top, rank = h.top, h.rank
     needed = max(depth.values(), default=0) + 1
-    if any(k < 1 for k in keys):
-        violations.append(DredViolation("rank_family", "rank indices must be positive"))
-    elif keys != list(range(1, len(keys) + 1)):
-        violations.append(
-            DredViolation("rank_family", f"rank indices {keys} are not an initial segment 1..I")
-        )
-    elif not keys or keys[-1] < needed:
-        violations.append(
-            DredViolation(
-                "rank_family",
-                f"family stops at i={keys[-1] if keys else 0} but max depth {needed - 1} "
-                f"requires coverage up to i={needed}",
-            )
-        )
+    if top < needed:
+        stop = f"family stops at i={top} but max depth {needed - 1} requires coverage up to i={needed}"
+        violations.append(DredViolation("rank_family", stop))
 
-    top = h.ranks[keys[-1]] if keys else {}
-    top_rises = _rises_along_every_edge(g, top)
-    sorted_depths = sorted(depth.values())
-    for i in keys:
-        if i < 1:
-            continue
-        r = h.ranks[i]
-        if not _rank_domain_exact(i, r, g.nodes, depth, sorted_depths):
-            violations.extend(_rank_domain_violations(i, r, depth, nodes))
-        if not (top_rises and r.items() <= top.items()):
-            violations.extend(_rank_increase_violations(g, i, r, nodes))
+    exact = _rank_domain_exact(top, rank, g.nodes, depth, sorted(depth.values()))
+    if not (exact and _rises(g, rank)):
+        for i in range(1, top + 1):
+            # r_top is the map; a key with no depth is in no lower family
+            r = rank if i == top else {x: v for x, v in rank.items() if depth.get(x, i) < i}
+            violations.extend(_rank_violations(g, i, r, depth, nodes, exact))
     return DredReport(tuple(violations))
 
 
-def _rises_along_every_edge(g: ExtensionalDigraph, r: dict[NodeId, int]) -> bool:
-    """Whether ``r`` is defined at every node and increases strictly
-    along every edge, so that no family restricting it breaks the rank
-    increase."""
-    if len(r) != len(g.nodes) or not g.nodes.issuperset(r):
-        return False
-    get = r.__getitem__
-    for value, ys in _nodes_by_value(r).items():
-        members = _members(g, ys)
-        if members and max(map(get, members)) >= value:
+def _rises(g: ExtensionalDigraph, rank: dict[NodeId, int]) -> bool:
+    """Whether ``rank``, whose keys are nodes, increases strictly along
+    every edge between two nodes it ranks, and so every family."""
+    unranked = float("-inf")
+    for value, ys in _nodes_by_value(rank).items():
+        if max(map(rank.get, _members(g, ys), repeat(unranked)), default=unranked) >= value:
             return False
     return True
 
@@ -270,40 +249,29 @@ def _subset_depth_violations(
     return violations
 
 
-def _rank_domain_violations(
-    i: int, r: dict[NodeId, int], depth: dict[NodeId, int], nodes: list[NodeId]
+def _rank_violations(
+    g: ExtensionalDigraph, i: int, r: dict[NodeId, int], depth: dict[NodeId, int],
+    nodes: list[NodeId], exact: bool,
 ) -> list[DredViolation]:
+    """Family ``r_i``'s domain violations, unless its domain is
+    ``exact``, then its rank increase violations."""
     violations = []
-    domain = {x for x in nodes if depth[x] < i}
-    for x in sorted(domain - set(r)):
-        violations.append(
+    if not exact:
+        domain = {x for x in nodes if depth[x] < i}
+        violations += [
             DredViolation("rank_domain", f"r_{i} undefined at {x!r} (depth {depth[x]} < {i})")
-        )
-    for x in sorted(set(r) - domain):
-        violations.append(
-            DredViolation(
-                "rank_domain",
-                f"r_{i} defined at {x!r} whose depth is not below {i}",
-            )
-        )
-    return violations
-
-
-def _rank_increase_violations(
-    g: ExtensionalDigraph, i: int, r: dict[NodeId, int], nodes: list[NodeId]
-) -> list[DredViolation]:
-    violations = []
-    for y in nodes:
-        if y not in r:
-            continue
+            for x in sorted(domain - r.keys())
+        ]
+        violations += [
+            DredViolation("rank_domain", f"r_{i} defined at {x!r} whose depth is not below {i}")
+            for x in sorted(r.keys() - domain)
+        ]
+    for y in filter(r.__contains__, nodes):
         ry = r[y]
-        for z in sorted(z for z in g.extensions[y] if z in r and not r[z] < ry):
-            violations.append(
-                DredViolation(
-                    "rank_increase",
-                    f"r_{i}({z!r}) = {r[z]} not below r_{i}({y!r}) = {ry} along edge",
-                )
-            )
+        violations += [
+            DredViolation("rank_increase", f"r_{i}({z!r}) = {r[z]} not below r_{i}({y!r}) = {ry} along edge")
+            for z in sorted(z for z in g.extensions[y] if z in r and not r[z] < ry)
+        ]
     return violations
 
 
@@ -325,11 +293,12 @@ def dred_complete(
     annotating each step's new nodes with depth and rank.
 
     A node added for subset ``X`` gets depth ``max`` of its members'
-    depths (0 for the empty set) and, for every carried index ``i``
-    above that depth, rank ``max(r_i(member) + 1)`` (0 for the empty
-    set).  The DRED conditions are verified before the first step and
-    after every step, and a violation is surfaced as DredConditionError
-    rather than assumed away; with these recipes no violation is
+    depths (0 for the empty set) and, when that depth is below the top
+    family index, rank ``max(rank(member) + 1)`` (0 for the empty set),
+    so every family ``r_i`` above its depth ranks it so.  The DRED
+    conditions are verified before the first step and after every
+    step, and a violation is surfaced as DredConditionError rather than
+    assumed away; with these recipes no violation is
     expected, and the verification is the evidence.  Like
     :func:`~setforge.completion.complete`, the whole request is priced
     before the first step, and before the conditions are verified.  The
@@ -339,10 +308,9 @@ def dred_complete(
     _require_blocks(h, "depth", "ranks")
     _priced(h.graph, n, budget)
     require_dred(h)
-    depth = dict(h.depth)
-    ranks = {i: dict(r) for i, r in h.ranks.items()}
-    u = AnnotatedGraph(h.graph, levels=(h.graph.nodes,), depth=depth, ranks=ranks)
-    get_depth = depth.__getitem__
+    depth, rank, top = dict(h.depth), dict(h.rank), h.top
+    u = AnnotatedGraph(h.graph, levels=(h.graph.nodes,), depth=depth, rank=rank, top=top)
+    get_depth, get_rank = depth.__getitem__, rank.__getitem__
     for _ in range(n):
         step = complete_step(u, budget)
         extensions = step.graph.extensions
@@ -350,10 +318,9 @@ def dred_complete(
             members = extensions[node]
             d = max(map(get_depth, members), default=0)
             depth[node] = d
-            for i, r in ranks.items():
-                if d < i:
-                    r[node] = max(map(r.__getitem__, members), default=-1) + 1
-        u = replace(step, depth=depth, ranks=ranks)
+            if d < top:
+                rank[node] = max(map(get_rank, members), default=-1) + 1
+        u = replace(step, depth=depth, rank=rank, top=top)
         require_dred(u)
     return u
 
@@ -362,7 +329,8 @@ def foundation_witness(h: AnnotatedGraph, x: NodeId, *, skip_verify: bool = Fals
     """A member of ``x`` that shares no member with ``x``.
 
     Picks ``n`` one above the deepest member and returns the member of
-    minimal ``r_n`` (ties broken by node id).  Any member of both ``x``
+    minimal ``r_n``, which is the rank map on ``x``'s members (ties
+    broken by node id).  Any member of both ``x``
     and the witness would have strictly smaller ``r_n`` than the
     witness, contradicting minimality, so the returned node is
     E-minimal inside ``x``.
@@ -378,10 +346,9 @@ def foundation_witness(h: AnnotatedGraph, x: NodeId, *, skip_verify: bool = Fals
     if not members:
         raise ValueError(f"node {x!r} has empty extension; foundation needs a member")
     n = 1 + max(h.depth[m] for m in members)
-    r = h.ranks.get(n)
-    if r is None:
+    if n > h.top:
         raise DredConditionError(f"no rank family r_{n} to order the members of {x!r}")
-    return min(members, key=lambda m: (r[m], m))
+    return min(members, key=lambda m: (h.rank[m], m))
 
 
 def membership_ranks(g: ExtensionalDigraph) -> dict[NodeId, int]:
@@ -422,10 +389,10 @@ def _certificate(g: ExtensionalDigraph, chain_style: bool) -> AnnotatedGraph:
     node (provenance kind "atom" or "chain") sits one above that, so
     chains climb from their terminal.  No depth is then more than one
     above a member's, which keeps the subset-depth condition as
-    completion adds nodes.  Family ``i`` is the von Neumann rank on the
-    nodes of depth below ``i``, for ``i`` up to one above the greatest
-    depth.  More than ``_MAX_RANK_ENTRIES`` rank-family entries raise
-    SizeLimitError before any family is built.
+    completion adds nodes.  The rank map is the von Neumann rank, and
+    the top family index is one above the greatest depth.  A document
+    that would write more than ``_MAX_RANK_ENTRIES`` rank-family entries
+    raises SizeLimitError.
     """
     rank = membership_ranks(g)
     depth: dict[NodeId, int] = {}
@@ -440,13 +407,13 @@ def _certificate(g: ExtensionalDigraph, chain_style: bool) -> AnnotatedGraph:
             f"chain-style certificates are limited to {_MAX_RANK_ENTRIES} "
             f"rank-family entries, got {entries}"
         )
-    ranks = {i: {x: r for x, r in rank.items() if depth[x] < i} for i in range(1, top + 1)}
-    return AnnotatedGraph(g, depth=depth, ranks=ranks)
+    return AnnotatedGraph(g, depth=depth, rank=rank, top=top)
 
 
 def dred_from_graph(g: ExtensionalDigraph) -> AnnotatedGraph:
     """Equip a well-founded graph with the trivial certificate: all
-    depths zero and ``r_1`` the von Neumann rank.
+    depths zero, the top family index 1 and ``r_1`` the von Neumann
+    rank.
 
     Fails with DredConditionError if the membership relation has a
     cycle, since no rank function can exist then.

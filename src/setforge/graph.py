@@ -195,20 +195,23 @@ class AnnotatedGraph:
     """A graph with the optional annotations a document carries.
 
     ``levels[n]`` is the cumulative node set after ``n`` completion
-    steps; ``levels[0]`` is the seed.  ``depth`` and ``ranks`` are a
-    depth/rank (DRED) certificate: ``ranks`` maps each carried index
-    ``i`` to a rank map defined on the nodes of depth strictly below
-    ``i`` (see :func:`setforge.dred.verify_dred`).  ``formulas`` maps
+    steps; ``levels[0]`` is the seed.  ``depth``, ``rank`` and ``top``
+    are a depth/rank (DRED) certificate, given together: its rank
+    families are ``r_1`` to ``r_top``, each ``rank`` on the nodes of
+    depth below ``i`` (see :mod:`setforge.dred`).  ``formulas`` maps
     names to formula text.  Treat every field as immutable.
     """
 
     graph: ExtensionalDigraph
     levels: tuple[frozenset[NodeId], ...] | None = None
     depth: dict[NodeId, int] | None = None
-    ranks: dict[int, dict[NodeId, int]] | None = None
+    rank: dict[NodeId, int] | None = None
+    top: int | None = None
     formulas: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if (self.rank is None) != (self.top is None):
+            raise ValueError("a rank map and its top family index come together")
         if self.levels is None:
             return
         if not self.levels:
@@ -224,7 +227,7 @@ class AnnotatedGraph:
 
     def level(self, n: int) -> "AnnotatedGraph":
         """The record induced on ``levels[n]``, with the levels up to
-        ``n`` and depth and ranks restricted when they are present.
+        ``n`` and the depth and rank maps restricted when present.
 
         Because completion-created nodes only ever point at older nodes,
         and completion only appends annotations for new nodes, this is
@@ -242,12 +245,12 @@ class AnnotatedGraph:
             {x: self.graph.extensions[x] for x in wanted},
             {x: self.graph.provenance[x] for x in wanted},
         )
-        depth = ranks = None
+        depth = rank = None
         if self.depth is not None:
             depth = {x: self.depth[x] for x in wanted}
-        if self.ranks is not None:
-            ranks = {i: {x: r[x] for x in r if x in wanted} for i, r in self.ranks.items()}
-        return AnnotatedGraph(graph, self.levels[: n + 1], depth, ranks, self.formulas)
+        if self.rank is not None:
+            rank = {x: r for x, r in self.rank.items() if x in wanted}
+        return AnnotatedGraph(graph, self.levels[: n + 1], depth, rank, self.top, self.formulas)
 
 
 def _rank_domain_exact(
@@ -265,9 +268,10 @@ def _rank_domain_exact(
 
 
 def _require_blocks(h: AnnotatedGraph, *blocks: str) -> None:
-    """Raise SchemaError naming the first of ``blocks`` that ``h`` lacks."""
+    """Raise SchemaError naming the first of the document ``blocks``
+    that ``h`` lacks (``ranks`` is the ``rank`` field)."""
     for block in blocks:
-        if getattr(h, block) is None:
+        if getattr(h, "rank" if block == "ranks" else block) is None:
             raise SchemaError(block, f"document has no {block} block")
 
 

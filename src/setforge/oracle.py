@@ -388,10 +388,13 @@ def _name_levels(
     return not levels_g
 
 
-def _lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, phi: Mapping[NodeId, NodeId]) -> bool:
+def _lifts(
+    a: ExtensionalDigraph, b: ExtensionalDigraph, phi: Mapping[NodeId, NodeId], groups: tuple
+) -> bool:
     """True when ``phi``, a map of the non-deficiency nodes of ``a``,
     extends to an isomorphism onto ``b``; False when :func:`_name_levels`
-    cannot extend it, which decides nothing.
+    cannot extend it, which decides nothing.  ``groups`` holds the
+    :func:`_by_level` groups of ``a`` and ``b``; the walk uses up ``b``'s.
 
     ``phi`` must be one to one onto the non-deficiency nodes of ``b``
     and keep provenance colours.  The walk then names each deficiency
@@ -403,8 +406,7 @@ def _lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, phi: Mapping[NodeId, No
     level adds exactly the subsets that no node represents, and an
     isomorphism carries those onto those.
     """
-    levels_a, fixed_a = _by_level(a)
-    levels_b, fixed_b = _by_level(b)
+    (levels_a, fixed_a), (levels_b, fixed_b) = groups
     image = set(phi.values())
     if not (
         phi.keys() == fixed_a.keys()
@@ -423,37 +425,34 @@ def _lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, phi: Mapping[NodeId, No
     )
 
 
-def _seed_map_agrees(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
-    """:func:`_lifts` from the identity on the non-deficiency nodes,
-    which both graphs must have with equal provenance."""
-    fixed = _by_level(a)[1]
-    return fixed == _by_level(b)[1] and _lifts(a, b, dict(zip(fixed, fixed)))
-
-
-def _seed_isomorphism_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
-    """:func:`_lifts` from the isomorphism that :func:`_isomorphism` finds
-    between the two graphs' non-deficiency parts, tried only where
-    each part is a graph of its own (no node of it holds a deficiency
-    node) and the parts differ: equal parts have the identity, which
-    :func:`_seed_map_agrees` lifts."""
-    parts = []
-    for g in (a, b):
-        fixed = _by_level(g)[1]
-        part = {x: g.extensions[x] for x in fixed}
-        if not all(ms <= fixed.keys() for ms in part.values()):
+def _seed_map_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, groups: tuple) -> bool:
+    """:func:`_lifts` from the identity where both graphs have the same
+    non-deficiency nodes with equal provenance, as a completion and its
+    :func:`oracle_complete` do, else from the isomorphism that
+    :func:`_isomorphism` finds between the non-deficiency parts where
+    each is a graph of its own (no node of it holds a deficiency node)."""
+    fixed_a, fixed_b = groups[0][1], groups[1][1]
+    if fixed_a == fixed_b:
+        phi = dict(zip(fixed_a, fixed_a))
+    else:
+        parts = []
+        for g, fixed in ((a, fixed_a), (b, fixed_b)):
+            part = {x: g.extensions[x] for x in fixed}
+            if not all(ms <= fixed.keys() for ms in part.values()):
+                return False
+            parts.append(ExtensionalDigraph(part, fixed))
+        phi = _isomorphism(*parts)
+        if phi is None:
             return False
-        parts.append(ExtensionalDigraph(part, fixed))
-    if parts[0] == parts[1]:
-        return False
-    phi = _isomorphism(*parts)
-    return phi is not None and _lifts(a, b, phi)
+    return _lifts(a, b, phi, groups)
 
 
 def stages_agree(ours: ExtensionalDigraph, g: ExtensionalDigraph, values: StageValues) -> bool:
-    """``_seed_map_agrees(ours, stages_graph(g, values))``, decided on
-    the values themselves, without that graph: the same walk, run the
-    other way, from each node of that graph, named by its position in
-    :func:`_members`' order, to a node of ``ours``.
+    """:func:`_lifts` from the identity, of ``ours`` onto
+    ``stages_graph(g, values)``, decided on the values themselves,
+    without that graph: the same walk, run the other way, from each
+    node of that graph, named by its position in :func:`_members`'
+    order, to a node of ``ours``.
 
     At each level, each stage subset and each of the input's nodes
     there spells its member positions into the ids of ``ours`` through
@@ -491,15 +490,15 @@ def stages_agree(ours: ExtensionalDigraph, g: ExtensionalDigraph, values: StageV
 def compare(a: ExtensionalDigraph, b: ExtensionalDigraph) -> ComparisonVerdict:
     """Isomorphism verdict with a distinguishing invariant on failure.
 
-    Graphs that share their non-deficiency nodes, as a completion and
-    its :func:`oracle_complete` do, are first matched from that shared
-    seed map (:func:`_seed_map_agrees`), then from an isomorphism of
-    their non-deficiency parts (:func:`_seed_isomorphism_lifts`), which
-    is all completions of seeds under other ids need; only when both
-    fail does :func:`is_isomorphic` search the whole graphs.
+    Each graph is grouped by level once.  Graphs that share their
+    non-deficiency nodes, as a completion and its :func:`oracle_complete`
+    do, are matched from that shared seed map, and others from an
+    isomorphism of their non-deficiency parts, which is all completions
+    of seeds under other ids need (:func:`_seed_map_lifts`); only when
+    that fails does :func:`is_isomorphic` search the whole graphs.
     """
     _require_iso_count(len(a.nodes), len(b.nodes))
-    if _seed_map_agrees(a, b) or _seed_isomorphism_lifts(a, b) or is_isomorphic(a, b):
+    if _seed_map_lifts(a, b, (_by_level(a), _by_level(b))) or is_isomorphic(a, b):
         return ComparisonVerdict(True, "isomorphic")
     probes = [
         ("node counts", lambda g: len(g.nodes)),

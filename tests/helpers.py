@@ -481,7 +481,8 @@ def reference_chain_style_certificate(g: ExtensionalDigraph) -> AnnotatedGraph:
     nodes visited in increasing rank, which rises along every edge,
     each one step above its deepest member at a chain atom's link or a
     chain code's node and level with it elsewhere; family ``i`` the
-    rank on the nodes of depth below ``i``."""
+    rank on the nodes of depth below ``i``, which the record holds as
+    the rank and the top family index."""
     rank = set_rank(g)
     depth: dict[NodeId, int] = {}
     for x in sorted(g.nodes, key=rank.__getitem__):
@@ -489,8 +490,21 @@ def reference_chain_style_certificate(g: ExtensionalDigraph) -> AnnotatedGraph:
         step = isinstance(prov, Code) and prov.kind in ("atom", "chain")
         depth[x] = max((depth[m] for m in g.extensions[x]), default=0) + step
     top = max(depth.values(), default=0) + 1
-    ranks = {i: {x: rank[x] for x in g.nodes if depth[x] < i} for i in range(1, top + 1)}
-    return AnnotatedGraph(g, depth=depth, ranks=ranks)
+    return AnnotatedGraph(g, depth=depth, rank=rank, top=top)
+
+
+def reference_families(h: AnnotatedGraph) -> dict[int, dict[NodeId, int]]:
+    """The rank families ``r_1`` to ``r_top`` of ``h``'s certificate, as
+    a v1 document writes them: ``r_top`` is the rank map itself, and
+    each lower ``r_i`` the rank map on the nodes whose depth is below
+    ``i``."""
+    families = {}
+    for i in range(1, h.top + 1):
+        if i == h.top:
+            families[i] = dict(h.rank)
+        else:
+            families[i] = {x: r for x, r in h.rank.items() if x in h.depth and h.depth[x] < i}
+    return families
 
 
 def key_syntax_seed() -> ExtensionalDigraph:
@@ -916,8 +930,8 @@ def reference_to_dot(source: AnnotatedGraph) -> str:
         return p.detail
 
     shades = ("gray92", "gray84", "gray76", "gray68")
-    g, depth, ranks = source.graph, source.depth, source.ranks
-    top_rank = ranks[max(ranks)] if ranks else {}
+    g, depth = source.graph, source.depth
+    top_rank = reference_families(source)[source.top] if source.top else {}
     lines = ['digraph "setforge" {', "  rankdir=BT;"]
     for x in g.sorted_nodes():
         label_lines = [base_label(x)]
@@ -1015,9 +1029,9 @@ def reference_serialize(doc: AnnotatedGraph) -> str:
         payload["levels"] = [sorted(level) for level in doc.levels]
     if doc.depth is not None:
         payload["depth"] = dict(sorted(doc.depth.items()))
-    if doc.ranks is not None:
+    if doc.rank is not None:
         payload["ranks"] = {
-            str(i): dict(sorted(r.items())) for i, r in sorted(doc.ranks.items())
+            str(i): dict(sorted(r.items())) for i, r in sorted(reference_families(doc).items())
         }
     if doc.formulas:
         payload["formulas"] = dict(sorted(doc.formulas.items()))
@@ -1157,6 +1171,21 @@ def reference_deserialize(text: str) -> AnnotatedGraph:
                 off = sorted(set(out) ^ wanted)[0]
                 raise SchemaError(path, f"domain must be exactly the nodes of depth < {i} ({off!r} is off)")
             ranks[i] = out
+        # One rank map: the families are numbered 1..I, and each lower
+        # family is the top one restricted to its domain.
+        top = len(ranks)
+        for i in sorted(ranks):
+            if i > top:
+                missing = min(j for j in range(1, top + 1) if j not in ranks)
+                raise SchemaError(f"ranks.{i}", f"rank families must be 1..I; {missing} is missing")
+        for i in range(1, top):
+            for node_id in sorted(ranks[i]):
+                if ranks[i][node_id] != ranks[top][node_id]:
+                    raise SchemaError(
+                        f"ranks.{i}",
+                        f"family {i} is not family {top} restricted to depth < {i} "
+                        f"({node_id!r} is off)",
+                    )
 
     formulas: dict[str, str] = {}
     if "formulas" in raw:
@@ -1170,7 +1199,8 @@ def reference_deserialize(text: str) -> AnnotatedGraph:
         graph=graph,
         levels=levels,
         depth=depth,
-        ranks=ranks,
+        rank=None if ranks is None else ranks.get(len(ranks), {}),
+        top=None if ranks is None else len(ranks),
         formulas=formulas,
     )
 

@@ -640,6 +640,24 @@ def test_dred_conditions_fail_in_prose_and_porcelain(chain_spec_file):
     assert (code, porcelain.splitlines()) == (1, ["dred\t" + line.replace(": ", "\t", 1) for line in expected])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "--dred-conditions"], ["complete", "--levels", "1", "--dred"]],
+    ids=["check", "complete"],
+)
+def test_a_lower_rank_family_that_disagrees_is_refused_when_read(chain_spec_file, argv):
+    """The chain spec's seed with the head of its chain atom ranked 0 in
+    family 3 alone: its families are not one rank map restricted, so the
+    reader refuses them (exit 3) before any condition is checked."""
+    doc = json.loads(seed("spec", chain_spec_file))
+    doc["ranks"]["3"]["chain:a:0"] = 0
+    assert invoke(argv, json.dumps(doc)) == (
+        3,
+        "",
+        "ranks.3: family 3 is not family 5 restricted to depth < 3 ('chain:a:0' is off)\n",
+    )
+
+
 def test_dred_completion_of_a_failing_certificate_exits_1(chain_spec_file):
     """The input certificate is checked before the first step; its first
     violation goes to stdout, as a failed property's report does."""
@@ -661,7 +679,8 @@ def test_dred_completion_prices_the_request_before_it_checks_the_certificate(cha
     twins = AnnotatedGraph(
         ExtensionalDigraph.from_extensions({"a": (), "b": ()}),
         depth={"a": 0, "b": 0},
-        ranks={1: {"a": 0, "b": 0}},
+        rank={"a": 0, "b": 0},
+        top=1,
     )
     expected = (3, "", "nodes 'a' and 'b' have equal extensions\n")
     assert invoke(["complete", "--dred", "--levels", "1"], serialize(twins)) == expected

@@ -11,6 +11,7 @@ import os
 import random
 import sys
 import tempfile
+from dataclasses import replace
 from functools import lru_cache
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -70,7 +71,7 @@ def documents() -> tuple[str, ...]:
         AnnotatedGraph(von_neumann_seed(2)),
         AnnotatedGraph(quine_atoms(["q0", "q1"]), formulas=FORMULAS),
         complete(quine_atoms(["q"]), 2),
-        AnnotatedGraph(certified.graph, certified.levels, certified.depth, certified.ranks, FORMULAS),
+        replace(certified, formulas=FORMULAS),
     ]
     return (chain_seed.rstrip("\n"), *(serialize(h) for h in records))
 

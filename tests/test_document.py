@@ -69,7 +69,7 @@ def test_dred_round_trip():
     h = dred_from_graph(von_neumann_seed(3))
     back = deserialize(serialize(h))
     assert back.depth == h.depth
-    assert back.ranks == {i: dict(r) for i, r in h.ranks.items()}
+    assert (back.rank, back.top) == (h.rank, h.top)
     assert back.graph == h.graph
 
 
@@ -118,9 +118,9 @@ def shuffled(rng: random.Random, mapping: dict) -> dict:
 
 def random_document(rng: random.Random) -> AnnotatedGraph:
     """A valid document with every optional block: mixed provenance,
-    cumulative levels, depths up to 12, at least 11 rank families (so
-    "10" sorts before "2") and formulas; every dict is built in a
-    random insertion order."""
+    cumulative levels, depths up to 12, a rank map with at least 11
+    rank families (so "10" sorts before "2") and formulas; every dict
+    is built in a random insertion order."""
     g = random_extensional_graph(rng, 6, min_nodes=1)
     provenance = {}
     for x, ext in g.extensions.items():
@@ -142,11 +142,8 @@ def random_document(rng: random.Random) -> AnnotatedGraph:
             levels.append(frozenset(current))
     levels.append(frozenset(names))
     depth = {x: rng.randint(0, 12) for x in names}
-    families = rng.randint(max(11, max(depth.values()) + 1), 14)
-    ranks = {
-        i: shuffled(rng, {x: rng.randint(-2, 20) for x in names if depth[x] < i})
-        for i in rng.sample(range(1, families + 1), families)
-    }
+    top = rng.randint(max(11, max(depth.values()) + 1), 14)
+    rank = {x: rng.randint(-2, 20) for x in names}
     formulas = {
         name: rng.choice(("x = x", "exists b. (b in b)", "x in y"))
         for name in rng.sample(["b", "a10", "a2", "Z", "é", "mid"], rng.randint(0, 4))
@@ -155,7 +152,8 @@ def random_document(rng: random.Random) -> AnnotatedGraph:
         graph=graph,
         levels=tuple(levels),
         depth=shuffled(rng, depth),
-        ranks=ranks,
+        rank=shuffled(rng, rank),
+        top=top,
         formulas=formulas,
     )
 
@@ -164,17 +162,17 @@ def perturbed(rng: random.Random, doc: AnnotatedGraph) -> AnnotatedGraph:
     """A copy with one random block changed, or an equal copy built in
     another insertion order."""
     roll = rng.randrange(6)
-    depth, ranks, formulas = dict(doc.depth), dict(doc.ranks), dict(doc.formulas)
+    depth, rank, top, formulas = dict(doc.depth), dict(doc.rank), doc.top, dict(doc.formulas)
     graph = doc.graph
     if roll == 0:
-        ranks = {i: dict(r) for i, r in ranks.items()}
-        target = rng.choice([r for r in ranks.values() if r])
-        x = rng.choice(sorted(target))
-        target[x] += rng.choice((0, 1))
+        x = rng.choice(sorted(rank))
+        rank[x] += rng.choice((0, 1))
     elif roll == 1:
         formulas[rng.choice(["b", "a10", "new"])] = "x = x"
     elif roll == 2:
-        ranks = {i: r for i, r in ranks.items() if i != max(ranks)}
+        # the top family dropped
+        top -= 1
+        rank = {x: r for x, r in rank.items() if depth[x] < top}
     elif roll == 3:
         x = rng.choice(sorted(graph.nodes))
         provenance = dict(graph.provenance)
@@ -182,14 +180,17 @@ def perturbed(rng: random.Random, doc: AnnotatedGraph) -> AnnotatedGraph:
             provenance[x] = Seed("relabelled")
         graph = ExtensionalDigraph.from_extensions(graph.extensions, provenance)
     elif roll == 4:
-        return AnnotatedGraph(graph=graph, levels=doc.levels[-1:], depth=depth, ranks=ranks, formulas=formulas)
+        return AnnotatedGraph(
+            graph=graph, levels=doc.levels[-1:], depth=depth, rank=rank, top=top, formulas=formulas
+        )
     return AnnotatedGraph(
         graph=ExtensionalDigraph.from_extensions(
             shuffled(rng, dict(graph.extensions)), shuffled(rng, dict(graph.provenance))
         ),
         levels=doc.levels,
         depth=shuffled(rng, depth),
-        ranks=shuffled(rng, ranks),
+        rank=shuffled(rng, rank),
+        top=top,
         formulas=shuffled(rng, formulas),
     )
 
@@ -229,7 +230,8 @@ def escaped_document() -> AnnotatedGraph:
         graph=graph,
         levels=(frozenset(names[:3]), frozenset(names)),
         depth=depth,
-        ranks={i: shuffled(rng, {x: 7 for x in names if depth[x] < i}) for i in (3, 1, 2)},
+        rank=shuffled(rng, {x: 7 for x in names}),
+        top=3,
         formulas=shuffled(rng, {x: f"x = x {x}" for x in names}),
     )
 
@@ -364,7 +366,7 @@ def outcome(parse, text: str):
         list(doc.graph.extensions),
         list(doc.graph.provenance),
         None if doc.depth is None else list(doc.depth),
-        None if doc.ranks is None else [(i, list(r)) for i, r in doc.ranks.items()],
+        None if doc.rank is None else (doc.top, list(doc.rank)),
         list(doc.formulas),
     )
     return ("ok", doc, orders)
@@ -486,6 +488,14 @@ def _provenance_and_edge_fault(rng, payload):
         payload["edges"].append(["foreign", "foreign"])
 
 
+def _moved_rank(rng, payload):
+    """One entry of one rank family moved by one, where there is one."""
+    families = [family for family in payload.get("ranks", {}).values() if family]
+    if families:
+        family = rng.choice(families)
+        family[rng.choice(sorted(family))] += rng.choice((-1, 1))
+
+
 MUTATIONS = (
     _drop_field,
     _retype_field,
@@ -496,6 +506,7 @@ MUTATIONS = (
     _duplicate_edge,
     _disagreeing_members,
     _provenance_and_edge_fault,
+    _moved_rank,
 )
 
 
@@ -523,6 +534,8 @@ def test_mutated_documents_fail_as_the_reference_fails():
             assert ours == outcome(reference_deserialize, text), text
             assert ours[0] == "ok" or ours[1] == "SchemaError", ours
             if ours[0] == "ok":
+                # every document read writes one that reads back the same
+                assert deserialize(serialize(ours[1])) == ours[1]
                 accepted += 1
             else:
                 messages.add(ours[3].split(": ", 1)[1].split("'")[0])
@@ -826,9 +839,11 @@ def _slice_traps() -> dict[str, str]:
         "rank map ids that hold the cut and the end": certified.replace(
             '"chain:a:0"', '"x},"'
         ).replace('"chain:a:1"', '"c}}"'),
-        # The last value of a repeated key, at the key's first place.
+        # The last value of a repeated key, at the key's first place: the
+        # top rank map again, the same entries in the reverse order.
         "a repeated rank map": (
-            f'{head}"ranks":{compact(ranks)[:-1]},"1":{compact(dict.fromkeys(ranks["1"], 7))}}}}}'
+            f'{head}"ranks":{compact(ranks)[:-1]},"{len(ranks)}":'
+            f'{compact(dict(reversed(ranks[str(len(ranks))].items())))}}}}}'
         ),
         # ``ranks`` ends before the first ``}}``, and a later member holds
         # what looks like a further rank map.
@@ -896,7 +911,7 @@ def test_ranks_are_read_in_slices_not_in_one_scan(monkeypatch):
     monkeypatch.setattr(document, "_RANKS_SLICE", 1)
     monkeypatch.setattr(document, "_scan_value", recorded)
     assert deserialize(line.encode()) == expected
-    assert len(scans) == len(expected.ranks) > 1
+    assert len(scans) == expected.top > 1
 
 
 def test_members_are_the_id_strings_themselves():
@@ -1326,13 +1341,62 @@ def test_rank_keys_follow_the_schema_pattern():
     payload["depth"] = {n["id"]: 0 for n in payload["nodes"]}
     family = {n["id"]: 0 for n in payload["nodes"]}
     payload["ranks"] = {"1": family}
-    assert deserialize(json.dumps(payload)).ranks == {1: family}
+    read = deserialize(json.dumps(payload))
+    assert (read.rank, read.top) == (family, 1)
     payload["ranks"] = {"1": family, "01": family}
     err = reject(payload, "ranks.01")
     assert str(err) == "ranks.01: rank family keys must be positive integers"
     payload["ranks"] = {"\u00b2": family}
     err = reject(payload, "ranks.\u00b2")
     assert str(err) == "ranks.\u00b2: rank family keys must be positive integers"
+
+
+def test_rank_families_must_run_from_one_to_the_top():
+    """A ``ranks`` block holds the families 1..I of one rank map: one
+    dropped below the top, or one family numbered past 1, is refused at
+    the least key past the family count, naming a missing family, by
+    both readers."""
+    payload = json.loads(serialize(_certified_seed()))
+    top = len(payload["ranks"])
+    texts = {}
+    for gone in range(1, top):
+        dropped = copy.deepcopy(payload)
+        del dropped["ranks"][str(gone)]
+        texts[json.dumps(dropped)] = (top, gone)
+    lone = base_payload()
+    lone["depth"] = {n["id"]: 0 for n in lone["nodes"]}
+    lone["ranks"] = {"2": {n["id"]: 0 for n in lone["nodes"]}}
+    texts[json.dumps(lone)] = (2, 1)
+    for text, (key, gone) in texts.items():
+        expected = f"ranks.{key}: rank families must be 1..I; {gone} is missing"
+        assert outcome(deserialize, text) == ("raised", "SchemaError", f"ranks.{key}", expected)
+        assert outcome(reference_deserialize, text) == outcome(deserialize, text)
+
+
+def test_each_lower_rank_family_must_be_the_top_one_restricted():
+    """A rank moved by one in one family of a written certificate: in a
+    lower family, that family is refused; in the top family, the least
+    lower family that holds the node is, by both readers.  A node only
+    the top family holds moves the rank map, which is read."""
+    payload = json.loads(serialize(_certified_seed()))
+    top = len(payload["ranks"])
+    read = 0
+    for key, family in payload["ranks"].items():
+        for x in family:
+            for step in (-1, 1):
+                moved = copy.deepcopy(payload)
+                moved["ranks"][key][x] += step
+                text = json.dumps(moved)
+                ours = outcome(deserialize, text)
+                assert ours == outcome(reference_deserialize, text)
+                i = int(key) if int(key) < top else payload["depth"][x] + 1
+                if i < top:
+                    expected = f"family {i} is not family {top} restricted to depth < {i} ({x!r} is off)"
+                    assert ours == ("raised", "SchemaError", f"ranks.{i}", f"ranks.{i}: {expected}")
+                else:
+                    assert ours[0] == "ok" and ours[1].rank[x] == family[x] + step
+                    read += 1
+    assert read == 2 * sum(d == top - 1 for d in payload["depth"].values()) > 0
 
 
 def test_formula_bodies_are_strings():

@@ -23,8 +23,8 @@ LABEL_POOL = ("0", "seed", 'say "hi"', "c:\\dir", "\\", "")
 
 def random_record(rng: random.Random) -> AnnotatedGraph:
     """Any wiring, every provenance kind (deficiency levels past the
-    last shade included), with or without depth and ranks; the top rank
-    map may miss nodes."""
+    last shade included), with or without depth and a rank map; the
+    rank map may miss nodes."""
     names = rng.sample(ID_POOL, rng.randint(0, len(ID_POOL)))
     extensions = {x: frozenset(y for y in names if rng.random() < 0.35) for x in names}
     provenance = {}
@@ -36,15 +36,15 @@ def random_record(rng: random.Random) -> AnnotatedGraph:
             provenance[x] = Deficiency(rng.randint(1, 6))
         else:
             provenance[x] = Code(rng.choice(("atom", "tuple", "loop", "chain")), rng.choice(LABEL_POOL))
-    depth = ranks = None
+    depth = rank = top = None
     if rng.random() < 0.7:
         depth = {x: rng.randint(0, 4) for x in names}
         if rng.random() < 0.8:
-            ranks = {
-                i: {x: rng.randint(-2, 6) for x in names if rng.random() < 0.7}
-                for i in range(1, rng.randint(0, 4) + 1)
-            }
-    return AnnotatedGraph(ExtensionalDigraph(extensions, provenance), depth=depth, ranks=ranks)
+            top = rng.randint(0, 4)
+            rank = {x: rng.randint(-2, 6) for x in names if top and rng.random() < 0.7}
+    return AnnotatedGraph(
+        ExtensionalDigraph(extensions, provenance), depth=depth, rank=rank, top=top
+    )
 
 
 def test_to_dot_matches_reference_byte_for_byte():

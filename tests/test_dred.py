@@ -27,19 +27,19 @@ from setforge import (
 from setforge import dred
 from setforge.dred import membership_ranks
 
-from helpers import random_extensional_graph, set_rank
+from helpers import random_extensional_graph, reference_families, set_rank
 
 
 def test_verify_dred_von_neumann_with_set_rank():
     g = von_neumann_seed(3)
     rank = set_rank(g)
-    h = AnnotatedGraph(graph=g, depth={x: 0 for x in g.nodes}, ranks={1: rank, 2: dict(rank)})
+    h = AnnotatedGraph(graph=g, depth={x: 0 for x in g.nodes}, rank=rank, top=2)
     assert verify_dred(h).ok
 
 
 def test_verify_dred_quine_atom_fails_rank_condition():
     g = ExtensionalDigraph.from_extensions({"a": {"a"}})
-    h = AnnotatedGraph(graph=g, depth={"a": 0}, ranks={1: {"a": 7}})
+    h = AnnotatedGraph(graph=g, depth={"a": 0}, rank={"a": 7}, top=1)
     report = verify_dred(h)
     assert not report.ok
     # the self-loop would need r_1(a) < r_1(a)
@@ -51,9 +51,11 @@ def test_verify_dred_two_node_chain_edge_depth():
     h = AnnotatedGraph(
         graph=g,
         depth={"a0": 1, "a1": 2},
-        ranks={1: {}, 2: {"a0": 0}, 3: {"a0": 1, "a1": 0}},
+        rank={"a0": 1, "a1": 0},
+        top=3,
     )
     assert verify_dred(h).ok
+    assert reference_families(h) == {1: {}, 2: {"a0": 1}, 3: {"a0": 1, "a1": 0}}
 
 
 def test_verify_dred_reports_violating_members_in_id_order():
@@ -62,7 +64,7 @@ def test_verify_dred_reports_violating_members_in_id_order():
     g = ExtensionalDigraph.from_extensions({**extensions, "y": set(members)})
     depth = {"y": 0, **{x: 2 for x in members}}
     r3 = {"y": 0, **{x: 5 + i for i, x in enumerate(members)}}
-    h = AnnotatedGraph(graph=g, depth=depth, ranks={1: {"y": 0}, 2: {"y": 0}, 3: r3})
+    h = AnnotatedGraph(graph=g, depth=depth, rank=r3, top=3)
     report = verify_dred(h)
     details = lambda condition: [v.detail for v in report.violations if v.condition == condition]
     assert details("edge_depth") == [f"edge ({z!r}, 'y'): depth 2 > 0 + 1" for z in members]
@@ -80,11 +82,8 @@ def test_verify_dred_reports_subset_depth():
     h = AnnotatedGraph(
         graph=g,
         depth={"e": 0, "x": 2, "w": 1, "y": 0},
-        ranks={
-            1: {"e": 0, "y": 1},
-            2: {"e": 0, "w": 0, "y": 1},
-            3: {"e": 0, "x": 1, "w": 2, "y": 3},
-        },
+        rank={"e": 0, "x": 1, "w": 2, "y": 3},
+        top=3,
     )
     report = verify_dred(h)
     assert [(v.condition, v.detail) for v in report.violations] == [
@@ -95,31 +94,34 @@ def test_verify_dred_reports_subset_depth():
 
 def test_verify_dred_rejects_wrong_rank_domain():
     g = ExtensionalDigraph.from_extensions({"a": set()})
-    h = AnnotatedGraph(graph=g, depth={"a": 5}, ranks={1: {"a": 0}})
+    h = AnnotatedGraph(graph=g, depth={"a": 5}, rank={"a": 0}, top=1)
     report = verify_dred(h)
     assert not report.ok  # depth(a) = 5 is not < 1
+    assert ("rank_domain", "r_1 defined at 'a' whose depth is not below 1") in [
+        (v.condition, v.detail) for v in report.violations
+    ]
 
 
 def test_verify_dred_depth_must_be_total():
     g = ExtensionalDigraph.from_extensions({"a": set()})
-    report = verify_dred(AnnotatedGraph(graph=g, depth={}, ranks={}))
+    report = verify_dred(AnnotatedGraph(graph=g, depth={}, rank={}, top=0))
     assert not report.ok
 
 
 def test_require_dred_raises_with_report():
     g = ExtensionalDigraph.from_extensions({"a": {"a"}})
-    h = AnnotatedGraph(graph=g, depth={"a": 0}, ranks={1: {"a": 0}})
+    h = AnnotatedGraph(graph=g, depth={"a": 0}, rank={"a": 0}, top=1)
     with pytest.raises(DredConditionError) as exc:
         require_dred(h)
     assert exc.value.report is not None
 
 
 def test_dred_complete_empty_matches_plain_completion():
-    h = AnnotatedGraph(graph=ExtensionalDigraph.empty(), depth={}, ranks={1: {}})
+    h = AnnotatedGraph(graph=ExtensionalDigraph.empty(), depth={}, rank={}, top=1)
     du = dred_complete(h, 4)
     assert [len(level) for level in du.levels] == [0, 1, 2, 4, 16]
     assert set(du.depth.values()) == {0}
-    assert du.ranks[1] == set_rank(du.graph)
+    assert du.rank == set_rank(du.graph) and du.top == 1
     chain_seed = assemble(
         CodeSpec(
             atoms=(AtomDecl("a", "chain", length=1),),
@@ -137,7 +139,7 @@ def test_dred_complete_empty_matches_plain_completion():
 
 
 def test_dred_complete_rank_of_two_element_set():
-    h = AnnotatedGraph(graph=ExtensionalDigraph.empty(), depth={}, ranks={1: {}})
+    h = AnnotatedGraph(graph=ExtensionalDigraph.empty(), depth={}, rank={}, top=1)
     du = dred_complete(h, 3)
     g = du.graph
     empty_node = next(x for x in g.nodes if g.extensions[x] == frozenset())
@@ -146,7 +148,7 @@ def test_dred_complete_rank_of_two_element_set():
         x for x in g.nodes if g.extensions[x] == frozenset({empty_node, singleton})
     )
     assert du.depth[pair] == 0
-    assert du.ranks[1][pair] == 2  # max(0 + 1, 1 + 1)
+    assert du.rank[pair] == 2  # max(0 + 1, 1 + 1)
 
 
 def test_dred_complete_levels_all_verify():
@@ -164,9 +166,8 @@ def test_dred_complete_depth_rank_agreement_across_levels():
         big = du.level(n + 1)
         for x in small.graph.nodes:
             assert small.depth[x] == big.depth[x]
-        for i, r in small.ranks.items():
-            for x, value in r.items():
-                assert big.ranks[i][x] == value
+        assert small.rank.items() <= big.rank.items()
+        assert small.top == big.top
 
 
 def test_dred_complete_budget():
@@ -178,7 +179,7 @@ def test_dred_complete_budget():
 
 
 def test_foundation_witness_prefers_low_rank():
-    h = AnnotatedGraph(graph=ExtensionalDigraph.empty(), depth={}, ranks={1: {}})
+    h = AnnotatedGraph(graph=ExtensionalDigraph.empty(), depth={}, rank={}, top=1)
     du = dred_complete(h, 3)
     g = du.graph
     empty_node = next(x for x in g.nodes if g.extensions[x] == frozenset())
@@ -219,14 +220,14 @@ def test_foundation_witness_names_an_unknown_node_and_a_missing_rank_family():
         foundation_witness(h, "nope")
     # The members of {∅} have depth 0, so its witness is ordered by r_1.
     singleton = next(x for x in h.graph.nodes if h.graph.extensions[x])
-    unranked = AnnotatedGraph(h.graph, depth=h.depth, ranks={})
+    unranked = AnnotatedGraph(h.graph, depth=h.depth, rank={}, top=0)
     with pytest.raises(DredConditionError, match="^no rank family r_1 to order the members of "):
         foundation_witness(unranked, singleton, skip_verify=True)
 
 
 def test_foundation_witness_gate_rejects_quine_atom():
     g = ExtensionalDigraph.from_extensions({"a": {"a"}})
-    h = AnnotatedGraph(graph=g, depth={"a": 0}, ranks={1: {"a": 0}})
+    h = AnnotatedGraph(graph=g, depth={"a": 0}, rank={"a": 0}, top=1)
     with pytest.raises(DredConditionError):
         foundation_witness(h, "a")
 
@@ -292,9 +293,10 @@ def test_membership_ranks_name_the_least_node_on_or_above_a_cycle():
 
 
 def reference_verify_dred(h: AnnotatedGraph) -> DredReport:
-    """The verifier that walks every condition at every node: for
-    condition 3 every node's subsets are enumerated (or, when there are
-    too many, every node scanned), not only the suspects'."""
+    """The verifier that walks every condition at every node and every
+    rank family of ``reference_families``: for condition 3 every node's
+    subsets are enumerated (or, when there are too many, every node
+    scanned), not only the suspects'."""
     g = h.graph
     violations: list[DredViolation] = []
     nodes = g.sorted_nodes()
@@ -355,15 +357,10 @@ def reference_verify_dred(h: AnnotatedGraph) -> DredReport:
                             )
                         )
 
-    keys = sorted(h.ranks)
+    families = reference_families(h)
+    keys = sorted(families)
     needed = max(h.depth.values(), default=0) + 1
-    if any(k < 1 for k in keys):
-        violations.append(DredViolation("rank_family", "rank indices must be positive"))
-    elif keys != list(range(1, len(keys) + 1)):
-        violations.append(
-            DredViolation("rank_family", f"rank indices {keys} are not an initial segment 1..I")
-        )
-    elif not keys or keys[-1] < needed:
+    if not keys or keys[-1] < needed:
         violations.append(
             DredViolation(
                 "rank_family",
@@ -373,9 +370,7 @@ def reference_verify_dred(h: AnnotatedGraph) -> DredReport:
         )
 
     for i in keys:
-        if i < 1:
-            continue
-        r = h.ranks[i]
+        r = families[i]
         domain = {x for x in nodes if depth[x] < i}
         for x in sorted(domain - set(r)):
             violations.append(
@@ -421,18 +416,20 @@ def test_verify_dred_agrees_with_reference():
     """Random certificates on graphs whose extensions span few members
     (the union of all extensions has at most max(6, log2 2N) members)
     and many, against the verifier that enumerates every node's
-    subsets."""
+    subsets.  Each rank map misses a node it should rank, or ranks a
+    node it should not, now and then."""
     rng = random.Random(11)
     cases = []
     for _ in range(1500):
         g = random_extensional_graph(rng, 8)
         depth = {x: rng.randint(0, 4) for x in g.nodes}
-        family = rng.randint(0, 6)
-        ranks = {
-            i: {x: rng.randint(0, 5) for x in g.nodes if depth[x] < i or rng.random() < 0.05}
-            for i in range(1, family + 1)
+        top = rng.randint(0, 6)
+        rank = {
+            x: rng.randint(0, 5)
+            for x in g.nodes
+            if (depth[x] < top and rng.random() < 0.95) or rng.random() < 0.05
         }
-        cases.append(AnnotatedGraph(g, depth=depth, ranks=ranks))
+        cases.append(AnnotatedGraph(g, depth=depth, rank=rank, top=top))
     certified = chain_spec_completion()
     assert verify_dred(certified).ok
     nodes = certified.graph.sorted_nodes()
@@ -440,7 +437,9 @@ def test_verify_dred_agrees_with_reference():
         depth = dict(certified.depth)
         for x in rng.sample(nodes, rng.randint(1, 6)):
             depth[x] = rng.randint(0, 6)
-        cases.append(AnnotatedGraph(certified.graph, depth=depth, ranks=certified.ranks))
+        cases.append(
+            AnnotatedGraph(certified.graph, depth=depth, rank=certified.rank, top=certified.top)
+        )
     seen = set()
     for h in cases:
         report = verify_dred(h)
@@ -490,18 +489,19 @@ def random_well_founded_extensional(rng: random.Random, n: int) -> ExtensionalDi
             return g
 
 
-def nested_families(g: ExtensionalDigraph, depth: dict, rank: dict) -> dict:
-    """``r_i`` = ``rank`` on the nodes of depth below ``i``, for ``i`` up
-    to one above the greatest depth, as ``assemble`` writes them."""
-    top = max(depth.values(), default=0) + 1
-    return {i: {x: rank[x] for x in g.nodes if depth[x] < i} for i in range(1, top + 1)}
+def ranked(g: ExtensionalDigraph, depth: dict) -> AnnotatedGraph:
+    """``g`` with ``depth``, its membership ranks and the top family
+    index one above the greatest depth, as ``assemble`` makes them."""
+    return AnnotatedGraph(
+        g, depth=depth, rank=membership_ranks(g), top=max(depth.values(), default=0) + 1
+    )
 
 
 def nested_certificates(rng: random.Random) -> list[AnnotatedGraph]:
-    """Certificates whose families all restrict one rank map: chain-style
-    seeds and their certified completions, and random well-founded
-    graphs with random depths and ``r_i`` their membership ranks below
-    depth ``i`` (most of those break conditions 2 or 3)."""
+    """Certificates as setforge builds them: chain-style seeds and their
+    certified completions, and random well-founded graphs with random
+    depths and their membership ranks (most of those break conditions 2
+    or 3)."""
     cases = []
     for spec in CHAIN_SEEDS:
         seed = chain_seed(*spec)
@@ -511,32 +511,35 @@ def nested_certificates(rng: random.Random) -> list[AnnotatedGraph]:
     for _ in range(150):
         g = random_well_founded_extensional(rng, rng.randint(1, 8))
         depth = {x: rng.choice((0, 0, 1, 2, 3)) for x in g.nodes}
-        cases.append(AnnotatedGraph(g, depth=depth, ranks=nested_families(g, depth, membership_ranks(g))))
+        cases.append(ranked(g, depth))
     return cases
 
 
-def inject_violation(h: AnnotatedGraph, rng: random.Random) -> AnnotatedGraph:
-    """A copy of ``h`` with one fault aimed at a randomly chosen
-    condition (a fault may break further conditions too)."""
+# The faults ``inject_violation`` makes: every one a record can hold.
+# Rank families numbered other than 1..I, and a lower family that is not
+# the top one restricted, are refused by the document reader instead
+# (``test_document.py``).
+INJECTED = (
+    "extensionality", "depth_domain", "edge_depth", "subset_depth", "coverage",
+    "rank_domain", "rank_value", "negative_ranks",
+)
+
+
+def inject_violation(h: AnnotatedGraph, rng: random.Random, condition: str) -> AnnotatedGraph:
+    """A copy of ``h`` with one random fault of the kind ``condition``
+    names (a fault may break further conditions too)."""
     g = h.graph
-    depth = dict(h.depth)
-    ranks = {i: dict(r) for i, r in h.ranks.items()}
+    depth, rank, top = dict(h.depth), dict(h.rank), h.top
     nodes = g.sorted_nodes()
     x = rng.choice(nodes)
-    top = max(ranks)
-    condition = rng.choice(
-        ("extensionality", "depth_domain", "edge_depth", "subset_depth", "rank_family",
-         "rank_domain", "lower_disagrees", "top_rank", "negative_ranks")
-    )
     if condition == "extensionality":
         twin = f"{x}~"
         g = ExtensionalDigraph(
             {**g.extensions, twin: g.extensions[x]}, {**g.provenance, twin: g.provenance[x]}
         )
         depth[twin] = depth[x]
-        for r in ranks.values():
-            if x in r:
-                r[twin] = r[x]
+        if x in rank:
+            rank[twin] = rank[x]
     elif condition == "depth_domain":
         fault = rng.randrange(3)
         if fault == 0:
@@ -555,47 +558,34 @@ def inject_violation(h: AnnotatedGraph, rng: random.Random) -> AnnotatedGraph:
         y = rng.choice(nodes)
         inside = [w for w in nodes if g.extensions[w] <= g.extensions[y]]
         depth[rng.choice(inside)] = depth[y] + 2
-    elif condition == "rank_family":
-        fault = rng.randrange(3)
-        if fault == 0:
-            del ranks[top]
-        elif fault == 1:
-            ranks[0] = {}
-        elif top > 1:
-            del ranks[rng.randint(1, top - 1)]
+    elif condition == "coverage":
+        # the top family dropped: the one below it is the top now
+        top -= 1
+        rank = {y: v for y, v in rank.items() if depth[y] < top}
     elif condition == "rank_domain":
-        i = rng.choice(sorted(ranks))
-        r = ranks[i]
-        if r and rng.random() < 0.5:
-            del r[rng.choice(sorted(r))]
+        if rank and rng.random() < 0.5:
+            del rank[rng.choice(sorted(rank))]
         else:
-            r[x] = rng.randint(-3, 9)
-    elif condition == "lower_disagrees":
-        lower = [i for i in ranks if i < top and ranks[i]]
-        if lower:
-            r = ranks[rng.choice(lower)]
-            y = rng.choice(sorted(r))
-            r[y] += rng.choice((-9, -1, 1, 9))
-    elif condition == "top_rank":
-        ranks[top][x] = rng.randint(-2, 4)
+            rank["ghost"] = rng.randint(-3, 9)
+    elif condition == "rank_value":
+        rank[x] = rng.randint(-2, 4)
     else:
         shift = rng.randint(1, 20)
-        ranks = {i: {y: v - shift for y, v in r.items()} for i, r in ranks.items()}
-        if rng.random() < 0.5:
-            i = rng.choice(sorted(ranks))
-            if ranks[i]:
-                ranks[i][rng.choice(sorted(ranks[i]))] = -shift - rng.randint(0, 3)
-    return AnnotatedGraph(g, depth=depth, ranks=ranks)
+        rank = {y: v - shift for y, v in rank.items()}
+        if rank and rng.random() < 0.5:
+            rank[rng.choice(sorted(rank))] = -shift - rng.randint(0, 3)
+    return AnnotatedGraph(g, depth=depth, rank=rank, top=top)
 
 
 def test_verify_dred_agrees_with_reference_on_nested_families():
-    """Certificates shaped like the ones setforge writes, where the rank
-    increase is checked once on the top family, clean and with one
-    injected fault each: the same violations in the same order as the
-    verifier that walks every condition."""
+    """Certificates shaped like the ones setforge builds, where the rank
+    increase is checked once on the rank map, clean and with each kind
+    of injected fault: the same violations in the same order as the
+    verifier that walks every condition on the families a document
+    writes."""
     rng = random.Random(23)
     clean = nested_certificates(rng)
-    cases = clean + [inject_violation(h, rng) for h in clean for _ in range(4)]
+    cases = clean + [inject_violation(h, rng, kind) for h in clean for kind in INJECTED]
     conditions = set()
     shortcut = 0
     for h in cases:
@@ -605,10 +595,7 @@ def test_verify_dred_agrees_with_reference_on_nested_families():
             (v.condition, v.detail) for v in expected.violations
         ]
         conditions.update(v.condition for v in expected.violations)
-        top = h.ranks[max(h.ranks)] if h.ranks else {}
-        if h.ranks and all(r.items() <= top.items() for r in h.ranks.values()) and not any(
-            v.condition == "rank_increase" for v in expected.violations
-        ):
+        if not any(v.condition.startswith("rank_") for v in expected.violations):
             shortcut += 1
     assert conditions == {
         "extensionality", "depth_domain", "edge_depth", "subset_depth",
@@ -617,12 +604,39 @@ def test_verify_dred_agrees_with_reference_on_nested_families():
     assert shortcut >= len(clean)
 
 
+def test_a_rank_off_by_one_fails_the_verifier():
+    """One node's rank moved by one in a record moves it in every family
+    that holds the node, and the verifier reports what the reference
+    reports on those families.  The ranks of a chain-style seed are its
+    membership ranks, so lowering a node that has members ties it with
+    one of them, and every family that holds the node names that edge."""
+    h = chain_seed(3, 4, ((0, ("a",)),), 2)
+    g = h.graph
+    assert verify_dred(h).ok
+    broken = 0
+    for x in g.sorted_nodes():
+        for step in (-1, 1):
+            moved = AnnotatedGraph(g, depth=h.depth, rank={**h.rank, x: h.rank[x] + step}, top=h.top)
+            report = verify_dred(moved)
+            assert report == reference_verify_dred(moved)
+            if step == -1 and g.extensions[x]:
+                naming = {
+                    i
+                    for i in range(1, h.top + 1)
+                    for v in report.violations
+                    if v.condition == "rank_increase" and f"not below r_{i}({x!r})" in v.detail
+                }
+                assert naming == set(range(h.depth[x] + 1, h.top + 1))
+                broken += 1
+    assert broken >= 8
+
+
 def reference_annotations(h: AnnotatedGraph, du: AnnotatedGraph) -> tuple[dict, dict]:
     """``dred_complete``'s annotation as it was, one generator per node
-    and per family, replayed over ``du``'s levels from ``h``'s
-    certificate."""
+    and per family, replayed over ``du``'s levels from the families of
+    ``h``'s certificate."""
     depth = dict(h.depth)
-    ranks = {i: dict(r) for i, r in h.ranks.items()}
+    ranks = reference_families(h)
     extensions = du.graph.extensions
     for lower, upper in zip(du.levels, du.levels[1:]):
         for node in sorted(upper - lower):
@@ -642,11 +656,11 @@ def test_dred_complete_annotates_as_the_per_family_recipe():
     for _ in range(30):
         g = random_well_founded_extensional(rng, rng.randint(0, 6))
         seeds.append((dred_from_graph(g), 1))
-    while sum(n == 2 and len(h.ranks) > 1 for h, n in seeds) < 10:
+    while sum(n == 2 and h.top > 1 for h, n in seeds) < 10:
         # small enough for two levels, with depths that make several families
         g = random_well_founded_extensional(rng, rng.randint(1, 3))
         depth = {x: rng.randint(0, 2) for x in g.nodes}
-        h = AnnotatedGraph(g, depth=depth, ranks=nested_families(g, depth, membership_ranks(g)))
+        h = ranked(g, depth)
         if reference_verify_dred(h).ok:
             seeds.append((h, 2))
     for _ in range(10):
@@ -655,7 +669,7 @@ def test_dred_complete_annotates_as_the_per_family_recipe():
         du = dred_complete(h, n)
         depth, ranks = reference_annotations(h, du)
         assert du.depth == depth
-        assert du.ranks == ranks
+        assert reference_families(du) == ranks
 
 
 def deepest_members(h: AnnotatedGraph) -> dict:
@@ -698,7 +712,7 @@ def move_depths(h: AnnotatedGraph, rng: random.Random) -> AnnotatedGraph:
                 depth[w] = depth[x] + 2
             else:
                 depth[x] = max(0, depth[w] - 2)
-    return AnnotatedGraph(g, depth=depth, ranks=h.ranks)
+    return AnnotatedGraph(g, depth=depth, rank=h.rank, top=h.top)
 
 
 def test_verify_dred_agrees_with_reference_at_jumping_nodes():
@@ -716,7 +730,7 @@ def test_verify_dred_agrees_with_reference_at_jumping_nodes():
         for x in g.nodes:
             if not g.extensions[x]:
                 depth[x] = rng.randint(2, 4)
-        cases.append(AnnotatedGraph(g, depth=depth, ranks=nested_families(g, depth, membership_ranks(g))))
+        cases.append(ranked(g, depth))
     seeds = [chain_seed(*spec) for spec in CHAIN_SEEDS]
     seeds += [
         chain_seed(4, 40, ((0, ("a", "7")), (3, ("12", "a", "a"))), 2),

@@ -473,6 +473,23 @@ def level_of(g: ExtensionalDigraph, x: str) -> int:
     return p.level if isinstance(p, Deficiency) else 0
 
 
+def lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, phi: dict) -> bool:
+    """``oracle._lifts`` with each graph grouped by level here."""
+    return oracle._lifts(a, b, phi, (oracle._by_level(a), oracle._by_level(b)))
+
+
+def seed_map_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
+    """``oracle._seed_map_lifts`` with each graph grouped by level here."""
+    return oracle._seed_map_lifts(a, b, (oracle._by_level(a), oracle._by_level(b)))
+
+
+def identity_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
+    """``oracle._lifts`` from the identity on the non-deficiency nodes,
+    which both graphs must have with equal provenance."""
+    fixed = oracle._by_level(a)[1]
+    return fixed == oracle._by_level(b)[1] and lifts(a, b, dict(zip(fixed, fixed)))
+
+
 def mutated_copies(rng: random.Random, g: ExtensionalDigraph) -> list[ExtensionalDigraph]:
     """Copies of ``g`` with one change each: an edge moved into a
     non-deficiency node, an edge moved into a deficiency node onto an
@@ -510,11 +527,13 @@ def mutated_copies(rng: random.Random, g: ExtensionalDigraph) -> list[Extensiona
 
 
 def test_compare_agrees_with_the_label_free_search():
-    """``compare`` settles shared-seed pairs from the seed map and
-    falls through to ``is_isomorphic`` otherwise; either way its verdict
-    must be ``is_isomorphic``'s, in both argument orders.  A completion
-    against its oracle completion and against copies with one edge
-    moved, one provenance changed or one node renamed."""
+    """``compare`` settles shared-seed pairs from the seed map, other
+    pairs from an isomorphism of their seeds, and falls through to
+    ``is_isomorphic`` otherwise; either way its verdict must be
+    ``is_isomorphic``'s, in both argument orders.  A completion against
+    its oracle completion and against copies with one edge moved, one
+    provenance changed or one node renamed: the isomorphic copies the
+    seed map misses (a relabelled seed) are lifted from an isomorphism."""
     rng = random.Random(8128)
     verdicts = []
     for _ in range(80):
@@ -525,11 +544,13 @@ def test_compare_agrees_with_the_label_free_search():
             for a, b in ((ours, other), (other, ours)):
                 expected = is_isomorphic(a, b)
                 assert compare(a, b).isomorphic == expected
-                verdicts.append((expected, oracle._seed_map_agrees(a, b)))
-    assert verdicts.count((True, True)) >= 150
-    assert verdicts.count((True, False)) >= 100
-    assert verdicts.count((False, False)) >= 300
-    assert (False, True) not in verdicts
+                verdicts.append((expected, identity_lifts(a, b), seed_map_lifts(a, b)))
+    identity = [(expected, lifted) for expected, lifted, _ in verdicts]
+    assert identity.count((True, True)) >= 150
+    assert identity.count((True, False)) >= 100
+    assert identity.count((False, False)) >= 300
+    assert (False, True) not in identity
+    assert all(lifted == expected for expected, _, lifted in verdicts)
 
 
 def atoms_beside_a_stage(rng: random.Random) -> tuple[ExtensionalDigraph, int]:
@@ -610,7 +631,7 @@ def test_compare_agrees_with_the_reference_on_relabelled_completions(monkeypatch
             (expected,) = reference
             for x, y in orders:
                 assert compare(x, y).isomorphic == expected
-                verdicts.append((expected, oracle._seed_isomorphism_lifts(x, y)))
+                verdicts.append((expected, seed_map_lifts(x, y)))
     assert verdicts.count((True, True)) >= 250
     assert verdicts.count((True, False)) >= 100
     assert verdicts.count((False, False)) >= 300
@@ -639,10 +660,32 @@ def test_a_lift_needs_a_one_to_one_seed_map():
     a = ExtensionalDigraph.from_extensions({"q0": {"q0"}, "q1": {"q1"}})
     b = ExtensionalDigraph.from_extensions({"r0": {"r0"}, "r1": {"r1"}})
     one = ExtensionalDigraph.from_extensions({"r0": {"r0"}})
-    assert oracle._lifts(a, b, {"q0": "r1", "q1": "r0"})
-    assert oracle._lifts(complete(a, 1).graph, complete(b, 1).graph, {"q0": "r1", "q1": "r0"})
+    assert lifts(a, b, {"q0": "r1", "q1": "r0"})
+    assert lifts(complete(a, 1).graph, complete(b, 1).graph, {"q0": "r1", "q1": "r0"})
     for target in (b, one):
-        assert not oracle._lifts(a, target, {"q0": "r0", "q1": "r0"})
+        assert not lifts(a, target, {"q0": "r0", "q1": "r0"})
+
+
+def test_compare_groups_each_graph_by_level_once(monkeypatch):
+    """Whether the seed map, an isomorphism of the seeds or the whole
+    search settles the verdict, ``compare`` groups each graph by level
+    once, and passes the groups to the lift."""
+    calls = []
+    by_level = oracle._by_level
+
+    def counted(g):
+        calls.append(g)
+        return by_level(g)
+
+    monkeypatch.setattr(oracle, "_by_level", counted)
+    a = complete(quine_atoms(["q0", "q1"]), 1).graph
+    b = complete(quine_atoms(["r0", "r1"]), 1).graph
+    c = complete(von_neumann_seed(2), 2).graph
+    reference = oracle_complete(quine_atoms(["q0", "q1"]), 1)
+    for x, y, isomorphic in ((a, reference, True), (a, b, True), (b, a, True), (a, c, False)):
+        calls.clear()
+        assert compare(x, y).isomorphic == isomorphic
+        assert len(calls) == 2 and calls[0] is x and calls[1] is y
 
 
 # -- the stage values against the kernel's nodes ------------------------------
@@ -694,7 +737,7 @@ def spelled_ids(rng: random.Random, count: int, most: int) -> set[str]:
 
 
 def test_stages_agree_is_the_seed_map_against_the_oracle_graph():
-    """``stages_agree`` decides what ``_seed_map_agrees`` decides
+    """``stages_agree`` decides what ``identity_lifts`` decides
     against the graph of the same stage values, without building it.
     On the seeds of the test above, and on their completions completed
     again, whose input already holds deficiency nodes: the kernel's
@@ -717,7 +760,7 @@ def test_stages_agree_is_the_seed_map_against_the_oracle_graph():
             if n:
                 candidates.append(complete(g, n - 1).graph)
             for candidate in candidates:
-                expected = oracle._seed_map_agrees(candidate, reference)
+                expected = identity_lifts(candidate, reference)
                 assert oracle.stages_agree(candidate, g, values) == expected, (g.extensions, n)
                 outcomes.append(expected)
     assert outcomes.count(True) >= 100
@@ -746,8 +789,8 @@ def test_the_level_walk_refuses_a_node_too_few_or_too_many(fault):
     reference = oracle.stages_graph(g, values)
     bad = one_node_too_few_or_too_many(g, 2)[fault]
     assert not oracle.stages_agree(bad, g, values)
-    assert not oracle._seed_map_agrees(bad, reference)
-    assert not oracle._seed_map_agrees(reference, bad)
+    assert not identity_lifts(bad, reference)
+    assert not identity_lifts(reference, bad)
     expected = f"node counts differ: {len(bad)} vs {len(reference)}"
     assert compare(bad, reference) == oracle.ComparisonVerdict(False, expected)
 
@@ -765,7 +808,7 @@ def test_the_flipped_walk_refuses_a_top_level_node_no_subset_takes():
     )
     assert oracle.stages_agree(ours, g, values)
     assert not oracle.stages_agree(extra, g, values)
-    assert not oracle._seed_map_agrees(extra, oracle.stages_graph(g, values))
+    assert not identity_lifts(extra, oracle.stages_graph(g, values))
 
 
 def test_stages_agree_matches_labels_with_key_syntax_by_key():
@@ -775,7 +818,7 @@ def test_stages_agree_matches_labels_with_key_syntax_by_key():
     values = oracle.oracle_stages(g, 2)
     ours = complete(g, 2).graph
     assert oracle.stages_agree(ours, g, values)
-    assert oracle._seed_map_agrees(ours, oracle.stages_graph(g, values))
+    assert identity_lifts(ours, oracle.stages_graph(g, values))
 
 
 def test_oracle_complete_gives_values_with_key_syntax_distinct_ids():
@@ -820,4 +863,4 @@ def test_stages_agree_on_ids_spelled_from_key_syntax():
         assert len(set(keys)) == len(keys), g.extensions
         ours = complete(g, n).graph
         assert oracle.stages_agree(ours, g, values), (g.extensions, n)
-        assert oracle._seed_map_agrees(ours, reference)
+        assert identity_lifts(ours, reference)

@@ -39,6 +39,7 @@ from helpers import (
     quine_code_formula,
     random_chain_spec,
     reference_chain_style_certificate,
+    reference_families,
 )
 
 
@@ -412,8 +413,8 @@ def test_random_chain_specs_assemble_the_reference_certificate_or_name_the_clash
 
 
 def test_chain_style_certificate_at_the_cap_and_one_past_it(monkeypatch):
-    """The rank families are priced before any is built: node x sits in
-    families depth(x)+1 up to the top one."""
+    """The rank families a document of the certificate writes are priced:
+    node x sits in families depth(x)+1 up to the top one."""
     spec = CodeSpec(
         atoms=(AtomDecl("a", "chain", length=5),),
         naturals_up_to=2,
@@ -423,9 +424,9 @@ def test_chain_style_certificate_at_the_cap_and_one_past_it(monkeypatch):
     )
     dred = assemble(spec).dred
     assert dred is not None
-    entries = sum(map(len, dred.ranks.values()))
-    top = max(dred.depth.values()) + 1
-    assert entries == sum(top - d for d in dred.depth.values()) > 0
+    entries = sum(map(len, reference_families(dred).values()))
+    assert dred.top == max(dred.depth.values()) + 1
+    assert entries == sum(dred.top - d for d in dred.depth.values()) > 0
     monkeypatch.setattr(dred_module, "_MAX_RANK_ENTRIES", entries)
     assert assemble(spec).dred == dred
     monkeypatch.setattr(dred_module, "_MAX_RANK_ENTRIES", entries - 1)
