@@ -143,7 +143,10 @@ def complete_step(u: AnnotatedGraph, budget: Budget = DEFAULT_BUDGET) -> Annotat
     New node ids are content-addressed from the member list, so the
     operation is deterministic and agrees across graphs that share
     subset nodes.  New nodes carry Deficiency provenance stamped with
-    the new level index.
+    the new level index.  The result's extension map holds ``u``'s
+    nodes in their order, then one new node per mask of
+    :func:`_deficiency_masks`, in the masks' ascending order, which
+    :func:`~setforge.dred.dred_complete` reads to annotate them.
     """
     g = u.graph
     nodes, masks = _deficiency_masks(g, budget)

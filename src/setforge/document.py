@@ -25,7 +25,7 @@ from functools import partial
 from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import eq, ge, gt, itemgetter, le, lt, not_
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import SchemaError
 from .graph import (
@@ -104,14 +104,40 @@ def _dumps(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def _families(doc: AnnotatedGraph) -> str:
+def _entries(
+    values: dict[NodeId, Any], g: ExtensionalDigraph, quoted: list[str]
+) -> list[str] | None:
+    """The ``"id":value`` entries of ``values`` in id order, byte for
+    byte as ``_dumps`` writes them, read off ``g``'s sorted nodes and
+    their encodings ``quoted``, so that no key is sorted or encoded
+    again; None unless the keys are ``g``'s nodes and every value is an
+    exact int (``json`` writes a bool as ``true``)."""
+    if values.keys() != g.nodes or not set(map(type, values.values())) <= {int}:
+        return None
+    return [f"{q}:{v}" for q, v in zip(quoted, map(values.__getitem__, g.sorted_nodes()))]
+
+
+def _depth(depth: dict[NodeId, int], g: ExtensionalDigraph, quoted: list[str]) -> str:
+    """The ``depth`` object as ``_dumps`` writes it, from ``quoted``
+    where :func:`_entries` can read it so. Its entries die with the
+    call, before ``_pieces`` renders the rest, which peaks higher."""
+    entries = _entries(depth, g, quoted)
+    return _dumps(depth) if entries is None else f"{{{','.join(entries)}}}"
+
+
+def _families(doc: AnnotatedGraph, quoted: list[str]) -> str:
     """The ``ranks`` object of ``doc`` as ``_dumps`` would write its
     families (keys in string order, "10" before "2"): family ``top`` is
     the rank map, and each lower family ``i`` joins the map's entries,
-    each encoded once, at depths below ``i`` (no depth reads as ``top``)."""
-    top, items = doc.top, sorted(doc.rank.items())
-    entries = [f"{encode_basestring_ascii(x)}:{r!r}" for x, r in items]
-    below = [doc.depth.get(x, top) for x, _ in items]
+    each encoded once, at depths below ``i`` (no depth reads as ``top``).
+    A map on exactly the nodes is written from ``quoted``
+    (:func:`_entries`), any other in sorted key order."""
+    top, rank = doc.top, doc.rank
+    keys, entries = doc.graph.sorted_nodes(), _entries(rank, doc.graph, quoted)
+    if entries is None:
+        keys = sorted(rank)
+        entries = [f"{encode_basestring_ascii(x)}:{_dumps(rank[x])}" for x in keys]
+    below = list(map(doc.depth.get, keys, repeat(top)))
     families = [
         f'"{i}":{{{",".join(entries if i == top else compress(entries, map(gt, repeat(i), below)))}}}'
         for i in sorted(range(1, top + 1), key=str)
@@ -147,9 +173,9 @@ def _pieces(doc: AnnotatedGraph) -> list[str]:
         lower = None if doc.levels is None else [_dumps(sorted(x)) for x in doc.levels[:-1]]
         sections = []
         if doc.depth is not None:
-            sections.append(("depth", [_dumps(doc.depth)]))
+            sections.append(("depth", [_depth(doc.depth, g, quoted)]))
         if doc.rank is not None:
-            sections.append(("ranks", [_families(doc)]))
+            sections.append(("ranks", [_families(doc, quoted)]))
         if doc.formulas:
             sections.append(("formulas", [_dumps(doc.formulas)]))
         provenance = list(map(g.provenance.__getitem__, order))
@@ -586,7 +612,8 @@ def _sections(data: bytes) -> tuple[dict[str, Any], Any]:
     decoded strictly as UTF-8 from the bytes it fills (:func:`_key`,
     :func:`_value`); the bytes between them must be JSON's whitespace
     and punctuation. Raises ``_Unproven`` for anything but one object
-    that fills the bytes and has ``edges``.
+    that fills the bytes and has ``edges``, and for a ``depth`` that
+    comes after ranks :func:`_ranked` checked against the one before.
     """
     sections: dict[str, Any] = {}
     edges = None
@@ -601,8 +628,10 @@ def _sections(data: bytes) -> tuple[dict[str, Any], Any]:
             if data[at : at + 1] != b":":
                 raise _Unproven
             at = _skip_space(data, at + 1).end()
+            if key == "depth" and type(sections.get("ranks")) is _Ranks:
+                raise _Unproven  # the ranks were shown against the depth this replaces
             if key != "edges":
-                sections[key], at = _section(data, at, key)
+                sections[key], at = _section(data, at, key, sections.get("depth"))
             elif type(edges) is slice:
                 raise _Unproven  # the last value wins; the guess would go unconfirmed
             elif data.startswith((b"[[", b"[]"), at):
@@ -623,17 +652,19 @@ def _sections(data: bytes) -> tuple[dict[str, Any], Any]:
     return sections, edges
 
 
-def _section(data: bytes, at: int, key: str) -> tuple[Any, int]:
+def _section(data: bytes, at: int, key: str, depth: Any) -> tuple[Any, int]:
     """The value of ``key`` at ``at`` and the index past it: ``nodes``
     and ``ranks`` that start as ``serialize`` writes them (``[{`` and
-    ``{"``) are read in slices by :func:`_sliced` and :func:`_ranked`,
-    and decoded whole in place by :func:`_value` where the slices
-    cannot show them; any other value is decoded by :func:`_value`."""
+    ``{"``) are read in slices by :func:`_sliced` and :func:`_ranked`
+    (which checks the ranks against ``depth``, the ``depth`` value read
+    before them, if any), and decoded whole in place by :func:`_value`
+    where the slices cannot show them; any other value is decoded by
+    :func:`_value`."""
     try:
         if key == "nodes" and data.startswith(b"[{", at):
             return _sliced(data, at)
         if key == "ranks" and data.startswith(b'{"', at):
-            return _ranked(data, at)
+            return _ranked(data, at, depth)
     except (_Unproven, *_SCAN_ERRORS):
         pass
     return _value(data, at, key)
@@ -683,18 +714,60 @@ def _sliced(data: bytes, at: int) -> tuple[_Nodes, int]:
     return nodes, close + 3
 
 
-def _ranked(data: bytes, at: int) -> tuple[dict, int]:
+class _Ranks(NamedTuple):
+    """A ``ranks`` object that :func:`_ranked` showed to be the families
+    1..``top`` of one rank map: ``rank``, the top family."""
+
+    rank: dict[NodeId, int]
+    top: int
+
+
+def _ranked(data: bytes, at: int, depth: Any) -> tuple[_Ranks, int]:
     """The ``ranks`` object at ``at`` decoded about ``_RANKS_SLICE``
     bytes at a time (:func:`_slices`, cut between two rank maps, after a
     ``}`` and before a ``,"``), and the index past its end. The object
     is guessed to end at its first ``}}``, where every ``ranks`` that
-    ``serialize`` writes ends: its rank maps hold only integers. A key
-    repeated across slices keeps its first place and its last value, as
-    in one scan."""
+    ``serialize`` writes ends: its rank maps hold only integers.
+
+    Each family is checked as it arrives and dropped, so that only the
+    largest one read so far is kept: its key must be new and name a
+    family ``i``, its values be integers, its keys be exactly the keys
+    of ``depth`` whose depth is below ``i``, and its entries be the
+    larger one's, or hold them. Families so nested are each the largest
+    one restricted, so the keys 1..I make them the families of its rank
+    map. What these checks cannot show raises ``_Unproven``: the object
+    is then decoded whole, and :func:`_annotated` names its fault once
+    ``depth`` is shown to be the node set's."""
     close = _find(data, b"}}", at)
-    ranks: dict[str, Any] = {}
-    deque(map(ranks.update, _slices(data, at, close + 1, b'},"', _RANKS_SLICE)), maxlen=0)
-    return ranks, close + 2
+    if type(depth) is not dict:
+        raise _Unproven
+    known, sorted_depths = frozenset(depth), sorted(depth.values())
+    seen: set[int] = set()
+    rank: dict[NodeId, int] = {}
+    top = 0
+    for value in _slices(data, at, close + 1, b'},"', _RANKS_SLICE):
+        for key, family in value.items():
+            try:
+                i = _rank_key(key)
+            except SchemaError:
+                raise _Unproven from None
+            if not (
+                i not in seen
+                and type(family) is dict
+                and _all_of(family.values(), int)
+                and _rank_domain_exact(i, family, known, depth, sorted_depths)
+            ):
+                raise _Unproven
+            seen.add(i)
+            smaller, larger = (rank, family) if i > top else (family, rank)
+            if not smaller.items() <= larger.items():
+                raise _Unproven
+            if i > top:
+                rank, top = family, i
+        del value  # freed before the next slice is decoded
+    if len(seen) != top:
+        raise _Unproven
+    return _Ranks(rank, top), close + 2
 
 
 def _nodes(raw: dict) -> _Nodes:
@@ -973,30 +1046,10 @@ def _annotated(raw: dict, graph: ExtensionalDigraph) -> AnnotatedGraph:
     if "ranks" in raw:
         if depth is None:
             raise SchemaError("ranks", "ranks need a depth block to fix their domains")
-        ranks_raw = _want(raw, "ranks", dict)
-        sorted_depths = sorted(depth.values())
-        families = {}
-        for key, rank_map in ranks_raw.items():
-            i = _rank_key(key)
-            if not (
-                type(rank_map) is dict
-                and _all_of(rank_map.values(), int)
-                and _rank_domain_exact(i, rank_map, known, depth, sorted_depths)
-            ):
-                _raise_first([_rank_fault(key, i, rank_map, known, depth)])
-            families[i] = rank_map
-        # One rank map: families 1..I, each the top one restricted.
-        top = len(families)
-        past = min((i for i in families if i > top), default=0)
-        if past:
-            missing = min(set(range(1, top + 1)) - families.keys())
-            raise SchemaError(f"ranks.{past}", f"rank families must be 1..I; {missing} is missing")
-        rank = families.get(top, {})
-        for i in range(1, top):
-            if not families[i].items() <= rank.items():
-                x = min(x for x, r in families[i].items() if rank[x] != r)
-                off = f"family {i} is not family {top} restricted to depth < {i} ({x!r} is off)"
-                raise SchemaError(f"ranks.{i}", off)
+        if type(raw["ranks"]) is _Ranks:
+            rank, top = raw["ranks"]
+        else:
+            rank, top = _families_read(_want(raw, "ranks", dict), known, depth)
 
     formulas: dict[str, str] = {}
     if "formulas" in raw:
@@ -1005,6 +1058,39 @@ def _annotated(raw: dict, graph: ExtensionalDigraph) -> AnnotatedGraph:
             _raise_first(map(_formula_fault, formulas, formulas.values()))
 
     return AnnotatedGraph(graph, levels, depth, rank, top, formulas)
+
+
+def _families_read(
+    ranks_raw: dict, known: frozenset[NodeId], depth: dict[NodeId, int]
+) -> tuple[dict[NodeId, int], int]:
+    """The rank map and the top family index of the decoded ``ranks``
+    object ``ranks_raw``, once its families are shown to be 1..I, each
+    on the nodes of depth below its index and each the top one
+    restricted; the first fault is named otherwise."""
+    sorted_depths = sorted(depth.values())
+    families = {}
+    for key, rank_map in ranks_raw.items():
+        i = _rank_key(key)
+        if not (
+            type(rank_map) is dict
+            and _all_of(rank_map.values(), int)
+            and _rank_domain_exact(i, rank_map, known, depth, sorted_depths)
+        ):
+            _raise_first([_rank_fault(key, i, rank_map, known, depth)])
+        families[i] = rank_map
+    # One rank map: families 1..I, each the top one restricted.
+    top = len(families)
+    past = min((i for i in families if i > top), default=0)
+    if past:
+        missing = min(set(range(1, top + 1)) - families.keys())
+        raise SchemaError(f"ranks.{past}", f"rank families must be 1..I; {missing} is missing")
+    rank = families.get(top, {})
+    for i in range(1, top):
+        if not families[i].items() <= rank.items():
+            x = min(x for x, r in families[i].items() if rank[x] != r)
+            off = f"family {i} is not family {top} restricted to depth < {i} ({x!r} is off)"
+            raise SchemaError(f"ranks.{i}", off)
+    return rank, top
 
 
 def deserialize(text: str | bytes) -> AnnotatedGraph:

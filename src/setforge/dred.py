@@ -24,11 +24,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
+from operator import gt
 
 from .completion import (
     Budget,
     DEFAULT_BUDGET,
+    _deficiency_masks,
     _priced,
     _subsets,
     complete_step,
@@ -145,10 +147,7 @@ def verify_dred(h: AnnotatedGraph) -> DredReport:
 
     exact = _rank_domain_exact(top, rank, g.nodes, depth, sorted(depth.values()))
     if not (exact and _rises(g, rank)):
-        for i in range(1, top + 1):
-            # r_top is the map; a key with no depth is in no lower family
-            r = rank if i == top else {x: v for x, v in rank.items() if depth.get(x, i) < i}
-            violations.extend(_rank_violations(g, i, r, depth, nodes, exact))
+        violations.extend(_rank_violations(g, top, rank, depth, nodes, exact))
     return DredReport(tuple(violations))
 
 
@@ -250,28 +249,46 @@ def _subset_depth_violations(
 
 
 def _rank_violations(
-    g: ExtensionalDigraph, i: int, r: dict[NodeId, int], depth: dict[NodeId, int],
+    g: ExtensionalDigraph, top: int, rank: dict[NodeId, int], depth: dict[NodeId, int],
     nodes: list[NodeId], exact: bool,
 ) -> list[DredViolation]:
-    """Family ``r_i``'s domain violations, unless its domain is
-    ``exact``, then its rank increase violations."""
-    violations = []
+    """Each family ``r_i``'s domain violations, unless the map's domain
+    is ``exact``, then its rank increase violations, for ``i`` from 1 to
+    ``top``, from one walk over the map.  Family ``i`` holds the map's
+    violations at nodes of depth below ``i``, a missing entry among
+    them, and ``top`` holds every entry the map has (a key with no depth
+    is in no lower family), so each violation is found once, with the
+    first family that holds it (none, past ``top``), as the parts of its
+    text that ``i`` joins."""
+    held: list[tuple[int, str, tuple[str, str, str]]] = []
     if not exact:
-        domain = {x for x in nodes if depth[x] < i}
-        violations += [
-            DredViolation("rank_domain", f"r_{i} undefined at {x!r} (depth {depth[x]} < {i})")
-            for x in sorted(domain - r.keys())
+        held += [
+            (depth[x] + 1, "rank_domain", ("r_", f" undefined at {x!r} (depth {depth[x]} < ", ")"))
+            for x in nodes
+            if x not in rank
         ]
-        violations += [
-            DredViolation("rank_domain", f"r_{i} defined at {x!r} whose depth is not below {i}")
-            for x in sorted(r.keys() - domain)
+        held += [
+            (top, "rank_domain", ("r_", f" defined at {x!r} whose depth is not below ", ""))
+            for x in sorted(rank)
+            if depth.get(x, top) >= top
         ]
-    for y in filter(r.__contains__, nodes):
-        ry = r[y]
-        violations += [
-            DredViolation("rank_increase", f"r_{i}({z!r}) = {r[z]} not below r_{i}({y!r}) = {ry} along edge")
-            for z in sorted(z for z in g.extensions[y] if z in r and not r[z] < ry)
+    for y in filter(rank.__contains__, nodes):
+        ry, dy = rank[y], depth[y]
+        held += [
+            (
+                min(max(dy, depth[z]) + 1, top),
+                "rank_increase",
+                ("r_", f"({z!r}) = {rank[z]} not below r_", f"({y!r}) = {ry} along edge"),
+            )
+            for z in sorted(z for z in g.extensions[y] if z in rank and not rank[z] < ry)
         ]
+    violations: list[DredViolation] = []
+    firsts = {first for first, _, _ in held}
+    found: list[tuple[str, tuple[str, str, str]]] = []
+    for i in range(1, top + 1):
+        if i in firsts:
+            found = [(condition, parts) for first, condition, parts in held if first <= i]
+        violations += [DredViolation(condition, str(i).join(parts)) for condition, parts in found]
     return violations
 
 
@@ -295,10 +312,14 @@ def dred_complete(
     A node added for subset ``X`` gets depth ``max`` of its members'
     depths (0 for the empty set) and, when that depth is below the top
     family index, rank ``max(rank(member) + 1)`` (0 for the empty set),
-    so every family ``r_i`` above its depth ranks it so.  The DRED
-    conditions are verified before the first step and after every
-    step, and a violation is surfaced as DredConditionError rather than
-    assumed away; with these recipes no violation is
+    so every family ``r_i`` above its depth ranks it so.  No new node's
+    members are walked: the step adds one node per deficiency mask over
+    the sorted nodes, in mask order, and each maximum is read at the
+    node's mask from a table of it over every subset of the nodes
+    (:func:`_max_table`), built by doubling in ``2**k`` steps for ``k``
+    nodes.  The DRED conditions are verified before the first step and
+    after every step, and a violation is surfaced as DredConditionError
+    rather than assumed away; with these recipes no violation is
     expected, and the verification is the evidence.  Like
     :func:`~setforge.completion.complete`, the whole request is priced
     before the first step, and before the conditions are verified.  The
@@ -310,19 +331,41 @@ def dred_complete(
     require_dred(h)
     depth, rank, top = dict(h.depth), dict(h.rank), h.top
     u = AnnotatedGraph(h.graph, levels=(h.graph.nodes,), depth=depth, rank=rank, top=top)
-    get_depth, get_rank = depth.__getitem__, rank.__getitem__
     for _ in range(n):
         step = complete_step(u, budget)
-        extensions = step.graph.extensions
-        for node in step.levels[-1] - step.levels[-2]:
-            members = extensions[node]
-            d = max(map(get_depth, members), default=0)
-            depth[node] = d
-            if d < top:
-                rank[node] = max(map(get_rank, members), default=-1) + 1
+        _annotate(u.graph, step.graph, depth, rank, top, budget)
         u = replace(step, depth=depth, rank=rank, top=top)
         require_dred(u)
     return u
+
+
+def _annotate(
+    g: ExtensionalDigraph, grown: ExtensionalDigraph, depth: dict[NodeId, int],
+    rank: dict[NodeId, int], top: int, budget: Budget,
+) -> None:
+    """Enter in ``depth`` and ``rank`` the nodes that one completion
+    step added to ``g`` to make ``grown``, each read at its mask from
+    the tables of :func:`_max_table`. The masks and tables die with the
+    call, before the step is verified."""
+    nodes, masks = _deficiency_masks(g, budget)
+    new = list(islice(grown.extensions, len(nodes), None))
+    depths = list(map(_max_table([depth[x] for x in nodes]).__getitem__, masks))
+    depth.update(zip(new, depths))
+    # A node the rank map lacks lies at depth ``top`` or deeper, and so
+    # does every subset that holds it: no rank kept here counts it.
+    ranks = map(_max_table([rank.get(x, -1) + 1 for x in nodes]).__getitem__, masks)
+    rank.update(compress(zip(new, ranks), map(gt, repeat(top), depths)))
+
+
+def _max_table(values: list[int]) -> list[int]:
+    """The greatest of ``values`` over each subset of their positions,
+    indexed by the subset's bitmask, 0 for the empty subset: doubling
+    the table per value appends the subsets that hold it, as
+    :func:`~setforge.completion._subsets` doubles its tuples."""
+    table = [0]
+    for v in values:
+        table += [t if t > v else v for t in table]
+    return table
 
 
 def foundation_witness(h: AnnotatedGraph, x: NodeId, *, skip_verify: bool = False) -> NodeId:

@@ -36,12 +36,14 @@ from setforge import (
     require_extensional,
     value_extension,
 )
+from setforge import dred
 from setforge.completion import (
     DEFAULT_BUDGET,
     Budget,
     WitnessFailure,
     WitnessReport,
     _growth,
+    complete_step,
 )
 from setforge.graph import NodeId, Provenance
 from setforge.logic import (
@@ -505,6 +507,28 @@ def reference_families(h: AnnotatedGraph) -> dict[int, dict[NodeId, int]]:
         else:
             families[i] = {x: r for x, r in h.rank.items() if x in h.depth and h.depth[x] < i}
     return families
+
+
+def reference_dred_complete(h: AnnotatedGraph, n: int) -> AnnotatedGraph:
+    """``dred_complete`` as it was while it walked each new node's
+    members: depth the greatest member depth (0 for none) and, below the
+    top family index, rank one above the greatest member rank (0 for
+    none).  The certificate is verified through ``dred.require_dred``
+    before the first step and after every step, as there."""
+    dred.require_dred(h)
+    depth, rank, top = dict(h.depth), dict(h.rank), h.top
+    u = AnnotatedGraph(h.graph, levels=(h.graph.nodes,), depth=depth, rank=rank, top=top)
+    for _ in range(n):
+        step = complete_step(u)
+        for node in step.levels[-1] - step.levels[-2]:
+            members = step.graph.extensions[node]
+            d = max((depth[m] for m in members), default=0)
+            depth[node] = d
+            if d < top:
+                rank[node] = max((rank[m] for m in members), default=-1) + 1
+        u = AnnotatedGraph(step.graph, levels=step.levels, depth=depth, rank=rank, top=top)
+        dred.require_dred(u)
+    return u
 
 
 def key_syntax_seed() -> ExtensionalDigraph:

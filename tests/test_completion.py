@@ -300,6 +300,23 @@ def test_dred_complete_ids_agree_with_subset_node_id():
             assert_added_ids_are_subset_node_ids(u)
 
 
+def test_complete_step_adds_its_nodes_in_mask_order():
+    """The step's extension map holds the input's nodes in their order,
+    then one new node per deficiency mask over the sorted nodes, in
+    ascending mask order; dred_complete reads the new nodes so."""
+    rng = random.Random(37)
+    for n in range(9):
+        g = random_extensional_graph(rng, n, min_nodes=n)
+        for h in (g, renamed(g, ODD_NAMES)):
+            nodes, masks = completion._deficiency_masks(h, completion.DEFAULT_BUDGET)
+            assert masks == sorted(masks)
+            ids = list(complete_step(AnnotatedGraph(h, levels=(h.nodes,))).graph.extensions)
+            assert ids[: len(h)] == list(h.extensions)
+            assert ids[len(h) :] == [
+                subset_node_id(x for i, x in enumerate(nodes) if mask >> i & 1) for mask in masks
+            ]
+
+
 def test_complete_encodes_only_the_ids_of_missing_subsets():
     """A lone surrogate has no UTF-8 bytes.  Where every subset holding
     it is represented, in the low half of the sorted nodes or in the

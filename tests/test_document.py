@@ -255,6 +255,34 @@ def test_serialize_matches_reference_byte_for_byte():
     assert serialize(deserialize(line)) == line
 
 
+def test_certified_maps_are_written_as_the_reference_writes_them():
+    """Depth and rank maps whose keys are the nodes are written from the
+    sorted node ids, whatever order they were filled in; a map that
+    misses a node, holds a key that is no node or holds a value that is
+    not an int is written in sorted key order, as ``json`` writes it."""
+    rng = random.Random(37)
+    filled = [
+        dred_complete(_certified_seed(), 1),
+        dred_complete(dred_from_graph(von_neumann_seed(2)), 2),
+        dred_complete(dred_from_graph(von_neumann_seed(1)), 2),
+    ]
+    # as dred_complete fills them: the input's nodes, then each step's
+    assert all(list(h.depth) != sorted(h.depth) for h in filled)
+    records = filled + [escaped_document()]
+    for h in list(records):
+        x = rng.choice(sorted(h.graph.nodes))
+        without = {y: v for y, v in h.rank.items() if y != x}
+        records += [
+            replace(h, depth=shuffled(rng, h.depth), rank=shuffled(rng, h.rank)),
+            replace(h, depth={y: d for y, d in h.depth.items() if y != x}),
+            replace(h, rank=without),
+            replace(h, depth={**h.depth, "ghost": 0}, rank={**without, "\u00e9ghost": 3}),
+            replace(h, depth={**h.depth, x: True}, rank={**h.rank, x: False}),
+        ]
+    for h in records:
+        assert serialize(h) == reference_serialize(h)
+
+
 # Ids that sort one way raw and the other way quoted, beside plain ones.
 MIXED_IDS = ("a", "\u00e9", '"', "#", "b", "\x1f", "\u03a9", "z")
 
@@ -912,6 +940,22 @@ def test_ranks_are_read_in_slices_not_in_one_scan(monkeypatch):
     monkeypatch.setattr(document, "_scan_value", recorded)
     assert deserialize(line.encode()) == expected
     assert len(scans) == expected.top > 1
+
+
+def test_ranks_are_checked_against_the_depth_that_stands():
+    """The rank families are checked against the ``depth`` read before
+    them while they are read; a ``depth`` repeated after them replaces
+    that one, as the last value of a repeated key does, and they are
+    checked against it instead."""
+    h = _certified_seed()
+    line = serialize(h)
+    x = min(x for x, d in h.depth.items() if d == 0)
+    outcomes = []
+    for depth in ({**h.depth, x: 1}, h.depth):
+        text = f'{line[:-1]},"depth":{json.dumps(depth, separators=(",", ":"))}}}'
+        outcomes.append(outcome(deserialize, text))
+        assert outcomes[-1] == outcome(reference_deserialize, text)
+    assert [o[:2] for o in outcomes] == [("raised", "SchemaError"), ("ok", h)]
 
 
 def test_members_are_the_id_strings_themselves():

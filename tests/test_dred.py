@@ -21,13 +21,20 @@ from setforge import (
     extensionality_violation,
     foundation_witness,
     require_dred,
+    serialize,
     verify_dred,
     von_neumann_seed,
 )
 from setforge import dred
 from setforge.dred import membership_ranks
 
-from helpers import random_extensional_graph, reference_families, set_rank
+from helpers import (
+    random_chain_spec,
+    random_extensional_graph,
+    reference_dred_complete,
+    reference_families,
+    set_rank,
+)
 
 
 def test_verify_dred_von_neumann_with_set_rank():
@@ -670,6 +677,58 @@ def test_dred_complete_annotates_as_the_per_family_recipe():
         depth, ranks = reference_annotations(h, du)
         assert du.depth == depth
         assert reference_families(du) == ranks
+
+
+def test_dred_complete_annotates_as_the_per_node_recipe():
+    """The new nodes' depths and ranks, read from tables over the
+    step's masks, against the recipe that walks each new node's members,
+    as records and as documents: chain-style seeds, von Neumann stages 1
+    to 3 and random well-founded seeds, at one level and at two."""
+    rng = random.Random(37)
+    seeds = [(assemble(random_chain_spec(rng)).dred, 1) for _ in range(12)]
+    chains = [chain_seed(*spec) for spec in CHAIN_SEEDS]
+    seeds += [(h, 1) for h in chains if len(h.graph) <= 10]
+    seeds.append((chain_seed(1, 2, (), 1), 2))
+    seeds += [(dred_from_graph(von_neumann_seed(k)), n) for k in (1, 2, 3) for n in (1, 2)]
+    for size in range(7):
+        g = random_well_founded_extensional(rng, size)
+        depth = {x: rng.randint(0, 2) for x in sorted(g.nodes)}
+        seeds += [(dred_from_graph(g), 1), (ranked(g, depth), 1)]
+        if size <= 3:
+            seeds.append((dred_from_graph(g), 2))
+    compared = 0
+    for h, n in seeds:
+        if not verify_dred(h).ok:
+            continue
+        du, expected = dred_complete(h, n), reference_dred_complete(h, n)
+        assert du == expected
+        assert serialize(du) == serialize(expected)
+        compared += 1
+    assert compared >= 40
+    assert sum(max(h.depth.values(), default=0) > 0 for h, _ in seeds) >= 12
+
+
+def test_dred_complete_ranks_no_node_at_or_past_the_top_family(monkeypatch):
+    """Only a node of depth below the top family index gets a rank.  A
+    certificate never has deeper nodes, so with the gate taken out, seeds
+    whose rank map stops at a lower top family, against the per-node
+    recipe: the new nodes that deep are left unranked."""
+    monkeypatch.setattr(dred, "require_dred", lambda h: None)
+    unranked = 0
+    for spec in CHAIN_SEEDS:
+        h = chain_seed(*spec)
+        if len(h.graph) > 8:
+            continue
+        for top in range(h.top):
+            low = AnnotatedGraph(
+                h.graph, depth=h.depth, rank={x: r for x, r in h.rank.items() if h.depth[x] < top},
+                top=top,
+            )
+            du, expected = dred_complete(low, 1), reference_dred_complete(low, 1)
+            assert du == expected
+            assert serialize(du) == serialize(expected)
+            unranked += len(du.graph.nodes - du.rank.keys()) - len(h.graph.nodes - low.rank.keys())
+    assert unranked > 0
 
 
 def deepest_members(h: AnnotatedGraph) -> dict:
