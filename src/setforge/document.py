@@ -354,6 +354,21 @@ def _rank_key(key: str) -> int:
         ) from None
 
 
+def _family_shown(
+    i: int, family: Any, known: frozenset[NodeId], depth: dict[NodeId, int],
+    sorted_depths: list[int],
+) -> bool:
+    """Whether ``family`` is a rank family ``i`` may hold: an object of
+    integers whose keys are exactly the nodes of ``depth`` below ``i``.
+    ``known`` is ``depth``'s keys and ``sorted_depths`` its values
+    sorted."""
+    return (
+        type(family) is dict
+        and _all_of(family.values(), int)
+        and _rank_domain_exact(i, family, known, depth, sorted_depths)
+    )
+
+
 # -- naming --------------------------------------------------------------------
 #
 # Where a bulk check fails, each rule group's namer is given the
@@ -751,12 +766,7 @@ def _ranked(data: bytes, at: int, depth: Any) -> tuple[_Ranks, int]:
                 i = _rank_key(key)
             except SchemaError:
                 raise _Unproven from None
-            if not (
-                i not in seen
-                and type(family) is dict
-                and _all_of(family.values(), int)
-                and _rank_domain_exact(i, family, known, depth, sorted_depths)
-            ):
+            if i in seen or not _family_shown(i, family, known, depth, sorted_depths):
                 raise _Unproven
             seen.add(i)
             smaller, larger = (rank, family) if i > top else (family, rank)
@@ -1071,11 +1081,7 @@ def _families_read(
     families = {}
     for key, rank_map in ranks_raw.items():
         i = _rank_key(key)
-        if not (
-            type(rank_map) is dict
-            and _all_of(rank_map.values(), int)
-            and _rank_domain_exact(i, rank_map, known, depth, sorted_depths)
-        ):
+        if not _family_shown(i, rank_map, known, depth, sorted_depths):
             _raise_first([_rank_fault(key, i, rank_map, known, depth)])
         families[i] = rank_map
     # One rank map: families 1..I, each the top one restricted.

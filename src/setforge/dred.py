@@ -361,10 +361,13 @@ def _max_table(values: list[int]) -> list[int]:
     """The greatest of ``values`` over each subset of their positions,
     indexed by the subset's bitmask, 0 for the empty subset: doubling
     the table per value appends the subsets that hold it, as
-    :func:`~setforge.completion._subsets` doubles its tuples."""
-    table = [0]
+    :func:`~setforge.completion._subsets` doubles its tuples. The table
+    starts from the least value, so a subset's entry is its own greatest
+    even where every value is negative."""
+    table = [min(values, default=0)]
     for v in values:
         table += [t if t > v else v for t in table]
+    table[0] = 0
     return table
 
 

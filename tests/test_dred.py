@@ -683,7 +683,9 @@ def test_dred_complete_annotates_as_the_per_node_recipe():
     """The new nodes' depths and ranks, read from tables over the
     step's masks, against the recipe that walks each new node's members,
     as records and as documents: chain-style seeds, von Neumann stages 1
-    to 3 and random well-founded seeds, at one level and at two."""
+    to 3 and random well-founded seeds, at one level and at two, and
+    each of these again with every rank lowered by 5: ranks may be
+    negative, and a new node's rank is still one above its members'."""
     rng = random.Random(37)
     seeds = [(assemble(random_chain_spec(rng)).dred, 1) for _ in range(12)]
     chains = [chain_seed(*spec) for spec in CHAIN_SEEDS]
@@ -696,6 +698,10 @@ def test_dred_complete_annotates_as_the_per_node_recipe():
         seeds += [(dred_from_graph(g), 1), (ranked(g, depth), 1)]
         if size <= 3:
             seeds.append((dred_from_graph(g), 2))
+    seeds += [
+        (AnnotatedGraph(h.graph, depth=h.depth, rank={x: r - 5 for x, r in h.rank.items()}, top=h.top), n)
+        for h, n in seeds
+    ]
     compared = 0
     for h, n in seeds:
         if not verify_dred(h).ok:
@@ -704,8 +710,9 @@ def test_dred_complete_annotates_as_the_per_node_recipe():
         assert du == expected
         assert serialize(du) == serialize(expected)
         compared += 1
-    assert compared >= 40
-    assert sum(max(h.depth.values(), default=0) > 0 for h, _ in seeds) >= 12
+    assert compared >= 80
+    assert sum(max(h.depth.values(), default=0) > 0 for h, _ in seeds) >= 24
+    assert sum(min(h.rank.values(), default=0) < 0 for h, _ in seeds) >= 30
 
 
 def test_dred_complete_ranks_no_node_at_or_past_the_top_family(monkeypatch):
