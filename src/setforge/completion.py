@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import blake2b
+from itertools import compress, islice, repeat
+from operator import gt
 from typing import Any, Iterator
 
 from .errors import BudgetExceededError, SchemaError, SetforgeError
@@ -99,6 +101,20 @@ def _subsets(nodes: list[NodeId]) -> list[tuple[NodeId, ...]]:
     return subsets
 
 
+def _max_table(values: list[int]) -> list[int]:
+    """The greatest of ``values`` over each subset of their positions,
+    indexed by the subset's bitmask, 0 for the empty subset: doubling
+    the table per value appends the subsets that hold it, as
+    :func:`_subsets` doubles its tuples. The table starts from the least
+    value, so a subset's entry is its own greatest even where every
+    value is negative."""
+    table = [min(values, default=0)]
+    for v in values:
+        table += [t if t > v else v for t in table]
+    table[0] = 0
+    return table
+
+
 def _halves(
     nodes: list[NodeId],
 ) -> tuple[int, list[tuple[NodeId, ...]], list[tuple[NodeId, ...]]]:
@@ -138,15 +154,22 @@ def deficiency(g: ExtensionalDigraph, budget: Budget = DEFAULT_BUDGET) -> list[t
 
 def complete_step(u: AnnotatedGraph, budget: Budget = DEFAULT_BUDGET) -> AnnotatedGraph:
     """Append one completion level to a leveled record: a fresh node per
-    missing subset.  The result carries the graph and levels only.
+    missing subset.
 
     New node ids are content-addressed from the member list, so the
     operation is deterministic and agrees across graphs that share
     subset nodes.  New nodes carry Deficiency provenance stamped with
-    the new level index.  The result's extension map holds ``u``'s
-    nodes in their order, then one new node per mask of
-    :func:`_deficiency_masks`, in the masks' ascending order, which
-    :func:`~setforge.dred.dred_complete` reads to annotate them.
+    the new level index.  The result carries the graph and levels and,
+    where ``u`` carries a depth/rank certificate, that certificate
+    extended (``u``'s maps are copied, never changed): a node added for
+    subset ``X`` gets depth ``max`` of its members' depths (0 for the
+    empty set) and, when that depth is below the top family index, rank
+    ``max(rank(member) + 1)`` (0 for the empty set), so every family
+    ``r_i`` above its depth ranks it so.  No member is walked: each
+    maximum is read at the node's mask from a table of it over every
+    subset of the nodes (:func:`_max_table`).  The certificate is not
+    verified here; :func:`~setforge.dred.dred_complete` verifies it
+    before the first step and after every step.
     """
     g = u.graph
     nodes, masks = _deficiency_masks(g, budget)
@@ -182,7 +205,19 @@ def complete_step(u: AnnotatedGraph, budget: Budget = DEFAULT_BUDGET) -> Annotat
         extensions[node] = frozenset(members)
         provenance[node] = stamp
     new_graph = ExtensionalDigraph(extensions, provenance)
-    return AnnotatedGraph(new_graph, levels=u.levels + (new_graph.nodes,))
+    levels = u.levels + (new_graph.nodes,)
+    if u.depth is None or u.rank is None:
+        return AnnotatedGraph(new_graph, levels=levels)
+    # The new nodes follow u's in the extension map, in mask order.
+    new = list(islice(extensions, len(nodes), None))
+    depths = list(map(_max_table([u.depth[x] for x in nodes]).__getitem__, masks))
+    # A node the rank map lacks lies at depth ``top`` or deeper, and so
+    # does every subset that holds it: no rank kept here counts it.
+    ranks = map(_max_table([u.rank.get(x, -1) + 1 for x in nodes]).__getitem__, masks)
+    depth, rank = dict(u.depth), dict(u.rank)
+    depth.update(zip(new, depths))
+    rank.update(compress(zip(new, ranks), map(gt, repeat(u.top), depths)))
+    return AnnotatedGraph(new_graph, levels, depth, rank, u.top)
 
 
 def complete(

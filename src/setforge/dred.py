@@ -23,18 +23,10 @@ disjoint from it, which is exactly the Foundation axiom's witness.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, replace
-from itertools import compress, islice, repeat
-from operator import gt
+from dataclasses import dataclass
+from itertools import compress, repeat
 
-from .completion import (
-    Budget,
-    DEFAULT_BUDGET,
-    _deficiency_masks,
-    _priced,
-    _subsets,
-    complete_step,
-)
+from .completion import Budget, DEFAULT_BUDGET, _priced, _subsets, complete_step
 from .errors import DredConditionError, SizeLimitError
 from .graph import (
     AnnotatedGraph,
@@ -306,21 +298,13 @@ def dred_complete(
     n: int,
     budget: Budget = DEFAULT_BUDGET,
 ) -> AnnotatedGraph:
-    """Run ``n`` steps of :func:`~setforge.completion.complete_step`,
-    annotating each step's new nodes with depth and rank.
+    """Run ``n`` steps of :func:`~setforge.completion.complete_step` on
+    ``h``'s certificate, which each step extends to its new nodes.
 
-    A node added for subset ``X`` gets depth ``max`` of its members'
-    depths (0 for the empty set) and, when that depth is below the top
-    family index, rank ``max(rank(member) + 1)`` (0 for the empty set),
-    so every family ``r_i`` above its depth ranks it so.  No new node's
-    members are walked: the step adds one node per deficiency mask over
-    the sorted nodes, in mask order, and each maximum is read at the
-    node's mask from a table of it over every subset of the nodes
-    (:func:`_max_table`), built by doubling in ``2**k`` steps for ``k``
-    nodes.  The DRED conditions are verified before the first step and
-    after every step, and a violation is surfaced as DredConditionError
-    rather than assumed away; with these recipes no violation is
-    expected, and the verification is the evidence.  Like
+    The DRED conditions are verified before the first step and after
+    every step, and a violation is surfaced as DredConditionError rather
+    than assumed away; with the step's recipes no violation is expected,
+    and the verification is the evidence.  Like
     :func:`~setforge.completion.complete`, the whole request is priced
     before the first step, and before the conditions are verified.  The
     result's levels start at ``h``'s graph; ``h``'s own levels and
@@ -329,46 +313,11 @@ def dred_complete(
     _require_blocks(h, "depth", "ranks")
     _priced(h.graph, n, budget)
     require_dred(h)
-    depth, rank, top = dict(h.depth), dict(h.rank), h.top
-    u = AnnotatedGraph(h.graph, levels=(h.graph.nodes,), depth=depth, rank=rank, top=top)
+    u = AnnotatedGraph(h.graph, levels=(h.graph.nodes,), depth=h.depth, rank=h.rank, top=h.top)
     for _ in range(n):
-        step = complete_step(u, budget)
-        _annotate(u.graph, step.graph, depth, rank, top, budget)
-        u = replace(step, depth=depth, rank=rank, top=top)
+        u = complete_step(u, budget)
         require_dred(u)
     return u
-
-
-def _annotate(
-    g: ExtensionalDigraph, grown: ExtensionalDigraph, depth: dict[NodeId, int],
-    rank: dict[NodeId, int], top: int, budget: Budget,
-) -> None:
-    """Enter in ``depth`` and ``rank`` the nodes that one completion
-    step added to ``g`` to make ``grown``, each read at its mask from
-    the tables of :func:`_max_table`. The masks and tables die with the
-    call, before the step is verified."""
-    nodes, masks = _deficiency_masks(g, budget)
-    new = list(islice(grown.extensions, len(nodes), None))
-    depths = list(map(_max_table([depth[x] for x in nodes]).__getitem__, masks))
-    depth.update(zip(new, depths))
-    # A node the rank map lacks lies at depth ``top`` or deeper, and so
-    # does every subset that holds it: no rank kept here counts it.
-    ranks = map(_max_table([rank.get(x, -1) + 1 for x in nodes]).__getitem__, masks)
-    rank.update(compress(zip(new, ranks), map(gt, repeat(top), depths)))
-
-
-def _max_table(values: list[int]) -> list[int]:
-    """The greatest of ``values`` over each subset of their positions,
-    indexed by the subset's bitmask, 0 for the empty subset: doubling
-    the table per value appends the subsets that hold it, as
-    :func:`~setforge.completion._subsets` doubles its tuples. The table
-    starts from the least value, so a subset's entry is its own greatest
-    even where every value is negative."""
-    table = [min(values, default=0)]
-    for v in values:
-        table += [t if t > v else v for t in table]
-    table[0] = 0
-    return table
 
 
 def foundation_witness(h: AnnotatedGraph, x: NodeId, *, skip_verify: bool = False) -> NodeId:

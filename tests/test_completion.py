@@ -303,7 +303,8 @@ def test_dred_complete_ids_agree_with_subset_node_id():
 def test_complete_step_adds_its_nodes_in_mask_order():
     """The step's extension map holds the input's nodes in their order,
     then one new node per deficiency mask over the sorted nodes, in
-    ascending mask order; dred_complete reads the new nodes so."""
+    ascending mask order; complete_step reads its new nodes so when it
+    extends a certificate."""
     rng = random.Random(37)
     for n in range(9):
         g = random_extensional_graph(rng, n, min_nodes=n)
@@ -315,6 +316,24 @@ def test_complete_step_adds_its_nodes_in_mask_order():
             assert ids[len(h) :] == [
                 subset_node_id(x for i, x in enumerate(nodes) if mask >> i & 1) for mask in masks
             ]
+
+
+def test_complete_step_on_a_record_without_a_certificate_adds_none():
+    """A record without a depth/rank certificate, or with only a part of
+    one, comes back with its graph and levels only."""
+    g = von_neumann_seed(2)
+    levels = (g.nodes,)
+    depth = {x: 0 for x in g.nodes}
+    rank = {x: i for i, x in enumerate(sorted(g.nodes))}
+    for u in (
+        AnnotatedGraph(g, levels=levels),
+        AnnotatedGraph(g, levels=levels, depth=depth),
+        AnnotatedGraph(g, levels=levels, rank=rank, top=1),
+    ):
+        step = complete_step(u)
+        assert (step.depth, step.rank, step.top) == (None, None, None)
+        assert step == AnnotatedGraph(step.graph, levels=(g.nodes, step.graph.nodes))
+        assert len(step.graph) == 4
 
 
 def test_complete_encodes_only_the_ids_of_missing_subsets():

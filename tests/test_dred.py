@@ -1,6 +1,7 @@
 """Depth/rank certificates: verification, completion, Foundation witnesses."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from setforge import (
     TupleDecl,
     assemble,
     complete,
+    complete_step,
     dred_complete,
     dred_from_graph,
     extensionality_violation,
@@ -25,7 +27,7 @@ from setforge import (
     verify_dred,
     von_neumann_seed,
 )
-from setforge import dred
+from setforge import completion, dred
 from setforge.dred import membership_ranks
 
 from helpers import (
@@ -429,11 +431,11 @@ def test_verify_dred_agrees_with_reference():
     cases = []
     for _ in range(1500):
         g = random_extensional_graph(rng, 8)
-        depth = {x: rng.randint(0, 4) for x in g.nodes}
+        depth = {x: rng.randint(0, 4) for x in sorted(g.nodes)}
         top = rng.randint(0, 6)
         rank = {
             x: rng.randint(0, 5)
-            for x in g.nodes
+            for x in sorted(g.nodes)
             if (depth[x] < top and rng.random() < 0.95) or rng.random() < 0.05
         }
         cases.append(AnnotatedGraph(g, depth=depth, rank=rank, top=top))
@@ -517,7 +519,7 @@ def nested_certificates(rng: random.Random) -> list[AnnotatedGraph]:
             cases.append(dred_complete(seed, 1))
     for _ in range(150):
         g = random_well_founded_extensional(rng, rng.randint(1, 8))
-        depth = {x: rng.choice((0, 0, 1, 2, 3)) for x in g.nodes}
+        depth = {x: rng.choice((0, 0, 1, 2, 3)) for x in sorted(g.nodes)}
         cases.append(ranked(g, depth))
     return cases
 
@@ -666,7 +668,7 @@ def test_dred_complete_annotates_as_the_per_family_recipe():
     while sum(n == 2 and h.top > 1 for h, n in seeds) < 10:
         # small enough for two levels, with depths that make several families
         g = random_well_founded_extensional(rng, rng.randint(1, 3))
-        depth = {x: rng.randint(0, 2) for x in g.nodes}
+        depth = {x: rng.randint(0, 2) for x in sorted(g.nodes)}
         h = ranked(g, depth)
         if reference_verify_dred(h).ok:
             seeds.append((h, 2))
@@ -738,6 +740,56 @@ def test_dred_complete_ranks_no_node_at_or_past_the_top_family(monkeypatch):
     assert unranked > 0
 
 
+def test_complete_step_extends_a_certificate_as_the_per_node_recipe(monkeypatch):
+    """One step on a certified record equals one step of the per-node
+    recipe and leaves the input's maps as they were: chain-style seeds,
+    von Neumann stages and random well-founded seeds with random depths,
+    each again with its rank map cut at every lower top family and with
+    every rank lowered by 5.  The gate is taken out, so records that
+    break the conditions are stepped too."""
+    monkeypatch.setattr(dred, "require_dred", lambda h: None)
+    rng = random.Random(38)
+    seeds = [h for h in (chain_seed(*spec) for spec in CHAIN_SEEDS) if len(h.graph) <= 8]
+    seeds += [dred_from_graph(von_neumann_seed(k)) for k in (1, 2, 3)]
+    for size in range(7):
+        g = random_well_founded_extensional(rng, size)
+        seeds.append(ranked(g, {x: rng.randint(0, 2) for x in sorted(g.nodes)}))
+    seeds += [
+        AnnotatedGraph(h.graph, depth=h.depth, top=top,
+                       rank={x: r for x, r in h.rank.items() if h.depth[x] < top})
+        for h in list(seeds)
+        for top in range(h.top)
+    ]
+    seeds += [replace(h, rank={x: r - 5 for x, r in h.rank.items()}) for h in list(seeds)]
+    unranked = 0
+    for h in seeds:
+        depth, rank = dict(h.depth), dict(h.rank)
+        u = AnnotatedGraph(h.graph, levels=(h.graph.nodes,), depth=h.depth, rank=h.rank, top=h.top)
+        step = complete_step(u)
+        assert step == reference_dred_complete(h, 1)
+        assert (u.depth, u.rank) == (depth, rank)
+        assert step.depth is not u.depth and step.rank is not u.rank
+        unranked += len(step.graph.nodes - step.rank.keys()) - len(h.graph.nodes - h.rank.keys())
+    assert len(seeds) >= 100 and unranked > 0
+
+
+def test_dred_complete_enumerates_each_steps_masks_once(monkeypatch):
+    """One deficiency pass per step writes the new nodes and extends
+    the certificate to them."""
+    calls = []
+    original = completion._deficiency_masks
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(completion, "_deficiency_masks", counting)
+    du = dred_complete(dred_from_graph(von_neumann_seed(2)), 2)
+    assert [len(level) for level in du.levels] == [2, 4, 16]
+    assert len(calls) == 2
+    assert not hasattr(dred, "_deficiency_masks")
+
+
 def deepest_members(h: AnnotatedGraph) -> dict:
     """Each node's greatest member depth, -1 for no members."""
     return {
@@ -792,8 +844,8 @@ def test_verify_dred_agrees_with_reference_at_jumping_nodes():
     cases = []
     for _ in range(300):
         g = random_well_founded_extensional(rng, rng.randint(1, 10))
-        depth = {x: rng.choice((0, 0, 1, 2, 3)) for x in g.nodes}
-        for x in g.nodes:
+        depth = {x: rng.choice((0, 0, 1, 2, 3)) for x in sorted(g.nodes)}
+        for x in sorted(g.nodes):
             if not g.extensions[x]:
                 depth[x] = rng.randint(2, 4)
         cases.append(ranked(g, depth))

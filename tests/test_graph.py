@@ -115,6 +115,17 @@ def test_levels_are_nonempty_and_cumulative():
         AnnotatedGraph(g, levels=(frozenset({"a"}), frozenset({"b"}), g.nodes))
 
 
+def test_a_rank_map_and_its_top_family_index_come_together():
+    g = ExtensionalDigraph.from_extensions({"a": set(), "b": {"a"}})
+    depth = {"a": 0, "b": 0}
+    message = "^a rank map and its top family index come together$"
+    with pytest.raises(ValueError, match=message):
+        AnnotatedGraph(g, depth=depth, rank={"a": 0, "b": 1})
+    with pytest.raises(ValueError, match=message):
+        AnnotatedGraph(g, depth=depth, top=1)
+    assert AnnotatedGraph(g, depth=depth, rank={"a": 0, "b": 1}, top=1).top == 1
+
+
 def test_end_extension_reflexive():
     g = random_extensional_graph(random.Random(7), 5)
     assert is_end_extension(g, g)
@@ -139,7 +150,7 @@ def test_end_extension_preserves_extensions():
     for _ in range(50):
         small = random_extensional_graph(rng, 4)
         # grow by one fresh container of a random subset
-        members = frozenset(x for x in small.nodes if rng.random() < 0.5)
+        members = frozenset(x for x in sorted(small.nodes) if rng.random() < 0.5)
         if members in set(small.extensions.values()):
             continue
         big = ExtensionalDigraph.from_extensions(
@@ -210,7 +221,7 @@ def test_is_isomorphic_agrees_with_brute_force():
         g = random_extensional_graph(rng, 6)
         g = ExtensionalDigraph.from_extensions(
             g.extensions,
-            {x: random_provenance(rng) for x in g.nodes},
+            {x: random_provenance(rng) for x in sorted(g.nodes)},
         )
         names = sorted(g.nodes)
         shuffled = rng.sample(names, len(names))
