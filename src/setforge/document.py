@@ -37,6 +37,7 @@ from .graph import (
     Provenance,
     Seed,
     _rank_domain_exact,
+    _require_blocks,
 )
 
 FORMAT_VERSION = 1
@@ -155,7 +156,12 @@ def _pieces(doc: AnnotatedGraph) -> list[str]:
     about as large as the graph, are rendered: a caller that passes the
     record as a temporary (on Python 3.11+, where a call moves its
     arguments into the callee) never holds its graph and the pieces
-    together."""
+    together.
+
+    A record with a rank map but no depth map raises ``SchemaError``
+    naming ``depth``, which the rank families are cut by."""
+    if doc.rank is not None:
+        _require_blocks(doc, "depth")
     with _gc_paused():
         g = doc.graph
         order = g.sorted_nodes()
@@ -859,7 +865,14 @@ def _claimed(data: bytes, sections: dict, span: slice) -> _Build:
         try:
             found = _found(data, nodes, span)
         except _Unproven:
-            return _compared(sections, _decoded(data, span), nodes)
+            try:
+                return _compared(sections, _decoded(data, span), nodes)
+            except _Unproven:
+                pass
+            # Where the edges are JSON, their first fault is named from
+            # them, not from the whole document parsed again.
+            _name_edges({"edges": _scanned(data, span)}, nodes)
+            raise
         nodes.canon.clear()
         return partial(_from_members, sections, nodes, found)
     # Shown to be JSON, not grouped: whatever their shape, the error
@@ -1112,7 +1125,8 @@ def deserialize(text: str | bytes) -> AnnotatedGraph:
     decoded one at a time and checked in bulk; the edges are grouped by
     container as soon as they are decoded, before the nodes. Only a
     document that these checks cannot show valid is parsed whole, to
-    name the first offending field.
+    name the first offending field; a fault in edges that start as
+    ``serialize`` writes them is named from those edges alone.
     A document shown valid is built only after the input is dropped
     here, so a caller that passes it as a temporary (on Python 3.11+,
     where a call moves its arguments into the callee) never holds the

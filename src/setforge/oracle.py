@@ -352,59 +352,32 @@ def _by_level(g: ExtensionalDigraph) -> tuple[dict[int, list[NodeId]], dict[Node
     return levels, fixed
 
 
-def _name_levels(
-    levels: dict[int, Sequence[Hashable]],
-    ext: Mapping[NodeId, frozenset[NodeId]] | Sequence[tuple[int, ...]],
-    names: MutableMapping[NodeId, NodeId] | list[NodeId | None],
-    g: ExtensionalDigraph,
-    levels_g: dict[int, list[NodeId]],
-) -> bool:
-    """Name the deficiency nodes ``levels`` by nodes of ``g``, level by
-    level in ascending order, and tell whether every node of
-    ``levels_g``, the deficiency nodes of ``g`` by level, was named.
-
-    ``names`` starts on the other nodes, and ``ext`` gives each node's
-    members.  At each level, each node of ``levels`` takes the node of
-    ``g`` there whose extension its members' names spell, and is named
-    by it once its level is spelled.  Unequal node counts at a level, a
-    member not named yet, or a spelling that no node of ``g`` at the
-    level has ends the walk; with equal counts, every spelling finding
-    a node takes every node.  Each spelling is a frozenset dropped as
-    soon as it is looked up.
-    """
-    extensions = g.extensions
-    for level in sorted(levels):
-        xs = levels[level]
-        ys = levels_g.pop(level, ())
-        if len(xs) != len(ys):
-            return False
-        table = {extensions[y]: y for y in ys}
-        try:
-            found = [table.pop(frozenset(map(names.__getitem__, ext[x]))) for x in xs]
-        except KeyError:
-            return False
-        for x, y in zip(xs, found):
-            names[x] = y
-    return not levels_g
-
-
 def _lifts(
-    a: ExtensionalDigraph, b: ExtensionalDigraph, phi: Mapping[NodeId, NodeId], groups: tuple
+    ext_a: Mapping[NodeId, frozenset[NodeId]] | Sequence[tuple[int, ...]],
+    b: ExtensionalDigraph,
+    phi: Mapping[Hashable, NodeId],
+    groups: tuple,
 ) -> bool:
-    """True when ``phi``, a map of the non-deficiency nodes of ``a``,
-    extends to an isomorphism onto ``b``; False when :func:`_name_levels`
-    cannot extend it, which decides nothing.  ``groups`` holds the
-    :func:`_by_level` groups of ``a`` and ``b``; the walk uses up ``b``'s.
+    """True when ``phi``, a map of the non-deficiency nodes of a graph
+    whose nodes' members ``ext_a`` gives, extends to an isomorphism
+    onto ``b``; False when the level walk cannot extend it, which
+    decides nothing.  ``groups`` holds the :func:`_by_level` groups of
+    that graph and of ``b``; the walk uses up ``b``'s.  ``ext_a`` maps
+    each node to its members, or lists each node's member positions,
+    the node named by its own position in the list.
 
     ``phi`` must be one to one onto the non-deficiency nodes of ``b``
-    and keep provenance colours.  The walk then names each deficiency
-    node of ``a`` one to one by the node of ``b`` at its level whose
-    extension is the image of its members; with the non-deficiency
-    nodes' members carried onto their images' too, the map is an
-    isomorphism in :func:`is_isomorphic`'s sense, so True is exact.
-    Every isomorphism of two seeds lifts to their exact completions: a
-    level adds exactly the subsets that no node represents, and an
-    isomorphism carries those onto those.
+    and keep provenance colours.  The walk then names the deficiency
+    nodes level by level in ascending order: each takes the node of
+    ``b`` at its level whose extension its members' names spell, and
+    is named by it once its level is spelled.  Unequal node counts at
+    a level, a member not named yet, a spelling that no node of ``b``
+    at the level has, or a level of ``b`` left over ends the walk.
+    With the non-deficiency nodes' members carried onto their images'
+    too, the map is an isomorphism in :func:`is_isomorphic`'s sense, so
+    True is exact.  Every isomorphism of two seeds lifts to their exact
+    completions: a level adds exactly the subsets that no node
+    represents, and an isomorphism carries those onto those.
     """
     (levels_a, fixed_a), (levels_b, fixed_b) = groups
     image = set(phi.values())
@@ -418,10 +391,29 @@ def _lifts(
         )
     ):
         return False
-    ext_a = a.extensions
-    f = dict(phi)
-    return _name_levels(levels_a, ext_a, f, b, levels_b) and all(
-        frozenset(map(f.__getitem__, ext_a[x])) == b.extensions[y] for x, y in phi.items()
+    names: MutableMapping[Hashable, NodeId] | list[NodeId | None]
+    if isinstance(ext_a, Mapping):
+        names = dict(phi)
+    else:
+        # None, which no extension holds, where a position is not named yet.
+        names = [None] * len(ext_a)
+        for x, y in phi.items():
+            names[x] = y
+    extensions = b.extensions
+    for level in sorted(levels_a):
+        xs = levels_a[level]
+        ys = levels_b.pop(level, ())
+        if len(xs) != len(ys):
+            return False
+        table = {extensions[y]: y for y in ys}
+        try:
+            found = [table.pop(frozenset(map(names.__getitem__, ext_a[x]))) for x in xs]
+        except KeyError:
+            return False
+        for x, y in zip(xs, found):
+            names[x] = y
+    return not levels_b and all(
+        frozenset(map(names.__getitem__, ext_a[x])) == extensions[y] for x, y in phi.items()
     )
 
 
@@ -444,30 +436,25 @@ def _seed_map_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, groups: tuple)
         phi = _isomorphism(*parts)
         if phi is None:
             return False
-    return _lifts(a, b, phi, groups)
+    return _lifts(a.extensions, b, phi, groups)
 
 
 def stages_agree(ours: ExtensionalDigraph, g: ExtensionalDigraph, values: StageValues) -> bool:
-    """:func:`_lifts` from the identity, of ``ours`` onto
-    ``stages_graph(g, values)``, decided on the values themselves,
-    without that graph: the same walk, run the other way, from each
-    node of that graph, named by its position in :func:`_members`'
-    order, to a node of ``ours``.
-
-    At each level, each stage subset and each of the input's nodes
-    there spells its member positions into the ids of ``ours`` through
-    the names found so far, and takes the node of ``ours`` at that
-    level with that extension.  The non-deficiency nodes of ``ours``
-    must be the input's, with its provenance, and each must hold the
-    images of its decoration's members.  A map and its inverse are
-    built by the same level walk, so the two directions decide alike.
+    """:func:`_lifts` from the identity, of ``stages_graph(g, values)``
+    onto ``ours``, decided on the values themselves, without that
+    graph: its nodes are named by their positions in :func:`_members`'
+    order, each stage's subsets at the level of their stage and the
+    input's deficiency nodes at theirs.  The non-deficiency nodes of
+    ``ours`` must be the input's with the same provenance, exactly,
+    since :func:`_lifts` compares provenance colours, which ignore seed
+    labels.  It decides what the lift of ``ours`` onto that graph
+    decides: a map and its inverse are built by the same level walk.
     """
     node_of, pool, stages = values
     levels_ours, fixed = _by_level(ours)
     seed_levels, seed_fixed = _by_level(g)
     if fixed != seed_fixed:
         return False
-    members = _members(values)
     position = {x: i for i, x in enumerate(map(node_of.__getitem__, pool[: len(node_of)]))}
     levels: dict[int, Sequence[int]] = {}
     start = len(node_of)
@@ -476,15 +463,9 @@ def stages_agree(ours: ExtensionalDigraph, g: ExtensionalDigraph, values: StageV
         start += len(fresh)
     for level, xs in seed_levels.items():
         levels[level] = [*levels.get(level, ()), *map(position.__getitem__, xs)]
-    # Names by position; None, which no extension holds, where a
-    # position is not named yet.
-    names: list[NodeId | None] = [None] * len(members)
-    for x in fixed:
-        names[position[x]] = x
-    return _name_levels(levels, members, names, ours, levels_ours) and all(
-        frozenset(map(names.__getitem__, members[position[x]])) == ours.extensions[x]
-        for x in fixed
-    )
+    phi = {position[x]: x for x in fixed}
+    fixed_values = {position[x]: p for x, p in fixed.items()}
+    return _lifts(_members(values), ours, phi, ((levels, fixed_values), (levels_ours, fixed)))
 
 
 def compare(a: ExtensionalDigraph, b: ExtensionalDigraph) -> ComparisonVerdict:

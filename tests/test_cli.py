@@ -27,9 +27,11 @@ from setforge import (
     ExtensionalDigraph,
     assemble,
     complete,
+    dred_complete,
     oracle_complete,
     quine_atoms,
     serialize,
+    von_neumann_seed,
 )
 from setforge import cli, document, graph, oracle
 from setforge.cli import main
@@ -919,6 +921,50 @@ def test_oracle_compare_explains_a_sabotaged_kernel(monkeypatch, completions, fa
     argv = ["oracle-compare", "--levels", "1", "--porcelain"]
     assert invoke(argv, doc) == (1, f"oracle\tmismatch\t{expected.detail}\n", "")
     assert completions == ["oracle_stages", "complete", "stages_graph"]
+
+
+def completions_to_complete_further() -> list[AnnotatedGraph]:
+    """Inputs that are already completions: ``von_neumann_seed(2)`` and
+    two quine atoms completed 1 level (4 nodes each), and a chain-style
+    seed with one 1-link chain atom certified-completed 1 level (8)."""
+    spec = CodeSpec(
+        atoms=(AtomDecl("a", "chain", 1),), naturals_up_to=2, code_style="chain", code_length=1
+    )
+    return [
+        complete(von_neumann_seed(2), 1),
+        complete(quine_atoms(["q0", "q1"]), 1),
+        dred_complete(assemble(spec).dred, 1),
+    ]
+
+
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["von-neumann", "quine-atoms", "chain-style"])
+def test_oracle_compare_on_an_input_that_is_already_a_completion(which):
+    """The input's deficiency nodes and the nodes added to them share
+    level 1 on both sides, so a node there can hold a member of its own
+    level, which the level walk cannot name, and the search of the
+    whole graphs may have to decide.  Whatever decides, a correct
+    kernel is isomorphic to the reference."""
+    doc = serialize(completions_to_complete_further()[which])
+    argv = ["oracle-compare", "--levels", "1", "--porcelain"]
+    assert invoke(argv, doc) == (0, "oracle\tisomorphic\tisomorphic\n", "")
+
+
+def test_oracle_compare_explains_a_sabotaged_kernel_on_a_completion(monkeypatch):
+    """On an input that is already a completion, a kernel result with a
+    node dropped gives exit 1 and exactly ``compare``'s detail."""
+    u = completions_to_complete_further()[0]
+    bad = sabotaged_completions(u.graph, 1)[0]
+    expected = oracle.compare(bad, oracle_complete(u.graph, 1))
+    assert not expected.isomorphic
+    original = cli.complete
+
+    def sabotaged(*args):
+        original(*args)
+        return AnnotatedGraph(bad)
+
+    monkeypatch.setattr(cli, "complete", sabotaged)
+    argv = ["oracle-compare", "--levels", "1", "--porcelain"]
+    assert invoke(argv, serialize(u)) == (1, f"oracle\tmismatch\t{expected.detail}\n", "")
 
 
 def test_oracle_compare_reports_an_id_clash_before_the_kernel(completions):

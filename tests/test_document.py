@@ -53,6 +53,14 @@ def test_serialize_is_canonical():
     assert "\n" not in line
 
 
+def test_serialize_names_the_depth_block_a_rank_map_needs():
+    """The rank families are cut by depth, so a record with a rank map
+    and no depth map is refused before anything is written."""
+    doc = AnnotatedGraph(ExtensionalDigraph.from_extensions({"a": []}), rank={"a": 0}, top=1)
+    with pytest.raises(SchemaError, match="^depth: document has no depth block$"):
+        serialize(doc)
+
+
 def test_graph_round_trip():
     doc = AnnotatedGraph(von_neumann_seed(3))
     assert deserialize(serialize(doc)) == doc
@@ -623,6 +631,26 @@ def test_first_bad_edge_end_a_container_fails_as_the_reference_fails(bad):
             ours = outcome(deserialize, text)
             assert ours[:3] == ("raised", "SchemaError", f"edges[{at}]"), ours
             assert ours == outcome(reference_deserialize, text)
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["member", "container"])
+def test_an_unknown_edge_end_is_named_from_the_edges_alone(monkeypatch, end):
+    """A completion whose last edge has an end that no node has is
+    refused with the error the item-by-item walk gives, named from the
+    edges already decoded: the document is not parsed whole again."""
+    payload = json.loads(serialize(complete(von_neumann_seed(2), 2)))
+    payload["edges"][-1][end] = "foreign"
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    expected = outcome(reference_deserialize, text)
+    at = len(payload["edges"]) - 1
+    message = f"edges[{at}]: references unknown id 'foreign'"
+    assert expected == ("raised", "SchemaError", f"edges[{at}]", message)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the document was parsed whole")
+
+    monkeypatch.setattr(document.json, "loads", refuse)
+    assert outcome(deserialize, text) == expected
 
 
 def test_valid_documents_never_walk_item_by_item(monkeypatch):

@@ -475,7 +475,7 @@ def level_of(g: ExtensionalDigraph, x: str) -> int:
 
 def lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, phi: dict) -> bool:
     """``oracle._lifts`` with each graph grouped by level here."""
-    return oracle._lifts(a, b, phi, (oracle._by_level(a), oracle._by_level(b)))
+    return oracle._lifts(a.extensions, b, phi, (oracle._by_level(a), oracle._by_level(b)))
 
 
 def seed_map_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
