@@ -865,16 +865,18 @@ def _claimed(data: bytes, sections: dict, span: slice) -> _Build:
         try:
             found = _found(data, nodes, span)
         except _Unproven:
-            try:
-                return _compared(sections, _decoded(data, span), nodes)
-            except _Unproven:
-                pass
-            # Where the edges are JSON, their first fault is named from
-            # them, not from the whole document parsed again.
-            _name_edges({"edges": _scanned(data, span)}, nodes)
-            raise
-        nodes.canon.clear()
-        return partial(_from_members, sections, nodes, found)
+            found = None  # let go of the failed proof's frames, which hold every id
+        if found is not None:
+            nodes.canon.clear()
+            return partial(_from_members, sections, nodes, found)
+        try:
+            return _compared(sections, _decoded(data, span), nodes)
+        except _Unproven:
+            pass
+        # Where the edges are JSON, their first fault is named from
+        # them, not from the whole document parsed again.
+        _name_edges({"edges": _scanned(data, span)}, nodes)
+        raise _Unproven
     # Shown to be JSON, not grouped: whatever their shape, the error
     # stands.
     sections.clear()
@@ -1139,6 +1141,8 @@ def deserialize(text: str | bytes) -> AnnotatedGraph:
         try:
             build = _proven(data)
         except _Unproven:
+            build = None  # parse it whole once the failed pass's frames are gone
+        if build is None:
             return _walked(data, errors)
         del data
         return build()

@@ -362,7 +362,7 @@ def _lifts(
     whose nodes' members ``ext_a`` gives, extends to an isomorphism
     onto ``b``; False when the level walk cannot extend it, which
     decides nothing.  ``groups`` holds the :func:`_by_level` groups of
-    that graph and of ``b``; the walk uses up ``b``'s.  ``ext_a`` maps
+    that graph and of ``b``; the walk only reads them.  ``ext_a`` maps
     each node to its members, or lists each node's member positions,
     the node named by its own position in the list.
 
@@ -370,9 +370,9 @@ def _lifts(
     and keep provenance colours.  The walk then names the deficiency
     nodes level by level in ascending order: each takes the node of
     ``b`` at its level whose extension its members' names spell, and
-    is named by it once its level is spelled.  Unequal node counts at
-    a level, a member not named yet, a spelling that no node of ``b``
-    at the level has, or a level of ``b`` left over ends the walk.
+    is named by it once its level is spelled.  Levels that only one
+    graph has, unequal node counts at a level, a member not named yet
+    or a spelling that no node of ``b`` at the level has ends the walk.
     With the non-deficiency nodes' members carried onto their images'
     too, the map is an isomorphism in :func:`is_isomorphic`'s sense, so
     True is exact.  Every isomorphism of two seeds lifts to their exact
@@ -382,7 +382,8 @@ def _lifts(
     (levels_a, fixed_a), (levels_b, fixed_b) = groups
     image = set(phi.values())
     if not (
-        phi.keys() == fixed_a.keys()
+        levels_a.keys() == levels_b.keys()
+        and phi.keys() == fixed_a.keys()
         and len(image) == len(phi)
         and image == fixed_b.keys()
         and all(
@@ -401,8 +402,7 @@ def _lifts(
             names[x] = y
     extensions = b.extensions
     for level in sorted(levels_a):
-        xs = levels_a[level]
-        ys = levels_b.pop(level, ())
+        xs, ys = levels_a[level], levels_b[level]
         if len(xs) != len(ys):
             return False
         table = {extensions[y]: y for y in ys}
@@ -412,7 +412,7 @@ def _lifts(
             return False
         for x, y in zip(xs, found):
             names[x] = y
-    return not levels_b and all(
+    return all(
         frozenset(map(names.__getitem__, ext_a[x])) == extensions[y] for x, y in phi.items()
     )
 

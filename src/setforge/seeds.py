@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .completion import _subsets
+from .completion import complete
 from .dred import _certificate, require_dred
 from .errors import SeedClashError, SizeLimitError, SpecValidationError, UnknownNodeError
 from .graph import (
@@ -246,7 +246,8 @@ def _set_notation(members: list[str]) -> str:
 
 
 def von_neumann_seed(k: int) -> ExtensionalDigraph:
-    """The membership digraph of the k-th von Neumann stage.
+    """The membership digraph of the k-th von Neumann stage: ``k``
+    completion steps from the empty graph.
 
     Stages up to 5 are allowed; a later one raises SizeLimitError, since
     stage 6 alone would need 2**65536 nodes.
@@ -257,21 +258,12 @@ def von_neumann_seed(k: int) -> ExtensionalDigraph:
         raise ValueError("stage must be non-negative")
     if k > _MAX_VON_NEUMANN_STAGE:
         raise SizeLimitError(f"stage {k} is out of reach: stage 6 already holds 2**65536 sets")
-    extensions: dict[NodeId, frozenset[NodeId]] = {}
+    extensions = complete(ExtensionalDigraph.empty(), k).graph.extensions
+    # The kernel adds every node after its members.
     notation: dict[NodeId, str] = {}
-    current: list[NodeId] = []
-    for _ in range(k):
-        for subset in _subsets(sorted(current)):
-            node = subset_node_id(subset)
-            if node in extensions:
-                continue
-            extensions[node] = frozenset(subset)
-            notation[node] = _set_notation([notation[m] for m in subset])
-            current.append(node)
-    provenance: dict[NodeId, Provenance] = {
-        x: Seed(label=notation[x]) for x in extensions
-    }
-    return ExtensionalDigraph(extensions, provenance)
+    for x, ext in extensions.items():
+        notation[x] = _set_notation([notation[m] for m in ext])
+    return ExtensionalDigraph(extensions, {x: Seed(label=s) for x, s in notation.items()})
 
 
 def quine_atoms(labels: Iterable[str]) -> ExtensionalDigraph:

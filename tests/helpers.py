@@ -43,9 +43,10 @@ from setforge.completion import (
     WitnessFailure,
     WitnessReport,
     _growth,
+    _subsets,
     complete_step,
 )
-from setforge.graph import NodeId, Provenance
+from setforge.graph import NodeId, Provenance, subset_node_id
 from setforge.logic import (
     MAX_FORMULA_DEPTH,
     And,
@@ -61,6 +62,7 @@ from setforge.logic import (
     Var,
     _tokenize,
 )
+from setforge.seeds import _MAX_VON_NEUMANN_STAGE, _set_notation
 
 
 def edges(g: ExtensionalDigraph) -> frozenset[tuple[NodeId, NodeId]]:
@@ -1227,6 +1229,32 @@ def reference_deserialize(text: str) -> AnnotatedGraph:
         top=None if ranks is None else len(ranks),
         formulas=formulas,
     )
+
+
+def reference_von_neumann_seed(k: int) -> ExtensionalDigraph:
+    """``seeds.von_neumann_seed`` as it was while it enumerated each
+    stage's subsets itself, skipped the represented ones and hashed the
+    rest with ``subset_node_id``; the reference for the graph it
+    returns, down to dict insertion order."""
+    if k < 0:
+        raise ValueError("stage must be non-negative")
+    if k > _MAX_VON_NEUMANN_STAGE:
+        raise SizeLimitError(f"stage {k} is out of reach: stage 6 already holds 2**65536 sets")
+    extensions: dict[NodeId, frozenset[NodeId]] = {}
+    notation: dict[NodeId, str] = {}
+    current: list[NodeId] = []
+    for _ in range(k):
+        for subset in _subsets(sorted(current)):
+            node = subset_node_id(subset)
+            if node in extensions:
+                continue
+            extensions[node] = frozenset(subset)
+            notation[node] = _set_notation([notation[m] for m in subset])
+            current.append(node)
+    provenance: dict[NodeId, Provenance] = {
+        x: Seed(label=notation[x]) for x in extensions
+    }
+    return ExtensionalDigraph(extensions, provenance)
 
 
 def reference_one_stage(values: set) -> list:

@@ -143,20 +143,25 @@ def counted_steps(monkeypatch):
 
 
 def test_complete_prices_the_request_before_the_first_step(counted_steps):
+    # The seed is itself three steps from the empty graph; they are not
+    # the request's.
+    g = von_neumann_seed(3)
+    counted_steps.clear()
     # Two steps fit (4 -> 16 -> 65,536 nodes); the third would enumerate
     # 2**65536 subsets. Nothing is built.
     with pytest.raises(BudgetExceededError) as caught:
-        complete(von_neumann_seed(3), 3, Budget(10**6))
+        complete(g, 3, Budget(10**6))
     assert str(caught.value) == over_budget_message(65536, 10**6)
     assert counted_steps == []
     # An affordable request still runs every step.
-    u = complete(von_neumann_seed(3), 1, Budget(10**6))
+    u = complete(g, 1, Budget(10**6))
     assert [len(level) for level in u.levels] == [4, 16]
     assert len(counted_steps) == 1
 
 
 def test_dred_complete_prices_the_request_before_the_first_step(counted_steps):
     h = dred_from_graph(von_neumann_seed(3))
+    counted_steps.clear()
     with pytest.raises(BudgetExceededError) as caught:
         dred_complete(h, 2, Budget(10**4))
     assert str(caught.value) == over_budget_message(16, 10**4)

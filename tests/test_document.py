@@ -653,6 +653,37 @@ def test_an_unknown_edge_end_is_named_from_the_edges_alone(monkeypatch, end):
     assert outcome(deserialize, text) == expected
 
 
+def _renamed_container() -> str:
+    payload = json.loads(serialize(complete(von_neumann_seed(2), 1)))
+    payload["edges"][-1][1] = "foreign"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _truncated() -> str:
+    line = serialize(complete(von_neumann_seed(2), 1))
+    return line[: len(line) * 4 // 5]
+
+
+@pytest.mark.parametrize("make", [_renamed_container, _truncated], ids=["renamed", "truncated"])
+def test_a_fallback_read_runs_after_the_attempt_it_replaces(monkeypatch, make):
+    """``_compared`` and ``_walked`` take over a read that could not be
+    proven. They run once the attempt's exception is handled, so its
+    frames, and the bytes they hold, are not kept alive beside them."""
+    text = make()
+    expected = outcome(deserialize, text)
+    handling = []
+    for name in ("_compared", "_walked"):
+
+        def recording(*args, original=getattr(document, name)):
+            handling.append(sys.exc_info()[0])
+            return original(*args)
+
+        monkeypatch.setattr(document, name, recording)
+    assert outcome(deserialize, text) == expected
+    assert expected[:2] == ("raised", "SchemaError")
+    assert handling and handling == [None] * len(handling)
+
+
 def test_valid_documents_never_walk_item_by_item(monkeypatch):
     """No valid document reaches a namer, the per-entry function that
     names a fault once a bulk check has failed."""

@@ -776,6 +776,7 @@ def test_complete_step_extends_a_certificate_as_the_per_node_recipe(monkeypatch)
 def test_dred_complete_enumerates_each_steps_masks_once(monkeypatch):
     """One deficiency pass per step writes the new nodes and extends
     the certificate to them."""
+    h = dred_from_graph(von_neumann_seed(2))
     calls = []
     original = completion._deficiency_masks
 
@@ -784,7 +785,7 @@ def test_dred_complete_enumerates_each_steps_masks_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(completion, "_deficiency_masks", counting)
-    du = dred_complete(dred_from_graph(von_neumann_seed(2)), 2)
+    du = dred_complete(h, 2)
     assert [len(level) for level in du.levels] == [2, 4, 16]
     assert len(calls) == 2
     assert not hasattr(dred, "_deficiency_masks")

@@ -666,6 +666,23 @@ def test_a_lift_needs_a_one_to_one_seed_map():
         assert not lifts(a, target, {"q0": "r0", "q1": "r0"})
 
 
+def test_one_grouping_serves_every_walk_over_a_graph():
+    """A walk reads the level groups and leaves them as they were, so
+    one grouping of a graph serves each map walked over it: the identity
+    lifts, and a swap of two atoms does not, since the seed node ``s``
+    holds ``{q0, q2}``, whose image ``{q1, q2}`` it does not hold."""
+    g = complete(quine_atoms(["q0", "q1", "q2"]), 1).graph
+    q0, q1, q2 = "atom:q0", "atom:q1", "atom:q2"
+    d = next(x for x, ext in g.extensions.items() if ext == {q0, q2})
+    h = ExtensionalDigraph({**g.extensions, "s": frozenset({d})}, {**g.provenance, "s": Seed("s")})
+    identity = {x: x for x in (q0, q1, q2, "s")}
+    swap = {**identity, q0: q1, q1: q0}
+    assert lifts(h, h, identity) and not lifts(h, h, swap)
+    grouping = oracle._by_level(h)
+    for phi, expected in [(identity, True), (swap, False), (identity, True), (swap, False)]:
+        assert oracle._lifts(h.extensions, h, phi, (grouping, grouping)) is expected
+
+
 def test_compare_groups_each_graph_by_level_once(monkeypatch):
     """Whether the seed map, an isomorphism of the seeds or the whole
     search settles the verdict, ``compare`` groups each graph by level

@@ -40,6 +40,7 @@ from helpers import (
     random_chain_spec,
     reference_chain_style_certificate,
     reference_families,
+    reference_von_neumann_seed,
 )
 
 
@@ -66,6 +67,16 @@ def test_von_neumann_four_has_sixteen_nodes():
     g = von_neumann_seed(4)
     assert len(g.nodes) == 16
     assert is_extensional(g)
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_von_neumann_seed_agrees_with_its_old_body(k):
+    """Completing the empty graph ``k`` steps gives the stage the old
+    subset loop built: the same nodes, members and labels, in the same
+    dict order."""
+    g, want = von_neumann_seed(k), reference_von_neumann_seed(k)
+    assert list(g.extensions.items()) == list(want.extensions.items())
+    assert list(g.provenance.items()) == list(want.provenance.items())
 
 
 def test_von_neumann_six_rejected():
