@@ -510,7 +510,6 @@ _NODES_SLICE = 1 << 16
 _RANKS_SLICE = 1 << 21
 # How many ids go into one piece of a rendered run.
 _JOIN = 1 << 12
-_scan_key = json.decoder.scanstring
 # JSON's whitespace, as ``json.decoder.WHITESPACE`` matches it in text.
 _skip_space = re.compile(rb"[ \t\n\r]*").match
 # A JSON string, from its opening quote to its closing one.
@@ -521,9 +520,6 @@ _STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"')
 _SECTIONS = ("depth", "edges", "format_version", "formulas", "levels", "nodes", "ranks")
 _SECTION_KEY = re.compile(b'"(?:%b)"' % "|".join(_SECTIONS).encode())
 _first, _second = itemgetter(0), itemgetter(1)
-# Not UTF-8 or not JSON, edge ends that cannot be ordered or hashed, or
-# not a str.
-_SCAN_ERRORS = (StopIteration, ValueError, RecursionError, TypeError)
 
 
 class _Unproven(Exception):
@@ -552,25 +548,43 @@ def _grouped(edges: Any) -> _Groups:
     members, each a single string object that every list shares.
 
     The ends are not yet known to be ids (``nodes`` comes later): an
-    end that cannot be ordered or hashed raises ``TypeError``, which
-    :func:`_sections` takes as not proven.
+    end that cannot be hashed is not proven.
     """
     if not (type(edges) is list and _all_of(edges, list) and set(map(len, edges)) <= {2}):
         raise _Unproven
     groups: defaultdict[NodeId, list[NodeId]] = defaultdict(list)
     canon: dict[NodeId, NodeId] = {}
     members = map(canon.setdefault, map(_first, edges), map(_first, edges))
-    deque(map(list.append, map(groups.__getitem__, map(_second, edges)), members), maxlen=0)
+    try:
+        deque(map(list.append, map(groups.__getitem__, map(_second, edges)), members), maxlen=0)
+    except TypeError:
+        raise _Unproven from None
     return groups, canon
 
 
+def _scan(piece: memoryview, opening: str = "", closing: str = "") -> tuple[Any, int]:
+    """The value at the start of ``piece``, decoded strictly as UTF-8
+    and set between ``opening`` and ``closing``, as the scanner that
+    ``json.loads`` uses builds it, and how many bytes of the piece and
+    ``closing`` follow it. Bytes that are not UTF-8, or that do not start
+    with a JSON value, raise ``_Unproven``: this is the reader's one call
+    of the scanner, so that no scan failure leaves it, even from a
+    generator, where ``StopIteration`` would become ``RuntimeError``."""
+    try:
+        text = f"{opening}{str(piece, 'utf-8')}{closing}"
+        value, end = _scan_value(text, 0)
+    except (StopIteration, ValueError, RecursionError):
+        raise _Unproven from None
+    return value, len(text) - end if text.isascii() else len(text[end:].encode())
+
+
 def _key(data: bytes, at: int) -> tuple[str, int]:
-    """The key that starts at ``at``, decoded by
-    ``json.decoder.scanstring``, and the index past it."""
+    """The key that starts at ``at``, decoded by :func:`_scan`, and the
+    index past it."""
     string = _STRING.match(data, at)
     if string is None:
         raise _Unproven
-    return _scan_key(str(string[0], "utf-8"), 1)[0], string.end()
+    return _scan(memoryview(data)[at : string.end()])[0], string.end()
 
 
 def _value(data: bytes, at: int, key: str) -> tuple[Any, int]:
@@ -592,14 +606,13 @@ def _value(data: bytes, at: int, key: str) -> tuple[Any, int]:
     while True:
         found = stop < len(data) and _SECTION_KEY.search(data, 2 * stop - at + 1)
         stop = found.start() if found else len(data)
-        window = str(memoryview(data)[at:stop], "utf-8")
         try:
-            value, end = _scan_value(window, 0)
-        except _SCAN_ERRORS:
+            value, rest = _scan(memoryview(data)[at:stop])
+        except _Unproven:
             if not found:
                 raise
             continue
-        return value, at + (end if window.isascii() else len(window[:end].encode()))
+        return value, stop - rest
 
 
 def _find(data: bytes, needle: bytes, at: int) -> int:
@@ -626,48 +639,45 @@ def _sections(data: bytes) -> tuple[dict[str, Any], Any]:
     back as :func:`_grouped` groups it on arrival, before the next
     member is decoded.
 
-    Keys go through ``json.decoder.scanstring`` and values through the
-    scanner that ``json.loads`` uses, with the same whitespace between
-    them, so every value is the one ``json.loads`` would build from the
-    decoded text; a repeated key keeps its last value, as there. Each is
-    decoded strictly as UTF-8 from the bytes it fills (:func:`_key`,
-    :func:`_value`); the bytes between them must be JSON's whitespace
-    and punctuation. Raises ``_Unproven`` for anything but one object
-    that fills the bytes and has ``edges``, and for a ``depth`` that
-    comes after ranks :func:`_ranked` checked against the one before.
+    Keys and values go through :func:`_scan`, with the same whitespace
+    between them as ``json.loads`` allows, so every value is the one
+    ``json.loads`` would build from the decoded text; a repeated key
+    keeps its last value, as there. Each is decoded strictly as UTF-8
+    from the bytes it fills (:func:`_key`, :func:`_value`); the bytes
+    between them must be JSON's whitespace and punctuation. Raises
+    ``_Unproven`` for anything but one object that fills the bytes and
+    has ``edges``, and for a ``depth`` that comes after ranks
+    :func:`_ranked` checked against the one before.
     """
     sections: dict[str, Any] = {}
     edges = None
-    try:
-        at = _skip_space(data).end()
-        if data[at : at + 1] != b"{":
+    at = _skip_space(data).end()
+    if data[at : at + 1] != b"{":
+        raise _Unproven
+    at = _skip_space(data, at + 1).end()
+    while True:
+        key, at = _key(data, at)
+        at = _skip_space(data, at).end()
+        if data[at : at + 1] != b":":
             raise _Unproven
         at = _skip_space(data, at + 1).end()
-        while True:
-            key, at = _key(data, at)
-            at = _skip_space(data, at).end()
-            if data[at : at + 1] != b":":
-                raise _Unproven
-            at = _skip_space(data, at + 1).end()
-            if key == "depth" and type(sections.get("ranks")) is _Ranks:
-                raise _Unproven  # the ranks were shown against the depth this replaces
-            if key != "edges":
-                sections[key], at = _section(data, at, key, sections.get("depth"))
-            elif type(edges) is slice:
-                raise _Unproven  # the last value wins; the guess would go unconfirmed
-            elif data.startswith((b"[[", b"[]"), at):
-                close = _find(data, b"]]", at) if data.startswith(b"[[", at) else at
-                edges, at = slice(at, close + 2), close + 2
-            else:
-                value, at = _value(data, at, key)
-                edges = _grouped(value)
-                del value  # freed before the next value is decoded
-            at = _skip_space(data, at).end()
-            if data[at : at + 1] != b",":
-                break
-            at = _skip_space(data, at + 1).end()
-    except _SCAN_ERRORS:
-        raise _Unproven from None
+        if key == "depth" and type(sections.get("ranks")) is _Ranks:
+            raise _Unproven  # the ranks were shown against the depth this replaces
+        if key != "edges":
+            sections[key], at = _section(data, at, key, sections.get("depth"))
+        elif type(edges) is slice:
+            raise _Unproven  # the last value wins; the guess would go unconfirmed
+        elif data.startswith((b"[[", b"[]"), at):
+            close = _find(data, b"]]", at) if data.startswith(b"[[", at) else at
+            edges, at = slice(at, close + 2), close + 2
+        else:
+            value, at = _value(data, at, key)
+            edges = _grouped(value)
+            del value  # freed before the next value is decoded
+        at = _skip_space(data, at).end()
+        if data[at : at + 1] != b",":
+            break
+        at = _skip_space(data, at + 1).end()
     if data[at : at + 1] != b"}" or _skip_space(data, at + 1).end() != len(data) or edges is None:
         raise _Unproven
     return sections, edges
@@ -679,14 +689,15 @@ def _section(data: bytes, at: int, key: str, depth: Any) -> tuple[Any, int]:
     ``{"``) are read in slices by :func:`_sliced` and :func:`_ranked`
     (which checks the ranks against ``depth``, the ``depth`` value read
     before them, if any), and decoded whole in place by :func:`_value`
-    where the slices cannot show them; any other value is decoded by
-    :func:`_value`."""
+    where the slices cannot show them (a decoded value of a type they do
+    not expect may raise ``TypeError`` there); any other value is
+    decoded by :func:`_value`."""
     try:
         if key == "nodes" and data.startswith(b"[{", at):
             return _sliced(data, at)
         if key == "ranks" and data.startswith(b'{"', at):
             return _ranked(data, at, depth)
-    except (_Unproven, *_SCAN_ERRORS):
+    except (_Unproven, TypeError):
         pass
     return _value(data, at, key)
 
@@ -696,12 +707,11 @@ def _slices(data: bytes, at: int, close: int, cut: bytes, size: int) -> Iterator
     decoded in slices of about ``size`` bytes.
 
     Each slice is cut at the comma in a ``cut`` (where one member ends
-    and the next starts), decoded strictly as UTF-8 (a cut never splits
-    a character) and decoded by the scanner as an array or object of its
-    own, in the brackets of the whole; it is accepted only if it scans
-    to exactly its own end, so the slices together hold exactly the
-    members of the whole value, whatever the cuts fell into. Anything
-    else raises ``_Unproven``.
+    and the next starts; a cut never splits a character) and decoded by
+    :func:`_scan` as an array or object of its own, in the brackets of
+    the whole; it is accepted only if it scans to exactly its own end,
+    so the slices together hold exactly the members of the whole value,
+    whatever the cuts fell into. Anything else raises ``_Unproven``.
     """
     view, comma = memoryview(data), cut.index(b",")
     opening, closing = chr(data[at]), chr(data[close])
@@ -709,9 +719,8 @@ def _slices(data: bytes, at: int, close: int, cut: bytes, size: int) -> Iterator
     while True:
         found = data.find(cut, start + size, close)
         stop = close if found < 0 else found + comma
-        piece = f"{opening}{str(view[start:stop], 'utf-8')}{closing}"
-        value, end = _scan_value(piece, 0)
-        if end != len(piece):
+        value, rest = _scan(view[start:stop], opening, closing)
+        if rest:
             raise _Unproven
         yield value
         if found < 0:
@@ -807,25 +816,12 @@ def _nodes(raw: dict) -> _Nodes:
 
 
 def _scanned(data: bytes, span: slice) -> Any:
-    """The JSON value at ``span``, once the scanner ends it where the
+    """The JSON value at ``span``, once :func:`_scan` ends it where the
     guess did; raises ``_Unproven`` until then."""
-    try:
-        text = str(memoryview(data)[span], "utf-8")
-        value, end = _scan_value(text, 0)
-    except _SCAN_ERRORS:
-        raise _Unproven from None
-    if end != len(text):
+    value, rest = _scan(memoryview(data)[span])
+    if rest:
         raise _Unproven
     return value
-
-
-def _decoded(data: bytes, span: slice) -> _Groups:
-    """The edges at ``span``, scanned by :func:`_scanned` and grouped by
-    :func:`_grouped`."""
-    try:
-        return _grouped(_scanned(data, span))
-    except _SCAN_ERRORS:
-        raise _Unproven from None
 
 
 def _matched(data: bytes, at: int, pieces: Iterable[bytes]) -> int:
@@ -870,7 +866,7 @@ def _claimed(data: bytes, sections: dict, span: slice) -> _Build:
             nodes.canon.clear()
             return partial(_from_members, sections, nodes, found)
         try:
-            return _compared(sections, _decoded(data, span), nodes)
+            return _compared(sections, _grouped(_scanned(data, span)), nodes)
         except _Unproven:
             pass
         # Where the edges are JSON, their first fault is named from
@@ -1028,7 +1024,7 @@ def _walked(data: bytes, errors: str) -> AnnotatedGraph:
     nodes = _nodes(raw)
     try:
         build = _compared(raw, _grouped(raw.get("edges")), nodes)
-    except (_Unproven, TypeError):
+    except _Unproven:
         _name_edges(raw, nodes)
         raise
     return build()

@@ -103,11 +103,16 @@ def paths_to(value, kind):
 def mutate(raw, draw) -> str:
     """A document or spec text with one to three faults: a field
     dropped, retyped or duplicated (a repeated key is written twice), a
-    string swapped for a foreign id, or an integer moved."""
+    string swapped for a foreign id, an integer moved, or one character
+    of the dumped text inserted, deleted or duplicated."""
     value = copy.deepcopy(raw)
     repeated = {}
+    spliced = 0
     for _ in range(draw(st.integers(1, 3))):
-        fault = draw(st.sampled_from(("drop", "retype", "duplicate", "foreign", "move")))
+        fault = draw(st.sampled_from(("drop", "retype", "duplicate", "foreign", "move", "text")))
+        if fault == "text":
+            spliced += 1
+            continue
         if fault == "foreign":
             pool = list(paths_to(value, str))
         elif fault == "move":
@@ -139,7 +144,15 @@ def mutate(raw, draw) -> str:
     text = json.dumps(value, sort_keys=draw(st.booleans()))
     for placeholder, key in repeated.items():
         text = text.replace(placeholder, key)
-    return text.replace(json.dumps(HUGE), "9" * 5000)
+    text = text.replace(json.dumps(HUGE), "9" * 5000)
+    for _ in range(spliced):
+        at = draw(st.integers(0, len(text) - 1))
+        kind = draw(st.sampled_from(("insert", "delete", "duplicate")))
+        if kind == "insert":
+            text = text[:at] + draw(st.sampled_from('{}[],:"\\0 ')) + text[at:]
+        else:
+            text = text[:at] + text[at + 1 :] if kind == "delete" else text[: at + 1] + text[at:]
+    return text
 
 
 @st.composite

@@ -580,6 +580,67 @@ def test_mutated_documents_fail_as_the_reference_fails():
     assert len(messages) >= 20, sorted(messages)
 
 
+# Inserted by a byte fault: JSON's structural bytes, a backslash, a
+# digit, a space, a valid two-byte character and two bytes that are not
+# UTF-8 where they stand.
+_INSERTED = (*(bytes([b]) for b in b'{}[],:"\\0 '), "é".encode(), b"\xc3", b"\xff")
+
+
+def _byte_fault(rng, data: bytes) -> bytes:
+    """``data`` with one byte-level fault at a random offset: a byte
+    inserted, a byte deleted, a short span duplicated, or the rest cut
+    off."""
+    at = rng.randrange(len(data))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return data[:at] + rng.choice(_INSERTED) + data[at:]
+    if kind == 1:
+        return data[:at] + data[at + 1 :]
+    if kind == 2:
+        return data[: at + rng.randint(1, 8)] + data[at:]
+    return data[:at]
+
+
+def test_byte_faults_read_as_the_reference_reads_them(monkeypatch):
+    """One byte inserted, deleted or duplicated in a writer's output, or
+    the output cut short, reads as the reference reads the text: the
+    same document or the same error at the same path, and never another
+    exception. Bytes that are not UTF-8 are refused at ``$``. The larger
+    documents are read in many ``nodes`` and ``ranks`` slices, so that
+    faults land inside a slice as well as at a cut."""
+    rng = random.Random(41)
+    chain_seed = CodeSpec(
+        atoms=(AtomDecl("a", "chain", 300),),
+        naturals_up_to=2,
+        tuples=(TupleDecl(0, ("a",)),),
+        code_style="chain",
+        code_length=1,
+    )
+    several = [
+        serialize(complete(quine_atoms([f"q{i}" for i in range(10)]), 1)),
+        serialize(dred_complete(dred_from_graph(von_neumann_seed(2)), 2)),
+        serialize(assemble(chain_seed).dred),
+    ]
+    kinds = set()
+    for lines, size, cases in ((valid_lines(), None, 900), (several, 1 << 12, 100)):
+        if size is not None:
+            monkeypatch.setattr(document, "_NODES_SLICE", size)
+            monkeypatch.setattr(document, "_RANKS_SLICE", size)
+        for _ in range(cases):
+            data = _byte_fault(rng, rng.choice(lines).encode())
+            ours = outcome(deserialize, data)
+            try:
+                text = data.decode()
+            except UnicodeDecodeError as e:
+                message = f"$: invalid UTF-8 at byte {e.start}: {e.reason}"
+                assert ours == ("raised", "SchemaError", "$", message), ours
+                kinds.add("not UTF-8")
+                continue
+            assert ours == outcome(reference_deserialize, text), data
+            kinds.add(ours[0] if ours[0] == "ok" else ours[1])
+    assert kinds == {"ok", "SchemaError", "not UTF-8"}, kinds
+
+
 def _provenance_fault_then_duplicate(rng, payload):
     """``nodes[0]`` gets an unknown provenance kind and a copy of a later
     entry goes in after that entry: every id is named before any
