@@ -56,8 +56,10 @@ def _resolve_budget(value: int | None) -> Budget:
             return DEFAULT_BUDGET
         try:
             value = int(raw)
+            if value < 1:
+                raise ValueError(value)
         except ValueError:
-            raise SpecValidationError(f"{_BUDGET_ENV} must be an integer, got {raw!r}")
+            raise SpecValidationError(f"{_BUDGET_ENV} must be a positive integer, got {raw!r}")
     return Budget(value)
 
 

@@ -508,27 +508,14 @@ def is_isomorphic(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
     or the branches together re-colour more than ``_SEARCH_STATE_LIMIT``
     nodes.
     """
-    return _matching_colours(a, b) is not None
+    return _isomorphism(a, b) is not None
 
 
 def _isomorphism(a: ExtensionalDigraph, b: ExtensionalDigraph) -> dict[NodeId, NodeId] | None:
     """The isomorphism from ``a`` onto ``b`` that :func:`is_isomorphic`
-    settles on, or None where there is none; raises what
+    settles on, the colour-matching map of colourings found as it
+    describes, or None where there is none; raises what
     :func:`is_isomorphic` raises."""
-    colours = _matching_colours(a, b)
-    if colours is None:
-        return None
-    col_a, col_b = colours
-    node_of = {c: y for y, c in col_b.items()}
-    return {x: node_of[c] for x, c in col_a.items()}
-
-
-def _matching_colours(
-    a: ExtensionalDigraph, b: ExtensionalDigraph
-) -> tuple[dict[NodeId, int], dict[NodeId, int]] | None:
-    """Injective colourings of ``a`` and ``b`` whose colour-matching map
-    is an isomorphism, found as :func:`is_isomorphic` describes, or
-    None where there is none."""
     _require_iso_count(len(a.nodes), len(b.nodes))
     if len(a.nodes) != len(b.nodes):
         return None
@@ -594,7 +581,8 @@ def _matching_colours(
             col_a, col_b = _refine([a, b], [col_a, col_b])
             verdict = settle(col_a, col_b)
         if verdict:
-            return col_a, col_b
+            node_of = {c: y for y, c in col_b.items()}
+            return {x: node_of[c] for x, c in col_a.items()}
         if verdict is None:
             cells: dict[int, list[NodeId]] = {}
             for node, c in col_a.items():

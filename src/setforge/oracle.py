@@ -33,7 +33,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Hashable, Iterable, Iterator, Mapping, MutableMapping, NamedTuple, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .completion import Budget, DEFAULT_BUDGET
 from .errors import BudgetExceededError, DecorationError, SetforgeError
@@ -352,19 +352,21 @@ def _by_level(g: ExtensionalDigraph) -> tuple[dict[int, list[NodeId]], dict[Node
     return levels, fixed
 
 
-def _lifts(
+def _induced(
     ext_a: Mapping[NodeId, frozenset[NodeId]] | Sequence[tuple[int, ...]],
     b: ExtensionalDigraph,
     phi: Mapping[Hashable, NodeId],
     groups: tuple,
-) -> bool:
-    """True when ``phi``, a map of the non-deficiency nodes of a graph
-    whose nodes' members ``ext_a`` gives, extends to an isomorphism
-    onto ``b``; False when the level walk cannot extend it, which
-    decides nothing.  ``groups`` holds the :func:`_by_level` groups of
-    that graph and of ``b``; the walk only reads them.  ``ext_a`` maps
-    each node to its members, or lists each node's member positions,
-    the node named by its own position in the list.
+) -> dict[Hashable, NodeId] | None:
+    """The isomorphism onto ``b`` that the level walk extends ``phi``
+    to, ``phi`` a map of the non-deficiency nodes of a graph whose
+    nodes' members ``ext_a`` gives; None when the walk cannot extend
+    it, which decides nothing.  The map of the empty graph is ``{}``,
+    so a caller tests the result against None.  ``groups`` holds the
+    :func:`_by_level` groups of that graph and of ``b``; the walk only
+    reads them.  ``ext_a`` maps each node to its members, or lists each
+    node's member positions, the node named by its own position in the
+    list.
 
     ``phi`` must be one to one onto the non-deficiency nodes of ``b``
     and keep provenance colours.  The walk then names the deficiency
@@ -375,8 +377,8 @@ def _lifts(
     or a spelling that no node of ``b`` at the level has ends the walk.
     With the non-deficiency nodes' members carried onto their images'
     too, the map is an isomorphism in :func:`is_isomorphic`'s sense, so
-    True is exact.  Every isomorphism of two seeds lifts to their exact
-    completions: a level adds exactly the subsets that no node
+    a map is exact.  Every isomorphism of two seeds lifts to their
+    exact completions: a level adds exactly the subsets that no node
     represents, and an isomorphism carries those onto those.
     """
     (levels_a, fixed_a), (levels_b, fixed_b) = groups
@@ -391,38 +393,31 @@ def _lifts(
             for x, p in fixed_a.items()
         )
     ):
-        return False
-    names: MutableMapping[Hashable, NodeId] | list[NodeId | None]
-    if isinstance(ext_a, Mapping):
-        names = dict(phi)
-    else:
-        # None, which no extension holds, where a position is not named yet.
-        names = [None] * len(ext_a)
-        for x, y in phi.items():
-            names[x] = y
+        return None
+    names = dict(phi)
     extensions = b.extensions
     for level in sorted(levels_a):
         xs, ys = levels_a[level], levels_b[level]
         if len(xs) != len(ys):
-            return False
+            return None
         table = {extensions[y]: y for y in ys}
         try:
             found = [table.pop(frozenset(map(names.__getitem__, ext_a[x]))) for x in xs]
         except KeyError:
-            return False
-        for x, y in zip(xs, found):
-            names[x] = y
-    return all(
-        frozenset(map(names.__getitem__, ext_a[x])) == extensions[y] for x, y in phi.items()
-    )
+            return None
+        names.update(zip(xs, found))
+    if all(frozenset(map(names.__getitem__, ext_a[x])) == extensions[y] for x, y in phi.items()):
+        return names
+    return None
 
 
 def _seed_map_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, groups: tuple) -> bool:
-    """:func:`_lifts` from the identity where both graphs have the same
-    non-deficiency nodes with equal provenance, as a completion and its
-    :func:`oracle_complete` do, else from the isomorphism that
-    :func:`_isomorphism` finds between the non-deficiency parts where
-    each is a graph of its own (no node of it holds a deficiency node)."""
+    """Whether :func:`_induced` extends the identity where both graphs
+    have the same non-deficiency nodes with equal provenance, as a
+    completion and its :func:`oracle_complete` do, else the isomorphism
+    that :func:`_isomorphism` finds between the non-deficiency parts
+    where each is a graph of its own (no node of it holds a deficiency
+    node)."""
     fixed_a, fixed_b = groups[0][1], groups[1][1]
     if fixed_a == fixed_b:
         phi = dict(zip(fixed_a, fixed_a))
@@ -436,19 +431,20 @@ def _seed_map_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, groups: tuple)
         phi = _isomorphism(*parts)
         if phi is None:
             return False
-    return _lifts(a.extensions, b, phi, groups)
+    return _induced(a.extensions, b, phi, groups) is not None
 
 
 def stages_agree(ours: ExtensionalDigraph, g: ExtensionalDigraph, values: StageValues) -> bool:
-    """:func:`_lifts` from the identity, of ``stages_graph(g, values)``
-    onto ``ours``, decided on the values themselves, without that
-    graph: its nodes are named by their positions in :func:`_members`'
-    order, each stage's subsets at the level of their stage and the
-    input's deficiency nodes at theirs.  The non-deficiency nodes of
-    ``ours`` must be the input's with the same provenance, exactly,
-    since :func:`_lifts` compares provenance colours, which ignore seed
-    labels.  It decides what the lift of ``ours`` onto that graph
-    decides: a map and its inverse are built by the same level walk.
+    """Whether :func:`_induced` extends the identity, of
+    ``stages_graph(g, values)`` onto ``ours``, decided on the values
+    themselves, without that graph: its nodes are named by their
+    positions in :func:`_members`' order, each stage's subsets at the
+    level of their stage and the input's deficiency nodes at theirs.
+    The non-deficiency nodes of ``ours`` must be the input's with the
+    same provenance, exactly, since :func:`_induced` compares
+    provenance colours, which ignore seed labels.  It decides what the
+    lift of ``ours`` onto that graph decides: a map and its inverse are
+    built by the same level walk.
     """
     node_of, pool, stages = values
     levels_ours, fixed = _by_level(ours)
@@ -465,7 +461,8 @@ def stages_agree(ours: ExtensionalDigraph, g: ExtensionalDigraph, values: StageV
         levels[level] = [*levels.get(level, ()), *map(position.__getitem__, xs)]
     phi = {position[x]: x for x in fixed}
     fixed_values = {position[x]: p for x, p in fixed.items()}
-    return _lifts(_members(values), ours, phi, ((levels, fixed_values), (levels_ours, fixed)))
+    groups = ((levels, fixed_values), (levels_ours, fixed))
+    return _induced(_members(values), ours, phi, groups) is not None
 
 
 def compare(a: ExtensionalDigraph, b: ExtensionalDigraph) -> ComparisonVerdict:

@@ -431,9 +431,13 @@ def test_budget_env_variable(monkeypatch):
     doc = seed("vN", "3")
     code, _, err = invoke(["complete", "--levels", "3"], doc)
     assert code == 2
-    monkeypatch.setenv("SETFORGE_BUDGET", "not-a-number")
-    code, _, _ = invoke(["complete", "--levels", "1"], doc)
-    assert code == 3
+    for raw in ("not-a-number", "0", "-5"):
+        monkeypatch.setenv("SETFORGE_BUDGET", raw)
+        assert invoke(["complete", "--levels", "1"], doc) == (
+            3,
+            "",
+            f"SETFORGE_BUDGET must be a positive integer, got {raw!r}\n",
+        )
 
 
 # -- check variants ----------------------------------------------------------

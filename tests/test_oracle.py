@@ -9,6 +9,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setforge import (
     AtomDecl,
@@ -29,6 +31,9 @@ from setforge import (
     compare,
     complete,
     decorate,
+    define_class,
+    eval_formula,
+    free_variables,
     is_isomorphic,
     loop_code,
     oracle_complete,
@@ -36,17 +41,21 @@ from setforge import (
     value_extension,
     von_neumann_seed,
 )
-from setforge import oracle
+from setforge import cli, oracle
 from setforge.cli import main
+from setforge.graph import _provenance_colour
 
 import helpers
 from helpers import (
     key_syntax_seed,
+    print_formula,
     random_decorable_graph,
     random_extensional_graph,
+    random_formula,
     reference_is_isomorphic,
     reference_oracle_complete,
 )
+from test_logic import random_guarded_formula
 
 
 # -- value construction and interning ----------------------------------------
@@ -474,8 +483,9 @@ def level_of(g: ExtensionalDigraph, x: str) -> int:
 
 
 def lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, phi: dict) -> bool:
-    """``oracle._lifts`` with each graph grouped by level here."""
-    return oracle._lifts(a.extensions, b, phi, (oracle._by_level(a), oracle._by_level(b)))
+    """``oracle._induced`` with each graph grouped by level here."""
+    groups = (oracle._by_level(a), oracle._by_level(b))
+    return oracle._induced(a.extensions, b, phi, groups) is not None
 
 
 def seed_map_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
@@ -484,7 +494,7 @@ def seed_map_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
 
 
 def identity_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
-    """``oracle._lifts`` from the identity on the non-deficiency nodes,
+    """``oracle._induced`` from the identity on the non-deficiency nodes,
     which both graphs must have with equal provenance."""
     fixed = oracle._by_level(a)[1]
     return fixed == oracle._by_level(b)[1] and lifts(a, b, dict(zip(fixed, fixed)))
@@ -680,7 +690,7 @@ def test_one_grouping_serves_every_walk_over_a_graph():
     assert lifts(h, h, identity) and not lifts(h, h, swap)
     grouping = oracle._by_level(h)
     for phi, expected in [(identity, True), (swap, False), (identity, True), (swap, False)]:
-        assert oracle._lifts(h.extensions, h, phi, (grouping, grouping)) is expected
+        assert (oracle._induced(h.extensions, h, phi, (grouping, grouping)) is not None) is expected
 
 
 def test_compare_groups_each_graph_by_level_once(monkeypatch):
@@ -703,6 +713,85 @@ def test_compare_groups_each_graph_by_level_once(monkeypatch):
         calls.clear()
         assert compare(x, y).isomorphic == isomorphic
         assert len(calls) == 2 and calls[0] is x and calls[1] is y
+
+
+# -- atom permutations as automorphisms ---------------------------------------
+
+
+@st.composite
+def atoms_beside_a_stage_completed(draw) -> tuple[ExtensionalDigraph, dict[str, str]]:
+    """A completion of quine atoms beside a von Neumann stage, at 1
+    level from at most 6 seed nodes or at 2 levels from at most 3 (4
+    would make 65,536 nodes), and a map of its seed nodes that permutes
+    the atoms and fixes the stage's nodes."""
+    levels = draw(st.integers(1, 2))
+    most = 6 if levels == 1 else 3
+    k = draw(st.integers(2, most))
+    stage = draw(st.sampled_from([s for s, size in enumerate((0, 1, 2, 4)) if k + size <= most]))
+    atoms, vn = quine_atoms([f"q{i}" for i in range(k)]), von_neumann_seed(stage)
+    seed = ExtensionalDigraph(
+        {**atoms.extensions, **vn.extensions}, {**atoms.provenance, **vn.provenance}
+    )
+    order = sorted(atoms.nodes)
+    phi = {**{x: x for x in vn.nodes}, **dict(zip(order, draw(st.permutations(order))))}
+    return complete(seed, levels).graph, phi
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(atoms_beside_a_stage_completed(), st.randoms(use_true_random=False))
+def test_atom_permutations_induce_automorphisms(case, rng):
+    """A permutation of the atoms that fixes every other seed node lifts
+    to an automorphism of the exact completion (Jech, *The Axiom of
+    Choice*, 1973, ch. 4), and ``_induced`` returns it.  A class defined
+    without parameters is closed under it, and a formula holds at an
+    environment exactly when it holds at the mapped one, which checks
+    the kernel, the guarded quantifiers and ``define_class`` together
+    without trusting any of them."""
+    g, phi = case
+    groups = oracle._by_level(g)
+    induced = oracle._induced(g.extensions, g, phi, (groups, groups))
+    assert induced is not None
+    assert induced.keys() == g.nodes and set(induced.values()) == g.nodes
+    for x, ext in g.extensions.items():
+        assert {induced[m] for m in ext} == g.extensions[induced[x]]
+        assert _provenance_colour(g.provenance[x]) == _provenance_colour(g.provenance[induced[x]])
+    nodes = g.sorted_nodes()
+    # A quantifier may scan every node, and a define scans them once more
+    # for its free variable, so a define at ``depth`` and an eval at
+    # ``depth + 1`` each take at most about 2**20 steps.
+    depth = min(3, 20 // (len(nodes) - 1).bit_length() - 1)
+    seen: set[str] = set()
+    for _ in range(12):
+        for f in (
+            random_formula(rng, depth, ("x",)),
+            random_guarded_formula(rng, depth, ("x",), ("x",), seen),
+        ):
+            if free_variables(f) == {"x"}:
+                selected = define_class(g, f)
+                assert {induced[x] for x in selected} == selected, print_formula(f)
+        for f in (
+            random_formula(rng, depth + 1, ("x", "y", "z")),
+            random_guarded_formula(rng, depth + 1, ("x", "y", "z"), ("x", "y", "z"), seen),
+        ):
+            for _ in range(8):
+                env = {v: rng.choice(nodes) for v in free_variables(f)}
+                mapped = {v: induced[x] for v, x in env.items()}
+                assert eval_formula(g, f, env) == eval_formula(g, f, mapped), print_formula(f)
+
+
+def test_the_empty_graph_is_matched_by_its_empty_map(capsys, monkeypatch):
+    """The level walk's map of the empty graph is ``{}``, which is
+    falsy: ``oracle-compare`` must take it as a match from the stage
+    values, and never build the reference graph."""
+
+    def unbuilt(g, values):
+        raise AssertionError("built the reference graph")
+
+    monkeypatch.setattr(cli, "stages_graph", unbuilt)
+    assert main(["seed", "empty"]) == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
+    assert main(["oracle-compare", "--levels", "0", "--porcelain"]) == 0
+    assert capsys.readouterr().out == "oracle\tisomorphic\tisomorphic\n"
 
 
 # -- the stage values against the kernel's nodes ------------------------------
