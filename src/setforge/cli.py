@@ -283,8 +283,8 @@ def _cmd_define(args: argparse.Namespace) -> int:
     doc = _read_document()
     formula = _resolve_formula(doc, args.formula)
     members = sorted(define_class(doc.graph, formula))
-    for node in members:
-        print(f"define\t{node}" if args.porcelain else node)
+    prefix = "define\t" if args.porcelain else ""
+    sys.stdout.write("".join(f"{prefix}{node}\n" for node in members))
     if not args.porcelain:
         print(f"{len(members)} nodes", file=sys.stderr)
     return 0

@@ -3,8 +3,8 @@
 The language has two atom shapes, ``x in y`` and ``x = y``, the usual
 connectives, and two quantifiers ranging over the nodes of a graph.
 Formulas are plain frozen dataclasses; the evaluator compiles a formula
-to nested closures once and then runs it against environments, which
-keeps class definition over every node affordable.
+to generated Python source, a function per quantifier, once per call,
+which keeps class definition over every node affordable.
 
 Syntax accepted by :func:`parse`::
 
@@ -25,7 +25,7 @@ which emits ASCII, checks parsing by round trip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .errors import FormulaError, ParseError, UnknownNodeError
 from .graph import ExtensionalDigraph, NodeId, extensionality_violation
@@ -91,13 +91,13 @@ Formula = Union[Member, Equal, Not, And, Or, Implies, Iff, Exists, ForAll]
 _KEYWORDS = frozenset({"in", "exists", "all"})
 
 # The binary connectives, loosest first: token, class, whether it
-# associates to the right, and the truth function that makes its
-# closure from its operands' closures.
+# associates to the right, and its source template: a format with a slot
+# per operand if it does, else the separator of its flattened chain.
 _CONNECTIVES = (
-    ("<->", Iff, True, lambda a, b: lambda env: a(env) is b(env)),
-    ("->", Implies, True, lambda a, b: lambda env: not a(env) or b(env)),
-    ("|", Or, False, lambda a, b: lambda env: a(env) or b(env)),
-    ("&", And, False, lambda a, b: lambda env: a(env) and b(env)),
+    ("<->", Iff, True, "({} is {})"),
+    ("->", Implies, True, "(not {} or {})"),
+    ("|", Or, False, " or "),
+    ("&", And, False, " and "),
 )
 
 
@@ -177,11 +177,11 @@ MAX_FORMULA_DEPTH = 100
 Every atom, negation, quantifier, binary connective and parenthesised
 group is one level, and a formula's depth is the number of levels on
 its longest root-to-atom path: ``x in y`` is 1, ``!(x in y)`` is 3, and
-a chain of k conjuncts is k.  The free-variable walk, the evaluator and
-the test suite's printer recurse once per level, and the parser at most
-three times (a parenthesised group: the connective loop, the unary and
-the atom), so a formula at the cap needs about 305 frames, well inside
-Python's default recursion limit.
+a chain of k conjuncts is k.  The free-variable walk, the source
+generator and the test suite's printer recurse once per level, and the
+parser at most three times (a parenthesised group: the connective loop,
+the unary and the atom), so a formula at the cap needs about 305
+frames, well inside Python's default recursion limit.
 """
 
 
@@ -290,19 +290,19 @@ def parse(text: str) -> Formula:
 # evaluation
 
 
-_MISSING = object()
+# The most formula levels one generated expression holds; a deeper
+# subformula is hoisted into a function of its own.  Each level adds a
+# pair of parentheses, and CPython's parser refuses 200 nested ones.
+_HOIST_DEPTH = 50
 
 
-def _conjuncts(f: Formula) -> Iterator[Formula]:
-    """The conjuncts of ``f``'s ``&`` tree, left to right.
-
-    An explicit stack, so a long chain of conjuncts costs no Python
-    frames beyond the ones compiling it already takes.
-    """
+def _chain(f: Formula, cls: type) -> Iterator[Formula]:
+    """The operands of ``f``'s tree of ``cls`` nodes, left to right, by
+    an explicit stack, so that a long chain costs no Python frames."""
     stack = [f]
     while stack:
         node = stack.pop()
-        if isinstance(node, And):
+        if isinstance(node, cls):
             stack.append(node.right)
             stack.append(node.left)
         else:
@@ -310,80 +310,101 @@ def _conjuncts(f: Formula) -> Iterator[Formula]:
 
 
 def _guard(f: Exists | ForAll) -> Member | None:
-    """The guard of quantifier ``f`` (see :func:`_compile`), or None."""
+    """The guard of quantifier ``f`` (see :class:`_Source`), or None."""
     if isinstance(f, Exists):
         scope = f.body
     elif isinstance(f.body, Implies):
         scope = f.body.left
     else:
         return None
-    for atom in _conjuncts(scope):
+    for atom in _chain(scope, And):
         if isinstance(atom, Member) and atom.left != atom.right:
             if f.var in (atom.left, atom.right):
                 return atom
     return None
 
 
-def _compile(f: Formula, g: ExtensionalDigraph) -> Callable[[dict[Var, NodeId]], bool]:
-    """Compile ``f`` to a closure that evaluates it in an environment.
+class _Source:
+    """The Python source of one formula over one graph: a ``def`` per
+    quantifier and per hoisted subformula, whose parameters are the
+    variables in scope. Every identifier is generated (``p0…`` free
+    variables, ``v1…`` bound ones, ``q0…`` functions), so no variable
+    name, node id or formula text reaches the source. The namespace
+    holds the extension map ``ext``, the sorted ``nodes`` and, only once
+    a container guard is generated, the containers ``con``.
 
     A quantifier over ``v`` is guarded when it has the shape
     ``exists v. (... & G & ...)`` or ``all v. ((... & G & ...) -> F)``,
     where G is a membership atom between ``v`` and a different variable
     ``u``; the first such conjunct, left to right, is the guard. Only a
-    node in the guard's index can satisfy G, so a guarded quantifier
-    ranges over that index: ``extensions[u]`` for ``v in u`` and
+    node in the guard's index can satisfy G, so a guarded quantifier's
+    loop runs over that index: ``extensions[u]`` for ``v in u`` and
     ``containers()[u]`` for ``u in v``. Any other node would make the
     ``exists`` body false and the ``all`` body true, so the result is
     the one a scan of every node gives. ``v in v`` is no guard, and
-    every unguarded quantifier ranges over all nodes in sorted order.
+    every unguarded quantifier runs over all nodes in sorted order.
     """
-    extensions = g.extensions
-    if isinstance(f, Member):
-        left, right = f.left, f.right
-        return lambda env: env[left] in extensions[env[right]]
-    if isinstance(f, Equal):
-        left, right = f.left, f.right
-        return lambda env: env[left] == env[right]
-    if isinstance(f, Not):
-        body = _compile(f.body, g)
-        return lambda env: not body(env)
-    for _, cls, _, truth in _CONNECTIVES:
-        if isinstance(f, cls):
-            return truth(_compile(f.left, g), _compile(f.right, g))
-    if isinstance(f, (Exists, ForAll)):
-        body = _compile(f.body, g)
-        var = f.var
-        want = isinstance(f, Exists)
-        guard = _guard(f)
-        domain: Callable[[dict[Var, NodeId]], Iterable[NodeId]]
-        if guard is None:
-            nodes = g.sorted_nodes()
-            domain = lambda env: nodes
-        elif guard.left == var:
-            owner = guard.right
-            domain = lambda env: extensions[env[owner]]
-        else:
-            member = guard.left
-            containers = g.containers()
-            domain = lambda env: containers[env[member]]
 
-        def run(env: dict[Var, NodeId]) -> bool:
-            prev = env.get(var, _MISSING)
-            try:
-                for node in domain(env):
-                    env[var] = node
-                    if body(env) is want:
-                        return want
-                return not want
-            finally:
-                if prev is _MISSING:
-                    env.pop(var, None)
-                else:
-                    env[var] = prev  # type: ignore[assignment]
+    def __init__(self, g: ExtensionalDigraph):
+        self.g = g
+        self.namespace = {"__builtins__": {}, "ext": g.extensions, "nodes": g.sorted_nodes()}
+        self.defs: list[str] = []
+        self.bound = 0
 
-        return run
-    raise TypeError(f"not a formula: {f!r}")
+    def function(self, scope: dict[Var, str], body: list[str]) -> str:
+        """Define a function of ``scope``'s identifiers; return its call."""
+        name = f"q{len(self.defs)}"
+        params = ", ".join(scope.values())
+        self.defs.append(f"def {name}({params}):\n" + "".join(f"    {s}\n" for s in body))
+        return f"{name}({params})"
+
+    def expr(self, f: Formula, scope: dict[Var, str], depth: int = 0) -> str:
+        """An expression for ``f``, its variables named as ``scope`` says."""
+        if depth == _HOIST_DEPTH:
+            return self.function(scope, [f"return {self.expr(f, scope)}"])
+        if isinstance(f, Member):
+            return f"({scope[f.left]} in ext[{scope[f.right]}])"
+        if isinstance(f, Equal):
+            return f"({scope[f.left]} == {scope[f.right]})"
+        if isinstance(f, Not):
+            return f"(not {self.expr(f.body, scope, depth + 1)})"
+        for _, cls, right_assoc, template in _CONNECTIVES:
+            if isinstance(f, cls):
+                if right_assoc:
+                    left = self.expr(f.left, scope, depth + 1)
+                    return template.format(left, self.expr(f.right, scope, depth + 1))
+                operands = []
+                for operand in _chain(f, cls):
+                    operands.append(self.expr(operand, scope, depth + 1))
+                return "(" + template.join(operands) + ")"
+        if isinstance(f, (Exists, ForAll)):
+            guard = _guard(f)
+            if guard is None:
+                domain = "nodes"
+            elif guard.left == f.var:
+                domain = f"ext[{scope[guard.right]}]"
+            else:
+                self.namespace["con"] = self.g.containers()
+                domain = f"con[{scope[guard.left]}]"
+            self.bound += 1
+            var = f"v{self.bound}"
+            body = self.expr(f.body, {**scope, f.var: var})
+            want = isinstance(f, Exists)
+            test = body if want else f"not {body}"
+            loop = [f"for {var} in {domain}:", f"    if {test}:", f"        return {want}"]
+            return self.function(scope, loop + [f"return {not want}"])
+        raise TypeError(f"not a formula: {f!r}")
+
+
+def _generate(g: ExtensionalDigraph, f: Formula, free: list[Var]) -> Callable[..., bool]:
+    """Compile ``f`` to a function of the nodes bound to ``free``, in order."""
+    source = _Source(g)
+    scope = {var: f"p{i}" for i, var in enumerate(free)}
+    body = source.expr(f, scope)
+    if not isinstance(f, (Exists, ForAll)):  # else the last function is f's own
+        source.function(scope, [f"return {body}"])
+    exec(compile("".join(source.defs), "<formula>", "exec"), source.namespace)
+    return source.namespace[f"q{len(source.defs) - 1}"]  # type: ignore[return-value]
 
 
 def eval_formula(
@@ -392,20 +413,19 @@ def eval_formula(
     """Evaluate ``f`` over the nodes of ``g``.
 
     Every free variable must be bound to a node of the graph. A guarded
-    quantifier (see :func:`_compile`) ranges over the extension or the
-    containers of its guard variable's node, every other one over all
-    nodes. Evaluation has no side effects, so the result does not depend
-    on the order in which a quantifier visits its nodes.
+    quantifier (see :class:`_Source`) ranges over its guard's index,
+    every other one over all nodes. Evaluation has no side effects, so
+    the result does not depend on the order a quantifier visits nodes in.
     """
     bound = dict(env or {})
-    missing = sorted(free_variables(f) - bound.keys())
+    free = sorted(free_variables(f))
+    missing = [var for var in free if var not in bound]
     if missing:
         raise FormulaError(f"unbound variable {missing[0]!r}")
     for var, node in bound.items():
         if node not in g.nodes:
             raise UnknownNodeError(f"binding {var}={node!r} names an unknown node")
-    compiled = _compile(f, g)
-    return compiled(bound)
+    return _generate(g, f, free)(*[bound[var] for var in free])
 
 
 def define_class(g: ExtensionalDigraph, f: Formula) -> frozenset[NodeId]:
@@ -415,15 +435,7 @@ def define_class(g: ExtensionalDigraph, f: Formula) -> frozenset[NodeId]:
         raise FormulaError(
             f"class definition needs exactly one free variable, got {fv or 'none'}"
         )
-    var = fv[0]
-    compiled = _compile(f, g)
-    env: dict[Var, NodeId] = {}
-    selected = []
-    for node in g.sorted_nodes():
-        env[var] = node
-        if compiled(env):
-            selected.append(node)
-    return frozenset(selected)
+    return frozenset(filter(_generate(g, f, fv), g.sorted_nodes()))
 
 
 # ---------------------------------------------------------------------------

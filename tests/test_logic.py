@@ -631,3 +631,103 @@ def test_containers_built_only_for_a_container_guard():
 def test_deep_library_formula_still_compiles():
     g = ExtensionalDigraph.from_extensions({"e": set()})
     assert define_class(g, chain_code_formula(300)) == frozenset()
+
+
+# -- generated source ----------------------------------------------------------
+
+DEEP = 300
+
+
+def _deep_library_formulas() -> dict:
+    """Formulas ``DEEP`` levels deep, built without the parser, each with
+    the one free variable ``x``.  A quantifier chain's body holds at the
+    first node and fails at the second, so every ``exists`` stops at its
+    first node and every ``all`` at its first node but the innermost."""
+    atoms = (Member("x", "x"), Not(Equal("x", "x")))
+
+    def right(ctor):
+        f = atoms[0]
+        for i in range(DEEP - 1):
+            f = ctor(atoms[i % 2], f)
+        return f
+
+    def left(ctor):
+        f = atoms[0]
+        for i in range(DEEP - 1):
+            f = ctor(f, atoms[i % 2])
+        return f
+
+    def quantifiers(ctor, names):
+        f = And(Member(names[(DEEP - 1) % len(names)], names[(DEEP - 1) % len(names)]),
+                Equal("x", "x"))
+        for i in reversed(range(DEEP)):
+            f = ctor(names[i % len(names)], f)
+        return f
+
+    negations = atoms[0]
+    for _ in range(DEEP - 1):
+        negations = Not(negations)
+    return {
+        "not": negations,
+        "iff": right(Iff),
+        "implies": right(Implies),
+        "and": left(And),
+        "or": left(Or),
+        "exists": quantifiers(Exists, [f"y{i}" for i in range(DEEP)]),
+        "forall": quantifiers(ForAll, ["y", "z"]),  # each rebinds the one two levels out
+    }
+
+
+DEEP_FORMULAS = _deep_library_formulas()
+
+
+def _naive_with_frames(g, f, env):
+    """``naive_eval``, which takes several frames per quantifier, under a
+    recursion limit raised for it alone."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 4 * DEEP)
+    try:
+        return naive_eval(g, f, env)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_FORMULAS))
+def test_deep_library_formulas_agree_with_naive(shape):
+    f = DEEP_FORMULAS[shape]
+    g = ExtensionalDigraph.from_extensions({"a": {"a"}, "b": set()})
+    assert free_variables(f) == {"x"}
+    scan = frozenset(x for x in ("a", "b") if _naive_with_frames(g, f, {"x": x}))
+    assert define_class(g, f) == scan
+    for x in ("a", "b"):
+        assert eval_formula(g, f, {"x": x}) == (x in scan)
+
+
+HOSTILE_NAMES = ("def", "x y", "__import__('os')", "x²", "p0", "v1", "q0", "ext", "nodes", "top")
+
+
+def _hostile_formulas(a: str, b: str) -> list:
+    """Formulas free in ``a`` alone that bind ``b`` and rebind ``a`` and ``b``
+    under it: a member guard, a container guard and an unguarded pair."""
+    return [
+        Exists(b, And(Member(b, a), Exists(a, And(Member(a, b), Not(Equal(a, b)))))),
+        ForAll(b, Implies(Member(a, b), Or(Equal(a, b), ForAll(a, Iff(Member(a, b), Member(b, a)))))),
+        Not(Exists(b, Or(Member(b, b), Exists(b, Equal(a, b))))),
+    ]
+
+
+@pytest.mark.parametrize("name", HOSTILE_NAMES)
+def test_variable_names_never_reach_the_source(name):
+    # Node ids that collide with the generated names as well.
+    g = ExtensionalDigraph.from_extensions(
+        {"ext": set(), "q0": {"ext"}, "p0": {"q0"}, "x y": {"ext", "q0"}, "nodes": {"nodes"}}
+    )
+    other = HOSTILE_NAMES[(HOSTILE_NAMES.index(name) + 1) % len(HOSTILE_NAMES)]
+    for a, b in ((name, "x"), ("x", name), (name, other)):
+        for f in _hostile_formulas(a, b):
+            assert free_variables(f) == {a}
+            scan = frozenset(n for n in g.nodes if naive_eval(g, f, {a: n}))
+            assert define_class(g, f) == scan, (a, b, f)
+            for n in sorted(g.nodes):
+                env = {a: n, b: "p0"}  # the binding of b is shadowed
+                assert eval_formula(g, f, env) == naive_eval(g, f, env) == (n in scan)
