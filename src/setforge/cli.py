@@ -166,25 +166,25 @@ def _spec_from_json(raw: Any) -> tuple[CodeSpec, dict[str, str]]:
 def _cmd_seed(args: argparse.Namespace) -> int:
     if args.kind == "empty":
         if args.arg is not None:
-            raise SpecValidationError("seed empty takes no argument")
+            raise ValueError("seed empty takes no argument")
         _write_runs(_pieces(AnnotatedGraph(ExtensionalDigraph.empty())), sys.stdout)
         return 0
     if args.kind == "vN":
         if args.arg is None:
-            raise SpecValidationError("seed vN needs a stage number")
+            raise ValueError("seed vN needs a stage number")
         _write_runs(_pieces(AnnotatedGraph(von_neumann_seed(int(args.arg)))), sys.stdout)
         return 0
     if args.kind == "quine":
         if args.arg is None:
-            raise SpecValidationError("seed quine needs an atom count")
+            raise ValueError("seed quine needs an atom count")
         count = int(args.arg)
         if count < 0:
-            raise SpecValidationError("atom count must be non-negative")
+            raise ValueError("atom count must be non-negative")
         _write_runs(_pieces(AnnotatedGraph(quine_atoms(f"q{i}" for i in range(count)))), sys.stdout)
         return 0
     # spec file
     if args.arg is None:
-        raise SpecValidationError("seed spec needs a file path")
+        raise ValueError("seed spec needs a file path")
     try:
         with open(args.arg, "r", encoding="utf-8") as handle:
             raw = json.load(handle)

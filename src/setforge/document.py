@@ -167,14 +167,6 @@ def _pieces(doc: AnnotatedGraph) -> list[str]:
         order = g.sorted_nodes()
         quoted = list(map(encode_basestring_ascii, order))
         runs = g.member_runs()
-        at = quoted.__getitem__
-        # Transposed back, runs in member-id order list each node's
-        # members in id order. Reversed, so that each list is popped,
-        # and freed, as its entry is made.
-        members: list[list[str]] = [[] for _ in order]
-        for m, cs in runs:
-            deque(map(list.append, map(members.__getitem__, cs), repeat(at(m))), maxlen=0)
-        members.reverse()
         # The top level is the node set, written from ``quoted``.
         lower = None if doc.levels is None else [_dumps(sorted(x)) for x in doc.levels[:-1]]
         sections = []
@@ -186,6 +178,16 @@ def _pieces(doc: AnnotatedGraph) -> list[str]:
             sections.append(("formulas", [_dumps(doc.formulas)]))
         provenance = list(map(g.provenance.__getitem__, order))
         del doc, g, order
+        at = quoted.__getitem__
+        # Transposed back, runs in member-id order list each node's
+        # members in id order; built only now, from ``runs`` and
+        # ``quoted``, so that they are never held with the graph.
+        # Reversed, so that each list is popped, and freed, as its entry
+        # is made.
+        members: list[list[str]] = [[] for _ in quoted]
+        for m, cs in runs:
+            deque(map(list.append, map(members.__getitem__, cs), repeat(at(m))), maxlen=0)
+        members.reverse()
         sections += [
             ("edges", _array([_edge_run(at(m), map(at, cs)) for m, cs in runs])),
             ("format_version", [str(FORMAT_VERSION)]),
@@ -858,6 +860,19 @@ def _claimed(data: bytes, sections: dict, span: slice) -> _Build:
         # nor the sections are kept while the edges are decoded.
         error = e.with_traceback(None)
     else:
+        # Decoded, each level repeats ids the nodes hold already: each
+        # becomes the node's own string object (an unknown id stays, for
+        # ``_level_fault`` to name), so the copies are freed before
+        # ``_found`` builds its runs.
+        levels = sections.get("levels")
+        if (
+            type(levels) is list
+            and _all_of(levels, list)
+            and _all_of(chain.from_iterable(levels), str)
+        ):
+            canon = nodes.canon.get
+            for level in levels:
+                level[:] = map(canon, level, level)
         try:
             found = _found(data, nodes, span)
         except _Unproven:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -178,13 +178,14 @@ class ExtensionalDigraph:
         indices into ``sorted_nodes()``: each member that has
         containers, in id order, with its containers in id order.
         Nothing is sorted: walking the containers in id order lists each
-        member's containers in id order."""
+        member's containers in id order. Only a node that is a member
+        gets a list, which in a completion is a few nodes of many."""
         order = self.sorted_nodes()
-        containers: dict[NodeId, list[int]] = {x: [] for x in order}
+        containers: defaultdict[NodeId, list[int]] = defaultdict(list)
         for i, container in enumerate(order):
             for member in self.extensions[container]:
                 containers[member].append(i)
-        return [(i, cs) for i, cs in enumerate(containers.values()) if cs]
+        return [(i, containers[x]) for i, x in enumerate(order) if x in containers]
 
     def __repr__(self) -> str:  # keep test failures readable
         return f"ExtensionalDigraph({len(self.nodes)} nodes, {sum(map(len, self.extensions.values()))} edges)"

@@ -6,8 +6,10 @@ values (hereditarily finite sets over atoms and self-membered codes)
 and grows the value universe stage by stage with itertools
 (:func:`oracle_stages`).  A stage's subsets are named by the positions
 of their members in the run's list of values; only a stage that a
-later stage draws from is made into values.  A completion is checked
-against those subsets directly, its nodes matched to them by position
+later stage draws from is made into values.  A stage is priced up
+front and then drawn again, in the same order, each time it is walked,
+never held as a list.  A completion is checked against those subsets
+directly, its nodes matched to them by position as they are drawn
 (:func:`stages_agree`); the values and subsets make a graph
 (:func:`stages_graph`, :func:`oracle_complete`) only where a graph is
 asked for, or to explain a mismatch.  The two paths share no
@@ -32,6 +34,7 @@ import itertools
 import weakref
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -136,10 +139,31 @@ def value_extension(v: SetValue) -> frozenset[SetValue]:
     raise TypeError(f"not a set value: {v!r}")
 
 
-def _one_stage(values: Sequence[SetValue], budget: Budget, what: str) -> list[tuple[int, ...]]:
-    """All subsets of ``values`` not already represented by one of them,
-    each as the ascending tuple of its members' positions in ``values``,
-    in the order :func:`itertools.combinations` draws them."""
+class _Draw:
+    """The subsets of a stage's values that none of them represents,
+    each as the ascending tuple of its members' positions in those
+    values, in the order :func:`itertools.combinations` draws them.
+    Each pass draws them again, so nothing holds them all; their count
+    is known without a draw."""
+
+    __slots__ = ("size", "represented")
+
+    def __init__(self, size: int, represented: set[tuple[int, ...]]) -> None:
+        self.size = size
+        self.represented = represented
+
+    def __len__(self) -> int:
+        return 2**self.size - len(self.represented)
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        by_size = map(partial(itertools.combinations, range(self.size)), range(self.size + 1))
+        drawn = itertools.chain.from_iterable(by_size)
+        return itertools.filterfalse(self.represented.__contains__, drawn)
+
+
+def _one_stage(values: Sequence[SetValue], budget: Budget, what: str) -> _Draw:
+    """The subsets of ``values`` not already represented by one of
+    them, priced against ``budget`` before anything is drawn."""
     if not budget.subset_count_allowed(len(values)):
         raise BudgetExceededError(
             f"{what} needs 2**{len(values)} subset enumerations, over the budget "
@@ -153,12 +177,7 @@ def _one_stage(values: Sequence[SetValue], budget: Budget, what: str) -> list[tu
         for ext in map(value_extension, values)
         if ext <= position.keys()
     }
-    return [
-        combo
-        for size in range(len(values) + 1)
-        for combo in itertools.combinations(range(len(values)), size)
-        if combo not in represented
-    ]
+    return _Draw(len(values), represented)
 
 
 def decorate(g: ExtensionalDigraph) -> dict[NodeId, SetValue]:
@@ -201,11 +220,14 @@ class StageValues(NamedTuple):
     seed node; the run's values, which are the decoration values in key
     order and then each stage but the last, made into values in draw
     order; and the subsets each stage adds, in stage order, as
-    :func:`_one_stage` names them by position in those values."""
+    :func:`_one_stage` names them by position in those values.  A
+    stage is drawn again each time it is walked, in the same order, and
+    never held: the last stage, the largest, is a count and the few
+    tuples its values represent."""
 
     node_of: dict[SetValue, NodeId]
     values: list[SetValue]
-    stages: list[list[tuple[int, ...]]]
+    stages: list[_Draw]
 
 
 def oracle_stages(g: ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET) -> StageValues:
@@ -235,7 +257,7 @@ def oracle_stages(g: ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET
     # value of the run represents, so it is distinct from every other
     # value of the run, and no other run meets it.
     values: list[SetValue] = sorted(node_of, key=_key)
-    stages: list[list[tuple[int, ...]]] = []
+    stages: list[_Draw] = []
     for stage in range(1, n + 1):
         if stages:
             values += [
@@ -254,16 +276,21 @@ def oracle_stages(g: ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET
     return found
 
 
+def _seed_members(values: StageValues) -> list[tuple[int, ...]]:
+    """The members of each decoration value, as positions."""
+    node_of, pool, _ = values
+    seeds = pool[: len(node_of)]
+    position = {v: i for i, v in enumerate(seeds)}
+    return [tuple(map(position.__getitem__, value_extension(v))) for v in seeds]
+
+
 def _members(values: StageValues) -> list[tuple[int, ...]]:
     """The members of each decoration value and then of each stage
     subset, as positions: a stage's subsets follow the values and the
     subsets of the stages before it, where :func:`oracle_stages` puts
     them in its values when a later stage draws from them."""
-    node_of, pool, stages = values
-    seeds = pool[: len(node_of)]
-    position = {v: i for i, v in enumerate(seeds)}
-    members = [tuple(map(position.__getitem__, value_extension(v))) for v in seeds]
-    for fresh in stages:
+    members = _seed_members(values)
+    for fresh in values.stages:
         members += fresh
     return members
 
@@ -357,6 +384,7 @@ def _induced(
     b: ExtensionalDigraph,
     phi: Mapping[Hashable, NodeId],
     groups: tuple,
+    drawn: Mapping[int, Iterable[Iterable[Hashable]]] | None = None,
 ) -> dict[Hashable, NodeId] | None:
     """The isomorphism onto ``b`` that the level walk extends ``phi``
     to, ``phi`` a map of the non-deficiency nodes of a graph whose
@@ -366,7 +394,9 @@ def _induced(
     :func:`_by_level` groups of that graph and of ``b``; the walk only
     reads them.  ``ext_a`` maps each node to its members, or lists each
     node's member positions, the node named by its own position in the
-    list.
+    list.  A level's members are read in step with its names, each
+    once: from ``ext_a``, or, where ``drawn`` is given, as it yields
+    them for the level, which then need not be held anywhere.
 
     ``phi`` must be one to one onto the non-deficiency nodes of ``b``
     and keep provenance colours.  The walk then names the deficiency
@@ -401,11 +431,12 @@ def _induced(
         if len(xs) != len(ys):
             return None
         table = {extensions[y]: y for y in ys}
+        members = map(ext_a.__getitem__, xs) if drawn is None else drawn[level]
         try:
-            found = [table.pop(frozenset(map(names.__getitem__, ext_a[x]))) for x in xs]
+            found = [table.pop(frozenset(map(names.__getitem__, ms))) for ms in members]
         except KeyError:
             return None
-        names.update(zip(xs, found))
+        names.update(zip(xs, found, strict=True))
     if all(frozenset(map(names.__getitem__, ext_a[x])) == extensions[y] for x, y in phi.items()):
         return names
     return None
@@ -452,17 +483,23 @@ def stages_agree(ours: ExtensionalDigraph, g: ExtensionalDigraph, values: StageV
     if fixed != seed_fixed:
         return False
     position = {x: i for i, x in enumerate(map(node_of.__getitem__, pool[: len(node_of)]))}
+    seeds = _seed_members(values)
+    # Each level's names, and its members as the walk reads them: a
+    # stage's subsets drawn again, then the input's deficiency nodes.
     levels: dict[int, Sequence[int]] = {}
+    drawn: dict[int, Iterable[Iterable[int]]] = {}
     start = len(node_of)
     for stage, fresh in enumerate(stages, 1):
-        levels[stage] = range(start, start + len(fresh))
+        levels[stage], drawn[stage] = range(start, start + len(fresh)), fresh
         start += len(fresh)
     for level, xs in seed_levels.items():
-        levels[level] = [*levels.get(level, ()), *map(position.__getitem__, xs)]
+        own = list(map(position.__getitem__, xs))
+        levels[level] = [*levels.get(level, ()), *own]
+        drawn[level] = itertools.chain(drawn.get(level, ()), map(seeds.__getitem__, own))
     phi = {position[x]: x for x in fixed}
     fixed_values = {position[x]: p for x, p in fixed.items()}
     groups = ((levels, fixed_values), (levels_ours, fixed))
-    return _induced(_members(values), ours, phi, groups) is not None
+    return _induced(seeds, ours, phi, groups, drawn) is not None
 
 
 def compare(a: ExtensionalDigraph, b: ExtensionalDigraph) -> ComparisonVerdict:

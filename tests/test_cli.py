@@ -317,9 +317,21 @@ def test_seed_spec_numerals_are_ascii_digits(tmp_path, component):
     assert err == f"component {component!r} is not a declared atom\n"
 
 
-def test_seed_vn_needs_stage():
-    code, _, _ = invoke(["seed", "vN"])
-    assert code == 3
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["seed", "vN"], "seed vN needs a stage number"),
+        (["seed", "quine"], "seed quine needs an atom count"),
+        (["seed", "spec"], "seed spec needs a file path"),
+        (["seed", "empty", "3"], "seed empty takes no argument"),
+        (["seed", "quine", "-1"], "atom count must be non-negative"),
+    ],
+    ids=["vN-no-stage", "quine-no-count", "spec-no-path", "empty-3", "quine-minus-1"],
+)
+def test_seed_vn_needs_stage(argv, message):
+    """A missing, extra or negative ``seed`` argument is a usage error
+    (exit 4), as a stage or count that is not a number is."""
+    assert invoke(argv) == (4, "", message + "\n")
 
 
 def test_seed_vn_stage_out_of_reach():
