@@ -8,7 +8,7 @@ and rank annotations are appended to the label when present.
 
 from __future__ import annotations
 
-from .graph import AnnotatedGraph, Deficiency, ExtensionalDigraph, NodeId, Seed
+from .graph import AnnotatedGraph, Deficiency, ExtensionalDigraph, NodeId, Seed, _require_blocks
 
 _SHADES = ("gray92", "gray84", "gray76", "gray68")
 
@@ -63,7 +63,9 @@ def _pieces(source: AnnotatedGraph) -> list[str]:
     The record is dropped once the node lines and the member runs are
     taken from it, before the edge lines are made, so a caller that
     passes it as a temporary never holds its graph and the edge lines
-    together."""
+    together. A rank map without depths raises SchemaError, as in a document."""
+    if source.rank is not None:
+        _require_blocks(source, "depth")
     g, depth, rank = source.graph, source.depth, source.rank or {}
     order = g.sorted_nodes()
     quoted = list(map(_quote, order))

@@ -148,6 +148,16 @@ class ExtensionalDigraph:
     def empty(cls) -> "ExtensionalDigraph":
         return cls({}, {})
 
+    def restrict(self, part: frozenset[NodeId]) -> "ExtensionalDigraph":
+        """The graph induced on ``part``, checked for closure only: the
+        least node with a member outside ``part`` raises UnknownNodeError."""
+        ext = {x: self.extensions[x] for x in part}
+        x = min((x for x, ms in ext.items() if not ms <= part), default=None)
+        if x is not None:
+            outside = sorted(ext[x] - part)
+            raise UnknownNodeError(f"extension of {x!r} mentions unknown nodes {outside!r}")
+        return ExtensionalDigraph(ext, {x: self.provenance[x] for x in part})
+
     def containers(self) -> dict[NodeId, frozenset[NodeId]]:
         """Inverse of the extension map: node -> nodes it is a member of."""
         cached = self.__dict__.get("_containers")
@@ -197,10 +207,11 @@ class AnnotatedGraph:
 
     ``levels[n]`` is the cumulative node set after ``n`` completion
     steps; ``levels[0]`` is the seed.  ``depth``, ``rank`` and ``top``
-    are a depth/rank (DRED) certificate, given together: its rank
-    families are ``r_1`` to ``r_top``, each ``rank`` on the nodes of
-    depth below ``i`` (see :mod:`setforge.dred`).  ``formulas`` maps
-    names to formula text.  Treat every field as immutable.
+    are a depth/rank (DRED) certificate: its rank families are ``r_1``
+    to ``r_top``, each ``rank`` on the nodes of depth below ``i`` (see
+    :mod:`setforge.dred`).  Construction pairs only ``rank`` with ``top``,
+    but writing, verifying or drawing a rank map needs ``depth`` too.
+    ``formulas`` maps names to formula text.  Treat every field as immutable.
     """
 
     graph: ExtensionalDigraph
@@ -227,8 +238,9 @@ class AnnotatedGraph:
                 raise ValueError("levels must be cumulative")
 
     def level(self, n: int) -> "AnnotatedGraph":
-        """The record induced on ``levels[n]``, with the levels up to
-        ``n`` and the depth and rank maps restricted when present.
+        """The record induced on ``levels[n]``: the record itself for the
+        top level, else ``graph.restrict(levels[n])`` with the levels up
+        to ``n`` and the depth and rank maps restricted when present.
 
         Because completion-created nodes only ever point at older nodes,
         and completion only appends annotations for new nodes, this is
@@ -241,11 +253,10 @@ class AnnotatedGraph:
         _require_blocks(self, "levels")
         if not 0 <= n < len(self.levels):
             raise IndexError(f"level {n} is outside 0..{len(self.levels) - 1}")
+        if n == len(self.levels) - 1:
+            return self
         wanted = self.levels[n]
-        graph = ExtensionalDigraph.from_extensions(
-            {x: self.graph.extensions[x] for x in wanted},
-            {x: self.graph.provenance[x] for x in wanted},
-        )
+        graph = self.graph.restrict(wanted)
         depth = rank = None
         if self.depth is not None:
             depth = {x: self.depth[x] for x in wanted}

@@ -39,7 +39,7 @@ from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .completion import Budget, DEFAULT_BUDGET
-from .errors import BudgetExceededError, DecorationError, SetforgeError
+from .errors import BudgetExceededError, DecorationError, SetforgeError, UnknownNodeError
 from .graph import (
     Deficiency,
     ExtensionalDigraph,
@@ -453,13 +453,10 @@ def _seed_map_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, groups: tuple)
     if fixed_a == fixed_b:
         phi = dict(zip(fixed_a, fixed_a))
     else:
-        parts = []
-        for g, fixed in ((a, fixed_a), (b, fixed_b)):
-            part = {x: g.extensions[x] for x in fixed}
-            if not all(ms <= fixed.keys() for ms in part.values()):
-                return False
-            parts.append(ExtensionalDigraph(part, fixed))
-        phi = _isomorphism(*parts)
+        try:
+            phi = _isomorphism(a.restrict(frozenset(fixed_a)), b.restrict(frozenset(fixed_b)))
+        except UnknownNodeError:
+            return False
         if phi is None:
             return False
     return _induced(a.extensions, b, phi, groups) is not None

@@ -30,9 +30,13 @@ from setforge import (
     SetforgeError,
     SizeLimitError,
     TupleDecl,
+    assemble,
+    atom,
     collection,
     decorate,
     extensionality_violation,
+    loop_code,
+    numeral_ids,
     require_extensional,
     value_extension,
 )
@@ -62,7 +66,8 @@ from setforge.logic import (
     Var,
     _tokenize,
 )
-from setforge.seeds import _MAX_VON_NEUMANN_STAGE, _set_notation
+from setforge.oracle import SetValue
+from setforge.seeds import _MAX_VON_NEUMANN_STAGE, _set_notation, chain_atom_id, quine_atom_id
 
 
 def edges(g: ExtensionalDigraph) -> frozenset[tuple[NodeId, NodeId]]:
@@ -462,6 +467,101 @@ def random_chain_spec(rng: random.Random) -> CodeSpec:
         code_style="chain",
         code_length=rng.randint(1, 2),
     )
+
+
+def random_loop_spec(rng: random.Random, small: bool = False) -> CodeSpec:
+    """A loop-style spec of quine atoms, numerals and tuples; ``small``
+    keeps it to 6-7 assembled nodes and one one-component tuple."""
+    if small:
+        # 6-7 assembled nodes: one completion step costs at most 128
+        # nodes, cheap enough for the quantified code formula.
+        atoms = tuple(
+            AtomDecl(f"a{j}", "quine") for j in range(rng.randint(1, 2))
+        )
+        naturals = rng.randint(1, 2)
+        labels = [a.label for a in atoms] + [str(k) for k in range(naturals)]
+        return CodeSpec(
+            atoms=atoms,
+            naturals_up_to=naturals,
+            tuples=(TupleDecl(rng.randrange(naturals), (rng.choice(labels),)),),
+            code_style="loop",
+        )
+    atoms = tuple(
+        AtomDecl(f"a{j}", "quine") for j in range(rng.randint(1, 3))
+    )
+    naturals = rng.randint(1, 3)
+    labels = [a.label for a in atoms] + [str(k) for k in range(naturals)]
+    tuples = []
+    seen = set()
+    for _ in range(rng.randint(1, 4)):
+        tag = rng.randrange(naturals)
+        components = tuple(
+            rng.choice(labels) for _ in range(rng.randint(1, 2))
+        )
+        # A doubled quine atom folds back onto the atom, so (t, (a, a))
+        # encodes identically to (t, (a,)); canonicalise before dedup.
+        if len(components) == 2 and components[0] == components[1]:
+            components = components[:1]
+        if (tag, components) in seen:
+            continue
+        seen.add((tag, components))
+        tuples.append(TupleDecl(tag, components))
+    return CodeSpec(
+        atoms=atoms,
+        naturals_up_to=naturals,
+        tuples=tuple(tuples),
+        code_style="loop",
+    )
+
+
+def reference_seed_values(spec: CodeSpec) -> dict[Any, SetValue]:
+    """The value of each node ``spec`` declares, built from the spec
+    with the oracle's constructors, by the construction ``assemble``
+    documents, none of its code: numeral k is the set of the numerals
+    below k, a quine atom ``atom`` of its id, chain atom c's link j the
+    set of link j + 1 and its bottom link the set of numeral c + 1, a
+    tuple the right-nested Kuratowski pairs of its tag and components,
+    a chain code's node j the set of the tuple and node j + 1 and its
+    bottom the set of the tuple, and a loop code the self-membered code
+    over the tuple.
+
+    Numerals, quine atoms and chain links are keyed by their node ids,
+    a tuple by its declaration, and the j-th code node of a tuple by
+    ``(declaration, j)``.  A loop code's label is its node id, which
+    embeds the tuple node's id, so that label alone is read from
+    ``assemble(spec).index``."""
+    values: dict[Any, SetValue] = {}
+    numerals: list[SetValue] = []
+    for x in numeral_ids(spec.naturals_up_to):
+        numerals.append(collection(list(numerals)))
+        values[x] = numerals[-1]
+    atoms: dict[str, SetValue] = {}
+    chains = 0
+    for a in spec.atoms:
+        if a.kind == "quine":
+            atoms[a.label] = values[quine_atom_id(a.label)] = atom(quine_atom_id(a.label))
+            continue
+        chains += 1
+        link = numerals[chains]
+        for j in reversed(range(a.length)):
+            link = values[chain_atom_id(a.label, j)] = collection([link])
+        atoms[a.label] = link
+    loop_labels = assemble(spec).index.code_nodes if spec.code_style == "loop" else {}
+    for decl in spec.tuples:
+        components = [numerals[decl.tag]]
+        components += [atoms[c] if c in atoms else numerals[int(c)] for c in decl.components]
+        p = components[-1]
+        for x in reversed(components[:-1]):
+            p = collection([collection([x]), collection([x, p])])
+        values[decl] = p
+        if spec.code_style == "loop":
+            values[decl, 0] = loop_code(loop_labels[decl][0], [p])
+            continue
+        code = collection([p])
+        for j in reversed(range(spec.code_length)):
+            values[decl, j] = code
+            code = collection([p, code])
+    return values
 
 
 def set_rank(g: ExtensionalDigraph) -> dict:

@@ -23,6 +23,7 @@ from helpers import (
     naive_eval,
     print_formula,
     random_chain_spec,
+    random_loop_spec,
     quine_code_formula,
     random_closed_formula,
     random_extensional_graph,
@@ -30,12 +31,10 @@ from helpers import (
 )
 
 from setforge import (
-    AtomDecl,
     Budget,
     CodeSpec,
     DEFAULT_BUDGET,
     ExtensionalDigraph,
-    TupleDecl,
     assemble,
     check_axiom,
     compare,
@@ -215,49 +214,6 @@ def test_criterion_7_end_extension_monotonicity(seed_batch):
 
 
 # -- criterion 5: loop codes stay definable -----------------------------------
-
-
-def random_loop_spec(rng: random.Random, small: bool = False) -> CodeSpec:
-    if small:
-        # 6-7 assembled nodes: one completion step costs at most 128
-        # nodes, cheap enough for the quantified code formula.
-        atoms = tuple(
-            AtomDecl(f"a{j}", "quine") for j in range(rng.randint(1, 2))
-        )
-        naturals = rng.randint(1, 2)
-        labels = [a.label for a in atoms] + [str(k) for k in range(naturals)]
-        return CodeSpec(
-            atoms=atoms,
-            naturals_up_to=naturals,
-            tuples=(TupleDecl(rng.randrange(naturals), (rng.choice(labels),)),),
-            code_style="loop",
-        )
-    atoms = tuple(
-        AtomDecl(f"a{j}", "quine") for j in range(rng.randint(1, 3))
-    )
-    naturals = rng.randint(1, 3)
-    labels = [a.label for a in atoms] + [str(k) for k in range(naturals)]
-    tuples = []
-    seen = set()
-    for _ in range(rng.randint(1, 4)):
-        tag = rng.randrange(naturals)
-        components = tuple(
-            rng.choice(labels) for _ in range(rng.randint(1, 2))
-        )
-        # A doubled quine atom folds back onto the atom, so (t, (a, a))
-        # encodes identically to (t, (a,)); canonicalise before dedup.
-        if len(components) == 2 and components[0] == components[1]:
-            components = components[:1]
-        if (tag, components) in seen:
-            continue
-        seen.add((tag, components))
-        tuples.append(TupleDecl(tag, components))
-    return CodeSpec(
-        atoms=atoms,
-        naturals_up_to=naturals,
-        tuples=tuple(tuples),
-        code_style="loop",
-    )
 
 
 def test_criterion_5_loop_codes_definable():

@@ -1,7 +1,11 @@
 """Deficiency, completion levels, budgets, and the witness suite."""
 
 import itertools
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -23,18 +27,23 @@ from setforge import (
     deficiency,
     dred_complete,
     dred_from_graph,
+    eval_formula,
     quine_atoms,
     subset_node_id,
     von_neumann_seed,
     witness_report,
 )
 
+import setforge
 from setforge import completion, dred
+
+from setforge.logic import And, Equal, Exists, ForAll, Formula, Iff, Implies, Member, Not, Or
 
 from helpers import (
     affordable_levels,
     is_end_extension,
     is_extensional,
+    naive_eval,
     random_extensional_graph,
     reference_witness_report,
 )
@@ -387,6 +396,94 @@ def test_level_graph_rejects_a_level_not_closed_under_membership():
     u = AnnotatedGraph(graph=g, levels=(frozenset({"b"}), frozenset({"a", "b"})))
     with pytest.raises(UnknownNodeError, match=r"extension of 'b' mentions unknown nodes \['a'\]"):
         u.level(0).graph
+
+
+def test_an_open_level_names_its_least_offender_under_every_hash_seed():
+    """Which of several nodes leaving a level is named does not hang on
+    the order a set of ids iterates in, which varies with the hash seed."""
+    script = (
+        "from setforge import AnnotatedGraph, ExtensionalDigraph\n"
+        "g = ExtensionalDigraph.from_extensions({'a': (), 'b': 'a', 'c': 'a', 'd': 'a'})\n"
+        "u = AnnotatedGraph(graph=g, levels=(frozenset('bcd'), frozenset('abcd')))\n"
+        "try:\n"
+        "    u.level(0)\n"
+        "except Exception as e:\n"
+        "    print(type(e).__name__, e)\n"
+    )
+    src = str(pathlib.Path(setforge.__file__).resolve().parents[1])
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "UnknownNodeError extension of 'b' mentions unknown nodes ['a']\n", seed
+
+
+def test_level_is_the_record_at_the_top_and_a_restriction_below():
+    du = dred_complete(dred_from_graph(von_neumann_seed(2)), 2)
+    top = len(du.levels) - 1
+    assert du.level(top) is du
+    for n in range(top):
+        part = du.levels[n]
+        low = du.level(n)
+        assert low.graph == du.graph.restrict(part) and low.graph.nodes == part
+        assert low.levels == du.levels[: n + 1]
+        assert low.depth == {x: du.depth[x] for x in part}
+        assert low.rank == {x: r for x, r in du.rank.items() if x in part}
+        assert (low.top, low.formulas) == (du.top, du.formulas)
+
+
+def random_bounded_formula(rng: random.Random, depth: int, scope: tuple) -> Formula:
+    """A random formula over the variables in ``scope`` whose every
+    quantifier is bounded by membership in a variable already in scope:
+    ``exists v. (v in u & ...)`` or ``all v. ((v in u) -> ...)``, each
+    over a fresh ``v``, so that the evaluator loops over ``ext[u]``."""
+    if depth == 0 or rng.random() < 0.25:
+        a, b = rng.choice(scope), rng.choice(scope)
+        return Member(a, b) if rng.random() < 0.7 else Equal(a, b)
+    roll = rng.random()
+    if roll < 0.45:
+        v, u = f"v{len(scope)}", rng.choice(scope)
+        body = random_bounded_formula(rng, depth - 1, scope + (v,))
+        if rng.random() < 0.5:
+            return Exists(v, And(Member(v, u), body))
+        return ForAll(v, Implies(Member(v, u), body))
+    if roll < 0.55:
+        return Not(random_bounded_formula(rng, depth - 1, scope))
+    return rng.choice((And, Or, Implies, Iff))(
+        random_bounded_formula(rng, depth - 1, scope),
+        random_bounded_formula(rng, depth - 1, scope),
+    )
+
+
+def test_bounded_formulas_keep_their_value_in_every_higher_level():
+    """Delta-0 absoluteness: each level is closed under membership and
+    each higher level end-extends it, so a formula whose quantifiers
+    are all bounded by membership in a variable has the same value on
+    a level and on every higher one, with parameters from the lower
+    level; and that value is ``naive_eval``'s on the lower level.  A
+    quantifier over containers is not bounded so: ``exists v. (p in v)``
+    gains witnesses higher up, so the property is not vacuous."""
+    rng = random.Random(26)
+    checks = 0
+    gained = 0
+    container = Exists("v", Member("p", "v"))
+    for _ in range(12):
+        u = complete(random_extensional_graph(rng, 3, min_nodes=1), 2)
+        parts = [u.level(n).graph for n in range(len(u.levels))]
+        for m in range(len(parts) - 1):
+            params = sorted(parts[m].nodes)
+            for p in params:
+                values = {eval_formula(g, container, {"p": p}) for g in parts[m:]}
+                gained += len(values) > 1
+            for _ in range(25):
+                f = random_bounded_formula(rng, 3, ("x", "y"))
+                env = {"x": rng.choice(params), "y": rng.choice(params)}
+                want = naive_eval(parts[m], f, env)
+                for g in parts[m:]:
+                    assert eval_formula(g, f, env) == want, (f, env)
+                    checks += 1
+    assert checks >= 600 and gained > 0
 
 
 def test_level_of_a_record_without_levels_names_the_block():

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from setforge import (
     AnnotatedGraph,
     AtomDecl,
@@ -9,9 +11,11 @@ from setforge import (
     CodeSpec,
     Deficiency,
     ExtensionalDigraph,
+    SchemaError,
     Seed,
     assemble,
     dred_complete,
+    serialize,
     to_dot,
 )
 
@@ -61,3 +65,11 @@ def test_to_dot_matches_reference_byte_for_byte():
     records += [certified, dred_complete(certified, 1), AnnotatedGraph(certified.graph)]
     for record in records:
         assert to_dot(record) == reference_to_dot(record)
+
+
+def test_a_rank_map_without_depths_is_refused_as_a_document_refuses_it():
+    g = ExtensionalDigraph.from_extensions({"a": set(), "b": {"a"}})
+    record = AnnotatedGraph(g, rank={"a": 0, "b": 1}, top=1)
+    for render in (to_dot, serialize):
+        with pytest.raises(SchemaError, match="^depth: document has no depth block$"):
+            render(record)

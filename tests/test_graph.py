@@ -1,6 +1,7 @@
 """Graph kernel: extensions, end extensions, isomorphism."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -105,6 +106,45 @@ def test_sorted_edges_are_the_sorted_edge_set():
             runs = h.member_runs()
             assert all(cs for _, cs in runs)
             assert [(order[m], order[c]) for m, cs in runs for c in cs] == sorted(helpers.edges(h))
+
+
+def random_part(rng: random.Random, g: ExtensionalDigraph) -> frozenset:
+    """A random set of ``g``'s nodes, closed under membership half the time."""
+    part = {x for x in g.nodes if rng.random() < 0.5}
+    if rng.random() < 0.5:
+        stack = list(part)
+        while stack:
+            for m in g.extensions[stack.pop()] - part:
+                part.add(m)
+                stack.append(m)
+    return frozenset(part)
+
+
+def test_restrict_agrees_with_the_validator():
+    """A part closed under membership restricts to the graph that
+    ``from_extensions`` builds from the part's extensions and
+    provenance; any other part raises naming its least node with a
+    member outside it."""
+    rng = random.Random(26)
+    closed = 0
+    for _ in range(400):
+        g = random_extensional_graph(rng, 6)
+        if rng.random() < 0.3:
+            g = complete(g, 1).graph if len(g) < 5 else g
+        part = random_part(rng, g)
+        ext = {x: g.extensions[x] for x in part}
+        leaving = sorted(x for x in part if not ext[x] <= part)
+        if leaving:
+            x = leaving[0]
+            text = f"extension of {x!r} mentions unknown nodes {sorted(ext[x] - part)!r}"
+            with pytest.raises(UnknownNodeError, match=f"^{re.escape(text)}$"):
+                g.restrict(part)
+            continue
+        closed += 1
+        want = ExtensionalDigraph.from_extensions(ext, {x: g.provenance[x] for x in part})
+        got = g.restrict(part)
+        assert got == want and got.nodes == part
+    assert 100 < closed < 300
 
 
 def test_levels_are_nonempty_and_cumulative():

@@ -21,6 +21,7 @@ from setforge import (
     TupleDecl,
     UnknownNodeError,
     assemble,
+    decorate,
     define_class,
     deserialize,
     encode_tuple,
@@ -38,8 +39,10 @@ from helpers import (
     is_extensional,
     quine_code_formula,
     random_chain_spec,
+    random_loop_spec,
     reference_chain_style_certificate,
     reference_families,
+    reference_seed_values,
     reference_von_neumann_seed,
 )
 
@@ -741,3 +744,44 @@ def test_every_accepted_spec_writes_a_document_that_reads_back(case):
         return
     doc = seed.dred or AnnotatedGraph(seed.graph)
     assert deserialize(serialize(doc)) == doc
+
+
+def declared_node(seed: seeds.AssembledSeed, key) -> str:
+    """The node of ``seed`` that a key of ``reference_seed_values`` names."""
+    if isinstance(key, TupleDecl):
+        return seed.index.tuple_nodes[key]
+    if isinstance(key, tuple):
+        return seed.index.code_nodes[key[0]][key[1]]
+    return key
+
+
+def test_declared_nodes_decorate_to_their_reference_values():
+    """Each node a spec declares decorates to the value the spec alone
+    describes, on the specs the loop-style and chain-style generators
+    build (those that assemble)."""
+    rng = random.Random(46)
+    specs = [random_loop_spec(rng, small=i % 2 == 0) for i in range(40)]
+    specs += [random_chain_spec(rng) for _ in range(40)]
+    checked = 0
+    for spec in specs:
+        try:
+            seed = assemble(spec)
+        except (SeedClashError, SpecValidationError):
+            continue
+        decoration = decorate(seed.graph)
+        for key, value in reference_seed_values(spec).items():
+            assert decoration[declared_node(seed, key)].key == value.key, (spec, key)
+            checked += 1
+    assert checked > 400
+
+
+def test_a_tuple_can_encode_to_a_chain_link_without_a_clash():
+    """Declared nodes whose reference values coincide are not all
+    clashes: the pair (1, 1) is {{1}}, which is the top link of the
+    chain atom that ends at numeral 1, and the tuple takes that node."""
+    decl = TupleDecl(1, ("1",))
+    spec = CodeSpec(atoms=(AtomDecl("k", "chain", 2),), naturals_up_to=2, tuples=(decl,))
+    seed = assemble(spec)
+    assert seed.index.tuple_nodes[decl] == chain_atom_id("k", 0)
+    values = reference_seed_values(spec)
+    assert values[decl] is values[chain_atom_id("k", 0)]
