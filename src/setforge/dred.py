@@ -320,7 +320,7 @@ def dred_complete(
     return u
 
 
-def foundation_witness(h: AnnotatedGraph, x: NodeId, *, skip_verify: bool = False) -> NodeId:
+def foundation_witness(h: AnnotatedGraph, x: NodeId) -> NodeId:
     """A member of ``x`` that shares no member with ``x``.
 
     Picks ``n`` one above the deepest member and returns the member of
@@ -330,19 +330,15 @@ def foundation_witness(h: AnnotatedGraph, x: NodeId, *, skip_verify: bool = Fals
     witness, contradicting minimality, so the returned node is
     E-minimal inside ``x``.
 
-    Verifies the certificate first (pass ``skip_verify=True`` after an
-    external :func:`verify_dred` run to amortise the gate).
+    Verifies the whole certificate first, so ``r_n`` exists: coverage
+    puts the top family index above every depth.
     """
-    if not skip_verify:
-        require_dred(h)
+    require_dred(h)
     members = h.graph.extensions.get(x)
     if members is None:
         raise DredConditionError(f"unknown node {x!r}")
     if not members:
         raise ValueError(f"node {x!r} has empty extension; foundation needs a member")
-    n = 1 + max(h.depth[m] for m in members)
-    if n > h.top:
-        raise DredConditionError(f"no rank family r_{n} to order the members of {x!r}")
     return min(members, key=lambda m: (h.rank[m], m))
 
 

@@ -103,7 +103,10 @@ class ExtensionalDigraph:
     nodes: frozenset[NodeId] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", frozenset(self.extensions))
+        # From the keys view, which a set takes by insertion: a dict
+        # argument is sized for twice its keys up front, so 65,536 ids
+        # would take 2**18 slots (4 MB) instead of 2**17.
+        object.__setattr__(self, "nodes", frozenset(self.extensions.keys()))
 
     @classmethod
     def from_edges(

@@ -332,6 +332,23 @@ def test_complete_step_adds_its_nodes_in_mask_order():
             ]
 
 
+def test_complete_sizes_extensions_and_nodes_by_their_count():
+    """Level 2 of von Neumann stage 3 splits its 16 nodes 8/8.  Each new
+    extension is the union of its halves' sets, which is sized from its
+    member count: never larger than the set a member tuple builds by
+    insertion, and smaller over the level.  The node set of the 65,536
+    ids is sized as an insertion sizes it, not twice over as a dict
+    argument is."""
+    u = complete(von_neumann_seed(3), 2)
+    g = u.graph
+    exts = [g.extensions[x] for x in u.levels[2] - u.levels[1]]
+    built = [sys.getsizeof(ext) for ext in exts]
+    inserted = [sys.getsizeof(frozenset(tuple(sorted(ext)))) for ext in exts]
+    assert all(b <= i for b, i in zip(built, inserted))
+    assert sum(built) < sum(inserted)
+    assert sys.getsizeof(g.nodes) <= sys.getsizeof(frozenset(sorted(g.nodes)))
+
+
 def test_complete_step_on_a_record_without_a_certificate_adds_none():
     """A record without a depth/rank certificate, or with only a part of
     one, comes back with its graph and levels only."""
