@@ -19,7 +19,6 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
-from functools import partial
 from itertools import accumulate, groupby, repeat
 from operator import floordiv, itemgetter
 from typing import Any, Iterator, Sequence, TextIO
@@ -210,10 +209,10 @@ def _cmd_seed(args: argparse.Namespace) -> int:
 def _cmd_complete(args: argparse.Namespace) -> int:
     doc = _read_document()
     budget = _resolve_budget(args.budget)
-    grow = partial(dred_complete, doc) if args.dred else partial(complete, doc.graph)
+    grow = dred_complete if args.dred else complete
     # The result goes to ``_pieces`` as a temporary, held by no local
     # here, so that its graph is freed before the line is rendered.
-    _write_runs(_pieces(replace(grow(args.levels, budget), formulas=doc.formulas)), sys.stdout)
+    _write_runs(_pieces(replace(grow(doc, args.levels, budget), formulas=doc.formulas)), sys.stdout)
     return 0
 
 
@@ -303,13 +302,13 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     # nodes are then matched to those values by position; only where
     # that match fails is the reference graph built, for ``compare`` to
     # settle and explain.
-    reference = oracle_stages(doc.graph, args.levels, budget)
-    ours = complete(doc.graph, args.levels, budget).graph
-    if stages_agree(ours, doc.graph, reference):
+    reference = oracle_stages(doc, args.levels, budget)
+    ours = complete(doc, args.levels, budget).graph
+    if stages_agree(ours, doc, reference):
         verdict = ComparisonVerdict(True, "isomorphic")
     else:
         # Rebound, so that the values are freed once their graph exists.
-        reference = stages_graph(doc.graph, reference)
+        reference = stages_graph(doc, reference)
         verdict = compare(ours, reference)
     status = "isomorphic" if verdict.isomorphic else "mismatch"
     if args.porcelain:

@@ -229,19 +229,27 @@ def complete_step(u: AnnotatedGraph, budget: Budget = DEFAULT_BUDGET) -> Annotat
     return AnnotatedGraph(new_graph, levels, depth, rank, u.top)
 
 
-def complete(
-    g: ExtensionalDigraph,
-    n: int,
-    budget: Budget = DEFAULT_BUDGET,
-) -> AnnotatedGraph:
-    """Run ``n`` completion steps starting from seed level ``g``.
+def _leveled(u: AnnotatedGraph | ExtensionalDigraph) -> AnnotatedGraph:
+    """The graph and levels a completion of ``u`` continues, a bare graph
+    or a record without levels being its own level 0: the next level,
+    ``len(levels)``, stamps :func:`complete_step`'s new nodes and numbers
+    the oracle's first stage."""
+    u = AnnotatedGraph(u) if isinstance(u, ExtensionalDigraph) else u
+    return AnnotatedGraph(u.graph, u.levels or (u.graph.nodes,))
 
-    The result has ``n + 1`` levels.  The whole request is priced by
-    the growth law before the first step: if any step would exceed the
-    budget, BudgetExceededError names that step and nothing is built.
+
+def complete(
+    u: AnnotatedGraph | ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET
+) -> AnnotatedGraph:
+    """Run ``n`` completion steps on ``u``, continuing its levels
+    (:func:`_leveled`), so ``a`` steps and then ``b`` build what ``a + b``
+    steps do; a certificate and formulas are not carried.  The whole
+    request is priced by the growth law before the first step: if any
+    step would exceed the budget, BudgetExceededError names that step
+    and nothing is built.
     """
-    _priced(g, n, budget)
-    u = AnnotatedGraph(g, levels=(g.nodes,))
+    u = _leveled(u)
+    _priced(u.graph, n, budget)
     for _ in range(n):
         u = complete_step(u, budget)
     return u

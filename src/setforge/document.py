@@ -19,7 +19,7 @@ import json
 import re
 import sys
 from bisect import bisect_left
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from contextlib import contextmanager
 from functools import partial
 from itertools import accumulate, chain, compress, count, islice, repeat
@@ -270,9 +270,10 @@ class _Nodes:
     """The ``nodes`` entries as columns, read a batch of entries at a
     time: the ids, their provenance filled in node order, whether each
     is a deficiency node, and the deficiency ``members`` lists
-    flattened, with each list's length. Every id and member is one
-    string object per value, shared through ``canon``, so no column
-    holds a decoded entry once its batch is read."""
+    flattened, with each list's length; and how many nodes each
+    deficiency level stamps. Every id and member is one string object
+    per value, shared through ``canon``, so no column holds a decoded
+    entry once its batch is read."""
 
     def __init__(self) -> None:
         self.ids: list[NodeId] = []
@@ -280,6 +281,7 @@ class _Nodes:
         self.deficient: list[bool] = []
         self.members: list[NodeId] = []
         self.sizes: list[int] = []
+        self.stamped: Counter[int] = Counter()
         self.canon: dict[NodeId, NodeId] = {}
         self._shared: dict[int, Deficiency] = {}
 
@@ -324,6 +326,7 @@ class _Nodes:
         provenance.update(zip(seed_ids, map(Seed, labels)))
         provenance.update(zip(deficiency_ids, map(shared.__getitem__, levels)))
         provenance.update(zip(code_ids, map(Code, code_kinds, details)))
+        self.stamped.update(levels)
         self.ids += ids
         self.deficient += map(eq, kinds, repeat("deficiency"))
         members = chain.from_iterable(lists)
@@ -375,6 +378,25 @@ def _family_shown(
         and _all_of(family.values(), int)
         and _rank_domain_exact(i, family, known, depth, sorted_depths)
     )
+
+
+def _stamps_shown(
+    levels: tuple[frozenset[NodeId], ...], provenance: dict[NodeId, Provenance],
+    stamped: Counter[int],
+) -> bool:
+    """Whether each deficiency node is stamped with the index of the
+    first of ``levels`` that holds it, ``stamped`` counting the nodes of
+    each stamp. Only the levels below the top are read, never the top,
+    which holds every node: the stamps in level ``k`` must be at most
+    ``k``, and as many of them ``k`` as ``stamped`` counts; and no stamp
+    may name a level past the top."""
+    if max(stamped, default=0) >= len(levels):
+        return False
+    for k, level in enumerate(levels[:-1]):
+        stamps = [p.level for p in map(provenance.__getitem__, level) if type(p) is Deficiency]
+        if max(stamps, default=0) > k or stamps.count(k) != stamped[k]:
+            return False
+    return True
 
 
 # -- naming --------------------------------------------------------------------
@@ -455,6 +477,21 @@ def _level_fault(i: int, below: list, level: Any, known: frozenset[NodeId]) -> S
     if stray:
         return SchemaError(path, f"references unknown id {stray[0]!r}")
     return None if set(below).issubset(level) else SchemaError(path, "levels must be cumulative")
+
+
+def _stamp_fault(
+    i: int, x: NodeId, p: Provenance, levels: tuple[frozenset[NodeId], ...]
+) -> SchemaError | None:
+    """The fault of ``nodes[i]``, the node ``x`` with provenance ``p``."""
+    if type(p) is not Deficiency:
+        return None
+    k = p.level
+    if k < len(levels) and x in levels[k] and x not in levels[k - 1]:
+        return None
+    return SchemaError(
+        f"nodes[{i}].provenance",
+        f"a node stamped deficiency level {k} must be in levels[{k}] and not in levels[{k - 1}]",
+    )
 
 
 def _depth_fault(key: str, value: Any, known: frozenset[NodeId]) -> SchemaError | None:
@@ -969,7 +1006,7 @@ def _from_members(
     extensions.update((ids[x], frozenset(ms)) for x, ms in found.items())
     graph = ExtensionalDigraph(extensions, nodes.provenance)
     graph.__dict__["_sorted"] = ids
-    return _annotated(sections, graph)
+    return _annotated(sections, graph, nodes.stamped)
 
 
 def _compared(sections: dict, edges: _Groups, nodes: _Nodes) -> _Build:
@@ -1003,7 +1040,7 @@ def _from_groups(
     rendered path, not the edge end's."""
     image = nodes.canon.__getitem__
     extensions = {x: frozenset(map(image, groups.pop(x, ()))) for x in nodes.ids}
-    return _annotated(sections, ExtensionalDigraph(extensions, nodes.provenance))
+    return _annotated(sections, ExtensionalDigraph(extensions, nodes.provenance), nodes.stamped)
 
 
 def _proven(data: bytes) -> _Build:
@@ -1051,9 +1088,10 @@ def _name_edges(raw: dict, nodes: _Nodes) -> None:
     _raise_first(map(_edge_fault, count(), edges, repeat(frozenset(nodes.ids))))
 
 
-def _annotated(raw: dict, graph: ExtensionalDigraph) -> AnnotatedGraph:
+def _annotated(raw: dict, graph: ExtensionalDigraph, stamped: Counter[int]) -> AnnotatedGraph:
     """``graph`` with the optional blocks of ``raw``, each checked in
-    bulk, and its first offending entry named where that fails."""
+    bulk, and its first offending entry named where that fails;
+    ``stamped`` counts the nodes of each deficiency level."""
     known = graph.nodes
     levels: tuple[frozenset[NodeId], ...] | None = None
     if "levels" in raw:
@@ -1064,6 +1102,9 @@ def _annotated(raw: dict, graph: ExtensionalDigraph) -> AnnotatedGraph:
             raise SchemaError("levels", "top level must contain every node")
         # The graph's own node set, which AnnotatedGraph need not compare.
         levels = (*collected[:-1], known)
+        if not _stamps_shown(levels, graph.provenance, stamped):
+            stamps = graph.provenance
+            _raise_first(map(_stamp_fault, count(), stamps, stamps.values(), repeat(levels)))
 
     depth: dict[NodeId, int] | None = None
     if "depth" in raw:

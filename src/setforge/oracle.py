@@ -8,12 +8,14 @@ and grows the value universe stage by stage with itertools
 of their members in the run's list of values; only a stage that a
 later stage draws from is made into values.  A stage is priced up
 front and then drawn again, in the same order, each time it is walked,
-never held as a list.  A completion is checked against those subsets
-directly, its nodes matched to them by position as they are drawn
-(:func:`stages_agree`); the values and subsets make a graph
-(:func:`stages_graph`, :func:`oracle_complete`) only where a graph is
-asked for, or to explain a mismatch.  The two paths share no
-enumeration code, so agreement between them is evidence, not an echo.
+never held as a list.  The stages are numbered on from the input's top
+level, as a completion numbers the levels it adds.  A completion is
+checked against those subsets directly, its nodes matched to them by
+position as they are drawn (:func:`stages_agree`); the values and
+subsets make a graph (:func:`stages_graph`, :func:`oracle_complete`)
+only where a graph is asked for, or to explain a mismatch.  The two
+paths share no enumeration code, so agreement between them is
+evidence, not an echo.
 
 A value's key names that one set, and a stage value's node id is
 ``hf:`` and its key: atom and loop labels are written into keys with
@@ -38,9 +40,10 @@ from functools import partial
 from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .completion import Budget, DEFAULT_BUDGET
+from .completion import Budget, DEFAULT_BUDGET, _leveled
 from .errors import BudgetExceededError, DecorationError, SetforgeError, UnknownNodeError
 from .graph import (
+    AnnotatedGraph,
     Deficiency,
     ExtensionalDigraph,
     NodeId,
@@ -230,8 +233,10 @@ class StageValues(NamedTuple):
     stages: list[_Draw]
 
 
-def oracle_stages(g: ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET) -> StageValues:
-    """The values of a reference completion: decorate, then run n stages.
+def oracle_stages(
+    u: AnnotatedGraph | ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET
+) -> StageValues:
+    """The values of a reference completion of ``u``: decorate, then run n stages.
 
     Raises what :func:`oracle_complete` raises before it converts the
     values, in the same order, the clash of a generated id with a seed
@@ -240,8 +245,9 @@ def oracle_stages(g: ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET
     """
     if n < 0:
         raise ValueError("stage count must be non-negative")
-    require_extensional(g)
-    decoration = decorate(g)
+    u = _leveled(u)
+    require_extensional(u.graph)
+    decoration = decorate(u.graph)
     node_of: dict[SetValue, NodeId] = {}
     for x, v in decoration.items():
         if v in node_of:
@@ -258,7 +264,7 @@ def oracle_stages(g: ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET
     # value of the run, and no other run meets it.
     values: list[SetValue] = sorted(node_of, key=_key)
     stages: list[_Draw] = []
-    for stage in range(1, n + 1):
+    for stage in range(len(u.levels), len(u.levels) + n):
         if stages:
             values += [
                 Collection(members=tuple(sorted(map(values.__getitem__, p), key=_key)))
@@ -267,7 +273,7 @@ def oracle_stages(g: ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET
         stages.append(_one_stage(values, budget, f"stage {stage}"))
     found = StageValues(node_of, values, stages)
     # A stage subset is named "hf:" and its key, which a seed id may hold.
-    claimed = {x[3:] for x in g.nodes if x.startswith("hf:")}
+    claimed = {x[3:] for x in u.graph.nodes if x.startswith("hf:")}
     if claimed:
         keys = _keys(found)[len(node_of) :]
         clash = min((k for k in keys if k in claimed), default=None)
@@ -305,13 +311,14 @@ def _keys(values: StageValues) -> list[str]:
     return keys
 
 
-def stages_graph(g: ExtensionalDigraph, values: StageValues) -> ExtensionalDigraph:
-    """The graph of :func:`oracle_stages`' values for ``g``: seed values
+def stages_graph(u: AnnotatedGraph | ExtensionalDigraph, values: StageValues) -> ExtensionalDigraph:
+    """The graph of :func:`oracle_stages`' values for ``u``: seed values
     keep their node's id and provenance, every stage subset is named by
     its key and stamped with the level of its stage."""
+    u = _leveled(u)
     node_of, pool, stages = values
-    stamps = [g.provenance[node_of[v]] for v in pool[: len(node_of)]]
-    for stage, fresh in enumerate(stages, 1):
+    stamps = [u.graph.provenance[node_of[v]] for v in pool[: len(node_of)]]
+    for stage, fresh in enumerate(stages, len(u.levels)):
         stamps += itertools.repeat(Deficiency(level=stage), len(fresh))
     keys = _keys(values)
     ids = list(map(node_of.__getitem__, pool[: len(node_of)]))
@@ -324,15 +331,15 @@ def stages_graph(g: ExtensionalDigraph, values: StageValues) -> ExtensionalDigra
 
 
 def oracle_complete(
-    g: ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET
+    u: AnnotatedGraph | ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET
 ) -> ExtensionalDigraph:
     """Reference completion: decorate, run n stages on values, convert back.
 
     Seed nodes keep their ids and provenance; stage-r additions are
-    stamped like level-r completion nodes, so a correct completion of
-    the same graph is label-preservingly isomorphic to the result.
+    stamped like the r-th level a completion of ``u`` adds, so a correct
+    completion of ``u`` is label-preservingly isomorphic to the result.
     """
-    return stages_graph(g, oracle_stages(g, n, budget))
+    return stages_graph(u, oracle_stages(u, n, budget))
 
 
 @dataclass(frozen=True)
@@ -462,9 +469,11 @@ def _seed_map_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, groups: tuple)
     return _induced(a.extensions, b, phi, groups) is not None
 
 
-def stages_agree(ours: ExtensionalDigraph, g: ExtensionalDigraph, values: StageValues) -> bool:
+def stages_agree(
+    ours: ExtensionalDigraph, u: AnnotatedGraph | ExtensionalDigraph, values: StageValues
+) -> bool:
     """Whether :func:`_induced` extends the identity, of
-    ``stages_graph(g, values)`` onto ``ours``, decided on the values
+    ``stages_graph(u, values)`` onto ``ours``, decided on the values
     themselves, without that graph: its nodes are named by their
     positions in :func:`_members`' order, each stage's subsets at the
     level of their stage and the input's deficiency nodes at theirs.
@@ -472,27 +481,30 @@ def stages_agree(ours: ExtensionalDigraph, g: ExtensionalDigraph, values: StageV
     same provenance, exactly, since :func:`_induced` compares
     provenance colours, which ignore seed labels.  It decides what the
     lift of ``ours`` onto that graph decides: a map and its inverse are
-    built by the same level walk.
+    built by the same level walk.  A stage that meets an input stamp (a
+    graph without levels is its own level 0) gives False: its subsets
+    hold that level's own nodes, which no walk names in time.
     """
+    u = _leveled(u)
     node_of, pool, stages = values
     levels_ours, fixed = _by_level(ours)
-    seed_levels, seed_fixed = _by_level(g)
-    if fixed != seed_fixed:
+    seed_levels, seed_fixed = _by_level(u.graph)
+    stage_levels = range(len(u.levels), len(u.levels) + len(stages))
+    if fixed != seed_fixed or not seed_levels.keys().isdisjoint(stage_levels):
         return False
     position = {x: i for i, x in enumerate(map(node_of.__getitem__, pool[: len(node_of)]))}
     seeds = _seed_members(values)
-    # Each level's names, and its members as the walk reads them: a
-    # stage's subsets drawn again, then the input's deficiency nodes.
+    # Each level's names, and its members as the walk reads them: the
+    # input's deficiency nodes, then each stage's subsets drawn again.
     levels: dict[int, Sequence[int]] = {}
     drawn: dict[int, Iterable[Iterable[int]]] = {}
+    for level, xs in seed_levels.items():
+        levels[level] = own = list(map(position.__getitem__, xs))
+        drawn[level] = map(seeds.__getitem__, own)
     start = len(node_of)
-    for stage, fresh in enumerate(stages, 1):
+    for stage, fresh in zip(stage_levels, stages):
         levels[stage], drawn[stage] = range(start, start + len(fresh)), fresh
         start += len(fresh)
-    for level, xs in seed_levels.items():
-        own = list(map(position.__getitem__, xs))
-        levels[level] = [*levels.get(level, ()), *own]
-        drawn[level] = itertools.chain(drawn.get(level, ()), map(seeds.__getitem__, own))
     phi = {position[x]: x for x in fixed}
     fixed_values = {position[x]: p for x, p in fixed.items()}
     groups = ((levels, fixed_values), (levels_ours, fixed))

@@ -1255,6 +1255,16 @@ def reference_deserialize(text: str) -> AnnotatedGraph:
         if collected[-1] != known:
             raise SchemaError("levels", "top level must contain every node")
         levels = tuple(collected)
+        # A deficiency stamp is the index of the first level that holds the node.
+        for i, x in enumerate(order):
+            p = provenance[x]
+            k = p.level if isinstance(p, Deficiency) else 0
+            if k and not (k < len(levels) and x in levels[k] - levels[k - 1]):
+                raise SchemaError(
+                    f"nodes[{i}].provenance",
+                    f"a node stamped deficiency level {k} must be in levels[{k}] "
+                    f"and not in levels[{k - 1}]",
+                )
 
     depth: dict[NodeId, int] | None = None
     if "depth" in raw:

@@ -535,12 +535,14 @@ def test_witness_report_on_two_levels_is_bad_data():
 def test_witness_report_over_budget_exits_2_before_enumerating(atoms, levels, checks):
     """A node of 31 members, or the 1,024-node completion of ten atoms,
     with three levels that all hold every node: priced before any pair
-    or subset is enumerated."""
+    or subset is enumerated.  The completion's nodes are relabelled as
+    seeds, since a deficiency stamp must be the first level that holds
+    its node."""
     g = quine_atoms([f"a{i}" for i in range(atoms)])
     if levels == "one node":
         g = ExtensionalDigraph.from_extensions({**g.extensions, "big": g.nodes}, g.provenance)
     else:
-        g = complete(g, 1).graph
+        g = ExtensionalDigraph.from_extensions(complete(g, 1).graph.extensions)
     doc = serialize(AnnotatedGraph(g, levels=[g.nodes] * 3))
     start = time.perf_counter()
     assert invoke(["check", "--witness-report"], doc) == (
@@ -954,23 +956,30 @@ def completions_to_complete_further() -> list[AnnotatedGraph]:
 
 
 @pytest.mark.parametrize("which", [0, 1, 2], ids=["von-neumann", "quine-atoms", "chain-style"])
-def test_oracle_compare_on_an_input_that_is_already_a_completion(which):
-    """The input's deficiency nodes and the nodes added to them share
-    level 1 on both sides, so a node there can hold a member of its own
-    level, which the level walk cannot name, and the search of the
-    whole graphs may have to decide.  Whatever decides, a correct
-    kernel is isomorphic to the reference."""
+def test_oracle_compare_on_an_input_that_is_already_a_completion(monkeypatch, completions, which):
+    """The kernel continues the input's levels and the reference numbers
+    its stages on from the input's top level, so the input's deficiency
+    nodes and the nodes added to them never share a level: the level
+    walk alone decides, and neither the reference graph nor a search
+    is made."""
+
+    def unreachable(*args):
+        raise AssertionError("the level walk did not decide")
+
+    monkeypatch.setattr(cli, "compare", unreachable)
+    monkeypatch.setattr(oracle, "is_isomorphic", unreachable)
     doc = serialize(completions_to_complete_further()[which])
     argv = ["oracle-compare", "--levels", "1", "--porcelain"]
     assert invoke(argv, doc) == (0, "oracle\tisomorphic\tisomorphic\n", "")
+    assert completions == ["oracle_stages", "complete"]
 
 
 def test_oracle_compare_explains_a_sabotaged_kernel_on_a_completion(monkeypatch):
     """On an input that is already a completion, a kernel result with a
     node dropped gives exit 1 and exactly ``compare``'s detail."""
     u = completions_to_complete_further()[0]
-    bad = sabotaged_completions(u.graph, 1)[0]
-    expected = oracle.compare(bad, oracle_complete(u.graph, 1))
+    bad = sabotaged_completions(u, 1)[0]
+    expected = oracle.compare(bad, oracle_complete(u, 1))
     assert not expected.isomorphic
     original = cli.complete
 
@@ -981,6 +990,50 @@ def test_oracle_compare_explains_a_sabotaged_kernel_on_a_completion(monkeypatch)
     monkeypatch.setattr(cli, "complete", sabotaged)
     argv = ["oracle-compare", "--levels", "1", "--porcelain"]
     assert invoke(argv, serialize(u)) == (1, f"oracle\tmismatch\t{expected.detail}\n", "")
+
+
+# Certified 3-node seeds, which two completion steps take to 256 nodes;
+# the second has a formula for each completion to keep.
+SMALL_SPECS = [
+    {
+        "atoms": [{"label": "a", "kind": "chain", "length": 1}],
+        "naturals_up_to": 2,
+        "code_style": "chain",
+        "code_length": 1,
+    },
+    {
+        "naturals_up_to": 3,
+        "code_style": "chain",
+        "code_length": 1,
+        "formulas": {"empty": "all y. !(y in x)"},
+    },
+]
+
+
+@pytest.mark.parametrize("split", [(0, 2), (1, 1), (2, 0), (1, 0, 1)], ids=str)
+def test_completing_in_parts_writes_the_bytes_of_one_completion(tmp_path, split):
+    """``complete a | complete b`` writes byte for byte what ``complete
+    a+b`` writes, plain on seeds and certified on ``seed spec`` seeds,
+    and the witness report reads it: a completion continues its input's
+    levels, so every stamp is its level's index."""
+    specs = []
+    for i, spec in enumerate(SMALL_SPECS):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(spec))
+        specs.append(seed("spec", str(path)))
+    runs = [([], text) for text in (seed("empty"), seed("vN", "2"), seed("quine", "2"))]
+    runs += [(["--dred"], text) for text in specs]
+    for flag, text in runs:
+        whole = invoke(["complete", *flag, "--levels", str(sum(split))], text)
+        parts = text
+        for levels in split:
+            code, parts, err = invoke(["complete", *flag, "--levels", str(levels)], parts)
+            assert (code, err) == (0, "")
+        assert whole == (0, parts, "")
+        assert invoke(["check", "--witness-report", "--porcelain"], parts)[0] == 0
+        if flag:
+            report = invoke(["check", "--dred-conditions", "--porcelain"], parts)
+            assert report == (0, "dred\tok\t\n", "")
 
 
 def test_oracle_compare_reports_an_id_clash_before_the_kernel(completions):

@@ -126,9 +126,10 @@ def shuffled(rng: random.Random, mapping: dict) -> dict:
 
 def random_document(rng: random.Random) -> AnnotatedGraph:
     """A valid document with every optional block: mixed provenance,
-    cumulative levels, depths up to 12, a rank map with at least 11
-    rank families (so "10" sorts before "2") and formulas; every dict
-    is built in a random insertion order."""
+    cumulative levels, each deficiency node stamped with the index of
+    the first level that holds it, depths up to 12, a rank map with at
+    least 11 rank families (so "10" sorts before "2") and formulas;
+    every dict is built in a random insertion order."""
     g = random_extensional_graph(rng, 6, min_nodes=1)
     provenance = {}
     for x, ext in g.extensions.items():
@@ -140,15 +141,21 @@ def random_document(rng: random.Random) -> AnnotatedGraph:
         else:
             provenance[x] = Deficiency(level=rng.randint(1, 3))
     names = sorted(g.nodes)
-    graph = ExtensionalDigraph.from_extensions(
-        shuffled(rng, dict(g.extensions)), shuffled(rng, provenance)
-    )
+    extensions, provenance = shuffled(rng, dict(g.extensions)), shuffled(rng, provenance)
     levels, current = [], set()
     for x in rng.sample(names, len(names)):
         current.add(x)
         if rng.random() < 0.5:
             levels.append(frozenset(current))
     levels.append(frozenset(names))
+    # A stamp must be the index of the first level that holds its node:
+    # the drawn stamp gives way to it, and a deficiency node drawn into
+    # level 0 becomes a seed.
+    for x, p in provenance.items():
+        if isinstance(p, Deficiency):
+            k = min(k for k, level in enumerate(levels) if x in level)
+            provenance[x] = Deficiency(level=k) if k else Seed("séed-0")
+    graph = ExtensionalDigraph.from_extensions(extensions, provenance)
     depth = {x: rng.randint(0, 12) for x in names}
     top = rng.randint(max(11, max(depth.values()) + 1), 14)
     rank = {x: rng.randint(-2, 20) for x in names}
@@ -188,9 +195,9 @@ def perturbed(rng: random.Random, doc: AnnotatedGraph) -> AnnotatedGraph:
             provenance[x] = Seed("relabelled")
         graph = ExtensionalDigraph.from_extensions(graph.extensions, provenance)
     elif roll == 4:
-        return AnnotatedGraph(
-            graph=graph, levels=doc.levels[-1:], depth=depth, rank=rank, top=top, formulas=formulas
-        )
+        # The levels dropped: a document with levels must keep every
+        # deficiency node in the level its stamp names.
+        return AnnotatedGraph(graph=graph, depth=depth, rank=rank, top=top, formulas=formulas)
     return AnnotatedGraph(
         graph=ExtensionalDigraph.from_extensions(
             shuffled(rng, dict(graph.extensions)), shuffled(rng, dict(graph.provenance))
@@ -225,8 +232,9 @@ def escaped_document() -> AnnotatedGraph:
     formula names need JSON escapes, every map in a shuffled order."""
     rng = random.Random(3)
     names = list(ESCAPED_EXTENSIONS)
+    deficient = ("\\", "\u00e9", "#", "tab\tend")
     provenance = {
-        **{x: Deficiency(level=2) for x in ("\\", "\u00e9", "#", "tab\tend")},
+        **{x: Deficiency(level=1) for x in deficient},
         **{x: Seed(label=x + '"') for x in ('"', "a", "\n")},
         **{x: Code("chain", "\\" + x) for x in ("\x00", "\x1f", "\U0001f600")},
     }
@@ -236,7 +244,7 @@ def escaped_document() -> AnnotatedGraph:
     depth = shuffled(rng, {x: i % 3 for i, x in enumerate(names)})
     return AnnotatedGraph(
         graph=graph,
-        levels=(frozenset(names[:3]), frozenset(names)),
+        levels=(frozenset(names) - frozenset(deficient), frozenset(names)),
         depth=depth,
         rank=shuffled(rng, {x: 7 for x in names}),
         top=3,
@@ -326,6 +334,36 @@ def test_member_lists_match_the_reference_on_random_graphs():
             if holds
         )
     assert len(seen) == 5, seen
+
+
+@pytest.mark.parametrize(
+    "level, shift, fault",
+    [
+        (1, 1, "levels[2] and not in levels[1]"),
+        (2, -1, "levels[1] and not in levels[0]"),
+        (2, 1, "levels[3] and not in levels[2]"),
+    ],
+    ids=["inside the level below", "outside its level", "past the top level"],
+)
+def test_a_stamp_one_level_off_is_refused_at_its_node(level, shift, fault):
+    """In a document with levels, a deficiency node's stamp is the
+    index of the first level that holds it.  On a 2-level completion, a
+    level-1 node stamped 2 lies inside ``levels[1]``, a level-2 node
+    stamped 1 lies outside ``levels[1]``, and a level-2 node stamped 3
+    names no level: each is refused at its node, as the reference
+    refuses it, and the document without ``levels`` reads."""
+    payload = json.loads(serialize(complete(von_neumann_seed(2), 2)))
+    stamps = [node["provenance"].get("level") for node in payload["nodes"]]
+    j = stamps.index(level)
+    payload["nodes"][j]["provenance"]["level"] += shift
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    ours = outcome(deserialize, text)
+    message = f"a node stamped deficiency level {level + shift} must be in {fault}"
+    path = f"nodes[{j}].provenance"
+    assert ours == ("raised", "SchemaError", path, f"{path}: {message}")
+    assert ours == outcome(reference_deserialize, text)
+    del payload["levels"]
+    assert outcome(deserialize, json.dumps(payload))[0] == "ok"
 
 
 @pytest.mark.parametrize("where", ["id", "label", "detail"])
@@ -479,7 +517,7 @@ def _foreign_id(rng, payload):
     slots = _slots(payload)
     values = [(c, k, s) for c, k, s in slots if isinstance(c[k], str) and c[k] in ids]
     keys = [slot for slot in slots if isinstance(slot[0], dict) and slot[1] in ids]
-    if rng.random() < 0.5:
+    if not keys or rng.random() < 0.5:  # no depth or ranks: no id is a key
         container, key = _pick(rng, values)
         container[key] = "foreign"
     else:
@@ -863,12 +901,11 @@ def _certified_seed() -> AnnotatedGraph:
 def _completions() -> list[str]:
     """Completions as ``serialize`` writes them: without levels, with
     levels, certified, and over ids that JSON escapes."""
-    escaped = escaped_document().graph
     return [
         serialize(AnnotatedGraph(complete(quine_atoms(["p", "q"]), 2).graph)),
         serialize(complete(von_neumann_seed(2), 2)),
         serialize(dred_complete(_certified_seed(), 1)),
-        serialize(complete(escaped, 1)),
+        serialize(complete(escaped_document(), 1)),
     ]
 
 
@@ -967,10 +1004,11 @@ def _slice_traps() -> dict[str, str]:
     first ``}}]`` of ``nodes``, or a cut before ``},"`` or the guessed
     end at the first ``}}`` of ``ranks``, could fall inside a string or
     a nested value."""
-    tricky = ExtensionalDigraph.from_extensions(
+    graph = ExtensionalDigraph.from_extensions(
         {'a},{"id":': (), "b}}]": ('a},{"id":',), "c": ("b}}]",)},
         {"c": Deficiency(level=1)},
     )
+    tricky = AnnotatedGraph(graph, levels=(graph.nodes - {"c"}, graph.nodes))
     nested = json.loads(serialize(complete(von_neumann_seed(2), 1)))
     for i, node in enumerate(nested["nodes"]):
         node["provenance"]["extra"] = [{"id": "x", "more": {"id": i}}, {"id": "y"}]
@@ -1207,7 +1245,7 @@ def _read_inputs() -> list[str]:
     )
     texts.append(serialize(named))
     texts += [_raw(text) for text in (serialize(named), serialize(escaped_document()))]
-    texts.append(_raw(serialize(complete(escaped_document().graph, 1))))
+    texts.append(_raw(serialize(complete(escaped_document(), 1))))
     texts += [_raw(text) for text in lines[:20]]
     # Whitespace of every kind, and CRLF line ends, between the tokens.
     for text in (line, serialize(escaped_document()), lines[0]):

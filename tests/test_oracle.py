@@ -867,16 +867,18 @@ def test_stages_agree_is_the_seed_map_against_the_oracle_graph():
     On the seeds of the test above, and on their completions completed
     again, whose input already holds deficiency nodes: the kernel's
     completion, its mutated copies, the completion less a top-level
-    node, and the completion one level short.  Then the same on seeds
-    whose ids are spelled from key syntax."""
+    node, and the completion one level short.  A completion is
+    completed again as a record, whose stages continue its levels, and
+    as a bare graph, its own level 0, whose stamps a stage meets.  Then
+    the same on seeds whose ids are spelled from key syntax."""
     rng = random.Random(8128)
     outcomes = []
     seeds = (random_comparison_seed(rng) for _ in range(80))
     for seed, levels in itertools.chain(seeds, key_syntax_seeds(30)):
         inputs = [(seed, levels)]
-        again = complete(seed, 1).graph
-        if len(again) <= 8:
-            inputs += [(again, 0), (again, 1)]
+        again = complete(seed, 1)
+        if len(again.graph) <= 8:
+            inputs += [(again, 0), (again, 1), (again.graph, 0), (again.graph, 1)]
         for g, n in inputs:
             values = oracle.oracle_stages(g, n)
             reference = oracle.stages_graph(g, values)
