@@ -229,27 +229,42 @@ def complete_step(u: AnnotatedGraph, budget: Budget = DEFAULT_BUDGET) -> Annotat
     return AnnotatedGraph(new_graph, levels, depth, rank, u.top)
 
 
-def _leveled(u: AnnotatedGraph | ExtensionalDigraph) -> AnnotatedGraph:
-    """The graph and levels a completion of ``u`` continues, a bare graph
-    or a record without levels being its own level 0: the next level,
-    ``len(levels)``, stamps :func:`complete_step`'s new nodes and numbers
-    the oracle's first stage."""
-    u = AnnotatedGraph(u) if isinstance(u, ExtensionalDigraph) else u
-    return AnnotatedGraph(u.graph, u.levels or (u.graph.nodes,))
+def _leveled(
+    u: AnnotatedGraph | ExtensionalDigraph,
+) -> tuple[ExtensionalDigraph, tuple[frozenset[NodeId], ...]]:
+    """The graph and levels a completion of ``u`` continues, whose next
+    index stamps its new nodes and numbers the oracle's first stage: a
+    record's own levels, else level ``k`` for each stamp ``k`` up to the
+    highest, every node not stamped above ``k``.  A stamp past the node
+    count, which no completion makes, raises SetforgeError."""
+    g, levels = (u, None) if isinstance(u, ExtensionalDigraph) else (u.graph, u.levels)
+    if levels:
+        return g, levels
+    stamped: dict[int, list[NodeId]] = {}
+    for x, p in g.provenance.items():
+        stamped.setdefault(p.level if isinstance(p, Deficiency) else 0, []).append(x)
+    top = max(stamped, default=0)
+    if top > len(g):
+        raise SetforgeError(f"no completion of {len(g)} nodes stamps deficiency level {top}")
+    level: frozenset[NodeId] = frozenset()
+    below = []
+    for k in range(top):  # a level that no node is stamped with repeats the one below
+        level = level.union(stamped[k]) if k in stamped else level
+        below.append(level)
+    return g, (*below, g.nodes)
 
 
 def complete(
     u: AnnotatedGraph | ExtensionalDigraph, n: int, budget: Budget = DEFAULT_BUDGET
 ) -> AnnotatedGraph:
-    """Run ``n`` completion steps on ``u``, continuing its levels
-    (:func:`_leveled`), so ``a`` steps and then ``b`` build what ``a + b``
-    steps do; a certificate and formulas are not carried.  The whole
-    request is priced by the growth law before the first step: if any
-    step would exceed the budget, BudgetExceededError names that step
-    and nothing is built.
+    """Run ``n`` completion steps continuing ``u``'s levels (:func:`_leveled`),
+    without its certificate or formulas.  The whole request is priced by
+    the growth law before the first step: if any step would exceed the
+    budget, BudgetExceededError names that step and nothing is built.
     """
-    u = _leveled(u)
-    _priced(u.graph, n, budget)
+    g, levels = _leveled(u)
+    _priced(g, n, budget)
+    u = AnnotatedGraph(g, levels)
     for _ in range(n):
         u = complete_step(u, budget)
     return u

@@ -307,13 +307,13 @@ def dred_complete(
     and the verification is the evidence.  Like
     :func:`~setforge.completion.complete`, the whole request is priced
     before the first step, and before the conditions are verified.  The
-    result continues ``h``'s levels as ``complete`` does (a record
-    without levels is its own level 0); ``h``'s formulas are not carried.
+    result continues ``h``'s levels as ``complete`` does; ``h``'s
+    formulas are not carried.
     """
     _require_blocks(h, "depth", "ranks")
     _priced(h.graph, n, budget)
     require_dred(h)
-    u = AnnotatedGraph(h.graph, _leveled(h).levels, h.depth, h.rank, h.top)
+    u = AnnotatedGraph(h.graph, _leveled(h)[1], h.depth, h.rank, h.top)
     for _ in range(n):
         u = complete_step(u, budget)
         require_dred(u)

@@ -8,14 +8,13 @@ and grows the value universe stage by stage with itertools
 of their members in the run's list of values; only a stage that a
 later stage draws from is made into values.  A stage is priced up
 front and then drawn again, in the same order, each time it is walked,
-never held as a list.  The stages are numbered on from the input's top
-level, as a completion numbers the levels it adds.  A completion is
-checked against those subsets directly, its nodes matched to them by
-position as they are drawn (:func:`stages_agree`); the values and
-subsets make a graph (:func:`stages_graph`, :func:`oracle_complete`)
-only where a graph is asked for, or to explain a mismatch.  The two
-paths share no enumeration code, so agreement between them is
-evidence, not an echo.
+never held as a list, and numbered on from the input's levels as a
+completion numbers the levels it adds.  A completion is checked against
+those subsets directly, its nodes matched to them by position as they
+are drawn (:func:`stages_agree`); the values and subsets make a graph
+(:func:`stages_graph`, :func:`oracle_complete`) only where a graph is
+asked for, or to explain a mismatch.  The two paths share no
+enumeration code, so agreement between them is evidence, not an echo.
 
 A value's key names that one set, and a stage value's node id is
 ``hf:`` and its key: atom and loop labels are written into keys with
@@ -245,9 +244,9 @@ def oracle_stages(
     """
     if n < 0:
         raise ValueError("stage count must be non-negative")
-    u = _leveled(u)
-    require_extensional(u.graph)
-    decoration = decorate(u.graph)
+    g, levels = _leveled(u)
+    require_extensional(g)
+    decoration = decorate(g)
     node_of: dict[SetValue, NodeId] = {}
     for x, v in decoration.items():
         if v in node_of:
@@ -264,7 +263,7 @@ def oracle_stages(
     # value of the run, and no other run meets it.
     values: list[SetValue] = sorted(node_of, key=_key)
     stages: list[_Draw] = []
-    for stage in range(len(u.levels), len(u.levels) + n):
+    for stage in range(len(levels), len(levels) + n):
         if stages:
             values += [
                 Collection(members=tuple(sorted(map(values.__getitem__, p), key=_key)))
@@ -273,7 +272,7 @@ def oracle_stages(
         stages.append(_one_stage(values, budget, f"stage {stage}"))
     found = StageValues(node_of, values, stages)
     # A stage subset is named "hf:" and its key, which a seed id may hold.
-    claimed = {x[3:] for x in u.graph.nodes if x.startswith("hf:")}
+    claimed = {x[3:] for x in g.nodes if x.startswith("hf:")}
     if claimed:
         keys = _keys(found)[len(node_of) :]
         clash = min((k for k in keys if k in claimed), default=None)
@@ -315,10 +314,10 @@ def stages_graph(u: AnnotatedGraph | ExtensionalDigraph, values: StageValues) ->
     """The graph of :func:`oracle_stages`' values for ``u``: seed values
     keep their node's id and provenance, every stage subset is named by
     its key and stamped with the level of its stage."""
-    u = _leveled(u)
+    g, levels = _leveled(u)
     node_of, pool, stages = values
-    stamps = [u.graph.provenance[node_of[v]] for v in pool[: len(node_of)]]
-    for stage, fresh in enumerate(stages, len(u.levels)):
+    stamps = [g.provenance[node_of[v]] for v in pool[: len(node_of)]]
+    for stage, fresh in enumerate(stages, len(levels)):
         stamps += itertools.repeat(Deficiency(level=stage), len(fresh))
     keys = _keys(values)
     ids = list(map(node_of.__getitem__, pool[: len(node_of)]))
@@ -481,33 +480,30 @@ def stages_agree(
     same provenance, exactly, since :func:`_induced` compares
     provenance colours, which ignore seed labels.  It decides what the
     lift of ``ours`` onto that graph decides: a map and its inverse are
-    built by the same level walk.  A stage that meets an input stamp (a
-    graph without levels is its own level 0) gives False: its subsets
-    hold that level's own nodes, which no walk names in time.
+    built by the same level walk.
     """
-    u = _leveled(u)
+    g, levels = _leveled(u)
     node_of, pool, stages = values
     levels_ours, fixed = _by_level(ours)
-    seed_levels, seed_fixed = _by_level(u.graph)
-    stage_levels = range(len(u.levels), len(u.levels) + len(stages))
-    if fixed != seed_fixed or not seed_levels.keys().isdisjoint(stage_levels):
+    seed_levels, seed_fixed = _by_level(g)
+    if fixed != seed_fixed:
         return False
     position = {x: i for i, x in enumerate(map(node_of.__getitem__, pool[: len(node_of)]))}
     seeds = _seed_members(values)
     # Each level's names, and its members as the walk reads them: the
     # input's deficiency nodes, then each stage's subsets drawn again.
-    levels: dict[int, Sequence[int]] = {}
+    names: dict[int, Sequence[int]] = {}
     drawn: dict[int, Iterable[Iterable[int]]] = {}
     for level, xs in seed_levels.items():
-        levels[level] = own = list(map(position.__getitem__, xs))
+        names[level] = own = list(map(position.__getitem__, xs))
         drawn[level] = map(seeds.__getitem__, own)
     start = len(node_of)
-    for stage, fresh in zip(stage_levels, stages):
-        levels[stage], drawn[stage] = range(start, start + len(fresh)), fresh
+    for stage, fresh in enumerate(stages, len(levels)):
+        names[stage], drawn[stage] = range(start, start + len(fresh)), fresh
         start += len(fresh)
     phi = {position[x]: x for x in fixed}
     fixed_values = {position[x]: p for x, p in fixed.items()}
-    groups = ((levels, fixed_values), (levels_ours, fixed))
+    groups = ((names, fixed_values), (levels_ours, fixed))
     return _induced(seeds, ours, phi, groups, drawn) is not None
 
 

@@ -957,21 +957,23 @@ def completions_to_complete_further() -> list[AnnotatedGraph]:
 
 @pytest.mark.parametrize("which", [0, 1, 2], ids=["von-neumann", "quine-atoms", "chain-style"])
 def test_oracle_compare_on_an_input_that_is_already_a_completion(monkeypatch, completions, which):
-    """The kernel continues the input's levels and the reference numbers
-    its stages on from the input's top level, so the input's deficiency
-    nodes and the nodes added to them never share a level: the level
-    walk alone decides, and neither the reference graph nor a search
-    is made."""
+    """The kernel continues the input's levels, or without a ``levels``
+    block the levels its stamps give, and the reference numbers its
+    stages on from the same top level, so the input's deficiency nodes
+    and the nodes added to them never share a level: the level walk
+    alone decides, and neither the reference graph nor a search is
+    made."""
 
     def unreachable(*args):
         raise AssertionError("the level walk did not decide")
 
     monkeypatch.setattr(cli, "compare", unreachable)
     monkeypatch.setattr(oracle, "is_isomorphic", unreachable)
-    doc = serialize(completions_to_complete_further()[which])
+    u = completions_to_complete_further()[which]
     argv = ["oracle-compare", "--levels", "1", "--porcelain"]
-    assert invoke(argv, doc) == (0, "oracle\tisomorphic\tisomorphic\n", "")
-    assert completions == ["oracle_stages", "complete"]
+    for doc in (serialize(u), serialize(AnnotatedGraph(u.graph))):
+        assert invoke(argv, doc) == (0, "oracle\tisomorphic\tisomorphic\n", "")
+    assert completions == ["oracle_stages", "complete"] * 2
 
 
 def test_oracle_compare_explains_a_sabotaged_kernel_on_a_completion(monkeypatch):
@@ -1010,12 +1012,15 @@ SMALL_SPECS = [
 ]
 
 
+@pytest.mark.parametrize("kept", [True, False], ids=["levels", "stamps-only"])
 @pytest.mark.parametrize("split", [(0, 2), (1, 1), (2, 0), (1, 0, 1)], ids=str)
-def test_completing_in_parts_writes_the_bytes_of_one_completion(tmp_path, split):
+def test_completing_in_parts_writes_the_bytes_of_one_completion(tmp_path, split, kept):
     """``complete a | complete b`` writes byte for byte what ``complete
     a+b`` writes, plain on seeds and certified on ``seed spec`` seeds,
     and the witness report reads it: a completion continues its input's
-    levels, so every stamp is its level's index."""
+    levels, so every stamp is its level's index.  The same holds where
+    each part's ``levels`` block is dropped before the next part: a
+    document without one continues the levels its stamps give."""
     specs = []
     for i, spec in enumerate(SMALL_SPECS):
         path = tmp_path / f"spec{i}.json"
@@ -1027,6 +1032,8 @@ def test_completing_in_parts_writes_the_bytes_of_one_completion(tmp_path, split)
         whole = invoke(["complete", *flag, "--levels", str(sum(split))], text)
         parts = text
         for levels in split:
+            if not kept:
+                parts = json.dumps({k: v for k, v in json.loads(parts).items() if k != "levels"})
             code, parts, err = invoke(["complete", *flag, "--levels", str(levels)], parts)
             assert (code, err) == (0, "")
         assert whole == (0, parts, "")

@@ -25,10 +25,12 @@ from setforge import (
     complete,
     complete_step,
     deficiency,
+    deserialize,
     dred_complete,
     dred_from_graph,
     eval_formula,
     quine_atoms,
+    serialize,
     subset_node_id,
     von_neumann_seed,
     witness_report,
@@ -257,6 +259,22 @@ def test_new_nodes_carry_deficiency_provenance():
             p = u.graph.provenance[x]
             assert isinstance(p, Deficiency)
             assert p.level == n
+
+
+def test_a_stamp_no_node_takes_repeats_the_level_below_and_one_past_the_node_count_is_refused():
+    """A level that no node is stamped with is the level below it
+    again, and the completion reads back.  A stamp past the node count
+    names more levels than a completion of that many nodes makes, and
+    is refused before any level is built."""
+    extensions = {"a": (), "b": ("a",), "c": ("a", "b")}
+    g = ExtensionalDigraph.from_extensions(extensions, {"c": Deficiency(level=3)})
+    u = complete(g, 1)
+    assert u.levels[:4] == (frozenset("ab"),) * 3 + (g.nodes,)
+    assert {u.graph.provenance[x] for x in u.levels[4] - g.nodes} == {Deficiency(level=4)}
+    assert deserialize(serialize(u)).levels == u.levels
+    g = ExtensionalDigraph.from_extensions(extensions, {"c": Deficiency(level=4)})
+    with pytest.raises(SetforgeError, match="no completion of 3 nodes stamps deficiency level 4"):
+        complete(g, 0)
 
 
 # Non-ASCII ids and ids holding the separator "\x1f" that

@@ -901,11 +901,12 @@ def _certified_seed() -> AnnotatedGraph:
 def _completions() -> list[str]:
     """Completions as ``serialize`` writes them: without levels, with
     levels, certified, and over ids that JSON escapes."""
+    escaped = escaped_document().graph
     return [
         serialize(AnnotatedGraph(complete(quine_atoms(["p", "q"]), 2).graph)),
         serialize(complete(von_neumann_seed(2), 2)),
         serialize(dred_complete(_certified_seed(), 1)),
-        serialize(complete(escaped_document(), 1)),
+        serialize(complete(escaped, 1)),
     ]
 
 
@@ -1004,11 +1005,10 @@ def _slice_traps() -> dict[str, str]:
     first ``}}]`` of ``nodes``, or a cut before ``},"`` or the guessed
     end at the first ``}}`` of ``ranks``, could fall inside a string or
     a nested value."""
-    graph = ExtensionalDigraph.from_extensions(
+    tricky = ExtensionalDigraph.from_extensions(
         {'a},{"id":': (), "b}}]": ('a},{"id":',), "c": ("b}}]",)},
         {"c": Deficiency(level=1)},
     )
-    tricky = AnnotatedGraph(graph, levels=(graph.nodes - {"c"}, graph.nodes))
     nested = json.loads(serialize(complete(von_neumann_seed(2), 1)))
     for i, node in enumerate(nested["nodes"]):
         node["provenance"]["extra"] = [{"id": "x", "more": {"id": i}}, {"id": "y"}]
@@ -1245,7 +1245,7 @@ def _read_inputs() -> list[str]:
     )
     texts.append(serialize(named))
     texts += [_raw(text) for text in (serialize(named), serialize(escaped_document()))]
-    texts.append(_raw(serialize(complete(escaped_document(), 1))))
+    texts.append(_raw(serialize(complete(escaped_document().graph, 1))))
     texts += [_raw(text) for text in lines[:20]]
     # Whitespace of every kind, and CRLF line ends, between the tokens.
     for text in (line, serialize(escaped_document()), lines[0]):

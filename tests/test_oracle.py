@@ -869,8 +869,8 @@ def test_stages_agree_is_the_seed_map_against_the_oracle_graph():
     completion, its mutated copies, the completion less a top-level
     node, and the completion one level short.  A completion is
     completed again as a record, whose stages continue its levels, and
-    as a bare graph, its own level 0, whose stamps a stage meets.  Then
-    the same on seeds whose ids are spelled from key syntax."""
+    as a bare graph, whose stamps give the same levels.  Then the same
+    on seeds whose ids are spelled from key syntax."""
     rng = random.Random(8128)
     outcomes = []
     seeds = (random_comparison_seed(rng) for _ in range(80))
