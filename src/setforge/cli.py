@@ -38,7 +38,7 @@ from .errors import (
 )
 from .graph import AnnotatedGraph, ExtensionalDigraph, _require_iso_count
 from .logic import AXIOM_NAMES, check_axiom, define_class, eval_formula, parse
-from .oracle import ComparisonVerdict, compare, oracle_stages, stages_agree, stages_graph
+from .oracle import compare, oracle_stages, stage_mismatch
 from .seeds import AtomDecl, CodeSpec, TupleDecl, assemble, quine_atoms, von_neumann_seed
 
 _BUDGET_ENV = "SETFORGE_BUDGET"
@@ -297,25 +297,14 @@ def _cmd_oracle_compare(args: argparse.Namespace) -> int:
     size = _priced(doc.graph, args.levels, budget)
     _require_iso_count(size, size)
     # The reference's stage values first, so that a seed they cannot
-    # decorate, a stage over the budget or a generated id that clashes
-    # with a seed id is reported before the kernel runs.  The kernel's
-    # nodes are then matched to those values by position; only where
-    # that match fails is the reference graph built, for ``compare`` to
-    # settle and explain.
+    # decorate or a stage over the budget is reported before the kernel
+    # runs.  The kernel's nodes are then matched to those values level
+    # by level, and a mismatch is named where that match stopped.
     reference = oracle_stages(doc, args.levels, budget)
-    ours = complete(doc, args.levels, budget).graph
-    if stages_agree(ours, doc, reference):
-        verdict = ComparisonVerdict(True, "isomorphic")
-    else:
-        # Rebound, so that the values are freed once their graph exists.
-        reference = stages_graph(doc, reference)
-        verdict = compare(ours, reference)
-    status = "isomorphic" if verdict.isomorphic else "mismatch"
-    if args.porcelain:
-        print(f"oracle\t{status}\t{verdict.detail}")
-    else:
-        print(verdict.detail)
-    return 0 if verdict.isomorphic else 1
+    detail = stage_mismatch(complete(doc, args.levels, budget).graph, reference)
+    status = "isomorphic" if detail is None else "mismatch"
+    print(f"oracle\t{status}\t{detail or status}" if args.porcelain else detail or status)
+    return 0 if detail is None else 1
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

@@ -11,10 +11,11 @@ front and then drawn again, in the same order, each time it is walked,
 never held as a list, and numbered on from the input's levels as a
 completion numbers the levels it adds.  A completion is checked against
 those subsets directly, its nodes matched to them by position as they
-are drawn (:func:`stages_agree`); the values and subsets make a graph
-(:func:`stages_graph`, :func:`oracle_complete`) only where a graph is
-asked for, or to explain a mismatch.  The two paths share no
-enumeration code, so agreement between them is evidence, not an echo.
+are drawn, and a mismatch named where the match stopped
+(:func:`stage_mismatch`); the values and subsets make a graph
+(:func:`oracle_complete`) only where a graph is asked for.  The two
+paths share no enumeration code, so agreement between them is
+evidence, not an echo.
 
 A value's key names that one set, and a stage value's node id is
 ``hf:`` and its key: atom and loop labels are written into keys with
@@ -218,15 +219,18 @@ def decorate(g: ExtensionalDigraph) -> dict[NodeId, SetValue]:
 
 
 class StageValues(NamedTuple):
-    """What :func:`oracle_stages` builds: each decoration value with its
-    seed node; the run's values, which are the decoration values in key
-    order and then each stage but the last, made into values in draw
-    order; and the subsets each stage adds, in stage order, as
-    :func:`_one_stage` names them by position in those values.  A
-    stage is drawn again each time it is walked, in the same order, and
-    never held: the last stage, the largest, is a count and the few
-    tuples its values represent."""
+    """What :func:`oracle_stages` builds: the input's graph and the
+    index of its first stage, as :func:`_leveled` gives them; each
+    decoration value with its seed node; the run's values, which are
+    the decoration values in key order and then each stage but the
+    last, made into values in draw order; and the subsets each stage
+    adds, in stage order, as :func:`_one_stage` names them by position
+    in those values.  A stage is drawn again each time it is walked, in
+    the same order, and never held: the last stage, the largest, is a
+    count and the few tuples its values represent."""
 
+    graph: ExtensionalDigraph
+    first: int
     node_of: dict[SetValue, NodeId]
     values: list[SetValue]
     stages: list[_Draw]
@@ -238,9 +242,8 @@ def oracle_stages(
     """The values of a reference completion of ``u``: decorate, then run n stages.
 
     Raises what :func:`oracle_complete` raises before it converts the
-    values, in the same order, the clash of a generated id with a seed
-    id included, so a caller that converts them later, or never,
-    reports those errors first.
+    values, in the same order, so a caller that converts them later, or
+    never, reports those errors first.
     """
     if n < 0:
         raise ValueError("stage count must be non-negative")
@@ -270,21 +273,12 @@ def oracle_stages(
                 for p in stages[-1]
             ]
         stages.append(_one_stage(values, budget, f"stage {stage}"))
-    found = StageValues(node_of, values, stages)
-    # A stage subset is named "hf:" and its key, which a seed id may hold.
-    claimed = {x[3:] for x in g.nodes if x.startswith("hf:")}
-    if claimed:
-        keys = _keys(found)[len(node_of) :]
-        clash = min((k for k in keys if k in claimed), default=None)
-        if clash is not None:
-            raise SetforgeError(f"generated id {'hf:' + clash!r} collides with a seed id")
-    return found
+    return StageValues(g, len(levels), node_of, values, stages)
 
 
 def _seed_members(values: StageValues) -> list[tuple[int, ...]]:
     """The members of each decoration value, as positions."""
-    node_of, pool, _ = values
-    seeds = pool[: len(node_of)]
+    seeds = values.values[: len(values.node_of)]
     position = {v: i for i, v in enumerate(seeds)}
     return [tuple(map(position.__getitem__, value_extension(v))) for v in seeds]
 
@@ -303,30 +297,10 @@ def _members(values: StageValues) -> list[tuple[int, ...]]:
 def _keys(values: StageValues) -> list[str]:
     """The key of each value and stage subset, in :func:`_members`'
     order, each subset's spelled as a :class:`Collection` spells it."""
-    node_of, pool, stages = values
-    keys = list(map(_key, pool[: len(node_of)]))
-    for fresh in stages:
+    keys = list(map(_key, values.values[: len(values.node_of)]))
+    for fresh in values.stages:
         keys += ["{" + ",".join(sorted(map(keys.__getitem__, p))) + "}" for p in fresh]
     return keys
-
-
-def stages_graph(u: AnnotatedGraph | ExtensionalDigraph, values: StageValues) -> ExtensionalDigraph:
-    """The graph of :func:`oracle_stages`' values for ``u``: seed values
-    keep their node's id and provenance, every stage subset is named by
-    its key and stamped with the level of its stage."""
-    g, levels = _leveled(u)
-    node_of, pool, stages = values
-    stamps = [g.provenance[node_of[v]] for v in pool[: len(node_of)]]
-    for stage, fresh in enumerate(stages, len(levels)):
-        stamps += itertools.repeat(Deficiency(level=stage), len(fresh))
-    keys = _keys(values)
-    ids = list(map(node_of.__getitem__, pool[: len(node_of)]))
-    ids += map("hf:".__add__, keys[len(node_of) :])
-    members = _members(values)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    extensions = {ids[i]: frozenset(map(ids.__getitem__, members[i])) for i in order}
-    provenance = {ids[i]: stamps[i] for i in order}
-    return ExtensionalDigraph(extensions, provenance)
 
 
 def oracle_complete(
@@ -335,10 +309,27 @@ def oracle_complete(
     """Reference completion: decorate, run n stages on values, convert back.
 
     Seed nodes keep their ids and provenance; stage-r additions are
-    stamped like the r-th level a completion of ``u`` adds, so a correct
-    completion of ``u`` is label-preservingly isomorphic to the result.
+    named ``hf:`` and their key and stamped like the r-th level a
+    completion of ``u`` adds, so a correct completion of ``u`` is
+    label-preservingly isomorphic to the result.  A generated id that a
+    seed node holds already raises SetforgeError, the least one named.
     """
-    return stages_graph(u, oracle_stages(u, n, budget))
+    values = oracle_stages(u, n, budget)
+    g, node_of = values.graph, values.node_of
+    keys = _keys(values)
+    ids = list(map(node_of.__getitem__, values.values[: len(node_of)]))
+    ids += map("hf:".__add__, keys[len(node_of) :])
+    clash = min(g.nodes.intersection(ids[len(node_of) :]), default=None)
+    if clash is not None:
+        raise SetforgeError(f"generated id {clash!r} collides with a seed id")
+    stamps = [g.provenance[x] for x in ids[: len(node_of)]]
+    for stage, fresh in enumerate(values.stages, values.first):
+        stamps += itertools.repeat(Deficiency(level=stage), len(fresh))
+    members = _members(values)
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    extensions = {ids[i]: frozenset(map(ids.__getitem__, members[i])) for i in order}
+    provenance = {ids[i]: stamps[i] for i in order}
+    return ExtensionalDigraph(extensions, provenance)
 
 
 @dataclass(frozen=True)
@@ -391,37 +382,40 @@ def _induced(
     phi: Mapping[Hashable, NodeId],
     groups: tuple,
     drawn: Mapping[int, Iterable[Iterable[Hashable]]] | None = None,
-) -> dict[Hashable, NodeId] | None:
+) -> dict[Hashable, NodeId] | str:
     """The isomorphism onto ``b`` that the level walk extends ``phi``
     to, ``phi`` a map of the non-deficiency nodes of a graph whose
-    nodes' members ``ext_a`` gives; None when the walk cannot extend
-    it, which decides nothing.  The map of the empty graph is ``{}``,
-    so a caller tests the result against None.  ``groups`` holds the
-    :func:`_by_level` groups of that graph and of ``b``; the walk only
-    reads them.  ``ext_a`` maps each node to its members, or lists each
-    node's member positions, the node named by its own position in the
-    list.  A level's members are read in step with its names, each
-    once: from ``ext_a``, or, where ``drawn`` is given, as it yields
-    them for the level, which then need not be held anywhere.
+    nodes' members ``ext_a`` gives; else a short text that says where
+    the walk stopped, which decides nothing.  The map of the empty
+    graph is ``{}``, so a caller tests the result for a map, never for
+    its truth.  ``groups`` holds the :func:`_by_level` groups of that
+    graph and of ``b``; the walk only reads them.  ``ext_a`` maps each
+    node to its members, or lists each node's member positions, the
+    node named by its own position in the list.  A level's members are
+    read in step with its names, each once: from ``ext_a``, or, where
+    ``drawn`` is given, as it yields them for the level, which then
+    need not be held anywhere.
 
     ``phi`` must be one to one onto the non-deficiency nodes of ``b``
     and keep provenance colours.  The walk then names the deficiency
     nodes level by level in ascending order: each takes the node of
     ``b`` at its level whose extension its members' names spell, and
-    is named by it once its level is spelled.  Levels that only one
-    graph has, unequal node counts at a level, a member not named yet
-    or a spelling that no node of ``b`` at the level has ends the walk.
-    With the non-deficiency nodes' members carried onto their images'
-    too, the map is an isomorphism in :func:`is_isomorphic`'s sense, so
-    a map is exact.  Every isomorphism of two seeds lifts to their
-    exact completions: a level adds exactly the subsets that no node
-    represents, and an isomorphism carries those onto those.
+    is named by it once its level is spelled, so a member not named yet
+    spells nothing.  The walk stops at the first level whose node
+    counts differ (a level that only one graph has counts none in the
+    other), else at the least node of ``b`` at the level that no
+    member list spelled, else where two nodes of ``b`` at the level
+    share an extension, naming both.  With the non-deficiency nodes'
+    members carried onto their images' too, the map is an isomorphism
+    in :func:`is_isomorphic`'s sense, so a map is exact.  Every
+    isomorphism of two seeds lifts to their exact completions: a level
+    adds exactly the subsets that no node represents, and an
+    isomorphism carries those onto those.
     """
     (levels_a, fixed_a), (levels_b, fixed_b) = groups
     image = set(phi.values())
     if not (
-        levels_a.keys() == levels_b.keys()
-        and phi.keys() == fixed_a.keys()
+        phi.keys() == fixed_a.keys()
         and len(image) == len(phi)
         and image == fixed_b.keys()
         and all(
@@ -429,23 +423,28 @@ def _induced(
             for x, p in fixed_a.items()
         )
     ):
-        return None
+        return "the seed map is not one to one onto the seed nodes with their colours"
     names = dict(phi)
     extensions = b.extensions
-    for level in sorted(levels_a):
-        xs, ys = levels_a[level], levels_b[level]
+    for level in sorted(levels_a.keys() | levels_b.keys()):
+        xs, ys = levels_a.get(level, ()), levels_b.get(level, ())
         if len(xs) != len(ys):
-            return None
+            return f"level {level} has {len(ys)} nodes, not {len(xs)}"
         table = {extensions[y]: y for y in ys}
         members = map(ext_a.__getitem__, xs) if drawn is None else drawn[level]
-        try:
-            found = [table.pop(frozenset(map(names.__getitem__, ms))) for ms in members]
-        except KeyError:
-            return None
+        found = [table.pop(frozenset(map(names.get, ms)), None) for ms in members]
+        if table:
+            return f"level {level}: nothing maps onto {min(table.values())!r}"
+        if None in found:
+            # The table kept the last node of ``ys`` with each extension.
+            last = {extensions[y]: y for y in ys}
+            y, twin = sorted(min((y, last[extensions[y]]) for y in ys if last[extensions[y]] != y))
+            return f"level {level}: {y!r} and {twin!r} share an extension"
         names.update(zip(xs, found, strict=True))
-    if all(frozenset(map(names.__getitem__, ext_a[x])) == extensions[y] for x, y in phi.items()):
-        return names
-    return None
+    for x, y in phi.items():
+        if frozenset(map(names.__getitem__, ext_a[x])) != extensions[y]:
+            return f"the members of {y!r} are not the images of {x!r}'s"
+    return names
 
 
 def _seed_map_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, groups: tuple) -> bool:
@@ -465,46 +464,38 @@ def _seed_map_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, groups: tuple)
             return False
         if phi is None:
             return False
-    return _induced(a.extensions, b, phi, groups) is not None
+    return isinstance(_induced(a.extensions, b, phi, groups), dict)
 
 
-def stages_agree(
-    ours: ExtensionalDigraph, u: AnnotatedGraph | ExtensionalDigraph, values: StageValues
-) -> bool:
-    """Whether :func:`_induced` extends the identity, of
-    ``stages_graph(u, values)`` onto ``ours``, decided on the values
-    themselves, without that graph: its nodes are named by their
-    positions in :func:`_members`' order, each stage's subsets at the
-    level of their stage and the input's deficiency nodes at theirs.
-    The non-deficiency nodes of ``ours`` must be the input's with the
-    same provenance, exactly, since :func:`_induced` compares
-    provenance colours, which ignore seed labels.  It decides what the
-    lift of ``ours`` onto that graph decides: a map and its inverse are
-    built by the same level walk.
+def stage_mismatch(ours: ExtensionalDigraph, values: StageValues) -> str | None:
+    """Where ``ours``, a completion of the input of ``values``, differs
+    from the stage values, else None.  Every input node is fixed:
+    ``ours`` must hold each with the same id, provenance and members
+    below the first stage, and no other node there, else the least node
+    that differs is named.  Only the stages are walked, by
+    :func:`_induced` from the identity on the input's nodes, without
+    the graph of the values: a stage's subsets are named by their
+    positions in :func:`_members`' order and drawn again at its level.
+    The walk builds the inverse of the lift of ``ours`` onto
+    :func:`oracle_complete`'s graph, so it decides what that lift
+    decides where the input's nodes agree.
     """
-    g, levels = _leveled(u)
-    node_of, pool, stages = values
-    levels_ours, fixed = _by_level(ours)
-    seed_levels, seed_fixed = _by_level(g)
-    if fixed != seed_fixed:
-        return False
-    position = {x: i for i, x in enumerate(map(node_of.__getitem__, pool[: len(node_of)]))}
-    seeds = _seed_members(values)
-    # Each level's names, and its members as the walk reads them: the
-    # input's deficiency nodes, then each stage's subsets drawn again.
-    names: dict[int, Sequence[int]] = {}
-    drawn: dict[int, Iterable[Iterable[int]]] = {}
-    for level, xs in seed_levels.items():
-        names[level] = own = list(map(position.__getitem__, xs))
-        drawn[level] = map(seeds.__getitem__, own)
-    start = len(node_of)
-    for stage, fresh in enumerate(stages, len(levels)):
-        names[stage], drawn[stage] = range(start, start + len(fresh)), fresh
+    g, first = values.graph, values.first
+    levels, fixed = _by_level(ours)
+    below = set(fixed).union(*[levels.pop(k) for k in [*levels] if k < first])
+    changed = [x for x in below | g.nodes if ours.provenance.get(x) != g.provenance.get(x)]
+    changed += [x for x in g.nodes if ours.extensions.get(x) != g.extensions[x]]
+    if changed:
+        return f"{min(changed)!r} differs from the input below level {first}"
+    phi = dict(enumerate(map(values.node_of.__getitem__, values.values[: len(values.node_of)])))
+    drawn = dict(enumerate(values.stages, first))
+    names, start = {}, len(phi)
+    for stage, fresh in drawn.items():
+        names[stage] = range(start, start + len(fresh))
         start += len(fresh)
-    phi = {position[x]: x for x in fixed}
-    fixed_values = {position[x]: p for x, p in fixed.items()}
-    groups = ((names, fixed_values), (levels_ours, fixed))
-    return _induced(seeds, ours, phi, groups, drawn) is not None
+    groups = (names, {i: g.provenance[x] for i, x in phi.items()}), (levels, g.provenance)
+    found = _induced(_seed_members(values), ours, phi, groups, drawn)
+    return found if isinstance(found, str) else None
 
 
 def compare(a: ExtensionalDigraph, b: ExtensionalDigraph) -> ComparisonVerdict:

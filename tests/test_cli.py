@@ -24,7 +24,10 @@ from setforge import (
     AtomDecl,
     Code,
     CodeSpec,
+    Deficiency,
     ExtensionalDigraph,
+    Seed,
+    SetforgeError,
     assemble,
     complete,
     dred_complete,
@@ -880,10 +883,10 @@ def test_oracle_compare_settles_a_symmetric_seed_from_the_seed_map(monkeypatch):
 @pytest.fixture
 def completions(monkeypatch):
     """What the command line builds toward a comparison, by name, in
-    call order: the reference's stage values, the kernel's completion,
-    and the reference graph made of those values."""
+    call order: the reference's stage values and the kernel's
+    completion."""
     calls = []
-    for name in ("oracle_stages", "complete", "stages_graph"):
+    for name in ("oracle_stages", "complete"):
 
         def recording(*args, name=name, original=getattr(cli, name)):
             calls.append(name)
@@ -895,8 +898,8 @@ def completions(monkeypatch):
 
 def test_oracle_compare_builds_the_reference_before_the_kernel(completions):
     """The reference's stage values are built before the kernel runs,
-    so that their errors come first, and an isomorphic run matches the
-    kernel's nodes to them without building the reference graph."""
+    so that their errors come first, and the kernel's nodes are matched
+    to them."""
     doc = serialize(AnnotatedGraph(swapping_seed("q")))
     assert invoke(["oracle-compare", "--levels", "2"], doc) == (0, "isomorphic\n", "")
     assert completions == ["oracle_stages", "complete"]
@@ -919,15 +922,24 @@ def sabotaged_completions(seed, levels):
     ]
 
 
+def moved_node(seed, levels: int, bad: ExtensionalDigraph) -> str:
+    """The node whose extension ``bad`` changed in the completion."""
+    good = complete(seed, levels).graph
+    [moved] = [x for x in bad.nodes if bad.extensions[x] != good.extensions[x]]
+    return moved
+
+
 @pytest.mark.parametrize("fault", [0, 1], ids=["node-dropped", "edge-moved"])
 def test_oracle_compare_explains_a_sabotaged_kernel(monkeypatch, completions, fault):
-    """A kernel result that does not match the stage values falls back
-    to ``compare`` against the reference graph, which explains it: exit
-    1 and exactly that verdict's detail."""
+    """A kernel result that does not match the stage values exits 1 with
+    the level walk's detail: the level whose node count is one short,
+    or the moved node, whose new extension no stage subset spells."""
     seed_graph = swapping_seed("q")
     bad = sabotaged_completions(seed_graph, 1)[fault]
-    expected = oracle.compare(bad, oracle_complete(seed_graph, 1))
-    assert not expected.isomorphic
+    if fault:
+        expected = f"level 1: nothing maps onto {moved_node(seed_graph, 1, bad)!r}"
+    else:
+        expected = "level 1 has 11 nodes, not 12"
     original = cli.complete
 
     def sabotaged(*args):
@@ -937,8 +949,21 @@ def test_oracle_compare_explains_a_sabotaged_kernel(monkeypatch, completions, fa
     monkeypatch.setattr(cli, "complete", sabotaged)
     doc = serialize(AnnotatedGraph(seed_graph))
     argv = ["oracle-compare", "--levels", "1", "--porcelain"]
-    assert invoke(argv, doc) == (1, f"oracle\tmismatch\t{expected.detail}\n", "")
-    assert completions == ["oracle_stages", "complete", "stages_graph"]
+    assert invoke(argv, doc) == (1, f"oracle\tmismatch\t{expected}\n", "")
+    assert completions == ["oracle_stages", "complete"]
+
+
+def never_compared(monkeypatch) -> None:
+    """``compare`` and ``is_isomorphic`` raise wherever the command line
+    could reach them, so that only the level walk can decide."""
+
+    def unreachable(*args):
+        raise AssertionError("the level walk did not decide")
+
+    for module in (cli, oracle, graph):
+        for name in ("compare", "is_isomorphic"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, unreachable)
 
 
 def completions_to_complete_further() -> list[AnnotatedGraph]:
@@ -960,15 +985,10 @@ def test_oracle_compare_on_an_input_that_is_already_a_completion(monkeypatch, co
     """The kernel continues the input's levels, or without a ``levels``
     block the levels its stamps give, and the reference numbers its
     stages on from the same top level, so the input's deficiency nodes
-    and the nodes added to them never share a level: the level walk
-    alone decides, and neither the reference graph nor a search is
-    made."""
-
-    def unreachable(*args):
-        raise AssertionError("the level walk did not decide")
-
-    monkeypatch.setattr(cli, "compare", unreachable)
-    monkeypatch.setattr(oracle, "is_isomorphic", unreachable)
+    and the nodes added to them never share a level: the input's nodes
+    are kept as they are, the stages are walked, and neither ``compare``
+    nor a search is called."""
+    never_compared(monkeypatch)
     u = completions_to_complete_further()[which]
     argv = ["oracle-compare", "--levels", "1", "--porcelain"]
     for doc in (serialize(u), serialize(AnnotatedGraph(u.graph))):
@@ -978,11 +998,11 @@ def test_oracle_compare_on_an_input_that_is_already_a_completion(monkeypatch, co
 
 def test_oracle_compare_explains_a_sabotaged_kernel_on_a_completion(monkeypatch):
     """On an input that is already a completion, a kernel result with a
-    node dropped gives exit 1 and exactly ``compare``'s detail."""
+    node dropped gives exit 1 and the level walk's detail: the stage,
+    numbered on from the input's levels, is one node short."""
     u = completions_to_complete_further()[0]
     bad = sabotaged_completions(u, 1)[0]
-    expected = oracle.compare(bad, oracle_complete(u, 1))
-    assert not expected.isomorphic
+    expected = "level 2 has 11 nodes, not 12"
     original = cli.complete
 
     def sabotaged(*args):
@@ -991,7 +1011,63 @@ def test_oracle_compare_explains_a_sabotaged_kernel_on_a_completion(monkeypatch)
 
     monkeypatch.setattr(cli, "complete", sabotaged)
     argv = ["oracle-compare", "--levels", "1", "--porcelain"]
-    assert invoke(argv, serialize(u)) == (1, f"oracle\tmismatch\t{expected.detail}\n", "")
+    assert invoke(argv, serialize(u)) == (1, f"oracle\tmismatch\t{expected}\n", "")
+
+
+@pytest.mark.parametrize("kept", [True, False], ids=["levels", "stamps-only"])
+def test_oracle_compare_keeps_an_input_level_that_holds_its_own_nodes(
+    monkeypatch, completions, kept
+):
+    """A record e, d1 = {e}, d2 = {d1}, with d1 and d2 both stamped 1,
+    with its ``levels`` block or without: d2's member d1 is a node of
+    d2's own level, which a walk of the input's levels would not have
+    named yet.  The input's nodes are kept as they are instead, and the
+    stage alone is walked, which decides."""
+    never_compared(monkeypatch)
+    g = ExtensionalDigraph(
+        {"e": frozenset(), "d1": frozenset({"e"}), "d2": frozenset({"d1"})},
+        {"e": Seed("e"), "d1": Deficiency(1), "d2": Deficiency(1)},
+    )
+    doc = serialize(AnnotatedGraph(g, (frozenset({"e"}), g.nodes) if kept else None))
+    argv = ["oracle-compare", "--levels", "1", "--porcelain"]
+    assert invoke(argv, doc) == (0, "oracle\tisomorphic\tisomorphic\n", "")
+    assert completions == ["oracle_stages", "complete"]
+
+
+def test_oracle_compare_names_a_seed_node_whose_label_the_kernel_changed(monkeypatch):
+    """A kernel result that is the completion with seed atom q0's label
+    changed is isomorphic to the reference, since isomorphism ignores
+    labels, but the input's nodes are kept with their provenance: exit
+    1, naming q0."""
+    seed_graph = quine_atoms(["q0", "q1"])
+    good = complete(seed_graph, 1).graph
+    q0 = "atom:q0"
+    assert seed_graph.provenance[q0] == Code("atom", "q0")
+    bad = ExtensionalDigraph(good.extensions, {**good.provenance, q0: Code("atom", "relabelled")})
+    monkeypatch.setattr(cli, "complete", lambda *args: AnnotatedGraph(bad))
+    argv = ["oracle-compare", "--levels", "1", "--porcelain"]
+    detail = f"{q0!r} differs from the input below level 1"
+    doc = serialize(AnnotatedGraph(seed_graph))
+    assert invoke(argv, doc) == (1, f"oracle\tmismatch\t{detail}\n", "")
+
+
+def test_oracle_compare_names_both_nodes_that_share_an_extension(monkeypatch):
+    """On the compare workload's 4-node shape at 2 levels, the moved
+    edge of ``sabotaged_completions`` gives the moved level-2 node the
+    extension of another: the level's table has one entry fewer than
+    the level, every node is spelled, and the detail names both."""
+    seed_graph = ExtensionalDigraph.from_extensions(
+        {"d0": set(), "d1": {"d1"}, "d2": {"d0"}, "d3": {"d0", "d1"}}
+    )
+    bad = sabotaged_completions(seed_graph, 2)[1]
+    moved = moved_node(seed_graph, 2, bad)
+    [twin] = [x for x in bad.nodes - {moved} if bad.extensions[x] == bad.extensions[moved]]
+    monkeypatch.setattr(cli, "complete", lambda *args: AnnotatedGraph(bad))
+    first, second = sorted([moved, twin])
+    detail = f"level 2: {first!r} and {second!r} share an extension"
+    argv = ["oracle-compare", "--levels", "2", "--porcelain"]
+    doc = serialize(AnnotatedGraph(seed_graph))
+    assert invoke(argv, doc) == (1, f"oracle\tmismatch\t{detail}\n", "")
 
 
 # Certified 3-node seeds, which two completion steps take to 256 nodes;
@@ -1044,14 +1120,14 @@ def test_completing_in_parts_writes_the_bytes_of_one_completion(tmp_path, split,
 
 
 def test_oracle_compare_reports_an_id_clash_before_the_kernel(completions):
-    """The seed node "hf:{{}}" takes the id the stage-1 value {{}}
-    would get; the clash is reported from the stage values, and the
-    kernel never runs."""
+    """The seed node "hf:{{}}" takes the id that ``oracle_complete``
+    gives the stage-1 value {{}}, and raises on.  ``oracle-compare``
+    names no node "hf:", so it has no clash to report: the kernel runs,
+    and the walk matches its nodes."""
     g = ExtensionalDigraph.from_extensions({"e": (), "hf:{{}}": {"hf:{{}}"}})
     doc = serialize(AnnotatedGraph(g))
-    expected = "generated id 'hf:{{}}' collides with a seed id\n"
-    assert invoke(["oracle-compare", "--levels", "1"], doc) == (3, "", expected)
-    assert completions == ["oracle_stages"]
+    assert invoke(["oracle-compare", "--levels", "1"], doc) == (0, "isomorphic\n", "")
+    assert completions == ["oracle_stages", "complete"]
 
 
 @pytest.mark.parametrize(
@@ -1066,21 +1142,23 @@ def test_oracle_compare_reports_the_smallest_id_clash_at_either_stage(completion
     """Over the seed {}, {{}} and two self-looped nodes, each pair of
     ids spells two keys of one stage of a 2-level request: the first
     stage, whose subsets become values for the second, and the last,
-    whose subsets stay positions.  The smallest key is named, and the
-    kernel never runs."""
+    whose subsets stay positions.  ``oracle_complete`` names the
+    smallest in its clash; ``oracle-compare`` names no node "hf:", and
+    matches the kernel's nodes."""
     g = ExtensionalDigraph.from_extensions({"e": (), "f": {"e"}, **{x: {x} for x in ids}})
     doc = serialize(AnnotatedGraph(g))
-    message = f"generated id {expected!r} collides with a seed id\n"
-    assert invoke(["oracle-compare", "--levels", "2"], doc) == (3, "", message)
-    assert completions == ["oracle_stages"]
+    with pytest.raises(SetforgeError, match=re.escape(f"generated id {expected!r} collides")):
+        oracle_complete(g, 2)
+    assert invoke(["oracle-compare", "--levels", "2"], doc) == (0, "isomorphic\n", "")
+    assert completions == ["oracle_stages", "complete"]
 
 
 def test_oracle_compare_makes_values_only_of_a_stage_drawn_from(monkeypatch):
     """The last stage's subsets stay positions: over eight atoms no
     collection is built at all, and over von Neumann stage 2 only its
     two decoration values and the two subsets of stage 1, which stage 2
-    draws from.  A kernel result that does not match still gets the
-    whole reference graph to explain it."""
+    draws from.  A kernel result that does not match is named from the
+    same values, and no more are built."""
     collections_built = []
 
     def counting(self, original=oracle.Collection.__post_init__):
@@ -1097,22 +1175,12 @@ def test_oracle_compare_makes_values_only_of_a_stage_drawn_from(monkeypatch):
     assert invoke(["oracle-compare", "--levels", "2"], doc) == (0, "isomorphic\n", "")
     assert sorted(v.key for v in collections_built) == built
 
-    references = []
-
-    def recording(*args, original=cli.stages_graph):
-        references.append(original(*args))
-        return references[-1]
-
-    monkeypatch.setattr(cli, "stages_graph", recording)
     bad = sabotaged_completions(seed_graph, 2)[0]
     monkeypatch.setattr(cli, "complete", lambda *args: AnnotatedGraph(bad))
     collections_built.clear()
-    assert invoke(["oracle-compare", "--levels", "2"], doc)[0] == 1
+    expected = (1, "level 2 has 11 nodes, not 12\n", "")
+    assert invoke(["oracle-compare", "--levels", "2"], doc) == expected
     assert sorted(v.key for v in collections_built) == built
-    expected = oracle_complete(seed_graph, 2)
-    [reference] = references
-    assert reference.extensions == expected.extensions
-    assert reference.provenance == expected.provenance
 
 
 def test_oracle_compare_matches_labels_with_key_syntax_by_key(completions):

@@ -502,9 +502,10 @@ def level_of(g: ExtensionalDigraph, x: str) -> int:
 
 
 def lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, phi: dict) -> bool:
-    """``oracle._induced`` with each graph grouped by level here."""
+    """Whether ``oracle._induced``, each graph grouped by level here,
+    gives a map: a text says where the walk stopped."""
     groups = (oracle._by_level(a), oracle._by_level(b))
-    return oracle._induced(a.extensions, b, phi, groups) is not None
+    return isinstance(oracle._induced(a.extensions, b, phi, groups), dict)
 
 
 def seed_map_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph) -> bool:
@@ -709,7 +710,8 @@ def test_one_grouping_serves_every_walk_over_a_graph():
     assert lifts(h, h, identity) and not lifts(h, h, swap)
     grouping = oracle._by_level(h)
     for phi, expected in [(identity, True), (swap, False), (identity, True), (swap, False)]:
-        assert (oracle._induced(h.extensions, h, phi, (grouping, grouping)) is not None) is expected
+        induced = oracle._induced(h.extensions, h, phi, (grouping, grouping))
+        assert isinstance(induced, dict) is expected
 
 
 def test_compare_groups_each_graph_by_level_once(monkeypatch):
@@ -769,7 +771,7 @@ def test_atom_permutations_induce_automorphisms(case, rng):
     g, phi = case
     groups = oracle._by_level(g)
     induced = oracle._induced(g.extensions, g, phi, (groups, groups))
-    assert induced is not None
+    assert isinstance(induced, dict)
     assert induced.keys() == g.nodes and set(induced.values()) == g.nodes
     for x, ext in g.extensions.items():
         assert {induced[m] for m in ext} == g.extensions[induced[x]]
@@ -801,12 +803,13 @@ def test_atom_permutations_induce_automorphisms(case, rng):
 def test_the_empty_graph_is_matched_by_its_empty_map(capsys, monkeypatch):
     """The level walk's map of the empty graph is ``{}``, which is
     falsy: ``oracle-compare`` must take it as a match from the stage
-    values, and never build the reference graph."""
+    values, and never compare graphs."""
 
-    def unbuilt(g, values):
-        raise AssertionError("built the reference graph")
+    def unreachable(a, b):
+        raise AssertionError("compared graphs")
 
-    monkeypatch.setattr(cli, "stages_graph", unbuilt)
+    monkeypatch.setattr(cli, "compare", unreachable)
+    monkeypatch.setattr(oracle, "compare", unreachable)
     assert main(["seed", "empty"]) == 0
     monkeypatch.setattr(sys, "stdin", io.StringIO(capsys.readouterr().out))
     assert main(["oracle-compare", "--levels", "0", "--porcelain"]) == 0
@@ -861,16 +864,39 @@ def spelled_ids(rng: random.Random, count: int, most: int) -> set[str]:
     return {"".join(rng.choices(KEY_SYNTAX_PIECES, k=rng.randint(1, most))) for _ in range(count)}
 
 
+def input_fixed_lifts(a: ExtensionalDigraph, b: ExtensionalDigraph, g: ExtensionalDigraph) -> bool:
+    """Whether both graphs hold every node of ``g`` with its provenance
+    and members, and ``oracle._induced`` lifts the identity on those
+    nodes, which are fixed rather than walked, from ``a`` onto ``b``;
+    every other node is walked at its level, a non-deficiency one at 0."""
+
+    def grouped(h: ExtensionalDigraph) -> tuple[dict, dict]:
+        levels: dict[int, list[str]] = {}
+        for x in h.nodes - g.nodes:
+            levels.setdefault(level_of(h, x), []).append(x)
+        return levels, {x: h.provenance[x] for x in g.nodes}
+
+    if not all(
+        h.provenance.get(x) == g.provenance[x] and h.extensions.get(x) == g.extensions[x]
+        for h in (a, b)
+        for x in g.nodes
+    ):
+        return False
+    identity = {x: x for x in g.nodes}
+    return isinstance(oracle._induced(a.extensions, b, identity, (grouped(a), grouped(b))), dict)
+
+
 def test_stages_agree_is_the_seed_map_against_the_oracle_graph():
-    """``stages_agree`` decides what ``identity_lifts`` decides
-    against the graph of the same stage values, without building it.
-    On the seeds of the test above, and on their completions completed
-    again, whose input already holds deficiency nodes: the kernel's
-    completion, its mutated copies, the completion less a top-level
-    node, and the completion one level short.  A completion is
-    completed again as a record, whose stages continue its levels, and
-    as a bare graph, whose stamps give the same levels.  Then the same
-    on seeds whose ids are spelled from key syntax."""
+    """``stage_mismatch`` finds a mismatch exactly where
+    ``input_fixed_lifts`` finds no lift onto ``oracle_complete``'s graph
+    of the same stages.  On the seeds of the test
+    above, and on their completions completed again, whose input
+    already holds deficiency nodes: the kernel's completion, its mutated
+    copies, the completion less a top-level node, and the completion
+    one level short.  A completion is completed again as a record, whose
+    stages continue its levels, and as a bare graph, whose stamps give
+    the same levels.  Then the same on seeds whose ids are spelled from
+    key syntax."""
     rng = random.Random(8128)
     outcomes = []
     seeds = (random_comparison_seed(rng) for _ in range(80))
@@ -881,14 +907,15 @@ def test_stages_agree_is_the_seed_map_against_the_oracle_graph():
             inputs += [(again, 0), (again, 1), (again.graph, 0), (again.graph, 1)]
         for g, n in inputs:
             values = oracle.oracle_stages(g, n)
-            reference = oracle.stages_graph(g, values)
+            reference = oracle_complete(g, n)
             ours = complete(g, n).graph
             candidates = [ours, *mutated_copies(rng, ours), without_a_top_node(ours)]
             if n:
                 candidates.append(complete(g, n - 1).graph)
             for candidate in candidates:
-                expected = identity_lifts(candidate, reference)
-                assert oracle.stages_agree(candidate, g, values) == expected, (g.extensions, n)
+                expected = input_fixed_lifts(candidate, reference, values.graph)
+                detail = oracle.stage_mismatch(candidate, values)
+                assert (detail is None) == expected, (g.extensions, n, detail)
                 outcomes.append(expected)
     assert outcomes.count(True) >= 100
     assert outcomes.count(False) >= 100
@@ -909,13 +936,15 @@ def one_node_too_few_or_too_many(g: ExtensionalDigraph, n: int) -> list[Extensio
 @pytest.mark.parametrize("fault", [0, 1, 2], ids=["level-short", "node-dropped", "node-added"])
 def test_the_level_walk_refuses_a_node_too_few_or_too_many(fault):
     """Each level's table must be used up, and every level's table:
-    both matchers refuse a completion that misses or adds a node, and
-    ``compare`` names the node counts."""
+    both matchers refuse a completion that misses or adds a node, the
+    stage walk naming the level whose count differs, and ``compare``
+    names the node counts."""
     g = von_neumann_seed(2)
     values = oracle.oracle_stages(g, 2)
-    reference = oracle.stages_graph(g, values)
+    reference = oracle_complete(g, 2)
     bad = one_node_too_few_or_too_many(g, 2)[fault]
-    assert not oracle.stages_agree(bad, g, values)
+    counts = [(2, 0, 12), (2, 11, 12), (3, 1, 0)][fault]
+    assert oracle.stage_mismatch(bad, values) == "level {} has {} nodes, not {}".format(*counts)
     assert not identity_lifts(bad, reference)
     assert not identity_lifts(reference, bad)
     expected = f"node counts differ: {len(bad)} vs {len(reference)}"
@@ -933,9 +962,9 @@ def test_the_flipped_walk_refuses_a_top_level_node_no_subset_takes():
     extra = ExtensionalDigraph(
         {**ours.extensions, "extra": frozenset([top])}, {**ours.provenance, "extra": Deficiency(2)}
     )
-    assert oracle.stages_agree(ours, g, values)
-    assert not oracle.stages_agree(extra, g, values)
-    assert not identity_lifts(extra, oracle.stages_graph(g, values))
+    assert oracle.stage_mismatch(ours, values) is None
+    assert oracle.stage_mismatch(extra, values) == "level 2 has 13 nodes, not 12"
+    assert not identity_lifts(extra, oracle_complete(g, 2))
 
 
 def test_stages_agree_matches_labels_with_key_syntax_by_key():
@@ -944,8 +973,8 @@ def test_stages_agree_matches_labels_with_key_syntax_by_key():
     g = ExtensionalDigraph.from_extensions({"a(": {"a("}, "b": set()})
     values = oracle.oracle_stages(g, 2)
     ours = complete(g, 2).graph
-    assert oracle.stages_agree(ours, g, values)
-    assert identity_lifts(ours, oracle.stages_graph(g, values))
+    assert oracle.stage_mismatch(ours, values) is None
+    assert identity_lifts(ours, oracle_complete(g, 2))
 
 
 def test_oracle_complete_gives_values_with_key_syntax_distinct_ids():
@@ -983,11 +1012,11 @@ def test_stages_agree_on_ids_spelled_from_key_syntax():
     seeds = key_syntax_seeds(60) + [(key_syntax_seed(), 1)]
     for g, n in seeds:
         values = oracle.oracle_stages(g, n)
-        reference = oracle.stages_graph(g, values)
+        reference = oracle_complete(g, n)
         generated = [x[3:] for x in reference.nodes - g.nodes]
         assert len(generated) == sum(map(len, values.stages)), g.extensions
         keys = [v.key for v in values.node_of] + generated
         assert len(set(keys)) == len(keys), g.extensions
         ours = complete(g, n).graph
-        assert oracle.stages_agree(ours, g, values), (g.extensions, n)
+        assert oracle.stage_mismatch(ours, values) is None, (g.extensions, n)
         assert identity_lifts(ours, reference)
